@@ -27,7 +27,7 @@ for i in range(2):
 print("\nfactorization across the singular node (reordered first):")
 t1, t2 = b.factorize(system, 1, order=(1, 0))
 print("  elementary factor:", [[str(t1.entry(i, j)) for j in range(2)] for i in range(2)])
-print("  product recovers Theta:", b.lft_compose(t1, t2) == theta)
+print("  product recovers Theta:", t1 @ t2 == theta)
 print("  negative squares split:", t1.kappa, "+", t2.kappa, "=", system.kappa)
 
 print("\nparameter sweep:")

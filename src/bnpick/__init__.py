@@ -18,9 +18,6 @@ from .algebra import (
     RationalFunction,
     hermitian_inertia,
     matrix_inverse,
-    rational_derivative,
-    rational_eval,
-    rational_simplify,
 )
 from .boundary import (
     CJReport,
@@ -55,7 +52,6 @@ from .problem import (
     build_system,
     check_lyapunov,
     is_infinite,
-    negative_squares,
 )
 from .resolvent import (
     RationalMatrix2x2,
@@ -82,6 +78,6 @@ from .solver import (
     solve_degenerate,
     verify_candidate,
 )
-from .transform import NevanlinnaCheck, Parameter, apply_lft, is_nevanlinna, lft_compose
+from .transform import NevanlinnaCheck, Parameter, apply_lft, is_nevanlinna
 
 __version__ = "0.1.0"

@@ -1,38 +1,34 @@
-"""Deterministic upper-half-plane sampling grids and finite-section counting.
+"""Deterministic upper-half-plane sampling grids and sampled negative counts.
 
-Negative-squares counts are suprema over finite sections of a kernel.  The
-helpers here fix one reproducible scheme: a default grid of points on two
-horizontal lines, exhaustive enumeration of small index subsets, and a seeded
-handful of larger subsets (the full section always included).  Eigenvalues
-within ``eig_tol * scale`` of zero count as zero, never negative, so sampled
-counts are honest lower bounds.
+The number of negative squares of a kernel is the supremum, over finite
+point sets, of the number of negative eigenvalues of the kernel sampled
+there.  By Cauchy interlacing no principal section of a sampled Hermitian
+matrix has more negative eigenvalues than the matrix itself, so one
+eigenvalue count of the full sampled matrix is the largest count the sample
+points can show.  The helpers here fix one reproducible scheme: a default
+grid of points on two horizontal lines, the Nevanlinna kernel sampled on it,
+and the count of eigenvalues below ``-eig_tol * max(1, max|lambda|)``.
+Eigenvalues within that band count as zero, never negative, so sampled counts
+are honest lower bounds of the kernel's negative squares.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PoleError
+
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sampling-grid and section-enumeration settings."""
+    """Sampling grid and eigenvalue tolerance of the sampled counts."""
 
     im_levels: tuple = (0.3, 1.1)
     points_per_level: int = 6
     re_margin: float = 1.0
-    subset_max: int = 6
-    random_subsets: int = 8
-    seed: int = 20260809
     eig_tol: float = 1e-9
-    agreement_tol: float = 1e-8
-
-    @property
-    def total_points(self) -> int:
-        return self.points_per_level * len(self.im_levels)
 
 
 DEFAULT_GRID = GridConfig()
@@ -59,6 +55,22 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
     return points
 
 
+def pole_free_grid(f, span, config: GridConfig) -> list:
+    """Grid points nudged off the upper poles of f, skipping any left on a pole."""
+    avoid = ()
+    if f.den.degree >= 1:
+        roots = np.roots(f.den.to_complex_array()[::-1])
+        avoid = tuple(r for r in roots if r.imag > 1e-9)
+    points = []
+    for z in upper_half_grid(span, config, avoid=avoid):
+        try:
+            f.eval(z)
+        except PoleError:
+            continue
+        points.append(z)
+    return points
+
+
 def span_of(values, fallback=(-1.0, 1.0)):
     vals = [float(v) for v in values]
     if not vals:
@@ -66,43 +78,18 @@ def span_of(values, fallback=(-1.0, 1.0)):
     return (min(vals), max(vals))
 
 
-def enumerate_sections(m: int, config: GridConfig = DEFAULT_GRID) -> list:
-    """Index subsets: all of size <= subset_max, seeded larger ones, full set."""
-    sections = []
-    for size in range(1, min(config.subset_max, m) + 1):
-        sections.extend(itertools.combinations(range(m), size))
-    rng = random.Random(config.seed)
-    for size in range(config.subset_max + 1, m):
-        for _ in range(max(1, config.random_subsets // 2)):
-            sections.append(tuple(sorted(rng.sample(range(m), size))))
-    if m > config.subset_max:
-        sections.append(tuple(range(m)))
-    return sections
+def nevanlinna_kernel(points, values) -> np.ndarray:
+    """Hermitian part of (f(z_j) - conj f(z_i)) / (z_j - conj z_i) on the points."""
+    z = np.asarray(points, dtype=complex)
+    v = np.asarray(values, dtype=complex)
+    out = (v[np.newaxis, :] - v.conj()[:, np.newaxis]) / (
+        z[np.newaxis, :] - z.conj()[:, np.newaxis]
+    )
+    return (out + out.conj().T) / 2.0
 
 
 def negative_count(matrix: np.ndarray, eig_tol: float) -> int:
+    """Eigenvalues of a Hermitian matrix below -eig_tol * max(1, max|lambda|)."""
     eigs = np.linalg.eigvalsh(matrix)
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     return int(np.sum(eigs < -eig_tol * scale))
-
-
-def max_negative_count(
-    full: np.ndarray,
-    config: GridConfig = DEFAULT_GRID,
-    block: int = 1,
-    fixed: int = 0,
-) -> int:
-    """Max negative-eigenvalue count over sections of a sampled kernel.
-
-    ``full`` is the complete sampled Hermitian matrix.  Its leading ``fixed``
-    rows/columns belong to every section; the remainder consists of
-    ``block``-sized groups, one per sample point, selected by subsets.
-    """
-    m = (full.shape[0] - fixed) // block
-    best = 0
-    for subset in enumerate_sections(m, config):
-        idx = list(range(fixed)) + [
-            fixed + p * block + r for p in subset for r in range(block)
-        ]
-        best = max(best, negative_count(full[np.ix_(idx, idx)], config.eig_tol))
-    return best

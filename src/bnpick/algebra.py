@@ -929,19 +929,3 @@ def exact_kernel_basis(rows):
             vec[pc] = -a[row_idx][fc]
         basis.append(vec)
     return basis
-
-
-# -- free-function aliases for the core operations --------------------------
-
-
-def rational_simplify(r: RationalFunction) -> RationalFunction:
-    """Canonical (reduced, normalized) form of a rational function."""
-    return RationalFunction(r.num, r.den)
-
-
-def rational_eval(r: RationalFunction, z):
-    return r.eval(z)
-
-
-def rational_derivative(r: RationalFunction) -> RationalFunction:
-    return r.derivative()

@@ -21,9 +21,10 @@ import numpy as np
 from ._sections import (
     DEFAULT_GRID,
     GridConfig,
-    max_negative_count,
+    negative_count,
+    nevanlinna_kernel,
+    pole_free_grid,
     span_of,
-    upper_half_grid,
 )
 from .algebra import (
     EXACT_I,
@@ -261,35 +262,20 @@ def kernel_negative_squares(
     config: GridConfig = DEFAULT_GRID,
     span=None,
 ) -> int:
-    """Sampled negative-squares lower bound of the Nevanlinna kernel of f."""
+    """Sampled negative-squares lower bound of the Nevanlinna kernel of f.
+
+    The count is the number of eigenvalues of the whole sampled kernel below
+    -config.eig_tol * max(1, max|lambda|).  By Cauchy interlacing no subset
+    of the sample points shows more negative eigenvalues, and the kernel's
+    negative squares are at least this many.
+    """
     if grid is None:
         if span is None:
             span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
-        grid = _pole_free_grid(f, span, config)
+        grid = pole_free_grid(f, span, config)
     points = list(grid)
-    vals = [as_complex(f.eval(z)) for z in points]
-    m = len(points)
-    full = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            full[i, j] = (vals[j] - np.conj(vals[i])) / (points[j] - np.conj(points[i]))
-    full = (full + full.conj().T) / 2.0
-    return max_negative_count(full, config, block=1)
-
-
-def _pole_free_grid(f: RationalFunction, span, config) -> list:
-    avoid = ()
-    if f.den.degree >= 1:
-        roots = np.roots(f.den.to_complex_array()[::-1])
-        avoid = tuple(r for r in roots if r.imag > 1e-9)
-    points = []
-    for z in upper_half_grid(span, config, avoid=avoid):
-        try:
-            f.eval(z)
-        except PoleError:
-            continue
-        points.append(z)
-    return points
+    kernel = nevanlinna_kernel(points, [as_complex(f.eval(z)) for z in points])
+    return negative_count(kernel, config.eig_tol)
 
 
 def fmi_check(
@@ -300,30 +286,29 @@ def fmi_check(
 ) -> int:
     """Sampled negative count of the bordered solution kernel.
 
-    The Pick matrix P sits in every section; sample points append the column
-    (zI-X)^(-1) (w(z) E* - C*) and the Nevanlinna kernel of w.  A candidate
-    solving the master interpolation problem yields exactly kappa.
+    The Pick matrix P is bordered by one column (zI-X)^(-1) (w(z) E* - C*)
+    per sample point z and completed by the Nevanlinna kernel of w.  The
+    count is the number of eigenvalues of the whole bordered matrix below
+    -config.eig_tol * max(1, max|lambda|); by Cauchy interlacing it is at
+    least the count of P and of any bordered section, and a lower bound of
+    the kernel's negative squares.  A candidate solving the master
+    interpolation problem yields exactly kappa.
     """
     if grid is None:
-        grid = _pole_free_grid(w, span_of(sys.X), config)
+        grid = pole_free_grid(w, span_of(sys.X), config)
     points = list(grid)
-    n, m = sys.n, len(points)
+    n = sys.n
     x = np.array([float(v) for v in sys.X])
     e = np.array([float(v) for v in sys.E])
     c = np.array([float(v) for v in sys.C])
-    wvals = [as_complex(w.eval(z)) for z in points]
-    full = np.zeros((n + m, n + m), dtype=complex)
-    full[:n, :n] = sys.P.to_numpy()
-    cols = [(wvals[j] * e - c) / (points[j] - x) for j in range(m)]
-    for j in range(m):
-        full[:n, n + j] = cols[j]
-        full[n + j, :n] = np.conj(cols[j])
-        for i in range(m):
-            full[n + i, n + j] = (wvals[j] - np.conj(wvals[i])) / (
-                points[j] - np.conj(points[i])
-            )
+    z = np.array(points, dtype=complex)
+    wvals = np.array([as_complex(w.eval(p)) for p in points], dtype=complex)
+    border = (e[:, np.newaxis] * wvals - c[:, np.newaxis]) / (z - x[:, np.newaxis])
+    full = np.block(
+        [[sys.P.to_numpy(), border], [border.conj().T, nevanlinna_kernel(z, wvals)]]
+    )
     full = (full + full.conj().T) / 2.0
-    return max_negative_count(full, config, block=1, fixed=n)
+    return negative_count(full, config.eig_tol)
 
 
 _CAYLEY_CHECK_SEED = 20260809

@@ -61,8 +61,6 @@ class RunConfig:
 
     backend: str = "exact"
     rank_tol: float = 1e-9
-    limit_tol: float = 1e-9
-    eig_tol: float = 1e-9
     verify_tol: float = 1e-6
     grid: GridConfig = field(default_factory=lambda: DEFAULT_GRID)
     out: str | None = None
@@ -88,8 +86,6 @@ class RunConfig:
         return RunConfig(
             backend=backend,
             rank_tol=float(obj.get("rank_tol", 1e-9)),
-            limit_tol=float(obj.get("limit_tol", 1e-9)),
-            eig_tol=float(obj.get("eig_tol", 1e-9)),
             verify_tol=float(obj.get("verify_tol", 1e-6)),
             grid=grid,
             out=obj.get("out"),

@@ -228,9 +228,6 @@ class PickSystem:
     def invertible(self) -> bool:
         return self.inertia.zeros == 0
 
-    def p_inv_entry(self, i: int, j: int):
-        return self.p_inv[i][j]
-
 
 def _real_part(value):
     if isinstance(value, GaussianRational):
@@ -327,8 +324,3 @@ def check_lyapunov(sys: PickSystem, P: HermitianMatrix | None = None) -> Lyapuno
         is_zero=is_zero,
         exact=sys.exact and P.exact,
     )
-
-
-def negative_squares(sys: PickSystem) -> int:
-    """Count of negative eigenvalues of the Pick matrix."""
-    return sys.kappa

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sections import (
-    DEFAULT_GRID,
-    GridConfig,
-    max_negative_count,
-    span_of,
-    upper_half_grid,
-)
+from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_half_grid
 from .algebra import (
     HermitianMatrix,
     Polynomial,
@@ -40,6 +34,7 @@ from .errors import SingularMatrixError, SingularPickError, SplitNotAdmissibleEr
 from .problem import PickSystem
 
 _J_NUMPY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+KERNEL_AGREEMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,7 @@ def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np
                 cols[a] @ p_inv @ cols[b].conj().T
             )
     scale = max(1.0, float(np.abs(direct).max()))
-    if float(np.abs(direct - realized).max()) > DEFAULT_GRID.agreement_tol * scale:
+    if float(np.abs(direct - realized).max()) > KERNEL_AGREEMENT_TOL * scale:
         raise ArithmeticError("resolvent kernel disagrees with its state-space form")
     return (direct + direct.conj().T) / 2.0
 
@@ -281,11 +276,17 @@ def kernel_theta_negative_squares(
     grid=None,
     config: GridConfig = DEFAULT_GRID,
 ) -> int:
-    """Max negative count over finite sections of the resolvent kernel."""
+    """Sampled negative-squares lower bound of the resolvent kernel.
+
+    The count is the number of eigenvalues of the whole sampled 2m x 2m
+    kernel below -config.eig_tol * max(1, max|lambda|).  By Cauchy
+    interlacing no subset of the sample points shows more negative
+    eigenvalues, and the kernel's negative squares (kappa for the resolvent
+    of an invertible Pick system) are at least this many.
+    """
     if grid is None:
         grid = upper_half_grid(span_of(sys.X), config, avoid=[complex(p) for p in theta.poles])
-    full = kernel_theta_sample(sys, theta, list(grid))
-    return max_negative_count(full, config, block=2)
+    return negative_count(kernel_theta_sample(sys, theta, list(grid)), config.eig_tol)
 
 
 def factorize(sys: PickSystem, k: int, order=None):

@@ -186,13 +186,13 @@ def classify_parameter(
                 index = 1
             else:
                 # constant at the critical value: derivative is exactly 0
-                index = _index_from_derivative(0, -p_ii / (te * te), p_ii, exact=True)
+                index = _index_from_threshold(0, -p_ii / (te * te), p_ii, exact=True)
         else:
             if not is_infinite(value):
                 index = 1
             else:
                 # infinite parameter: -1/phi_residual = 0 exactly
-                index = _index_from_inverse_residual(0, -p_ii / (tc * tc), p_ii, exact=True)
+                index = _index_from_threshold(0, -p_ii / (tc * tc), p_ii, exact=True)
         return ConditionLabel(i + 1, family, index, value, deriv, residual, exact=True)
 
     func = phi.func
@@ -213,7 +213,7 @@ def classify_parameter(
                 return _unclassifiable(i, family, value, deriv, None)
             else:
                 tau = float(-p_ii / (te * te))
-                index = _index_from_derivative(deriv.value.real, tau, p_ii, tol=tol)
+                index = _index_from_threshold(deriv.value.real, tau, p_ii, tol=tol)
         return ConditionLabel(i + 1, family, index, value, deriv, residual)
 
     if value.is_finite or value.status == "dne":
@@ -226,7 +226,7 @@ def classify_parameter(
         index = 2
     else:
         tau = float(-p_ii / (tc * tc))
-        index = _index_from_inverse_residual(-1.0 / r, tau, p_ii, tol=tol)
+        index = _index_from_threshold(-1.0 / r, tau, p_ii, tol=tol)
     return ConditionLabel(i + 1, family, index, value, None, residual)
 
 
@@ -237,23 +237,12 @@ def _unclassifiable(i, family, value, deriv, residual):
     )
 
 
-def _index_from_derivative(d, tau, p_ii, tol=THRESHOLD_TOL, exact=False):
-    """Index among 3..6 for a parameter matching eta with derivative d."""
-    if exact:
-        if d == tau:
-            return 6 if not p_ii else 5
-        return 3 if d > tau else 4
-    if abs(d - tau) <= tol:
-        if p_ii < 0:
-            return 5
-        if not p_ii:
-            return 6
-        return 3
-    return 3 if d > tau else 4
+def _index_from_threshold(s, tau, p_ii, tol=THRESHOLD_TOL, exact=False):
+    """Index among 3..6 from a boundary quantity s against its threshold tau.
 
-
-def _index_from_inverse_residual(s, tau, p_ii, tol=THRESHOLD_TOL, exact=False):
-    """Index among 2..6 for an unbounded parameter with s = -1/phi_residual."""
+    s is the derivative of a parameter matching eta, or -1/phi_residual for
+    an unbounded parameter.
+    """
     if exact:
         if s == tau:
             return 6 if not p_ii else 5

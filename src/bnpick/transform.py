@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._sections import DEFAULT_GRID, GridConfig, enumerate_sections, span_of, upper_half_grid
+from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
 from .algebra import Polynomial, RationalFunction, as_complex, polynomial_gcd, scalar_from_json, scalar_to_json
-from .errors import DegenerateTransformError, NotNevanlinnaError, PoleError
+from .errors import DegenerateTransformError, NotNevanlinnaError
 from .resolvent import RationalMatrix2x2
 
 NEVANLINNA_EIG_SLACK = 1e-10
@@ -93,7 +93,7 @@ class Parameter:
 
 @dataclass(frozen=True)
 class NevanlinnaWitness:
-    """Offending kernel section: sample points and the negative eigenvalue."""
+    """Offending sample points and the negative eigenvalue they show."""
 
     points: tuple
     eigenvalue: float
@@ -108,58 +108,36 @@ class NevanlinnaCheck:
         return self.ok
 
 
-def _kernel_matrix(func: RationalFunction, points) -> np.ndarray:
-    vals = [as_complex(func.eval(z)) for z in points]
-    m = len(points)
-    out = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = (vals[j] - np.conj(vals[i])) / (points[j] - np.conj(points[i]))
-    return (out + out.conj().T) / 2.0
-
-
 def is_nevanlinna(
     phi: Parameter, config: GridConfig = DEFAULT_GRID, span=None
 ) -> NevanlinnaCheck:
     """Sampled positivity certificate of the Nevanlinna kernel.
 
     Constants and infinity pass trivially.  For rational parameters the
-    kernel (phi(z) - phi(w)*) / (z - conj(w)) is sampled over finite sections
-    of a fixed grid; the first section with an eigenvalue below the slack is
-    returned as a witness.  Grid points hitting a pole of phi are skipped.
+    kernel (phi(z) - phi(w)*) / (z - conj(w)) is sampled on a fixed grid,
+    skipping grid points that hit a pole of phi.  The first point whose
+    diagonal entry Im phi(z) / Im z lies below -slack * max(1, |entry|) is
+    returned alone as the witness.  Otherwise the parameter fails when the
+    least eigenvalue of the whole sampled matrix lies below -slack *
+    max(1, max|lambda|); the witness is then every sample point with that
+    eigenvalue.  By Cauchy interlacing the whole matrix shows a negative
+    eigenvalue whenever any of its principal sections does.
     """
     if phi.kind in ("const", "inf"):
         return NevanlinnaCheck(True)
     func = phi.func
     if span is None:
         span = span_of(func.real_poles(), fallback=(-1.0, 1.0))
-    avoid = _upper_poles(func)
-    points = []
-    for z in upper_half_grid(span, config, avoid=avoid):
-        try:
-            func.eval(z)
-        except PoleError:
-            continue
-        points.append(z)
-    full = _kernel_matrix(func, points)
-    for subset in enumerate_sections(len(points), config):
-        section = full[np.ix_(subset, subset)]
-        eigs = np.linalg.eigvalsh(section)
-        scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-        if eigs[0] < -NEVANLINNA_EIG_SLACK * scale:
-            witness = NevanlinnaWitness(
-                points=tuple(points[i] for i in subset),
-                eigenvalue=float(eigs[0]),
-            )
-            return NevanlinnaCheck(False, witness)
+    points = pole_free_grid(func, span, config)
+    kernel = nevanlinna_kernel(points, [as_complex(func.eval(z)) for z in points])
+    for z, d in zip(points, kernel.diagonal().real):
+        if d < -NEVANLINNA_EIG_SLACK * max(1.0, abs(d)):
+            return NevanlinnaCheck(False, NevanlinnaWitness((z,), float(d)))
+    eigs = np.linalg.eigvalsh(kernel)
+    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if eigs[0] < -NEVANLINNA_EIG_SLACK * scale:
+        return NevanlinnaCheck(False, NevanlinnaWitness(tuple(points), float(eigs[0])))
     return NevanlinnaCheck(True)
-
-
-def _upper_poles(func: RationalFunction):
-    if func.den.degree < 1:
-        return ()
-    roots = np.roots(func.den.to_complex_array()[::-1])
-    return tuple(r for r in roots if r.imag > 1e-9)
 
 
 def _polynomial_lcm(polys):
@@ -213,12 +191,3 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
             "parameter sends the transform to the constant infinity"
         )
     return RationalFunction(num, den)
-
-
-def lft_compose(a: RationalMatrix2x2, b: RationalMatrix2x2) -> RationalMatrix2x2:
-    """Matrix product with entrywise canonical simplification.
-
-    Transform composition turns into the product: applying the composed
-    matrix equals applying ``a`` after ``b``.
-    """
-    return a @ b

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bnpick as b
@@ -62,6 +63,20 @@ def theta1(sys1):
 @pytest.fixture(scope="session")
 def theta2(sys2):
     return b.build_theta(sys2)
+
+
+DENSE_GRID = b.GridConfig(points_per_level=8, im_levels=(0.2, 0.7, 1.3))
+
+
+def loop_kernel(f, points):
+    """Nevanlinna kernel of f on the points, built entry by entry as a reference."""
+    vals = [complex(f.eval(z)) for z in points]
+    m = len(points)
+    out = np.empty((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = (vals[j] - np.conj(vals[i])) / (points[j] - np.conj(points[i]))
+    return (out + out.conj().T) / 2.0
 
 
 def rf(num, den=(1,)):

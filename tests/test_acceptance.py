@@ -172,7 +172,7 @@ def test_criterion_9_property_suites():
                 t1, t2 = b.factorize(sys_, k)
             except b.SplitNotAdmissibleError:
                 continue
-            assert b.lft_compose(t1, t2) == theta
+            assert t1 @ t2 == theta
             assert t1.kappa + t2.kappa == sys_.kappa
 
         # off-diagonal reconstruction of the inverse Pick matrix

@@ -158,7 +158,7 @@ class TestMatrixInverse:
 class TestRationalSimplify:
     def test_common_linear_factor(self):
         r = b.RationalFunction(b.Polynomial((0, 1)), b.Polynomial((0, 1)), reduce=False)
-        assert b.rational_simplify(r) == rf((1,))
+        assert b.RationalFunction(r.num, r.den) == rf((1,))
 
     def test_gcd_cancellation(self):
         # oracle by construction: multiply (2z^2-1) and (2z-1)^2 by the factor z
@@ -166,12 +166,12 @@ class TestRationalSimplify:
         core_den = b.Polynomial((1, -4, 4))
         factor = b.Polynomial((0, 1))
         r = b.RationalFunction(core_num * factor, core_den * factor, reduce=False)
-        simplified = b.rational_simplify(r)
+        simplified = b.RationalFunction(r.num, r.den)
         assert simplified.num == core_num and simplified.den == core_den
 
     def test_already_coprime_unchanged(self):
         r = rf((1, 2), (-1, 2))
-        s = b.rational_simplify(r)
+        s = b.RationalFunction(r.num, r.den)
         assert s.num.coeffs == r.num.coeffs and s.den.coeffs == r.den.coeffs
 
     def test_simplify_preserves_values(self):
@@ -183,7 +183,7 @@ class TestRationalSimplify:
             if num.is_zero or den.is_zero:
                 continue
             raw = b.RationalFunction(num * common, den * common, reduce=False)
-            slim = b.rational_simplify(raw)
+            slim = b.RationalFunction(raw.num, raw.den)
             checked = 0
             while checked < 50:
                 z = GR(F(rng.randint(-40, 40), rng.randint(1, 7)))
@@ -203,12 +203,12 @@ class TestRationalSimplify:
         near = b.RationalFunction(
             b.Polynomial((-1.0, 1.0)), b.Polynomial((-(1.0 + 1e-3), 1.0)), reduce=False
         )
-        kept = b.rational_simplify(near)
+        kept = b.RationalFunction(near.num, near.den)
         assert kept.num.degree == 1 and kept.den.degree == 1
         close = b.RationalFunction(
             b.Polynomial((-1.0, 1.0)), b.Polynomial((-(1.0 + 1e-12), 1.0)), reduce=False
         )
-        cancelled = b.rational_simplify(close)
+        cancelled = b.RationalFunction(close.num, close.den)
         assert cancelled.num.degree == 0 and cancelled.den.degree == 0
 
 
@@ -231,15 +231,15 @@ class TestRationalEval:
 
 class TestRationalDerivative:
     def test_constant(self):
-        assert b.rational_derivative(rf((5,))).is_zero
+        assert rf((5,)).derivative().is_zero
 
     def test_quotient_rule_golden(self):
         # oracle: (2(2z-1) - 2(2z+1)) / (2z-1)^2 = -4/(2z-1)^2
-        got = b.rational_derivative(rf((1, 2), (-1, 2)))
+        got = rf((1, 2), (-1, 2)).derivative()
         assert got == rf((-4,), (1, -4, 4))
 
     def test_monomial(self):
-        assert b.rational_derivative(rf((0, 0, 1))) == rf((0, 2))
+        assert rf((0, 0, 1)).derivative() == rf((0, 2))
 
     def test_against_central_differences(self):
         rng = random.Random(17)
@@ -249,7 +249,7 @@ class TestRationalDerivative:
             if num.is_zero or den.is_zero:
                 continue
             r = b.RationalFunction(num, den)
-            deriv = b.rational_derivative(r)
+            deriv = r.derivative()
             z = 0.3 + rng.random()
             try:
                 third = r.derivative().derivative().derivative().eval(z)

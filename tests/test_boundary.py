@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import bnpick as b
+from bnpick._sections import negative_count, nevanlinna_kernel, pole_free_grid, span_of
 from bnpick.boundary import LimitKind
 
-from conftest import rf, unique_solution
+from conftest import DENSE_GRID, loop_kernel, rf, unique_solution
 
 F = Fraction
 
@@ -97,21 +98,55 @@ class TestCaratheodoryJulia:
 
 class TestKernelNegativeSquares:
     def test_identity_is_positive(self):
-        assert b.kernel_negative_squares(rf((0, 1))) == 0
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.kernel_negative_squares(rf((0, 1)), config=config) == 0
 
     def test_unique_solution_has_one(self):
-        assert b.kernel_negative_squares(unique_solution()) == 1
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.kernel_negative_squares(unique_solution(), config=config) == 1
 
     def test_negative_reciprocal_is_positive(self):
-        assert b.kernel_negative_squares(rf((-1,), (0, 1))) == 0
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.kernel_negative_squares(rf((-1,), (0, 1)), config=config) == 0
+
+    def test_counts_the_whole_sampled_matrix(self):
+        # sum of 1/(z - x) over eight poles: eight negative squares, more
+        # than any six sample points can show
+        poles = sum((rf((1,), (-x, 1)) for x in range(8)), rf((0,)))
+        for f in (rf((0, 1)), unique_solution(), rf((0, 0, 1)), rf((0, 2, 0, 1)), poles):
+            points = pole_free_grid(f, span_of(f.real_poles()), DENSE_GRID)
+            kernel = loop_kernel(f, points)
+            built = nevanlinna_kernel(points, [complex(f.eval(z)) for z in points])
+            assert np.array_equal(built, kernel)
+            expected = negative_count(kernel, DENSE_GRID.eig_tol)
+            assert b.kernel_negative_squares(f, config=DENSE_GRID) == expected
 
 
 class TestFmiCheck:
     def test_degenerate_solution_reaches_kappa(self, sys3):
-        assert b.fmi_check(sys3, unique_solution()) == 1
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.fmi_check(sys3, unique_solution(), config=config) == 1
 
     def test_transform_of_infinity(self, sys1):
-        assert b.fmi_check(sys1, rf((0, 1))) == 1
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.fmi_check(sys1, rf((0, 1)), config=config) == 1
+
+    def test_counts_the_whole_bordered_matrix(self, sys1, sys3):
+        for sys_, w in ((sys3, unique_solution()), (sys1, rf((0, 1))), (sys1, rf((0, -1)))):
+            points = pole_free_grid(w, span_of(sys_.X), DENSE_GRID)
+            n, m = sys_.n, len(points)
+            full = np.zeros((n + m, n + m), dtype=complex)
+            full[:n, :n] = sys_.P.to_numpy()
+            full[n:, n:] = loop_kernel(w, points)
+            for j, z in enumerate(points):
+                for i in range(n):
+                    col = (complex(w.eval(z)) * float(sys_.E[i]) - float(sys_.C[i])) / (
+                        z - float(sys_.X[i])
+                    )
+                    full[i, n + j] = col
+                    full[n + j, i] = np.conj(col)
+            expected = negative_count(full, DENSE_GRID.eig_tol)
+            assert b.fmi_check(sys_, w, config=DENSE_GRID) == expected
 
     def test_one_point_section_matches_hand_computation(self, sys1):
         # bordering P with the single point z: section [[-1,1,1],[1,1,1],[1,1,1]]
@@ -128,7 +163,8 @@ class TestFmiCheck:
         assert (eigs < -1e-9).sum() == 1 and (np.abs(eigs) <= 1e-9).sum() == 1
 
     def test_non_solution_exceeds_kappa(self, sys1):
-        assert b.fmi_check(sys1, rf((0, -1))) >= 2
+        for config in (b.DEFAULT_GRID, DENSE_GRID):
+            assert b.fmi_check(sys1, rf((0, -1)), config=config) >= 2
 
 
 class TestCayleyTransform:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bnpick.cli import main
+from bnpick.cli import RunConfig, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -191,3 +191,9 @@ class TestConfig:
         doc = run_json(capsys, "verify", "--problem", str(DEMOS / "ex103.json"),
                        "--param", '{"num":[1,2],"den":[-1,2]}', "--config", str(config))
         assert doc["fmi_count"] == 1
+
+    def test_eig_tol_and_grid_keys_reach_the_grid(self):
+        config = RunConfig.from_json({"eig_tol": 1e-6, "grid": {"points_per_level": 4}})
+        assert config.grid.eig_tol == 1e-6
+        assert config.grid.points_per_level == 4
+        assert config.grid.im_levels == (0.3, 1.1)

@@ -151,7 +151,7 @@ class TestThetaInverse:
 
     def test_system_route_product_is_identity(self, sys1, theta1):
         inv = b.theta_inverse(theta1, sys1)
-        assert b.lft_compose(theta1, inv) == b.RationalMatrix2x2.identity()
+        assert theta1 @ inv == b.RationalMatrix2x2.identity()
 
     def test_adjugate_route_agrees(self, sys1, theta1):
         assert b.theta_inverse(theta1) == b.theta_inverse(theta1, sys1)
@@ -212,7 +212,7 @@ class TestKernelCounts:
 class TestFactorize:
     def test_two_regular_split(self, sys1, theta1):
         t1, t2 = b.factorize(sys1, 1)
-        assert b.lft_compose(t1, t2) == theta1
+        assert t1 @ t2 == theta1
         assert t1.kappa + t2.kappa == sys1.kappa
 
     def test_mixed_reordered_singular_first(self, sys2, theta2):
@@ -220,7 +220,7 @@ class TestFactorize:
         assert t1.entry(0, 0) == rf((1,))
         assert t1.entry(0, 1) == rf((-1,), (0, 1))
         assert t1.entry(1, 0).is_zero and t1.entry(1, 1) == rf((1,))
-        assert b.lft_compose(t1, t2) == theta2
+        assert t1 @ t2 == theta2
 
     def test_full_split_is_trivial(self, sys1, theta1):
         t1, t2 = b.factorize(sys1, sys1.n)
@@ -247,6 +247,6 @@ class TestFactorize:
                     t1, t2 = b.factorize(sys_, k)
                 except b.SplitNotAdmissibleError:
                     continue
-                assert b.lft_compose(t1, t2) == theta
+                assert t1 @ t2 == theta
                 assert t1.kappa + t2.kappa == sys_.kappa
             done += 1

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bnpick as b
 from bnpick.algebra import GaussianRational
 
-from conftest import rf
+from conftest import loop_kernel, rf
 
 F = Fraction
 
@@ -43,6 +44,17 @@ class TestIsNevanlinna:
         assert not check.ok
         assert len(check.witness.points) == 1
         assert check.witness.eigenvalue < 0
+
+    def test_indefinite_kernel_with_positive_diagonal_fails(self):
+        # Im(z^3 + 2z) / Im z = 3x^2 - y^2 + 2 > 0 on the default grid, yet
+        # the kernel of a cubic has negative squares
+        phi = rf((0, 2, 0, 1))
+        check = b.is_nevanlinna(b.Parameter.rational(phi))
+        assert not check.ok
+        assert len(check.witness.points) > 1
+        assert check.witness.eigenvalue < 0
+        least = np.linalg.eigvalsh(loop_kernel(phi, list(check.witness.points)))[0]
+        assert check.witness.eigenvalue == pytest.approx(least, rel=1e-12, abs=1e-12)
 
     def test_square_kernel_value_at_reference_point(self):
         # the 1x1 kernel section of z^2 at -1+i is Im((-1+i)^2)/Im(-1+i) = -2
@@ -90,14 +102,14 @@ class TestApplyLft:
 class TestLftCompose:
     def test_inverse_product_is_identity(self, sys1, theta1):
         inv = b.theta_inverse(theta1, sys1)
-        assert b.lft_compose(theta1, inv) == b.RationalMatrix2x2.identity()
+        assert theta1 @ inv == b.RationalMatrix2x2.identity()
 
     def test_identity_is_neutral(self, theta1):
-        assert b.lft_compose(theta1, b.RationalMatrix2x2.identity()) == theta1
+        assert theta1 @ b.RationalMatrix2x2.identity() == theta1
 
     def test_factor_pair_recomposes(self, sys1, theta1):
         t1, t2 = b.factorize(sys1, 1)
-        assert b.lft_compose(t1, t2) == theta1
+        assert t1 @ t2 == theta1
 
     def test_functoriality(self):
         # T_{AB}[phi] == T_A[T_B[phi]] for rational matrices and parameters
@@ -114,7 +126,7 @@ class TestLftCompose:
             a, bb = rand_matrix(), rand_matrix()
             if a.det().is_zero or bb.det().is_zero:
                 continue
-            composed = b.lft_compose(a, bb)
+            composed = a @ bb
             for phi in params:
                 try:
                     inner = b.apply_lft(bb, phi)
