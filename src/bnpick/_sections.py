@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import RationalSampler
 from .errors import PoleError
 
 
@@ -55,20 +56,27 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
     return points
 
 
-def pole_free_grid(f, span, config: GridConfig) -> list:
-    """Grid points nudged off the upper poles of f, skipping any left on a pole."""
+def pole_free_grid(f, span, config: GridConfig) -> tuple:
+    """Grid points nudged off the upper poles of f, and f sampled there.
+
+    Returns (points, values).  A point still on a pole is skipped; every
+    value comes from one ``RationalSampler`` of f, so callers sample nothing
+    twice.
+    """
     avoid = ()
     if f.den.degree >= 1:
         roots = np.roots(f.den.to_complex_array()[::-1])
         avoid = tuple(r for r in roots if r.imag > 1e-9)
-    points = []
+    sample = RationalSampler(f)
+    points, values = [], []
     for z in upper_half_grid(span, config, avoid=avoid):
         try:
-            f.eval(z)
+            value = sample(z)
         except PoleError:
             continue
         points.append(z)
-    return points
+        values.append(value)
+    return points, values
 
 
 def span_of(values, fallback=(-1.0, 1.0)):

@@ -628,17 +628,17 @@ class RationalFunction:
         return RationalFunction.constant(other) / self
 
     def eval(self, z):
-        """Evaluate at z, raising ``PoleError`` on (near-)pole hits."""
-        den_val = self.den.eval(z)
-        num_val = self.num.eval(z)
-        if is_exact(den_val) and isinstance(den_val, GaussianRational):
+        """Evaluate at z, raising ``PoleError`` on (near-)pole hits.
+
+        Exact entries at an exact point give an exact value; anything else is
+        sampled in floating point by ``RationalSampler``.
+        """
+        if self.exact and is_exact(z):
+            den_val = self.den.eval(z)
             if not den_val:
                 raise PoleError(z)
-            return num_val / den_val
-        den_c, num_c = as_complex(den_val), as_complex(num_val)
-        if abs(den_c) < POLE_TOL * max(1.0, abs(num_c)):
-            raise PoleError(z)
-        return num_c / den_c
+            return self.num.eval(z) / den_val
+        return RationalSampler(self)(z)
 
     __call__ = eval
 
@@ -659,6 +659,65 @@ class RationalFunction:
         elif dq > dp:
             top = top * d ** (dq - dp)
         return RationalFunction(top, bot)
+
+
+def _compiled(p: Polynomial) -> tuple:
+    """Coefficients of p in floating point, highest degree first, for Horner."""
+    return tuple(
+        complex(c) if isinstance(c, GaussianRational) else c for c in reversed(p.coeffs)
+    )
+
+
+def _horner(coeffs, z):
+    acc = 0j
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+class RationalSampler:
+    """Floating-point sampler of a rational function, compiled once.
+
+    The numerator and denominator are converted to float coefficient lists
+    when the sampler is built, so each sample is plain Horner arithmetic with
+    no per-coefficient ``GaussianRational`` dispatch.  ``complex(c) + acc``
+    is the same IEEE operation ``GaussianRational.__radd__`` performs, so the
+    samples are bit-identical to evaluating the exact polynomials at the same
+    float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
+    """
+
+    __slots__ = ("_func", "_num", "_den", "_slopes")
+
+    def __init__(self, func: RationalFunction):
+        self._func = func
+        self._num = _compiled(func.num)
+        self._den = _compiled(func.den)
+        self._slopes = None
+
+    def _parts(self, z):
+        num, den = _horner(self._num, z), _horner(self._den, z)
+        if abs(den) < POLE_TOL * max(1.0, abs(num)):
+            raise PoleError(z)
+        return num, den
+
+    def __call__(self, z) -> complex:
+        num, den = self._parts(z)
+        return num / den
+
+    def derivative(self, z) -> complex:
+        """f'(z) by the quotient rule (n'd - nd')/d^2 evaluated pointwise.
+
+        The derivatives of the numerator and denominator are compiled on
+        first use; f' itself is never formed as a rational function.
+        """
+        if self._slopes is None:
+            self._slopes = (
+                _compiled(self._func.num.derivative()),
+                _compiled(self._func.den.derivative()),
+            )
+        num, den = self._parts(z)
+        dnum, dden = (_horner(c, z) for c in self._slopes)
+        return (dnum * den - num * dden) / (den * den)
 
 
 def _integer_primitive_scale(num: Polynomial, den: Polynomial) -> Fraction:

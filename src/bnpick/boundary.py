@@ -30,6 +30,7 @@ from .algebra import (
     EXACT_I,
     Polynomial,
     RationalFunction,
+    RationalSampler,
     as_complex,
 )
 from .errors import InvalidDataError, NotNevanlinnaError, PoleError
@@ -105,20 +106,27 @@ def nt_limit(
 
     ``kind`` selects the evaluated quantity: the value f(z), the derivative
     f'(z), the residual (z-x0) f(z), or the kernel diagonal Im f(z)/Im z.
+    Every sample comes from one ``RationalSampler`` compiled from f's
+    numerator n and denominator d, so the path skips points where
+    |d| < POLE_TOL * max(1, |n|) as ``RationalFunction.eval`` does.  The
+    derivative is the quotient rule (n'd - nd')/d^2 evaluated at each point
+    from the compiled n' and d'; f' is never formed as a rational function.
     The raw samples feed a ratio-2 Richardson table of order 2; the limit is
     declared finite only when consecutive extrapolants agree within ``tol``.
     Monotone growth by 10x over five consecutive steps is tagged infinite,
     and a non-growing tail with relative spread above 1e-3 does not exist.
     """
     x0 = float(x0)
-    target = f.derivative() if kind is LimitKind.DERIVATIVE else f
+    sampler = RationalSampler(f)
 
     def sample(z: complex) -> complex:
+        if kind is LimitKind.DERIVATIVE:
+            return sampler.derivative(z)
         if kind is LimitKind.RESIDUAL:
-            return (z - x0) * as_complex(target.eval(z))
+            return (z - x0) * sampler(z)
         if kind is LimitKind.KERNEL_DIAGONAL:
-            return as_complex(target.eval(z)).imag / z.imag
-        return as_complex(target.eval(z))
+            return sampler(z).imag / z.imag
+        return sampler(z)
 
     raw: list = []
     r1: list = []
@@ -258,51 +266,46 @@ def _finish_cj(route, estimates) -> CJReport:
 
 def kernel_negative_squares(
     f: RationalFunction,
-    grid=None,
     config: GridConfig = DEFAULT_GRID,
     span=None,
 ) -> int:
     """Sampled negative-squares lower bound of the Nevanlinna kernel of f.
 
-    The count is the number of eigenvalues of the whole sampled kernel below
-    -config.eig_tol * max(1, max|lambda|).  By Cauchy interlacing no subset
-    of the sample points shows more negative eigenvalues, and the kernel's
-    negative squares are at least this many.
+    The kernel is sampled on the pole-free grid of ``config`` over ``span``
+    (by default the span of f's real poles).  The count is the number of
+    eigenvalues of the whole sampled kernel below -config.eig_tol *
+    max(1, max|lambda|).  By Cauchy interlacing no subset of the sample
+    points shows more negative eigenvalues, and the kernel's negative
+    squares are at least this many.
     """
-    if grid is None:
-        if span is None:
-            span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
-        grid = pole_free_grid(f, span, config)
-    points = list(grid)
-    kernel = nevanlinna_kernel(points, [as_complex(f.eval(z)) for z in points])
-    return negative_count(kernel, config.eig_tol)
+    if span is None:
+        span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
+    points, values = pole_free_grid(f, span, config)
+    return negative_count(nevanlinna_kernel(points, values), config.eig_tol)
 
 
 def fmi_check(
     sys: PickSystem,
     w: RationalFunction,
-    grid=None,
     config: GridConfig = DEFAULT_GRID,
 ) -> int:
     """Sampled negative count of the bordered solution kernel.
 
     The Pick matrix P is bordered by one column (zI-X)^(-1) (w(z) E* - C*)
-    per sample point z and completed by the Nevanlinna kernel of w.  The
-    count is the number of eigenvalues of the whole bordered matrix below
-    -config.eig_tol * max(1, max|lambda|); by Cauchy interlacing it is at
-    least the count of P and of any bordered section, and a lower bound of
-    the kernel's negative squares.  A candidate solving the master
+    per point z of the pole-free grid of ``config`` over the node span, and
+    completed by the Nevanlinna kernel of w.  The count is the number of
+    eigenvalues of the whole bordered matrix below -config.eig_tol *
+    max(1, max|lambda|); by Cauchy interlacing it is at least the count of P
+    and of any bordered section, and a lower bound of the kernel's negative
+    squares.  A candidate solving the master
     interpolation problem yields exactly kappa.
     """
-    if grid is None:
-        grid = pole_free_grid(w, span_of(sys.X), config)
-    points = list(grid)
-    n = sys.n
+    points, values = pole_free_grid(w, span_of(sys.X), config)
     x = np.array([float(v) for v in sys.X])
     e = np.array([float(v) for v in sys.E])
     c = np.array([float(v) for v in sys.C])
     z = np.array(points, dtype=complex)
-    wvals = np.array([as_complex(w.eval(p)) for p in points], dtype=complex)
+    wvals = np.array(values, dtype=complex)
     border = (e[:, np.newaxis] * wvals - c[:, np.newaxis]) / (z - x[:, np.newaxis])
     full = np.block(
         [[sys.P.to_numpy(), border], [border.conj().T, nevanlinna_kernel(z, wvals)]]

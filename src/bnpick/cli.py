@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
     data = _load_problem(args, config)
     w = _load_candidate(args)
     system = build_system(data, config.rank_tol)
-    report = verify_candidate(system, w, tol=1e-8, config=config.grid)
+    report = verify_candidate(system, w, tol=config.verify_tol, config=config.grid)
     _emit(report, args, config)
     return 0
 

@@ -13,11 +13,19 @@ residue form actually materialized here,
 whose entries are real rational functions; golden displays compare by exact
 coefficient equality.  The factorization splits Theta across a leading block
 of P with matching negative-squares split.
+
+J-unitarity is certified through the determinant: for any 2x2 matrix A,
+A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
+symplectic form.  So Theta J Theta^T == J holds identically exactly when
+det Theta == 1, which on the exact lane is one polynomial identity over the
+entries' own denominators, with no gcd.  Float samples of Theta come from
+entry samplers compiled once per matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +34,7 @@ from .algebra import (
     HermitianMatrix,
     Polynomial,
     RationalFunction,
-    as_complex,
+    RationalSampler,
     hermitian_inertia,
     matrix_inverse,
 )
@@ -75,10 +83,13 @@ class RationalMatrix2x2:
         )
         return RationalMatrix2x2.from_entries(prod)
 
+    @cached_property
+    def _samplers(self) -> tuple:
+        return tuple(tuple(RationalSampler(e) for e in row) for row in self.entries)
+
     def eval(self, z) -> np.ndarray:
-        return np.array(
-            [[as_complex(self.entries[i][j].eval(z)) for j in range(2)] for i in range(2)]
-        )
+        """Float value of the matrix at z from the compiled entry samplers."""
+        return np.array([[sample(z) for sample in row] for row in self._samplers])
 
     def eval_exact(self, z):
         return [[self.entries[i][j].eval(z) for j in range(2)] for i in range(2)]
@@ -175,33 +186,29 @@ class JUnitarityReport:
 
 
 def _symbolic_j_unitary(theta: RationalMatrix2x2) -> bool:
-    """Check Theta(z) J Theta(z)^T - J == 0 as a rational identity.
+    """Theta(z) J Theta(z)^T == J as the identity det Theta == 1.
 
-    For real-coefficient entries this is the real-line J-unitarity statement
-    continued off the axis.
+    With entries n_ij / d_ij the determinant identity is cleared of the
+    entries' own denominators:
+
+        n00 n11 d01 d10 - n01 n10 d00 d11 == d00 d01 d10 d11,
+
+    compared as exact polynomials.  For real-coefficient entries this is the
+    real-line J-unitarity statement continued off the axis.
     """
-    from .problem import SIGNATURE_J
-
-    e = theta.entries
-    j_const = [
-        [RationalFunction.constant(SIGNATURE_J[i][j]) for j in range(2)]
-        for i in range(2)
-    ]
-    for a in range(2):
-        for b in range(2):
-            acc = RationalFunction(Polynomial(()))
-            for k in range(2):
-                for m in range(2):
-                    acc = acc + e[a][k] * j_const[k][m] * e[b][m]
-            target = j_const[a][b]
-            if not (acc - target).is_zero:
-                return False
-    return True
+    (a, b), (c, d) = theta.entries
+    lhs = a.num * d.num * b.den * c.den - b.num * c.num * a.den * d.den
+    return lhs == a.den * b.den * c.den * d.den
 
 
 def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarityReport:
     """Certify J-unitarity symbolically (exact entries) and by sampling.
 
+    The symbolic part checks det Theta == 1 as one cross-multiplied
+    polynomial identity, which holds exactly when Theta J Theta^T == J (see
+    the module docstring); it builds no rational function and takes no gcd.
+    The sampled part reports the largest entry of Theta(x) J Theta(x)* - J
+    over real points, 100 of them spread over the poles' span by default.
     Real sample points landing on poles are skipped and reported.
     """
     exact = all(theta.entries[i][j].exact for i in range(2) for j in range(2))
@@ -273,20 +280,19 @@ def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np
 def kernel_theta_negative_squares(
     sys: PickSystem,
     theta: RationalMatrix2x2,
-    grid=None,
     config: GridConfig = DEFAULT_GRID,
 ) -> int:
     """Sampled negative-squares lower bound of the resolvent kernel.
 
-    The count is the number of eigenvalues of the whole sampled 2m x 2m
-    kernel below -config.eig_tol * max(1, max|lambda|).  By Cauchy
+    The kernel is sampled at the m points of the ``config`` grid over the
+    node span.  The count is the number of eigenvalues of the whole sampled
+    2m x 2m kernel below -config.eig_tol * max(1, max|lambda|).  By Cauchy
     interlacing no subset of the sample points shows more negative
     eigenvalues, and the kernel's negative squares (kappa for the resolvent
     of an invertible Pick system) are at least this many.
     """
-    if grid is None:
-        grid = upper_half_grid(span_of(sys.X), config, avoid=[complex(p) for p in theta.poles])
-    return negative_count(kernel_theta_sample(sys, theta, list(grid)), config.eig_tol)
+    grid = upper_half_grid(span_of(sys.X), config, avoid=[complex(p) for p in theta.poles])
+    return negative_count(kernel_theta_sample(sys, theta, grid), config.eig_tol)
 
 
 def factorize(sys: PickSystem, k: int, order=None):

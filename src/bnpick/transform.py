@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
-from .algebra import Polynomial, RationalFunction, as_complex, polynomial_gcd, scalar_from_json, scalar_to_json
+from .algebra import Polynomial, RationalFunction, polynomial_gcd, scalar_from_json, scalar_to_json
 from .errors import DegenerateTransformError, NotNevanlinnaError
 from .resolvent import RationalMatrix2x2
 
@@ -128,8 +128,8 @@ def is_nevanlinna(
     func = phi.func
     if span is None:
         span = span_of(func.real_poles(), fallback=(-1.0, 1.0))
-    points = pole_free_grid(func, span, config)
-    kernel = nevanlinna_kernel(points, [as_complex(func.eval(z)) for z in points])
+    points, values = pole_free_grid(func, span, config)
+    kernel = nevanlinna_kernel(points, values)
     for z, d in zip(points, kernel.diagonal().real):
         if d < -NEVANLINNA_EIG_SLACK * max(1.0, abs(d)):
             return NevanlinnaCheck(False, NevanlinnaWitness((z,), float(d)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
+from bnpick.problem import SIGNATURE_J
 
 F = Fraction
 
@@ -77,6 +78,26 @@ def loop_kernel(f, points):
         for j in range(m):
             out[i, j] = (vals[j] - np.conj(vals[i])) / (points[j] - np.conj(points[i]))
     return (out + out.conj().T) / 2.0
+
+
+def rational_j_unitary(theta):
+    """Theta J Theta^T == J entry by entry in rational-function arithmetic.
+
+    The four-entry identity the determinant form replaces, kept as its
+    reference.
+    """
+    J = SIGNATURE_J
+    e = theta.entries
+    j_const = [[b.RationalFunction.constant(J[i][j]) for j in range(2)] for i in range(2)]
+    for r in range(2):
+        for c in range(2):
+            acc = b.RationalFunction(b.Polynomial(()))
+            for k in range(2):
+                for m in range(2):
+                    acc = acc + e[r][k] * j_const[k][m] * e[c][m]
+            if not (acc - j_const[r][c]).is_zero:
+                return False
+    return True
 
 
 def rf(num, den=(1,)):

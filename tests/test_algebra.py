@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick.algebra import GaussianRational, exact_kernel_basis
+from bnpick.algebra import POLE_TOL, GaussianRational, RationalSampler, exact_kernel_basis
 
-from conftest import exact_det, rf
+from conftest import exact_det, random_fraction, rf
 
 F = Fraction
 GR = GaussianRational
@@ -213,6 +213,28 @@ class TestRationalSimplify:
 
 
 class TestRationalEval:
+    def test_float_samples_match_exact_horner(self):
+        # reference: Polynomial.eval at a complex point, which adds each exact
+        # coefficient through GaussianRational.__radd__
+        rng = random.Random(29)
+        for _ in range(200):
+            num = b.Polynomial([random_fraction(rng, 9, 7) for _ in range(rng.randint(1, 9))])
+            den = b.Polynomial([random_fraction(rng, 9, 7) for _ in range(rng.randint(1, 9))])
+            if den.is_zero:
+                continue
+            exact = b.RationalFunction(num, den)
+            lifted = b.RationalFunction(num.to_complex_array(), den.to_complex_array())
+            z = complex(rng.uniform(-5, 5), rng.choice([0.0, rng.uniform(-2, 2)]))
+            for f in (exact, lifted):
+                n_val, d_val = f.num.eval(z), f.den.eval(z)
+                if abs(d_val) < POLE_TOL * max(1.0, abs(n_val)):
+                    with pytest.raises(b.PoleError):
+                        f.eval(z)
+                    continue
+                expected = n_val / d_val
+                assert f.eval(z) == expected
+                assert RationalSampler(f)(z) == expected
+
     def test_direct_substitution(self):
         assert rf((1, 2), (-1, 2)).eval(F(0)) == -1
 

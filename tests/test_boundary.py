@@ -8,7 +8,7 @@ import bnpick as b
 from bnpick._sections import negative_count, nevanlinna_kernel, pole_free_grid, span_of
 from bnpick.boundary import LimitKind
 
-from conftest import DENSE_GRID, loop_kernel, rf, unique_solution
+from conftest import DENSE_GRID, loop_kernel, random_fraction, rf, unique_solution
 
 F = Fraction
 
@@ -53,6 +53,28 @@ class TestNtLimit:
             except b.PoleError:
                 continue
             est = b.nt_limit(f, x0, LimitKind.VALUE)
+            assert est.is_finite
+            assert abs(est.value - expected) <= 1e-9 * max(1.0, abs(expected))
+            done += 1
+
+    def test_pointwise_derivative_matches_exact_derivative(self):
+        rng = random.Random(47)
+        done = 0
+        while done < 40:
+            num = b.Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 9))])
+            den = b.Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 9))])
+            if den.is_zero:
+                continue
+            f = b.RationalFunction(num, den)
+            x0 = random_fraction(rng)
+            # a pole closer to x0 than the path's start t0 = 1/2 can trip the
+            # divergence test before the samples settle
+            if f.den.degree >= 1:
+                roots = np.roots(f.den.to_complex_array()[::-1])
+                if np.abs(roots - float(x0)).min() < 0.5:
+                    continue
+            expected = complex(f.derivative().eval(F(x0)))
+            est = b.nt_limit(f, x0, LimitKind.DERIVATIVE)
             assert est.is_finite
             assert abs(est.value - expected) <= 1e-9 * max(1.0, abs(expected))
             done += 1
@@ -114,7 +136,7 @@ class TestKernelNegativeSquares:
         # than any six sample points can show
         poles = sum((rf((1,), (-x, 1)) for x in range(8)), rf((0,)))
         for f in (rf((0, 1)), unique_solution(), rf((0, 0, 1)), rf((0, 2, 0, 1)), poles):
-            points = pole_free_grid(f, span_of(f.real_poles()), DENSE_GRID)
+            points, _ = pole_free_grid(f, span_of(f.real_poles()), DENSE_GRID)
             kernel = loop_kernel(f, points)
             built = nevanlinna_kernel(points, [complex(f.eval(z)) for z in points])
             assert np.array_equal(built, kernel)
@@ -133,7 +155,7 @@ class TestFmiCheck:
 
     def test_counts_the_whole_bordered_matrix(self, sys1, sys3):
         for sys_, w in ((sys3, unique_solution()), (sys1, rf((0, 1))), (sys1, rf((0, -1)))):
-            points = pole_free_grid(w, span_of(sys_.X), DENSE_GRID)
+            points, _ = pole_free_grid(w, span_of(sys_.X), DENSE_GRID)
             n, m = sys_.n, len(points)
             full = np.zeros((n + m, n + m), dtype=complex)
             full[:n, :n] = sys_.P.to_numpy()

@@ -192,6 +192,18 @@ class TestConfig:
                        "--param", '{"num":[1,2],"den":[-1,2]}', "--config", str(config))
         assert doc["fmi_count"] == 1
 
+    def test_verify_tol_key_changes_the_verify_verdict(self, capsys, tmp_path):
+        # the unique solution (2z+1)/(2z-1) shifted by 1e-7 misses w(-1/2) = 0 by 1e-7
+        shifted = '{"num":["9999999/10000000","10000001/5000000"],"den":[-1,2]}'
+        verdicts = []
+        for tol in (1e-8, 1e-6):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"verify_tol": tol}))
+            doc = run_json(capsys, "verify", "--problem", str(DEMOS / "ex103.json"),
+                           "--param", shifted, "--config", str(config))
+            verdicts.append(doc["nodes"][0]["problem1"])
+        assert verdicts == [False, True]
+
     def test_eig_tol_and_grid_keys_reach_the_grid(self):
         config = RunConfig.from_json({"eig_tol": 1e-6, "grid": {"points_per_level": 4}})
         assert config.grid.eig_tol == 1e-6

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
+from bnpick import algebra
 from bnpick.algebra import EXACT_I, EXACT_ONE, EXACT_ZERO, GaussianRational
 
 from conftest import (
     golden_theta_mixed,
     golden_theta_two_regular,
     random_invertible_system,
+    rational_j_unitary,
     rf,
 )
 
@@ -185,6 +187,36 @@ class TestJUnitarity:
         report = b.check_j_unitarity(bumped, sample_points=[-3, -1, 0.5, 2, 7])
         assert report.symbolic_zero is False
         assert report.max_residual > 0.05
+
+    def test_det_form_agrees_with_entrywise_identity(self, sys1, theta1, theta2):
+        def bump(theta, i, j, amount):
+            rows = [list(row) for row in theta.entries]
+            rows[i][j] = rows[i][j] + b.RationalFunction.constant(amount)
+            return b.RationalMatrix2x2.from_entries(rows)
+
+        cases = [theta1, theta2, b.RationalMatrix2x2.identity(), bump(theta1, 0, 1, F(1, 10)),
+                 b.theta_inverse(theta1, sys1)]
+        rng = random.Random(31)
+        for k in range(8):
+            theta = b.build_theta(random_invertible_system(rng))
+            cases += [theta, bump(theta, k % 2, (k // 2) % 2, F(1, 7))]
+        verdicts = []
+        for theta in cases:
+            symbolic = b.check_j_unitarity(theta, sample_points=[0.25]).symbolic_zero
+            assert symbolic is rational_j_unitary(theta)
+            verdicts.append(symbolic)
+        assert True in verdicts and False in verdicts
+
+    def test_no_gcd_on_the_certificate_paths(self, theta1, monkeypatch):
+        w = b.apply_lft(theta1, b.Parameter.rational(rf((0, 1))))
+
+        def no_gcd(a, c):
+            raise AssertionError("polynomial_gcd called")
+
+        monkeypatch.setattr(algebra, "polynomial_gcd", no_gcd)
+        assert b.check_j_unitarity(theta1).symbolic_zero is True
+        est = b.nt_limit(w, 0, b.LimitKind.DERIVATIVE)
+        assert est.is_finite
 
     def test_pole_samples_skipped(self, theta1):
         report = b.check_j_unitarity(theta1, sample_points=[0.0, 1.0, 2.0])

@@ -10,6 +10,7 @@ from conftest import (
     STANDARD_SWEEP,
     data_degenerate,
     data_two_regular,
+    random_data,
     random_singular_data,
     rf,
     unique_solution,
@@ -362,6 +363,18 @@ class TestSolveDegenerate:
         assert not sys_.exact and not sys_.invertible
         w = b.solve_degenerate(sys_)
         assert w.isclose(b.RationalFunction([1.0, 2.0], [-1.0, 2.0]))
+
+
+class TestExactLaneAtTwelveNodes:
+    def test_certificates_complete(self):
+        rng = random.Random(0)
+        while True:
+            sys_ = b.build_system(random_data(rng, n_max=12, n_min=12))
+            if sys_.invertible:
+                break
+        assert b.check_j_unitarity(b.build_theta(sys_)).symbolic_zero is True
+        report, w, _ = b.classify_and_verify(sys_, b.Parameter.infinity())
+        assert len(report.nodes) == 12 and w.exact
 
 
 class TestSolve:
