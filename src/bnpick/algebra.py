@@ -32,7 +32,15 @@ TRIM_TOL = 1e-12         # relative size under which float coefficients vanish
 
 
 class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts."""
+    """Exact complex scalar with rational real and imaginary parts.
+
+    Every exact-lane datum is real, so arithmetic has a real fast path: when
+    both operands of ``+``, ``-``, ``*`` or ``/`` are real (a
+    ``GaussianRational`` with ``im == 0``, an ``int`` or a ``Fraction``), the
+    result is one ``Fraction`` operation, stored without re-coercion and with
+    the shared zero as its imaginary part.  The values are those of the
+    complex formulas; complex operands take the general path.
+    """
 
     __slots__ = ("re", "im")
 
@@ -61,7 +69,7 @@ class GaussianRational:
         return self.im == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -90,6 +98,10 @@ class GaussianRational:
         return NotImplemented
 
     def __add__(self, other):
+        if not self.im:
+            o = _real_value(other)
+            if o is not None:
+                return _real(self.re + o)
         return self._binary(
             other,
             lambda o: GaussianRational(self.re + o.re, self.im + o.im),
@@ -99,9 +111,15 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return _real(-self.re)
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
+        if not self.im:
+            o = _real_value(other)
+            if o is not None:
+                return _real(self.re - o)
         return self._binary(
             other,
             lambda o: GaussianRational(self.re - o.re, self.im - o.im),
@@ -112,6 +130,10 @@ class GaussianRational:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if not self.im:
+            o = _real_value(other)
+            if o is not None:
+                return _real(self.re * o)
         return self._binary(
             other,
             lambda o: GaussianRational(
@@ -124,6 +146,11 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not self.im:
+            o = _real_value(other)
+            if o is not None:
+                return _real(self.re / o)
+
         def exact(o):
             d = o.abs2()
             if d == 0:
@@ -133,6 +160,10 @@ class GaussianRational:
         return self._binary(other, exact, lambda o: complex(self) / o)
 
     def __rtruediv__(self, other):
+        if not self.im:
+            o = _real_value(other)
+            if o is not None:
+                return _real(o / self.re)
         d = self.abs2()
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -159,6 +190,30 @@ class GaussianRational:
         return f"({self.re}{sign}{abs(self.im)}*i)"
 
 
+_FRACTION_ZERO = Fraction(0)
+_new_scalar = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _real(value: Fraction) -> GaussianRational:
+    """The real scalar ``value`` (already a Fraction), built without coercion."""
+    out = _new_scalar(GaussianRational)
+    _set_re(out, value)
+    _set_im(out, _FRACTION_ZERO)
+    return out
+
+
+def _real_value(x):
+    """The rational value of a real exact operand, or None for any other operand."""
+    kind = type(x)
+    if kind is GaussianRational:
+        return None if x.im else x.re
+    if kind is Fraction or kind is int:
+        return x
+    return None
+
+
 EXACT_ZERO = GaussianRational(0)
 EXACT_ONE = GaussianRational(1)
 EXACT_I = GaussianRational(0, 1)
@@ -170,7 +225,7 @@ def is_exact(value) -> bool:
 
 
 def as_complex(value) -> complex:
-    return complex(value) if isinstance(value, GaussianRational) else complex(value)
+    return complex(value)
 
 
 def scalar_from_json(value):
@@ -240,10 +295,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero(exact=True) -> "Polynomial":
-        return Polynomial(())
-
     @staticmethod
     def one() -> "Polynomial":
         return Polynomial((1,))
@@ -491,15 +542,15 @@ class RationalFunction:
         if exact:
             if num.is_zero:
                 return num, Polynomial.one()
-            g = polynomial_gcd(num, den)
-            if g.degree >= 1:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
+            if num.degree >= 1 and den.degree >= 1:
+                g = polynomial_gcd(num, den)
+                if g.degree >= 1:
+                    num = num.divmod(g)[0]
+                    den = den.divmod(g)[0]
             if num.is_real() and den.is_real():
-                scale = _integer_primitive_scale(num, den)
-                num, den = num.scale(scale), den.scale(scale)
-                if den.lead.re < 0:
-                    num, den = num.scale(-1), den.scale(-1)
+                num, den = _integer_form(
+                    [c.re for c in num.coeffs], [c.re for c in den.coeffs]
+                )
             else:
                 inv = EXACT_ONE / den.lead
                 num, den = num.scale(inv), den.scale(inv)
@@ -720,17 +771,34 @@ class RationalSampler:
         return (dnum * den - num * dden) / (den * den)
 
 
-def _integer_primitive_scale(num: Polynomial, den: Polynomial) -> Fraction:
-    """Scale factor turning real-rational num/den into coprime integers."""
-    fracs = [c.re for c in num.coeffs] + [c.re for c in den.coeffs]
+def _integer_form(num, den) -> tuple:
+    """Canonical scaling of a real-rational quotient num/den.
+
+    ``num`` and ``den`` are ascending ``Fraction`` coefficient lists of a
+    coprime pair (``den`` nonzero).  Both are scaled by one rational factor
+    so that all coefficients are integers with no common divisor and the
+    leading denominator coefficient is positive; the result is the pair of
+    ``Polynomial`` values.  This is the one definition of the exact real
+    canonical form.
+    """
     lcm = 1
-    for f in fracs:
+    for f in num:
         lcm = math.lcm(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
+    for f in den:
+        lcm = math.lcm(lcm, f.denominator)
+    num_ints = [f.numerator * (lcm // f.denominator) for f in num]
+    den_ints = [f.numerator * (lcm // f.denominator) for f in den]
     g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return Fraction(lcm, g if g else 1)
+    for v in num_ints:
+        g = math.gcd(g, v)
+    for v in den_ints:
+        g = math.gcd(g, v)
+    if den_ints[-1] < 0:
+        g = -g
+    return (
+        Polynomial([v // g for v in num_ints]),
+        Polynomial([v // g for v in den_ints]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -180,13 +180,13 @@ def _diverging(raw) -> bool:
 
 @dataclass(frozen=True)
 class CJReport:
-    """Four boundary-derivative limits that must agree with each other.
+    """Three boundary-derivative limits that must agree with each other.
 
-    On the bounded route the quadruple is (kernel diagonal twice -- the
-    lim inf variant is certified as implied -- the derivative limit, and the
-    difference quotient).  On the unbounded route all four are expressed on
-    the residual scale: the kernel-diagonal limits of -1/f enter through
-    s -> -1/s so that they match the residual and -(z-x0)^2 f' limits.
+    On the bounded route the triple is (kernel diagonal -- whose lim inf is
+    certified as implied by the limit -- the derivative limit, and the
+    difference quotient).  On the unbounded route all three are expressed on
+    the residual scale: the kernel-diagonal limit of -1/f enters through
+    s -> -1/s so that it matches the residual and -(z-x0)^2 f' limits.
     """
 
     theorem: str  # "bounded" | "unbounded"
@@ -223,7 +223,6 @@ def caratheodory_julia_check(f: RationalFunction, x0) -> CJReport:
         else:
             quotient = LimitEstimate(LimitKind.VALUE, value.status, None, (), False, None)
         estimates = {
-            "kernel_diagonal_liminf": kernel,
             "kernel_diagonal": kernel,
             "derivative": deriv,
             "difference_quotient": quotient,
@@ -247,7 +246,6 @@ def caratheodory_julia_check(f: RationalFunction, x0) -> CJReport:
     else:
         flipped = LimitEstimate(kernel.kind, "dne", None, kernel.approximants, False, None)
     estimates = {
-        "kernel_diagonal_liminf": flipped,
         "kernel_diagonal": flipped,
         "residual": residual,
         "weighted_derivative": tilde_residual,

@@ -14,6 +14,15 @@ whose entries are real rational functions; golden displays compare by exact
 coefficient equality.  The factorization splits Theta across a leading block
 of P with matching negative-squares split.
 
+On the exact lane every residue form (Theta, both factors of the
+factorization, the inverse from system data) is built in canonical form
+without a gcd.  Entry (a, b) is delta_ab + sum_i r_i / (z - x_i); over the
+product of the nodes its numerator takes the value r_i prod_{j != i}
+(x_i - x_j) at x_i, nonzero exactly when r_i != 0 since the nodes are
+distinct.  Over the product of the nodes with r_i != 0 numerator and
+denominator are therefore coprime, and only the integer scaling of the
+canonical form is left to apply.
+
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
 symplectic form.  So Theta J Theta^T == J holds identically exactly when
@@ -25,6 +34,7 @@ entry samplers compiled once per matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +45,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     RationalSampler,
+    _integer_form,
     hermitian_inertia,
     matrix_inverse,
 )
@@ -123,7 +134,80 @@ def _shared_real_poles(entries) -> tuple:
 
 
 def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2x2:
-    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) over a common denominator."""
+    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) in canonical form.
+
+    Entry (a, b) is delta_ab + sum_i r_i / (z - x_i) with residues
+    r_i = left_i[a] right_i[b].  On the exact lane it is built coprime by
+    construction: over the full node product its numerator takes the value
+    r_i prod_{j != i} (x_i - x_j) at x_i, which is nonzero exactly when
+    r_i != 0 because the nodes are distinct.  So dropping the nodes with a
+    zero residue leaves a numerator coprime to the product over the kept
+    nodes, and only the integer scaling of the canonical form remains; no
+    gcd is taken.  The float lane expands over the full node product and
+    reduces as before.
+    """
+    factors = [*left_cols, *right_rows]
+    if all(isinstance(v, (int, Fraction)) for v in [*nodes, *(v for f in factors for v in f)]):
+        entries = _exact_residue_entries(nodes, left_cols, right_rows)
+    else:
+        entries = _float_residue_entries(nodes, left_cols, right_rows)
+    return RationalMatrix2x2.from_entries(entries, kappa=kappa)
+
+
+def _exact_residue_entries(nodes, left_cols, right_rows) -> tuple:
+    """Canonical exact entries from plain Fraction coefficient lists.
+
+    The node product of each distinct kept set is built once, and its
+    partial products (one node left out) come from it by synthetic division,
+    so an entry costs O(n^2) Fraction operations.
+    """
+    products = {}
+
+    def node_product(kept):
+        if kept not in products:
+            full = [Fraction(1)]
+            for i in kept:
+                full = _times_linear(full, nodes[i])
+            products[kept] = full, [_deflate(full, nodes[i]) for i in kept]
+        return products[kept]
+
+    entries = []
+    for a in range(2):
+        row = []
+        for b in range(2):
+            residues = [left[a] * right[b] for left, right in zip(left_cols, right_rows)]
+            kept = tuple(i for i, r in enumerate(residues) if r)
+            full, partials = node_product(kept)
+            num = list(full) if a == b else [0] * len(full)
+            for i, partial in zip(kept, partials):
+                r = residues[i]
+                for k, c in enumerate(partial):
+                    num[k] += r * c
+            row.append(RationalFunction(*_integer_form(num, full), reduce=False))
+        entries.append(tuple(row))
+    return tuple(entries)
+
+
+def _times_linear(coeffs, x) -> list:
+    """Ascending coefficients of p(z) (z - x)."""
+    out = [0] + coeffs
+    for k, c in enumerate(coeffs):
+        out[k] -= x * c
+    return out
+
+
+def _deflate(coeffs, x) -> list:
+    """Ascending coefficients of p(z) / (z - x) for a root x of p (synthetic division)."""
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[k] + x * carry
+        quotient[k - 1] = carry
+    return quotient
+
+
+def _float_residue_entries(nodes, left_cols, right_rows) -> tuple:
+    """Entries expanded over the full node product, reduced by RationalFunction."""
     n = len(nodes)
     full = Polynomial.from_real_roots(nodes)
     partial = [
@@ -139,7 +223,7 @@ def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2
                 num = num + partial[i].scale(left_cols[i][a] * right_rows[i][b])
             row.append(RationalFunction(num, full))
         entries.append(tuple(row))
-    return RationalMatrix2x2.from_entries(tuple(entries), kappa=kappa)
+    return tuple(entries)
 
 
 def build_theta(sys: PickSystem) -> RationalMatrix2x2:

@@ -513,7 +513,7 @@ def solve(
     w = solve_degenerate(sys)
     verification = None
     if verify:
-        verification = verify_candidate(sys, w)
+        verification = verify_candidate(sys, w, config=config)
     return SolutionBundle(
         kind="unique", kappa=sys.kappa, problem_kind=3, w=w, verification=verification
     )

@@ -100,6 +100,31 @@ def rational_j_unitary(theta):
     return True
 
 
+def expanded_residue_form(nodes, left_cols, right_rows, kappa):
+    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) expanded over the
+    full node product and reduced by RationalFunction's gcd.
+
+    The Polynomial expansion the coprime-by-construction builder replaces,
+    kept as its reference.
+    """
+    n = len(nodes)
+    full = b.Polynomial.from_real_roots(nodes)
+    partial = [
+        b.Polynomial.from_real_roots([x for j, x in enumerate(nodes) if j != i])
+        for i in range(n)
+    ]
+    entries = []
+    for a in range(2):
+        row = []
+        for c in range(2):
+            num = full if a == c else b.Polynomial(())
+            for i in range(n):
+                num = num + partial[i].scale(left_cols[i][a] * right_rows[i][c])
+            row.append(b.RationalFunction(num, full))
+        entries.append(tuple(row))
+    return b.RationalMatrix2x2.from_entries(tuple(entries), kappa=kappa)
+
+
 def rf(num, den=(1,)):
     return b.RationalFunction(b.Polynomial(num), b.Polynomial(den))
 

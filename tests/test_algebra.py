@@ -31,6 +31,59 @@ class TestGaussianRational:
         with pytest.raises(ZeroDivisionError):
             GR(1) / GR(0)
 
+    OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+    @staticmethod
+    def general(op, a, c):
+        """The complex formulas, applied to real and imaginary parts."""
+        a, c = GR.coerce(a), GR.coerce(c)
+        if op == "+":
+            return GR(a.re + c.re, a.im + c.im)
+        if op == "-":
+            return GR(a.re - c.re, a.im - c.im)
+        if op == "*":
+            return GR(a.re * c.re - a.im * c.im, a.re * c.im + a.im * c.re)
+        d = c.re * c.re + c.im * c.im
+        return GR((a.re * c.re + a.im * c.im) / d, (a.im * c.re - a.re * c.im) / d)
+
+    def check_ops(self, x, y):
+        for op, f in self.OPS.items():
+            if op == "/" and not y:
+                continue
+            out, expected = f(x, y), self.general(op, x, y)
+            assert isinstance(out, GR) and out == expected
+            assert type(out.re) is Fraction and type(out.im) is Fraction
+            assert hash(out) == hash(expected) and repr(out) == repr(expected)
+
+    def test_real_operands_match_the_complex_formulas(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            a = GR(random_fraction(rng))
+            c = random_fraction(rng)
+            for other in (GR(c), c, c.numerator):
+                self.check_ops(a, other)
+                self.check_ops(other, a)
+            assert -a == GR(-a.re) and a.conjugate() == a
+
+    def test_complex_operands_keep_the_general_path(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            a = GR(random_fraction(rng), random_fraction(rng, nonzero=True))
+            c = random_fraction(rng)
+            d = GR(random_fraction(rng), random_fraction(rng))
+            for other in (d, GR(c), c, c.numerator):
+                self.check_ops(a, other)
+                self.check_ops(other, a)
+
+    def test_real_division_by_zero(self):
+        for zero in (GR(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                GR(F(3, 2)) / zero
+        for x in (GR(F(3, 2)), 3, Fraction(3, 2)):
+            with pytest.raises(ZeroDivisionError):
+                x / GR(0)
+
 
 class TestPolynomial:
     def test_zero_polynomial_flagged(self):

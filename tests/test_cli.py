@@ -204,6 +204,18 @@ class TestConfig:
             verdicts.append(doc["nodes"][0]["problem1"])
         assert verdicts == [False, True]
 
+    def test_grid_key_reaches_the_degenerate_verification(self, capsys, tmp_path):
+        # ex103 has a singular P; an eigenvalue slack of 10 hides the one
+        # negative square of (2z+1)/(2z-1) from the sampled counts
+        counts = []
+        for grid in ({}, {"eig_tol": 10}):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grid": grid}))
+            doc = run_json(capsys, "solve", "--problem", str(DEMOS / "ex103.json"),
+                           "--config", str(config))
+            counts.append(doc["verification"]["fmi_count"])
+        assert counts == [1, 0]
+
     def test_eig_tol_and_grid_keys_reach_the_grid(self):
         config = RunConfig.from_json({"eig_tol": 1e-6, "grid": {"points_per_level": 4}})
         assert config.grid.eig_tol == 1e-6

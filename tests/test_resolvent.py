@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick import algebra
+from bnpick import algebra, resolvent
 from bnpick.algebra import EXACT_I, EXACT_ONE, EXACT_ZERO, GaussianRational
 
 from conftest import (
+    expanded_residue_form,
     golden_theta_mixed,
     golden_theta_two_regular,
     random_invertible_system,
@@ -51,6 +52,83 @@ def exact_residue(entry, x):
     if den_val:
         return EXACT_ZERO  # analytic there
     return num_val / den_deriv
+
+
+def zero_value_system():
+    """Invertible data with regular value 0 at node -1, so C_1 = 0 and the
+    first row of Theta has a zero residue there."""
+    data = b.InterpolationData(
+        nodes=(F(-1), F(1), F(3)),
+        values=(F(0), F(2)),
+        derivative_bounds=(F(1), F(-1)),
+        residues=(F(1),),
+    )
+    return b.build_system(data)
+
+
+def coefficient_tuples(theta):
+    entries = tuple((e.num.coeffs, e.den.coeffs) for row in theta.entries for e in row)
+    return theta.kappa, theta.poles, entries
+
+
+@pytest.fixture
+def checked_builds(monkeypatch):
+    """Compare every residue-form build against the expanded, gcd-reduced reference."""
+    built = []
+    build = resolvent._residue_matrix_form
+
+    def checked(nodes, left_cols, right_rows, kappa):
+        theta = build(nodes, left_cols, right_rows, kappa)
+        reference = expanded_residue_form(nodes, left_cols, right_rows, kappa)
+        assert coefficient_tuples(theta) == coefficient_tuples(reference)
+        built.append(theta)
+        return theta
+
+    monkeypatch.setattr(resolvent, "_residue_matrix_form", checked)
+    return built
+
+
+class TestResidueForm:
+    def build_all(self, sys_):
+        theta = b.build_theta(sys_)
+        b.theta_inverse(theta, sys_)
+        splits = 0
+        for k in range(1, sys_.n):
+            try:
+                b.factorize(sys_, k)
+            except b.SplitNotAdmissibleError:
+                continue
+            splits += 1
+        return theta, splits
+
+    def test_goldens_match_reference(self, checked_builds, sys1, sys2):
+        for sys_, golden in ((sys1, golden_theta_two_regular()), (sys2, golden_theta_mixed())):
+            theta, _ = self.build_all(sys_)
+            assert all(theta.entry(i, j) == golden[i][j] for i in range(2) for j in range(2))
+        # Theta, its inverse and both factors of the one split k = 1, for each golden
+        assert len(checked_builds) == 8
+
+    def test_random_systems_match_reference(self, checked_builds):
+        # every n in 2..8, at least 10 systems and at least 10 admissible splits
+        rng = random.Random(404)
+        sizes, systems, splits = set(), 0, 0
+        while len(sizes) < 7 or systems < 10 or splits < 10:
+            sys_ = random_invertible_system(rng, n_max=8)
+            if sys_.n < 2:
+                continue
+            sizes.add(sys_.n)
+            systems += 1
+            splits += self.build_all(sys_)[1]
+
+    def test_zero_residues_are_dropped(self, checked_builds):
+        sys_ = zero_value_system()
+        theta, splits = self.build_all(sys_)
+        assert splits == 2
+        # row 0 has no residue at node -1 (C_1 = 0) and row 1 none at the
+        # singular node 3 (E_3 = 0), so every entry keeps two of the three nodes
+        assert [e.den.degree for row in theta.entries for e in row] == [2, 2, 2, 2]
+        assert theta.entry(0, 0).den != theta.entry(1, 0).den
+        assert any(e.is_zero for t in checked_builds for row in t.entries for e in row)
 
 
 class TestBuildTheta:
@@ -207,7 +285,7 @@ class TestJUnitarity:
             verdicts.append(symbolic)
         assert True in verdicts and False in verdicts
 
-    def test_no_gcd_on_the_certificate_paths(self, theta1, monkeypatch):
+    def test_no_gcd_on_the_certificate_paths(self, sys1, theta1, sys2, monkeypatch):
         w = b.apply_lft(theta1, b.Parameter.rational(rf((0, 1))))
 
         def no_gcd(a, c):
@@ -217,6 +295,14 @@ class TestJUnitarity:
         assert b.check_j_unitarity(theta1).symbolic_zero is True
         est = b.nt_limit(w, 0, b.LimitKind.DERIVATIVE)
         assert est.is_finite
+        for sys_ in (sys1, sys2, zero_value_system()):
+            theta = b.build_theta(sys_)
+            b.theta_inverse(theta, sys_)
+            for k in range(1, sys_.n + 1):
+                try:
+                    b.factorize(sys_, k)
+                except b.SplitNotAdmissibleError:
+                    pass
 
     def test_pole_samples_skipped(self, theta1):
         report = b.check_j_unitarity(theta1, sample_points=[0.0, 1.0, 2.0])
