@@ -376,8 +376,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [EXACT_ZERO] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [EXACT_ZERO] * (n - len(other.coeffs))
+        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
+        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
         return Polynomial([x + y for x, y in zip(a, b)])
 
     def __neg__(self):
@@ -393,7 +393,7 @@ class Polynomial:
             other = Polynomial.constant(other)
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        out = [EXACT_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
@@ -419,7 +419,7 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        quo = [EXACT_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
+        quo = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.coeffs
         while len(rem) >= len(d) and any(bool(c) for c in rem):
             # strip a numerically dead leading term before dividing by it

@@ -81,7 +81,6 @@ class InterpolationData:
     values: tuple
     derivative_bounds: tuple
     residues: tuple
-    input_order: tuple | None = None
 
     def __post_init__(self):
         raw = (
@@ -132,18 +131,15 @@ class InterpolationData:
             residues = [scalar_from_json(s["xi"]) for s in singular]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"malformed problem document: {exc}") from exc
-        order = None
         if "nodes" in obj:
             listed = [scalar_from_json(x) for x in obj["nodes"]]
             if sorted(map(float, listed)) != sorted(map(float, nodes)):
                 raise InvalidDataError("'nodes' does not match regular/singular entries")
-            order = tuple(listed.index(x) for x in nodes)
         return InterpolationData(
             nodes=tuple(nodes),
             values=tuple(values),
             derivative_bounds=tuple(bounds),
             residues=tuple(residues),
-            input_order=order,
         )
 
     def to_json(self) -> dict:

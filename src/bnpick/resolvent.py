@@ -5,30 +5,26 @@ With P invertible, the resolvent
     Theta(z) = I_2 - i [C; E] (zI - X)^(-1) P^(-1) [C* E*] J
 
 is J-unitary on the real line and its kernel has exactly kappa negative
-squares on the upper half-plane.  Expanding over the simple poles gives the
-residue form actually materialized here,
+squares on the upper half-plane.  Expanding over the simple poles gives its
+residue form
 
     Theta(z) = I_2 + sum_i [C e_i; E e_i] [te_i, -tc_i] / (z - x_i),
 
-whose entries are real rational functions; golden displays compare by exact
-coefficient equality.  The factorization splits Theta across a leading block
-of P with matching negative-squares split.
-
-On the exact lane every residue form (Theta, both factors of the
-factorization, the inverse from system data) is built in canonical form
-without a gcd.  Entry (a, b) is delta_ab + sum_i r_i / (z - x_i); over the
-product of the nodes its numerator takes the value r_i prod_{j != i}
-(x_i - x_j) at x_i, nonzero exactly when r_i != 0 since the nodes are
-distinct.  Over the product of the nodes with r_i != 0 numerator and
-denominator are therefore coprime, and only the integer scaling of the
-canonical form is left to apply.
+which is how the resolvent, both factors of its factorization and its
+inverse from system data are held, on both lanes.  A residue form is
+evaluated from that sum (the stable partial-fraction form, where expanded
+monomial coefficients lose the float lane at n of about 20), its poles are
+exactly the nodes with a nonzero residue, and its entries -- real rational
+functions whose golden displays compare by exact coefficient equality --
+are expanded from the same form only when they are asked for.  The
+factorization splits Theta across a leading block of P with matching
+negative-squares split.
 
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
 symplectic form.  So Theta J Theta^T == J holds identically exactly when
 det Theta == 1, which on the exact lane is one polynomial identity over the
-entries' own denominators, with no gcd.  Float samples of Theta come from
-entry samplers compiled once per matrix.
+entries' own denominators, with no gcd.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from .algebra import (
     hermitian_inertia,
     matrix_inverse,
 )
-from .errors import SingularMatrixError, SingularPickError, SplitNotAdmissibleError
+from .errors import PoleError, SingularMatrixError, SingularPickError, SplitNotAdmissibleError
 from .problem import PickSystem
 
 _J_NUMPY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -58,26 +54,118 @@ KERNEL_AGREEMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RationalMatrix2x2:
-    """2x2 matrix of rational functions with simple poles on the node set."""
+    """2x2 matrix of rational functions with simple poles on a node set.
 
-    entries: tuple
+    A residue form I_2 + sum_i l_i r_i / (z - x_i) keeps the nodes with a
+    nonzero residue and their left columns l_i and right rows r_i; it is
+    evaluated from them, its poles are those nodes, and its entries are
+    expanded from them when first asked for.  A matrix built by
+    ``from_entries`` keeps its four entries instead.
+    """
+
     kappa: int | None = None
-    poles: tuple = ()
+    nodes: tuple = ()
+    left: tuple = ()
+    right: tuple = ()
+    given: tuple | None = None
 
     def entry(self, i, j) -> RationalFunction:
         return self.entries[i][j]
 
     @staticmethod
     def identity() -> "RationalMatrix2x2":
-        one = RationalFunction.constant(1)
-        zero = RationalFunction(Polynomial(()))
-        return RationalMatrix2x2(((one, zero), (zero, one)), kappa=0)
+        return RationalMatrix2x2(kappa=0)
 
     @staticmethod
     def from_entries(entries, kappa=None) -> "RationalMatrix2x2":
-        entries = tuple(tuple(e for e in row) for row in entries)
-        poles = _shared_real_poles(entries)
-        return RationalMatrix2x2(entries, kappa=kappa, poles=poles)
+        return RationalMatrix2x2(kappa=kappa, given=tuple(tuple(row) for row in entries))
+
+    @cached_property
+    def exact(self) -> bool:
+        """Whether the matrix lives on the exact lane."""
+        if self.given is not None:
+            return all(e.exact for row in self.given for e in row)
+        values = [*self.nodes, *(v for f in (*self.left, *self.right) for v in f)]
+        return all(isinstance(v, (int, Fraction)) for v in values)
+
+    @cached_property
+    def poles(self) -> tuple:
+        """Sorted real poles: the residue nodes, or the given entries' real poles."""
+        if self.given is None:
+            return tuple(sorted(self.nodes))
+        return _shared_real_poles(self.given)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The four entries in canonical form.
+
+        Entry (a, b) of a residue form is delta_ab + sum_i r_i / (z - x_i)
+        with r_i = l_i[a] r_i[b].  Over the product of the nodes with
+        r_i != 0 its numerator takes the value r_i prod_{j != i} (x_i - x_j)
+        at x_i, nonzero because the nodes are distinct, so numerator and
+        denominator are coprime by construction and no gcd is taken: the
+        exact lane applies only the integer scaling of the canonical form,
+        and the float lane keeps the monic node product as denominator.
+        """
+        if self.given is not None:
+            return self.given
+        rows = []
+        for a in range(2):
+            row = []
+            for b in range(2):
+                kept = tuple(
+                    i for i, (l, r) in enumerate(zip(self.left, self.right)) if l[a] * r[b]
+                )
+                num, den = self._cleared(a, b, kept)
+                if self.exact:
+                    row.append(RationalFunction(*_integer_form(num, den), reduce=False))
+                else:
+                    row.append(RationalFunction(Polynomial(num), Polynomial(den), reduce=False))
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def _products(self) -> dict:
+        return {}
+
+    def _cleared(self, a, b, kept) -> tuple:
+        """Ascending coefficients of D Theta_ab and of D, the product of the
+        nodes indexed by ``kept``.  D is built once per kept set and its
+        partial products by synthetic division, so a numerator costs O(n^2).
+        """
+        if kept not in self._products:
+            full = [1]
+            for i in kept:
+                full = _times_linear(full, self.nodes[i])
+            self._products[kept] = full, [_deflate(full, self.nodes[i]) for i in kept]
+        full, partials = self._products[kept]
+        num = list(full) if a == b else [0] * len(full)
+        for i, partial in zip(kept, partials):
+            r = self.left[i][a] * self.right[i][b]
+            for k, c in enumerate(partial):
+                num[k] += r * c
+        return num, full
+
+    def cleared(self) -> tuple:
+        """Polynomials N_ab with Theta_ab = N_ab / D for one polynomial D.
+
+        A residue form clears by the product of its nodes, from the lists its
+        entries come from; given entries cross-multiply their denominators.
+        """
+        if self.given is None:
+            kept = tuple(range(len(self.nodes)))
+            return tuple(
+                tuple(Polynomial(self._cleared(a, b, kept)[0]) for b in range(2))
+                for a in range(2)
+            )
+        e = self.given
+        return tuple(
+            tuple(
+                e[i][j].num * e[i][1 - j].den * e[1 - i][0].den * e[1 - i][1].den
+                for j in range(2)
+            )
+            for i in range(2)
+        )
 
     def det(self) -> RationalFunction:
         e = self.entries
@@ -95,15 +183,26 @@ class RationalMatrix2x2:
         return RationalMatrix2x2.from_entries(prod)
 
     @cached_property
-    def _samplers(self) -> tuple:
-        return tuple(tuple(RationalSampler(e) for e in row) for row in self.entries)
+    def _sample(self):
+        if self.given is not None:
+            samplers = [[RationalSampler(e) for e in row] for row in self.given]
+            return lambda z: np.array([[sample(z) for sample in row] for row in samplers])
+        x = np.array(self.nodes, dtype=float)
+        left = np.array(self.left, dtype=float).reshape(-1, 2).T
+        right = np.array(self.right, dtype=float).reshape(-1, 2)
+
+        def sample(z):
+            gap = complex(z) - x
+            if not gap.all():
+                raise PoleError(z)
+            return np.eye(2) + (left / gap) @ right
+
+        return sample
 
     def eval(self, z) -> np.ndarray:
-        """Float value of the matrix at z from the compiled entry samplers."""
-        return np.array([[sample(z) for sample in row] for row in self._samplers])
-
-    def eval_exact(self, z):
-        return [[self.entries[i][j].eval(z) for j in range(2)] for i in range(2)]
+        """Float value of the matrix at z: I_2 + L diag(1/(z - x)) R for a
+        residue form, the compiled entry samplers for given entries."""
+        return self._sample(z)
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix2x2):
@@ -134,58 +233,18 @@ def _shared_real_poles(entries) -> tuple:
 
 
 def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2x2:
-    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) in canonical form.
+    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) as a residue form.
 
-    Entry (a, b) is delta_ab + sum_i r_i / (z - x_i) with residues
-    r_i = left_i[a] right_i[b].  On the exact lane it is built coprime by
-    construction: over the full node product its numerator takes the value
-    r_i prod_{j != i} (x_i - x_j) at x_i, which is nonzero exactly when
-    r_i != 0 because the nodes are distinct.  So dropping the nodes with a
-    zero residue leaves a numerator coprime to the product over the kept
-    nodes, and only the integer scaling of the canonical form remains; no
-    gcd is taken.  The float lane expands over the full node product and
-    reduces as before.
+    The nodes whose rank-one residue vanishes (a zero left column or right
+    row) are dropped; the rest are kept with their factors.
     """
-    factors = [*left_cols, *right_rows]
-    if all(isinstance(v, (int, Fraction)) for v in [*nodes, *(v for f in factors for v in f)]):
-        entries = _exact_residue_entries(nodes, left_cols, right_rows)
-    else:
-        entries = _float_residue_entries(nodes, left_cols, right_rows)
-    return RationalMatrix2x2.from_entries(entries, kappa=kappa)
-
-
-def _exact_residue_entries(nodes, left_cols, right_rows) -> tuple:
-    """Canonical exact entries from plain Fraction coefficient lists.
-
-    The node product of each distinct kept set is built once, and its
-    partial products (one node left out) come from it by synthetic division,
-    so an entry costs O(n^2) Fraction operations.
-    """
-    products = {}
-
-    def node_product(kept):
-        if kept not in products:
-            full = [Fraction(1)]
-            for i in kept:
-                full = _times_linear(full, nodes[i])
-            products[kept] = full, [_deflate(full, nodes[i]) for i in kept]
-        return products[kept]
-
-    entries = []
-    for a in range(2):
-        row = []
-        for b in range(2):
-            residues = [left[a] * right[b] for left, right in zip(left_cols, right_rows)]
-            kept = tuple(i for i, r in enumerate(residues) if r)
-            full, partials = node_product(kept)
-            num = list(full) if a == b else [0] * len(full)
-            for i, partial in zip(kept, partials):
-                r = residues[i]
-                for k, c in enumerate(partial):
-                    num[k] += r * c
-            row.append(RationalFunction(*_integer_form(num, full), reduce=False))
-        entries.append(tuple(row))
-    return tuple(entries)
+    kept = [i for i, (l, r) in enumerate(zip(left_cols, right_rows)) if any(l) and any(r)]
+    return RationalMatrix2x2(
+        kappa=kappa,
+        nodes=tuple(nodes[i] for i in kept),
+        left=tuple(tuple(left_cols[i]) for i in kept),
+        right=tuple(tuple(right_rows[i]) for i in kept),
+    )
 
 
 def _times_linear(coeffs, x) -> list:
@@ -204,26 +263,6 @@ def _deflate(coeffs, x) -> list:
         carry = coeffs[k] + x * carry
         quotient[k - 1] = carry
     return quotient
-
-
-def _float_residue_entries(nodes, left_cols, right_rows) -> tuple:
-    """Entries expanded over the full node product, reduced by RationalFunction."""
-    n = len(nodes)
-    full = Polynomial.from_real_roots(nodes)
-    partial = [
-        Polynomial.from_real_roots([x for j, x in enumerate(nodes) if j != i])
-        for i in range(n)
-    ]
-    entries = []
-    for a in range(2):
-        row = []
-        for b in range(2):
-            num = full if a == b else Polynomial(())
-            for i in range(n):
-                num = num + partial[i].scale(left_cols[i][a] * right_rows[i][b])
-            row.append(RationalFunction(num, full))
-        entries.append(tuple(row))
-    return tuple(entries)
 
 
 def build_theta(sys: PickSystem) -> RationalMatrix2x2:
@@ -295,8 +334,7 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     over real points, 100 of them spread over the poles' span by default.
     Real sample points landing on poles are skipped and reported.
     """
-    exact = all(theta.entries[i][j].exact for i in range(2) for j in range(2))
-    symbolic = _symbolic_j_unitary(theta) if exact else None
+    symbolic = _symbolic_j_unitary(theta) if theta.exact else None
     if sample_points is None:
         lo = min(theta.poles, default=0.0) - 1.5
         hi = max(theta.poles, default=0.0) + 1.5

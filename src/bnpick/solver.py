@@ -131,13 +131,12 @@ class SolutionBundle:
 
     kind: str  # "parameterized" | "unique"
     kappa: int
-    problem_kind: int
     theta: RationalMatrix2x2 | None = None
     w: RationalFunction | None = None
     verification: dict | None = None
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "kappa": self.kappa, "problem": self.problem_kind}
+        doc = {"kind": self.kind, "kappa": self.kappa}
         if self.theta is not None:
             doc["theta"] = self.theta.to_json()
         if self.w is not None:
@@ -507,16 +506,12 @@ def solve(
     sys = build_system(data, rank_tol)
     if sys.invertible:
         theta = build_theta(sys)
-        return SolutionBundle(
-            kind="parameterized", kappa=sys.kappa, problem_kind=3, theta=theta
-        )
+        return SolutionBundle(kind="parameterized", kappa=sys.kappa, theta=theta)
     w = solve_degenerate(sys)
     verification = None
     if verify:
         verification = verify_candidate(sys, w, config=config)
-    return SolutionBundle(
-        kind="unique", kappa=sys.kappa, problem_kind=3, w=w, verification=verification
-    )
+    return SolutionBundle(kind="unique", kappa=sys.kappa, w=w, verification=verification)
 
 
 def verify_candidate(

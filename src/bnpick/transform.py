@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
-from .algebra import Polynomial, RationalFunction, polynomial_gcd, scalar_from_json, scalar_to_json
+from .algebra import Polynomial, RationalFunction, scalar_from_json, scalar_to_json
 from .errors import DegenerateTransformError, NotNevanlinnaError
 from .resolvent import RationalMatrix2x2
 
@@ -140,54 +140,24 @@ def is_nevanlinna(
     return NevanlinnaCheck(True)
 
 
-def _polynomial_lcm(polys):
-    acc = Polynomial.one()
-    for p in polys:
-        if p.degree < 1:
-            continue
-        if acc.degree < 1:
-            acc = p.monic()
-            continue
-        g = polynomial_gcd(acc, p)
-        acc = (acc * p.divmod(g)[0]).monic()
-    return acc
-
-
 def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     """Linear-fractional transform of a parameter by the resolvent.
 
-    Denominators are cleared before forming the quotient so the exact lane
-    stays polynomial-sized.  An identically vanishing denominator means the
-    transform degenerates to the constant infinity, which is rejected.
+    The entries are cleared to numerators over one common denominator
+    (``RationalMatrix2x2.cleared``) before forming the quotient, with
+    phi = infinity as the pair (1, 0).  An identically vanishing denominator
+    means the transform degenerates to the constant infinity, which is
+    rejected.
     """
-    e = theta.entries
     if phi.is_infinite:
-        if e[1][0].is_zero:
-            raise DegenerateTransformError("transform of infinity is identically infinite")
-        return e[0][0] / e[1][0]
-    rf = phi.as_rational()
-    p, q = rf.num, rf.den
-    if all(e[i][j].exact for i in range(2) for j in range(2)) and rf.exact:
-        common = _polynomial_lcm([e[i][j].den for i in range(2) for j in range(2)])
-        cleared = [
-            [e[i][j].num * common.divmod(e[i][j].den)[0] for j in range(2)]
-            for i in range(2)
-        ]
+        p, q = Polynomial.one(), Polynomial(())
     else:
-        cleared = [
-            [
-                e[i][j].num
-                * e[i][1 - j].den
-                * e[1 - i][0].den
-                * e[1 - i][1].den
-                for j in range(2)
-            ]
-            for i in range(2)
-        ]
-    num = cleared[0][0] * p + cleared[0][1] * q
-    den = cleared[1][0] * p + cleared[1][1] * q
+        rf = phi.as_rational()
+        p, q = rf.num, rf.den
+    (n00, n01), (n10, n11) = theta.cleared()
+    den = n10 * p + n11 * q
     if den.is_zero:
         raise DegenerateTransformError(
             "parameter sends the transform to the constant infinity"
         )
-    return RationalFunction(num, den)
+    return RationalFunction(n00 * p + n01 * q, den)

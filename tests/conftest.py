@@ -205,6 +205,34 @@ def random_invertible_system(rng, n_max=5):
             return sys_
 
 
+THIRDS_GRID = tuple(Fraction(k, 3) for k in range(-39, 40))
+
+
+def grid_float_system(rng, n):
+    """Invertible float-lane system on n nodes of the 1/3-grid in [-13, 13].
+
+    Half the nodes are regular; values, derivative bounds and (nonzero)
+    residues are p/3 with |p| <= 30, as in the benchmark's problems.
+    """
+    def third(nonzero=False):
+        while True:
+            p = rng.randint(-30, 30)
+            if p or not nonzero:
+                return p / 3
+
+    ell = n // 2
+    while True:
+        data = b.InterpolationData(
+            nodes=tuple(float(x) for x in rng.sample(THIRDS_GRID, n)),
+            values=tuple(third() for _ in range(ell)),
+            derivative_bounds=tuple(third() for _ in range(ell)),
+            residues=tuple(third(nonzero=True) for _ in range(n - ell)),
+        )
+        sys_ = b.build_system(data)
+        if sys_.invertible:
+            return sys_
+
+
 def random_singular_data(rng, n_max=5):
     """Random data whose Pick matrix is exactly singular.
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick.algebra import POLE_TOL, GaussianRational, RationalSampler, exact_kernel_basis
+from bnpick.algebra import EXACT_ZERO, POLE_TOL, GaussianRational, RationalSampler, exact_kernel_basis
 
 from conftest import exact_det, random_fraction, rf
 
@@ -85,6 +85,39 @@ class TestGaussianRational:
                 x / GR(0)
 
 
+def exact_zero_seeded(u, v):
+    """u + v and u * v with every list seeded by EXACT_ZERO."""
+    n = max(len(u.coeffs), len(v.coeffs))
+    a = list(u.coeffs) + [EXACT_ZERO] * (n - len(u.coeffs))
+    c = list(v.coeffs) + [EXACT_ZERO] * (n - len(v.coeffs))
+    total = b.Polynomial([x + y for x, y in zip(a, c)])
+    if u.is_zero or v.is_zero:
+        return total, b.Polynomial(())
+    out = [EXACT_ZERO] * (len(u.coeffs) + len(v.coeffs) - 1)
+    for i, x in enumerate(u.coeffs):
+        for j, y in enumerate(v.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return total, b.Polynomial(out)
+
+
+def exact_zero_seeded_divmod(u, v):
+    """Euclidean division of u by v with the quotient seeded by EXACT_ZERO."""
+    rem = list(u.coeffs)
+    quo = [EXACT_ZERO] * max(0, len(rem) - len(v.coeffs) + 1)
+    d = v.coeffs
+    while len(rem) >= len(d) and any(bool(c) for c in rem):
+        if not rem[-1]:
+            rem.pop()
+            continue
+        k = len(rem) - len(d)
+        q = rem[-1] / d[-1]
+        quo[k] = q
+        for i, c in enumerate(d):
+            rem[k + i] = rem[k + i] - q * c
+        rem.pop()
+    return b.Polynomial(quo), b.Polynomial(rem)
+
+
 class TestPolynomial:
     def test_zero_polynomial_flagged(self):
         z = b.Polynomial(())
@@ -105,6 +138,32 @@ class TestPolynomial:
     def test_derivative(self):
         p = b.Polynomial((1, 2, 3))  # 1 + 2z + 3z^2
         assert p.derivative() == b.Polynomial((2, 6))
+
+    def test_int_zero_seeds_are_bit_identical(self):
+        # sums, products and quotients seed their lists with the int 0; the
+        # reference seeds them with the exact zero, which on the float lane
+        # dispatches through GaussianRational before reaching complex
+        rng = random.Random(97)
+
+        def draw(exact):
+            size = rng.randint(1, 6)
+            if exact:
+                return b.Polynomial([random_fraction(rng) for _ in range(size)])
+            return b.Polynomial([rng.choice((0.0, -0.0, rng.uniform(-9, 9))) for _ in range(size)])
+
+        def bits(p):
+            if p.exact:
+                return p.coeffs
+            return tuple((type(c), complex(c).real.hex(), complex(c).imag.hex()) for c in p.coeffs)
+
+        for lanes in [(True, True), (False, False), (True, False), (False, True)] * 25:
+            u, v = draw(lanes[0]), draw(lanes[1])
+            got = [u + v, u * v]
+            want = list(exact_zero_seeded(u, v))
+            if not v.is_zero:
+                got += list(u.divmod(v))
+                want += list(exact_zero_seeded_divmod(u, v))
+            assert [bits(p) for p in got] == [bits(p) for p in want]
 
     def test_mixed_coefficients_promote(self):
         p = b.Polynomial((F(1, 2), 0.25))

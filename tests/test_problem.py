@@ -56,9 +56,8 @@ class TestInterpolationData:
             {"nodes": [0, 1], "regular": [{"x": 1, "w": 0, "gamma": -1}],
              "singular": [{"x": 0, "xi": -1}]}
         )
-        # internal layout is regular-first; the permutation remembers the input
+        # internal layout is regular-first, whatever the listed order
         assert d.nodes == (F(1), F(0))
-        assert d.input_order == (1, 0)
 
 
 class TestBuildPick:

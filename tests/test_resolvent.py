@@ -1,6 +1,8 @@
+import functools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bnpick as b
@@ -11,6 +13,7 @@ from conftest import (
     expanded_residue_form,
     golden_theta_mixed,
     golden_theta_two_regular,
+    grid_float_system,
     random_invertible_system,
     rational_j_unitary,
     rf,
@@ -66,14 +69,47 @@ def zero_value_system():
     return b.build_system(data)
 
 
+def exact_n6_system():
+    """The benchmark's exact-certify-n6-4 problem (seed 1): the np.roots poles
+    of its expanded entries list 4.666666666667 and 4.666666666668 for the
+    one node 14/3."""
+    data = b.InterpolationData(
+        nodes=(F(8, 3), F(14, 3), F(37, 3), F(3), F(1), F(13, 3)),
+        values=(F(26, 3), F(-2, 3), F(29, 3)),
+        derivative_bounds=(F(-5), F(23, 3), F(29, 3)),
+        residues=(F(-3), F(25, 3), F(25, 3)),
+    )
+    return b.build_system(data)
+
+
+@functools.cache
+def float_systems():
+    """The float-certify benchmark's seed-5 draws at n = 20, 24 and 32.
+
+    cond(P) is 1e2 to 4e2, yet Theta expanded to monomials gave J-unitarity
+    residuals of 4.7e4, 587 and 4.2e3 on them.
+    """
+    rng = random.Random("float-certify:5")
+    return {n: grid_float_system(rng, n) for n in (20, 24, 32)}
+
+
+def residue_nodes(sys_):
+    """Sorted nodes where [C_i; E_i] [te_i, -tc_i] is not the zero matrix."""
+    return tuple(sorted(
+        sys_.X[i] for i in range(sys_.n)
+        if (sys_.C[i] or sys_.E[i]) and (sys_.tilde_e[i] or sys_.tilde_c[i])
+    ))
+
+
 def coefficient_tuples(theta):
-    entries = tuple((e.num.coeffs, e.den.coeffs) for row in theta.entries for e in row)
-    return theta.kappa, theta.poles, entries
+    return theta.kappa, tuple((e.num.coeffs, e.den.coeffs) for row in theta.entries for e in row)
 
 
 @pytest.fixture
 def checked_builds(monkeypatch):
-    """Compare every residue-form build against the expanded, gcd-reduced reference."""
+    """Compare every residue-form build against the expanded, gcd-reduced
+    reference, and its poles against the nodes where a reference
+    denominator vanishes exactly."""
     built = []
     build = resolvent._residue_matrix_form
 
@@ -81,6 +117,9 @@ def checked_builds(monkeypatch):
         theta = build(nodes, left_cols, right_rows, kappa)
         reference = expanded_residue_form(nodes, left_cols, right_rows, kappa)
         assert coefficient_tuples(theta) == coefficient_tuples(reference)
+        poles = {x for x in nodes for row in reference.entries for e in row
+                 if not e.den.eval(GaussianRational.coerce(x))}
+        assert theta.poles == tuple(sorted(poles))
         built.append(theta)
         return theta
 
@@ -165,7 +204,7 @@ class TestBuildTheta:
                 direct = eval_direct_formula(sys_, z)
                 for i in range(2):
                     for j in range(2):
-                        assert theta.eval_exact(z)[i][j] == direct[i][j]
+                        assert theta.entry(i, j).eval(z) == direct[i][j]
 
     def test_residues_are_rank_one_data_products(self, sys1, theta1, sys2, theta2):
         for sys_, theta in ((sys1, theta1), (sys2, theta2)):
@@ -215,6 +254,68 @@ class TestBuildTheta:
         assert doc["kappa"] == 1
         assert doc["poles"] == [0.0, 1.0]
         assert doc["entries"][0][0] == {"num": [0, 1], "den": [-1, 1]}
+
+
+class TestPoles:
+    def test_exact_poles_are_the_residue_nodes(self, sys1, sys2):
+        for sys_ in (sys1, sys2, zero_value_system(), exact_n6_system()):
+            assert b.build_theta(sys_).poles == residue_nodes(sys_)
+        assert len(b.build_theta(exact_n6_system()).poles) == 6
+
+    def test_float_poles_are_the_residue_nodes(self):
+        sys_ = float_systems()[24]
+        assert b.build_theta(sys_).poles == residue_nodes(sys_)
+
+
+@pytest.mark.parametrize("n", [20, 24, 32])
+class TestFloatResolvent:
+    """The float lane where P is well conditioned but expanded monomial
+    coefficients are not: Theta is evaluated from its residue form."""
+
+    @pytest.fixture
+    def case(self, n):
+        sys_ = float_systems()[n]
+        return sys_, b.build_theta(sys_)
+
+    def test_j_unitary(self, case):
+        assert b.check_j_unitarity(case[1]).max_residual <= 1e-9
+
+    def test_kernel_count_within_kappa(self, case):
+        sys_, theta = case
+        assert b.kernel_theta_negative_squares(sys_, theta) <= sys_.kappa
+
+    def test_factors_recompose(self, case):
+        sys_, theta = case
+        t1, t2 = next(f for f in (factors(sys_, k) for k in range(sys_.n // 2, 0, -1)) if f)
+        lo, hi = min(sys_.X), max(sys_.X)
+        for t, y in ((0.12, 1.0), (-0.43, 0.6), (0.7, 0.25), (0.17, 3.0)):
+            z = complex(lo + (hi - lo) * t, y)
+            want = theta.eval(z)
+            got = t1.eval(z) @ t2.eval(z)
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def factors(sys_, k):
+    """The split of the resolvent at k, or None when k is not admissible."""
+    try:
+        return b.factorize(sys_, k)
+    except b.SplitNotAdmissibleError:
+        return None
+
+
+def test_float_resolvent_takes_no_roots(monkeypatch):
+    def no_roots(coeffs):
+        raise AssertionError("np.roots called")
+
+    sys_ = float_systems()[20]
+    monkeypatch.setattr(np, "roots", no_roots)
+    theta = b.build_theta(sys_)
+    assert theta.poles == residue_nodes(sys_)
+    b.theta_inverse(theta, sys_)
+    for split in filter(None, (factors(sys_, k) for k in range(1, sys_.n + 1))):
+        assert all(t.eval(1j).shape == (2, 2) for t in split)
+    assert b.check_j_unitarity(theta).symbolic_zero is None
+    assert b.kernel_theta_negative_squares(sys_, theta) <= sys_.kappa
 
 
 class TestThetaInverse:
