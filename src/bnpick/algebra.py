@@ -224,10 +224,6 @@ def is_exact(value) -> bool:
     return isinstance(value, (GaussianRational, int, Fraction))
 
 
-def as_complex(value) -> complex:
-    return complex(value)
-
-
 def scalar_from_json(value):
     """Parse a JSON number: int / 'p/q' stay exact, floats go to the float lane."""
     if isinstance(value, bool):
@@ -283,7 +279,7 @@ class Polynomial:
             else:
                 raise TypeError(f"bad coefficient {c!r}")
         if not exact:
-            canon = [as_complex(c) for c in canon]
+            canon = [complex(c) for c in canon]
             scale = max((abs(c) for c in canon), default=0.0)
             canon = [0.0 if abs(c) <= TRIM_TOL * scale else c for c in canon]
         while canon and not canon[-1]:
@@ -466,7 +462,7 @@ class Polynomial:
         return out
 
     def to_complex_array(self) -> np.ndarray:
-        return np.array([as_complex(c) for c in self.coeffs], dtype=complex)
+        return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -498,8 +494,8 @@ def _float_cancel(num: Polynomial, den: Polynomial):
             keep_n.pop(hit)
     if len(keep_d) == len(droots):
         return num, den
-    lead_n = as_complex(num.lead)
-    lead_d = as_complex(den.lead)
+    lead_n = complex(num.lead)
+    lead_d = complex(den.lead)
     new_num = Polynomial(np.poly(keep_n)[::-1] * lead_n if keep_n else [lead_n])
     new_den = Polynomial(np.poly(keep_d)[::-1] * lead_d if keep_d else [lead_d])
     return new_num, new_den
@@ -558,7 +554,7 @@ class RationalFunction:
         if num.is_zero:
             return num, Polynomial((1.0,))
         num, den = _float_cancel(num, den)
-        inv = 1.0 / as_complex(den.lead)
+        inv = 1.0 / complex(den.lead)
         num, den = num.scale(inv), den.scale(inv)
         if num.is_real() and den.is_real():
             num = Polynomial([c.real for c in num.coeffs])
@@ -819,10 +815,6 @@ class Inertia:
     def __setattr__(self, name, value):
         raise AttributeError("Inertia is immutable")
 
-    @property
-    def order(self) -> int:
-        return self.negatives + self.zeros + self.positives
-
     def astuple(self):
         return (self.negatives, self.zeros, self.positives)
 
@@ -872,7 +864,7 @@ class HermitianMatrix:
                     if rows[i][j] != rows[j][i].conjugate():
                         raise ValueError(f"not Hermitian at ({i},{j})")
         else:
-            arr = np.array([[as_complex(x) for x in row] for row in rows])
+            arr = np.array([[complex(x) for x in row] for row in rows])
             scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
             if np.abs(arr - arr.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
                 raise ValueError("not Hermitian within float tolerance")
@@ -888,13 +880,10 @@ class HermitianMatrix:
         return self.rows[i][j]
 
     def to_numpy(self) -> np.ndarray:
-        return np.array([[as_complex(x) for x in row] for row in self.rows])
+        return np.array([[complex(x) for x in row] for row in self.rows])
 
     def to_lists(self):
         return [list(row) for row in self.rows]
-
-    def submatrix(self, idx) -> "HermitianMatrix":
-        return HermitianMatrix([[self.rows[i][j] for j in idx] for i in idx])
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
@@ -998,7 +987,7 @@ def matrix_inverse(rows):
         return _exact_inverse(
             [[GaussianRational.coerce(x) for x in row] for row in rows]
         )
-    arr = np.array([[as_complex(x) for x in row] for row in rows])
+    arr = np.array([[complex(x) for x in row] for row in rows])
     sv = np.linalg.svd(arr, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < RCOND_MIN:
         raise SingularMatrixError("reciprocal condition number below cutoff")

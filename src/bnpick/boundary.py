@@ -26,13 +26,7 @@ from ._sections import (
     pole_free_grid,
     span_of,
 )
-from .algebra import (
-    EXACT_I,
-    Polynomial,
-    RationalFunction,
-    RationalSampler,
-    as_complex,
-)
+from .algebra import EXACT_I, Polynomial, RationalFunction, RationalSampler
 from .errors import InvalidDataError, NotNevanlinnaError, PoleError
 from .problem import PickSystem
 from .transform import Parameter
@@ -350,9 +344,9 @@ def _verify_cayley_kernel(w: RationalFunction, s: RationalFunction, pairs: int =
         z1 = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
         z2 = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
         try:
-            w1, w2 = as_complex(w.eval(z1)), as_complex(w.eval(z2))
+            w1, w2 = complex(w.eval(z1)), complex(w.eval(z2))
             beta1, beta2 = (z1 - 1j) / (z1 + 1j), (z2 - 1j) / (z2 + 1j)
-            s1, s2 = as_complex(s.eval(beta1)), as_complex(s.eval(beta2))
+            s1, s2 = complex(s.eval(beta1)), complex(s.eval(beta2))
         except PoleError:
             continue
         if abs(beta1 - beta2) < 1e-8 or min(abs(w1 + 1j), abs(w2 + 1j)) < 1e-8:

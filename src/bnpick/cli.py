@@ -19,36 +19,12 @@ from fractions import Fraction
 from ._sections import DEFAULT_GRID, GridConfig
 from .algebra import GaussianRational, RationalFunction, scalar_to_json
 from .boundary import LimitEstimate
-from .errors import (
-    BnpickError,
-    DegenerateTransformError,
-    InconsistentClassificationError,
-    InputError,
-    InvalidDataError,
-    NoSolutionRepresentationError,
-    NotNevanlinnaError,
-    PoleError,
-    SingularMatrixError,
-    SingularPickError,
-    SplitNotAdmissibleError,
-    UnclassifiableParameterError,
-)
+from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
 from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
-from .solver import classify_and_verify, solve, verify_candidate
+from .solver import VERIFY_TOL, classify_and_verify, solve, verify_candidate
 from .transform import Parameter
 
 _INPUT_ERRORS = (InputError, InvalidDataError)
-_VALIDATION_ERRORS = (
-    NotNevanlinnaError,
-    DegenerateTransformError,
-    SingularPickError,
-    SplitNotAdmissibleError,
-    UnclassifiableParameterError,
-    InconsistentClassificationError,
-    NoSolutionRepresentationError,
-    SingularMatrixError,
-    PoleError,
-)
 
 
 @dataclass(frozen=True)
@@ -61,32 +37,36 @@ class RunConfig:
 
     backend: str = "exact"
     rank_tol: float = 1e-9
-    verify_tol: float = 1e-6
+    verify_tol: float = VERIFY_TOL
     grid: GridConfig = field(default_factory=lambda: DEFAULT_GRID)
     out: str | None = None
 
     @staticmethod
     def from_json(obj) -> "RunConfig":
+        """Parse a config document; a key it does not know, top-level or in
+        ``grid``, is an ``InputError`` that names it."""
         if not isinstance(obj, dict):
             raise InputError("config document must be a JSON object")
         backend = obj.get("backend", "exact")
         if backend not in ("exact", "float"):
             raise InputError(f"unknown backend {backend!r}")
         grid_doc = obj.get("grid", {})
+        if not isinstance(grid_doc, dict):
+            raise InputError("config 'grid' must be a JSON object")
+        unknown = sorted(set(obj) - set(RunConfig.__dataclass_fields__) - {"eig_tol"})
+        unknown += sorted(f"grid.{k}" for k in set(grid_doc) - set(GridConfig.__dataclass_fields__))
+        if unknown:
+            raise InputError(f"unknown config key(s): {', '.join(unknown)}")
         grid = replace(
             DEFAULT_GRID,
-            **{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in grid_doc.items()
-                if k in GridConfig.__dataclass_fields__
-            },
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in grid_doc.items()},
         )
         if "eig_tol" in obj:
             grid = replace(grid, eig_tol=float(obj["eig_tol"]))
         return RunConfig(
             backend=backend,
             rank_tol=float(obj.get("rank_tol", 1e-9)),
-            verify_tol=float(obj.get("verify_tol", 1e-6)),
+            verify_tol=float(obj.get("verify_tol", VERIFY_TOL)),
             grid=grid,
             out=obj.get("out"),
         )
@@ -293,7 +273,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except _VALIDATION_ERRORS as exc:
+    except BnpickError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         witness = getattr(exc, "witness", None)
         if witness is not None:
@@ -302,9 +282,6 @@ def main(argv=None) -> int:
                 f"{[str(p) for p in witness.points]}",
                 file=_sys.stderr,
             )
-        return 3
-    except BnpickError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
         return 3
 
 

@@ -15,14 +15,14 @@ built from any kernel vector of P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import HermitianMatrix, Polynomial, RationalFunction, exact_kernel_basis, hermitian_inertia
-from ._sections import DEFAULT_GRID, GridConfig
+from ._sections import DEFAULT_GRID, GridConfig, span_of
 from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limit
 from .errors import (
     InconsistentClassificationError,
@@ -53,10 +53,6 @@ class ConditionLabel:
     @property
     def loses_square(self) -> bool:
         return self.index >= 4
-
-    @property
-    def problem1_compatible(self) -> bool:
-        return self.index <= 2
 
     @property
     def problem2_compatible(self) -> bool:
@@ -257,6 +253,7 @@ def _index_from_threshold(s, tau, p_ii, tol=THRESHOLD_TOL, exact=False):
 
 _REGULAR_DESCRIPTIONS = {
     "exact": "w(x_i) = w_i and w'(x_i) = gamma_i",
+    "bound": "w(x_i) = w_i and w'(x_i) <= gamma_i",
     "strict_below": "w(x_i) = w_i and -inf < w'(x_i) < gamma_i",
     "strict_above": "w(x_i) = w_i and gamma_i < w'(x_i) < inf",
     "maybe_missed": (
@@ -268,6 +265,7 @@ _REGULAR_DESCRIPTIONS = {
 
 _SINGULAR_DESCRIPTIONS = {
     "exact": "w_res(x_i) = xi_i",
+    "bound": "-1/w_res(x_i) <= -1/xi_i",
     "strict_below": "-inf < -1/w_res(x_i) < -1/xi_i",
     "strict_above": "-1/xi_i < -1/w_res(x_i) < inf",
     "zero_residual": "w_res(x_i) = 0",
@@ -308,78 +306,99 @@ def lost_squares(labels, kappa: int):
 
 def classify_all(sys: PickSystem, phi: Parameter) -> ClassificationReport:
     nodes = []
-    labels = []
     for i in range(sys.n):
         label = classify_parameter(sys, phi, i)
         kind = "regular" if sys.data.is_regular(i) else "singular"
         nodes.append(NodeReport(i + 1, label, predict_behavior(label, kind)))
-        labels.append(label)
-    k, _ = lost_squares(labels, sys.kappa)
+    k, _ = lost_squares([node.label for node in nodes], sys.kappa)
     return ClassificationReport(tuple(nodes), k, sys.kappa)
+
+
+def _node_limits(sys: PickSystem, w: RationalFunction, i: int) -> dict:
+    """The limits of w that node i's checks read: value and derivative at a
+    regular node, residual at a singular one (two ``nt_limit`` calls or one)."""
+    x_i = sys.X[i]
+    if sys.data.is_regular(i):
+        return {
+            "value": nt_limit(w, x_i, LimitKind.VALUE),
+            "derivative": nt_limit(w, x_i, LimitKind.DERIVATIVE),
+        }
+    return {"residual": nt_limit(w, x_i, LimitKind.RESIDUAL)}
+
+
+def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
+    """|limit - datum| for each of ``_node_limits``, against w_i and gamma_i
+    or xi_i; infinite where the limit is not finite."""
+    data = sys.data
+    if data.is_regular(i):
+        target = {"value": data.values[i], "derivative": data.derivative_bounds[i]}
+    else:
+        target = {"residual": data.residues[i - sys.ell]}
+    return {
+        key: abs(est.value.real - float(target[key])) if est.is_finite else float("inf")
+        for key, est in limits.items()
+    }
 
 
 def verify_outcome(
     sys: PickSystem,
     w: RationalFunction,
     node_index: int,
-    outcome: PredictedOutcome,
+    kind: str,
     tol: float = VERIFY_TOL,
+    limits: dict | None = None,
 ) -> NodeVerification:
-    """Numerically confirm a predicted outcome at one node (0-based index).
+    """Check one outcome of w at one node (0-based index) from its limits.
 
-    Equalities must hold within ``tol``; strict inequalities must hold with
-    margin above ``tol``.  The reported margin is the worst equality error
-    or the inequality slack, whichever applies.
+    ``kind`` is a key of ``_REGULAR_DESCRIPTIONS`` or ``_SINGULAR_DESCRIPTIONS``:
+    ``"exact"`` (problem 1 at the node), ``"bound"`` (problem 2),
+    ``"strict_below"``, ``"strict_above"``, and ``"missed"`` or
+    ``"maybe_missed"`` (regular; the latter also takes the kernel-diagonal
+    limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
+    hold within ``tol``; strict inequalities need slack above ``tol``.  The
+    margin is the equality error or the slack.  ``limits`` are the node's
+    ``_node_limits``, taken here when not given.
     """
-    x_i = sys.X[node_index]
-    if sys.data.is_regular(node_index):
-        w_i = float(sys.data.values[node_index])
-        gamma_i = float(sys.data.derivative_bounds[node_index])
-        value = nt_limit(w, x_i, LimitKind.VALUE)
-        deriv = nt_limit(w, x_i, LimitKind.DERIVATIVE)
-        details = {"value": value, "derivative": deriv}
-        value_err = abs(value.value.real - w_i) if value.is_finite else float("inf")
-        if outcome.kind == "exact":
-            deriv_err = abs(deriv.value.real - gamma_i) if deriv.is_finite else float("inf")
-            err = max(value_err, deriv_err)
-            return NodeVerification(err <= tol, err, details)
-        if outcome.kind in ("strict_below", "strict_above"):
-            if not (value_err <= tol and deriv.is_finite):
-                return NodeVerification(False, None, details)
-            slack = (gamma_i - deriv.value.real) if outcome.kind == "strict_below" else (
-                deriv.value.real - gamma_i
-            )
-            return NodeVerification(slack > tol, slack, details)
-        if outcome.kind == "missed":
-            return NodeVerification(value_err > tol, value_err, details)
-        if outcome.kind == "maybe_missed":
-            kernel = nt_limit(w, x_i, LimitKind.KERNEL_DIAGONAL)
-            details["kernel_diagonal"] = kernel
-            ok = (
-                value.status == "dne"
-                or value.is_infinite
-                or value_err > tol
-                or kernel.is_infinite
-            )
-            return NodeVerification(ok, value_err, details)
-        raise ValueError(f"unexpected outcome kind {outcome.kind!r}")
-
-    xi_i = float(sys.data.residues[node_index - sys.ell])
-    residual = nt_limit(w, x_i, LimitKind.RESIDUAL)
-    details = {"residual": residual}
-    if not residual.is_finite:
-        return NodeVerification(False, None, details)
-    r = residual.value.real
-    if outcome.kind == "exact":
-        err = abs(r - xi_i)
-        return NodeVerification(err <= tol, err, details)
-    if outcome.kind == "zero_residual":
-        return NodeVerification(abs(r) <= tol, abs(r), details)
-    if abs(r) <= tol:
-        return NodeVerification(False, None, details)
-    bound = -1.0 / xi_i
-    slack = (bound - (-1.0 / r)) if outcome.kind == "strict_below" else ((-1.0 / r) - bound)
-    return NodeVerification(slack > tol, slack, details)
+    regular = sys.data.is_regular(node_index)
+    if kind not in (_REGULAR_DESCRIPTIONS if regular else _SINGULAR_DESCRIPTIONS):
+        raise ValueError(f"unexpected outcome kind {kind!r}")
+    if limits is None:
+        limits = _node_limits(sys, w, node_index)
+    errors = _limit_errors(sys, node_index, limits)
+    if regular:
+        value, deriv = limits["value"], limits["derivative"]
+        value_err = errors["value"]
+        if kind == "exact":
+            err = max(value_err, errors["derivative"])
+            return NodeVerification(err <= tol, err, limits)
+        if kind == "missed":
+            return NodeVerification(value_err > tol, value_err, limits)
+        if kind == "maybe_missed":
+            kernel = nt_limit(w, sys.X[node_index], LimitKind.KERNEL_DIAGONAL)
+            ok = not value.is_finite or value_err > tol or kernel.is_infinite
+            return NodeVerification(ok, value_err, {**limits, "kernel_diagonal": kernel})
+        if not (value_err <= tol and deriv.is_finite):
+            return NodeVerification(False, None, limits)
+        s = deriv.value.real
+        bound = float(sys.data.derivative_bounds[node_index])
+    else:
+        residual = limits["residual"]
+        if not residual.is_finite:
+            return NodeVerification(False, None, limits)
+        r = residual.value.real
+        if kind == "exact":
+            err = errors["residual"]
+            return NodeVerification(err <= tol, err, limits)
+        if kind == "zero_residual":
+            return NodeVerification(abs(r) <= tol, abs(r), limits)
+        if abs(r) <= tol:
+            return NodeVerification(False, None, limits)
+        s = -1.0 / r
+        bound = -1.0 / float(sys.data.residues[node_index - sys.ell])
+    if kind == "bound":
+        return NodeVerification(s <= bound + tol, bound - s, limits)
+    slack = (bound - s) if kind == "strict_below" else (s - bound)
+    return NodeVerification(slack > tol, slack, limits)
 
 
 def classify_and_verify(
@@ -400,15 +419,12 @@ def classify_and_verify(
     theta = build_theta(sys)
     w = apply_lft(theta, phi)
     report = classify_all(sys, phi)
-    verified_nodes = []
-    for node in report.nodes:
-        verification = verify_outcome(sys, w, node.node - 1, node.predicted, tol)
-        verified_nodes.append(
-            NodeReport(node.node, node.label, node.predicted, verification)
-        )
-    sampled = kernel_negative_squares(w, config=config, span=(min(map(float, sys.X)), max(map(float, sys.X))))
-    report = ClassificationReport(tuple(verified_nodes), report.k, report.kappa)
-    return report, w, sampled
+    nodes = tuple(
+        replace(node, verification=verify_outcome(sys, w, node.node - 1, node.predicted.kind, tol))
+        for node in report.nodes
+    )
+    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
+    return replace(report, nodes=nodes), w, sampled
 
 
 def feasibility_miss_set(sys: PickSystem, subset) -> Feasibility:
@@ -494,7 +510,6 @@ def solve(
     data: InterpolationData,
     rank_tol: float = 1e-9,
     config: GridConfig = DEFAULT_GRID,
-    verify: bool = True,
 ) -> SolutionBundle:
     """Full pipeline: build the system, branch on invertibility.
 
@@ -508,72 +523,40 @@ def solve(
         theta = build_theta(sys)
         return SolutionBundle(kind="parameterized", kappa=sys.kappa, theta=theta)
     w = solve_degenerate(sys)
-    verification = None
-    if verify:
-        verification = verify_candidate(sys, w, config=config)
+    verification = verify_candidate(sys, w, config=config)
     return SolutionBundle(kind="unique", kappa=sys.kappa, w=w, verification=verification)
 
 
 def verify_candidate(
     sys: PickSystem,
     w: RationalFunction,
-    tol: float = 1e-8,
+    tol: float = VERIFY_TOL,
     config: GridConfig = DEFAULT_GRID,
 ) -> dict:
-    """Per-node boundary-limit checks of a candidate plus kernel counts.
+    """Check a candidate w against the data at every node, plus kernel counts.
 
-    Each regular node checks the value and derivative limits against the
-    prescribed pair (equality for the value, equality/upper-bound for the
-    derivative); each singular node checks the residual limit.  The report
-    also carries the sampled bordered-kernel count and the plain kernel
-    count of w.
+    Each node's limits are taken once and reported with their errors
+    against the data.  ``problem1`` is the ``"exact"`` outcome of
+    ``verify_outcome`` on them and ``problem2`` its ``"bound"`` outcome,
+    both within ``tol``.  The report also carries the sampled
+    bordered-kernel count, which a solution of problem 3 has equal to
+    kappa, and the plain kernel count of w.
     """
     nodes = []
     for i in range(sys.n):
-        x_i = sys.X[i]
-        if sys.data.is_regular(i):
-            w_i = float(sys.data.values[i])
-            gamma_i = float(sys.data.derivative_bounds[i])
-            value = nt_limit(w, x_i, LimitKind.VALUE)
-            deriv = nt_limit(w, x_i, LimitKind.DERIVATIVE)
-            value_err = abs(value.value.real - w_i) if value.is_finite else float("inf")
-            deriv_err = abs(deriv.value.real - gamma_i) if deriv.is_finite else float("inf")
-            p1 = value_err <= tol and deriv_err <= tol
-            p2 = value_err <= tol and deriv.is_finite and deriv.value.real <= gamma_i + tol
-            nodes.append(
-                {
-                    "node": i + 1,
-                    "kind": "regular",
-                    "checks": {"value": value, "derivative": deriv},
-                    "errors": {"value": value_err, "derivative": deriv_err},
-                    "problem1": p1,
-                    "problem2": p2,
-                }
-            )
-        else:
-            xi_i = float(sys.data.residues[i - sys.ell])
-            residual = nt_limit(w, x_i, LimitKind.RESIDUAL)
-            res_err = abs(residual.value.real - xi_i) if residual.is_finite else float("inf")
-            p1 = res_err <= tol
-            p2 = (
-                residual.is_finite
-                and abs(residual.value.real) > tol
-                and -1.0 / residual.value.real <= -1.0 / xi_i + tol
-            )
-            nodes.append(
-                {
-                    "node": i + 1,
-                    "kind": "singular",
-                    "checks": {"residual": residual},
-                    "errors": {"residual": res_err},
-                    "problem1": p1,
-                    "problem2": p2,
-                }
-            )
+        limits = _node_limits(sys, w, i)
+        nodes.append(
+            {
+                "node": i + 1,
+                "kind": "regular" if sys.data.is_regular(i) else "singular",
+                "checks": limits,
+                "errors": _limit_errors(sys, i, limits),
+                "problem1": verify_outcome(sys, w, i, "exact", tol, limits).ok,
+                "problem2": verify_outcome(sys, w, i, "bound", tol, limits).ok,
+            }
+        )
     fmi = fmi_check(sys, w, config=config)
-    sampled = kernel_negative_squares(
-        w, config=config, span=(min(map(float, sys.X)), max(map(float, sys.X)))
-    )
+    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
     return {
         "nodes": nodes,
         "fmi_count": fmi,

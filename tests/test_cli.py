@@ -8,6 +8,39 @@ from bnpick.cli import RunConfig, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_PARAMS = {
+    "half": '{"type":"const","value":"1/2"}',
+    "inf": '{"type":"inf"}',
+    "z": '{"type":"rational","num":[0,1],"den":[1]}',
+    "neg-inv-z": '{"type":"rational","num":[-1],"den":[0,1]}',
+}
+
+# Exact-backend CLI documents pinned byte for byte under tests/golden/<name>.json.
+# Float-backend documents are left out: they depend on LAPACK through np.roots.
+# Regenerate with `PYTHONPATH=src python tests/test_cli.py`.
+GOLDEN_CASES = (
+    [(f"{cmd}-{demo}", [cmd, "--problem", f"{demo}.json"])
+     for cmd in ("pick", "solve") for demo in ("ex101", "ex102", "ex103")]
+    + [(f"apply-{demo}-{name}", ["apply", "--problem", f"{demo}.json", "--param", param])
+       for demo in ("ex101", "ex102") for name, param in _PARAMS.items()]
+    + [
+        ("verify-ex103-unique", ["verify", "--problem", "ex103.json",
+                                 "--param", '{"num":[1,2],"den":[-1,2]}']),
+        ("verify-ex101-z", ["verify", "--problem", "ex101.json",
+                            "--param", '{"num":[0,1],"den":[1]}']),
+        ("verify-ex101-neg-z", ["verify", "--problem", "ex101.json",
+                                "--param", '{"num":[0,-1],"den":[1]}']),
+    ]
+)
+
+
+def golden_argv(argv, out):
+    """The argv of a golden case with the demo path resolved and ``--out`` added."""
+    argv = list(argv)
+    argv[2] = str(DEMOS / argv[2])
+    return argv + ["--out", str(out)]
 
 
 def run(capsys, *argv):
@@ -216,8 +249,33 @@ class TestConfig:
             counts.append(doc["verification"]["fmi_count"])
         assert counts == [1, 0]
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"verify_to": 1e-8}, "verify_to"),
+        ({"grid": {"points": 4}}, "grid.points"),
+        ({"grid": [4]}, "grid"),
+    ])
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path, doc, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "pick", "--problem", str(DEMOS / "ex101.json"),
+                           "--config", str(config))
+        assert code == 2 and named in err
+
     def test_eig_tol_and_grid_keys_reach_the_grid(self):
         config = RunConfig.from_json({"eig_tol": 1e-6, "grid": {"points_per_level": 4}})
         assert config.grid.eig_tol == 1e-6
         assert config.grid.points_per_level == 4
         assert config.grid.im_levels == (0.3, 1.1)
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_document(name, argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(golden_argv(argv, out)) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, case_argv in GOLDEN_CASES:
+        assert main(golden_argv(case_argv, GOLDEN / f"{case}.json")) == 0, case

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
+from bnpick import solver
 from bnpick.boundary import LimitKind
+from bnpick.solver import verify_outcome
 
 from conftest import (
     STANDARD_SWEEP,
@@ -133,13 +135,16 @@ class TestSweepSoundness:
             assert sampled == report.class_index
             assert w.is_real()
 
-    def test_problem2_membership_matches_labels(self, sys1):
-        # indices <= 3 at every node exactly when the inequalities hold there
-        for phi in STANDARD_SWEEP:
-            report, w, _ = b.classify_and_verify(sys1, phi)
-            verification = b.verify_candidate(sys1, w, tol=1e-6)
-            for node, check in zip(report.nodes, verification["nodes"]):
-                assert node.label.problem2_compatible == check["problem2"]
+    def test_problem2_membership_matches_labels(self, sys1, sys2):
+        # indices <= 3 at every node exactly when the inequalities hold there,
+        # which is the "bound" outcome of the one per-node check
+        for sys_ in (sys1, sys2):
+            for phi in STANDARD_SWEEP:
+                report, w, _ = b.classify_and_verify(sys_, phi)
+                checks = b.verify_candidate(sys_, w)["nodes"]
+                for i, node in enumerate(report.nodes):
+                    bound = verify_outcome(sys_, w, i, "bound").ok
+                    assert node.label.problem2_compatible == bound == checks[i]["problem2"]
 
     def test_problem2_solutions_carry_at_least_kappa(self, sys1):
         # functions meeting every inequality keep the full negative-squares count
@@ -179,6 +184,43 @@ class TestSweepSoundness:
         assert report.nodes[0].label.index == 6
         assert report.nodes[0].predicted.kind == "missed"
         assert report.nodes[0].verification.ok
+
+
+class TestOneNodeCheck:
+    """verify_candidate is verify_outcome's "exact" and "bound" on limits taken once."""
+
+    def test_unique_solution_meets_exact_and_bound(self, sys3):
+        w = unique_solution()
+        checks = b.verify_candidate(sys3, w)["nodes"]
+        for i in range(sys3.n):
+            assert verify_outcome(sys3, w, i, "bound").ok is checks[i]["problem2"] is True
+            assert verify_outcome(sys3, w, i, "exact").ok is checks[i]["problem1"] is True
+
+    def test_default_tolerance_is_verify_tol(self, sys3):
+        # (2z+1)/(2z-1) shifted by 1e-7 misses w(-1/2) = 0 by 1e-7 < VERIFY_TOL
+        shifted = rf((F(9999999, 10000000), F(10000001, 5000000)), (-1, 2))
+        assert b.verify_candidate(sys3, shifted)["nodes"][0]["problem1"] is True
+
+    def test_limits_taken_once_per_node(self, sys3, monkeypatch):
+        calls = []
+        nt_limit = solver.nt_limit
+
+        def counting(f, x0, kind, *args, **kwargs):
+            calls.append((x0, kind))
+            return nt_limit(f, x0, kind, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "nt_limit", counting)
+        b.verify_candidate(sys3, unique_solution())
+        regular, singular = sys3.X
+        assert calls == [
+            (regular, LimitKind.VALUE),
+            (regular, LimitKind.DERIVATIVE),
+            (singular, LimitKind.RESIDUAL),
+        ]
+
+    def test_unknown_outcome_kind_rejected(self, sys3):
+        with pytest.raises(ValueError):
+            verify_outcome(sys3, unique_solution(), 1, "missed")
 
 
 @pytest.fixture(scope="module")
