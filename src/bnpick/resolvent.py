@@ -10,21 +10,23 @@ residue form
 
     Theta(z) = I_2 + sum_i [C e_i; E e_i] [te_i, -tc_i] / (z - x_i),
 
-which is how the resolvent, both factors of its factorization and its
-inverse from system data are held, on both lanes.  A residue form is
-evaluated from that sum (the stable partial-fraction form, where expanded
-monomial coefficients lose the float lane at n of about 20), its poles are
-exactly the nodes with a nonzero residue, and its entries -- real rational
+which is how the resolvent, its inverse and both factors of its
+factorization are held, on both lanes.  A residue form is evaluated from
+that sum (the stable partial-fraction form, where expanded monomial
+coefficients lose the float lane at n of about 20), its poles are exactly
+the nodes with a nonzero residue, and its entries -- real rational
 functions whose golden displays compare by exact coefficient equality --
-are expanded from the same form only when they are asked for.  The
-factorization splits Theta across a leading block of P with matching
-negative-squares split.
+are expanded from the same form only when they are asked for.
 
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
 symplectic form.  So Theta J Theta^T == J holds identically exactly when
 det Theta == 1, which on the exact lane is one polynomial identity over the
-entries' own denominators, with no gcd.
+entries' own denominators, with no gcd.  Every residue form built here is a
+product of resolvents and their inverses, so det == 1 by construction and
+its inverse is its adjugate, again a residue form on the same nodes.  The
+factorization splits Theta across a leading block of P into the leading
+nodes' resolvent and that resolvent's adjugate times Theta.
 """
 
 from __future__ import annotations
@@ -36,17 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_half_grid
-from .algebra import (
-    HermitianMatrix,
-    Polynomial,
-    RationalFunction,
-    RationalSampler,
-    _integer_form,
-    hermitian_inertia,
-    matrix_inverse,
-)
+from .algebra import Polynomial, RationalFunction, RationalSampler, _integer_form
 from .errors import PoleError, SingularMatrixError, SingularPickError, SplitNotAdmissibleError
-from .problem import PickSystem
+from .problem import InterpolationData, PickSystem, build_system
 
 _J_NUMPY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 KERNEL_AGREEMENT_TOL = 1e-8
@@ -59,7 +53,8 @@ class RationalMatrix2x2:
     A residue form I_2 + sum_i l_i r_i / (z - x_i) keeps the nodes with a
     nonzero residue and their left columns l_i and right rows r_i; it is
     evaluated from them, its poles are those nodes, and its entries are
-    expanded from them when first asked for.  A matrix built by
+    expanded from them when first asked for.  It has det == 1 by
+    construction, so its inverse is its adjugate.  A matrix built by
     ``from_entries`` keeps its four entries instead.
     """
 
@@ -274,19 +269,19 @@ def build_theta(sys: PickSystem) -> RationalMatrix2x2:
     return _residue_matrix_form(list(sys.X), left, right, sys.kappa)
 
 
-def theta_inverse(
-    theta: RationalMatrix2x2, sys: PickSystem | None = None
-) -> RationalMatrix2x2:
-    """Inverse resolvent.
+def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:
+    """Inverse of a 2x2 rational matrix.
 
-    With system data the reflection form I_2 + i [C; E] P^(-1) (zI-X)^(-1)
-    [C* E*] J is materialized directly; otherwise the adjugate over the
-    determinant is used (rejecting identically singular input).
+    A residue form has det == 1 by construction, so its inverse is its
+    adjugate.  The adjugate is linear on 2x2 matrices and maps the rank-one
+    residue [a; b] [c, d] to [-d; c] [-b, a], so the inverse is again a
+    residue form on the same nodes.  Given entries are divided by their
+    determinant (rejecting identically singular input).
     """
-    if sys is not None:
-        left = [(sys.tilde_c[i], sys.tilde_e[i]) for i in range(sys.n)]
-        right = [(-sys.E[i], sys.C[i]) for i in range(sys.n)]
-        return _residue_matrix_form(list(sys.X), left, right, sys.kappa)
+    if theta.given is None:
+        left = [(-r[1], r[0]) for r in theta.right]
+        right = [(-l[1], l[0]) for l in theta.left]
+        return _residue_matrix_form(list(theta.nodes), left, right, theta.kappa)
     det = theta.det()
     if det.is_zero:
         raise SingularMatrixError("identically singular rational matrix")
@@ -300,12 +295,18 @@ def theta_inverse(
 
 @dataclass(frozen=True)
 class JUnitarityReport:
-    """Outcome of the J-unitarity certificate Theta(x) J Theta(x)* = J."""
+    """Outcome of the J-unitarity certificate Theta(x) J Theta(x)* = J.
+
+    ``worst_scale`` is max|Theta(x)|^2 at ``worst_point``, the sample with
+    the largest residual; rounding alone leaves about eps * worst_scale.
+    """
 
     symbolic_zero: bool | None
     max_residual: float
     samples_used: int
     skipped: tuple = ()
+    worst_point: float | None = None
+    worst_scale: float = 0.0
 
 
 def _symbolic_j_unitary(theta: RationalMatrix2x2) -> bool:
@@ -331,7 +332,8 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     polynomial identity, which holds exactly when Theta J Theta^T == J (see
     the module docstring); it builds no rational function and takes no gcd.
     The sampled part reports the largest entry of Theta(x) J Theta(x)* - J
-    over real points, 100 of them spread over the poles' span by default.
+    over real points, 100 of them spread over the poles' span by default,
+    with the point where it is largest and the scale |Theta|^2 there.
     Real sample points landing on poles are skipped and reported.
     """
     symbolic = _symbolic_j_unitary(theta) if theta.exact else None
@@ -339,7 +341,7 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
         lo = min(theta.poles, default=0.0) - 1.5
         hi = max(theta.poles, default=0.0) + 1.5
         sample_points = [lo + (hi - lo) * k / 99.0 for k in range(100)]
-    worst = 0.0
+    worst, worst_point, worst_scale = 0.0, None, 0.0
     used = 0
     skipped = []
     for x in sample_points:
@@ -348,17 +350,20 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
             continue
         try:
             m = theta.eval(complex(float(x), 0.0))
-        except Exception:
+        except PoleError:
             skipped.append(float(x))
             continue
-        res = m @ _J_NUMPY @ m.conj().T - _J_NUMPY
-        worst = max(worst, float(np.abs(res).max()))
+        residual = float(np.abs(m @ _J_NUMPY @ m.conj().T - _J_NUMPY).max())
+        if worst_point is None or residual > worst:
+            worst, worst_point, worst_scale = residual, float(x), float(np.abs(m).max()) ** 2
         used += 1
     return JUnitarityReport(
         symbolic_zero=symbolic,
         max_residual=worst,
         samples_used=used,
         skipped=tuple(skipped),
+        worst_point=worst_point,
+        worst_scale=worst_scale,
     )
 
 
@@ -422,9 +427,12 @@ def factorize(sys: PickSystem, k: int, order=None):
 
     ``order`` optionally permutes the nodes first (the resolvent itself is
     permutation invariant, but the split blocks are not).  Returns
-    (Theta1, Theta2t) with Theta1 built from the truncated data and Theta2t
-    from the trailing block of P^(-1); their product reproduces the full
-    resolvent and the negative squares add up.
+    (Theta1, Theta2): Theta1 is the resolvent of the data on the first k
+    nodes, whose block of P must be invertible, and Theta2 = Theta1^(-1)
+    Theta has poles only at the other nodes x_j, with residue
+    Theta1^(-1)(x_j) [C_j; E_j] [te_j, -tc_j], where Theta1^(-1) is Theta1's
+    adjugate.  By Haynsworth's inertia additivity the negative squares of
+    the Schur complement, and so of Theta2, are kappa minus those of Theta1.
     """
     if not sys.invertible:
         raise SingularPickError("Pick matrix is singular")
@@ -436,53 +444,37 @@ def factorize(sys: PickSystem, k: int, order=None):
         raise ValueError("order must be a permutation of the node indices")
     if k == n:
         return build_theta(sys), RationalMatrix2x2.identity()
-    from .problem import _real_part as real
 
-    x = [sys.X[i] for i in order]
-    e = [sys.E[i] for i in order]
-    c = [sys.C[i] for i in order]
-    p_rows = [[sys.P.entry(i, j) for j in order] for i in order]
-    p_inv = [[sys.p_inv[i][j] for j in order] for i in order]
-    tilde_e = [sys.tilde_e[i] for i in order]
-    tilde_c = [sys.tilde_c[i] for i in order]
-
-    head = list(range(k))
-    tail = list(range(k, n))
-    p11 = HermitianMatrix([[p_rows[i][j] for j in head] for i in head])
-    inertia1 = hermitian_inertia(p11, sys.rank_tol)
-    if inertia1.zeros:
-        raise SplitNotAdmissibleError(f"leading {k}x{k} block of P is singular")
+    data, ell = sys.data, sys.ell
+    head = sorted(order[:k], key=lambda i: i >= ell)
+    sub_data = InterpolationData(
+        nodes=tuple(data.nodes[i] for i in head),
+        values=tuple(data.values[i] for i in head if i < ell),
+        derivative_bounds=tuple(data.derivative_bounds[i] for i in head if i < ell),
+        residues=tuple(data.residues[i - ell] for i in head if i >= ell),
+    )
     try:
-        p11_inv = matrix_inverse(p11)
+        sub = build_system(sub_data, sys.rank_tol)
+        if not sub.invertible:
+            raise SplitNotAdmissibleError(f"leading {k}x{k} block of P is singular")
+        theta1 = build_theta(sub)
     except SingularMatrixError as exc:
         raise SplitNotAdmissibleError(str(exc)) from exc
 
-    te1 = [sum(e[i] * real(p11_inv[i][j]) for i in range(k)) for j in range(k)]
-    tc1 = [sum(c[i] * real(p11_inv[i][j]) for i in range(k)) for j in range(k)]
-    theta1 = _residue_matrix_form(
-        [x[i] for i in head],
-        [(c[i], e[i]) for i in head],
-        [(te1[i], -tc1[i]) for i in head],
-        inertia1.negatives,
-    )
+    def inverse_at(x, c, e):
+        """Theta1^(-1)(x) [c; e]: each adjugate residue [-q; p] [-b, a]
+        of a residue [a; b] [p, q] adds (b c - a e) / (x - x_i) [q; -p]."""
+        u, v = c, e
+        for xi, (a, b), (p, q) in zip(theta1.nodes, theta1.left, theta1.right):
+            t = (b * c - a * e) / (x - xi)
+            u, v = u + q * t, v - p * t
+        return u, v
 
-    p22t = [[p_inv[i][j] for j in tail] for i in tail]
-    inertia2 = hermitian_inertia(HermitianMatrix(p22t), sys.rank_tol)
-    p22t_inv = matrix_inverse(p22t)
-    m = n - k
-    tc2 = [tilde_c[i] for i in tail]
-    te2 = [tilde_e[i] for i in tail]
-    left = [
-        (
-            sum(tc2[r] * real(p22t_inv[r][j]) for r in range(m)),
-            sum(te2[r] * real(p22t_inv[r][j]) for r in range(m)),
-        )
-        for j in range(m)
-    ]
-    theta2t = _residue_matrix_form(
-        [x[i] for i in tail],
-        left,
-        [(te2[j], -tc2[j]) for j in range(m)],
-        inertia2.negatives,
+    tail = order[k:]
+    theta2 = _residue_matrix_form(
+        [sys.X[j] for j in tail],
+        [inverse_at(sys.X[j], sys.C[j], sys.E[j]) for j in tail],
+        [(sys.tilde_e[j], -sys.tilde_c[j]) for j in tail],
+        sys.kappa - sub.kappa,
     )
-    return theta1, theta2t
+    return theta1, theta2

@@ -480,12 +480,12 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
         vectors = [vh[i].tolist() for i in range(len(s)) if s[i] <= scale]
     if not vectors:
         raise NoSolutionRepresentationError("no kernel vector found for singular P")
+    partial = [
+        Polynomial.from_real_roots([x for j, x in enumerate(sys.X) if j != i])
+        for i in range(sys.n)
+    ]
     candidates = []
     for y in vectors:
-        partial = [
-            Polynomial.from_real_roots([x for j, x in enumerate(sys.X) if j != i])
-            for i in range(sys.n)
-        ]
         num = Polynomial(())
         den = Polynomial(())
         for i in range(sys.n):

@@ -1,15 +1,19 @@
 import functools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import algebra, resolvent
+from bnpick import algebra, problem, resolvent
 from bnpick.algebra import EXACT_I, EXACT_ONE, EXACT_ZERO, GaussianRational
 
 from conftest import (
+    data_mixed,
+    data_two_regular,
     expanded_residue_form,
     golden_theta_mixed,
     golden_theta_two_regular,
@@ -20,6 +24,11 @@ from conftest import (
 )
 
 F = Fraction
+
+# Theta^(-1) and both factors of every admissible split, in natural and
+# reversed node order, pinned byte for byte on exact systems.
+# Regenerate with `PYTHONPATH=src python tests/test_resolvent.py`.
+GOLDEN_FACTORS = Path(__file__).resolve().parent / "golden" / "factors.json"
 
 
 def eval_direct_formula(sys_, z):
@@ -82,6 +91,54 @@ def exact_n6_system():
     return b.build_system(data)
 
 
+def exact_draw_system(nodes, values, bounds, residues):
+    """An exact-certify benchmark draw (seed 1), nodes listed regular first."""
+    return b.build_system(b.InterpolationData(
+        nodes=tuple(map(F, nodes)),
+        values=tuple(map(F, values)),
+        derivative_bounds=tuple(map(F, bounds)),
+        residues=tuple(map(F, residues)),
+    ))
+
+
+def factor_systems():
+    """The exact systems of the factors golden, by name."""
+    return {
+        "two-regular": b.build_system(data_two_regular()),
+        "mixed": b.build_system(data_mixed()),
+        "zero-value": zero_value_system(),
+        "exact-certify-n6-4": exact_n6_system(),
+        "exact-certify-n6-0": exact_draw_system(
+            ("11", "29/3", "38/3", "6", "3", "-14/3"),
+            ("8/3", "7/3", "-1/3"), ("-17/3", "-10/3", "-26/3"), ("-8/3", "9", "8")),
+        "exact-certify-n8-0": exact_draw_system(
+            ("6", "-28/3", "23/3", "1", "25/3", "-5", "-5/3", "35/3"),
+            ("-6", "16/3", "17/3", "20/3"), ("-8/3", "22/3", "-16/3", "10/3"),
+            ("-8/3", "20/3", "-17/3", "25/3")),
+    }
+
+
+def factor_documents(sys_):
+    """(key, JSON) of Theta^(-1) and of (Theta1, Theta2) at every admissible split k."""
+    theta = b.build_theta(sys_)
+    yield "inverse", b.theta_inverse(theta).to_json()
+    for name, order in (("natural", range(sys_.n)), ("reversed", range(sys_.n)[::-1])):
+        for k in range(1, sys_.n + 1):
+            split = factors(sys_, k, order)
+            if split:
+                yield f"{name}/{k}", [t.to_json() for t in split]
+
+
+def factors_golden_text():
+    """One JSON object, one line per document, keyed system/inverse or system/order/k."""
+    lines = [
+        f"{json.dumps(f'{name}/{key}')}: {json.dumps(doc, separators=(',', ':'))}"
+        for name, sys_ in factor_systems().items()
+        for key, doc in factor_documents(sys_)
+    ]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 @functools.cache
 def float_systems():
     """The float-certify benchmark's seed-5 draws at n = 20, 24 and 32.
@@ -130,7 +187,7 @@ def checked_builds(monkeypatch):
 class TestResidueForm:
     def build_all(self, sys_):
         theta = b.build_theta(sys_)
-        b.theta_inverse(theta, sys_)
+        b.theta_inverse(theta)
         splits = 0
         for k in range(1, sys_.n):
             try:
@@ -295,12 +352,24 @@ class TestFloatResolvent:
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
 
-def factors(sys_, k):
+def factors(sys_, k, order=None):
     """The split of the resolvent at k, or None when k is not admissible."""
     try:
-        return b.factorize(sys_, k)
+        return b.factorize(sys_, k, order)
     except b.SplitNotAdmissibleError:
         return None
+
+
+def head_data(data, head):
+    """The data on the nodes ``head``, listed regular first."""
+    head = sorted(head, key=lambda i: not data.is_regular(i))
+    regular = [i for i in head if data.is_regular(i)]
+    return b.InterpolationData(
+        nodes=tuple(data.nodes[i] for i in head),
+        values=tuple(data.values[i] for i in regular),
+        derivative_bounds=tuple(data.derivative_bounds[i] for i in regular),
+        residues=tuple(data.residues[i - data.ell] for i in head if not data.is_regular(i)),
+    )
 
 
 def test_float_resolvent_takes_no_roots(monkeypatch):
@@ -311,7 +380,7 @@ def test_float_resolvent_takes_no_roots(monkeypatch):
     monkeypatch.setattr(np, "roots", no_roots)
     theta = b.build_theta(sys_)
     assert theta.poles == residue_nodes(sys_)
-    b.theta_inverse(theta, sys_)
+    b.theta_inverse(theta)
     for split in filter(None, (factors(sys_, k) for k in range(1, sys_.n + 1))):
         assert all(t.eval(1j).shape == (2, 2) for t in split)
     assert b.check_j_unitarity(theta).symbolic_zero is None
@@ -330,12 +399,21 @@ class TestThetaInverse:
         ident = b.RationalMatrix2x2.identity()
         assert b.theta_inverse(ident) == ident
 
-    def test_system_route_product_is_identity(self, sys1, theta1):
-        inv = b.theta_inverse(theta1, sys1)
-        assert theta1 @ inv == b.RationalMatrix2x2.identity()
+    def test_residue_form_inverse(self, theta1, theta2):
+        rng = random.Random(53)
+        thetas = [theta1, theta2] + [b.build_theta(random_invertible_system(rng))
+                                     for _ in range(10)]
+        for theta in thetas:
+            inv = b.theta_inverse(theta)
+            assert inv.given is None and inv.nodes == theta.nodes
+            assert inv.kappa == theta.kappa
+            assert theta @ inv == b.RationalMatrix2x2.identity()
 
-    def test_adjugate_route_agrees(self, sys1, theta1):
-        assert b.theta_inverse(theta1) == b.theta_inverse(theta1, sys1)
+    def test_adjugate_route_agrees(self, theta1, theta2):
+        for theta in (theta1, theta2):
+            given = b.RationalMatrix2x2.from_entries(theta.entries, kappa=theta.kappa)
+            assert b.theta_inverse(given).given is not None
+            assert b.theta_inverse(theta) == b.theta_inverse(given)
 
     def test_identically_singular_rejected(self):
         t = b.RationalMatrix2x2.from_entries(
@@ -355,6 +433,7 @@ class TestJUnitarity:
     def test_identity_matrix(self):
         report = b.check_j_unitarity(b.RationalMatrix2x2.identity(), sample_points=[0.0, 3.0])
         assert report.symbolic_zero is True and report.max_residual == 0.0
+        assert report.worst_point == 0.0 and report.worst_scale == 1.0
 
     def test_perturbation_breaks_identity(self, theta1):
         bumped = b.RationalMatrix2x2.from_entries(
@@ -374,7 +453,7 @@ class TestJUnitarity:
             return b.RationalMatrix2x2.from_entries(rows)
 
         cases = [theta1, theta2, b.RationalMatrix2x2.identity(), bump(theta1, 0, 1, F(1, 10)),
-                 b.theta_inverse(theta1, sys1)]
+                 b.theta_inverse(theta1)]
         rng = random.Random(31)
         for k in range(8):
             theta = b.build_theta(random_invertible_system(rng))
@@ -398,7 +477,7 @@ class TestJUnitarity:
         assert est.is_finite
         for sys_ in (sys1, sys2, zero_value_system()):
             theta = b.build_theta(sys_)
-            b.theta_inverse(theta, sys_)
+            b.theta_inverse(theta)
             for k in range(1, sys_.n + 1):
                 try:
                     b.factorize(sys_, k)
@@ -409,6 +488,26 @@ class TestJUnitarity:
         report = b.check_j_unitarity(theta1, sample_points=[0.0, 1.0, 2.0])
         assert report.samples_used == 1
         assert set(report.skipped) == {0.0, 1.0}
+
+    def test_other_eval_errors_propagate(self):
+        class Broken(b.RationalMatrix2x2):
+            def eval(self, z):
+                raise ValueError("not a pole")
+
+        with pytest.raises(ValueError):
+            b.check_j_unitarity(Broken(kappa=0), sample_points=[0.5])
+
+    def test_reports_worst_sample_and_scale(self, theta1):
+        points = [-3.0, 0.5, 0.999, 7.0]
+        report = b.check_j_unitarity(theta1, sample_points=points)
+        residuals = []
+        for x in points:
+            m = theta1.eval(complex(x))
+            residuals.append(np.abs(m @ resolvent._J_NUMPY @ m.conj().T - resolvent._J_NUMPY).max())
+        worst = int(np.argmax(residuals))
+        assert report.worst_point == points[worst]
+        assert report.max_residual == residuals[worst]
+        assert report.worst_scale == np.abs(theta1.eval(complex(points[worst]))).max() ** 2
 
 
 class TestKernelCounts:
@@ -453,6 +552,37 @@ class TestFactorize:
         with pytest.raises(b.SplitNotAdmissibleError):
             b.factorize(sys_, 1)
 
+    def test_factors_are_head_resolvent_and_kappa_rest(self, sys1, sys2):
+        rng = random.Random(97)
+        systems = [sys1, sys2, zero_value_system(), exact_n6_system()]
+        systems += [random_invertible_system(rng, n_max=6) for _ in range(10)]
+        checked = 0
+        for sys_ in systems:
+            for order in (range(sys_.n), range(sys_.n)[::-1]):
+                for k in range(1, sys_.n):
+                    split = factors(sys_, k, order)
+                    if not split:
+                        continue
+                    t1, t2 = split
+                    assert t1 == b.build_theta(b.build_system(head_data(sys_.data, order[:k])))
+                    assert t2.kappa == sys_.kappa - t1.kappa
+                    checked += 1
+        assert checked >= 20
+
+    def test_one_inertia_and_inverse_per_split(self, monkeypatch):
+        sys_ = exact_n6_system()
+        calls = []
+        for name in ("hermitian_inertia", "matrix_inverse"):
+            original = getattr(problem, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(problem, name, counted)
+        b.factorize(sys_, 3)
+        assert sorted(calls) == ["hermitian_inertia", "matrix_inverse"]
+
     def test_random_admissible_splits(self):
         rng = random.Random(71)
         done = 0
@@ -469,3 +599,11 @@ class TestFactorize:
                 assert t1 @ t2 == theta
                 assert t1.kappa + t2.kappa == sys_.kappa
             done += 1
+
+
+def test_factors_golden():
+    assert factors_golden_text() == GOLDEN_FACTORS.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN_FACTORS.write_text(factors_golden_text())
