@@ -767,6 +767,13 @@ class RationalSampler:
         return (dnum * den - num * dden) / (den * den)
 
 
+def _cleared_integers(values) -> tuple:
+    """Integers m_k and the lcm D of the denominators of the rationals v_k
+    (ints or ``Fraction`` values), with v_k = m_k / D."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def _integer_form(num, den) -> tuple:
     """Canonical scaling of a real-rational quotient num/den.
 
@@ -777,13 +784,8 @@ def _integer_form(num, den) -> tuple:
     ``Polynomial`` values.  This is the one definition of the exact real
     canonical form.
     """
-    lcm = 1
-    for f in num:
-        lcm = math.lcm(lcm, f.denominator)
-    for f in den:
-        lcm = math.lcm(lcm, f.denominator)
-    num_ints = [f.numerator * (lcm // f.denominator) for f in num]
-    den_ints = [f.numerator * (lcm // f.denominator) for f in den]
+    ints, _ = _cleared_integers([*num, *den])
+    num_ints, den_ints = ints[: len(num)], ints[len(num) :]
     g = 0
     for v in num_ints:
         g = math.gcd(g, v)
@@ -974,9 +976,14 @@ def _exact_inertia(rows) -> Inertia:
 def matrix_inverse(rows):
     """Inverse of a square matrix given as lists (or HermitianMatrix).
 
-    Exact entries use Gauss-Jordan elimination and raise
-    ``SingularMatrixError`` on an exactly singular input.  Float entries use
-    numpy, rejecting reciprocal condition numbers below ``RCOND_MIN``.
+    Exact entries raise ``SingularMatrixError`` on an exactly singular
+    input.  Real exact entries -- every matrix the library builds -- are
+    scaled row by row to an integer matrix, each row by the lcm of its
+    denominators, and inverted by fraction-free (Bareiss) Gauss-Jordan
+    elimination on Python ints; non-real exact entries use Gauss-Jordan
+    elimination over Gaussian rationals.  Both return the same exact
+    entries.  Float entries use numpy, rejecting reciprocal condition
+    numbers below ``RCOND_MIN``.
     """
     if isinstance(rows, HermitianMatrix):
         rows = rows.to_lists()
@@ -984,6 +991,9 @@ def matrix_inverse(rows):
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
     if _rows_are_exact(rows):
+        real = [[_real_value(x) for x in row] for row in rows]
+        if all(x is not None for row in real for x in row):
+            return _bareiss_inverse(real)
         return _exact_inverse(
             [[GaussianRational.coerce(x) for x in row] for row in rows]
         )
@@ -992,6 +1002,42 @@ def matrix_inverse(rows):
     if sv[0] == 0 or sv[-1] / sv[0] < RCOND_MIN:
         raise SingularMatrixError("reciprocal condition number below cutoff")
     return np.linalg.inv(arr).tolist()
+
+
+def _bareiss_inverse(rows):
+    """Inverse of a rational matrix by fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled by the lcm of its denominators, so A = D rows is an
+    integer matrix for a diagonal D, and rows^(-1) = A^(-1) D.  Step k
+    replaces every row i != k of [A | I] by (p_k row_i - a_ik row_k) /
+    p_(k-1), where p_k is the k-th pivot and p_(-1) = 1.  Each division is
+    exact (Bareiss, Math. Comp. 22, 1968): the entries stay minors of
+    [A | I].  After the last step the left block is p I and the right block
+    p A^(-1), so entry (i, j) of the inverse is m_ij D_j / p.  Swapping a
+    later row into the pivot position keeps the divisions exact, since those
+    rows have all been reduced by the same earlier pivots.
+    """
+    n = len(rows)
+    cleared = [_cleared_integers(row) for row in rows]
+    aug = [ints + [int(i == j) for j in range(n)] for i, (ints, _) in enumerate(cleared)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if aug[r][k]), None)
+        if pivot is None:
+            raise SingularMatrixError("exact zero pivot column")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        top = aug[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                row = aug[i]
+                f = row[k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    scales = [scale for _, scale in cleared]
+    return [
+        [_real(Fraction(x * scale, prev)) for x, scale in zip(row[n:], scales)] for row in aug
+    ]
 
 
 def _exact_inverse(a):

@@ -21,12 +21,20 @@ are expanded from the same form only when they are asked for.
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
 symplectic form.  So Theta J Theta^T == J holds identically exactly when
-det Theta == 1, which on the exact lane is one polynomial identity over the
-entries' own denominators, with no gcd.  Every residue form built here is a
-product of resolvents and their inverses, so det == 1 by construction and
-its inverse is its adjugate, again a residue form on the same nodes.  The
-factorization splits Theta across a leading block of P into the leading
-nodes' resolvent and that resolvent's adjugate times Theta.
+det Theta == 1.  On the exact lane that is decided from the residues: near
+x_i, Theta = A_i / (z - x_i) + H_i(z) with A_i = [a; b] [c, d] of rank one,
+so det Theta = det H_i + [b, -a] H_i(z) [d; -c] / (z - x_i) has at most
+simple poles, and as Theta(oo) = I it is 1 exactly when every residue
+[b, -a] H_i(x_i) [d; -c] vanishes -- O(n^2) exact scalar operations, with no
+entry expanded.  Every residue form built here is a product of resolvents
+and their inverses, so det == 1 by construction and its inverse is its
+adjugate, again a residue form on the same nodes.  The factorization splits
+Theta across a leading block of P into the leading nodes' resolvent and
+that resolvent's adjugate times Theta.
+
+Sampled certificates evaluate Theta at all their points in one batched
+``eval``: the J-unitarity residual at its real points, and the 2m x 2m
+resolvent kernel with its state-space cross-check on the grid.
 """
 
 from __future__ import annotations
@@ -38,7 +46,13 @@ from functools import cached_property
 import numpy as np
 
 from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_half_grid
-from .algebra import Polynomial, RationalFunction, RationalSampler, _integer_form
+from .algebra import (
+    Polynomial,
+    RationalFunction,
+    RationalSampler,
+    _cleared_integers,
+    _integer_form,
+)
 from .errors import PoleError, SingularMatrixError, SingularPickError, SplitNotAdmissibleError
 from .problem import InterpolationData, PickSystem, build_system
 
@@ -178,26 +192,40 @@ class RationalMatrix2x2:
         return RationalMatrix2x2.from_entries(prod)
 
     @cached_property
-    def _sample(self):
+    def _samplers(self):
+        """Compiled samplers of given entries, or the float nodes, 2 x n left
+        columns and n x 2 right rows of a residue form."""
         if self.given is not None:
-            samplers = [[RationalSampler(e) for e in row] for row in self.given]
-            return lambda z: np.array([[sample(z) for sample in row] for row in samplers])
-        x = np.array(self.nodes, dtype=float)
-        left = np.array(self.left, dtype=float).reshape(-1, 2).T
-        right = np.array(self.right, dtype=float).reshape(-1, 2)
-
-        def sample(z):
-            gap = complex(z) - x
-            if not gap.all():
-                raise PoleError(z)
-            return np.eye(2) + (left / gap) @ right
-
-        return sample
+            return [[RationalSampler(e) for e in row] for row in self.given]
+        return (
+            np.array(self.nodes, dtype=float),
+            np.array(self.left, dtype=float).reshape(-1, 2).T,
+            np.array(self.right, dtype=float).reshape(-1, 2),
+        )
 
     def eval(self, z) -> np.ndarray:
         """Float value of the matrix at z: I_2 + L diag(1/(z - x)) R for a
-        residue form, the compiled entry samplers for given entries."""
-        return self._sample(z)
+        residue form, the compiled entry samplers for given entries.
+
+        An array of K points gives the K x 2 x 2 stack of the values at each
+        point: a residue form evaluates all points at once, given entries
+        stack their per-point samples.  ``PoleError`` is raised when any
+        point is a pole.
+        """
+        if self.given is not None:
+            if np.ndim(z) == 0:
+                return np.array([[sample(z) for sample in row] for row in self._samplers])
+            points = np.asarray(z, dtype=complex).reshape(-1)
+            return np.array([self.eval(complex(v)) for v in points]).reshape(-1, 2, 2)
+        if np.ndim(z) == 0:
+            return self.eval(np.array([complex(z)]))[0]
+        points = np.asarray(z, dtype=complex).reshape(-1)
+        x, left, right = self._samplers
+        gap = points[:, np.newaxis] - x
+        on_pole = ~gap.all(axis=1)
+        if on_pole.any():
+            raise PoleError(complex(points[on_pole][0]))
+        return np.eye(2) + (left / gap[:, np.newaxis, :]) @ right
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix2x2):
@@ -312,92 +340,141 @@ class JUnitarityReport:
 def _symbolic_j_unitary(theta: RationalMatrix2x2) -> bool:
     """Theta(z) J Theta(z)^T == J as the identity det Theta == 1.
 
-    With entries n_ij / d_ij the determinant identity is cleared of the
-    entries' own denominators:
+    A residue form is tested at its residues.  Near the node x_i,
+    Theta = A_i / (z - x_i) + H_i(z) with A_i = [a; b] [c, d] and H_i
+    analytic at x_i.  Because det A_i = 0 and adj A_i = [d; -c] [b, -a],
+
+        det Theta = det H_i + [b, -a] H_i(z) [d; -c] / (z - x_i),
+
+    so det Theta has at most simple poles, with residue
+    [b, -a] H_i(x_i) [d; -c] at x_i, where
+    H_i(x_i) = I + sum_{j != i} l_j r_j / (x_i - x_j).  As Theta(oo) = I,
+    det Theta - 1 vanishes at infinity, and it is identically zero exactly
+    when every such residue is: O(n^2) exact scalar operations, with no
+    entry expanded.
+
+    Given entries n_ij / d_ij are tested as the determinant identity cleared
+    of their own denominators,
 
         n00 n11 d01 d10 - n01 n10 d00 d11 == d00 d01 d10 d11,
 
     compared as exact polynomials.  For real-coefficient entries this is the
     real-line J-unitarity statement continued off the axis.
     """
+    if theta.given is None:
+        return all(not residue for residue in _det_residues(theta))
     (a, b), (c, d) = theta.entries
     lhs = a.num * d.num * b.den * c.den - b.num * c.num * a.den * d.den
     return lhs == a.den * b.den * c.den * d.den
 
 
+def _det_residues(theta: RationalMatrix2x2) -> list:
+    """The residues of det Theta at the nodes of a residue form, each up to
+    a nonzero factor.
+
+    With x = X / N, l = A / L and r = B / R cleared to integers, L^2 R^2
+    times the residue at x_i is L R (A_i . B_i) + N sum_{j != i} u_ij v_ij
+    / (X_i - X_j), with u_ij = [b_i, -a_i] . A_j and v_ij = B_j . [d_i; -c_i];
+    the sum is kept as one integer fraction num / den, and L R (A_i . B_i)
+    den + N num is returned, in Python ints with no gcd.
+    """
+    n = len(theta.nodes)
+    xs, big_n = _cleared_integers(theta.nodes)
+    lefts, big_l = _cleared_integers([v for col in theta.left for v in col])
+    rights, big_r = _cleared_integers([v for row in theta.right for v in row])
+    residues = []
+    for i in range(n):
+        a, b, c, d = lefts[2 * i], lefts[2 * i + 1], rights[2 * i], rights[2 * i + 1]
+        num, den = 0, 1
+        for j in range(n):
+            if j != i:
+                gap = xs[i] - xs[j]
+                u = b * lefts[2 * j] - a * lefts[2 * j + 1]
+                v = rights[2 * j] * d - rights[2 * j + 1] * c
+                num, den = num * gap + u * v * den, den * gap
+        residues.append(big_l * big_r * (a * c + b * d) * den + big_n * num)
+    return residues
+
+
 def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarityReport:
     """Certify J-unitarity symbolically (exact entries) and by sampling.
 
-    The symbolic part checks det Theta == 1 as one cross-multiplied
-    polynomial identity, which holds exactly when Theta J Theta^T == J (see
-    the module docstring); it builds no rational function and takes no gcd.
-    The sampled part reports the largest entry of Theta(x) J Theta(x)* - J
-    over real points, 100 of them spread over the poles' span by default,
-    with the point where it is largest and the scale |Theta|^2 there.
-    Real sample points landing on poles are skipped and reported.
+    The symbolic part checks det Theta == 1, which holds exactly when
+    Theta J Theta^T == J (see the module docstring): from the residues of a
+    residue form, as a cross-multiplied polynomial identity for given
+    entries; it builds no rational function and takes no gcd.  The sampled
+    part reports the largest entry of Theta(x) J Theta(x)* - J over real
+    points, 100 of them spread over the poles' span by default, with the
+    point where it is largest and the scale |Theta|^2 there.  Real sample
+    points within 1e-9 of a pole, or on which ``eval`` raises
+    ``PoleError``, are skipped and reported; the others are evaluated in one
+    batch.
     """
     symbolic = _symbolic_j_unitary(theta) if theta.exact else None
     if sample_points is None:
         lo = min(theta.poles, default=0.0) - 1.5
         hi = max(theta.poles, default=0.0) + 1.5
         sample_points = [lo + (hi - lo) * k / 99.0 for k in range(100)]
-    worst, worst_point, worst_scale = 0.0, None, 0.0
-    used = 0
-    skipped = []
-    for x in sample_points:
-        if any(abs(float(x) - p) < 1e-9 for p in theta.poles):
-            skipped.append(float(x))
-            continue
+    xs = np.array([float(x) for x in sample_points], dtype=float)
+    poles = np.array([float(p) for p in theta.poles], dtype=float)
+    used = np.flatnonzero(~(np.abs(xs[:, np.newaxis] - poles) < 1e-9).any(axis=1))
+    if used.size:
         try:
-            m = theta.eval(complex(float(x), 0.0))
+            values = theta.eval(xs[used].astype(complex))
         except PoleError:
-            skipped.append(float(x))
-            continue
-        residual = float(np.abs(m @ _J_NUMPY @ m.conj().T - _J_NUMPY).max())
-        if worst_point is None or residual > worst:
-            worst, worst_point, worst_scale = residual, float(x), float(np.abs(m).max()) ** 2
-        used += 1
+            # a pole the float poles miss: find it point by point
+            found = []
+            for k in used:
+                try:
+                    found.append((k, theta.eval(complex(xs[k], 0.0))))
+                except PoleError:
+                    continue
+            used = np.array([k for k, _ in found], dtype=int)
+            values = np.array([m for _, m in found]).reshape(-1, 2, 2)
+    skipped = np.ones(len(xs), dtype=bool)
+    skipped[used] = False
+    worst, worst_point, worst_scale = 0.0, None, 0.0
+    if used.size:
+        residuals = np.abs(
+            values @ _J_NUMPY @ values.conj().transpose(0, 2, 1) - _J_NUMPY
+        ).max(axis=(1, 2))
+        k = int(np.argmax(residuals))
+        worst, worst_point = float(residuals[k]), float(xs[used[k]])
+        worst_scale = float(np.abs(values[k]).max()) ** 2
     return JUnitarityReport(
         symbolic_zero=symbolic,
         max_residual=worst,
-        samples_used=used,
-        skipped=tuple(skipped),
+        samples_used=int(used.size),
+        skipped=tuple(float(x) for x in xs[skipped]),
         worst_point=worst_point,
         worst_scale=worst_scale,
     )
-
-
-def _resolvent_columns(sys: PickSystem, z: complex) -> np.ndarray:
-    """2 x n array [C; E] (zI - X)^(-1)."""
-    x = np.array([float(v) for v in sys.X])
-    c = np.array([float(v) for v in sys.C])
-    e = np.array([float(v) for v in sys.E])
-    d = 1.0 / (z - x)
-    return np.vstack([c * d, e * d])
 
 
 def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np.ndarray:
     """Sampled Hermitian kernel (J - Theta(z) J Theta(w)*) / (-i (z - conj(w))).
 
     Cross-checked against the state-space form
-    [C; E](zI-X)^(-1) P^(-1) (conj(w) I - X)^(-1) [C* E*].
+    [C; E](zI-X)^(-1) P^(-1) (conj(w) I - X)^(-1) [C* E*].  Both 2m x 2m
+    matrices are built from stacks: the m values of Theta from one batched
+    ``eval``, and the 2 x n blocks [C; E](z I - X)^(-1) of all points.
     """
-    m = len(points)
+    z = np.asarray(points, dtype=complex).reshape(-1)
+    m = len(z)
+    values = theta.eval(z)
+    rows = (values @ _J_NUMPY).reshape(2 * m, 2)
+    cols = values.reshape(2 * m, 2).conj().T
+    gaps = np.repeat(np.repeat(-1j * (z[:, np.newaxis] - z.conj()), 2, axis=0), 2, axis=1)
+    direct = (np.tile(_J_NUMPY, (m, m)) - rows @ cols) / gaps
+
+    x = np.array([float(v) for v in sys.X])
+    c = np.array([float(v) for v in sys.C])
+    e = np.array([float(v) for v in sys.E])
+    resolvent = 1.0 / (z[:, np.newaxis] - x)
+    state = np.stack([c * resolvent, e * resolvent], axis=1).reshape(2 * m, -1)
     p_inv = np.array([[float(v) for v in row] for row in sys.p_inv])
-    theta_vals = [theta.eval(z) for z in points]
-    cols = [_resolvent_columns(sys, z) for z in points]
-    direct = np.zeros((2 * m, 2 * m), dtype=complex)
-    realized = np.zeros((2 * m, 2 * m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            z, w = points[a], points[b]
-            block = (_J_NUMPY - theta_vals[a] @ _J_NUMPY @ theta_vals[b].conj().T) / (
-                -1j * (z - np.conj(w))
-            )
-            direct[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = block
-            realized[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = (
-                cols[a] @ p_inv @ cols[b].conj().T
-            )
+    realized = state @ p_inv @ state.conj().T
+
     scale = max(1.0, float(np.abs(direct).max()))
     if float(np.abs(direct - realized).max()) > KERNEL_AGREEMENT_TOL * scale:
         raise ArithmeticError("resolvent kernel disagrees with its state-space form")

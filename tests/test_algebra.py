@@ -226,6 +226,26 @@ class TestHermitianInertia:
             done += 1
 
 
+def gauss_jordan_inverse(m):
+    """Inverse of an exact matrix by Gauss-Jordan elimination over its own
+    scalars (Fractions or Gaussian rationals), or None when it is singular:
+    the reference of the exact inverses."""
+    n = len(m)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        top = [x / aug[col][col] for x in aug[col]]
+        aug[col] = top
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], top)]
+    return [row[n:] for row in aug]
+
+
 class TestMatrixInverse:
     def test_golden_inverse(self):
         inv = b.matrix_inverse([[F(-1), F(1)], [F(1), F(1)]])
@@ -246,18 +266,43 @@ class TestMatrixInverse:
 
     def test_exact_round_trip(self):
         rng = random.Random(3)
-        done = 0
-        while done < 20:
-            n = rng.randint(1, 6)
-            m = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-            if not exact_det(m):
+        done = swapped = 0
+        while done < 40:
+            n = rng.randint(1, 10)
+            m = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
+            if done % 3 == 0:
+                m[0][0] = F(0)  # the elimination must swap rows
+            reference = gauss_jordan_inverse(m)
+            if reference is None:
+                with pytest.raises(b.SingularMatrixError):
+                    b.matrix_inverse(m)
                 continue
             inv = b.matrix_inverse(m)
+            assert all(inv[i][j] == reference[i][j] for i in range(n) for j in range(n))
             for i in range(n):
                 for j in range(n):
                     entry = sum(m[i][k] * inv[k][j] for k in range(n))
                     assert entry == (1 if i == j else 0)
+            swapped += not m[0][0]
             done += 1
+        assert swapped >= 10
+        # non-real entries take the Gauss-Jordan path over Gaussian rationals
+        def random_part():
+            return F(rng.randint(-5, 5), rng.randint(1, 7))
+
+        for _ in range(8):
+            n = rng.randint(1, 5)
+            m = [[GR(random_part(), random_part()) for _ in range(n)] for _ in range(n)]
+            m[0][0] = GR(0, 1)
+            reference = gauss_jordan_inverse(m)
+            inv = b.matrix_inverse(m)
+            assert all(inv[i][j] == reference[i][j] for i in range(n) for j in range(n))
+            for i in range(n):
+                for j in range(n):
+                    entry = sum((m[i][k] * inv[k][j] for k in range(n)), GR(0))
+                    assert entry == (1 if i == j else 0)
+        with pytest.raises(b.SingularMatrixError):
+            b.matrix_inverse([[GR(1, 1), GR(2, 2)], [GR(1), GR(2)]])
 
     def test_kernel_basis(self):
         basis = exact_kernel_basis([[F(-1), F(1)], [F(1), F(-1)]])

@@ -452,18 +452,37 @@ class TestJUnitarity:
             rows[i][j] = rows[i][j] + b.RationalFunction.constant(amount)
             return b.RationalMatrix2x2.from_entries(rows)
 
+        def bump_residue(theta, k, amount):
+            """Theta's residue form with one left column (k even) or right
+            row (k odd) bumped."""
+            i = k % len(theta.nodes)
+            left, right = list(theta.left), list(theta.right)
+            if k % 2:
+                right[i] = (right[i][0], right[i][1] + amount)
+            else:
+                left[i] = (left[i][0] + amount, left[i][1])
+            return b.RationalMatrix2x2(nodes=theta.nodes, left=tuple(left), right=tuple(right))
+
         cases = [theta1, theta2, b.RationalMatrix2x2.identity(), bump(theta1, 0, 1, F(1, 10)),
                  b.theta_inverse(theta1)]
+        residue_forms = [theta1, theta2, b.theta_inverse(theta1), bump_residue(theta2, 1, F(1, 5))]
         rng = random.Random(31)
         for k in range(8):
-            theta = b.build_theta(random_invertible_system(rng))
+            sys_ = random_invertible_system(rng)
+            theta = b.build_theta(sys_)
             cases += [theta, bump(theta, k % 2, (k // 2) % 2, F(1, 7))]
-        verdicts = []
-        for theta in cases:
-            symbolic = b.check_j_unitarity(theta, sample_points=[0.25]).symbolic_zero
-            assert symbolic is rational_j_unitary(theta)
-            verdicts.append(symbolic)
-        assert True in verdicts and False in verdicts
+            residue_forms += [b.theta_inverse(theta), bump_residue(theta, k, F(1, 3))]
+            for split in filter(None, (factors(sys_, s) for s in range(1, sys_.n))):
+                residue_forms += split
+        assert all(theta.given is None for theta in residue_forms)
+        verdicts = {"entries": [], "residues": []}
+        for kind, thetas in (("entries", cases), ("residues", residue_forms)):
+            for theta in thetas:
+                symbolic = b.check_j_unitarity(theta, sample_points=[0.25]).symbolic_zero
+                assert symbolic is rational_j_unitary(theta)
+                verdicts[kind].append(symbolic)
+        for found in verdicts.values():
+            assert True in found and False in found
 
     def test_no_gcd_on_the_certificate_paths(self, sys1, theta1, sys2, monkeypatch):
         w = b.apply_lft(theta1, b.Parameter.rational(rf((0, 1))))
@@ -484,6 +503,25 @@ class TestJUnitarity:
                 except b.SplitNotAdmissibleError:
                     pass
 
+    def test_exact_certificates_expand_nothing(self, monkeypatch):
+        sys_ = exact_n6_system()
+        theta = b.build_theta(sys_)
+        products = []
+        multiply = algebra.Polynomial.__mul__
+
+        def counted(p, q):
+            products.append((p, q))
+            return multiply(p, q)
+
+        monkeypatch.setattr(algebra.Polynomial, "__mul__", counted)
+        assert b.check_j_unitarity(theta).symbolic_zero is True
+        assert b.kernel_theta_negative_squares(sys_, theta) <= sys_.kappa
+        split = [t for k in range(1, sys_.n + 1) for t in factors(sys_, k) or ()]
+        assert split
+        for t in [theta, *split]:
+            assert "entries" not in t.__dict__
+        assert not products
+
     def test_pole_samples_skipped(self, theta1):
         report = b.check_j_unitarity(theta1, sample_points=[0.0, 1.0, 2.0])
         assert report.samples_used == 1
@@ -497,6 +535,19 @@ class TestJUnitarity:
         with pytest.raises(ValueError):
             b.check_j_unitarity(Broken(kappa=0), sample_points=[0.5])
 
+    def test_pole_errors_off_the_listed_poles_skipped(self):
+        class Holed(b.RationalMatrix2x2):
+            """The identity with a pole at 0.5 that ``poles`` does not list."""
+
+            def eval(self, z):
+                if np.any(np.asarray(z) == 0.5):
+                    raise b.PoleError(0.5)
+                return super().eval(z)
+
+        report = b.check_j_unitarity(Holed(kappa=0), sample_points=[0.0, 0.5, 1.0])
+        assert report.samples_used == 2 and report.skipped == (0.5,)
+        assert report.max_residual == 0.0 and report.worst_point == 0.0
+
     def test_reports_worst_sample_and_scale(self, theta1):
         points = [-3.0, 0.5, 0.999, 7.0]
         report = b.check_j_unitarity(theta1, sample_points=points)
@@ -508,6 +559,30 @@ class TestJUnitarity:
         assert report.worst_point == points[worst]
         assert report.max_residual == residuals[worst]
         assert report.worst_scale == np.abs(theta1.eval(complex(points[worst]))).max() ** 2
+
+
+class TestBatchedEval:
+    POINTS = [complex(x, y) for x in (-7.31, -1.2345, 0.4142, 2.6513, 9.207) for y in (0.0, 0.55)]
+
+    def thetas(self, theta1, theta2):
+        rng = random.Random(61)
+        residue_forms = [theta1, theta2, b.theta_inverse(theta1), b.RationalMatrix2x2.identity()]
+        residue_forms += [b.build_theta(random_invertible_system(rng)) for _ in range(6)]
+        residue_forms.append(b.build_theta(float_systems()[20]))
+        given = [b.RationalMatrix2x2.from_entries(t.entries) for t in residue_forms[:6]]
+        return residue_forms + given
+
+    def test_stack_equals_pointwise(self, theta1, theta2):
+        for theta in self.thetas(theta1, theta2):
+            stacked = theta.eval(np.array(self.POINTS))
+            assert stacked.shape == (len(self.POINTS), 2, 2)
+            assert np.array_equal(stacked, np.array([theta.eval(z) for z in self.POINTS]))
+
+    def test_pole_in_batch_raises(self, theta1):
+        pole = float(theta1.poles[1])
+        for theta in (theta1, b.RationalMatrix2x2.from_entries(theta1.entries)):
+            with pytest.raises(b.PoleError):
+                theta.eval(np.array([0.5, pole, 2.0]))
 
 
 class TestKernelCounts:
