@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import RationalSampler
 from .errors import PoleError
 
 
@@ -60,14 +59,14 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     """Grid points nudged off the upper poles of f, and f sampled there.
 
     Returns (points, values).  A point still on a pole is skipped; every
-    value comes from one ``RationalSampler`` of f, so callers sample nothing
+    value comes from f's one ``RationalSampler``, so callers sample nothing
     twice.
     """
     avoid = ()
     if f.den.degree >= 1:
         roots = np.roots(f.den.to_complex_array()[::-1])
         avoid = tuple(r for r in roots if r.imag > 1e-9)
-    sample = RationalSampler(f)
+    sample = f.sampler
     points, values = [], []
     for z in upper_half_grid(span, config, avoid=avoid):
         try:

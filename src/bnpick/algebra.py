@@ -511,7 +511,7 @@ class RationalFunction:
     float entries have a monic denominator.
     """
 
-    __slots__ = ("num", "den", "exact")
+    __slots__ = ("num", "den", "exact", "_sampler")
 
     def __init__(self, num, den=Polynomial((1,)), reduce=True):
         if not isinstance(num, Polynomial):
@@ -529,9 +529,21 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_sampler", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    @property
+    def sampler(self) -> "RationalSampler":
+        """The function's float sampler, compiled on first use and kept.
+
+        A cache, not part of the value: ``==`` and ``hash`` read only the
+        numerator and denominator.
+        """
+        if self._sampler is None:
+            object.__setattr__(self, "_sampler", RationalSampler(self))
+        return self._sampler
 
     @staticmethod
     def _reduce(num, den, exact):
@@ -685,7 +697,7 @@ class RationalFunction:
             if not den_val:
                 raise PoleError(z)
             return self.num.eval(z) / den_val
-        return RationalSampler(self)(z)
+        return self.sampler(z)
 
     __call__ = eval
 
@@ -731,12 +743,14 @@ class RationalSampler:
     is the same IEEE operation ``GaussianRational.__radd__`` performs, so the
     samples are bit-identical to evaluating the exact polynomials at the same
     float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
+    Each function keeps one sampler (``RationalFunction.sampler``).
     """
 
-    __slots__ = ("_func", "_num", "_den", "_slopes")
+    __slots__ = ("_polys", "_num", "_den", "_slopes")
 
     def __init__(self, func: RationalFunction):
-        self._func = func
+        # the polynomials, not func: a cached sampler makes no reference cycle
+        self._polys = func.num, func.den
         self._num = _compiled(func.num)
         self._den = _compiled(func.den)
         self._slopes = None
@@ -758,10 +772,7 @@ class RationalSampler:
         first use; f' itself is never formed as a rational function.
         """
         if self._slopes is None:
-            self._slopes = (
-                _compiled(self._func.num.derivative()),
-                _compiled(self._func.den.derivative()),
-            )
+            self._slopes = tuple(_compiled(p.derivative()) for p in self._polys)
         num, den = self._parts(z)
         dnum, dden = (_horner(c, z) for c in self._slopes)
         return (dnum * den - num * dden) / (den * den)

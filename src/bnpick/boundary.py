@@ -26,7 +26,7 @@ from ._sections import (
     pole_free_grid,
     span_of,
 )
-from .algebra import EXACT_I, Polynomial, RationalFunction, RationalSampler
+from .algebra import EXACT_I, Polynomial, RationalFunction
 from .errors import InvalidDataError, NotNevanlinnaError, PoleError
 from .problem import PickSystem
 from .transform import Parameter
@@ -100,18 +100,19 @@ def nt_limit(
 
     ``kind`` selects the evaluated quantity: the value f(z), the derivative
     f'(z), the residual (z-x0) f(z), or the kernel diagonal Im f(z)/Im z.
-    Every sample comes from one ``RationalSampler`` compiled from f's
-    numerator n and denominator d, so the path skips points where
-    |d| < POLE_TOL * max(1, |n|) as ``RationalFunction.eval`` does.  The
-    derivative is the quotient rule (n'd - nd')/d^2 evaluated at each point
-    from the compiled n' and d'; f' is never formed as a rational function.
+    Every sample comes from f's one ``RationalSampler``, compiled once per
+    function from its numerator n and denominator d, so the path skips
+    points where |d| < POLE_TOL * max(1, |n|) as ``RationalFunction.eval``
+    does.  The derivative is the quotient rule (n'd - nd')/d^2 evaluated at
+    each point from the compiled n' and d'; f' is never formed as a rational
+    function.
     The raw samples feed a ratio-2 Richardson table of order 2; the limit is
     declared finite only when consecutive extrapolants agree within ``tol``.
     Monotone growth by 10x over five consecutive steps is tagged infinite,
     and a non-growing tail with relative spread above 1e-3 does not exist.
     """
     x0 = float(x0)
-    sampler = RationalSampler(f)
+    sampler = f.sampler
 
     def sample(z: complex) -> complex:
         if kind is LimitKind.DERIVATIVE:

@@ -257,8 +257,11 @@ def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
     if inertia.zeros == 0:
         inv_rows = matrix_inverse(P)
         p_inv = tuple(tuple(_real_part(x) for x in row) for row in inv_rows)
+        # E is 1 on the regular nodes and 0 elsewhere, so E P^(-1) sums the
+        # regular rows: bit-identical to the products, as 1 * x == x and
+        # adding +-0.0 leaves a sum that starts at +0.0 unchanged
         tilde_e = tuple(
-            sum((E[i] * p_inv[i][j] for i in range(n)), start=zero) for j in range(n)
+            sum((p_inv[i][j] for i in range(ell)), start=zero) for j in range(n)
         )
         tilde_c = tuple(
             sum((C[i] * p_inv[i][j] for i in range(n)), start=zero) for j in range(n)

@@ -49,7 +49,6 @@ from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_
 from .algebra import (
     Polynomial,
     RationalFunction,
-    RationalSampler,
     _cleared_integers,
     _integer_form,
 )
@@ -155,18 +154,22 @@ class RationalMatrix2x2:
                 num[k] += r * c
         return num, full
 
+    @cached_property
+    def node_numerators(self) -> tuple:
+        """Ascending coefficient lists N_ab of D Theta_ab for a residue form,
+        D the product of all its nodes, as a 2 x 2 nested tuple; built once."""
+        kept = tuple(range(len(self.nodes)))
+        return tuple(tuple(self._cleared(a, b, kept)[0] for b in range(2)) for a in range(2))
+
     def cleared(self) -> tuple:
         """Polynomials N_ab with Theta_ab = N_ab / D for one polynomial D.
 
-        A residue form clears by the product of its nodes, from the lists its
-        entries come from; given entries cross-multiply their denominators.
+        A residue form clears by the product of its nodes
+        (``node_numerators``); given entries cross-multiply their
+        denominators.
         """
         if self.given is None:
-            kept = tuple(range(len(self.nodes)))
-            return tuple(
-                tuple(Polynomial(self._cleared(a, b, kept)[0]) for b in range(2))
-                for a in range(2)
-            )
+            return tuple(tuple(Polynomial(c) for c in row) for row in self.node_numerators)
         e = self.given
         return tuple(
             tuple(
@@ -196,7 +199,7 @@ class RationalMatrix2x2:
         """Compiled samplers of given entries, or the float nodes, 2 x n left
         columns and n x 2 right rows of a residue form."""
         if self.given is not None:
-            return [[RationalSampler(e) for e in row] for row in self.given]
+            return [[e.sampler for e in row] for row in self.given]
         return (
             np.array(self.nodes, dtype=float),
             np.array(self.left, dtype=float).reshape(-1, 2).T,
@@ -289,12 +292,20 @@ def _deflate(coeffs, x) -> list:
 
 
 def build_theta(sys: PickSystem) -> RationalMatrix2x2:
-    """Resolvent of an invertible Pick system in canonical rational form."""
-    if not sys.invertible:
-        raise SingularPickError("Pick matrix is singular; use the degenerate solver")
-    left = [(sys.C[i], sys.E[i]) for i in range(sys.n)]
-    right = [(sys.tilde_e[i], -sys.tilde_c[i]) for i in range(sys.n)]
-    return _residue_matrix_form(list(sys.X), left, right, sys.kappa)
+    """Resolvent of an invertible Pick system in residue form.
+
+    The system is frozen, so its resolvent is built once: later calls on the
+    same system return the same object, with whatever it has cached.
+    """
+    theta = vars(sys).get("_theta")
+    if theta is None:
+        if not sys.invertible:
+            raise SingularPickError("Pick matrix is singular; use the degenerate solver")
+        left = [(sys.C[i], sys.E[i]) for i in range(sys.n)]
+        right = [(sys.tilde_e[i], -sys.tilde_c[i]) for i in range(sys.n)]
+        theta = _residue_matrix_form(list(sys.X), left, right, sys.kappa)
+        vars(sys)["_theta"] = theta  # as functools.cached_property stores
+    return theta
 
 
 def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:

@@ -18,9 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
-from .algebra import Polynomial, RationalFunction, scalar_from_json, scalar_to_json
+from .algebra import (
+    Polynomial,
+    RationalFunction,
+    _integer_form,
+    scalar_from_json,
+    scalar_to_json,
+)
 from .errors import DegenerateTransformError, NotNevanlinnaError
-from .resolvent import RationalMatrix2x2
+from .resolvent import RationalMatrix2x2, _deflate
 
 NEVANLINNA_EIG_SLACK = 1e-10
 
@@ -145,15 +151,25 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
 
     The entries are cleared to numerators over one common denominator
     (``RationalMatrix2x2.cleared``) before forming the quotient, with
-    phi = infinity as the pair (1, 0).  An identically vanishing denominator
-    means the transform degenerates to the constant infinity, which is
-    rejected.
+    phi = p/q and phi = infinity as the pair (1, 0).  An identically
+    vanishing denominator means the transform degenerates to the constant
+    infinity, which is rejected.
+
+    An exact residue form with an exact parameter needs no gcd.  With
+    [num; den] = N [p; q] over the node product D, det N = D^2 det Theta
+    = D^2, so a common factor g of num and den divides
+    adj(N) [num; den] = D^2 [p; q], and as p and q are coprime, g divides
+    D^2: it is a product of factors (z - x_i) at the nodes, each at most
+    twice.  Deflating num and den by (z - x_i) while both vanish at x_i
+    therefore leaves a coprime pair, scaled to the canonical integer form.
     """
     if phi.is_infinite:
         p, q = Polynomial.one(), Polynomial(())
     else:
         rf = phi.as_rational()
         p, q = rf.num, rf.den
+    if theta.given is None and theta.exact and p.exact and q.exact:
+        return _node_deflated_lft(theta, p, q)
     (n00, n01), (n10, n11) = theta.cleared()
     den = n10 * p + n11 * q
     if den.is_zero:
@@ -161,3 +177,46 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
             "parameter sends the transform to the constant infinity"
         )
     return RationalFunction(n00 * p + n01 * q, den)
+
+
+def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
+    """``apply_lft`` of a real exact pair (p, q) by an exact residue form,
+    in Fraction coefficient lists, cancelling only at the nodes."""
+    pc = [c.re for c in p.coeffs]
+    qc = [c.re for c in q.coeffs]
+    (n00, n01), (n10, n11) = theta.node_numerators
+    num = _linear_combination(n00, pc, n01, qc)
+    den = _linear_combination(n10, pc, n11, qc)
+    if not den:
+        raise DegenerateTransformError(
+            "parameter sends the transform to the constant infinity"
+        )
+    if not num:
+        return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
+    for x in theta.nodes:
+        for _ in range(2):
+            if _horner(num, x) or _horner(den, x):
+                break
+            num, den = _deflate(num, x), _deflate(den, x)
+    return RationalFunction(*_integer_form(num, den), reduce=False)
+
+
+def _linear_combination(a, p, b, q) -> list:
+    """Ascending coefficients of a p + b q for coefficient lists a, p, b, q,
+    with no trailing zeros (empty for the zero polynomial)."""
+    out = [0] * max(len(a) + len(p), len(b) + len(q), 1)
+    for f, g in ((a, p), (b, q)):
+        for i, u in enumerate(f):
+            for j, v in enumerate(g):
+                out[i + j] += u * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _horner(coeffs, x):
+    """Exact value at x of the polynomial with ascending coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

@@ -125,6 +125,25 @@ def expanded_residue_form(nodes, left_cols, right_rows, kappa):
     return b.RationalMatrix2x2.from_entries(tuple(entries), kappa=kappa)
 
 
+def gcd_apply_lft(theta, phi):
+    """w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22) over the cleared
+    numerators, reduced by RationalFunction's Euclidean gcd.
+
+    The route the node-deflated exact transform replaces, kept as its
+    reference.
+    """
+    if phi.is_infinite:
+        p, q = b.Polynomial.one(), b.Polynomial(())
+    else:
+        f = phi.as_rational()
+        p, q = f.num, f.den
+    (n00, n01), (n10, n11) = theta.cleared()
+    den = n10 * p + n11 * q
+    if den.is_zero:
+        raise b.DegenerateTransformError("constant infinity")
+    return b.RationalFunction(n00 * p + n01 * q, den)
+
+
 def rf(num, den=(1,)):
     return b.RationalFunction(b.Polynomial(num), b.Polynomial(den))
 
@@ -154,6 +173,14 @@ STANDARD_SWEEP = (
     b.Parameter.rational(rf((0, 1))),
     b.Parameter.rational(rf((-1,), (0, 1))),
     b.Parameter.rational(rf((2, 1))),
+)
+
+# phi in {1/2, inf, z, -1/z}, the parameters of the benchmark's certify ops
+BENCHMARK_PARAMETERS = (
+    b.Parameter.constant(F(1, 2)),
+    b.Parameter.infinity(),
+    b.Parameter.rational(rf((0, 1))),
+    b.Parameter.rational(rf((-1,), (0, 1))),
 )
 
 
@@ -208,22 +235,24 @@ def random_invertible_system(rng, n_max=5):
 THIRDS_GRID = tuple(Fraction(k, 3) for k in range(-39, 40))
 
 
-def grid_float_system(rng, n):
-    """Invertible float-lane system on n nodes of the 1/3-grid in [-13, 13].
+def grid_system(rng, n, exact=False):
+    """Invertible system on n nodes of the 1/3-grid in [-13, 13].
 
     Half the nodes are regular; values, derivative bounds and (nonzero)
-    residues are p/3 with |p| <= 30, as in the benchmark's problems.
+    residues are p/3 with |p| <= 30, as in the benchmark's problems.  The
+    data are Fractions when ``exact``, floats otherwise; both lanes draw the
+    same numbers from the same rng.
     """
     def third(nonzero=False):
         while True:
             p = rng.randint(-30, 30)
             if p or not nonzero:
-                return p / 3
+                return Fraction(p, 3) if exact else p / 3
 
     ell = n // 2
     while True:
         data = b.InterpolationData(
-            nodes=tuple(float(x) for x in rng.sample(THIRDS_GRID, n)),
+            nodes=tuple(x if exact else float(x) for x in rng.sample(THIRDS_GRID, n)),
             values=tuple(third() for _ in range(ell)),
             derivative_bounds=tuple(third() for _ in range(ell)),
             residues=tuple(third(nonzero=True) for _ in range(n - ell)),

@@ -392,6 +392,15 @@ class TestRationalEval:
                 assert f.eval(z) == expected
                 assert RationalSampler(f)(z) == expected
 
+    def test_one_cached_sampler_outside_the_value(self):
+        f, g = rf((1, 2), (-1, 2)), rf((1, 2), (-1, 2))
+        assert f.sampler is f.sampler
+        assert f.eval(0.25j) == f.sampler(0.25j)
+        assert f == g and hash(f) == hash(g)  # g has compiled nothing
+        for name in ("num", "_sampler"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+
     def test_direct_substitution(self):
         assert rf((1, 2), (-1, 2)).eval(F(0)) == -1
 

@@ -9,6 +9,7 @@ from conftest import (
     data_degenerate,
     data_mixed,
     data_two_regular,
+    grid_system,
     random_data,
     random_invertible_system,
 )
@@ -189,6 +190,33 @@ class TestDerivedIdentities:
             sys_ = random_invertible_system(rng)
             for i in range(sys_.n):
                 assert bool(sys_.tilde_e[i]) or bool(sys_.tilde_c[i])
+
+    def test_tilde_e_sums_the_regular_rows(self):
+        # reference: te = E P^(-1) as products with E's ones and zeros, which
+        # the sum over the regular rows must equal bit for bit on both lanes
+        rng = random.Random(67)
+        systems = [grid_system(rng, n) for n in (8, 13, 16)]
+        for _ in range(30):
+            d = random_data(rng)
+            floats = b.InterpolationData(
+                nodes=tuple(map(float, d.nodes)),
+                values=tuple(map(float, d.values)),
+                derivative_bounds=tuple(map(float, d.derivative_bounds)),
+                residues=tuple(map(float, d.residues)),
+            )
+            systems += [b.build_system(d), b.build_system(floats)]
+        ells = set()
+        for sys_ in systems:
+            if not sys_.invertible:
+                continue
+            n, zero = sys_.n, F(0) if sys_.exact else 0.0
+            products = tuple(
+                sum((sys_.E[i] * sys_.p_inv[i][j] for i in range(n)), start=zero)
+                for j in range(n)
+            )
+            assert [repr(v) for v in sys_.tilde_e] == [repr(v) for v in products]
+            ells.add((sys_.exact, "none" if sys_.ell == 0 else "all" if sys_.ell == n else "some"))
+        assert len(ells) == 6
 
     def test_float_backend_matches_exact(self):
         d = data_two_regular()

@@ -12,12 +12,13 @@ from bnpick import algebra, problem, resolvent
 from bnpick.algebra import EXACT_I, EXACT_ONE, EXACT_ZERO, GaussianRational
 
 from conftest import (
+    BENCHMARK_PARAMETERS,
     data_mixed,
     data_two_regular,
     expanded_residue_form,
     golden_theta_mixed,
     golden_theta_two_regular,
-    grid_float_system,
+    grid_system,
     random_invertible_system,
     rational_j_unitary,
     rf,
@@ -147,7 +148,7 @@ def float_systems():
     residuals of 4.7e4, 587 and 4.2e3 on them.
     """
     rng = random.Random("float-certify:5")
-    return {n: grid_float_system(rng, n) for n in (20, 24, 32)}
+    return {n: grid_system(rng, n) for n in (20, 24, 32)}
 
 
 def residue_nodes(sys_):
@@ -250,6 +251,12 @@ class TestBuildTheta:
         assert t.entry(0, 1) == rf((-1,), (0, 1))
         assert t.entry(1, 0).is_zero
         assert t.entry(1, 1) == rf((1,))
+
+    def test_built_once_per_system(self, sys1, theta1):
+        assert b.build_theta(sys1) is theta1
+        fresh = b.build_system(data_two_regular())
+        assert b.build_theta(fresh) is b.build_theta(fresh)
+        assert b.build_theta(fresh) is not theta1 and b.build_theta(fresh) == theta1
 
     def test_singular_pick_rejected(self, sys3):
         with pytest.raises(b.SingularPickError):
@@ -502,6 +509,9 @@ class TestJUnitarity:
                     b.factorize(sys_, k)
                 except b.SplitNotAdmissibleError:
                     pass
+        sys12 = grid_system(random.Random("no-gcd"), 12, exact=True)
+        for phi in BENCHMARK_PARAMETERS:
+            b.classify_and_verify(sys12, phi)
 
     def test_exact_certificates_expand_nothing(self, monkeypatch):
         sys_ = exact_n6_system()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick import solver
+from bnpick import algebra, solver
 from bnpick.boundary import LimitKind
 from bnpick.solver import verify_outcome
 
@@ -417,6 +417,26 @@ class TestExactLaneAtTwelveNodes:
         assert b.check_j_unitarity(b.build_theta(sys_)).symbolic_zero is True
         report, w, _ = b.classify_and_verify(sys_, b.Parameter.infinity())
         assert len(report.nodes) == 12 and w.exact
+
+
+class TestOneSamplerPerFunction:
+    def test_classify_and_verify_compiles_each_function_once(self, sys2, monkeypatch):
+        compiled = []
+        init = algebra.RationalSampler.__init__
+
+        def counted(sampler, func):
+            compiled.append(func)
+            init(sampler, func)
+
+        monkeypatch.setattr(algebra.RationalSampler, "__init__", counted)
+        for phi in STANDARD_SWEEP:
+            compiled.clear()
+            try:
+                b.classify_and_verify(sys2, phi)
+            except b.DegenerateTransformError:
+                continue
+            assert compiled
+            assert len({id(f) for f in compiled}) == len(compiled)
 
 
 class TestSolve:

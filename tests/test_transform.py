@@ -5,9 +5,18 @@ import numpy as np
 import pytest
 
 import bnpick as b
+from bnpick import algebra
 from bnpick.algebra import GaussianRational
 
-from conftest import loop_kernel, rf
+from conftest import (
+    BENCHMARK_PARAMETERS,
+    STANDARD_SWEEP,
+    gcd_apply_lft,
+    grid_system,
+    loop_kernel,
+    random_invertible_system,
+    rf,
+)
 
 F = Fraction
 
@@ -99,6 +108,87 @@ class TestApplyLft:
             assert w.is_real()
 
 
+def node_parameters(sys_):
+    """phi = eta_i and phi = eta_i + tau_i (z - x_i), tau_i = -p~_ii / te_i^2:
+    the parameters that make w meet node i's data, to first and to second
+    order, where num and den share (z - x_i) once or twice."""
+    out = []
+    for i in range(sys_.n):
+        te = sys_.tilde_e[i]
+        if not te:
+            out.append(b.Parameter.infinity())
+            continue
+        eta, tau = sys_.eta[i], -sys_.tilde_p_diag[i] / te**2
+        out.append(b.Parameter.constant(eta))
+        out.append(b.Parameter.rational(rf((eta - tau * sys_.X[i], tau))))
+    return out
+
+
+def node_multiplicities(theta, phi):
+    """How often each node's (z - x_i) divides the gcd the reference takes."""
+    p, q = ((b.Polynomial.one(), b.Polynomial(())) if phi.is_infinite
+            else (phi.as_rational().num, phi.as_rational().den))
+    (n00, n01), (n10, n11) = theta.cleared()
+    g = algebra.polynomial_gcd(n00 * p + n01 * q, n10 * p + n11 * q)
+    counts = []
+    for x in theta.nodes:
+        k = 0
+        while g.degree >= 1 and not g.eval(GaussianRational.coerce(x)):
+            g = g.divmod(b.Polynomial((-x, 1)))[0]
+            k += 1
+        counts.append(k)
+    return counts
+
+
+class TestNodeDeflation:
+    """Exact apply_lft deflates at the nodes; the gcd route is the reference."""
+
+    @staticmethod
+    def assert_matches_reference(theta, phi):
+        try:
+            expected = gcd_apply_lft(theta, phi).to_json()
+        except b.DegenerateTransformError:
+            with pytest.raises(b.DegenerateTransformError):
+                b.apply_lft(theta, phi)
+            return
+        assert b.apply_lft(theta, phi).to_json() == expected
+
+    def test_goldens(self, theta1, theta2):
+        for theta in (theta1, theta2):
+            for phi in (*STANDARD_SWEEP, *BENCHMARK_PARAMETERS):
+                self.assert_matches_reference(theta, phi)
+
+    def test_random_systems_of_every_size(self):
+        rng = random.Random("node-deflation")
+        for n in range(2, 13):
+            theta = b.build_theta(grid_system(rng, n, exact=True))
+            for phi in BENCHMARK_PARAMETERS:
+                self.assert_matches_reference(theta, phi)
+
+    def test_node_parameters_deflate_once_and_twice(self):
+        rng = random.Random(29)
+        seen = set()
+        systems = [random_invertible_system(rng, n_max=6) for _ in range(30)]
+        systems += [grid_system(rng, n, exact=True) for n in (6, 7, 8)]
+        for sys_ in systems:
+            theta = b.build_theta(sys_)
+            for phi in node_parameters(sys_):
+                self.assert_matches_reference(theta, phi)
+                seen.update(node_multiplicities(theta, phi))
+        assert seen == {0, 1, 2}
+
+    def test_degenerate_and_zero_transforms(self, sys2, theta2):
+        for theta in (theta2, b.build_theta(grid_system(random.Random(3), 5, exact=True))):
+            e = theta.entries
+            # -Theta22/Theta21 sends den to 0, -Theta12/Theta11 sends num to 0
+            infinite = b.Parameter.rational(-(e[1][1] / e[1][0]))
+            with pytest.raises(b.DegenerateTransformError):
+                b.apply_lft(theta, infinite)
+            zero = b.Parameter.rational(-(e[0][1] / e[0][0]))
+            self.assert_matches_reference(theta, zero)
+            assert b.apply_lft(theta, zero).is_zero
+
+
 class TestLftCompose:
     def test_inverse_product_is_identity(self, theta1):
         inv = b.theta_inverse(theta1)
@@ -139,8 +229,6 @@ class TestLftCompose:
 
     def test_class_bound_on_golden_sweep(self, theta1):
         # transforms of Nevanlinna parameters stay within kappa negative squares
-        from conftest import STANDARD_SWEEP
-
         for phi in STANDARD_SWEEP:
             w = b.apply_lft(theta1, phi)
             assert b.kernel_negative_squares(w, span=(0.0, 1.0)) <= 1
