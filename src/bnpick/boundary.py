@@ -127,6 +127,7 @@ def nt_limit(
     r1: list = []
     r2: list = []
     agree = 0
+    growing = 0
     for k in range(max_steps + 1):
         z = complex(x0, t0 * 2.0 ** (-k))
         try:
@@ -138,9 +139,10 @@ def nt_limit(
         raw.append(value)
         if len(raw) >= 2:
             r1.append(2.0 * raw[-1] - raw[-2])
+            growing = growing + 1 if abs(raw[-1]) > abs(raw[-2]) else 0
         if len(r1) >= 2:
             r2.append((4.0 * r1[-1] - r1[-2]) / 3.0)
-        if _diverging(raw):
+        if _diverging(raw, growing):
             return LimitEstimate(kind, "infinite", None, tuple(raw), False, None)
         if len(r2) >= 2:
             err = abs(r2[-1] - r2[-2])
@@ -163,14 +165,15 @@ def nt_limit(
     return LimitEstimate(kind, "dne", None, tuple(r2), False, None)
 
 
-def _diverging(raw) -> bool:
-    if len(raw) < DIVERGENCE_WINDOW + 1:
+def _diverging(raw, growing) -> bool:
+    """Whether |raw| grew on each of the last DIVERGENCE_WINDOW steps
+    (``growing`` counts the consecutive growing steps up to the last sample)
+    and the last sample is at least 1e3 and DIVERGENCE_FACTOR times the
+    sample before those steps."""
+    if growing < DIVERGENCE_WINDOW:
         return False
-    window = [abs(v) for v in raw[-(DIVERGENCE_WINDOW + 1) :]]
-    if window[-1] < 1e3:
-        return False
-    growing = all(window[i + 1] > window[i] for i in range(DIVERGENCE_WINDOW))
-    return growing and window[-1] >= DIVERGENCE_FACTOR * window[0]
+    last = abs(raw[-1])
+    return last >= 1e3 and last >= DIVERGENCE_FACTOR * abs(raw[-DIVERGENCE_WINDOW - 1])
 
 
 @dataclass(frozen=True)

@@ -296,15 +296,9 @@ class LyapunovReport:
         }
 
 
-def check_lyapunov(sys: PickSystem, P: HermitianMatrix | None = None) -> LyapunovReport:
-    """Residual of the Lyapunov identity; exact zero on the exact backend.
-
-    ``P`` overrides the system matrix, which lets callers probe how a
-    perturbed matrix breaks the identity.
-    """
-    P = P if P is not None else sys.P
-    if not isinstance(P, HermitianMatrix):
-        P = HermitianMatrix(P)
+def check_lyapunov(sys: PickSystem) -> LyapunovReport:
+    """Residual of the Lyapunov identity; exact zero on the exact backend."""
+    P = sys.P
     n = sys.n
     x, e, c = sys.X, sys.E, sys.C
     worst = None
@@ -321,5 +315,5 @@ def check_lyapunov(sys: PickSystem, P: HermitianMatrix | None = None) -> Lyapuno
         max_abs=worst if worst is not None else 0,
         location=location if not is_zero else None,
         is_zero=is_zero,
-        exact=sys.exact and P.exact,
+        exact=sys.exact,
     )

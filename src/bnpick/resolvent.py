@@ -10,8 +10,9 @@ residue form
 
     Theta(z) = I_2 + sum_i [C e_i; E e_i] [te_i, -tc_i] / (z - x_i),
 
-which is how the resolvent, its inverse and both factors of its
-factorization are held, on both lanes.  A residue form is evaluated from
+which is the one representation of a 2x2 rational matrix here: the
+resolvent, its inverse, both factors of its factorization and products of
+them are held so, on both lanes.  A residue form is evaluated from
 that sum (the stable partial-fraction form, where expanded monomial
 coefficients lose the float lane at n of about 20), its poles are exactly
 the nodes with a nonzero residue, and its entries -- real rational
@@ -30,7 +31,11 @@ entry expanded.  Every residue form built here is a product of resolvents
 and their inverses, so det == 1 by construction and its inverse is its
 adjugate, again a residue form on the same nodes.  The factorization splits
 Theta across a leading block of P into the leading nodes' resolvent and
-that resolvent's adjugate times Theta.
+that resolvent's adjugate times Theta.  A product of residue forms is
+composed as one: at a node of one factor only, the residue is l_i r_i
+times the other factor's value there, on the right or on the left, so a
+factor pair on disjoint nodes recomposes in O(k (n - k)) exact scalar
+operations, with no entry expanded and no gcd.
 
 Sampled certificates evaluate Theta at all their points in one batched
 ``eval``: the J-unitarity residual at its real points, and the 2m x 2m
@@ -61,21 +66,20 @@ KERNEL_AGREEMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RationalMatrix2x2:
-    """2x2 matrix of rational functions with simple poles on a node set.
+    """2x2 matrix of rational functions held as a residue form.
 
-    A residue form I_2 + sum_i l_i r_i / (z - x_i) keeps the nodes with a
-    nonzero residue and their left columns l_i and right rows r_i; it is
-    evaluated from them, its poles are those nodes, and its entries are
-    expanded from them when first asked for.  It has det == 1 by
-    construction, so its inverse is its adjugate.  A matrix built by
-    ``from_entries`` keeps its four entries instead.
+    The residue form I_2 + sum_i l_i r_i / (z - x_i) keeps the nodes x_i and
+    their left columns l_i and right rows r_i; it is evaluated from them, its
+    poles are the nodes, and its entries are expanded from them when first
+    asked for.  Products of residue forms are composed into residue forms
+    (``@``).  A matrix built from resolvents has det == 1, so its inverse is
+    its adjugate.
     """
 
     kappa: int | None = None
     nodes: tuple = ()
     left: tuple = ()
     right: tuple = ()
-    given: tuple | None = None
 
     def entry(self, i, j) -> RationalFunction:
         return self.entries[i][j]
@@ -84,39 +88,29 @@ class RationalMatrix2x2:
     def identity() -> "RationalMatrix2x2":
         return RationalMatrix2x2(kappa=0)
 
-    @staticmethod
-    def from_entries(entries, kappa=None) -> "RationalMatrix2x2":
-        return RationalMatrix2x2(kappa=kappa, given=tuple(tuple(row) for row in entries))
-
     @cached_property
     def exact(self) -> bool:
         """Whether the matrix lives on the exact lane."""
-        if self.given is not None:
-            return all(e.exact for row in self.given for e in row)
         values = [*self.nodes, *(v for f in (*self.left, *self.right) for v in f)]
         return all(isinstance(v, (int, Fraction)) for v in values)
 
     @cached_property
     def poles(self) -> tuple:
-        """Sorted real poles: the residue nodes, or the given entries' real poles."""
-        if self.given is None:
-            return tuple(sorted(self.nodes))
-        return _shared_real_poles(self.given)
+        """The nodes, sorted."""
+        return tuple(sorted(self.nodes))
 
     @cached_property
     def entries(self) -> tuple:
         """The four entries in canonical form.
 
-        Entry (a, b) of a residue form is delta_ab + sum_i r_i / (z - x_i)
-        with r_i = l_i[a] r_i[b].  Over the product of the nodes with
-        r_i != 0 its numerator takes the value r_i prod_{j != i} (x_i - x_j)
-        at x_i, nonzero because the nodes are distinct, so numerator and
-        denominator are coprime by construction and no gcd is taken: the
-        exact lane applies only the integer scaling of the canonical form,
-        and the float lane keeps the monic node product as denominator.
+        Entry (a, b) is delta_ab + sum_i r_i / (z - x_i) with
+        r_i = l_i[a] r_i[b].  Over the product of the nodes with r_i != 0 its
+        numerator takes the value r_i prod_{j != i} (x_i - x_j) at x_i,
+        nonzero because the nodes are distinct, so numerator and denominator
+        are coprime by construction and no gcd is taken: the exact lane
+        applies only the integer scaling of the canonical form, and the float
+        lane keeps the monic node product as denominator.
         """
-        if self.given is not None:
-            return self.given
         rows = []
         for a in range(2):
             row = []
@@ -156,50 +150,78 @@ class RationalMatrix2x2:
 
     @cached_property
     def node_numerators(self) -> tuple:
-        """Ascending coefficient lists N_ab of D Theta_ab for a residue form,
-        D the product of all its nodes, as a 2 x 2 nested tuple; built once."""
+        """Ascending coefficient lists N_ab of D Theta_ab, D the product of
+        all the nodes, as a 2 x 2 nested tuple; built once."""
         kept = tuple(range(len(self.nodes)))
         return tuple(tuple(self._cleared(a, b, kept)[0] for b in range(2)) for a in range(2))
 
+    @cached_property
     def cleared(self) -> tuple:
-        """Polynomials N_ab with Theta_ab = N_ab / D for one polynomial D.
-
-        A residue form clears by the product of its nodes
-        (``node_numerators``); given entries cross-multiply their
-        denominators.
-        """
-        if self.given is None:
-            return tuple(tuple(Polynomial(c) for c in row) for row in self.node_numerators)
-        e = self.given
-        return tuple(
-            tuple(
-                e[i][j].num * e[i][1 - j].den * e[1 - i][0].den * e[1 - i][1].den
-                for j in range(2)
-            )
-            for i in range(2)
-        )
+        """Polynomials N_ab with Theta_ab = N_ab / D, D the product of the
+        nodes, built once from ``node_numerators``."""
+        return tuple(tuple(Polynomial(c) for c in row) for row in self.node_numerators)
 
     def det(self) -> RationalFunction:
         e = self.entries
         return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
+    def _row_at(self, r, x) -> tuple:
+        """r H(x), H the matrix without its term at x when x is a node."""
+        u, v = r
+        for y, (a, b), (c, d) in zip(self.nodes, self.left, self.right):
+            if y != x:
+                t = (r[0] * a + r[1] * b) / (x - y)
+                u, v = u + t * c, v + t * d
+        return u, v
+
+    def _column_at(self, l, x) -> tuple:
+        """H(x) l, H the matrix without its term at x when x is a node."""
+        u, v = l
+        for y, (a, b), (c, d) in zip(self.nodes, self.left, self.right):
+            if y != x:
+                t = (c * l[0] + d * l[1]) / (x - y)
+                u, v = u + t * a, v + t * b
+        return u, v
+
     def __matmul__(self, other: "RationalMatrix2x2") -> "RationalMatrix2x2":
-        a, b = self.entries, other.entries
-        prod = tuple(
-            tuple(
-                a[i][0] * b[0][j] + a[i][1] * b[1][j]
-                for j in range(2)
-            )
-            for i in range(2)
-        )
-        return RationalMatrix2x2.from_entries(prod)
+        """The product as a residue form, composed from the two residue forms.
+
+        With self = H_1 + l r / (z - x) and other = H_2 + l' r' / (z - x)
+        near x (a missing term being zero), the product has the double-pole
+        coefficient (r . l') l r', which must vanish, and the residue
+        R = l (r H_2(x)) + (H_1(x) l') r', which must have rank at most one;
+        either failure raises ``ValueError``.  For det-one factors det R = 0
+        follows from det(product) == 1.  The rank is tested by exact
+        comparison, so on the float lane a shared node generally raises;
+        factors on disjoint nodes compose on both lanes.  A zero residue
+        drops its node, so a matrix times its inverse is the identity with
+        no nodes.  The product's ``kappa`` is None.
+        """
+        theirs = dict(zip(other.nodes, zip(other.left, other.right)))
+        nodes, left, right = [], [], []
+        for x, l, r in zip(self.nodes, self.left, self.right):
+            row = other._row_at(r, x)
+            if x in theirs:
+                l2, r2 = theirs.pop(x)
+                if (r[0] * l2[0] + r[1] * l2[1]) and any(l) and any(r2):
+                    raise ValueError(f"the product has a double pole at {x}")
+                col = self._column_at(l2, x)
+                residue = [[l[a] * row[b] + col[a] * r2[b] for b in range(2)] for a in range(2)]
+                if residue[0][0] * residue[1][1] - residue[0][1] * residue[1][0]:
+                    raise ValueError(f"the product's residue at {x} has rank two")
+                l, row = _rank_one_factors(residue)
+            nodes.append(x)
+            left.append(l)
+            right.append(row)
+        for y, (l2, r2) in theirs.items():
+            nodes.append(y)
+            left.append(self._column_at(l2, y))
+            right.append(r2)
+        return _residue_matrix_form(nodes, left, right, None)
 
     @cached_property
     def _samplers(self):
-        """Compiled samplers of given entries, or the float nodes, 2 x n left
-        columns and n x 2 right rows of a residue form."""
-        if self.given is not None:
-            return [[e.sampler for e in row] for row in self.given]
+        """The float nodes, 2 x n left columns and n x 2 right rows."""
         return (
             np.array(self.nodes, dtype=float),
             np.array(self.left, dtype=float).reshape(-1, 2).T,
@@ -207,19 +229,12 @@ class RationalMatrix2x2:
         )
 
     def eval(self, z) -> np.ndarray:
-        """Float value of the matrix at z: I_2 + L diag(1/(z - x)) R for a
-        residue form, the compiled entry samplers for given entries.
+        """Float value I_2 + L diag(1/(z - x)) R of the matrix at z.
 
         An array of K points gives the K x 2 x 2 stack of the values at each
-        point: a residue form evaluates all points at once, given entries
-        stack their per-point samples.  ``PoleError`` is raised when any
-        point is a pole.
+        point, evaluated at once.  ``PoleError`` is raised when any point is
+        a pole.
         """
-        if self.given is not None:
-            if np.ndim(z) == 0:
-                return np.array([[sample(z) for sample in row] for row in self._samplers])
-            points = np.asarray(z, dtype=complex).reshape(-1)
-            return np.array([self.eval(complex(v)) for v in points]).reshape(-1, 2, 2)
         if np.ndim(z) == 0:
             return self.eval(np.array([complex(z)]))[0]
         points = np.asarray(z, dtype=complex).reshape(-1)
@@ -250,12 +265,16 @@ class RationalMatrix2x2:
         }
 
 
-def _shared_real_poles(entries) -> tuple:
-    poles = set()
-    for row in entries:
-        for e in row:
-            poles.update(round(p, 12) for p in e.real_poles())
-    return tuple(sorted(poles))
+def _rank_one_factors(residue) -> tuple:
+    """A column l and a row r with l r equal to a 2x2 matrix of rank at most
+    one; both zero for the zero matrix."""
+    for a in range(2):
+        for b in range(2):
+            pivot = residue[a][b]
+            if pivot:
+                col = (residue[0][b], residue[1][b])
+                return col, (residue[a][0] / pivot, residue[a][1] / pivot)
+    return (0, 0), (0, 0)
 
 
 def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2x2:
@@ -309,27 +328,15 @@ def build_theta(sys: PickSystem) -> RationalMatrix2x2:
 
 
 def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:
-    """Inverse of a 2x2 rational matrix.
+    """Inverse of a residue form with det == 1, such as a resolvent.
 
-    A residue form has det == 1 by construction, so its inverse is its
-    adjugate.  The adjugate is linear on 2x2 matrices and maps the rank-one
-    residue [a; b] [c, d] to [-d; c] [-b, a], so the inverse is again a
-    residue form on the same nodes.  Given entries are divided by their
-    determinant (rejecting identically singular input).
+    The inverse is the adjugate.  The adjugate is linear on 2x2 matrices and
+    maps the rank-one residue [a; b] [c, d] to [-d; c] [-b, a], so the
+    inverse is again a residue form on the same nodes.
     """
-    if theta.given is None:
-        left = [(-r[1], r[0]) for r in theta.right]
-        right = [(-l[1], l[0]) for l in theta.left]
-        return _residue_matrix_form(list(theta.nodes), left, right, theta.kappa)
-    det = theta.det()
-    if det.is_zero:
-        raise SingularMatrixError("identically singular rational matrix")
-    e = theta.entries
-    inv = (
-        (e[1][1] / det, -e[0][1] / det),
-        (-e[1][0] / det, e[0][0] / det),
-    )
-    return RationalMatrix2x2.from_entries(inv, kappa=theta.kappa)
+    left = [(-r[1], r[0]) for r in theta.right]
+    right = [(-l[1], l[0]) for l in theta.left]
+    return _residue_matrix_form(list(theta.nodes), left, right, theta.kappa)
 
 
 @dataclass(frozen=True)
@@ -349,11 +356,12 @@ class JUnitarityReport:
 
 
 def _symbolic_j_unitary(theta: RationalMatrix2x2) -> bool:
-    """Theta(z) J Theta(z)^T == J as the identity det Theta == 1.
+    """Theta(z) J Theta(z)^T == J as the identity det Theta == 1, tested at
+    the residues.
 
-    A residue form is tested at its residues.  Near the node x_i,
-    Theta = A_i / (z - x_i) + H_i(z) with A_i = [a; b] [c, d] and H_i
-    analytic at x_i.  Because det A_i = 0 and adj A_i = [d; -c] [b, -a],
+    Near the node x_i, Theta = A_i / (z - x_i) + H_i(z) with
+    A_i = [a; b] [c, d] and H_i analytic at x_i.  Because det A_i = 0 and
+    adj A_i = [d; -c] [b, -a],
 
         det Theta = det H_i + [b, -a] H_i(z) [d; -c] / (z - x_i),
 
@@ -362,21 +370,10 @@ def _symbolic_j_unitary(theta: RationalMatrix2x2) -> bool:
     H_i(x_i) = I + sum_{j != i} l_j r_j / (x_i - x_j).  As Theta(oo) = I,
     det Theta - 1 vanishes at infinity, and it is identically zero exactly
     when every such residue is: O(n^2) exact scalar operations, with no
-    entry expanded.
-
-    Given entries n_ij / d_ij are tested as the determinant identity cleared
-    of their own denominators,
-
-        n00 n11 d01 d10 - n01 n10 d00 d11 == d00 d01 d10 d11,
-
-    compared as exact polynomials.  For real-coefficient entries this is the
-    real-line J-unitarity statement continued off the axis.
+    entry expanded.  For real-coefficient entries this is the real-line
+    J-unitarity statement continued off the axis.
     """
-    if theta.given is None:
-        return all(not residue for residue in _det_residues(theta))
-    (a, b), (c, d) = theta.entries
-    lhs = a.num * d.num * b.den * c.den - b.num * c.num * a.den * d.den
-    return lhs == a.den * b.den * c.den * d.den
+    return all(not residue for residue in _det_residues(theta))
 
 
 def _det_residues(theta: RationalMatrix2x2) -> list:
@@ -411,9 +408,8 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     """Certify J-unitarity symbolically (exact entries) and by sampling.
 
     The symbolic part checks det Theta == 1, which holds exactly when
-    Theta J Theta^T == J (see the module docstring): from the residues of a
-    residue form, as a cross-multiplied polynomial identity for given
-    entries; it builds no rational function and takes no gcd.  The sampled
+    Theta J Theta^T == J (see the module docstring), from the residues; it
+    builds no rational function and takes no gcd.  The sampled
     part reports the largest entry of Theta(x) J Theta(x)* - J over real
     points, 100 of them spread over the poles' span by default, with the
     point where it is largest and the scale |Theta|^2 there.  Real sample
@@ -549,19 +545,11 @@ def factorize(sys: PickSystem, k: int, order=None):
     except SingularMatrixError as exc:
         raise SplitNotAdmissibleError(str(exc)) from exc
 
-    def inverse_at(x, c, e):
-        """Theta1^(-1)(x) [c; e]: each adjugate residue [-q; p] [-b, a]
-        of a residue [a; b] [p, q] adds (b c - a e) / (x - x_i) [q; -p]."""
-        u, v = c, e
-        for xi, (a, b), (p, q) in zip(theta1.nodes, theta1.left, theta1.right):
-            t = (b * c - a * e) / (x - xi)
-            u, v = u + q * t, v - p * t
-        return u, v
-
+    inverse = theta_inverse(theta1)
     tail = order[k:]
     theta2 = _residue_matrix_form(
         [sys.X[j] for j in tail],
-        [inverse_at(sys.X[j], sys.C[j], sys.E[j]) for j in tail],
+        [inverse._column_at((sys.C[j], sys.E[j]), sys.X[j]) for j in tail],
         [(sys.tilde_e[j], -sys.tilde_c[j]) for j in tail],
         sys.kappa - sub.kappa,
     )

@@ -149,18 +149,20 @@ def is_nevanlinna(
 def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     """Linear-fractional transform of a parameter by the resolvent.
 
-    The entries are cleared to numerators over one common denominator
-    (``RationalMatrix2x2.cleared``) before forming the quotient, with
-    phi = p/q and phi = infinity as the pair (1, 0).  An identically
-    vanishing denominator means the transform degenerates to the constant
-    infinity, which is rejected.
+    The entries are cleared to numerators N over the product D of the
+    nodes before forming the quotient, with phi = p/q and phi = infinity as
+    the pair (1, 0).  An identically vanishing denominator means the
+    transform degenerates to the constant infinity, which is rejected.  A
+    float matrix or a float parameter takes the quotient of the polynomials
+    ``RationalMatrix2x2.cleared``, built once per matrix, and reduces it as
+    ``RationalFunction`` does.
 
-    An exact residue form with an exact parameter needs no gcd.  With
+    An exact matrix with an exact parameter needs no gcd.  With
     [num; den] = N [p; q] over the node product D, det N = D^2 det Theta
-    = D^2, so a common factor g of num and den divides
-    adj(N) [num; den] = D^2 [p; q], and as p and q are coprime, g divides
-    D^2: it is a product of factors (z - x_i) at the nodes, each at most
-    twice.  Deflating num and den by (z - x_i) while both vanish at x_i
+    = D^2 (every matrix built from resolvents has det Theta == 1), so a
+    common factor g of num and den divides adj(N) [num; den] = D^2 [p; q],
+    and as p and q are coprime, g divides D^2: it is a product of factors
+    (z - x_i) at the nodes, each at most twice.  Deflating num and den by (z - x_i) while both vanish at x_i
     therefore leaves a coprime pair, scaled to the canonical integer form.
     """
     if phi.is_infinite:
@@ -168,9 +170,9 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     else:
         rf = phi.as_rational()
         p, q = rf.num, rf.den
-    if theta.given is None and theta.exact and p.exact and q.exact:
+    if theta.exact and p.exact and q.exact:
         return _node_deflated_lft(theta, p, q)
-    (n00, n01), (n10, n11) = theta.cleared()
+    (n00, n01), (n10, n11) = theta.cleared
     den = n10 * p + n11 * q
     if den.is_zero:
         raise DegenerateTransformError(

@@ -100,9 +100,10 @@ def rational_j_unitary(theta):
     return True
 
 
-def expanded_residue_form(nodes, left_cols, right_rows, kappa):
-    """I_2 + sum_i (left col_i) (right row_i) / (z - x_i) expanded over the
-    full node product and reduced by RationalFunction's gcd.
+def expanded_residue_form(nodes, left_cols, right_rows):
+    """The entries of I_2 + sum_i (left col_i) (right row_i) / (z - x_i),
+    expanded over the full node product and reduced by RationalFunction's
+    gcd, as a 2 x 2 tuple.
 
     The Polynomial expansion the coprime-by-construction builder replaces,
     kept as its reference.
@@ -122,7 +123,36 @@ def expanded_residue_form(nodes, left_cols, right_rows, kappa):
                 num = num + partial[i].scale(left_cols[i][a] * right_rows[i][c])
             row.append(b.RationalFunction(num, full))
         entries.append(tuple(row))
-    return b.RationalMatrix2x2.from_entries(tuple(entries), kappa=kappa)
+    return tuple(entries)
+
+
+def entrywise_product(a, c):
+    """The product of two 2 x 2 entry tuples in RationalFunction arithmetic,
+    with its gcd per entry: the reference for composing residue forms."""
+    return tuple(
+        tuple(a[i][0] * c[0][j] + a[i][1] * c[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def det_route_inverse(e):
+    """A 2 x 2 entry tuple divided by its determinant, rejecting an
+    identically singular one: the reference for the adjugate inverse."""
+    det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
+    if det.is_zero:
+        raise b.SingularMatrixError("identically singular rational matrix")
+    return ((e[1][1] / det, -e[0][1] / det), (-e[1][0] / det, e[0][0] / det))
+
+
+def cross_multiplied_j_unitary(e):
+    """det == 1 for a 2 x 2 entry tuple n_ij / d_ij as the polynomial identity
+
+        n00 n11 d01 d10 - n01 n10 d00 d11 == d00 d01 d10 d11,
+
+    the identity the residue test of ``check_j_unitarity`` replaces, kept as
+    its reference."""
+    (a, c), (d, f) = e
+    lhs = a.num * f.num * c.den * d.den - c.num * d.num * a.den * f.den
+    return lhs == a.den * c.den * d.den * f.den
 
 
 def gcd_apply_lft(theta, phi):
@@ -137,7 +167,7 @@ def gcd_apply_lft(theta, phi):
     else:
         f = phi.as_rational()
         p, q = f.num, f.den
-    (n00, n01), (n10, n11) = theta.cleared()
+    (n00, n01), (n10, n11) = theta.cleared
     den = n10 * p + n11 * q
     if den.is_zero:
         raise b.DegenerateTransformError("constant infinity")

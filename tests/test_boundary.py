@@ -1,10 +1,14 @@
+import cmath
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bnpick as b
+from bnpick import boundary
 from bnpick._sections import negative_count, nevanlinna_kernel, pole_free_grid, span_of
 from bnpick.boundary import LimitKind
 
@@ -79,6 +83,90 @@ class TestNtLimit:
             assert abs(est.value - expected) <= 1e-9 * max(1.0, abs(expected))
             done += 1
 
+
+
+def windowed_diverging(raw) -> bool:
+    """The divergence rule rebuilt over the last six samples on every step,
+    kept as the reference for the running count of growing steps."""
+    window_size = boundary.DIVERGENCE_WINDOW
+    if len(raw) < window_size + 1:
+        return False
+    window = [abs(v) for v in raw[-(window_size + 1):]]
+    if window[-1] < 1e3:
+        return False
+    growing = all(window[i + 1] > window[i] for i in range(window_size))
+    return growing and window[-1] >= boundary.DIVERGENCE_FACTOR * window[0]
+
+
+class SequenceSampler:
+    """A stand-in sampler returning values[k] at the k-th point of the
+    nt_limit path x0 + i t0 2^-k; None is a pole."""
+
+    def __init__(self, values, t0=0.5):
+        self.values, self.t0 = values, t0
+
+    def __call__(self, z):
+        value = self.values[round(math.log2(self.t0 / z.imag))]
+        if value is None:
+            raise b.PoleError(z)
+        return value
+
+
+def random_path(rng, length=41):
+    """Samples whose magnitude walks with a random drift, with poles, non-finite
+    values and repeated magnitudes mixed in."""
+    drift, size, values = rng.uniform(-0.5, 1.5), 10.0 ** rng.uniform(-2, 4), []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.03:
+            values.append(None)
+            continue
+        if roll < 0.05:
+            values.append(complex("inf"))
+            continue
+        if roll > 0.1:
+            size *= math.exp(rng.gauss(drift, 0.6))
+        values.append(size * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+    return values
+
+
+class TestDivergence:
+    """The running count of growing steps decides as the windowed rule did."""
+
+    @staticmethod
+    def both_rules(monkeypatch, f, x0, kind):
+        running = b.nt_limit(f, x0, kind)
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_diverging", lambda raw, growing: windowed_diverging(raw))
+            windowed = b.nt_limit(f, x0, kind)
+        return running, windowed
+
+    def test_random_sequences(self, monkeypatch):
+        rng = random.Random(113)
+        steps = set()
+        for _ in range(400):
+            f = SimpleNamespace(sampler=SequenceSampler(random_path(rng)))
+            running, windowed = self.both_rules(monkeypatch, f, 0.0, LimitKind.VALUE)
+            assert running == windowed
+            if running.is_infinite:
+                steps.add(len(running.approximants))
+        assert len(steps) >= 10
+
+    def test_nt_limit_paths_of_random_functions(self, monkeypatch):
+        rng = random.Random(127)
+        statuses = set()
+        for _ in range(40):
+            roots = [F(rng.randint(-8, 8), 2) for _ in range(rng.randint(1, 3))]
+            num = b.Polynomial(tuple(random_fraction(rng) for _ in range(rng.randint(1, 4))))
+            if num.is_zero:
+                continue
+            f = b.RationalFunction(num, b.Polynomial.from_real_roots(roots))
+            for x0 in {*roots, F(rng.randint(-16, 16), 4)}:
+                for kind in LimitKind:
+                    running, windowed = self.both_rules(monkeypatch, f, x0, kind)
+                    assert running == windowed
+                    statuses.add(running.status)
+        assert {"finite", "infinite"} <= statuses
 
 class TestCaratheodoryJulia:
     def test_identity_function(self):

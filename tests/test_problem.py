@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -125,7 +126,7 @@ class TestLyapunov:
     def test_perturbed_off_diagonal(self, sys1):
         # bumping the coupling entry to 2 breaks the identity by exactly 1
         bad = b.HermitianMatrix([[F(-1), F(2)], [F(2), F(1)]])
-        report = b.check_lyapunov(sys1, P=bad)
+        report = b.check_lyapunov(dataclasses.replace(sys1, P=bad))
         assert not report.is_zero
         assert report.max_abs == 1
         assert report.location in ((0, 1), (1, 0))

@@ -15,10 +15,14 @@ from conftest import (
     BENCHMARK_PARAMETERS,
     data_mixed,
     data_two_regular,
+    cross_multiplied_j_unitary,
+    det_route_inverse,
+    entrywise_product,
     expanded_residue_form,
     golden_theta_mixed,
     golden_theta_two_regular,
     grid_system,
+    random_fraction,
     random_invertible_system,
     rational_j_unitary,
     rf,
@@ -159,8 +163,8 @@ def residue_nodes(sys_):
     ))
 
 
-def coefficient_tuples(theta):
-    return theta.kappa, tuple((e.num.coeffs, e.den.coeffs) for row in theta.entries for e in row)
+def coefficient_tuples(entries):
+    return tuple((e.num.coeffs, e.den.coeffs) for row in entries for e in row)
 
 
 @pytest.fixture
@@ -173,9 +177,10 @@ def checked_builds(monkeypatch):
 
     def checked(nodes, left_cols, right_rows, kappa):
         theta = build(nodes, left_cols, right_rows, kappa)
-        reference = expanded_residue_form(nodes, left_cols, right_rows, kappa)
-        assert coefficient_tuples(theta) == coefficient_tuples(reference)
-        poles = {x for x in nodes for row in reference.entries for e in row
+        reference = expanded_residue_form(nodes, left_cols, right_rows)
+        assert theta.kappa == kappa
+        assert coefficient_tuples(theta.entries) == coefficient_tuples(reference)
+        poles = {x for x in nodes for row in reference for e in row
                  if not e.den.eval(GaussianRational.coerce(x))}
         assert theta.poles == tuple(sorted(poles))
         built.append(theta)
@@ -202,8 +207,9 @@ class TestResidueForm:
         for sys_, golden in ((sys1, golden_theta_two_regular()), (sys2, golden_theta_mixed())):
             theta, _ = self.build_all(sys_)
             assert all(theta.entry(i, j) == golden[i][j] for i in range(2) for j in range(2))
-        # Theta, its inverse and both factors of the one split k = 1, for each golden
-        assert len(checked_builds) == 8
+        # Theta, its inverse, both factors of the one split k = 1 and the
+        # inverse of the head factor that the split builds, for each golden
+        assert len(checked_builds) == 10
 
     def test_random_systems_match_reference(self, checked_builds):
         # every n in 2..8, at least 10 systems and at least 10 admissible splits
@@ -394,10 +400,23 @@ def test_float_resolvent_takes_no_roots(monkeypatch):
     assert b.kernel_theta_negative_squares(sys_, theta) <= sys_.kappa
 
 
+def bump_residue(theta, k, amount):
+    """Theta's residue form with one left column (k even) or right row
+    (k odd) bumped, so that its det is no longer 1."""
+    i = k % len(theta.nodes)
+    left, right = list(theta.left), list(theta.right)
+    if k % 2:
+        right[i] = (right[i][0], right[i][1] + amount)
+    else:
+        left[i] = (left[i][0] + amount, left[i][1])
+    return b.RationalMatrix2x2(nodes=theta.nodes, left=tuple(left), right=tuple(right))
+
+
 class TestThetaInverse:
     def test_unipotent(self):
-        t = b.RationalMatrix2x2.from_entries(
-            ((rf((1,)), rf((-1,), (0, 1))), (rf((0,) ), rf((1,)))))
+        # I + [1; 0] [0, -1] / z = [[1, -1/z], [0, 1]]
+        t = b.RationalMatrix2x2(nodes=(F(0),), left=((F(1), F(0)),), right=((F(0), F(-1)),))
+        assert t.entry(0, 1) == rf((-1,), (0, 1))
         inv = b.theta_inverse(t)
         assert inv.entry(0, 1) == rf((1,), (0, 1))
         assert inv.entry(0, 0) == rf((1,)) and inv.entry(1, 1) == rf((1,))
@@ -412,21 +431,18 @@ class TestThetaInverse:
                                      for _ in range(10)]
         for theta in thetas:
             inv = b.theta_inverse(theta)
-            assert inv.given is None and inv.nodes == theta.nodes
+            assert inv.nodes == theta.nodes
             assert inv.kappa == theta.kappa
             assert theta @ inv == b.RationalMatrix2x2.identity()
 
     def test_adjugate_route_agrees(self, theta1, theta2):
-        for theta in (theta1, theta2):
-            given = b.RationalMatrix2x2.from_entries(theta.entries, kappa=theta.kappa)
-            assert b.theta_inverse(given).given is not None
-            assert b.theta_inverse(theta) == b.theta_inverse(given)
-
-    def test_identically_singular_rejected(self):
-        t = b.RationalMatrix2x2.from_entries(
-            ((rf((1,)), rf((1,))), (rf((1,)), rf((1,)))))
-        with pytest.raises(b.SingularMatrixError):
-            b.theta_inverse(t)
+        rng = random.Random(59)
+        thetas = [theta1, theta2] + [b.build_theta(random_invertible_system(rng))
+                                     for _ in range(6)]
+        for theta in thetas:
+            inverse = b.theta_inverse(theta).entries
+            reference = det_route_inverse(theta.entries)
+            assert all(inverse[i][j] == reference[i][j] for i in range(2) for j in range(2))
 
 
 class TestJUnitarity:
@@ -443,53 +459,29 @@ class TestJUnitarity:
         assert report.worst_point == 0.0 and report.worst_scale == 1.0
 
     def test_perturbation_breaks_identity(self, theta1):
-        bumped = b.RationalMatrix2x2.from_entries(
-            (
-                (theta1.entry(0, 0), theta1.entry(0, 1) + b.RationalFunction.constant(F(1, 10))),
-                (theta1.entry(1, 0), theta1.entry(1, 1)),
-            )
-        )
+        bumped = bump_residue(theta1, 1, F(1, 10))
         report = b.check_j_unitarity(bumped, sample_points=[-3, -1, 0.5, 2, 7])
         assert report.symbolic_zero is False
         assert report.max_residual > 0.05
 
-    def test_det_form_agrees_with_entrywise_identity(self, sys1, theta1, theta2):
-        def bump(theta, i, j, amount):
-            rows = [list(row) for row in theta.entries]
-            rows[i][j] = rows[i][j] + b.RationalFunction.constant(amount)
-            return b.RationalMatrix2x2.from_entries(rows)
-
-        def bump_residue(theta, k, amount):
-            """Theta's residue form with one left column (k even) or right
-            row (k odd) bumped."""
-            i = k % len(theta.nodes)
-            left, right = list(theta.left), list(theta.right)
-            if k % 2:
-                right[i] = (right[i][0], right[i][1] + amount)
-            else:
-                left[i] = (left[i][0] + amount, left[i][1])
-            return b.RationalMatrix2x2(nodes=theta.nodes, left=tuple(left), right=tuple(right))
-
-        cases = [theta1, theta2, b.RationalMatrix2x2.identity(), bump(theta1, 0, 1, F(1, 10)),
-                 b.theta_inverse(theta1)]
-        residue_forms = [theta1, theta2, b.theta_inverse(theta1), bump_residue(theta2, 1, F(1, 5))]
+    def test_det_form_agrees_with_entrywise_identity(self, theta1, theta2):
+        residue_forms = [theta1, theta2, b.RationalMatrix2x2.identity(), b.theta_inverse(theta1),
+                         bump_residue(theta1, 1, F(1, 10)), bump_residue(theta2, 1, F(1, 5))]
         rng = random.Random(31)
         for k in range(8):
             sys_ = random_invertible_system(rng)
             theta = b.build_theta(sys_)
-            cases += [theta, bump(theta, k % 2, (k // 2) % 2, F(1, 7))]
-            residue_forms += [b.theta_inverse(theta), bump_residue(theta, k, F(1, 3))]
+            residue_forms += [theta, b.theta_inverse(theta), bump_residue(theta, k, F(1, 3)),
+                              bump_residue(theta, k + 1, F(1, 7))]
             for split in filter(None, (factors(sys_, s) for s in range(1, sys_.n))):
                 residue_forms += split
-        assert all(theta.given is None for theta in residue_forms)
-        verdicts = {"entries": [], "residues": []}
-        for kind, thetas in (("entries", cases), ("residues", residue_forms)):
-            for theta in thetas:
-                symbolic = b.check_j_unitarity(theta, sample_points=[0.25]).symbolic_zero
-                assert symbolic is rational_j_unitary(theta)
-                verdicts[kind].append(symbolic)
-        for found in verdicts.values():
-            assert True in found and False in found
+        verdicts = []
+        for theta in residue_forms:
+            symbolic = b.check_j_unitarity(theta, sample_points=[0.25]).symbolic_zero
+            assert symbolic is rational_j_unitary(theta)
+            assert symbolic is cross_multiplied_j_unitary(theta.entries)
+            verdicts.append(symbolic)
+        assert True in verdicts and False in verdicts
 
     def test_no_gcd_on_the_certificate_paths(self, sys1, theta1, sys2, monkeypatch):
         w = b.apply_lft(theta1, b.Parameter.rational(rf((0, 1))))
@@ -501,15 +493,19 @@ class TestJUnitarity:
         assert b.check_j_unitarity(theta1).symbolic_zero is True
         est = b.nt_limit(w, 0, b.LimitKind.DERIVATIVE)
         assert est.is_finite
-        for sys_ in (sys1, sys2, zero_value_system()):
+        sys12 = grid_system(random.Random("no-gcd"), 12, exact=True)
+        recomposed = 0
+        for sys_ in (sys1, sys2, zero_value_system(), sys12):
             theta = b.build_theta(sys_)
             b.theta_inverse(theta)
             for k in range(1, sys_.n + 1):
                 try:
-                    b.factorize(sys_, k)
+                    t1, t2 = b.factorize(sys_, k)
                 except b.SplitNotAdmissibleError:
-                    pass
-        sys12 = grid_system(random.Random("no-gcd"), 12, exact=True)
+                    continue
+                assert t1 @ t2 == theta
+                recomposed += 1
+        assert recomposed >= 8
         for phi in BENCHMARK_PARAMETERS:
             b.classify_and_verify(sys12, phi)
 
@@ -579,8 +575,7 @@ class TestBatchedEval:
         residue_forms = [theta1, theta2, b.theta_inverse(theta1), b.RationalMatrix2x2.identity()]
         residue_forms += [b.build_theta(random_invertible_system(rng)) for _ in range(6)]
         residue_forms.append(b.build_theta(float_systems()[20]))
-        given = [b.RationalMatrix2x2.from_entries(t.entries) for t in residue_forms[:6]]
-        return residue_forms + given
+        return residue_forms
 
     def test_stack_equals_pointwise(self, theta1, theta2):
         for theta in self.thetas(theta1, theta2):
@@ -590,9 +585,8 @@ class TestBatchedEval:
 
     def test_pole_in_batch_raises(self, theta1):
         pole = float(theta1.poles[1])
-        for theta in (theta1, b.RationalMatrix2x2.from_entries(theta1.entries)):
-            with pytest.raises(b.PoleError):
-                theta.eval(np.array([0.5, pole, 2.0]))
+        with pytest.raises(b.PoleError):
+            theta1.eval(np.array([0.5, pole, 2.0]))
 
 
 class TestKernelCounts:
@@ -685,6 +679,100 @@ class TestFactorize:
                 assert t1.kappa + t2.kappa == sys_.kappa
             done += 1
 
+
+
+class TestCompose:
+    """``@`` composes residue forms; the entrywise product is the reference."""
+
+    @staticmethod
+    def assert_matches_reference(a, c):
+        product = a @ c
+        reference = entrywise_product(a.entries, c.entries)
+        assert all(product.entry(i, j) == reference[i][j] for i in range(2) for j in range(2))
+        # the residue form keeps exactly the nodes where the product has a pole
+        poles = {x for x in (*a.nodes, *c.nodes) for row in reference for e in row
+                 if not e.den.eval(GaussianRational.coerce(x))}
+        assert set(product.nodes) == poles and product.kappa is None
+        return product
+
+    def test_goldens(self, sys1, theta1, sys2, theta2):
+        ident = b.RationalMatrix2x2.identity()
+        for sys_, theta in ((sys1, theta1), (sys2, theta2)):
+            inv = b.theta_inverse(theta)
+            pairs = [(theta, ident), (ident, theta), (theta, inv), (inv, theta)]
+            for order in (range(sys_.n), range(sys_.n)[::-1]):
+                for k in range(1, sys_.n + 1):
+                    split = factors(sys_, k, order)
+                    if split:
+                        pairs += [split, split[::-1]]
+            for a, c in pairs:
+                self.assert_matches_reference(a, c)
+            assert self.assert_matches_reference(*factors(sys_, 1)) == theta
+
+    def test_factor_pairs_of_random_systems(self):
+        rng = random.Random(83)
+        systems = splits = 0
+        while systems < 10:
+            sys_ = random_invertible_system(rng, n_max=6)
+            if sys_.n < 2:
+                continue
+            theta = b.build_theta(sys_)
+            for order in (range(sys_.n), range(sys_.n)[::-1]):
+                for k in range(1, sys_.n):
+                    split = factors(sys_, k, order)
+                    if not split:
+                        continue
+                    t1, t2 = split
+                    assert not set(t1.nodes) & set(t2.nodes)
+                    assert self.assert_matches_reference(t1, t2) == theta
+                    self.assert_matches_reference(t2, t1)
+                    splits += 1
+            systems += 1
+        assert splits >= 20
+
+    def test_inverse_product_is_identity_with_no_nodes(self, theta1, theta2):
+        rng = random.Random(89)
+        thetas = [theta1, theta2, b.build_theta(zero_value_system())]
+        thetas += [b.build_theta(random_invertible_system(rng)) for _ in range(6)]
+        for theta in thetas:
+            inv = b.theta_inverse(theta)
+            for product in (theta @ inv, inv @ theta):
+                assert product == b.RationalMatrix2x2.identity()
+                assert product.nodes == ()
+
+    def test_shared_nodes_with_nonzero_residues(self, theta1, theta2):
+        # I + s [a; b] [-b, a] / (z - x) times Theta, with [a; b] Theta's left
+        # column at x, and Theta times I + s [-r1; r0] [r0, r1] / (z - x),
+        # with [r0, r1] its right row there: det-one factors whose product has
+        # no double pole at x and a nonzero rank-one residue there
+        rng = random.Random(101)
+        thetas = [theta1, theta2] + [b.build_theta(random_invertible_system(rng))
+                                     for _ in range(6)]
+        shared = 0
+        for theta in thetas:
+            for x, (a, c), (r0, r1) in zip(theta.nodes, theta.left, theta.right):
+                s = random_fraction(rng, nonzero=True)
+                before = b.RationalMatrix2x2(nodes=(x,), left=((s * a, s * c),),
+                                             right=((-c, a),))
+                after = b.RationalMatrix2x2(nodes=(x,), left=((-s * r1, s * r0),),
+                                            right=((r0, r1),))
+                for product in (self.assert_matches_reference(before, theta),
+                                self.assert_matches_reference(theta, after)):
+                    assert b.check_j_unitarity(product, sample_points=[0.25]).symbolic_zero
+                    shared += x in product.nodes
+        assert shared >= 20
+
+    def test_double_pole_rejected(self, theta1):
+        with pytest.raises(ValueError, match="double pole"):
+            theta1 @ theta1
+
+    def test_rank_two_residue_rejected(self):
+        # a shared node 0 with (r . l') = 0 but a residue [[1, 1], [-1, 0]]
+        a = b.RationalMatrix2x2(nodes=(F(0), F(1)), left=((F(1), F(0)), (F(0), F(1))),
+                                right=((F(0), F(1)), (F(1), F(0))))
+        c = b.RationalMatrix2x2(nodes=(F(0),), left=((F(1), F(0)),), right=((F(1), F(0)),))
+        with pytest.raises(ValueError, match="rank two"):
+            a @ c
 
 def test_factors_golden():
     assert factors_golden_text() == GOLDEN_FACTORS.read_text()
