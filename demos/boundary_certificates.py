@@ -2,7 +2,7 @@
 
 Everything the solver certifies numerically is available directly: vertical
 nontangential limits with Richardson acceleration, Nevanlinna-kernel
-sampling, the disk conjugation, and Blaschke boundary values.
+sampling, the Nevanlinna-class test and the Caratheodory-Julia check.
 """
 
 import bnpick as b
@@ -28,15 +28,6 @@ check = b.is_nevanlinna(phi)
 print(f"  z^2 in the Nevanlinna class: {check.ok} "
       f"(witness eigenvalue {check.witness.eigenvalue:.2f} "
       f"at {check.witness.points[0]:.2f})")
-
-print("\ndisk conjugation (Cayley):")
-for name, func in (("0", b.RationalFunction.constant(0)), ("z", z), ("-1/z", neg_recip)):
-    print(f"  w = {name:5s} -> S = {b.cayley_transform(func)}")
-print("  w = inf   -> S =", b.cayley_transform(b.Parameter.infinity()))
-
-print("\nBlaschke boundary values of the kernel diagonal:")
-for zeros, t0 in (([0], 1), ([0.5], 1), ([0, 0], 1j), ([0.5, -1 / 3], 1)):
-    print(f"  zeros {zeros} at t0 = {t0}: {b.blaschke_boundary_value(zeros, t0):.6f}")
 
 print("\nboundary-derivative agreement for w = -1/z at 0 (pole route):")
 report = b.caratheodory_julia_check(neg_recip, 0.0)

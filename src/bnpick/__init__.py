@@ -23,9 +23,7 @@ from .boundary import (
     CJReport,
     LimitEstimate,
     LimitKind,
-    blaschke_boundary_value,
     caratheodory_julia_check,
-    cayley_transform,
     fmi_check,
     kernel_negative_squares,
     nt_limit,

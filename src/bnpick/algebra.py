@@ -1,12 +1,16 @@
 """Scalar, polynomial, rational-function and small Hermitian-matrix arithmetic.
 
-Two numeric backends coexist.  The exact backend carries Gaussian rationals
-(complex numbers whose real and imaginary parts are arbitrary-precision
-``Fraction`` values); all arithmetic on it is closed, associative and free of
-rounding, so golden results compare by exact equality.  The float backend
-carries ordinary ``complex`` / ``float`` values and is used for boundary-limit
-extrapolation, kernel sampling and any data that is not rational to begin
-with.  Mixing the two promotes to float.
+Two numeric backends coexist.  The exact backend carries arbitrary-precision
+rationals (``Fraction`` values, held in polynomials and matrices as
+``GaussianRational`` scalars whose imaginary part is zero for every datum the
+library builds); all arithmetic on it is closed, associative and free of
+rounding, so golden results compare by exact equality.  Exact linear algebra
+is real: an exact matrix is real symmetric, and its inertia, its inverse or
+solution against right-hand sides, and its kernel come from one fraction-free
+elimination, ``symmetric_elimination``.  The float backend carries ordinary
+``complex`` / ``float`` values and is used for boundary-limit extrapolation,
+kernel sampling and any data that is not rational to begin with.  Mixing the
+two promotes to float.
 
 Infinity is never a scalar here: extended values live at the parameter and
 limit-estimate level of the higher modules.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,7 +221,6 @@ def _real_value(x):
 
 EXACT_ZERO = GaussianRational(0)
 EXACT_ONE = GaussianRational(1)
-EXACT_I = GaussianRational(0, 1)
 
 
 def is_exact(value) -> bool:
@@ -811,7 +815,7 @@ def _integer_form(num, den) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Small dense matrices (lists of lists; exact lane) and Hermitian routines.
+# Symmetric matrices: inertia, inverse and kernel (one exact elimination).
 # ---------------------------------------------------------------------------
 
 
@@ -845,10 +849,6 @@ class Inertia:
         return f"Inertia(neg={self.negatives}, zero={self.zeros}, pos={self.positives})"
 
 
-def _entry_conj(x):
-    return x.conjugate() if isinstance(x, (GaussianRational, complex)) else x
-
-
 def _rows_are_exact(rows) -> bool:
     return all(is_exact(x) for row in rows for x in row)
 
@@ -856,8 +856,10 @@ def _rows_are_exact(rows) -> bool:
 class HermitianMatrix:
     """Square matrix with entry(i,j) == conj(entry(j,i)).
 
-    Exact entries must satisfy the symmetry identically; float entries are
-    allowed a relative slack of ``HERMITIAN_TOL``.
+    Exact entries must be real and symmetric identically: every exact
+    matrix the library builds is a Pick matrix or a block of its inverse.
+    Float entries may be complex and are allowed a relative slack of
+    ``HERMITIAN_TOL``.
     """
 
     __slots__ = ("rows", "n", "exact")
@@ -874,8 +876,10 @@ class HermitianMatrix:
             )
             for i in range(n):
                 for j in range(i, n):
-                    if rows[i][j] != rows[j][i].conjugate():
-                        raise ValueError(f"not Hermitian at ({i},{j})")
+                    if rows[i][j].im:
+                        raise ValueError(f"exact entry ({i},{j}) is not real")
+                    if rows[i][j] != rows[j][i]:
+                        raise ValueError(f"not symmetric at ({i},{j})")
         else:
             arr = np.array([[complex(x) for x in row] for row in rows])
             scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
@@ -913,19 +917,17 @@ class HermitianMatrix:
 def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
     """Eigenvalue sign counts of a Hermitian matrix.
 
-    Exact entries go through symmetric (congruence) elimination with
-    diagonal pivoting, falling back to an off-diagonal 2x2 block -- which
-    contributes one eigenvalue of each sign -- when every remaining diagonal
-    entry vanishes.  No tolerance is involved.  Float entries are counted
-    from the spectrum, with |lambda| <= rank_tol * max(1, spectral radius)
-    treated as zero.
+    Exact (real symmetric) entries are counted by ``symmetric_elimination``,
+    with no tolerance involved.  Float entries are counted from the
+    spectrum, with |lambda| <= rank_tol * max(1, spectral radius) treated as
+    zero.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
     if matrix.n == 0:
         return Inertia(0, 0, 0)
     if matrix.exact:
-        return _exact_inertia(matrix.to_lists())
+        return symmetric_elimination(matrix.rows).inertia
     eigs = np.linalg.eigvalsh(matrix.to_numpy())
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     tol = rank_tol * scale
@@ -934,80 +936,30 @@ def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
     return Inertia(neg, matrix.n - neg - pos, pos)
 
 
-def _exact_inertia(rows) -> Inertia:
-    n = len(rows)
-    active = list(range(n))
-    neg = pos = 0
-    while active:
-        pivot = next((p for p in active if bool(rows[p][p])), None)
-        if pivot is not None:
-            d = rows[pivot][pivot]
-            if d.re > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != pivot]
-            col = {i: rows[i][pivot] for i in rest}
-            for i in rest:
-                for j in rest:
-                    rows[i][j] = rows[i][j] - col[i] * _entry_conj(col[j]) / d
-            active = rest
-            continue
-        off = next(
-            (
-                (i, j)
-                for ai, i in enumerate(active)
-                for j in active[ai + 1 :]
-                if bool(rows[i][j])
-            ),
-            None,
-        )
-        if off is None:
-            return Inertia(neg, len(active), pos)
-        i, j = off
-        # zero-diagonal 2x2 block [[0,a],[conj(a),0]] has inertia (1,0,1)
-        a = rows[i][j]
-        pos += 1
-        neg += 1
-        rest = [k for k in active if k not in (i, j)]
-        ci = {k: rows[k][i] for k in rest}
-        cj = {k: rows[k][j] for k in rest}
-        inv_a = EXACT_ONE / a
-        inv_ac = EXACT_ONE / _entry_conj(a)
-        for k in rest:
-            for l in rest:
-                # Schur update with B^{-1} = [[0, 1/conj(a)], [1/a, 0]]
-                rows[k][l] = rows[k][l] - (
-                    cj[k] * inv_a * rows[i][l] + ci[k] * inv_ac * rows[j][l]
-                )
-        active = rest
-    return Inertia(neg, 0, pos)
-
-
 def matrix_inverse(rows):
     """Inverse of a square matrix given as lists (or HermitianMatrix).
 
-    Exact entries raise ``SingularMatrixError`` on an exactly singular
-    input.  Real exact entries -- every matrix the library builds -- are
-    scaled row by row to an integer matrix, each row by the lcm of its
-    denominators, and inverted by fraction-free (Bareiss) Gauss-Jordan
-    elimination on Python ints; non-real exact entries use Gauss-Jordan
-    elimination over Gaussian rationals.  Both return the same exact
-    entries.  Float entries use numpy, rejecting reciprocal condition
-    numbers below ``RCOND_MIN``.
+    Exact entries must form a real symmetric matrix (a ``ValueError``
+    otherwise), since the library inverts nothing else; they are inverted
+    by ``symmetric_elimination`` against the identity, the entries come back
+    as ``Fraction`` values, and an exactly singular input raises
+    ``SingularMatrixError``.  Float entries use numpy, rejecting reciprocal
+    condition numbers below ``RCOND_MIN``.
     """
+    if not isinstance(rows, HermitianMatrix) and _rows_are_exact(rows):
+        rows = HermitianMatrix(rows)
     if isinstance(rows, HermitianMatrix):
+        if rows.exact:
+            n = rows.n
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            inverse = symmetric_elimination(rows.rows, identity).solution
+            if inverse is None:
+                raise SingularMatrixError("exactly singular matrix")
+            return inverse
         rows = rows.to_lists()
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    if _rows_are_exact(rows):
-        real = [[_real_value(x) for x in row] for row in rows]
-        if all(x is not None for row in real for x in row):
-            return _bareiss_inverse(real)
-        return _exact_inverse(
-            [[GaussianRational.coerce(x) for x in row] for row in rows]
-        )
     arr = np.array([[complex(x) for x in row] for row in rows])
     sv = np.linalg.svd(arr, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < RCOND_MIN:
@@ -1015,90 +967,93 @@ def matrix_inverse(rows):
     return np.linalg.inv(arr).tolist()
 
 
-def _bareiss_inverse(rows):
-    """Inverse of a rational matrix by fraction-free Gauss-Jordan elimination.
+class Elimination(NamedTuple):
+    """What ``symmetric_elimination`` reads off a real symmetric P."""
 
-    Each row is scaled by the lcm of its denominators, so A = D rows is an
-    integer matrix for a diagonal D, and rows^(-1) = A^(-1) D.  Step k
-    replaces every row i != k of [A | I] by (p_k row_i - a_ik row_k) /
-    p_(k-1), where p_k is the k-th pivot and p_(-1) = 1.  Each division is
-    exact (Bareiss, Math. Comp. 22, 1968): the entries stay minors of
-    [A | I].  After the last step the left block is p I and the right block
-    p A^(-1), so entry (i, j) of the inverse is m_ij D_j / p.  Swapping a
-    later row into the pivot position keeps the divisions exact, since those
-    rows have all been reduced by the same earlier pivots.
+    inertia: Inertia
+    solution: list | None  # rows of P^(-1) B (Fractions); None when P is singular
+    kernel: list  # a basis of ker P (Fraction vectors); empty when P is invertible
+
+
+def symmetric_elimination(rows, rhs=None) -> Elimination:
+    """Inertia of a real symmetric exact matrix P, with P^(-1) B or ker P.
+
+    One fraction-free Gauss-Jordan pass over [P | B] (Bareiss, Math. Comp.
+    22, 1968).  Each row is scaled by the lcm of its denominators, so
+    A = D [P | B] is an integer matrix for a positive diagonal D.  A step
+    with pivot entry p = a_rc replaces every other row i by
+    (p row_i - a_ic row_r) / p', where p' is the previous pivot (1 at the
+    first step).  Each division is exact, since every entry stays a minor
+    of A.
+
+    The pivots are symmetric.  The next one is the first remaining diagonal
+    entry that is nonzero; its sign against p' is the sign of the next
+    diagonal entry of an LDL^T factorization of P (Sylvester), as the
+    scales in D are positive.  When every remaining diagonal entry vanishes
+    but a remaining entry (i, j) does not, the pivots (i, j) and then (j, i)
+    eliminate a 2x2 block [[0, a], [a, 0]] of the Schur complement, which
+    has one eigenvalue of each sign.  The sign test stays valid afterwards:
+    later pivots and p' are minors over the same transposed columns.  When
+    every remaining entry vanishes, the remaining indices count the zero
+    eigenvalues and, as free columns, give the kernel basis that is 1 at one
+    of them and 0 at the others.  Otherwise row r of the pivot (r, c) holds
+    p e_c and p times row c of P^(-1) B.
+
+    ``rows`` are the rows of P (ints, Fractions or real ``GaussianRational``
+    values); ``rhs`` the rows of B, with no columns by default.
     """
     n = len(rows)
-    cleared = [_cleared_integers(row) for row in rows]
-    aug = [ints + [int(i == j) for j in range(n)] for i, (ints, _) in enumerate(cleared)]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if aug[r][k]), None)
-        if pivot is None:
-            raise SingularMatrixError("exact zero pivot column")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        top = aug[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                row = aug[i]
-                f = row[k]
-                aug[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    scales = [scale for _, scale in cleared]
-    return [
-        [_real(Fraction(x * scale, prev)) for x, scale in zip(row[n:], scales)] for row in aug
+    rhs = rhs or [()] * n
+    a = [
+        _cleared_integers([_real_value(x) for x in (*row, *extra)])[0]
+        for row, extra in zip(rows, rhs)
     ]
+    remaining = list(range(n))
+    pivot_rows = {}  # pivot column -> its row
+    neg = pos = 0
+    prev = 1
 
+    def step(r, c):
+        nonlocal prev
+        top, p = a[r], a[r][c]
+        for i in range(n):
+            if i != r:
+                row, f = a[i], a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivot_rows[c] = r
+        prev = p
 
-def _exact_inverse(a):
-    n = len(a)
-    aug = [row[:] + [EXACT_ONE if i == j else EXACT_ZERO for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if bool(aug[r][col])), None)
-        if pivot is None:
-            raise SingularMatrixError("exact zero pivot column")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = EXACT_ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and bool(aug[r][col]):
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def exact_kernel_basis(rows):
-    """Basis of the null space of an exact matrix, via reduced row echelon."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    a = [[GaussianRational.coerce(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if bool(a[i][c])), None)
-        if pivot is None:
+    while remaining:
+        m = next((m for m in remaining if a[m][m]), None)
+        if m is not None:
+            if (a[m][m] > 0) == (prev > 0):
+                pos += 1
+            else:
+                neg += 1
+            step(m, m)
+            remaining.remove(m)
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = EXACT_ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and bool(a[i][c]):
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
+        pair = next(
+            ((i, j) for k, i in enumerate(remaining) for j in remaining[k + 1 :] if a[i][j]),
+            None,
+        )
+        if pair is None:
             break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [EXACT_ZERO] * n
-        vec[fc] = EXACT_ONE
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -a[row_idx][fc]
-        basis.append(vec)
-    return basis
+        i, j = pair
+        step(i, j)
+        step(j, i)
+        neg += 1
+        pos += 1
+        remaining.remove(i)
+        remaining.remove(j)
+    inertia = Inertia(neg, len(remaining), pos)
+    if remaining:
+        kernel = []
+        for f in remaining:
+            vec = [Fraction(int(k == f)) for k in range(n)]
+            for c, r in pivot_rows.items():
+                vec[c] = Fraction(-a[r][f], prev)
+            kernel.append(vec)
+        return Elimination(inertia, None, kernel)
+    solution = [[Fraction(x, prev) for x in a[pivot_rows[c]][n:]] for c in range(n)]
+    return Elimination(inertia, solution, [])

@@ -5,14 +5,12 @@ and accelerated with a second-order Richardson table; for rational functions
 the vertical path already realizes every nontangential limit.  On top of the
 limit machinery sit the Caratheodory-Julia consistency check (four limit
 quantities that must agree when the boundary derivative exists), sampled
-negative-squares counts of Nevanlinna kernels, the bordered-kernel solution
-criterion, the half-plane-to-disk Cayley conjugation, and the boundary value
-of a Blaschke-product kernel diagonal.
+negative-squares counts of Nevanlinna kernels and the bordered-kernel
+solution criterion.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,10 +24,9 @@ from ._sections import (
     pole_free_grid,
     span_of,
 )
-from .algebra import EXACT_I, Polynomial, RationalFunction
-from .errors import InvalidDataError, NotNevanlinnaError, PoleError
+from .algebra import Polynomial, RationalFunction
+from .errors import PoleError
 from .problem import PickSystem
-from .transform import Parameter
 
 
 class LimitKind(Enum):
@@ -308,108 +305,3 @@ def fmi_check(
     )
     full = (full + full.conj().T) / 2.0
     return negative_count(full, config.eig_tol)
-
-
-_CAYLEY_CHECK_SEED = 20260809
-
-
-def cayley_transform(w, verify: bool = True) -> RationalFunction:
-    """Conjugate a half-plane function to the disk: S = beta o w o beta^(-1).
-
-    ``w`` may be a rational function or a parameter (the infinite parameter
-    maps to the constant 1).  The output has complex coefficients in general.
-    The kernel correspondence between w and S is spot-checked numerically at
-    seeded point pairs unless ``verify`` is false.
-    """
-    if isinstance(w, Parameter):
-        if w.is_infinite:
-            return RationalFunction.constant(1)
-        w = w.as_rational()
-    if w.is_constant and w.constant_value() == -EXACT_I:
-        raise NotNevanlinnaError("the constant -i admits no disk conjugation")
-    # beta^(-1)(zeta) = i (1 + zeta) / (1 - zeta), so beta(beta^(-1)) = id
-    inner = RationalFunction(Polynomial((EXACT_I, EXACT_I)), Polynomial((1, -1)))
-    g = w.compose(inner)
-    denom = g + RationalFunction.constant(EXACT_I)
-    if denom.is_zero:
-        raise NotNevanlinnaError("the constant -i admits no disk conjugation")
-    s = (g - RationalFunction.constant(EXACT_I)) / denom
-    if verify:
-        _verify_cayley_kernel(w, s)
-    return s
-
-
-def _verify_cayley_kernel(w: RationalFunction, s: RationalFunction, pairs: int = 20):
-    rng = random.Random(_CAYLEY_CHECK_SEED)
-    checked = 0
-    attempts = 0
-    while checked < pairs and attempts < 20 * pairs:
-        attempts += 1
-        z1 = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
-        z2 = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
-        try:
-            w1, w2 = complex(w.eval(z1)), complex(w.eval(z2))
-            beta1, beta2 = (z1 - 1j) / (z1 + 1j), (z2 - 1j) / (z2 + 1j)
-            s1, s2 = complex(s.eval(beta1)), complex(s.eval(beta2))
-        except PoleError:
-            continue
-        if abs(beta1 - beta2) < 1e-8 or min(abs(w1 + 1j), abs(w2 + 1j)) < 1e-8:
-            continue
-        lhs = (1 - s1 * np.conj(s2)) / (1 - beta1 * np.conj(beta2))
-        phi1 = 2.0 / ((w1 + 1j) * (1 - beta1))
-        phi2 = 2.0 / ((w2 + 1j) * (1 - beta2))
-        k_w = (w1 - np.conj(w2)) / (z1 - np.conj(z2))
-        rhs = phi1 * k_w * np.conj(phi2)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        if abs(lhs - rhs) > 1e-8 * scale:
-            raise ArithmeticError(
-                f"disk/half-plane kernel correspondence failed at ({z1}, {z2})"
-            )
-        checked += 1
-
-
-def blaschke_boundary_value(zeros, t0) -> float:
-    """Boundary limit of the Blaschke-product kernel diagonal at |t0| = 1.
-
-    Computed as the extrapolated radial limit of (1-|b(z)|^2)/(1-|z|^2) and
-    cross-checked against the closed form (1-|c|^2)/|1-t0 conj(c)|^2 when the
-    product has a single factor.  The limit is finite and positive.
-    """
-    zeros = [complex(c) for c in zeros]
-    if any(abs(c) >= 1.0 for c in zeros):
-        raise InvalidDataError("Blaschke zeros must lie strictly inside the unit disk")
-    t0 = complex(t0)
-    if abs(abs(t0) - 1.0) > 1e-12:
-        raise InvalidDataError("boundary point must lie on the unit circle")
-
-    def b(z: complex) -> complex:
-        out = 1.0 + 0.0j
-        for c in zeros:
-            out *= (z - c) / (1.0 - z * np.conj(c))
-        return out
-
-    raw = []
-    r1: list = []
-    r2: list = []
-    result = None
-    for k in range(60):
-        s = 2.0 ** (-k)
-        z = t0 * (1.0 - s)
-        denom = 2.0 * s - s * s  # 1 - |z|^2 without cancellation
-        raw.append((1.0 - abs(b(z)) ** 2) / denom)
-        if len(raw) >= 2:
-            r1.append(2.0 * raw[-1] - raw[-2])
-        if len(r1) >= 2:
-            r2.append((4.0 * r1[-1] - r1[-2]) / 3.0)
-        if len(r2) >= 2 and abs(r2[-1] - r2[-2]) <= 1e-10 * max(1.0, abs(r2[-1])):
-            result = r2[-1]
-            break
-    if result is None:
-        result = r2[-1]
-    result = float(np.real(result))
-    if len(zeros) == 1:
-        c = zeros[0]
-        closed = (1.0 - abs(c) ** 2) / abs(1.0 - t0 * np.conj(c)) ** 2
-        if abs(result - closed) > 1e-8 * max(1.0, closed):
-            raise ArithmeticError("Blaschke boundary limit disagrees with closed form")
-    return result

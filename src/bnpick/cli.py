@@ -199,7 +199,7 @@ def cmd_pick(args) -> int:
 def cmd_solve(args) -> int:
     config = _load_config(args)
     data = _load_problem(args, config)
-    bundle = solve(data, rank_tol=config.rank_tol, config=config.grid)
+    bundle = solve(data, rank_tol=config.rank_tol, config=config.grid, tol=config.verify_tol)
     _emit(bundle.to_json(), args, config)
     return 0
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    EXACT_I,
-    EXACT_ZERO,
     GaussianRational,
     HermitianMatrix,
     Inertia,
@@ -27,6 +25,7 @@ from .algebra import (
     matrix_inverse,
     scalar_from_json,
     scalar_to_json,
+    symmetric_elimination,
 )
 from .errors import InvalidDataError
 
@@ -50,13 +49,6 @@ INFINITY = _Infinity()
 
 def is_infinite(value) -> bool:
     return value is INFINITY
-
-
-# Fixed 2x2 signature matrix [[0, -i], [i, 0]]; J* = J and J^2 = I.
-SIGNATURE_J = (
-    (EXACT_ZERO, -EXACT_I),
-    (EXACT_I, EXACT_ZERO),
-)
 
 
 def _as_real_scalar(value, to_float: bool):
@@ -206,8 +198,6 @@ class PickSystem:
     eta: tuple | None = None
     tilde_p_diag: tuple | None = None
 
-    J = SIGNATURE_J
-
     @property
     def n(self) -> int:
         return self.data.n
@@ -226,24 +216,45 @@ class PickSystem:
 
 
 def _real_part(value):
-    if isinstance(value, GaussianRational):
-        if not value.is_real:
-            raise InvalidDataError("expected a real entry")
-        return value.re
-    if isinstance(value, complex):
-        return value.real
-    return value
+    return value.re if isinstance(value, GaussianRational) else value.real
 
 
 def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
-    """Assemble P, X, E, C and, when P is invertible, the derived block."""
+    """Assemble P, X, E, C and, when P is invertible, the derived block.
+
+    On the exact lane one ``symmetric_elimination`` of [P | I | E^T | C^T]
+    gives the inertia and, when P is invertible, P^(-1) with the rows
+    E P^(-1) and C P^(-1) as its last two columns (P is symmetric).  The
+    float lane counts the spectrum and inverts with numpy.
+    """
     P = build_pick(data)
-    inertia = hermitian_inertia(P, rank_tol)
     n, ell = data.n, data.ell
     one = Fraction(1) if data.exact else 1.0
     zero = Fraction(0) if data.exact else 0.0
     E = tuple(one if i < ell else zero for i in range(n))
     C = tuple(data.values[i] if i < ell else data.residues[i - ell] for i in range(n))
+    p_inv = None
+    if data.exact:
+        rhs = [[int(i == j) for j in range(n)] + [E[i], C[i]] for i in range(n)]
+        elimination = symmetric_elimination(P.rows, rhs)
+        inertia = elimination.inertia
+        if elimination.solution is not None:
+            p_inv = tuple(tuple(row[:n]) for row in elimination.solution)
+            tilde_e = tuple(row[n] for row in elimination.solution)
+            tilde_c = tuple(row[n + 1] for row in elimination.solution)
+    else:
+        inertia = hermitian_inertia(P, rank_tol)
+        if inertia.zeros == 0:
+            p_inv = tuple(tuple(x.real for x in row) for row in matrix_inverse(P))
+            # E is 1 on the regular nodes and 0 elsewhere, so E P^(-1) sums the
+            # regular rows: bit-identical to the products, as 1 * x == x and
+            # adding +-0.0 leaves a sum that starts at +0.0 unchanged
+            tilde_e = tuple(
+                sum((p_inv[i][j] for i in range(ell)), start=zero) for j in range(n)
+            )
+            tilde_c = tuple(
+                sum((C[i] * p_inv[i][j] for i in range(n)), start=zero) for j in range(n)
+            )
     system = dict(
         data=data,
         P=P,
@@ -254,18 +265,7 @@ def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
         kappa=inertia.negatives,
         rank_tol=rank_tol,
     )
-    if inertia.zeros == 0:
-        inv_rows = matrix_inverse(P)
-        p_inv = tuple(tuple(_real_part(x) for x in row) for row in inv_rows)
-        # E is 1 on the regular nodes and 0 elsewhere, so E P^(-1) sums the
-        # regular rows: bit-identical to the products, as 1 * x == x and
-        # adding +-0.0 leaves a sum that starts at +0.0 unchanged
-        tilde_e = tuple(
-            sum((p_inv[i][j] for i in range(ell)), start=zero) for j in range(n)
-        )
-        tilde_c = tuple(
-            sum((C[i] * p_inv[i][j] for i in range(n)), start=zero) for j in range(n)
-        )
+    if p_inv is not None:
         eta = tuple(
             (tilde_c[i] / tilde_e[i]) if tilde_e[i] else INFINITY for i in range(n)
         )

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import HermitianMatrix, Polynomial, RationalFunction, exact_kernel_basis, hermitian_inertia
+from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
 from ._sections import DEFAULT_GRID, GridConfig, span_of
 from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limit
 from .errors import (
@@ -471,8 +471,7 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
     if sys.invertible:
         raise ValueError("Pick matrix is invertible; use the resolvent instead")
     if sys.exact:
-        basis = exact_kernel_basis([list(row) for row in sys.P.rows])
-        vectors = [[v.re for v in vec] for vec in basis]
+        vectors = symmetric_elimination(sys.P.rows).kernel
     else:
         arr = sys.P.to_numpy().real
         _, s, vh = np.linalg.svd(arr)
@@ -510,20 +509,22 @@ def solve(
     data: InterpolationData,
     rank_tol: float = 1e-9,
     config: GridConfig = DEFAULT_GRID,
+    tol: float = VERIFY_TOL,
 ) -> SolutionBundle:
     """Full pipeline: build the system, branch on invertibility.
 
     Invertible P yields the resolvent whose transform parameterizes all
     solutions; singular P yields the unique closed-form solution together
-    with a numerical verification report (boundary limits at every node and
-    the sampled bordered-kernel count, which must equal kappa).
+    with a numerical verification report (boundary limits at every node,
+    judged within ``tol``, and the sampled bordered-kernel count, which must
+    equal kappa).
     """
     sys = build_system(data, rank_tol)
     if sys.invertible:
         theta = build_theta(sys)
         return SolutionBundle(kind="parameterized", kappa=sys.kappa, theta=theta)
     w = solve_degenerate(sys)
-    verification = verify_candidate(sys, w, config=config)
+    verification = verify_candidate(sys, w, tol=tol, config=config)
     return SolutionBundle(kind="unique", kappa=sys.kappa, w=w, verification=verification)
 
 

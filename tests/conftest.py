@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick.problem import SIGNATURE_J
+from bnpick.algebra import GaussianRational
 
 F = Fraction
+
+EXACT_I = GaussianRational(0, 1)
+
+# The 2x2 signature matrix [[0, -i], [i, 0]] of the resolvent; J* = J and J^2 = I.
+SIGNATURE_J = (
+    (GaussianRational(0), -EXACT_I),
+    (EXACT_I, GaussianRational(0)),
+)
 
 
 def data_two_regular():
@@ -252,6 +260,110 @@ def exact_det(rows):
         sign = 1 if j % 2 == 0 else -1
         total += sign * rows[0][j] * exact_det(minor)
     return total
+
+
+def gauss_jordan_inverse(m):
+    """Inverse of an exact matrix by Gauss-Jordan elimination over its own
+    scalars, or None when it is singular: the reference of the exact
+    inverse."""
+    n = len(m)
+    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        top = [x / aug[col][col] for x in aug[col]]
+        aug[col] = top
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], top)]
+    return [row[n:] for row in aug]
+
+
+def rref_kernel_basis(rows):
+    """Basis of the null space of a Fraction matrix from its reduced row
+    echelon form, one vector per free column: the reference of the exact
+    kernel."""
+    a = [list(row) for row in rows]
+    m, n = len(a), len(a[0]) if a else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [F(int(c == fc)) for c in range(n)]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -a[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def degenerate_closed_form(sys_, y):
+    """w = sum y_i c_i / (z - x_i) / sum y_i e_i / (z - x_i) for a kernel
+    vector y, over the full node product: the reference of the degenerate
+    solution."""
+    partial = [
+        b.Polynomial.from_real_roots([x for j, x in enumerate(sys_.X) if j != i])
+        for i in range(sys_.n)
+    ]
+    num = den = b.Polynomial(())
+    for i in range(sys_.n):
+        num = num + partial[i].scale(y[i] * sys_.C[i])
+        den = den + partial[i].scale(y[i] * sys_.E[i])
+    return b.RationalFunction(num, den)
+
+
+def schur_inertia(rows):
+    """Inertia (negatives, zeros, positives) of a real symmetric exact matrix
+    by Schur-complement updates over Fractions, with diagonal pivots and a
+    zero-diagonal 2x2 block [[0, a], [a, 0]] -- one eigenvalue of each sign --
+    when no diagonal pivot is left: the reference of the exact inertia."""
+    rows = [[F(x) for x in row] for row in rows]
+    active = list(range(len(rows)))
+    neg = pos = 0
+    while active:
+        pivot = next((p for p in active if rows[p][p]), None)
+        if pivot is not None:
+            d = rows[pivot][pivot]
+            pos, neg = (pos + 1, neg) if d > 0 else (pos, neg + 1)
+            rest = [i for i in active if i != pivot]
+            col = {i: rows[i][pivot] for i in rest}
+            for i in rest:
+                for j in rest:
+                    rows[i][j] -= col[i] * col[j] / d
+            active = rest
+            continue
+        off = next(
+            ((i, j) for k, i in enumerate(active) for j in active[k + 1 :] if rows[i][j]),
+            None,
+        )
+        if off is None:
+            return (neg, len(active), pos)
+        i, j = off
+        a = rows[i][j]
+        pos += 1
+        neg += 1
+        rest = [k for k in active if k not in (i, j)]
+        ci = {k: rows[k][i] for k in rest}
+        cj = {k: rows[k][j] for k in rest}
+        for k in rest:
+            for m in rest:
+                # Schur update with B^(-1) = [[0, 1/a], [1/a, 0]]
+                rows[k][m] -= (cj[k] * rows[i][m] + ci[k] * rows[j][m]) / a
+        active = rest
+    return (neg, 0, pos)
 
 
 def random_invertible_system(rng, n_max=5):

@@ -15,10 +15,12 @@ from conftest import (
     data_degenerate,
     data_mixed,
     data_two_regular,
+    degenerate_closed_form,
     golden_theta_mixed,
     golden_theta_two_regular,
     random_invertible_system,
     random_singular_data,
+    rref_kernel_basis,
     rf,
     unique_solution,
 )
@@ -185,30 +187,13 @@ def test_criterion_9_property_suites():
 
     # degenerate closed form independent of the kernel vector: rebuild the
     # solution from rescaled kernel vectors and demand exact equality
-    from bnpick.algebra import exact_kernel_basis
-
     for _ in range(10):
         data = random_singular_data(rng)
         sys_ = b.build_system(data)
         w = b.solve_degenerate(sys_)  # with nullity > 1, asserts agreement inside
         assert w.is_real()
-        basis = exact_kernel_basis([list(row) for row in sys_.P.rows])
-        for vec in basis:
-            scaled = [F(-7, 3) * v.re for v in vec]
-            partial = [
-                b.Polynomial.from_real_roots(
-                    [x for j, x in enumerate(sys_.X) if j != i]
-                )
-                for i in range(sys_.n)
-            ]
-            num = b.Polynomial(())
-            den = b.Polynomial(())
-            for i in range(sys_.n):
-                num = num + partial[i].scale(scaled[i] * sys_.C[i])
-                den = den + partial[i].scale(scaled[i] * sys_.E[i])
-            if den.is_zero:
-                continue
-            assert b.RationalFunction(num, den) == w
+        for vec in rref_kernel_basis([[v.re for v in row] for row in sys_.P.rows]):
+            assert degenerate_closed_form(sys_, [F(-7, 3) * v for v in vec]) == w
 
     # the Nevanlinna sampler never flags these
     for phi in (b.Parameter.rational(rf((0, 1))),

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick.algebra import EXACT_ZERO, POLE_TOL, GaussianRational, RationalSampler, exact_kernel_basis
+from bnpick.algebra import EXACT_ZERO, POLE_TOL, GaussianRational, RationalSampler, symmetric_elimination
 
-from conftest import exact_det, random_fraction, rf
+from conftest import exact_det, gauss_jordan_inverse, random_fraction, rf, schur_inertia
 
 F = Fraction
 GR = GaussianRational
@@ -170,6 +170,32 @@ class TestPolynomial:
         assert not p.exact
 
 
+def random_symmetric(rng, n, kind):
+    """A random exact symmetric matrix of one of four kinds: "general",
+    "zero_lead" (zero leading diagonal entries, so the elimination must
+    pivot symmetrically), "zero_diagonal" (every diagonal entry zero, so it
+    must take 2x2 pivots) and "singular" (rank below n by construction)."""
+    if kind == "singular":
+        rank = rng.randint(0, n - 1)
+        t = [[random_fraction(rng, span=3, den=2) for _ in range(n)] for _ in range(rank)]
+        d = [rng.choice((-1, 1)) * random_fraction(rng, nonzero=True) for _ in range(rank)]
+        return [
+            [sum((t[k][i] * d[k] * t[k][j] for k in range(rank)), F(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = random_fraction(rng, span=5, den=7)
+    if kind == "zero_lead":
+        for i in range(rng.randint(1, n)):
+            m[i][i] = F(0)
+    elif kind == "zero_diagonal":
+        for i in range(n):
+            m[i][i] = F(0)
+    return m
+
+
 class TestHermitianInertia:
     def test_golden_pick_matrix(self):
         m = b.HermitianMatrix([[-1, 1], [1, 1]])
@@ -189,6 +215,10 @@ class TestHermitianInertia:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             b.HermitianMatrix([[0, 1], [2, 0]])
+
+    def test_non_real_exact_rejected(self):
+        with pytest.raises(ValueError, match="not real"):
+            b.HermitianMatrix([[1, GR(0, 1)], [GR(0, -1), 1]])
 
     def test_exact_matches_float_spectrum(self):
         rng = random.Random(5)
@@ -226,26 +256,6 @@ class TestHermitianInertia:
             done += 1
 
 
-def gauss_jordan_inverse(m):
-    """Inverse of an exact matrix by Gauss-Jordan elimination over its own
-    scalars (Fractions or Gaussian rationals), or None when it is singular:
-    the reference of the exact inverses."""
-    n = len(m)
-    aug = [list(row) + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        top = [x / aug[col][col] for x in aug[col]]
-        aug[col] = top
-        for r in range(n):
-            factor = aug[r][col]
-            if r != col and factor:
-                aug[r] = [x - factor * y for x, y in zip(aug[r], top)]
-    return [row[n:] for row in aug]
-
-
 class TestMatrixInverse:
     def test_golden_inverse(self):
         inv = b.matrix_inverse([[F(-1), F(1)], [F(1), F(1)]])
@@ -264,52 +274,90 @@ class TestMatrixInverse:
         with pytest.raises(b.SingularMatrixError):
             b.matrix_inverse([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
 
+    def test_non_symmetric_exact_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            b.matrix_inverse([[F(1), F(2)], [F(3), F(4)]])
+
     def test_exact_round_trip(self):
         rng = random.Random(3)
-        done = swapped = 0
-        while done < 40:
-            n = rng.randint(1, 10)
-            m = [[F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)] for _ in range(n)]
-            if done % 3 == 0:
-                m[0][0] = F(0)  # the elimination must swap rows
+        kinds = ("general", "zero_lead", "zero_diagonal", "singular")
+        seen = dict.fromkeys(kinds, 0)
+        for draw in range(80):
+            kind = kinds[draw % 4]
+            m = random_symmetric(rng, rng.randint(1, 10), kind)
+            n = len(m)
             reference = gauss_jordan_inverse(m)
             if reference is None:
                 with pytest.raises(b.SingularMatrixError):
                     b.matrix_inverse(m)
                 continue
             inv = b.matrix_inverse(m)
-            assert all(inv[i][j] == reference[i][j] for i in range(n) for j in range(n))
+            assert all(type(v) is F for row in inv for v in row)
+            assert inv == reference
             for i in range(n):
                 for j in range(n):
                     entry = sum(m[i][k] * inv[k][j] for k in range(n))
                     assert entry == (1 if i == j else 0)
-            swapped += not m[0][0]
-            done += 1
-        assert swapped >= 10
-        # non-real entries take the Gauss-Jordan path over Gaussian rationals
-        def random_part():
-            return F(rng.randint(-5, 5), rng.randint(1, 7))
-
-        for _ in range(8):
-            n = rng.randint(1, 5)
-            m = [[GR(random_part(), random_part()) for _ in range(n)] for _ in range(n)]
-            m[0][0] = GR(0, 1)
-            reference = gauss_jordan_inverse(m)
-            inv = b.matrix_inverse(m)
-            assert all(inv[i][j] == reference[i][j] for i in range(n) for j in range(n))
-            for i in range(n):
-                for j in range(n):
-                    entry = sum((m[i][k] * inv[k][j] for k in range(n)), GR(0))
-                    assert entry == (1 if i == j else 0)
-        with pytest.raises(b.SingularMatrixError):
-            b.matrix_inverse([[GR(1, 1), GR(2, 2)], [GR(1), GR(2)]])
+            seen[kind] += 1
+        assert seen["general"] >= 15 and seen["zero_lead"] >= 15
+        assert seen["zero_diagonal"] >= 5 and seen["singular"] == 0
 
     def test_kernel_basis(self):
-        basis = exact_kernel_basis([[F(-1), F(1)], [F(1), F(-1)]])
-        assert len(basis) == 1
-        y = basis[0]
+        kernel = symmetric_elimination([[F(-1), F(1)], [F(1), F(-1)]]).kernel
+        assert len(kernel) == 1
+        y = kernel[0]
         assert -y[0] + y[1] == 0 and y[0] - y[1] == 0
         assert any(bool(v) for v in y)
+
+
+class TestSymmetricElimination:
+    """The one exact elimination against independent references: Schur
+    updates for the inertia, Gauss-Jordan for the solution, P V = 0 for the
+    kernel."""
+
+    def test_matches_references(self):
+        rng = random.Random(41)
+        kinds = ("general", "zero_lead", "zero_diagonal", "singular")
+        zeros_seen = two_by_two = 0
+        for draw in range(240):
+            kind = kinds[draw % 4]
+            n = rng.randint(1, 10)
+            m = random_symmetric(rng, n, kind)
+            width = rng.randint(0, 3)
+            rhs = [[random_fraction(rng) for _ in range(width)] for _ in range(n)]
+            out = symmetric_elimination(m, rhs)
+            assert out.inertia == schur_inertia(m)
+            zeros = out.inertia.zeros
+            assert len(out.kernel) == zeros
+            if zeros:
+                zeros_seen += 1
+                assert out.solution is None
+                for v in out.kernel:
+                    assert all(type(x) is F for x in v)
+                    assert all(sum(m[i][k] * v[k] for k in range(n)) == 0 for i in range(n))
+                gram = [[sum(u[k] * v[k] for k in range(n)) for v in out.kernel] for u in out.kernel]
+                assert exact_det(gram) != 0  # the kernel vectors are independent
+                continue
+            inverse = gauss_jordan_inverse(m)
+            expected = [
+                [sum(inverse[i][k] * rhs[k][j] for k in range(n)) for j in range(width)]
+                for i in range(n)
+            ]
+            assert out.solution == expected
+            two_by_two += kind == "zero_diagonal"
+        assert zeros_seen >= 60 and two_by_two >= 40
+
+    def test_empty_and_zero_matrices(self):
+        assert symmetric_elimination([]) == ((0, 0, 0), [], [])
+        out = symmetric_elimination([[0, 0], [0, 0]])
+        assert out.inertia == (0, 2, 0) and out.solution is None
+        assert out.kernel == [[1, 0], [0, 1]]
+
+    def test_accepts_gaussian_rational_rows(self):
+        rows = b.HermitianMatrix([[F(1, 2), F(-3)], [F(-3), 0]]).rows
+        out = symmetric_elimination(rows, [[1, 0], [0, 1]])
+        assert out.inertia == (1, 0, 1)
+        assert out.solution == gauss_jordan_inverse([[F(1, 2), F(-3)], [F(-3), F(0)]])
 
 
 class TestRationalSimplify:

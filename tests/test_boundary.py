@@ -5,7 +5,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 import bnpick as b
 from bnpick import boundary
@@ -275,62 +274,3 @@ class TestFmiCheck:
     def test_non_solution_exceeds_kappa(self, sys1):
         for config in (b.DEFAULT_GRID, DENSE_GRID):
             assert b.fmi_check(sys1, rf((0, -1)), config=config) >= 2
-
-
-class TestCayleyTransform:
-    def test_constant_zero(self):
-        assert b.cayley_transform(rf((0,), (1,))) == b.RationalFunction.constant(-1)
-
-    def test_identity_maps_to_identity(self):
-        assert b.cayley_transform(rf((0, 1))) == rf((0, 1))
-
-    def test_infinite_parameter_maps_to_one(self):
-        assert b.cayley_transform(b.Parameter.infinity()) == rf((1,))
-
-    def test_minus_i_rejected(self):
-        from bnpick.algebra import GaussianRational
-
-        minus_i = b.RationalFunction.constant(GaussianRational(0, -1))
-        with pytest.raises(b.NotNevanlinnaError):
-            b.cayley_transform(minus_i)
-
-    def test_conjugation_identity_at_samples(self):
-        # S(beta(z)) == beta(w(z)) pointwise off the poles
-        rng = random.Random(29)
-        for f in (unique_solution(), rf((-1,), (0, 1)), rf((1, 0, 1), (0, 2))):
-            s = b.cayley_transform(f)
-            for _ in range(10):
-                z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
-                try:
-                    wv = complex(f.eval(z))
-                    sv = complex(s.eval((z - 1j) / (z + 1j)))
-                except b.PoleError:
-                    continue
-                assert abs(sv - (wv - 1j) / (wv + 1j)) < 1e-9
-
-
-class TestBlaschkeBoundaryValue:
-    def test_single_zero_at_origin(self):
-        assert abs(b.blaschke_boundary_value([0], 1) - 1.0) < 1e-10
-
-    def test_single_zero_half(self):
-        assert abs(b.blaschke_boundary_value([0.5], 1) - 3.0) < 1e-8
-
-    def test_double_zero_at_origin(self):
-        assert abs(b.blaschke_boundary_value([0, 0], 1j) - 2.0) < 1e-8
-
-    def test_two_distinct_zeros_match_sum_formula(self):
-        zeros = [0.5, -1 / 3]
-        t0 = 1.0
-        expected = sum(
-            (1 - abs(c) ** 2) / abs(1 - t0 * complex(c).conjugate()) ** 2 for c in zeros
-        )
-        assert abs(b.blaschke_boundary_value(zeros, t0) - expected) < 1e-8
-
-    def test_zero_outside_disk_rejected(self):
-        with pytest.raises(b.InvalidDataError):
-            b.blaschke_boundary_value([1.5], 1)
-
-    def test_off_circle_point_rejected(self):
-        with pytest.raises(b.InvalidDataError):
-            b.blaschke_boundary_value([0], 0.5)

@@ -237,6 +237,18 @@ class TestConfig:
             verdicts.append(doc["nodes"][0]["problem1"])
         assert verdicts == [False, True]
 
+    def test_verify_tol_key_changes_the_solve_verdict(self, capsys, tmp_path):
+        # ex103 has a singular P; the extrapolated value limit of its unique
+        # solution misses w(-1/2) = 0 by about 1e-14, within 1e-6 but not 1e-16
+        verdicts = []
+        for tol in (1e-16, 1e-6):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"verify_tol": tol}))
+            doc = run_json(capsys, "solve", "--problem", str(DEMOS / "ex103.json"),
+                           "--config", str(config))
+            verdicts.append(doc["verification"]["nodes"][0]["problem1"])
+        assert verdicts == [False, True]
+
     def test_grid_key_reaches_the_degenerate_verification(self, capsys, tmp_path):
         # ex103 has a singular P; an eigenvalue slack of 10 hides the one
         # negative square of (2z+1)/(2z-1) from the sampled counts

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
+from bnpick import problem
 
 from conftest import (
+    SIGNATURE_J,
     data_degenerate,
     data_mixed,
     data_two_regular,
@@ -109,8 +111,8 @@ class TestBuildSystem:
         assert sys2.C == (F(0), F(-1))
         assert sys2.X == (F(1), F(0))
 
-    def test_signature_matrix(self, sys1):
-        J = sys1.J
+    def test_signature_matrix(self):
+        J = SIGNATURE_J
         # J* = J and J^2 = I
         assert J[0][1] == -J[1][0].conjugate() or J[0][1] == J[1][0].conjugate()
         prod00 = J[0][0] * J[0][0] + J[0][1] * J[1][0]
@@ -218,6 +220,50 @@ class TestDerivedIdentities:
             assert [repr(v) for v in sys_.tilde_e] == [repr(v) for v in products]
             ells.add((sys_.exact, "none" if sys_.ell == 0 else "all" if sys_.ell == n else "some"))
         assert len(ells) == 6
+
+    def test_one_elimination_per_exact_system(self, monkeypatch):
+        # one symmetric_elimination per exact system gives the inertia,
+        # P^(-1) and the tilde rows: no Fraction product or sum forms them
+        datas = [data_two_regular(), data_mixed(), data_degenerate()]
+        datas.append(grid_system(random.Random(15), 8, exact=True).data)
+        calls, arithmetic = [], []
+        original = problem.symmetric_elimination
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(problem, "symmetric_elimination", counted)
+        for name in ("__mul__", "__add__"):
+            op = getattr(F, name)
+
+            def spied(x, y, op=op, name=name):
+                arithmetic.append(name)
+                return op(x, y)
+
+            monkeypatch.setattr(F, name, spied)
+        systems = [b.build_system(d) for d in datas]
+        monkeypatch.undo()
+        assert calls == [2, 2, 2, 8] and arithmetic == []
+        assert [s.invertible for s in systems] == [True, True, False, True]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_grid_system_matches_fraction_products(self, n):
+        # reference: P P^(-1) = I, te = E P^(-1), tc = C P^(-1) and
+        # eta = tc / te, all in Fraction arithmetic
+        sys_ = grid_system(random.Random(7 + n), n, exact=True)
+        P = [[v.re for v in row] for row in sys_.P.rows]
+        inv = sys_.p_inv
+        for i in range(n):
+            for j in range(n):
+                assert sum(P[i][k] * inv[k][j] for k in range(n)) == (i == j)
+        for row, tilde in ((sys_.E, sys_.tilde_e), (sys_.C, sys_.tilde_c)):
+            assert tilde == tuple(sum((row[i] * inv[i][j] for i in range(n)), F(0)) for j in range(n))
+        assert sys_.eta == tuple(
+            sys_.tilde_c[i] / sys_.tilde_e[i] if sys_.tilde_e[i] else b.INFINITY for i in range(n)
+        )
+        assert sys_.tilde_p_diag == tuple(inv[i][i] for i in range(n))
+        assert all(type(v) is F for row in inv for v in row)
 
     def test_float_backend_matches_exact(self):
         d = data_two_regular()

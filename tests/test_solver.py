@@ -12,9 +12,11 @@ from conftest import (
     STANDARD_SWEEP,
     data_degenerate,
     data_two_regular,
+    degenerate_closed_form,
     random_data,
     random_singular_data,
     rf,
+    rref_kernel_basis,
     unique_solution,
 )
 
@@ -359,15 +361,8 @@ class TestSolveDegenerate:
         # the closed form is 0-homogeneous in the kernel vector
         w = b.solve_degenerate(sys3)
         for scale in (F(2), F(-5, 3)):
-            y = [scale, scale]  # kernel of [[-1,1],[1,-1]] is spanned by (1,1)
-            partial = [b.Polynomial.from_real_roots([x for j, x in enumerate(sys3.X) if j != i])
-                       for i in range(2)]
-            num = b.Polynomial(())
-            den = b.Polynomial(())
-            for i in range(2):
-                num = num + partial[i].scale(y[i] * sys3.C[i])
-                den = den + partial[i].scale(y[i] * sys3.E[i])
-            assert b.RationalFunction(num, den) == w
+            # the kernel of [[-1,1],[1,-1]] is spanned by (1,1)
+            assert degenerate_closed_form(sys3, [scale, scale]) == w
 
     def test_boundary_conditions_of_unique_solution(self, sys3):
         w = b.solve_degenerate(sys3)
@@ -393,6 +388,23 @@ class TestSolveDegenerate:
             sys_ = b.build_system(data)
             w = b.solve_degenerate(sys_)
             assert w.is_real()
+
+    def test_matches_the_row_echelon_kernel_route(self):
+        # reference: the closed form from the first kernel vector of the
+        # reduced row echelon form of P, the route before the symmetric
+        # elimination
+        rng = random.Random(89)
+        datas = [random_singular_data(rng, n_max=8) for _ in range(30)]
+        datas.append(b.InterpolationData(nodes=(F(0), F(1), F(2)), values=(F(3),) * 3,
+                                         derivative_bounds=(F(0),) * 3, residues=()))
+        nullities = set()
+        for data in datas:
+            sys_ = b.build_system(data)
+            basis = rref_kernel_basis([[v.re for v in row] for row in sys_.P.rows])
+            assert len(basis) == sys_.inertia.zeros
+            assert b.solve_degenerate(sys_) == degenerate_closed_form(sys_, basis[0])
+            nullities.add(len(basis))
+        assert nullities == {1, 3}
 
     def test_invertible_system_rejected(self, sys1):
         with pytest.raises(ValueError):
