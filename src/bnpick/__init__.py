@@ -27,6 +27,7 @@ from .boundary import (
     fmi_check,
     kernel_negative_squares,
     nt_limit,
+    nt_limits,
 )
 from .errors import (
     BnpickError,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
 
 
 @dataclass(frozen=True)
@@ -59,23 +58,20 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     """Grid points nudged off the upper poles of f, and f sampled there.
 
     Returns (points, values).  A point still on a pole is skipped; every
-    value comes from f's one ``RationalSampler``, so callers sample nothing
-    twice.
+    value comes from one ``split_samples`` pass of f's ``RationalSampler``,
+    bit-identical to sampling the points one by one, so callers sample
+    nothing twice.
     """
-    avoid = ()
-    if f.den.degree >= 1:
-        roots = np.roots(f.den.to_complex_array()[::-1])
-        avoid = tuple(r for r in roots if r.imag > 1e-9)
-    sample = f.sampler
-    points, values = [], []
-    for z in upper_half_grid(span, config, avoid=avoid):
-        try:
-            value = sample(z)
-        except PoleError:
-            continue
-        points.append(z)
-        values.append(value)
-    return points, values
+    avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
+    grid = upper_half_grid(span, config, avoid=avoid)
+    with np.errstate(all="ignore"):
+        values, pole = f.sampler.split_samples(
+            np.array([[z.real for z in grid], [z.imag for z in grid]])
+        )
+    re, im = values[:, 0]
+    kept = [j for j, skip in enumerate(pole.tolist()) if not skip]
+    re, im = re.tolist(), im.tolist()
+    return [grid[j] for j in kept], [complex(re[j], im[j]) for j in kept]
 
 
 def span_of(values, fallback=(-1.0, 1.0)):

@@ -619,10 +619,7 @@ class RationalFunction:
 
     def real_poles(self) -> list:
         """Real roots of the canonical denominator (float values)."""
-        if self.den.degree < 1:
-            return []
-        roots = np.roots(self.den.to_complex_array()[::-1])
-        return sorted(r.real for r in roots if abs(r.imag) < 1e-9)
+        return sorted(r.real for r in self.sampler.poles if abs(r.imag) < 1e-9)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -724,10 +721,20 @@ class RationalFunction:
         return RationalFunction(top, bot)
 
 
-def _compiled(p: Polynomial) -> tuple:
-    """Coefficients of p in floating point, highest degree first, for Horner."""
+def _compiled(p: Polynomial, slope: bool = False) -> tuple:
+    """Coefficients of p, or of p' when ``slope``, in floating point, highest
+    degree first, for Horner.
+
+    An exact coefficient k c (k = 1, or the power for p') is converted part
+    by part as one correctly rounded integer division: the float of the
+    exact value, as ``complex(k * c)`` gives, without forming k c.
+    """
+    if not p.exact:
+        return tuple(reversed((p.derivative() if slope else p).coeffs))
+    terms = list(enumerate(p.coeffs))[1:] if slope else [(1, c) for c in p.coeffs]
     return tuple(
-        complex(c) if isinstance(c, GaussianRational) else c for c in reversed(p.coeffs)
+        complex((k * c.re.numerator) / c.re.denominator, (k * c.im.numerator) / c.im.denominator)
+        for k, c in reversed(terms)
     )
 
 
@@ -748,16 +755,29 @@ class RationalSampler:
     samples are bit-identical to evaluating the exact polynomials at the same
     float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
     Each function keeps one sampler (``RationalFunction.sampler``).
+
+    ``split_samples`` takes many points in one pass of float64 array
+    arithmetic and gives the same bits as the one-point call at each of them.
     """
 
-    __slots__ = ("_polys", "_num", "_den", "_slopes")
+    __slots__ = ("_polys", "_num", "_den", "_coeffs", "_poles")
 
     def __init__(self, func: RationalFunction):
         # the polynomials, not func: a cached sampler makes no reference cycle
         self._polys = func.num, func.den
         self._num = _compiled(func.num)
         self._den = _compiled(func.den)
-        self._slopes = None
+        self._coeffs = None
+        self._poles = None
+
+    @property
+    def poles(self) -> np.ndarray:
+        """The roots of the denominator (``np.roots``), found on first use;
+        the real poles and the grid's nudging both read them."""
+        if self._poles is None:
+            den = self._polys[1]
+            self._poles = np.roots(den.to_complex_array()[::-1]) if den.degree >= 1 else ()
+        return self._poles
 
     def _parts(self, z):
         num, den = _horner(self._num, z), _horner(self._den, z)
@@ -769,17 +789,105 @@ class RationalSampler:
         num, den = self._parts(z)
         return num / den
 
-    def derivative(self, z) -> complex:
-        """f'(z) by the quotient rule (n'd - nd')/d^2 evaluated pointwise.
+    def _coefficients(self, derivative: bool) -> np.ndarray:
+        """Coefficients of num and den, then of num' and den' when ``derivative``,
+        as an array of shape (degree + 1, 2, polynomials, 1): highest degree
+        first, real and imaginary parts on axis 1.
 
-        The derivatives of the numerator and denominator are compiled on
-        first use; f' itself is never formed as a rational function.
+        Shorter polynomials are padded with leading zeros.  That padding is
+        exact: from acc = 0 a step acc * z + 0 gives +0 + 0i again at every
+        finite z, so the first true coefficient meets the same zero
+        accumulator as in the one-polynomial Horner.  n' and d' are compiled
+        on first use and have no more coefficients than n or d.
         """
-        if self._slopes is None:
-            self._slopes = tuple(_compiled(p.derivative()) for p in self._polys)
-        num, den = self._parts(z)
-        dnum, dden = (_horner(c, z) for c in self._slopes)
-        return (dnum * den - num * dden) / (den * den)
+        if self._coeffs is None or (derivative and self._coeffs.shape[2] == 2):
+            polys = [self._num, self._den]
+            if derivative:
+                polys += [_compiled(p, slope=True) for p in self._polys]
+            width = max(len(c) for c in polys)
+            coeffs = np.zeros((width, len(polys), 1), dtype=complex)
+            for j, c in enumerate(polys):
+                coeffs[width - len(c) :, j, 0] = c
+            self._coeffs = np.stack([coeffs.real, coeffs.imag], axis=1)
+        return self._coeffs if derivative else self._coeffs[:, :, :2]
+
+    def split_samples(self, z, derivative: bool = False) -> tuple:
+        """f at the points z, and f' too when ``derivative``, in one pass of
+        float64 array arithmetic.
+
+        ``z`` and the values returned hold complex numbers as real and
+        imaginary parts stacked on axis 0: z has shape (2, points).  Returns
+        (values, pole): values of shape (2, 1, points) holding f, or (2, 2,
+        points) holding f and f', and where the pole rule holds (the values
+        are meaningless there).  f' is the quotient rule (n'd - nd')/d^2
+        from the compiled n' and d'; it is never formed as a rational
+        function.  Every complex operation is CPython's, written out in real
+        arithmetic (``split_product``, ``split_quotient``, C ``hypot`` for
+        the modulus), so each value has the bits of the one-point
+        evaluation; numpy's complex128 operations do not promise that.
+        Points near a pole overflow, so callers that keep warnings quiet
+        wrap the call in ``np.errstate``.
+        """
+        coeffs = self._coefficients(derivative)
+        # acc * z + c is split_product(acc, z) + c for every polynomial at
+        # once, with z's signed imaginary rows formed once
+        zr, zs = z[0], (z[1] * _SIGNS[:, np.newaxis])[:, np.newaxis]
+        acc = np.zeros((2, coeffs.shape[2], z.shape[1]))
+        for c in coeffs:
+            acc = acc * zr + acc[::-1] * zs
+            acc += c
+        both = np.hypot(acc[0, :2], acc[1, :2])
+        # fmax(|n|, 1) is Python's max(1.0, |n|), NaN included
+        pole = both[1] < POLE_TOL * np.fmax(both[0], 1.0)
+        if derivative:
+            # n'd, nd' and d^2 in one product; f' = (n'd - nd') / d^2
+            terms = split_product(acc[:, [2, 0, 1]], acc[:, [1, 3, 1]])
+            acc[:, 2] = terms[:, 0] - terms[:, 1]
+            acc[:, 3] = terms[:, 2]
+            return split_quotient(acc[:, 0::2], acc[:, 1::2]), pole
+        return split_quotient(acc[:, :1], acc[:, 1:]), pole
+
+
+_SIGNS = np.array([-1.0, 1.0])
+_ROTATE = np.array([1.0, -1.0])
+
+
+def _axis0(pair, ndim: int) -> np.ndarray:
+    """A two-entry vector shaped to broadcast along axis 0 of an ndim array."""
+    return pair.reshape((2,) + (1,) * (ndim - 1))
+
+
+def split_product(a, b):
+    """a * b for complex arrays stored as real and imaginary parts stacked
+    on axis 0, as CPython's ``_Py_c_prod`` computes it: (a0 b0 - a1 b1,
+    a1 b0 + a0 b1).  a * b0 + swap(a) * (-b1, b1) is that term for term:
+    negating a product is exact, and so is swapping the terms of a sum."""
+    return a * b[0] + a[::-1] * (b[1] * _axis0(_SIGNS, np.ndim(b)))
+
+
+def split_quotient(a, b):
+    """a / b for stacked complex arrays (see ``split_product``), as CPython's
+    ``_Py_c_quot`` computes it: Smith's method, dividing through by the
+    larger part of the divisor; a NaN in the divisor gives NaN.  CPython
+    raises on a zero divisor where this gives NaN.
+
+    Where |Im b| > |Re b|, Smith's second branch is the first branch applied
+    to a (-i) / b (-i): the rotation swaps the parts and negates one, which
+    is exact, and the branch's formulas then match term for term.
+    """
+    first = np.abs(b[0]) >= np.abs(b[1])
+    if np.count_nonzero(first) < first.size:  # some divisor needs the second branch
+        rotate = _axis0(_ROTATE, a.ndim)
+        top, bottom = a[::-1] * rotate, b[::-1] * rotate
+        np.copyto(top, a, where=first)
+        np.copyto(bottom, b, where=first)
+        a, b = top, bottom
+    ratio = b[1] / b[0]
+    denom = b[0] + b[1] * ratio
+    out = np.empty_like(a)
+    np.divide(a[0] + a[1] * ratio, denom, out=out[0])
+    np.divide(a[1] - a[0] * ratio, denom, out=out[1])
+    return out
 
 
 def _cleared_integers(values) -> tuple:

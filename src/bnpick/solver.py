@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
 from ._sections import DEFAULT_GRID, GridConfig, span_of
-from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limit
+from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limits
 from .errors import (
     InconsistentClassificationError,
     NoSolutionRepresentationError,
@@ -161,59 +161,84 @@ def classify_parameter(
     """
     if not sys.invertible:
         raise ValueError("classification requires an invertible Pick matrix")
+    if phi.kind == "rational":
+        return _rational_labels(sys, phi.func, [i], tol)[0]
     te = sys.tilde_e[i]
     tc = sys.tilde_c[i]
-    x_i = sys.X[i]
     p_ii = sys.tilde_p_diag[i]
     family = "C" if te else "Ctilde"
-
-    if phi.kind in ("const", "inf"):
-        value, deriv, residual = _phi_limits_exact(phi)
-        if family == "C":
-            eta = sys.eta[i]
-            if is_infinite(value):
-                matches_eta = False
-            elif isinstance(value, Fraction) and sys.exact:
-                matches_eta = value == eta
-            else:
-                matches_eta = abs(float(value) - float(eta)) <= tol * max(1.0, abs(float(eta)))
-            if not matches_eta:
-                index = 1
-            else:
-                # constant at the critical value: derivative is exactly 0
-                index = _index_from_threshold(0, -p_ii / (te * te), p_ii, exact=True)
-        else:
-            if not is_infinite(value):
-                index = 1
-            else:
-                # infinite parameter: -1/phi_residual = 0 exactly
-                index = _index_from_threshold(0, -p_ii / (tc * tc), p_ii, exact=True)
-        return ConditionLabel(i + 1, family, index, value, deriv, residual, exact=True)
-
-    func = phi.func
-    value = nt_limit(func, x_i, LimitKind.VALUE)
+    value, deriv, residual = _phi_limits_exact(phi)
     if family == "C":
+        eta = sys.eta[i]
+        if is_infinite(value):
+            matches_eta = False
+        elif isinstance(value, Fraction) and sys.exact:
+            matches_eta = value == eta
+        else:
+            matches_eta = abs(float(value) - float(eta)) <= tol * max(1.0, abs(float(eta)))
+        if not matches_eta:
+            index = 1
+        else:
+            # constant at the critical value: derivative is exactly 0
+            index = _index_from_threshold(0, -p_ii / (te * te), p_ii, exact=True)
+    else:
+        if not is_infinite(value):
+            index = 1
+        else:
+            # infinite parameter: -1/phi_residual = 0 exactly
+            index = _index_from_threshold(0, -p_ii / (tc * tc), p_ii, exact=True)
+    return ConditionLabel(i + 1, family, index, value, deriv, residual, exact=True)
+
+
+def _rational_labels(sys: PickSystem, func: RationalFunction, nodes, tol: float) -> list:
+    """Labels of a rational parameter at the given nodes (0-based), from two
+    ``nt_limits`` calls: the value limits at every node, then the derivative
+    or residual limits at the nodes whose value calls for one."""
+    values = nt_limits(func, [(sys.X[i], LimitKind.VALUE) for i in nodes])
+    second = {}
+    for i, value in zip(nodes, values):
+        kind = _second_limit_kind(sys, i, value, tol)
+        if kind is not None:
+            second[i] = kind
+    more = nt_limits(func, [(sys.X[i], kind) for i, kind in second.items()])
+    more = dict(zip(second, more))
+    return [_rational_label(sys, i, value, more.get(i), tol) for i, value in zip(nodes, values)]
+
+
+def _second_limit_kind(sys: PickSystem, i: int, value, tol: float):
+    """The limit a rational parameter's label at node i needs after its value
+    limit: the derivative where the value matches eta_i (family C), the
+    residual where the value is infinite (family Ctilde), else none."""
+    if sys.tilde_e[i]:
         eta = float(sys.eta[i]) if not is_infinite(sys.eta[i]) else None
         if not value.is_finite or eta is None or abs(value.value.real - eta) > tol * max(
             1.0, abs(eta)
         ):
-            index = 1
-            deriv = residual = None
-        else:
-            deriv = nt_limit(func, x_i, LimitKind.DERIVATIVE)
-            residual = None
-            if deriv.is_infinite:
-                index = 2
-            elif not deriv.is_finite:
-                return _unclassifiable(i, family, value, deriv, None)
-            else:
-                tau = float(-p_ii / (te * te))
-                index = _index_from_threshold(deriv.value.real, tau, p_ii, tol=tol)
-        return ConditionLabel(i + 1, family, index, value, deriv, residual)
-
+            return None
+        return LimitKind.DERIVATIVE
     if value.is_finite or value.status == "dne":
+        return None
+    return LimitKind.RESIDUAL
+
+
+def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> ConditionLabel:
+    """Label at node i from the value limit and the ``_second_limit_kind``
+    limit (None when there is none)."""
+    te, tc, p_ii = sys.tilde_e[i], sys.tilde_c[i], sys.tilde_p_diag[i]
+    family = "C" if te else "Ctilde"
+    if second is None:
         return ConditionLabel(i + 1, family, 1, value)
-    residual = nt_limit(func, x_i, LimitKind.RESIDUAL)
+    if family == "C":
+        deriv = second
+        if deriv.is_infinite:
+            index = 2
+        elif not deriv.is_finite:
+            return _unclassifiable(i, family, value, deriv, None)
+        else:
+            tau = float(-p_ii / (te * te))
+            index = _index_from_threshold(deriv.value.real, tau, p_ii, tol=tol)
+        return ConditionLabel(i + 1, family, index, value, deriv, None)
+    residual = second
     if not residual.is_finite:
         return _unclassifiable(i, family, value, None, residual)
     r = residual.value.real
@@ -305,38 +330,54 @@ def lost_squares(labels, kappa: int):
 
 
 def classify_all(sys: PickSystem, phi: Parameter) -> ClassificationReport:
+    """``classify_parameter`` at every node; a rational parameter takes its
+    boundary limits in two ``nt_limits`` calls for all nodes together."""
+    if phi.kind == "rational":
+        if not sys.invertible:
+            raise ValueError("classification requires an invertible Pick matrix")
+        labels = _rational_labels(sys, phi.func, range(sys.n), THRESHOLD_TOL)
+    else:
+        labels = [classify_parameter(sys, phi, i) for i in range(sys.n)]
     nodes = []
-    for i in range(sys.n):
-        label = classify_parameter(sys, phi, i)
+    for i, label in enumerate(labels):
         kind = "regular" if sys.data.is_regular(i) else "singular"
         nodes.append(NodeReport(i + 1, label, predict_behavior(label, kind)))
     k, _ = lost_squares([node.label for node in nodes], sys.kappa)
     return ClassificationReport(tuple(nodes), k, sys.kappa)
 
 
-def _node_limits(sys: PickSystem, w: RationalFunction, i: int) -> dict:
-    """The limits of w that node i's checks read: value and derivative at a
-    regular node, residual at a singular one (two ``nt_limit`` calls or one)."""
-    x_i = sys.X[i]
-    if sys.data.is_regular(i):
-        return {
-            "value": nt_limit(w, x_i, LimitKind.VALUE),
-            "derivative": nt_limit(w, x_i, LimitKind.DERIVATIVE),
-        }
-    return {"residual": nt_limit(w, x_i, LimitKind.RESIDUAL)}
+def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
+    """The limits of w that each node's checks read, from one ``nt_limits`` call.
+
+    ``outcomes`` maps 0-based nodes to their outcome kind, or None.  A
+    regular node reads the value and derivative, and the kernel diagonal too
+    for ``"maybe_missed"``; a singular node reads the residual.  Returns a
+    dict per node, keyed by ``LimitKind`` value.
+    """
+    names = {}
+    for i, outcome in outcomes.items():
+        if not sys.data.is_regular(i):
+            names[i] = ("residual",)
+        elif outcome == "maybe_missed":
+            names[i] = ("value", "derivative", "kernel_diagonal")
+        else:
+            names[i] = ("value", "derivative")
+    requests = [(sys.X[i], LimitKind(name)) for i, keys in names.items() for name in keys]
+    estimates = iter(nt_limits(w, requests))
+    return {i: {name: next(estimates) for name in keys} for i, keys in names.items()}
 
 
 def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
-    """|limit - datum| for each of ``_node_limits``, against w_i and gamma_i
-    or xi_i; infinite where the limit is not finite."""
+    """|limit - datum| of the value and derivative against w_i and gamma_i,
+    or of the residual against xi_i; infinite where the limit is not finite."""
     data = sys.data
     if data.is_regular(i):
         target = {"value": data.values[i], "derivative": data.derivative_bounds[i]}
     else:
         target = {"residual": data.residues[i - sys.ell]}
     return {
-        key: abs(est.value.real - float(target[key])) if est.is_finite else float("inf")
-        for key, est in limits.items()
+        key: abs(limits[key].value.real - float(datum)) if limits[key].is_finite else float("inf")
+        for key, datum in target.items()
     }
 
 
@@ -357,13 +398,14 @@ def verify_outcome(
     limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
     hold within ``tol``; strict inequalities need slack above ``tol``.  The
     margin is the equality error or the slack.  ``limits`` are the node's
-    ``_node_limits``, taken here when not given.
+    ``_node_limits`` for ``kind``, taken here (one ``nt_limits`` call) when
+    not given.
     """
     regular = sys.data.is_regular(node_index)
     if kind not in (_REGULAR_DESCRIPTIONS if regular else _SINGULAR_DESCRIPTIONS):
         raise ValueError(f"unexpected outcome kind {kind!r}")
     if limits is None:
-        limits = _node_limits(sys, w, node_index)
+        limits = _node_limits(sys, w, {node_index: kind})[node_index]
     errors = _limit_errors(sys, node_index, limits)
     if regular:
         value, deriv = limits["value"], limits["derivative"]
@@ -374,9 +416,8 @@ def verify_outcome(
         if kind == "missed":
             return NodeVerification(value_err > tol, value_err, limits)
         if kind == "maybe_missed":
-            kernel = nt_limit(w, sys.X[node_index], LimitKind.KERNEL_DIAGONAL)
-            ok = not value.is_finite or value_err > tol or kernel.is_infinite
-            return NodeVerification(ok, value_err, {**limits, "kernel_diagonal": kernel})
+            ok = not value.is_finite or value_err > tol or limits["kernel_diagonal"].is_infinite
+            return NodeVerification(ok, value_err, limits)
         if not (value_err <= tol and deriv.is_finite):
             return NodeVerification(False, None, limits)
         s = deriv.value.real
@@ -419,9 +460,11 @@ def classify_and_verify(
     theta = build_theta(sys)
     w = apply_lft(theta, phi)
     report = classify_all(sys, phi)
+    outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
+    limits = _node_limits(sys, w, outcomes)
     nodes = tuple(
-        replace(node, verification=verify_outcome(sys, w, node.node - 1, node.predicted.kind, tol))
-        for node in report.nodes
+        replace(node, verification=verify_outcome(sys, w, i, kind, tol, limits[i]))
+        for node, (i, kind) in zip(report.nodes, outcomes.items())
     )
     sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
     return replace(report, nodes=nodes), w, sampled
@@ -536,16 +579,16 @@ def verify_candidate(
 ) -> dict:
     """Check a candidate w against the data at every node, plus kernel counts.
 
-    Each node's limits are taken once and reported with their errors
-    against the data.  ``problem1`` is the ``"exact"`` outcome of
+    Every node's limits are taken in one ``nt_limits`` call and reported
+    with their errors against the data.  ``problem1`` is the ``"exact"`` outcome of
     ``verify_outcome`` on them and ``problem2`` its ``"bound"`` outcome,
     both within ``tol``.  The report also carries the sampled
     bordered-kernel count, which a solution of problem 3 has equal to
     kappa, and the plain kernel count of w.
     """
     nodes = []
-    for i in range(sys.n):
-        limits = _node_limits(sys, w, i)
+    all_limits = _node_limits(sys, w, dict.fromkeys(range(sys.n)))
+    for i, limits in all_limits.items():
         nodes.append(
             {
                 "node": i + 1,

@@ -1,12 +1,15 @@
 """Shared fixtures: the three golden systems and seeded random generators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick.algebra import GaussianRational
+from bnpick import boundary
+from bnpick.algebra import GaussianRational, _horner
+from bnpick.boundary import LimitEstimate, LimitKind
 
 F = Fraction
 
@@ -220,6 +223,137 @@ BENCHMARK_PARAMETERS = (
     b.Parameter.rational(rf((0, 1))),
     b.Parameter.rational(rf((-1,), (0, 1))),
 )
+
+
+# -- the one-sample-at-a-time boundary limit -----------------------------------
+
+
+def _modulus(v) -> float:
+    """|v| as the batched limits compute it: C ``hypot`` (what ``abs`` of a
+    complex calls; ``math.hypot`` rounds differently), inf on overflow."""
+    try:
+        return abs(v)
+    except OverflowError:
+        return math.inf
+
+
+def running_diverging(raw, growing) -> bool:
+    """The divergence rule from the running count ``growing`` of consecutive
+    growing steps up to the last sample."""
+    if growing < boundary.DIVERGENCE_WINDOW:
+        return False
+    last = _modulus(raw[-1])
+    return last >= 1e3 and last >= boundary.DIVERGENCE_FACTOR * _modulus(
+        raw[-boundary.DIVERGENCE_WINDOW - 1]
+    )
+
+
+def windowed_diverging(raw, growing) -> bool:
+    """The divergence rule rebuilt over the last six samples on every step."""
+    window_size = boundary.DIVERGENCE_WINDOW
+    if len(raw) < window_size + 1:
+        return False
+    window = [_modulus(v) for v in raw[-(window_size + 1):]]
+    if window[-1] < 1e3:
+        return False
+    growing = all(window[i + 1] > window[i] for i in range(window_size))
+    return growing and window[-1] >= boundary.DIVERGENCE_FACTOR * window[0]
+
+
+def pointwise_derivative(f):
+    """z -> f'(z) by the quotient rule (n'd - nd')/d^2 at one point, in
+    Python complex arithmetic."""
+    slopes = [tuple(complex(c) for c in reversed(p.derivative().coeffs)) for p in (f.num, f.den)]
+
+    def sample(z):
+        num, den = f.sampler._parts(z)
+        dnum, dden = (_horner(c, z) for c in slopes)
+        return (dnum * den - num * dden) / (den * den)
+
+    return sample
+
+
+def reference_nt_limit(f, x0, kind=LimitKind.VALUE, t0=0.5, max_steps=40, tol=1e-9,
+                       sampler=None, diverging=running_diverging):
+    """``nt_limit`` walked one path point at a time in Python complex
+    arithmetic: the reference of ``nt_limits``.
+
+    ``sampler`` replaces f's sampler (a stand-in returning any sequence);
+    ``diverging`` is the divergence rule.  A sample that is not finite or
+    whose modulus overflows is skipped.
+    """
+    x0 = float(x0)
+    sampler = sampler or f.sampler
+    derivative = pointwise_derivative(f) if kind is LimitKind.DERIVATIVE else None
+
+    def sample(z: complex) -> complex:
+        if kind is LimitKind.DERIVATIVE:
+            return derivative(z)
+        if kind is LimitKind.RESIDUAL:
+            return (z - x0) * sampler(z)
+        if kind is LimitKind.KERNEL_DIAGONAL:
+            return sampler(z).imag / z.imag
+        return sampler(z)
+
+    raw: list = []
+    r1: list = []
+    r2: list = []
+    agree = 0
+    growing = 0
+    for k in range(max_steps + 1):
+        z = complex(x0, t0 * 2.0 ** (-k))
+        try:
+            value = sample(z)
+        except b.PoleError:
+            continue
+        if not math.isfinite(_modulus(value)):
+            continue
+        raw.append(value)
+        if len(raw) >= 2:
+            r1.append(2.0 * raw[-1] - raw[-2])
+            growing = growing + 1 if _modulus(raw[-1]) > _modulus(raw[-2]) else 0
+        if len(r1) >= 2:
+            r2.append((4.0 * r1[-1] - r1[-2]) / 3.0)
+        if diverging(raw, growing):
+            return LimitEstimate(kind, "infinite", None, tuple(raw), False, None)
+        if len(r2) >= 2:
+            err = _modulus(r2[-1] - r2[-2])
+            if err <= tol * max(1.0, _modulus(r2[-1])):
+                agree += 1
+                if agree >= 2:
+                    return LimitEstimate(kind, "finite", r2[-1], tuple(r2), True, err)
+            else:
+                agree = 0
+    if not r2:
+        return LimitEstimate(kind, "dne", None, tuple(raw), False, None)
+    tail = r2[-5:]
+    scale = max(1.0, max(_modulus(v) for v in tail))
+    spread = (max(v.real for v in tail) - min(v.real for v in tail)) + (
+        max(v.imag for v in tail) - min(v.imag for v in tail)
+    )
+    if spread <= boundary.SPREAD_TOL * scale:
+        err = _modulus(r2[-1] - r2[-2]) if len(r2) >= 2 else None
+        return LimitEstimate(kind, "finite", r2[-1], tuple(r2), False, err)
+    return LimitEstimate(kind, "dne", None, tuple(r2), False, None)
+
+
+def bits(v):
+    """A float or complex number's bits, for comparisons in which NaN equals
+    NaN and -0.0 differs from 0.0."""
+    if v is None:
+        return None
+    if isinstance(v, complex):
+        return ("c", v.real.hex(), v.imag.hex())
+    return ("f", float(v).hex())
+
+
+def same_estimate(a, b_) -> bool:
+    """Equal ``LimitEstimate``s, every float compared bit for bit."""
+    return (
+        (a.kind, a.status, a.converged, bits(a.value), bits(a.error_estimate))
+        == (b_.kind, b_.status, b_.converged, bits(b_.value), bits(b_.error_estimate))
+        and [bits(v) for v in a.approximants] == [bits(v) for v in b_.approximants]
+    )
 
 
 # -- seeded random generators ------------------------------------------------

@@ -5,13 +5,32 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import bnpick as b
 from bnpick import boundary
-from bnpick._sections import negative_count, nevanlinna_kernel, pole_free_grid, span_of
+from bnpick._sections import (
+    negative_count,
+    nevanlinna_kernel,
+    pole_free_grid,
+    span_of,
+    upper_half_grid,
+)
 from bnpick.boundary import LimitKind
 
-from conftest import DENSE_GRID, loop_kernel, random_fraction, rf, unique_solution
+from conftest import (
+    BENCHMARK_PARAMETERS,
+    DENSE_GRID,
+    bits,
+    grid_system,
+    loop_kernel,
+    random_fraction,
+    reference_nt_limit,
+    rf,
+    same_estimate,
+    unique_solution,
+    windowed_diverging,
+)
 
 F = Fraction
 
@@ -84,19 +103,6 @@ class TestNtLimit:
 
 
 
-def windowed_diverging(raw) -> bool:
-    """The divergence rule rebuilt over the last six samples on every step,
-    kept as the reference for the running count of growing steps."""
-    window_size = boundary.DIVERGENCE_WINDOW
-    if len(raw) < window_size + 1:
-        return False
-    window = [abs(v) for v in raw[-(window_size + 1):]]
-    if window[-1] < 1e3:
-        return False
-    growing = all(window[i + 1] > window[i] for i in range(window_size))
-    return growing and window[-1] >= boundary.DIVERGENCE_FACTOR * window[0]
-
-
 class SequenceSampler:
     """A stand-in sampler returning values[k] at the k-th point of the
     nt_limit path x0 + i t0 2^-k; None is a pole."""
@@ -109,6 +115,11 @@ class SequenceSampler:
         if value is None:
             raise b.PoleError(z)
         return value
+
+    def split_samples(self, z, derivative=False):
+        values = [self.values[round(math.log2(self.t0 / t))] for t in z[1]]
+        v = np.array([0j if x is None else x for x in values], dtype=complex)
+        return np.stack([v.real, v.imag])[:, np.newaxis], np.array([x is None for x in values])
 
 
 def random_path(rng, length=41):
@@ -129,29 +140,44 @@ def random_path(rng, length=41):
     return values
 
 
+def path_arrays(paths, real=False):
+    """Paths (None a pole) as the (samples, keep) rows of the stop rules:
+    real samples, or real and imaginary parts stacked on axis 0."""
+    v = np.array([[0j if x is None else x for x in path] for path in paths], dtype=complex)
+    keep = np.array([[x is not None for x in path] for path in paths])
+    return (v.real.copy() if real else np.stack([v.real, v.imag])), keep
+
+
+def assert_matches_reference(f, requests, estimates, sampler=None):
+    """Each estimate equals the one-point reference, under the running and
+    the windowed divergence rules alike."""
+    for (x0, kind), est in zip(requests, estimates, strict=True):
+        running = reference_nt_limit(f, x0, kind, sampler=sampler)
+        windowed = reference_nt_limit(f, x0, kind, sampler=sampler, diverging=windowed_diverging)
+        assert same_estimate(est, running) and same_estimate(running, windowed)
+
+
 class TestDivergence:
-    """The running count of growing steps decides as the windowed rule did."""
+    """The array stop rules and the batched paths decide as the one-point
+    reference loop does, whose running count of growing steps decides as the
+    windowed rule does."""
 
-    @staticmethod
-    def both_rules(monkeypatch, f, x0, kind):
-        running = b.nt_limit(f, x0, kind)
-        with monkeypatch.context() as m:
-            m.setattr(boundary, "_diverging", lambda raw, growing: windowed_diverging(raw))
-            windowed = b.nt_limit(f, x0, kind)
-        return running, windowed
-
-    def test_random_sequences(self, monkeypatch):
+    def test_random_sequences(self):
         rng = random.Random(113)
+        paths = [random_path(rng) for _ in range(400)]
         steps = set()
-        for _ in range(400):
-            f = SimpleNamespace(sampler=SequenceSampler(random_path(rng)))
-            running, windowed = self.both_rules(monkeypatch, f, 0.0, LimitKind.VALUE)
-            assert running == windowed
-            if running.is_infinite:
-                steps.add(len(running.approximants))
+        for real in (False, True):
+            rows = [[None if x is None else (x.real if real else x) for x in p] for p in paths]
+            estimates = boundary._richardson([LimitKind.VALUE] * len(rows),
+                                             *path_arrays(rows, real), tol=1e-9)
+            for row, est in zip(rows, estimates, strict=True):
+                assert_matches_reference(None, [(0.0, LimitKind.VALUE)], [est],
+                                         sampler=SequenceSampler(row))
+                if est.is_infinite:
+                    steps.add(len(est.approximants))
         assert len(steps) >= 10
 
-    def test_nt_limit_paths_of_random_functions(self, monkeypatch):
+    def test_nt_limit_paths_of_random_functions(self):
         rng = random.Random(127)
         statuses = set()
         for _ in range(40):
@@ -160,12 +186,99 @@ class TestDivergence:
             if num.is_zero:
                 continue
             f = b.RationalFunction(num, b.Polynomial.from_real_roots(roots))
-            for x0 in {*roots, F(rng.randint(-16, 16), 4)}:
-                for kind in LimitKind:
-                    running, windowed = self.both_rules(monkeypatch, f, x0, kind)
-                    assert running == windowed
-                    statuses.add(running.status)
+            requests = [(x0, kind) for x0 in {*roots, F(rng.randint(-16, 16), 4)}
+                        for kind in LimitKind]
+            estimates = b.nt_limits(f, requests)
+            assert_matches_reference(f, requests, estimates)
+            statuses.update(est.status for est in estimates)
         assert {"finite", "infinite"} <= statuses
+
+    def test_grid_systems_on_both_lanes(self):
+        statuses = set()
+        for n in (8, 16, 32):
+            for exact in (True, False):
+                sys_ = grid_system(random.Random(n), n, exact=exact)
+                theta = b.build_theta(sys_)
+                for phi in BENCHMARK_PARAMETERS:
+                    w = b.apply_lft(theta, phi)
+                    requests = [(x, kind) for x in sys_.X for kind in LimitKind]
+                    try:
+                        w.sampler
+                    except OverflowError:
+                        # exact w at n = 32 has coefficients beyond the float
+                        # range (ROADMAP item 1): no path can be sampled
+                        assert exact and n == 32
+                        with pytest.raises(OverflowError):
+                            b.nt_limits(w, requests)
+                        continue
+                    estimates = b.nt_limits(w, requests)
+                    assert_matches_reference(w, requests, estimates)
+                    statuses.update(est.status for est in estimates)
+        assert statuses == {"finite", "infinite", "dne"}
+
+    def test_overflowing_sample_is_skipped(self):
+        # a finite sample whose modulus exceeds the float range is skipped
+        # like a pole, not raised as OverflowError from abs()
+        path = [complex(1 + 2.0 ** -k, 0.5) for k in range(41)]
+        huge = list(path)
+        huge[3] = huge[6] = complex(1.5e308, 1.5e308)
+        skipped = list(path)
+        skipped[3] = skipped[6] = None
+        f = SimpleNamespace(sampler=SequenceSampler(huge))
+        est = b.nt_limit(f, 0.0)
+        assert est.is_finite
+        assert same_estimate(est, b.nt_limit(SimpleNamespace(sampler=SequenceSampler(skipped)), 0.0))
+        assert_matches_reference(None, [(0.0, LimitKind.VALUE)], [est],
+                                 sampler=SequenceSampler(huge))
+
+    def test_requests_come_back_in_order(self):
+        f = unique_solution()
+        requests = [(x0, kind) for kind in reversed(LimitKind) for x0 in (0.5, -0.5, 2.0)]
+        for est, (x0, kind) in zip(b.nt_limits(f, requests), requests, strict=True):
+            assert same_estimate(est, b.nt_limit(f, x0, kind))
+        assert b.nt_limits(f, []) == []
+
+
+def point_by_point_grid(f, span, config):
+    """``pole_free_grid`` sampling one grid point at a time (the reference)."""
+    avoid = ()
+    if f.den.degree >= 1:
+        roots = np.roots(f.den.to_complex_array()[::-1])
+        avoid = tuple(r for r in roots if r.imag > 1e-9)
+    points, values = [], []
+    for z in upper_half_grid(span, config, avoid=avoid):
+        try:
+            values.append(f.sampler(z))
+        except b.PoleError:
+            continue
+        points.append(z)
+    return points, values
+
+
+class TestPoleFreeGrid:
+    def test_batched_grid_matches_point_by_point(self):
+        rng = random.Random(131)
+        functions = [unique_solution(), rf((0, 1)), rf((-1,), (0, 1)),
+                     # |n| large against |d| away from z = 1: those points are poles
+                     b.RationalFunction(b.Polynomial((-1e14, 1e14)), b.Polynomial((1.0,)))]
+        for _ in range(30):
+            num = b.Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 6))])
+            den = b.Polynomial([random_fraction(rng) for _ in range(rng.randint(1, 6))])
+            if not num.is_zero and not den.is_zero:
+                functions.append(b.RationalFunction(num, den))
+                functions.append(b.RationalFunction(
+                    [complex(c) * (1 + 0.5j) for c in num.coeffs], den.to_complex_array()))
+        skipped = 0
+        for f in functions:
+            for config in (b.DEFAULT_GRID, DENSE_GRID):
+                span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
+                points, values = pole_free_grid(f, span, config)
+                ref_points, ref_values = point_by_point_grid(f, span, config)
+                assert points == ref_points
+                assert [bits(v) for v in values] == [bits(v) for v in ref_values]
+                skipped += len(upper_half_grid(span, config)) - len(points)
+        assert skipped > 0
+
 
 class TestCaratheodoryJulia:
     def test_identity_function(self):
@@ -180,6 +293,21 @@ class TestCaratheodoryJulia:
         assert rep.max_discrepancy < 1e-7
         for est in rep.estimates.values():
             assert abs(est.value - (-1.0)) < 1e-7
+
+    def test_bounded_route_takes_one_batch_of_f(self, monkeypatch):
+        calls = []
+        nt_limits = boundary.nt_limits
+
+        def counting(f, requests, *args, **kwargs):
+            calls.append((f, list(requests)))
+            return nt_limits(f, requests, *args, **kwargs)
+
+        monkeypatch.setattr(boundary, "nt_limits", counting)
+        f = unique_solution()
+        b.caratheodory_julia_check(f, -0.5)
+        assert calls[0] == (f, [(-0.5, LimitKind.VALUE), (-0.5, LimitKind.KERNEL_DIAGONAL),
+                                (-0.5, LimitKind.DERIVATIVE)])
+        assert all(g is not f for g, _ in calls[1:])
 
     def test_negative_reciprocal_unbounded_route(self):
         rep = b.caratheodory_julia_check(rf((-1,), (0, 1)), 0.0)

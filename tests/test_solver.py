@@ -6,7 +6,7 @@ import pytest
 import bnpick as b
 from bnpick import algebra, solver
 from bnpick.boundary import LimitKind
-from bnpick.solver import verify_outcome
+from bnpick.solver import classify_parameter, verify_outcome
 
 from conftest import (
     STANDARD_SWEEP,
@@ -14,6 +14,7 @@ from conftest import (
     data_two_regular,
     degenerate_closed_form,
     random_data,
+    random_invertible_system,
     random_singular_data,
     rf,
     rref_kernel_basis,
@@ -205,20 +206,20 @@ class TestOneNodeCheck:
 
     def test_limits_taken_once_per_node(self, sys3, monkeypatch):
         calls = []
-        nt_limit = solver.nt_limit
+        nt_limits = solver.nt_limits
 
-        def counting(f, x0, kind, *args, **kwargs):
-            calls.append((x0, kind))
-            return nt_limit(f, x0, kind, *args, **kwargs)
+        def counting(f, requests, *args, **kwargs):
+            calls.append(list(requests))
+            return nt_limits(f, requests, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "nt_limit", counting)
+        monkeypatch.setattr(solver, "nt_limits", counting)
         b.verify_candidate(sys3, unique_solution())
         regular, singular = sys3.X
-        assert calls == [
+        assert calls == [[
             (regular, LimitKind.VALUE),
             (regular, LimitKind.DERIVATIVE),
             (singular, LimitKind.RESIDUAL),
-        ]
+        ]]
 
     def test_unknown_outcome_kind_rejected(self, sys3):
         with pytest.raises(ValueError):
@@ -449,6 +450,63 @@ class TestOneSamplerPerFunction:
                 continue
             assert compiled
             assert len({id(f) for f in compiled}) == len(compiled)
+
+
+class TestOneBatchPerFunction:
+    """classify_and_verify takes the limits of phi in two nt_limits calls
+    (values, then what the values call for) and those of w in one."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        calls = []
+        nt_limits = solver.nt_limits
+
+        def counting(f, requests, *args, **kwargs):
+            calls.append((f, list(requests)))
+            return nt_limits(f, requests, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "nt_limits", counting)
+        return calls
+
+    def test_maybe_missed_kernel_limit_rides_with_w(self, sys1, monkeypatch):
+        calls = self.recorded(monkeypatch)
+        critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
+        report, w, _ = b.classify_and_verify(sys1, critical)
+        assert report.nodes[0].predicted.kind == "maybe_missed"
+        phi_calls = [requests for f, requests in calls if f is critical.func]
+        w_calls = [requests for f, requests in calls if f is w]
+        assert len(calls) == len(phi_calls) + len(w_calls) and len(w_calls) == 1
+        x0, x1 = sys1.X
+        assert phi_calls[0] == [(x0, LimitKind.VALUE), (x1, LimitKind.VALUE)]
+        assert w_calls[0] == [
+            (x0, LimitKind.VALUE), (x0, LimitKind.DERIVATIVE), (x0, LimitKind.KERNEL_DIAGONAL),
+            (x1, LimitKind.VALUE), (x1, LimitKind.DERIVATIVE),
+        ]
+        assert "kernel_diagonal" in report.nodes[0].verification.details
+
+    def test_verify_outcome_takes_no_limit_when_given_limits(self, sys1, monkeypatch):
+        critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
+        w = b.apply_lft(b.build_theta(sys1), critical)
+        limits = solver._node_limits(sys1, w, {0: "maybe_missed"})[0]
+        monkeypatch.setattr(solver, "nt_limits", None)
+        assert verify_outcome(sys1, w, 0, "maybe_missed", limits=limits).ok
+
+    def test_classify_all_is_classify_parameter_at_every_node(self):
+        rng = random.Random(139)
+        for _ in range(12):
+            sys_ = random_invertible_system(rng)
+            for phi in STANDARD_SWEEP:
+                try:
+                    expected = [classify_parameter(sys_, phi, i) for i in range(sys_.n)]
+                except b.UnclassifiableParameterError as exc:
+                    with pytest.raises(b.UnclassifiableParameterError, match=str(exc)):
+                        b.classify_all(sys_, phi)
+                    continue
+                try:
+                    report = b.classify_all(sys_, phi)
+                except b.InconsistentClassificationError:
+                    continue
+                assert [node.label for node in report.nodes] == expected
 
 
 class TestSolve:
