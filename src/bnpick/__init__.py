@@ -7,6 +7,10 @@ solutions by linear-fractional transforms of extended Nevanlinna parameters,
 classify parameters node by node, solve the singular (degenerate) case in
 closed form, and verify everything numerically through boundary limits and
 sampled kernel positivity.
+
+Every module imports numpy inside the functions that compute in floats, not
+at the top: the exact Pick system and the exact resolvent never load it, so
+a process that samples nothing does not pay its import.
 """
 
 from ._sections import DEFAULT_GRID, GridConfig
@@ -32,6 +36,7 @@ from .boundary import (
 from .errors import (
     BnpickError,
     DegenerateTransformError,
+    FloatRangeError,
     InconsistentClassificationError,
     InputError,
     InvalidDataError,

@@ -15,9 +15,10 @@ are honest lower bounds of the kernel's negative squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,8 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
     ``avoid`` lists complex points (poles) that grid points are nudged away
     from deterministically.
     """
+    import numpy as np
+
     lo = float(span[0]) - config.re_margin
     hi = float(span[1]) + config.re_margin
     if hi <= lo:
@@ -62,6 +65,8 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     bit-identical to sampling the points one by one, so callers sample
     nothing twice.
     """
+    import numpy as np
+
     avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
     grid = upper_half_grid(span, config, avoid=avoid)
     with np.errstate(all="ignore"):
@@ -83,6 +88,8 @@ def span_of(values, fallback=(-1.0, 1.0)):
 
 def nevanlinna_kernel(points, values) -> np.ndarray:
     """Hermitian part of (f(z_j) - conj f(z_i)) / (z_j - conj z_i) on the points."""
+    import numpy as np
+
     z = np.asarray(points, dtype=complex)
     v = np.asarray(values, dtype=complex)
     out = (v[np.newaxis, :] - v.conj()[:, np.newaxis]) / (
@@ -93,6 +100,8 @@ def nevanlinna_kernel(points, values) -> np.ndarray:
 
 def negative_count(matrix: np.ndarray, eig_tol: float) -> int:
     """Eigenvalues of a Hermitian matrix below -eig_tol * max(1, max|lambda|)."""
+    import numpy as np
+
     eigs = np.linalg.eigvalsh(matrix)
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     return int(np.sum(eigs < -eig_tol * scale))

@@ -18,15 +18,32 @@ limit-estimate level of the higher modules.
 
 from __future__ import annotations
 
+import abc
+import functools
 import math
+import numbers
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .errors import FloatRangeError, PoleError, SingularMatrixError
 
-from .errors import PoleError, SingularMatrixError
+if TYPE_CHECKING:
+    import numpy as np
 
-_FLOAT_TYPES = (float, complex, np.floating, np.complexfloating)
+
+class _Inexact(abc.ABC):
+    """The number types of the float lane besides float and complex: a
+    ``numbers.Complex`` that is not a ``numbers.Rational``, such as numpy's
+    float32 or complex64, recognised without importing numpy."""
+
+    @classmethod
+    def __subclasshook__(cls, sub):
+        return issubclass(sub, numbers.Complex) and not issubclass(sub, numbers.Rational)
+
+
+# float and complex come first, so that the common checks never reach the ABC
+_FLOAT_TYPES = (float, complex, _Inexact)
+
 
 # Tolerances of the float lane (the exact lane never uses any).
 CANCEL_TOL = 1e-8        # root clustering distance for float gcd
@@ -251,7 +268,7 @@ def scalar_to_json(value):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, int):
         return value
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
         value = complex(value)
         if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
             raise TypeError("complex float scalars have no JSON form")
@@ -466,6 +483,8 @@ class Polynomial:
         return out
 
     def to_complex_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([complex(c) for c in self.coeffs], dtype=complex)
 
 
@@ -482,6 +501,8 @@ def _float_cancel(num: Polynomial, den: Polynomial):
     """Cancel root pairs of num/den closer than CANCEL_TOL (conservative)."""
     if num.is_zero or den.degree < 1:
         return num, den
+    import numpy as np
+
     nroots = list(np.roots(num.to_complex_array()[::-1])) if num.degree >= 1 else []
     droots = list(np.roots(den.to_complex_array()[::-1]))
     keep_n = nroots[:]
@@ -639,6 +660,8 @@ class RationalFunction:
 
     def isclose(self, other: "RationalFunction", tol=1e-9) -> bool:
         """Cross-multiplied coefficient comparison with relative tolerance."""
+        import numpy as np
+
         lhs = (self.num * other.den).to_complex_array()
         rhs = (other.num * self.den).to_complex_array()
         n = max(len(lhs), len(rhs))
@@ -727,15 +750,23 @@ def _compiled(p: Polynomial, slope: bool = False) -> tuple:
 
     An exact coefficient k c (k = 1, or the power for p') is converted part
     by part as one correctly rounded integer division: the float of the
-    exact value, as ``complex(k * c)`` gives, without forming k c.
+    exact value, as ``complex(k * c)`` gives, without forming k c.  A part
+    beyond the float range raises ``FloatRangeError``, which names its size.
     """
     if not p.exact:
         return tuple(reversed((p.derivative() if slope else p).coeffs))
     terms = list(enumerate(p.coeffs))[1:] if slope else [(1, c) for c in p.coeffs]
-    return tuple(
-        complex((k * c.re.numerator) / c.re.denominator, (k * c.im.numerator) / c.im.denominator)
-        for k, c in reversed(terms)
-    )
+    try:
+        return tuple(
+            complex((k * c.re.numerator) / c.re.denominator, (k * c.im.numerator) / c.im.denominator)
+            for k, c in reversed(terms)
+        )
+    except OverflowError:
+        bits = max(int(abs(k * part)).bit_length() for k, c in terms for part in (c.re, c.im))
+        raise FloatRangeError(
+            f"a polynomial coefficient of {bits} bits exceeds the float range (1024 bits); "
+            "the function cannot be sampled in floats"
+        ) from None
 
 
 def _horner(coeffs, z):
@@ -775,6 +806,8 @@ class RationalSampler:
         """The roots of the denominator (``np.roots``), found on first use;
         the real poles and the grid's nudging both read them."""
         if self._poles is None:
+            import numpy as np
+
             den = self._polys[1]
             self._poles = np.roots(den.to_complex_array()[::-1]) if den.degree >= 1 else ()
         return self._poles
@@ -801,6 +834,8 @@ class RationalSampler:
         on first use and have no more coefficients than n or d.
         """
         if self._coeffs is None or (derivative and self._coeffs.shape[2] == 2):
+            import numpy as np
+
             polys = [self._num, self._den]
             if derivative:
                 polys += [_compiled(p, slope=True) for p in self._polys]
@@ -828,10 +863,12 @@ class RationalSampler:
         Points near a pole overflow, so callers that keep warnings quiet
         wrap the call in ``np.errstate``.
         """
+        import numpy as np
+
         coeffs = self._coefficients(derivative)
         # acc * z + c is split_product(acc, z) + c for every polynomial at
         # once, with z's signed imaginary rows formed once
-        zr, zs = z[0], (z[1] * _SIGNS[:, np.newaxis])[:, np.newaxis]
+        zr, zs = z[0], (z[1] * _axis0(_SIGNS, 2))[:, np.newaxis]
         acc = np.zeros((2, coeffs.shape[2], z.shape[1]))
         for c in coeffs:
             acc = acc * zr + acc[::-1] * zs
@@ -848,13 +885,19 @@ class RationalSampler:
         return split_quotient(acc[:, :1], acc[:, 1:]), pole
 
 
-_SIGNS = np.array([-1.0, 1.0])
-_ROTATE = np.array([1.0, -1.0])
+_SIGNS = (-1.0, 1.0)
+_ROTATE = (1.0, -1.0)
 
 
-def _axis0(pair, ndim: int) -> np.ndarray:
-    """A two-entry vector shaped to broadcast along axis 0 of an ndim array."""
-    return pair.reshape((2,) + (1,) * (ndim - 1))
+@functools.cache
+def _axis0(pair: tuple, ndim: int) -> np.ndarray:
+    """The two entries of ``pair`` as a read-only array shaped to broadcast
+    along axis 0 of an ndim array, built on first use."""
+    import numpy as np
+
+    out = np.array(pair).reshape((2,) + (1,) * (ndim - 1))
+    out.flags.writeable = False
+    return out
 
 
 def split_product(a, b):
@@ -862,7 +905,7 @@ def split_product(a, b):
     on axis 0, as CPython's ``_Py_c_prod`` computes it: (a0 b0 - a1 b1,
     a1 b0 + a0 b1).  a * b0 + swap(a) * (-b1, b1) is that term for term:
     negating a product is exact, and so is swapping the terms of a sum."""
-    return a * b[0] + a[::-1] * (b[1] * _axis0(_SIGNS, np.ndim(b)))
+    return a * b[0] + a[::-1] * (b[1] * _axis0(_SIGNS, b.ndim))
 
 
 def split_quotient(a, b):
@@ -875,6 +918,8 @@ def split_quotient(a, b):
     to a (-i) / b (-i): the rotation swaps the parts and negates one, which
     is exact, and the branch's formulas then match term for term.
     """
+    import numpy as np
+
     first = np.abs(b[0]) >= np.abs(b[1])
     if np.count_nonzero(first) < first.size:  # some divisor needs the second branch
         rotate = _axis0(_ROTATE, a.ndim)
@@ -989,6 +1034,8 @@ class HermitianMatrix:
                     if rows[i][j] != rows[j][i]:
                         raise ValueError(f"not symmetric at ({i},{j})")
         else:
+            import numpy as np
+
             arr = np.array([[complex(x) for x in row] for row in rows])
             scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
             if np.abs(arr - arr.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
@@ -1005,6 +1052,8 @@ class HermitianMatrix:
         return self.rows[i][j]
 
     def to_numpy(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[complex(x) for x in row] for row in self.rows])
 
     def to_lists(self):
@@ -1036,6 +1085,8 @@ def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
         return Inertia(0, 0, 0)
     if matrix.exact:
         return symmetric_elimination(matrix.rows).inertia
+    import numpy as np
+
     eigs = np.linalg.eigvalsh(matrix.to_numpy())
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     tol = rank_tol * scale
@@ -1068,6 +1119,8 @@ def matrix_inverse(rows):
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
+    import numpy as np
+
     arr = np.array([[complex(x) for x in row] for row in rows])
     sv = np.linalg.svd(arr, compute_uv=False)
     if sv[0] == 0 or sv[-1] / sv[0] < RCOND_MIN:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._sections import (
     DEFAULT_GRID,
@@ -34,6 +33,9 @@ from ._sections import (
 from .algebra import Polynomial, RationalFunction, split_product
 from .errors import PoleError
 from .problem import PickSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LimitKind(Enum):
@@ -155,6 +157,8 @@ def nt_limits(
     points are sampled then.  Returns the ``LimitEstimate`` of each request,
     in request order.
     """
+    import numpy as np
+
     requests = [(float(x0), LimitKind(kind)) for x0, kind in requests]
     if not requests:
         return []
@@ -183,6 +187,8 @@ def nt_limits(
 @functools.lru_cache
 def _heights(t0: float, max_steps: int) -> np.ndarray:
     """t0 2^-k for k = 0..max_steps (exact: ldexp only moves the exponent)."""
+    import numpy as np
+
     heights = np.ldexp(t0, -np.arange(max_steps + 1))
     heights.flags.writeable = False
     return heights
@@ -194,6 +200,8 @@ def _sample_paths(sampler, x, kinds, heights) -> tuple:
     rows in the kind order of ``_KIND_ORDER``; keep is False at poles.  The
     real kernel diagonal sits in the real part of its rows.  f is sampled
     once per distinct x, with f' when a row asks for the derivative."""
+    import numpy as np
+
     nodes = {}
     row_node = [nodes.setdefault(v, len(nodes)) for v in x]
     z = np.empty((2, len(nodes), len(heights)))
@@ -231,13 +239,6 @@ def _decide(kinds, samples, tol, final, rows, found) -> None:
                 found[i] = est
 
 
-# The complex factor 2 + 0i or 4 + 0i times raw: raw * 2 + swap(raw) * (-0, 0)
-# is CPython's product (see ``split_product``); the quotient by 3 + 0i has
-# ratio 0 and divisor 3, so it is (raw + swap(raw) * (0, -0)) / 3.
-_ZERO_PRODUCT = np.array([[-0.0], [0.0]])
-_ZERO_QUOTIENT = np.array([[0.0], [-0.0]])
-
-
 def _richardson(kinds, samples, keep, tol, final=True) -> list:
     """The stop rules of ``nt_limits`` on the samples of a block of requests.
 
@@ -262,6 +263,8 @@ def _richardson(kinds, samples, keep, tol, final=True) -> list:
     every rule is one array operation on shifted views and a look back past
     the start of a row meets NaN, which no rule accepts.
     """
+    import numpy as np
+
     real = samples.ndim == 2
     m, length = keep.shape
     mod = np.abs(samples) if real else np.hypot(samples[0], samples[1])
@@ -297,9 +300,13 @@ def _richardson(kinds, samples, keep, tol, final=True) -> list:
         r2_mod = np.abs(r2)
         err = np.abs(r2[1:] - r2[:-1])
     else:
-        r1 = raw[:, 1:] * 2.0 + raw[::-1, 1:] * _ZERO_PRODUCT - raw[:, :-1]
-        r2 = r1[:, 1:] * 4.0 + r1[::-1, 1:] * _ZERO_PRODUCT - r1[:, :-1]
-        r2 = (r2 + r2[::-1] * _ZERO_QUOTIENT) / 3.0
+        # The complex factor 2 + 0i or 4 + 0i times raw: raw * 2 + swap(raw) *
+        # (-0, 0) is CPython's product (see ``split_product``); the quotient by
+        # 3 + 0i has ratio 0 and divisor 3, so it is (raw + swap(raw) * (0, -0)) / 3.
+        zero_product = np.array([[-0.0], [0.0]])
+        r1 = raw[:, 1:] * 2.0 + raw[::-1, 1:] * zero_product - raw[:, :-1]
+        r2 = r1[:, 1:] * 4.0 + r1[::-1, 1:] * zero_product - r1[:, :-1]
+        r2 = (r2 + r2[::-1] * np.array([[0.0], [-0.0]])) / 3.0
         r2_mod = np.hypot(r2[0], r2[1])
         step = r2[:, 1:] - r2[:, :-1]
         err = np.hypot(step[0], step[1])
@@ -473,6 +480,8 @@ def fmi_check(
     squares.  A candidate solving the master
     interpolation problem yields exactly kappa.
     """
+    import numpy as np
+
     points, values = pole_free_grid(w, span_of(sys.X), config)
     x = np.array([float(v) for v in sys.X])
     e = np.array([float(v) for v in sys.E])

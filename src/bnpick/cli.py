@@ -53,7 +53,7 @@ class RunConfig:
         grid_doc = obj.get("grid", {})
         if not isinstance(grid_doc, dict):
             raise InputError("config 'grid' must be a JSON object")
-        unknown = sorted(set(obj) - set(RunConfig.__dataclass_fields__) - {"eig_tol"})
+        unknown = sorted(set(obj) - set(RunConfig.__dataclass_fields__))
         unknown += sorted(f"grid.{k}" for k in set(grid_doc) - set(GridConfig.__dataclass_fields__))
         if unknown:
             raise InputError(f"unknown config key(s): {', '.join(unknown)}")
@@ -61,8 +61,6 @@ class RunConfig:
             DEFAULT_GRID,
             **{k: tuple(v) if isinstance(v, list) else v for k, v in grid_doc.items()},
         )
-        if "eig_tol" in obj:
-            grid = replace(grid, eig_tol=float(obj["eig_tol"]))
         return RunConfig(
             backend=backend,
             rank_tol=float(obj.get("rank_tol", 1e-9)),

@@ -9,6 +9,10 @@ class SingularMatrixError(BnpickError):
     """Matrix inversion was requested for a (numerically) singular matrix."""
 
 
+class FloatRangeError(BnpickError, OverflowError):
+    """An exact value is too large to be converted to a float for sampling."""
+
+
 class PoleError(BnpickError):
     """A rational function was evaluated at (or too close to) a pole."""
 

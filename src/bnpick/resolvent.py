@@ -47,8 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_half_grid
 from .algebra import (
@@ -60,7 +59,9 @@ from .algebra import (
 from .errors import PoleError, SingularMatrixError, SingularPickError, SplitNotAdmissibleError
 from .problem import InterpolationData, PickSystem, build_system
 
-_J_NUMPY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+if TYPE_CHECKING:
+    import numpy as np
+
 KERNEL_AGREEMENT_TOL = 1e-8
 
 
@@ -222,6 +223,8 @@ class RationalMatrix2x2:
     @cached_property
     def _samplers(self):
         """The float nodes, 2 x n left columns and n x 2 right rows."""
+        import numpy as np
+
         return (
             np.array(self.nodes, dtype=float),
             np.array(self.left, dtype=float).reshape(-1, 2).T,
@@ -235,6 +238,8 @@ class RationalMatrix2x2:
         point, evaluated at once.  ``PoleError`` is raised when any point is
         a pole.
         """
+        import numpy as np
+
         if np.ndim(z) == 0:
             return self.eval(np.array([complex(z)]))[0]
         points = np.asarray(z, dtype=complex).reshape(-1)
@@ -417,6 +422,8 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     ``PoleError``, are skipped and reported; the others are evaluated in one
     batch.
     """
+    import numpy as np
+
     symbolic = _symbolic_j_unitary(theta) if theta.exact else None
     if sample_points is None:
         lo = min(theta.poles, default=0.0) - 1.5
@@ -442,9 +449,8 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     skipped[used] = False
     worst, worst_point, worst_scale = 0.0, None, 0.0
     if used.size:
-        residuals = np.abs(
-            values @ _J_NUMPY @ values.conj().transpose(0, 2, 1) - _J_NUMPY
-        ).max(axis=(1, 2))
+        j = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+        residuals = np.abs(values @ j @ values.conj().transpose(0, 2, 1) - j).max(axis=(1, 2))
         k = int(np.argmax(residuals))
         worst, worst_point = float(residuals[k]), float(xs[used[k]])
         worst_scale = float(np.abs(values[k]).max()) ** 2
@@ -466,13 +472,16 @@ def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np
     matrices are built from stacks: the m values of Theta from one batched
     ``eval``, and the 2 x n blocks [C; E](z I - X)^(-1) of all points.
     """
+    import numpy as np
+
+    j = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     z = np.asarray(points, dtype=complex).reshape(-1)
     m = len(z)
     values = theta.eval(z)
-    rows = (values @ _J_NUMPY).reshape(2 * m, 2)
+    rows = (values @ j).reshape(2 * m, 2)
     cols = values.reshape(2 * m, 2).conj().T
     gaps = np.repeat(np.repeat(-1j * (z[:, np.newaxis] - z.conj()), 2, axis=0), 2, axis=1)
-    direct = (np.tile(_J_NUMPY, (m, m)) - rows @ cols) / gaps
+    direct = (np.tile(j, (m, m)) - rows @ cols) / gaps
 
     x = np.array([float(v) for v in sys.X])
     c = np.array([float(v) for v in sys.C])

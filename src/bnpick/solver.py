@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
 from ._sections import DEFAULT_GRID, GridConfig, span_of
 from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limits
@@ -516,6 +514,8 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
     if sys.exact:
         vectors = symmetric_elimination(sys.P.rows).kernel
     else:
+        import numpy as np
+
         arr = sys.P.to_numpy().real
         _, s, vh = np.linalg.svd(arr)
         scale = max(1.0, s[0]) * sys.rank_tol

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
 from .algebra import (
     Polynomial,
@@ -131,6 +129,8 @@ def is_nevanlinna(
     """
     if phi.kind in ("const", "inf"):
         return NevanlinnaCheck(True)
+    import numpy as np
+
     func = phi.func
     if span is None:
         span = span_of(func.real_poles(), fallback=(-1.0, 1.0))

@@ -12,6 +12,7 @@ from bnpick.algebra import (
     GaussianRational,
     RationalSampler,
     _compiled,
+    scalar_to_json,
     split_product,
     split_quotient,
     symmetric_elimination,
@@ -187,6 +188,16 @@ class TestPolynomial:
     def test_mixed_coefficients_promote(self):
         p = b.Polynomial((F(1, 2), 0.25))
         assert not p.exact
+
+    def test_numpy_inexact_scalars_take_the_float_lane(self):
+        # recognised as numbers.Complex but not numbers.Rational; numpy's
+        # integers stay out of both lanes, as before
+        p = b.Polynomial((F(1, 2), np.float32(0.25), np.complex64(2j)))
+        assert not p.exact and p.coeffs == (0.5, 0.25, 2j)
+        assert GR(F(1, 3)) * np.float16(3.0) == pytest.approx(1.0)
+        assert scalar_to_json(np.complex64(2.5)) == 2.5
+        with pytest.raises(TypeError):
+            b.Polynomial((np.int64(1),))
 
 
 def random_symmetric(rng, n, kind):

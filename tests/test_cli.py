@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,7 @@ class TestConfig:
         ({"verify_to": 1e-8}, "verify_to"),
         ({"grid": {"points": 4}}, "grid.points"),
         ({"grid": [4]}, "grid"),
+        ({"eig_tol": 1e-6}, "eig_tol"),
     ])
     def test_unknown_config_key_exits_2(self, capsys, tmp_path, doc, named):
         config = tmp_path / "config.json"
@@ -274,7 +278,7 @@ class TestConfig:
         assert code == 2 and named in err
 
     def test_eig_tol_and_grid_keys_reach_the_grid(self):
-        config = RunConfig.from_json({"eig_tol": 1e-6, "grid": {"points_per_level": 4}})
+        config = RunConfig.from_json({"grid": {"eig_tol": 1e-6, "points_per_level": 4}})
         assert config.grid.eig_tol == 1e-6
         assert config.grid.points_per_level == 4
         assert config.grid.im_levels == (0.3, 1.1)
@@ -285,6 +289,63 @@ def test_golden_document(name, argv, tmp_path):
     out = tmp_path / "out.json"
     assert main(golden_argv(argv, out)) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def run_module(*argv, args=("-m", "bnpick.cli")):
+    """A fresh ``python -m bnpick.cli`` (or other ``args``) run from the demos
+    directory, with ``src`` on the path; output is bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args, *argv], cwd=DEMOS, env=env, capture_output=True, timeout=120
+    )
+
+
+ENTRY_POINT_CASES = ("pick-ex101", "solve-ex103", "apply-ex101-inf", "verify-ex101-z")
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT_CASES)
+def test_golden_document_through_the_entry_point(name):
+    done = run_module(*dict(GOLDEN_CASES)[name])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# Runs CLI commands through main() in one fresh interpreter and prints their
+# exit codes and whether numpy was imported.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from bnpick.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("commands,loads_numpy", [
+    ([["pick", "--problem", "ex101.json"], ["pick", "--problem", "ex103.json"],
+      ["solve", "--problem", "ex101.json"]], False),
+    ([["apply", "--problem", "ex101.json", "--param", _PARAMS["inf"]]], True),
+    ([["solve", "--problem", "ex103.json"]], True),
+    ([["pick", "--problem", "ex101.json", "--config", "float"]], True),
+], ids=["exact-pick-and-solve", "apply", "unique-solve", "float-pick"])
+def test_numpy_is_loaded_only_by_commands_that_sample(commands, loads_numpy, tmp_path):
+    config = tmp_path / "float.json"
+    config.write_text('{"backend": "float"}')
+    commands = [[str(config) if arg == "float" else arg for arg in argv] for argv in commands]
+    done = run_module(json.dumps(commands), args=("-c", _IMPORT_PROBE))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0] * len(commands), loads_numpy]
+
+
+def test_float_overflow_exits_3_without_a_traceback(tmp_path):
+    # w = Theta11 / Theta21 has the datum 10**400 (1329 bits) as a coefficient,
+    # which no float holds, so its boundary limits cannot be sampled
+    problem = tmp_path / "huge.json"
+    problem.write_text(json.dumps({"regular": [{"x": 0, "w": 10**400, "gamma": 1}], "singular": []}))
+    done = run_module("apply", "--problem", str(problem), "--param", _PARAMS["inf"])
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1329 bits" in err
 
 
 if __name__ == "__main__":
