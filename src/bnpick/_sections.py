@@ -9,7 +9,8 @@ points can show.  The helpers here fix one reproducible scheme: a default
 grid of points on two horizontal lines, the Nevanlinna kernel sampled on it,
 and the count of eigenvalues below ``-eig_tol * max(1, max|lambda|)``.
 Eigenvalues within that band count as zero, never negative, so sampled counts
-are honest lower bounds of the kernel's negative squares.
+are honest lower bounds of the kernel's negative squares.  ``VERIFY_TOL`` is
+the default tolerance within which a sampled boundary limit meets its datum.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ class GridConfig:
 
 
 DEFAULT_GRID = GridConfig()
+
+VERIFY_TOL = 1e-6
 
 
 def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:

@@ -953,7 +953,13 @@ def _integer_form(num, den) -> tuple:
     canonical form.
     """
     ints, _ = _cleared_integers([*num, *den])
-    num_ints, den_ints = ints[: len(num)], ints[len(num) :]
+    return _primitive_form(ints[: len(num)], ints[len(num) :])
+
+
+def _primitive_form(num_ints, den_ints) -> tuple:
+    """``_integer_form`` of integer coefficient lists: both divided by their
+    common content, with the sign that makes den's leading coefficient
+    positive."""
     g = 0
     for v in num_ints:
         g = math.gcd(g, v)

@@ -6,23 +6,33 @@ solution, ``apply`` transforms a parameter and classifies it, ``verify``
 checks a candidate function against the data.  Problems, parameters and
 outputs travel as JSON documents; paths may be omitted in favor of
 stdin/stdout.  Exit codes: 0 success, 2 input error, 3 validation error.
+
+Each subcommand imports the modules it runs when it starts, so that one
+process per command pays only for those: ``pick`` needs the exact algebra
+and the Pick system, and the sampled certificates (and numpy) load only
+where a command samples.
 """
 
 from __future__ import annotations
+
+# bnpick's modules come first, so that a process which compiles them from
+# source (no cached bytecode) compiles algebra.py, the largest, while its
+# heap is still small: loading argparse, json and fractions first raised the
+# peak RSS of a `pick` child by about 1 MB.
+from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
+from .algebra import GaussianRational, RationalFunction, scalar_to_json
+from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
+from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
 
 import argparse
 import json
 import sys as _sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from ._sections import DEFAULT_GRID, GridConfig
-from .algebra import GaussianRational, RationalFunction, scalar_to_json
-from .boundary import LimitEstimate
-from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
-from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
-from .solver import VERIFY_TOL, classify_and_verify, solve, verify_candidate
-from .transform import Parameter
+if TYPE_CHECKING:
+    from .transform import Parameter
 
 _INPUT_ERRORS = (InputError, InvalidDataError)
 
@@ -111,6 +121,8 @@ def _load_problem(args, config: RunConfig) -> InterpolationData:
 
 
 def _load_parameter(args) -> Parameter:
+    from .transform import Parameter
+
     doc = _read_json(getattr(args, "param", None), stdin_ok=False, inline_ok=True)
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("parameter document must carry a 'type' field")
@@ -123,6 +135,8 @@ def _load_parameter(args) -> Parameter:
 def _load_candidate(args) -> RationalFunction:
     doc = _read_json(getattr(args, "param", None), stdin_ok=False, inline_ok=True)
     if isinstance(doc, dict) and "type" in doc:
+        from .transform import Parameter
+
         phi = Parameter.from_json(doc)
         if phi.is_infinite:
             raise InvalidDataError("the infinite parameter is not a candidate function")
@@ -133,7 +147,7 @@ def _load_candidate(args) -> RationalFunction:
 
 
 def _jsonify(value):
-    if isinstance(value, LimitEstimate):
+    if hasattr(value, "to_json"):  # a boundary.LimitEstimate
         return value.to_json()
     if isinstance(value, (Fraction, GaussianRational)):
         return scalar_to_json(value)
@@ -195,6 +209,8 @@ def cmd_pick(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .resolvent import solve
+
     config = _load_config(args)
     data = _load_problem(args, config)
     bundle = solve(data, rank_tol=config.rank_tol, config=config.grid, tol=config.verify_tol)
@@ -203,6 +219,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .solver import classify_and_verify
+
     config = _load_config(args)
     data = _load_problem(args, config)
     phi = _load_parameter(args)
@@ -226,6 +244,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .solver import verify_candidate
+
     config = _load_config(args)
     data = _load_problem(args, config)
     w = _load_candidate(args)

@@ -40,6 +40,9 @@ operations, with no entry expanded and no gcd.
 Sampled certificates evaluate Theta at all their points in one batched
 ``eval``: the J-unitarity residual at its real points, and the 2m x 2m
 resolvent kernel with its state-space cross-check on the grid.
+
+``solve`` is the pipeline's entry: the resolvent of an invertible Pick
+system, or the degenerate solver's unique solution of a singular one.
 """
 
 from __future__ import annotations
@@ -49,7 +52,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._sections import DEFAULT_GRID, GridConfig, negative_count, span_of, upper_half_grid
+from ._sections import (
+    DEFAULT_GRID,
+    VERIFY_TOL,
+    GridConfig,
+    negative_count,
+    span_of,
+    upper_half_grid,
+)
 from .algebra import (
     Polynomial,
     RationalFunction,
@@ -155,6 +165,15 @@ class RationalMatrix2x2:
         all the nodes, as a 2 x 2 nested tuple; built once."""
         kept = tuple(range(len(self.nodes)))
         return tuple(tuple(self._cleared(a, b, kept)[0] for b in range(2)) for a in range(2))
+
+    @cached_property
+    def integer_numerators(self) -> tuple:
+        """``node_numerators`` of an exact matrix times one common factor
+        that makes every coefficient an integer, nested as they are; built
+        once.  A quotient of two combinations of them is unchanged."""
+        ints, _ = _cleared_integers([c for row in self.node_numerators for f in row for c in f])
+        it = iter(ints)
+        return tuple(tuple([next(it) for _ in f] for f in row) for row in self.node_numerators)
 
     @cached_property
     def cleared(self) -> tuple:
@@ -330,6 +349,52 @@ def build_theta(sys: PickSystem) -> RationalMatrix2x2:
         theta = _residue_matrix_form(list(sys.X), left, right, sys.kappa)
         vars(sys)["_theta"] = theta  # as functools.cached_property stores
     return theta
+
+
+@dataclass(frozen=True)
+class SolutionBundle:
+    """Either the resolvent parameterization or the unique degenerate solution."""
+
+    kind: str  # "parameterized" | "unique"
+    kappa: int
+    theta: RationalMatrix2x2 | None = None
+    w: RationalFunction | None = None
+    verification: dict | None = None
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind, "kappa": self.kappa}
+        if self.theta is not None:
+            doc["theta"] = self.theta.to_json()
+        if self.w is not None:
+            doc["w"] = self.w.to_json()
+        if self.verification is not None:
+            doc["verification"] = self.verification
+        return doc
+
+
+def solve(
+    data: InterpolationData,
+    rank_tol: float = 1e-9,
+    config: GridConfig = DEFAULT_GRID,
+    tol: float = VERIFY_TOL,
+) -> SolutionBundle:
+    """Full pipeline: build the system, branch on invertibility.
+
+    Invertible P yields the resolvent whose transform parameterizes all
+    solutions; singular P yields the unique closed-form solution together
+    with a numerical verification report (boundary limits at every node,
+    judged within ``tol``, and the sampled bordered-kernel count, which must
+    equal kappa).  Only the singular branch loads the degenerate solver and
+    its sampled certificates.
+    """
+    sys = build_system(data, rank_tol)
+    if sys.invertible:
+        return SolutionBundle(kind="parameterized", kappa=sys.kappa, theta=build_theta(sys))
+    from .solver import solve_degenerate, verify_candidate
+
+    w = solve_degenerate(sys)
+    verification = verify_candidate(sys, w, tol=tol, config=config)
+    return SolutionBundle(kind="unique", kappa=sys.kappa, w=w, verification=verification)
 
 
 def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:

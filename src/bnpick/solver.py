@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
-from ._sections import DEFAULT_GRID, GridConfig, span_of
+from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig, span_of
 from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limits
 from .errors import (
     InconsistentClassificationError,
@@ -28,12 +29,12 @@ from .errors import (
     NotNevanlinnaError,
     UnclassifiableParameterError,
 )
-from .problem import INFINITY, InterpolationData, PickSystem, build_system, is_infinite
-from .resolvent import RationalMatrix2x2, build_theta
-from .transform import Parameter, apply_lft, is_nevanlinna
+from .problem import INFINITY, PickSystem, is_infinite
+
+if TYPE_CHECKING:
+    from .transform import Parameter
 
 THRESHOLD_TOL = 1e-7
-VERIFY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,27 +118,6 @@ class Feasibility(Enum):
     INFEASIBLE = "infeasible"
     UNIQUE_PARAMETER = "unique_parameter"
     INFINITELY_MANY = "infinitely_many"
-
-
-@dataclass(frozen=True)
-class SolutionBundle:
-    """Either the resolvent parameterization or the unique degenerate solution."""
-
-    kind: str  # "parameterized" | "unique"
-    kappa: int
-    theta: RationalMatrix2x2 | None = None
-    w: RationalFunction | None = None
-    verification: dict | None = None
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind, "kappa": self.kappa}
-        if self.theta is not None:
-            doc["theta"] = self.theta.to_json()
-        if self.w is not None:
-            doc["w"] = self.w.to_json()
-        if self.verification is not None:
-            doc["verification"] = self.verification
-        return doc
 
 
 def _phi_limits_exact(phi: Parameter):
@@ -452,6 +432,9 @@ def classify_and_verify(
     the transformed function, and its sampled negative-squares count, which
     must equal the predicted class index kappa - k.
     """
+    from .resolvent import build_theta
+    from .transform import apply_lft, is_nevanlinna
+
     check = is_nevanlinna(phi, config)
     if not check.ok:
         raise NotNevanlinnaError("parameter kernel is not positive", check.witness)
@@ -546,29 +529,6 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
                 "kernel vectors produced different unique solutions"
             )
     return first
-
-
-def solve(
-    data: InterpolationData,
-    rank_tol: float = 1e-9,
-    config: GridConfig = DEFAULT_GRID,
-    tol: float = VERIFY_TOL,
-) -> SolutionBundle:
-    """Full pipeline: build the system, branch on invertibility.
-
-    Invertible P yields the resolvent whose transform parameterizes all
-    solutions; singular P yields the unique closed-form solution together
-    with a numerical verification report (boundary limits at every node,
-    judged within ``tol``, and the sampled bordered-kernel count, which must
-    equal kappa).
-    """
-    sys = build_system(data, rank_tol)
-    if sys.invertible:
-        theta = build_theta(sys)
-        return SolutionBundle(kind="parameterized", kappa=sys.kappa, theta=theta)
-    w = solve_degenerate(sys)
-    verification = verify_candidate(sys, w, tol=tol, config=config)
-    return SolutionBundle(kind="unique", kappa=sys.kappa, w=w, verification=verification)
 
 
 def verify_candidate(

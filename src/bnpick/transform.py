@@ -14,17 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
 from .algebra import (
     Polynomial,
     RationalFunction,
-    _integer_form,
+    _cleared_integers,
+    _primitive_form,
     scalar_from_json,
     scalar_to_json,
 )
 from .errors import DegenerateTransformError, NotNevanlinnaError
-from .resolvent import RationalMatrix2x2, _deflate
+
+if TYPE_CHECKING:
+    from .resolvent import RationalMatrix2x2
 
 NEVANLINNA_EIG_SLACK = 1e-10
 
@@ -183,10 +187,18 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
 
 def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
     """``apply_lft`` of a real exact pair (p, q) by an exact residue form,
-    in Fraction coefficient lists, cancelling only at the nodes."""
-    pc = [c.re for c in p.coeffs]
-    qc = [c.re for c in q.coeffs]
-    (n00, n01), (n10, n11) = theta.node_numerators
+    in Python integers, cancelling only at the nodes.
+
+    Theta's node numerators and the pair (p, q) are each scaled to integers
+    by one factor, which leaves the quotient unchanged.  A node a/b in
+    lowest terms is a root of an integer polynomial f of degree d exactly
+    when b^d f(a/b) == 0, and then f = (b z - a) g with g integral by
+    Gauss's lemma, as b z - a is primitive; so the canonical form is the
+    content and the sign.
+    """
+    ints, _ = _cleared_integers([c.re for c in (*p.coeffs, *q.coeffs)])
+    pc, qc = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
+    (n00, n01), (n10, n11) = theta.integer_numerators
     num = _linear_combination(n00, pc, n01, qc)
     den = _linear_combination(n10, pc, n11, qc)
     if not den:
@@ -196,11 +208,12 @@ def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
     if not num:
         return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
     for x in theta.nodes:
+        a, b = x.numerator, x.denominator
         for _ in range(2):
-            if _horner(num, x) or _horner(den, x):
+            if _scaled_value(num, a, b) or _scaled_value(den, a, b):
                 break
-            num, den = _deflate(num, x), _deflate(den, x)
-    return RationalFunction(*_integer_form(num, den), reduce=False)
+            num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)
+    return RationalFunction(*_primitive_form(num, den), reduce=False)
 
 
 def _linear_combination(a, p, b, q) -> list:
@@ -216,9 +229,22 @@ def _linear_combination(a, p, b, q) -> list:
     return out
 
 
-def _horner(coeffs, x):
-    """Exact value at x of the polynomial with ascending coefficients."""
-    acc = 0
+def _scaled_value(coeffs, a, b) -> int:
+    """b^d f(a/b) for f of degree d with ascending integer coefficients."""
+    acc, power = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * a + c * power
+        power *= b
     return acc
+
+
+def _divide_linear(coeffs, a, b) -> list:
+    """Ascending integer coefficients of f(z) / (b z - a) for a root a/b of
+    the integer polynomial f, with a/b in lowest terms (synthetic division;
+    every step divides exactly)."""
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry = (coeffs[k] + a * carry) // b
+        quotient[k - 1] = carry
+    return quotient

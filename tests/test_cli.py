@@ -311,30 +311,49 @@ def test_golden_document_through_the_entry_point(name):
 
 
 # Runs CLI commands through main() in one fresh interpreter and prints their
-# exit codes and whether numpy was imported.
+# exit codes, the bnpick modules loaded and whether numpy was imported.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 from bnpick.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, "numpy" in sys.modules]))
+modules = sorted(m.split(".")[1] for m in sys.modules if m.startswith("bnpick."))
+print(json.dumps([codes, modules, "numpy" in sys.modules]))
 """
 
+# cli, errors and the modules every command reads its input with
+_BASE = ["_sections", "algebra", "cli", "errors", "problem"]
+_SAMPLING = ["boundary", "solver"]
+_EVERYTHING = sorted([*_BASE, *_SAMPLING, "resolvent", "transform"])
 
-@pytest.mark.parametrize("commands,loads_numpy", [
+
+@pytest.mark.parametrize("commands,modules,loads_numpy", [
+    ([["pick", "--problem", "ex101.json"], ["pick", "--problem", "ex103.json"]], _BASE, False),
     ([["pick", "--problem", "ex101.json"], ["pick", "--problem", "ex103.json"],
-      ["solve", "--problem", "ex101.json"]], False),
-    ([["apply", "--problem", "ex101.json", "--param", _PARAMS["inf"]]], True),
-    ([["solve", "--problem", "ex103.json"]], True),
-    ([["pick", "--problem", "ex101.json", "--config", "float"]], True),
-], ids=["exact-pick-and-solve", "apply", "unique-solve", "float-pick"])
-def test_numpy_is_loaded_only_by_commands_that_sample(commands, loads_numpy, tmp_path):
+      ["solve", "--problem", "ex101.json"]], sorted([*_BASE, "resolvent"]), False),
+    ([["solve", "--problem", "ex103.json"]], sorted([*_BASE, *_SAMPLING, "resolvent"]), True),
+    ([["verify", "--problem", "ex101.json", "--param", '{"num":[0,1],"den":[1]}']],
+     sorted([*_BASE, *_SAMPLING]), True),
+    ([["apply", "--problem", "ex101.json", "--param", _PARAMS["inf"]]], _EVERYTHING, True),
+    ([["pick", "--problem", "ex101.json", "--config", "float"]], _BASE, True),
+], ids=["exact-pick", "exact-pick-and-solve", "unique-solve", "verify", "apply", "float-pick"])
+def test_numpy_is_loaded_only_by_commands_that_sample(commands, modules, loads_numpy, tmp_path):
     config = tmp_path / "float.json"
     config.write_text('{"backend": "float"}')
     commands = [[str(config) if arg == "float" else arg for arg in argv] for argv in commands]
     done = run_module(json.dumps(commands), args=("-c", _IMPORT_PROBE))
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0] * len(commands), loads_numpy]
+    assert json.loads(done.stdout) == [[0] * len(commands), modules, loads_numpy]
+
+
+def test_importtime_of_pick_lists_no_sampling_module():
+    done = run_module("pick", "--problem", "ex101.json", args=("-X", "importtime", "-m", "bnpick.cli"))
+    assert done.returncode == 0, done.stderr
+    imported = {line.split("|")[-1].strip() for line in done.stderr.decode().splitlines()}
+    assert "bnpick.algebra" in imported
+    for name in ("solver", "boundary", "transform", "resolvent"):
+        assert f"bnpick.{name}" not in imported
+    assert not any(m == "numpy" or m.startswith("numpy.") for m in imported)
 
 
 def test_float_overflow_exits_3_without_a_traceback(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import algebra
+from bnpick import algebra, transform
 from bnpick.algebra import GaussianRational
 
 from conftest import (
@@ -176,6 +176,17 @@ class TestNodeDeflation:
                 self.assert_matches_reference(theta, phi)
                 seen.update(node_multiplicities(theta, phi))
         assert seen == {0, 1, 2}
+
+    def test_integer_deflation_by_a_rational_root(self):
+        # f = (3z - 2)^2 (z + 5): b^d f(a/b) vanishes at 2/3 only, and
+        # dividing by (3z - 2) twice leaves z + 5 in integers
+        f = [20, -56, 33, 9]
+        assert transform._scaled_value(f, 2, 3) == 0
+        assert transform._scaled_value(f, -5, 1) == 0
+        assert transform._scaled_value(f, 1, 3) != 0
+        once = transform._divide_linear(f, 2, 3)
+        assert once == [-10, 13, 3]
+        assert transform._divide_linear(once, 2, 3) == [5, 1]
 
     def test_degenerate_and_zero_transforms(self, sys2, theta2):
         for theta in (theta2, b.build_theta(grid_system(random.Random(3), 5, exact=True))):
