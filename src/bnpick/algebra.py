@@ -1,12 +1,12 @@
 """Scalar, polynomial, rational-function and small Hermitian-matrix arithmetic.
 
-Two numeric backends coexist.  The exact backend carries arbitrary-precision
-rationals (``Fraction`` values, held in polynomials and matrices as
-``GaussianRational`` scalars whose imaginary part is zero for every datum the
-library builds); all arithmetic on it is closed, associative and free of
-rounding, so golden results compare by exact equality.  Exact linear algebra
-is real: an exact matrix is real symmetric, and its inertia, its inverse or
-solution against right-hand sides, and its kernel come from one fraction-free
+Two numeric backends coexist.  The exact backend carries real
+arbitrary-precision rationals: ``int`` and ``fractions.Fraction`` values,
+which every polynomial holds as ``Fraction`` coefficients.  Every exact datum
+of the boundary problem is real, so arithmetic on them is closed, associative
+and free of rounding, and golden results compare by exact equality.  An
+exact matrix is real symmetric, and its inertia, its inverse or solution
+against right-hand sides, and its kernel come from one fraction-free
 elimination, ``symmetric_elimination``.  The float backend carries ordinary
 ``complex`` / ``float`` values and is used for boundary-limit extrapolation,
 kernel sampling and any data that is not rational to begin with.  Mixing the
@@ -53,206 +53,48 @@ RCOND_MIN = 1e-14        # reciprocal condition number cutoff for inversion
 TRIM_TOL = 1e-12         # relative size under which float coefficients vanish
 
 
-class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts.
+class GaussianRational(Fraction):
+    """A ``Fraction`` that also answers ``re`` (itself) and ``im`` (zero): the
+    type of the entries of an exact ``HermitianMatrix`` and of nothing else.
 
-    Every exact-lane datum is real, so arithmetic has a real fast path: when
-    both operands of ``+``, ``-``, ``*`` or ``/`` are real (a
-    ``GaussianRational`` with ``im == 0``, an ``int`` or a ``Fraction``), the
-    result is one ``Fraction`` operation, stored without re-coercion and with
-    the shared zero as its imaginary part.  The values are those of the
-    complex formulas; complex operands take the general path.
+    The benchmark harness reads ``.re`` on the entries of an exact P
+    (``perfbench/gen.py:68``) and names this class (``perfbench/gen.py:182``,
+    ``perfbench/layers.py:88``).  ROADMAP item 3's benchmark change reads
+    those values as ``Fraction(v)``, and then this class and its one use go.
+    Arithmetic on it gives plain ``Fraction`` values.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ()
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- constructors -------------------------------------------------
-    @staticmethod
-    def coerce(value) -> "GaussianRational":
-        """Coerce an exact-compatible value; floats are rejected."""
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        if isinstance(value, str):
-            return GaussianRational(Fraction(value))
-        raise TypeError(f"not an exact scalar: {value!r}")
-
-    # -- queries ------------------------------------------------------
     @property
-    def is_real(self) -> bool:
-        return self.im == 0
+    def re(self) -> Fraction:
+        return self
 
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __float__(self) -> float:
-        if self.im != 0:
-            raise ValueError(f"{self!r} has a nonzero imaginary part")
-        return float(self.re)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
-
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
-    # -- arithmetic ---------------------------------------------------
-    def _binary(self, other, exact_op, float_op):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return exact_op(GaussianRational.coerce(other))
-        if isinstance(other, _FLOAT_TYPES):
-            return float_op(complex(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        if not self.im:
-            o = _real_value(other)
-            if o is not None:
-                return _real(self.re + o)
-        return self._binary(
-            other,
-            lambda o: GaussianRational(self.re + o.re, self.im + o.im),
-            lambda o: complex(self) + o,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if not self.im:
-            return _real(-self.re)
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if not self.im:
-            o = _real_value(other)
-            if o is not None:
-                return _real(self.re - o)
-        return self._binary(
-            other,
-            lambda o: GaussianRational(self.re - o.re, self.im - o.im),
-            lambda o: complex(self) - o,
-        )
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if not self.im:
-            o = _real_value(other)
-            if o is not None:
-                return _real(self.re * o)
-        return self._binary(
-            other,
-            lambda o: GaussianRational(
-                self.re * o.re - self.im * o.im,
-                self.re * o.im + self.im * o.re,
-            ),
-            lambda o: complex(self) * o,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not self.im:
-            o = _real_value(other)
-            if o is not None:
-                return _real(self.re / o)
-
-        def exact(o):
-            d = o.abs2()
-            if d == 0:
-                raise ZeroDivisionError("division by zero GaussianRational")
-            return self * GaussianRational(o.re / d, -o.im / d)
-
-        return self._binary(other, exact, lambda o: complex(self) / o)
-
-    def __rtruediv__(self, other):
-        if not self.im:
-            o = _real_value(other)
-            if o is not None:
-                return _real(o / self.re)
-        d = self.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        inv = GaussianRational(self.re / d, -self.im / d)
-        return inv * other
-
-    def __eq__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            o = GaussianRational.coerce(other)
-            return self.re == o.re and self.im == o.im
-        if isinstance(other, _FLOAT_TYPES):
-            return complex(self) == complex(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
-
-
-_FRACTION_ZERO = Fraction(0)
-_new_scalar = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
-
-
-def _real(value: Fraction) -> GaussianRational:
-    """The real scalar ``value`` (already a Fraction), built without coercion."""
-    out = _new_scalar(GaussianRational)
-    _set_re(out, value)
-    _set_im(out, _FRACTION_ZERO)
-    return out
-
-
-def _real_value(x):
-    """The rational value of a real exact operand, or None for any other operand."""
-    kind = type(x)
-    if kind is GaussianRational:
-        return None if x.im else x.re
-    if kind is Fraction or kind is int:
-        return x
-    return None
-
-
-EXACT_ZERO = GaussianRational(0)
-EXACT_ONE = GaussianRational(1)
+    @property
+    def im(self) -> int:
+        return 0
 
 
 def is_exact(value) -> bool:
     """True when ``value`` belongs to the exact backend."""
-    return isinstance(value, (GaussianRational, int, Fraction))
+    return isinstance(value, (int, Fraction))
 
 
 def scalar_from_json(value):
-    """Parse a JSON number: int / 'p/q' stay exact, floats go to the float lane."""
+    """Parse a JSON number: int / 'p/q' stay exact, floats go to the float lane.
+
+    Anything else, a string with a zero denominator included, is a
+    ``TypeError`` or ``ValueError`` that quotes the value.
+    """
     if isinstance(value, bool):
         raise TypeError("boolean is not a scalar")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         return value
     raise TypeError(f"cannot parse scalar from {value!r}")
@@ -260,10 +102,6 @@ def scalar_from_json(value):
 
 def scalar_to_json(value):
     """Serialize an exact or float scalar: ints as ints, fractions as 'p/q'."""
-    if isinstance(value, GaussianRational):
-        if not value.is_real:
-            raise TypeError("complex exact scalars have no JSON form")
-        value = value.re
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, int):
@@ -280,8 +118,8 @@ class Polynomial:
     """Dense univariate polynomial with ascending coefficients.
 
     The zero polynomial has an empty coefficient list and degree ``-1``.
-    A polynomial is either fully exact (GaussianRational coefficients) or
-    fully float (complex); mixing promotes everything to complex.
+    A polynomial is either fully exact (``Fraction`` coefficients) or fully
+    float (complex); mixing promotes everything to complex.
     """
 
     __slots__ = ("coeffs", "exact")
@@ -290,10 +128,10 @@ class Polynomial:
         canon = []
         exact = True
         for c in coeffs:
-            if is_exact(c):
-                canon.append(GaussianRational.coerce(c))
-            elif isinstance(c, str):
-                canon.append(GaussianRational(Fraction(c)))
+            if type(c) is Fraction:
+                canon.append(c)
+            elif isinstance(c, (int, Fraction, str)):
+                canon.append(Fraction(c))
             elif isinstance(c, _FLOAT_TYPES):
                 canon.append(complex(c))
                 exact = False
@@ -348,7 +186,7 @@ class Polynomial:
 
     def is_real(self) -> bool:
         if self.exact:
-            return all(c.is_real for c in self.coeffs)
+            return True
         scale = max((abs(c) for c in self.coeffs), default=0.0)
         return all(abs(c.imag) <= TRIM_TOL * max(1.0, scale) for c in self.coeffs)
 
@@ -368,9 +206,7 @@ class Polynomial:
             c = self.coeffs[k]
             if not c:
                 continue
-            negative = (c.re < 0 if isinstance(c, GaussianRational) and c.is_real
-                        else isinstance(c, (int, float)) and c < 0
-                        or isinstance(c, complex) and c.imag == 0 and c.real < 0)
+            negative = c < 0 if self.exact else c.imag == 0 and c.real < 0
             mag = -c if negative else c
             if isinstance(mag, complex) and mag.imag == 0:
                 mag = mag.real
@@ -418,16 +254,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        result = Polynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, factor) -> "Polynomial":
         return Polynomial([c * factor for c in self.coeffs])
 
@@ -457,30 +283,19 @@ class Polynomial:
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        inv = EXACT_ONE / self.lead if self.exact else 1.0 / self.lead
-        return self.scale(inv)
+        return self.scale(1 / self.lead)
 
     def derivative(self) -> "Polynomial":
         return Polynomial([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, z):
         """Horner evaluation; exact when both operands are exact."""
-        acc = EXACT_ZERO if (self.exact and is_exact(z)) else 0j
+        acc = 0 if (self.exact and is_exact(z)) else 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
 
     __call__ = eval
-
-    def compose_rational(self, num: "Polynomial", den: "Polynomial") -> "Polynomial":
-        """Numerator of self(num/den) after clearing den**degree."""
-        if self.is_zero:
-            return Polynomial(())
-        d = self.degree
-        out = Polynomial(())
-        for k, c in enumerate(self.coeffs):
-            out = out + (num ** k) * (den ** (d - k)).scale(c)
-        return out
 
     def to_complex_array(self) -> np.ndarray:
         import numpy as np
@@ -530,10 +345,10 @@ class RationalFunction:
     """Quotient of two polynomials, normalized to a canonical form.
 
     Canonical means: numerator and denominator are coprime, and the
-    denominator is scaled so that (a) real exact entries have coprime integer
+    denominator is scaled so that (a) exact entries have coprime integer
     coefficients with a positive leading coefficient -- this reproduces
-    textbook displays like (2z+1)/(2z-1) verbatim -- (b) complex exact or
-    float entries have a monic denominator.
+    textbook displays like (2z+1)/(2z-1) verbatim -- (b) float entries have a
+    monic denominator.
     """
 
     __slots__ = ("num", "den", "exact", "_sampler")
@@ -580,14 +395,7 @@ class RationalFunction:
                 if g.degree >= 1:
                     num = num.divmod(g)[0]
                     den = den.divmod(g)[0]
-            if num.is_real() and den.is_real():
-                num, den = _integer_form(
-                    [c.re for c in num.coeffs], [c.re for c in den.coeffs]
-                )
-            else:
-                inv = EXACT_ONE / den.lead
-                num, den = num.scale(inv), den.scale(inv)
-            return num, den
+            return _integer_form(num.coeffs, den.coeffs)
         if num.is_zero:
             return num, Polynomial((1.0,))
         num, den = _float_cancel(num, den)
@@ -623,17 +431,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("not a constant rational function")
-        if self.is_zero:
-            return EXACT_ZERO if self.exact else 0j
-        return self.num.coeffs[0] / self.den.coeffs[0]
 
     def is_real(self) -> bool:
         return self.num.is_real() and self.den.is_real()
@@ -730,39 +527,23 @@ class RationalFunction:
         n, d = self.num, self.den
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
-    def compose(self, inner: "RationalFunction") -> "RationalFunction":
-        """self(inner(z)) as a canonical rational function."""
-        p, q = self.num, self.den
-        n, d = inner.num, inner.den
-        dp, dq = max(p.degree, 0), max(q.degree, 0)
-        top = p.compose_rational(n, d)
-        bot = q.compose_rational(n, d)
-        if dp > dq:
-            bot = bot * d ** (dp - dq)
-        elif dq > dp:
-            top = top * d ** (dq - dp)
-        return RationalFunction(top, bot)
-
 
 def _compiled(p: Polynomial, slope: bool = False) -> tuple:
     """Coefficients of p, or of p' when ``slope``, in floating point, highest
     degree first, for Horner.
 
-    An exact coefficient k c (k = 1, or the power for p') is converted part
-    by part as one correctly rounded integer division: the float of the
-    exact value, as ``complex(k * c)`` gives, without forming k c.  A part
-    beyond the float range raises ``FloatRangeError``, which names its size.
+    An exact coefficient k c (k = 1, or the power for p') is converted as one
+    correctly rounded integer division: the float of the exact value, as
+    ``complex(k * c)`` gives, without forming k c.  A value beyond the float
+    range raises ``FloatRangeError``, which names its size.
     """
     if not p.exact:
         return tuple(reversed((p.derivative() if slope else p).coeffs))
     terms = list(enumerate(p.coeffs))[1:] if slope else [(1, c) for c in p.coeffs]
     try:
-        return tuple(
-            complex((k * c.re.numerator) / c.re.denominator, (k * c.im.numerator) / c.im.denominator)
-            for k, c in reversed(terms)
-        )
+        return tuple(complex((k * c.numerator) / c.denominator) for k, c in reversed(terms))
     except OverflowError:
-        bits = max(int(abs(k * part)).bit_length() for k, c in terms for part in (c.re, c.im))
+        bits = max(int(abs(k * c)).bit_length() for k, c in terms)
         raise FloatRangeError(
             f"a polynomial coefficient of {bits} bits exceeds the float range (1024 bits); "
             "the function cannot be sampled in floats"
@@ -781,10 +562,10 @@ class RationalSampler:
 
     The numerator and denominator are converted to float coefficient lists
     when the sampler is built, so each sample is plain Horner arithmetic with
-    no per-coefficient ``GaussianRational`` dispatch.  ``complex(c) + acc``
-    is the same IEEE operation ``GaussianRational.__radd__`` performs, so the
-    samples are bit-identical to evaluating the exact polynomials at the same
-    float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
+    no per-coefficient ``Fraction`` dispatch.  ``Fraction.__radd__`` with a
+    complex operand computes ``complex(acc) + complex(c)``, the same IEEE
+    operation, so the samples are bit-identical to evaluating the exact
+    polynomials at the same float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
     Each function keeps one sampler (``RationalFunction.sampler``).
 
     ``split_samples`` takes many points in one pass of float64 array
@@ -1015,10 +796,10 @@ def _rows_are_exact(rows) -> bool:
 class HermitianMatrix:
     """Square matrix with entry(i,j) == conj(entry(j,i)).
 
-    Exact entries must be real and symmetric identically: every exact
-    matrix the library builds is a Pick matrix or a block of its inverse.
-    Float entries may be complex and are allowed a relative slack of
-    ``HERMITIAN_TOL``.
+    Exact entries must be symmetric identically: every exact matrix the
+    library builds is a Pick matrix or a block of its inverse.  They are
+    held as ``GaussianRational`` values.  Float entries may be complex and
+    are allowed a relative slack of ``HERMITIAN_TOL``.
     """
 
     __slots__ = ("rows", "n", "exact")
@@ -1030,13 +811,9 @@ class HermitianMatrix:
             raise ValueError("matrix is not square")
         exact = _rows_are_exact(rows)
         if exact:
-            rows = tuple(
-                tuple(GaussianRational.coerce(x) for x in row) for row in rows
-            )
+            rows = tuple(tuple(GaussianRational(x) for x in row) for row in rows)
             for i in range(n):
-                for j in range(i, n):
-                    if rows[i][j].im:
-                        raise ValueError(f"exact entry ({i},{j}) is not real")
+                for j in range(i + 1, n):
                     if rows[i][j] != rows[j][i]:
                         raise ValueError(f"not symmetric at ({i},{j})")
         else:
@@ -1166,13 +943,13 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
     of them and 0 at the others.  Otherwise row r of the pivot (r, c) holds
     p e_c and p times row c of P^(-1) B.
 
-    ``rows`` are the rows of P (ints, Fractions or real ``GaussianRational``
-    values); ``rhs`` the rows of B, with no columns by default.
+    ``rows`` are the rows of P (ints or Fractions); ``rhs`` the rows of B,
+    with no columns by default.
     """
     n = len(rows)
     rhs = rhs or [()] * n
     a = [
-        _cleared_integers([_real_value(x) for x in (*row, *extra)])[0]
+        _cleared_integers([*row, *extra])[0]
         for row, extra in zip(rows, rhs)
     ]
     remaining = list(range(n))

@@ -20,7 +20,7 @@ from __future__ import annotations
 # heap is still small: loading argparse, json and fractions first raised the
 # peak RSS of a `pick` child by about 1 MB.
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
-from .algebra import GaussianRational, RationalFunction, scalar_to_json
+from .algebra import RationalFunction, scalar_to_json
 from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
 from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
 
@@ -54,7 +54,8 @@ class RunConfig:
     @staticmethod
     def from_json(obj) -> "RunConfig":
         """Parse a config document; a key it does not know, top-level or in
-        ``grid``, is an ``InputError`` that names it."""
+        ``grid``, or a value of the wrong kind, is an ``InputError`` that
+        names the key."""
         if not isinstance(obj, dict):
             raise InputError("config document must be a JSON object")
         backend = obj.get("backend", "exact")
@@ -67,17 +68,39 @@ class RunConfig:
         unknown += sorted(f"grid.{k}" for k in set(grid_doc) - set(GridConfig.__dataclass_fields__))
         if unknown:
             raise InputError(f"unknown config key(s): {', '.join(unknown)}")
-        grid = replace(
-            DEFAULT_GRID,
-            **{k: tuple(v) if isinstance(v, list) else v for k, v in grid_doc.items()},
-        )
+        grid = {}
+        for key, value in grid_doc.items():
+            if key == "points_per_level":
+                if not isinstance(value, int) or value < 1:
+                    raise InputError("config 'grid.points_per_level' must be a positive integer")
+            elif key == "im_levels":
+                if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+                    raise InputError("config 'grid.im_levels' must be a nonempty list of numbers")
+                value = tuple(value)
+            elif not _is_number(value):
+                raise InputError(f"config 'grid.{key}' must be a number")
+            grid[key] = value
+        out = obj.get("out")
+        if out is not None and not isinstance(out, str):
+            raise InputError("config 'out' must be a path")
         return RunConfig(
             backend=backend,
-            rank_tol=float(obj.get("rank_tol", 1e-9)),
-            verify_tol=float(obj.get("verify_tol", VERIFY_TOL)),
-            grid=grid,
-            out=obj.get("out"),
+            rank_tol=_float_entry(obj, "rank_tol", 1e-9),
+            verify_tol=_float_entry(obj, "verify_tol", VERIFY_TOL),
+            grid=replace(DEFAULT_GRID, **grid),
+            out=out,
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _float_entry(obj: dict, key: str, default: float) -> float:
+    try:
+        return float(obj.get(key, default))
+    except (TypeError, ValueError):
+        raise InputError(f"config {key!r} must be a number") from None
 
 
 def _read_json(path: str | None, *, stdin_ok: bool = False, inline_ok: bool = False):
@@ -126,10 +149,7 @@ def _load_parameter(args) -> Parameter:
     doc = _read_json(getattr(args, "param", None), stdin_ok=False, inline_ok=True)
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("parameter document must carry a 'type' field")
-    try:
-        return Parameter.from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"malformed parameter: {exc}") from exc
+    return _parse(Parameter.from_json, doc, "parameter")
 
 
 def _load_candidate(args) -> RationalFunction:
@@ -137,19 +157,28 @@ def _load_candidate(args) -> RationalFunction:
     if isinstance(doc, dict) and "type" in doc:
         from .transform import Parameter
 
-        phi = Parameter.from_json(doc)
+        phi = _parse(Parameter.from_json, doc, "candidate")
         if phi.is_infinite:
             raise InvalidDataError("the infinite parameter is not a candidate function")
         return phi.as_rational()
     if isinstance(doc, dict) and "num" in doc and "den" in doc:
-        return RationalFunction.from_json(doc)
+        return _parse(RationalFunction.from_json, doc, "candidate")
     raise InputError("candidate must be {'num': [...], 'den': [...]} or a parameter")
+
+
+def _parse(from_json, doc, what: str):
+    """``from_json(doc)``, with what a malformed document raises (a zero
+    denominator included) turned into an ``InputError``."""
+    try:
+        return from_json(doc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed {what}: {exc}") from exc
 
 
 def _jsonify(value):
     if hasattr(value, "to_json"):  # a boundary.LimitEstimate
         return value.to_json()
-    if isinstance(value, (Fraction, GaussianRational)):
+    if isinstance(value, Fraction):
         return scalar_to_json(value)
     if is_infinite(value):
         return "inf"

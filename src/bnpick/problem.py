@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    GaussianRational,
     HermitianMatrix,
     Inertia,
     hermitian_inertia,
@@ -113,6 +112,9 @@ class InterpolationData:
 
     @staticmethod
     def from_json(obj) -> "InterpolationData":
+        for key in ("regular", "singular", "nodes"):
+            if not isinstance(obj.get(key, []), list):
+                raise InvalidDataError(f"problem '{key}' must be a list")
         try:
             regular = obj.get("regular", [])
             singular = obj.get("singular", [])
@@ -121,10 +123,10 @@ class InterpolationData:
             values = [scalar_from_json(r["w"]) for r in regular]
             bounds = [scalar_from_json(r["gamma"]) for r in regular]
             residues = [scalar_from_json(s["xi"]) for s in singular]
+            listed = [scalar_from_json(x) for x in obj.get("nodes", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"malformed problem document: {exc}") from exc
         if "nodes" in obj:
-            listed = [scalar_from_json(x) for x in obj["nodes"]]
             if sorted(map(float, listed)) != sorted(map(float, nodes)):
                 raise InvalidDataError("'nodes' does not match regular/singular entries")
         return InterpolationData(
@@ -215,10 +217,6 @@ class PickSystem:
         return self.inertia.zeros == 0
 
 
-def _real_part(value):
-    return value.re if isinstance(value, GaussianRational) else value.real
-
-
 def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
     """Assemble P, X, E, C and, when P is invertible, the derived block.
 
@@ -305,7 +303,7 @@ def check_lyapunov(sys: PickSystem) -> LyapunovReport:
     location = None
     for i in range(n):
         for j in range(n):
-            p_ij = _real_part(P.entry(i, j))
+            p_ij = P.entry(i, j).real
             res = p_ij * (x[j] - x[i]) - (e[i] * c[j] - c[i] * e[j])
             mag = abs(res)
             if worst is None or mag > worst:

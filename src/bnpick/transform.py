@@ -196,7 +196,7 @@ def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
     Gauss's lemma, as b z - a is primitive; so the canonical form is the
     content and the sign.
     """
-    ints, _ = _cleared_integers([c.re for c in (*p.coeffs, *q.coeffs)])
+    ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
     pc, qc = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
     (n00, n01), (n10, n11) = theta.integer_numerators
     num = _linear_combination(n00, pc, n01, qc)

@@ -8,18 +8,14 @@ import pytest
 
 import bnpick as b
 from bnpick import boundary
-from bnpick.algebra import GaussianRational, _horner
+from bnpick.algebra import _horner
 from bnpick.boundary import LimitEstimate, LimitKind
 
 F = Fraction
 
-EXACT_I = GaussianRational(0, 1)
-
-# The 2x2 signature matrix [[0, -i], [i, 0]] of the resolvent; J* = J and J^2 = I.
-SIGNATURE_J = (
-    (GaussianRational(0), -EXACT_I),
-    (EXACT_I, GaussianRational(0)),
-)
+# The symplectic form S = [[0, -1], [1, 0]]; the resolvent's signature matrix
+# is J = i S, so J* = J and J^2 = I, and the identities in J are real ones in S.
+SYMPLECTIC_S = ((0, -1), (1, 0))
 
 
 def data_two_regular():
@@ -95,11 +91,11 @@ def rational_j_unitary(theta):
     """Theta J Theta^T == J entry by entry in rational-function arithmetic.
 
     The four-entry identity the determinant form replaces, kept as its
-    reference.
+    reference.  With J = i S it is Theta S Theta^T == S, in real arithmetic.
     """
-    J = SIGNATURE_J
+    S = SYMPLECTIC_S
     e = theta.entries
-    j_const = [[b.RationalFunction.constant(J[i][j]) for j in range(2)] for i in range(2)]
+    j_const = [[b.RationalFunction.constant(S[i][j]) for j in range(2)] for i in range(2)]
     for r in range(2):
         for c in range(2):
             acc = b.RationalFunction(b.Polynomial(()))
@@ -550,8 +546,8 @@ def random_singular_data(rng, n_max=5):
             continue  # all-singular data has diagonal P, always invertible
         P0 = b.build_pick(_with_gamma1(data, Fraction(0)))
         P1 = b.build_pick(_with_gamma1(data, Fraction(1)))
-        b0 = exact_det([[v.re for v in row] for row in P0.rows])
-        a = exact_det([[v.re for v in row] for row in P1.rows]) - b0
+        b0 = exact_det(P0.rows)
+        a = exact_det(P1.rows) - b0
         if not a:
             continue
         data = _with_gamma1(data, -b0 / a)

@@ -2,14 +2,25 @@
 
 The harness is kept fixed between library changes, so a name it reads must
 not disappear from ``bnpick``; this test fails at once when one does, rather
-than the benchmark run.
+than the benchmark run.  Likewise for what it reads on the values: the
+entries of an exact Pick matrix answer ``.re`` and ``.im``, and no other
+exact value carries that adapter.
 """
 
 import ast
 import importlib
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+import bnpick as b
+from bnpick.algebra import symmetric_elimination
+
+from conftest import BENCHMARK_PARAMETERS, grid_system, random_singular_data
+
+F = Fraction
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +55,46 @@ def test_the_harness_uses_the_library():
 @pytest.mark.parametrize("module,name", used_names())
 def test_library_has_the_name(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_exact_pick_entries_answer_re_and_im():
+    # the harness reads ``.re`` on an exact P's entries (``_integer_rows``)
+    sys_ = grid_system(random.Random(3), 6, exact=True)
+    for P in (sys_.P, b.build_pick(sys_.data)):
+        for row in P.rows:
+            for v in row:
+                assert isinstance(v, Fraction) and v.re == v and v.im == 0
+
+
+def plain(values) -> bool:
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def coefficients(func) -> list:
+    return [*func.num.coeffs, *func.den.coeffs]
+
+
+def test_every_other_exact_value_is_int_or_fraction():
+    rng = random.Random(5)
+    sys_ = grid_system(rng, 6, exact=True)
+    theta = b.build_theta(sys_)
+    head, rest = b.factorize(sys_, 3)
+    for matrix in (theta, head @ rest, b.theta_inverse(theta)):
+        assert plain(matrix.nodes)
+        assert plain(v for pair in (*matrix.left, *matrix.right) for v in pair)
+        assert plain(c for row in matrix.entries for e in row for c in coefficients(e))
+    for phi in BENCHMARK_PARAMETERS:
+        w = b.apply_lft(theta, phi)
+        assert plain(coefficients(w))
+        assert plain(w.eval(F(x, 7)) for x in (1, 2, 3))
+    assert plain(b.Polynomial(sys_.P.rows[0]).coeffs)  # a polynomial never keeps the adapter
+    assert plain(v for row in sys_.p_inv for v in row)
+    assert plain((*sys_.tilde_e, *sys_.tilde_c, *sys_.tilde_p_diag))
+    assert plain(v for v in sys_.eta if v is not b.INFINITY)
+    elimination = symmetric_elimination(sys_.P.rows, [[1]] * sys_.n)
+    assert plain(v for row in elimination.solution for v in row)
+
+    singular = b.build_system(random_singular_data(rng))
+    assert plain(coefficients(b.solve_degenerate(singular)))
+    kernel = symmetric_elimination(singular.P.rows).kernel
+    assert kernel and plain(v for vec in kernel for v in vec)

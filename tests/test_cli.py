@@ -284,6 +284,47 @@ class TestConfig:
         assert config.grid.im_levels == (0.3, 1.1)
 
 
+_EX101 = '{"regular":[{"x":0,"w":0,"gamma":-1},{"x":1,"w":1,"gamma":1}],"singular":[]}'
+_CANDIDATE = '{"num":[0,1],"den":[1]}'
+
+
+@pytest.mark.parametrize("command,problem,param,config,named", [
+    ("pick", _EX101.replace('"x":0', '"x":"1/0"'), None, None, "'1/0'"),
+    ("apply", _EX101, '{"type":"const","value":"1/0"}', None, "'1/0'"),
+    ("verify", _EX101, '{"num":["x"],"den":[1]}', None, "'x'"),
+    ("verify", _EX101, '{"num":[1],"den":[0]}', None, "zero denominator"),
+    ("pick", _EX101.replace('"singular"', '"nodes":5,"singular"'), None, None, "'nodes'"),
+    ("verify", _EX101, _CANDIDATE, {"rank_tol": "abc"}, "'rank_tol'"),
+    ("verify", _EX101, _CANDIDATE, {"grid": {"points_per_level": "x"}}, "grid.points_per_level"),
+    ("verify", _EX101, _CANDIDATE, {"grid": {"im_levels": 5}}, "grid.im_levels"),
+    ("apply", _EX101, _PARAMS["z"], {"grid": {"points_per_level": 0}}, "grid.points_per_level"),
+    ("verify", _EX101, _CANDIDATE, {"out": 5}, "'out'"),
+], ids=["node-1/0", "const-1/0", "num-x", "den-0", "nodes-5", "rank_tol-abc",
+        "points-x", "im_levels-5", "points-0", "out-5"])
+def test_malformed_input_exits_2_with_one_error_line(
+    capsys, tmp_path, command, problem, param, config, named
+):
+    argv = [command, "--problem", str(tmp_path / "problem.json")]
+    (tmp_path / "problem.json").write_text(problem)
+    if param is not None:
+        argv += ["--param", param]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+def test_config_documents_accepted_before_stay_accepted():
+    config = RunConfig.from_json({
+        "rank_tol": "1e-9", "verify_tol": 1, "out": None,
+        "grid": {"points_per_level": 1, "im_levels": [0.5, 2], "re_margin": 2, "eig_tol": 0},
+    })
+    assert config.rank_tol == 1e-9 and config.verify_tol == 1.0 and config.out is None
+    assert config.grid.points_per_level == 1 and config.grid.im_levels == (0.5, 2)
+
+
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_document(name, argv, tmp_path):
     out = tmp_path / "out.json"

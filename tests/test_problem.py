@@ -8,7 +8,7 @@ import bnpick as b
 from bnpick import problem
 
 from conftest import (
-    SIGNATURE_J,
+    SYMPLECTIC_S,
     data_degenerate,
     data_mixed,
     data_two_regular,
@@ -112,12 +112,11 @@ class TestBuildSystem:
         assert sys2.X == (F(1), F(0))
 
     def test_signature_matrix(self):
-        J = SIGNATURE_J
-        # J* = J and J^2 = I
-        assert J[0][1] == -J[1][0].conjugate() or J[0][1] == J[1][0].conjugate()
-        prod00 = J[0][0] * J[0][0] + J[0][1] * J[1][0]
-        prod01 = J[0][0] * J[0][1] + J[0][1] * J[1][1]
-        assert prod00 == 1 and not prod01
+        S = SYMPLECTIC_S
+        # S^T = -S and S^2 = -I, so J = i S has J* = J and J^2 = I
+        assert all(S[i][j] == -S[j][i] for i in range(2) for j in range(2))
+        square = [[sum(S[i][k] * S[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        assert square == [[-1, 0], [0, -1]]
 
 
 class TestLyapunov:
@@ -252,7 +251,7 @@ class TestDerivedIdentities:
         # reference: P P^(-1) = I, te = E P^(-1), tc = C P^(-1) and
         # eta = tc / te, all in Fraction arithmetic
         sys_ = grid_system(random.Random(7 + n), n, exact=True)
-        P = [[v.re for v in row] for row in sys_.P.rows]
+        P = sys_.P.rows
         inv = sys_.p_inv
         for i in range(n):
             for j in range(n):

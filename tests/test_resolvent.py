@@ -9,12 +9,10 @@ import pytest
 
 import bnpick as b
 from bnpick import algebra, problem, resolvent
-from bnpick.algebra import EXACT_ONE, EXACT_ZERO, GaussianRational
 
 from conftest import (
     BENCHMARK_PARAMETERS,
-    EXACT_I,
-    SIGNATURE_J,
+    SYMPLECTIC_S,
     data_mixed,
     data_two_regular,
     cross_multiplied_j_unitary,
@@ -40,37 +38,31 @@ GOLDEN_FACTORS = Path(__file__).resolve().parent / "golden" / "factors.json"
 
 def eval_direct_formula(sys_, z):
     """Independent oracle: I - i [C;E](zI-X)^(-1) P^(-1) [C* E*] J in exact
-    Gaussian-rational arithmetic."""
+    rational arithmetic at a real z.  With J = i S, -i M J = M S, so every
+    term is real."""
     n = sys_.n
-    z = GaussianRational.coerce(z)
-    rows = [[GaussianRational.coerce(sys_.C[i]) for i in range(n)],
-            [GaussianRational.coerce(sys_.E[i]) for i in range(n)]]
-    resolvent = [EXACT_ONE / (z - GaussianRational.coerce(sys_.X[i])) for i in range(n)]
+    z = F(z)
+    rows = [list(sys_.C), list(sys_.E)]
+    resolvent = [1 / (z - sys_.X[i]) for i in range(n)]
     left = [[rows[a][i] * resolvent[i] for i in range(n)] for a in range(2)]
-    p_inv = [[GaussianRational.coerce(v) for v in row] for row in sys_.p_inv]
-    mid = [[sum((left[a][i] * p_inv[i][j] for i in range(n)), start=EXACT_ZERO)
+    mid = [[sum((left[a][i] * sys_.p_inv[i][j] for i in range(n)), start=F(0))
             for j in range(n)] for a in range(2)]
     right = [[rows[0][i], rows[1][i]] for i in range(n)]  # columns C*, E*
-    prod = [[sum((mid[a][i] * right[i][bb] for i in range(n)), start=EXACT_ZERO)
+    prod = [[sum((mid[a][i] * right[i][bb] for i in range(n)), start=F(0))
              for bb in range(2)] for a in range(2)]
-    J = SIGNATURE_J
-    out = [[None, None], [None, None]]
-    for a in range(2):
-        for bb in range(2):
-            acc = sum((prod[a][m] * J[m][bb] for m in range(2)), start=EXACT_ZERO)
-            delta = EXACT_ONE if a == bb else EXACT_ZERO
-            out[a][bb] = delta - EXACT_I * acc
-    return out
+    S = SYMPLECTIC_S
+    return [
+        [int(a == bb) + sum((prod[a][m] * S[m][bb] for m in range(2)), start=F(0))
+         for bb in range(2)]
+        for a in range(2)
+    ]
 
 
 def exact_residue(entry, x):
     """Residue of a canonical rational function at a simple real pole."""
-    num_val = entry.num.eval(GaussianRational.coerce(x))
-    den_deriv = entry.den.derivative().eval(GaussianRational.coerce(x))
-    den_val = entry.den.eval(GaussianRational.coerce(x))
-    if den_val:
-        return EXACT_ZERO  # analytic there
-    return num_val / den_deriv
+    if entry.den.eval(x):
+        return F(0)  # analytic there
+    return entry.num.eval(x) / entry.den.derivative().eval(x)
 
 
 def zero_value_system():
@@ -183,7 +175,7 @@ def checked_builds(monkeypatch):
         assert theta.kappa == kappa
         assert coefficient_tuples(theta.entries) == coefficient_tuples(reference)
         poles = {x for x in nodes for row in reference for e in row
-                 if not e.den.eval(GaussianRational.coerce(x))}
+                 if not e.den.eval(x)}
         assert theta.poles == tuple(sorted(poles))
         built.append(theta)
         return theta
@@ -289,7 +281,7 @@ class TestBuildTheta:
                 for i in range(2):
                     for j in range(2):
                         got = exact_residue(theta.entry(i, j), x)
-                        assert got == GaussianRational.coerce(expected[i][j])
+                        assert got == expected[i][j]
 
     def test_determinant_is_one(self, theta1, theta2):
         assert theta1.det() == rf((1,))
@@ -315,11 +307,11 @@ class TestBuildTheta:
             ratio = theta.entry(1, 1) / theta.entry(1, 0)
             for i in range(sys_.n):
                 try:
-                    got = -ratio.eval(GaussianRational.coerce(sys_.X[i]))
+                    got = -ratio.eval(sys_.X[i])
                 except b.PoleError:
                     assert sys_.eta[i] is INFINITY
                     continue
-                assert got == GaussianRational.coerce(sys_.eta[i])
+                assert got == sys_.eta[i]
 
     def test_to_json_carries_kappa_and_poles(self, theta1):
         doc = theta1.to_json()
@@ -694,7 +686,7 @@ class TestCompose:
         assert all(product.entry(i, j) == reference[i][j] for i in range(2) for j in range(2))
         # the residue form keeps exactly the nodes where the product has a pole
         poles = {x for x in (*a.nodes, *c.nodes) for row in reference for e in row
-                 if not e.den.eval(GaussianRational.coerce(x))}
+                 if not e.den.eval(x)}
         assert set(product.nodes) == poles and product.kappa is None
         return product
 

@@ -6,7 +6,6 @@ import pytest
 
 import bnpick as b
 from bnpick import algebra, transform
-from bnpick.algebra import GaussianRational
 
 from conftest import (
     BENCHMARK_PARAMETERS,
@@ -32,7 +31,7 @@ class TestParameter:
 
     def test_complex_coefficients_rejected(self):
         # z + i is a Nevanlinna function but carries complex coefficients
-        zi = b.RationalFunction(b.Polynomial((GaussianRational(0, 1), 1)))
+        zi = b.RationalFunction(b.Polynomial((1j, 1.0)))
         with pytest.raises(b.NotNevanlinnaError):
             b.Parameter.rational(zi)
 
@@ -133,7 +132,7 @@ def node_multiplicities(theta, phi):
     counts = []
     for x in theta.nodes:
         k = 0
-        while g.degree >= 1 and not g.eval(GaussianRational.coerce(x)):
+        while g.degree >= 1 and not g.eval(x):
             g = g.divmod(b.Polynomial((-x, 1)))[0]
             k += 1
         counts.append(k)
