@@ -83,8 +83,9 @@ def is_exact(value) -> bool:
 def scalar_from_json(value):
     """Parse a JSON number: int / 'p/q' stay exact, floats go to the float lane.
 
-    Anything else, a string with a zero denominator included, is a
-    ``TypeError`` or ``ValueError`` that quotes the value.
+    Anything else, a string with a zero denominator or a non-finite float
+    (JSON's ``NaN`` and ``Infinity``) included, is a ``TypeError`` or
+    ``ValueError`` that quotes the value.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a scalar")
@@ -96,6 +97,8 @@ def scalar_from_json(value):
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite number {value!r}")
         return value
     raise TypeError(f"cannot parse scalar from {value!r}")
 
@@ -721,6 +724,15 @@ def _cleared_integers(values) -> tuple:
     (ints or ``Fraction`` values), with v_k = m_k / D."""
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _scaled_value(coeffs, a, b) -> int:
+    """b^d f(a/b) for f of degree d with ascending integer coefficients."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return acc
 
 
 def _integer_form(num, den) -> tuple:

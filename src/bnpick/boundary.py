@@ -1,26 +1,40 @@
-"""Numerical boundary limits and kernel-positivity certificates.
+"""Boundary limits and kernel-positivity certificates.
 
-Nontangential limits are taken along the vertical path z_k = x0 + i t0 2^-k
-and accelerated with a second-order Richardson table; for rational functions
-the vertical path already realizes every nontangential limit.  All the
-limits one function needs are taken in one batched pass (``nt_limits``):
-one stacked Horner evaluation of the function's ``RationalSampler`` at every
-path point, and the stop rules of every path as array operations.  The
-arithmetic is split real float64 that performs CPython's complex product,
-quotient and modulus term for term, so each limit equals the one taken one
-Python complex sample at a time, bit for bit.  On top of the limit
-machinery sit the Caratheodory-Julia consistency check (four limit
-quantities that must agree when the boundary derivative exists), sampled
-negative-squares counts of Nevanlinna kernels and the bordered-kernel
-solution criterion.
+Every certificate about a node reads a nontangential boundary limit, and
+for the rational functions certified here that limit is the function's
+Laurent jet at the node.  ``jet_limits`` is the one rule that turns the
+Taylor coefficients of a numerator and a denominator at a point into the
+``LimitEstimate``s of the value, the derivative, the residual and the
+kernel diagonal.  Two sources feed it: ``lft_jets`` reads the jets of
+w = Theta o phi from Theta's residue form, for all nodes in one numpy pass,
+and ``rational_jets`` takes those of a function's own coefficients (a
+parameter, or a candidate with no resolvent), exactly where they are
+exact.  Float coefficients are zero when within ``JET_ZERO_TOL`` of their
+scale.
+
+Path sampling serves only ``nt_limit``/``nt_limits`` and the
+Caratheodory-Julia consistency check.  Those limits are taken along the
+vertical path z_k = x0 + i t0 2^-k and accelerated with a second-order
+Richardson table; for rational functions the vertical path realizes every
+nontangential limit.  All the path limits of one function are taken in one
+batched pass: one stacked Horner evaluation of the function's
+``RationalSampler`` at every path point, and the stop rules of every path
+as array operations.  The arithmetic is split real float64 that performs
+CPython's complex product, quotient and modulus term for term, so each
+limit equals the one taken one Python complex sample at a time, bit for
+bit.  The Caratheodory-Julia check compares limit quantities that must
+agree when the boundary derivative exists.  The module also holds the
+sampled negative-squares counts of Nevanlinna kernels and the
+bordered-kernel solution criterion.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._sections import (
     DEFAULT_GRID,
@@ -30,7 +44,15 @@ from ._sections import (
     pole_free_grid,
     span_of,
 )
-from .algebra import Polynomial, RationalFunction, split_product
+from .algebra import (
+    Polynomial,
+    RationalFunction,
+    _cleared_integers,
+    _compiled,
+    _scaled_value,
+    is_exact,
+    split_product,
+)
 from .errors import PoleError
 from .problem import PickSystem
 
@@ -47,7 +69,8 @@ class LimitKind(Enum):
 
 @dataclass(frozen=True)
 class LimitEstimate:
-    """Tagged boundary-limit estimate with its extrapolation history."""
+    """Tagged boundary-limit estimate with its extrapolation history (none
+    for a limit read as a jet)."""
 
     kind: LimitKind
     status: str  # "finite" | "infinite" | "dne"
@@ -357,6 +380,260 @@ def _values(flat, start, stop) -> tuple:
     if flat.ndim == 1:
         return tuple(flat[start:stop].tolist())
     return tuple(map(complex, flat[0, start:stop].tolist(), flat[1, start:stop].tolist()))
+
+
+# -- limits as jets -----------------------------------------------------------
+
+# A Taylor coefficient of a float jet counts as zero when its modulus is at
+# most JET_ZERO_TOL times the sum of the moduli of the terms that form it
+# (its scale).  Rounding alone leaves a coefficient within about (n + 4) u of
+# its scale, u = 2^-53, which is under 1e-14 for the few dozen nodes a residue
+# form has here; that is the whole error when the data are exact, as on the
+# exact lane, whose residue data are rounded once.  On the float lane Theta's
+# rows (te_i, -tc_i) come from a float inverse of P and carry its relative
+# error, about cond(P) u, so 1e-9 keeps a factor of 10 above it up to
+# cond(P) = 10^6.  A genuinely nonzero coefficient below 1e-9 of its scale
+# reads as zero: the float lane resolves no finer.  That is a hundred times
+# finer than THRESHOLD_TOL = 1e-7, at which the labels compare phi(x_i) with
+# eta_i.  Measured on 13083 node tests r_i . v(x_i) = 0 (300 random systems
+# with n <= 6 and the probe systems at n = 8, 16 and 24 of tests/conftest.py,
+# under eleven parameters), the float lane read the 40 that vanish exactly at
+# most 1.9e-16 of their scale and the others at least 4.9e-5; tests/test_jets.py
+# keeps a smaller draw of that check.
+JET_ZERO_TOL = 1e-9
+# Taylor orders a jet keeps: a common factor (z - x) is shifted out at most
+# twice, and the value and derivative, or the residue, read the two orders
+# after it.
+JET_ORDERS = 4
+JET_KINDS = ("value", "derivative", "residual", "kernel_diagonal")
+
+
+class Jet(NamedTuple):
+    """The Taylor coefficients, ascending in t = z - x, of the numerator and
+    the denominator of a function at a point x, the coefficients a zero test
+    decided zero set to 0, and the node's reported zero test."""
+
+    num: list
+    den: list
+    zero_test: dict
+
+
+def jet_limits(num, den, kinds=JET_KINDS) -> dict:
+    """The boundary limits of f = num/den at a real point x from the Taylor
+    coefficients of num and den there (``JET_ORDERS`` of each, ascending).
+
+    This is the one rule that turns jets into ``LimitEstimate``s, for every
+    source of jets.  For a rational function with real coefficients the
+    nontangential limit at x is its Laurent jet there, so no path is
+    sampled.  A common leading zero of num and den (a factor z - x of both)
+    is shifted out, at most twice; a common zero of higher order leaves no
+    limit (``"dne"``).  With p the order of the denominator after the shift,
+    f = t^-p (a_0 + a_1 t + ...) / (b_p + b_(p+1) t + ...), whose Laurent
+    coefficients c_k follow by series division:
+
+    - the value is c_0 and the derivative c_1 where p = 0, infinite otherwise;
+    - the residual (z - x) f tends to 0 where p = 0, to c_-1 where p = 1, and
+      is infinite where p >= 2;
+    - the kernel diagonal Im f(x + it)/t, for f with real coefficients, is
+      infinite where an odd negative c_k is nonzero and otherwise c_1; it is
+      ``"dne"`` where the jets end before deciding, which only a pole of
+      order two or more can need (no verdict reads it behind an infinite
+      value).
+
+    A finite jet is converged, with no approximants and no discrepancy.
+    Returns a dict of estimates keyed by the names in ``kinds``.
+    """
+    found = _jet_values(num, den)
+    return {name: _jet_estimate(name, found[name]) for name in kinds}
+
+
+def _jet_values(num, den) -> dict:
+    """``jet_limits``' four quantities by name: a number, or the status
+    ``"infinite"`` or ``"dne"``."""
+    s = 0
+    while s < 2 and not num[s] and not den[s]:
+        s += 1
+    a, b = num[s:], den[s:]
+    if not (a[0] or b[0]):
+        return dict.fromkeys(JET_KINDS, "dne")
+    p = next((k for k, c in enumerate(b) if c), len(b))
+    # c_(k - p) = g_k for g = a / (b_p + b_(p+1) t + ...), up to c_1
+    g = []
+    for k in range(min(len(b) - p, p + 2)):
+        rest = a[k]
+        for m in range(1, k + 1):
+            if b[p + m]:
+                rest -= b[p + m] * g[k - m]
+        g.append(rest / b[p])
+    odd = [g[p + k] if p + k < len(g) else None for k in range(-1, -p - 1, -2)]
+    if any(odd):
+        kernel = "infinite"
+    elif None in odd or p + 1 >= len(g):
+        kernel = "dne"
+    else:
+        kernel = g[p + 1]
+    if p == 0:
+        return {"value": g[0], "derivative": g[1], "residual": 0.0, "kernel_diagonal": kernel}
+    return {"value": "infinite", "derivative": "infinite",
+            "residual": g[0] if p == 1 else "infinite", "kernel_diagonal": kernel}
+
+
+_KINDS = {kind.value: kind for kind in LimitKind}
+
+
+def _jet_estimate(name: str, found) -> LimitEstimate:
+    """The ``LimitEstimate`` of kind ``name`` from a ``_jet_values`` entry."""
+    if isinstance(found, str):
+        return LimitEstimate(_KINDS[name], found, None, (), False, None)
+    value = found if isinstance(found, (float, complex)) else float(found)
+    return LimitEstimate(_KINDS[name], "finite", value, (), True, None)
+
+
+def _zero_test(relative: float, zero: bool, exact: bool) -> dict:
+    """A node's reported zero test, from the tested quantity over its scale:
+    the ``margin`` is that ratio over JET_ZERO_TOL, above 1 where the float
+    rule reads the quantity as nonzero; ``exact`` when it was decided
+    exactly."""
+    return {"tol": JET_ZERO_TOL, "margin": relative / JET_ZERO_TOL, "zero": zero, "exact": exact}
+
+
+def _taylor(coeffs, x, count=JET_ORDERS) -> list:
+    """The first ``count`` Taylor coefficients at x, ascending in t = z - x,
+    of the polynomial with ascending coefficients ``coeffs``, by repeated
+    synthetic division."""
+    coeffs, out = list(coeffs), []
+    for _ in range(count):
+        if not coeffs:
+            out.append(0)
+            continue
+        acc, quotient = coeffs[-1], []
+        for c in reversed(coeffs[:-1]):
+            quotient.append(acc)
+            acc = acc * x + c
+        out.append(acc)
+        coeffs = quotient[::-1]
+    return out
+
+
+def _float_taylor(polys, x) -> tuple:
+    """(jets, scales): the first JET_ORDERS Taylor coefficients of each
+    polynomial at each of the float points x, shape (JET_ORDERS, polynomials,
+    points), and the same sums with every term replaced by its modulus.  The
+    k-th coefficient of sum_m a_m z^m is sum_m C(m, k) a_m x^(m - k), one
+    product with the powers of x.  Coefficients are real unless some
+    polynomial has a non-real one."""
+    import numpy as np
+
+    width = max(1, *(len(p.coeffs) for p in polys))
+    coeffs = np.zeros((len(polys), width), dtype=complex)
+    for row, p in zip(coeffs, polys):
+        row[: len(p.coeffs)] = _compiled(p)[::-1]
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    weights = np.zeros((JET_ORDERS,) + coeffs.shape, dtype=coeffs.dtype)
+    for k in range(min(JET_ORDERS, width)):
+        weights[k, :, : width - k] = [math.comb(m, k) for m in range(k, width)] * coeffs[:, k:]
+    powers = np.vander(x, width, increasing=True).T
+    return weights @ powers, np.abs(weights) @ np.abs(powers)
+
+
+def _snap(jets, scales) -> None:
+    """Set the float coefficients the zero rule reads as zero to 0, in place."""
+    import numpy as np
+
+    jets[np.abs(jets) <= JET_ZERO_TOL * scales] = 0
+
+
+def rational_jets(f: RationalFunction, points) -> list:
+    """The ``Jet`` of f's numerator and denominator at each point.
+
+    Exact coefficients at exact points give exact ``Fraction`` jets, whose
+    zero tests are exact; otherwise the jets are float64 arrays over all the
+    points, with every coefficient tested against JET_ZERO_TOL.  The
+    reported zero test is den(x) = 0, relative to the sum of the moduli of
+    its terms.
+    """
+    if f.exact and all(map(is_exact, points)):
+        sizes = [abs(float(c)) for c in f.den.coeffs]
+        out = []
+        for x in points:
+            num, den = _taylor(f.num.coeffs, x), _taylor(f.den.coeffs, x)
+            scale = _taylor(sizes, abs(float(x)), 1)[0]
+            relative = abs(float(den[0])) / scale if den[0] else 0.0
+            out.append(Jet(num, den, _zero_test(relative, not den[0], True)))
+        return out
+    import numpy as np
+
+    x = np.array([float(v) for v in points])
+    jets, scales = _float_taylor((f.num, f.den), x)
+    relative = np.abs(jets[0, 1]) / np.where(scales[0, 1] > 0, scales[0, 1], 1.0)
+    _snap(jets, scales)
+    zero = (jets[0, 1] == 0).tolist()
+    return [Jet(a, b_, _zero_test(r, z, False)) for (a, b_), r, z in
+            zip(jets.transpose(2, 1, 0).tolist(), relative.tolist(), zero)]
+
+
+def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
+    """The ``Jet`` of w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22),
+    phi = p/q, at each point, read from Theta's residue form.
+
+    u(t) = (z - x) Theta(z) v(z) with v = (p; q) and z = x + t has w as the
+    ratio of its two components, and ``RationalMatrix2x2.residue_jets``
+    gives its Taylor coefficients at every point at once from the float
+    residue data, with v's own Taylor coefficients; no polynomial of w is
+    built or sampled.  At a node x_i, u_0 = l_i (r_i . v(x_i)), and the
+    zero test r_i . v(x_i) = 0 decides whether u_0 vanishes, which is where
+    phi(x_i) = eta_i and w's numerator and denominator share the factor
+    z - x_i.  On the exact lane (Theta, p, q and the points exact) that test
+    is decided exactly, one integer dot product per node
+    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
+    its scale |r_i| |v(x_i)|.  Every higher coefficient is tested against
+    JET_ZERO_TOL on both lanes.  The jets are float64 on both lanes.
+    """
+    import numpy as np
+
+    x = np.array([float(v) for v in points])
+    u, scale, rho, rho_scale = theta.residue_jets(_float_taylor((p, q), x)[0], x)
+    relative = np.abs(rho) / np.where(rho_scale > 0, rho_scale, 1.0)
+    exact = theta.exact and p.exact and q.exact and all(map(is_exact, points))
+    if exact:
+        zero = np.array(_exact_node_zeros(theta, p, q, points), dtype=bool)
+        relative = np.where(zero, 0.0, relative)
+    else:
+        zero = relative <= JET_ZERO_TOL
+    relative = relative.tolist()
+    u[0][:, zero] = 0
+    _snap(u[1:], scale[1:])
+    return [Jet(a, b_, _zero_test(r, z, exact)) for (a, b_), r, z in
+            zip(u.transpose(2, 1, 0).tolist(), relative, zero.tolist())]
+
+
+def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, points) -> list:
+    """Whether r_i . v(x_i) = 0 at each exact point, decided in integers.
+
+    p and q are scaled by one factor to integer coefficients and padded to
+    one length D + 1, so that with x = a/b the integers P = b^D p(x) and
+    Q = b^D q(x) are positive multiples of p(x) and q(x); with the row
+    r_i = (r0, r1), r_i . v(x_i) = 0 exactly when
+    num(r0) den(r1) P + num(r1) den(r0) Q = 0.  A point that is no node of
+    Theta has no term there, and u_0 = 0.
+    """
+    ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
+    width = max(len(p.coeffs), len(q.coeffs))
+    pc = ints[: len(p.coeffs)] + [0] * (width - len(p.coeffs))
+    qc = ints[len(p.coeffs) :] + [0] * (width - len(q.coeffs))
+    own = dict(zip(theta.nodes, theta.right))
+    zeros = []
+    for x in points:
+        row = own.get(x)
+        if row is None:
+            zeros.append(True)
+            continue
+        r0, r1 = row
+        big_p = _scaled_value(pc, x.numerator, x.denominator)
+        big_q = _scaled_value(qc, x.numerator, x.denominator)
+        zeros.append(r0.numerator * r1.denominator * big_p + r1.numerator * r0.denominator * big_q == 0)
+    return zeros
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .problem import InterpolationData, build_system, check_lyapunov, is_infinit
 
 import argparse
 import json
+import math
 import sys as _sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -74,8 +75,13 @@ class RunConfig:
                 if not isinstance(value, int) or value < 1:
                     raise InputError("config 'grid.points_per_level' must be a positive integer")
             elif key == "im_levels":
-                if not isinstance(value, list) or not value or not all(map(_is_number, value)):
-                    raise InputError("config 'grid.im_levels' must be a nonempty list of numbers")
+                # the kernel counts certify only on the upper half-plane
+                if not isinstance(value, list) or not value or not all(
+                    _is_number(v) and v > 0 for v in value
+                ):
+                    raise InputError(
+                        "config 'grid.im_levels' must be a nonempty list of positive numbers"
+                    )
                 value = tuple(value)
             elif not _is_number(value):
                 raise InputError(f"config 'grid.{key}' must be a number")
@@ -93,14 +99,17 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float))
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _float_entry(obj: dict, key: str, default: float) -> float:
     try:
-        return float(obj.get(key, default))
+        value = float(obj.get(key, default))
     except (TypeError, ValueError):
-        raise InputError(f"config {key!r} must be a number") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise InputError(f"config {key!r} must be a number")
+    return value
 
 
 def _read_json(path: str | None, *, stdin_ok: bool = False, inline_ok: bool = False):

@@ -66,7 +66,13 @@ from .algebra import (
     _cleared_integers,
     _integer_form,
 )
-from .errors import PoleError, SingularMatrixError, SingularPickError, SplitNotAdmissibleError
+from .errors import (
+    FloatRangeError,
+    PoleError,
+    SingularMatrixError,
+    SingularPickError,
+    SplitNotAdmissibleError,
+)
 from .problem import InterpolationData, PickSystem, build_system
 
 if TYPE_CHECKING:
@@ -241,14 +247,74 @@ class RationalMatrix2x2:
 
     @cached_property
     def _samplers(self):
-        """The float nodes, 2 x n left columns and n x 2 right rows."""
+        """The float nodes, 2 x n left columns and n x 2 right rows.  An exact
+        value beyond the float range raises ``FloatRangeError``, which names
+        its size."""
         import numpy as np
 
-        return (
-            np.array(self.nodes, dtype=float),
-            np.array(self.left, dtype=float).reshape(-1, 2).T,
-            np.array(self.right, dtype=float).reshape(-1, 2),
-        )
+        try:
+            return (
+                np.array(self.nodes, dtype=float),
+                np.array(self.left, dtype=float).reshape(-1, 2).T,
+                np.array(self.right, dtype=float).reshape(-1, 2),
+            )
+        except OverflowError:
+            values = [*self.nodes, *(v for f in (*self.left, *self.right) for v in f)]
+            bits = max(int(abs(v)).bit_length() for v in values)
+            raise FloatRangeError(
+                f"a residue-form entry of {bits} bits exceeds the float range (1024 bits); "
+                "the matrix cannot be sampled in floats"
+            ) from None
+
+    def residue_jets(self, v: np.ndarray, x: np.ndarray) -> tuple:
+        """Taylor coefficients in t of u(t) = (z - x) Theta(z) v(z), z = x + t,
+        at every point x at once, in float64.
+
+        ``v`` holds the first K Taylor coefficients of the 2-vector v at the
+        Q points ``x``, shape (K, 2, Q).  At x, (z - x) / (z - x_j) is 1 for
+        the node x_j = x and sum_{m >= 1} (-1)^(m-1) t^m / (x - x_j)^m for
+        every other node, so with W_m those weights (W_0 marking x's own
+        node)
+
+            u_k = v_(k-1) + sum_{m=0..k} sum_j l_j W_m[j] (r_j . v_(k-m)):
+
+        u_0 = l_i (r_i . v_0) and u_1 = v_0 + l_i (r_i . v_1)
+        + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j), as O(K^2) array
+        operations on Q x n arrays.  A point that is no node (or whose node
+        was dropped with a zero residue) has no W_0 term.  Returns
+        (u, scale, rho, rho_scale): u and its scale, the same sums with every
+        factor replaced by its modulus and each r_j . v by |r_j| |v|
+        (1-norms), both of shape (K, 2, Q); and r_i . v_0 at each point's own
+        node (zero where it has none) with its scale |r_i| |v_0|, of shape
+        (Q,).  The scales bound the rounding of the sums and the error that
+        float residue data carry.
+        """
+        import numpy as np
+
+        nodes, left, right = self._samplers
+        count = len(v)
+        gap = x[:, np.newaxis] - nodes
+        own = gap == 0
+        inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=~own)
+        weights = np.empty((count,) + gap.shape)
+        weights[0] = own
+        for m in range(1, count):
+            weights[m] = inv if m == 1 else weights[m - 1] * -inv
+        # r_j . v_b at each point, shape (K, Q, n), and its scale |r_j| |v_b|
+        # in 1-norms, as the float lane's rows r_j carry a float inverse's error
+        dots = v.transpose(0, 2, 1) @ right.T
+        sizes = np.abs(v).sum(axis=1)[:, :, np.newaxis] * np.abs(right).sum(axis=1)
+        out = []
+        for w, l, d, shift in ((weights, left, dots, v),
+                               (np.abs(weights), np.abs(left), sizes, np.abs(v))):
+            terms = w[0] * d
+            for m in range(1, count):
+                terms[m:] += w[m] * d[: count - m]
+            u = (terms @ l.T).transpose(0, 2, 1)
+            u[1:] += shift[:-1]
+            out.append((u, (w[0] * d[0]).sum(axis=1)))
+        (u, rho), (scale, rho_scale) = out
+        return u, scale, rho, rho_scale
 
     def eval(self, z) -> np.ndarray:
         """Float value I_2 + L diag(1/(z - x)) R of the matrix at z.

@@ -9,6 +9,11 @@ transformed function at that node.  Indices 4-6 each cost one negative
 square: a parameter meeting them at k nodes produces a function of class
 index kappa - k, and k can never exceed kappa.
 
+Each prediction is confirmed from the boundary limits of w at the nodes,
+read as jets (``boundary.jet_limits``), not sampled along paths: for
+w = Theta o phi from Theta's residue form, and for a parameter or a
+candidate from its own coefficients.
+
 For a singular Pick matrix the problem has a unique solution in closed form
 built from any kernel vector of P.
 """
@@ -22,7 +27,14 @@ from typing import TYPE_CHECKING
 
 from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig, span_of
-from .boundary import LimitKind, fmi_check, kernel_negative_squares, nt_limits
+from .boundary import (
+    LimitEstimate,
+    fmi_check,
+    jet_limits,
+    kernel_negative_squares,
+    lft_jets,
+    rational_jets,
+)
 from .errors import (
     InconsistentClassificationError,
     NoSolutionRepresentationError,
@@ -133,7 +145,8 @@ def classify_parameter(
     """Condition label of a parameter at node i (0-based input index).
 
     Constants and infinity classify exactly; rational parameters classify
-    through numerical boundary limits with thresholds compared at ``tol``,
+    through their boundary limits, read as jets (``rational_jets``: exact
+    for exact coefficients at exact nodes), with thresholds compared at ``tol``,
     ties resolving to the equality condition (index 5 or 6 by the sign of
     the diagonal entry of the inverse Pick matrix).
     """
@@ -169,34 +182,32 @@ def classify_parameter(
 
 
 def _rational_labels(sys: PickSystem, func: RationalFunction, nodes, tol: float) -> list:
-    """Labels of a rational parameter at the given nodes (0-based), from two
-    ``nt_limits`` calls: the value limits at every node, then the derivative
-    or residual limits at the nodes whose value calls for one."""
-    values = nt_limits(func, [(sys.X[i], LimitKind.VALUE) for i in nodes])
-    second = {}
-    for i, value in zip(nodes, values):
-        kind = _second_limit_kind(sys, i, value, tol)
-        if kind is not None:
-            second[i] = kind
-    more = nt_limits(func, [(sys.X[i], kind) for i, kind in second.items()])
-    more = dict(zip(second, more))
-    return [_rational_label(sys, i, value, more.get(i), tol) for i, value in zip(nodes, values)]
+    """Labels of a rational parameter at the given nodes (0-based), from its
+    jets at all of them: the value limit, then the derivative or residual
+    limit where the value calls for one."""
+    labels = []
+    for i, jet in zip(nodes, rational_jets(func, [sys.X[i] for i in nodes])):
+        value = jet_limits(jet.num, jet.den, ("value",))["value"]
+        second = _second_limit_kind(sys, i, value, tol)
+        second = second and jet_limits(jet.num, jet.den, (second,))[second]
+        labels.append(_rational_label(sys, i, value, second, tol))
+    return labels
 
 
 def _second_limit_kind(sys: PickSystem, i: int, value, tol: float):
     """The limit a rational parameter's label at node i needs after its value
-    limit: the derivative where the value matches eta_i (family C), the
-    residual where the value is infinite (family Ctilde), else none."""
+    limit: ``"derivative"`` where the value matches eta_i (family C),
+    ``"residual"`` where the value is infinite (family Ctilde), else None."""
     if sys.tilde_e[i]:
         eta = float(sys.eta[i]) if not is_infinite(sys.eta[i]) else None
         if not value.is_finite or eta is None or abs(value.value.real - eta) > tol * max(
             1.0, abs(eta)
         ):
             return None
-        return LimitKind.DERIVATIVE
+        return "derivative"
     if value.is_finite or value.status == "dne":
         return None
-    return LimitKind.RESIDUAL
+    return "residual"
 
 
 def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> ConditionLabel:
@@ -309,7 +320,7 @@ def lost_squares(labels, kappa: int):
 
 def classify_all(sys: PickSystem, phi: Parameter) -> ClassificationReport:
     """``classify_parameter`` at every node; a rational parameter takes its
-    boundary limits in two ``nt_limits`` calls for all nodes together."""
+    jets at all the nodes together."""
     if phi.kind == "rational":
         if not sys.invertible:
             raise ValueError("classification requires an invertible Pick matrix")
@@ -324,13 +335,20 @@ def classify_all(sys: PickSystem, phi: Parameter) -> ClassificationReport:
     return ClassificationReport(tuple(nodes), k, sys.kappa)
 
 
-def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
-    """The limits of w that each node's checks read, from one ``nt_limits`` call.
+def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
+    """The limits of w that each node's checks read, as jets at all the
+    nodes at once.
 
+    ``source`` is w itself, whose jets are the Taylor coefficients of its
+    numerator and denominator (``rational_jets``), or the pair (Theta, phi)
+    of w = ``apply_lft(Theta, phi)``, whose jets are read from Theta's
+    residue form (``lft_jets``) and never from w's coefficients.
     ``outcomes`` maps 0-based nodes to their outcome kind, or None.  A
     regular node reads the value and derivative, and the kernel diagonal too
     for ``"maybe_missed"``; a singular node reads the residual.  Returns a
-    dict per node, keyed by ``LimitKind`` value.
+    dict per node of those ``LimitEstimate``s keyed by ``LimitKind`` value,
+    and the node's zero test (``boundary._zero_test``) under
+    ``"zero_test"``.
     """
     names = {}
     for i, outcome in outcomes.items():
@@ -340,9 +358,16 @@ def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
             names[i] = ("value", "derivative", "kernel_diagonal")
         else:
             names[i] = ("value", "derivative")
-    requests = [(sys.X[i], LimitKind(name)) for i, keys in names.items() for name in keys]
-    estimates = iter(nt_limits(w, requests))
-    return {i: {name: next(estimates) for name in keys} for i, keys in names.items()}
+    points = [sys.X[i] for i in names]
+    if isinstance(source, RationalFunction):
+        jets = rational_jets(source, points)
+    else:
+        theta, phi = source
+        jets = lft_jets(theta, *phi.pair(), points)
+    return {
+        i: {**jet_limits(jet.num, jet.den, keys), "zero_test": jet.zero_test}
+        for (i, keys), jet in zip(names.items(), jets)
+    }
 
 
 def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
@@ -376,8 +401,8 @@ def verify_outcome(
     limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
     hold within ``tol``; strict inequalities need slack above ``tol``.  The
     margin is the equality error or the slack.  ``limits`` are the node's
-    ``_node_limits`` for ``kind``, taken here (one ``nt_limits`` call) when
-    not given.
+    ``_node_limits`` for ``kind``, taken here from w's own jets when not
+    given; they are the verification's details, zero test included.
     """
     regular = sys.data.is_regular(node_index)
     if kind not in (_REGULAR_DESCRIPTIONS if regular else _SINGULAR_DESCRIPTIONS):
@@ -428,9 +453,11 @@ def classify_and_verify(
 ):
     """Classify phi, transform it, and confirm every predicted outcome.
 
-    Returns the classification report (with per-node verification attached),
-    the transformed function, and its sampled negative-squares count, which
-    must equal the predicted class index kappa - k.
+    The outcomes are checked on the limits of w read from (Theta, phi) as
+    jets, all nodes at once (``_node_limits``).  Returns the classification
+    report (with per-node verification attached), the transformed function,
+    and its sampled negative-squares count, which must equal the predicted
+    class index kappa - k.
     """
     from .resolvent import build_theta
     from .transform import apply_lft, is_nevanlinna
@@ -442,7 +469,7 @@ def classify_and_verify(
     w = apply_lft(theta, phi)
     report = classify_all(sys, phi)
     outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
-    limits = _node_limits(sys, w, outcomes)
+    limits = _node_limits(sys, (theta, phi), outcomes)
     nodes = tuple(
         replace(node, verification=verify_outcome(sys, w, i, kind, tol, limits[i]))
         for node, (i, kind) in zip(report.nodes, outcomes.items())
@@ -539,8 +566,8 @@ def verify_candidate(
 ) -> dict:
     """Check a candidate w against the data at every node, plus kernel counts.
 
-    Every node's limits are taken in one ``nt_limits`` call and reported
-    with their errors against the data.  ``problem1`` is the ``"exact"`` outcome of
+    Every node's limits are read from w's jets and reported with their
+    errors against the data.  ``problem1`` is the ``"exact"`` outcome of
     ``verify_outcome`` on them and ``problem2`` its ``"bound"`` outcome,
     both within ``tol``.  The report also carries the sampled
     bordered-kernel count, which a solution of problem 3 has equal to
@@ -553,7 +580,7 @@ def verify_candidate(
             {
                 "node": i + 1,
                 "kind": "regular" if sys.data.is_regular(i) else "singular",
-                "checks": limits,
+                "checks": {k: v for k, v in limits.items() if isinstance(v, LimitEstimate)},
                 "errors": _limit_errors(sys, i, limits),
                 "problem1": verify_outcome(sys, w, i, "exact", tol, limits).ok,
                 "problem2": verify_outcome(sys, w, i, "bound", tol, limits).ok,

@@ -22,6 +22,7 @@ from .algebra import (
     RationalFunction,
     _cleared_integers,
     _primitive_form,
+    _scaled_value,
     scalar_from_json,
     scalar_to_json,
 )
@@ -63,6 +64,13 @@ class Parameter:
     @property
     def is_infinite(self) -> bool:
         return self.kind == "inf"
+
+    def pair(self) -> tuple:
+        """Polynomials (p, q) with phi = p/q: (1, 0) for infinity."""
+        if self.is_infinite:
+            return Polynomial.one(), Polynomial(())
+        rf = self.as_rational()
+        return rf.num, rf.den
 
     def as_rational(self) -> RationalFunction:
         """Finite parameter as a rational function (constants included)."""
@@ -169,11 +177,7 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     (z - x_i) at the nodes, each at most twice.  Deflating num and den by (z - x_i) while both vanish at x_i
     therefore leaves a coprime pair, scaled to the canonical integer form.
     """
-    if phi.is_infinite:
-        p, q = Polynomial.one(), Polynomial(())
-    else:
-        rf = phi.as_rational()
-        p, q = rf.num, rf.den
+    p, q = phi.pair()
     if theta.exact and p.exact and q.exact:
         return _node_deflated_lft(theta, p, q)
     (n00, n01), (n10, n11) = theta.cleared
@@ -227,15 +231,6 @@ def _linear_combination(a, p, b, q) -> list:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _scaled_value(coeffs, a, b) -> int:
-    """b^d f(a/b) for f of degree d with ascending integer coefficients."""
-    acc, power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * power
-        power *= b
-    return acc
 
 
 def _divide_linear(coeffs, a, b) -> list:

@@ -1,6 +1,7 @@
 """Shared fixtures: the three golden systems and seeded random generators."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -212,13 +213,20 @@ STANDARD_SWEEP = (
     b.Parameter.rational(rf((2, 1))),
 )
 
-# phi in {1/2, inf, z, -1/z}, the parameters of the benchmark's certify ops
-BENCHMARK_PARAMETERS = (
-    b.Parameter.constant(F(1, 2)),
-    b.Parameter.infinity(),
-    b.Parameter.rational(rf((0, 1))),
-    b.Parameter.rational(rf((-1,), (0, 1))),
-)
+def lane_parameters(exact):
+    """phi in {1/2, inf, z, -1/z} with coefficients on the given lane, as
+    the benchmark's certify ops build them."""
+    one = F(1) if exact else 1.0
+    return (
+        b.Parameter.constant(one / 2),
+        b.Parameter.infinity(),
+        b.Parameter.rational(rf((0 * one, one))),
+        b.Parameter.rational(rf((-one,), (0 * one, one))),
+    )
+
+
+# the exact parameters of the benchmark's exact certify ops
+BENCHMARK_PARAMETERS = lane_parameters(True)
 
 
 # -- the one-sample-at-a-time boundary limit -----------------------------------
@@ -532,6 +540,14 @@ def grid_system(rng, n, exact=False):
         sys_ = b.build_system(data)
         if sys_.invertible:
             return sys_
+
+
+def probe_set(n, exact):
+    """The probe set at n on one lane: ``grid_system`` drawn from
+    ``random.Random(1000 n + s)`` for s in {0, 1, 2}, each with the four
+    ``lane_parameters``; 12 (system, phi) pairs and 12 n node checks."""
+    systems = [grid_system(random.Random(1000 * n + s), n, exact) for s in range(3)]
+    return [(sys_, phi) for sys_ in systems for phi in lane_parameters(exact)]
 
 
 def random_singular_data(rng, n_max=5):

@@ -241,12 +241,14 @@ class TestConfig:
         assert verdicts == [False, True]
 
     def test_verify_tol_key_changes_the_solve_verdict(self, capsys, tmp_path):
-        # ex103 has a singular P; the extrapolated value limit of its unique
-        # solution misses w(-1/2) = 0 by about 1e-14, within 1e-6 but not 1e-16
+        # ex103 has a singular P; on the float backend the coefficients of its
+        # unique solution carry rounding, and its derivative limit misses
+        # gamma_1 = -1 by 2.2e-16, within 1e-6 but not 1e-16 (the exact
+        # backend's solution meets its data exactly, under any tolerance)
         verdicts = []
         for tol in (1e-16, 1e-6):
             config = tmp_path / "config.json"
-            config.write_text(json.dumps({"verify_tol": tol}))
+            config.write_text(json.dumps({"backend": "float", "verify_tol": tol}))
             doc = run_json(capsys, "solve", "--problem", str(DEMOS / "ex103.json"),
                            "--config", str(config))
             verdicts.append(doc["verification"]["nodes"][0]["problem1"])
@@ -314,6 +316,34 @@ def test_malformed_input_exits_2_with_one_error_line(
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("command", ["pick", "solve"])
+@pytest.mark.parametrize("problem", [
+    _EX101.replace('"w":0', '"w":NaN'),
+    _EX101.replace('"x":0', '"x":Infinity'),
+    _EX101.replace('"gamma":-1', '"gamma":-Infinity'),
+    _EX101.replace('"w":1', '"w":1e999'),
+], ids=["w-NaN", "x-Infinity", "gamma--Infinity", "w-1e999"])
+def test_non_finite_problem_number_exits_2(capsys, tmp_path, command, problem):
+    # json reads NaN, Infinity and an overflowing literal as non-finite floats
+    (tmp_path / "problem.json").write_text(problem)
+    code, out, err = run(capsys, command, "--problem", str(tmp_path / "problem.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite number" in err
+
+
+@pytest.mark.parametrize("levels", [[0], [-0.3], [0.5, -1.1], [float("nan")]],
+                         ids=["zero", "negative", "one-negative", "NaN"])
+@pytest.mark.parametrize("command,param", [("apply", _PARAMS["z"]), ("verify", _CANDIDATE)],
+                         ids=["apply", "verify"])
+def test_im_levels_off_the_upper_half_plane_exit_2(capsys, tmp_path, command, param, levels):
+    # a grid on or below the real axis is where the kernel counts certify nothing
+    (tmp_path / "config.json").write_text(json.dumps({"grid": {"im_levels": levels}}))
+    code, out, err = run(capsys, command, "--problem", str(DEMOS / "ex101.json"),
+                         "--param", param, "--config", str(tmp_path / "config.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "grid.im_levels" in err
 
 
 def test_config_documents_accepted_before_stay_accepted():

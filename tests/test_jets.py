@@ -1,0 +1,216 @@
+"""Boundary limits read as jets: the rule, both sources and both lanes."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import bnpick as b
+from bnpick import boundary, solver
+from bnpick._sections import VERIFY_TOL
+from bnpick.boundary import JET_ZERO_TOL, LimitKind, jet_limits, lft_jets, rational_jets
+
+from conftest import (
+    BENCHMARK_PARAMETERS,
+    STANDARD_SWEEP,
+    probe_set,
+    random_data,
+    reference_nt_limit,
+    rf,
+    unique_solution,
+)
+
+F = Fraction
+
+
+def floats(data):
+    return b.InterpolationData(*(tuple(float(v) for v in seq) for seq in (
+        data.nodes, data.values, data.derivative_bounds, data.residues)))
+
+
+def close(a, b_) -> bool:
+    return abs(a - b_) <= VERIFY_TOL * max(1.0, abs(b_))
+
+
+class TestRule:
+    def test_regular_point(self):
+        # f = (1 + 2t) / (2 + t) near t = 0: f(0) = 1/2, f'(0) = (2*2 - 1*1)/4
+        lim = jet_limits([F(1), F(2), 0, 0], [F(2), F(1), 0, 0])
+        assert lim["value"].value == 0.5 and lim["derivative"].value == 0.75
+        assert lim["kernel_diagonal"].value == 0.75 and lim["residual"].value == 0.0
+        assert all(e.converged and e.approximants == () and e.error_estimate is None
+                   for e in lim.values())
+
+    def test_simple_pole(self):
+        # f = 3 / (t (2 + t)): residue 3/2, every other limit infinite
+        lim = jet_limits([F(3), 0, 0, 0], [0, F(2), F(1), 0])
+        assert lim["residual"].value == 1.5
+        assert all(lim[k].is_infinite and not lim[k].converged
+                   for k in ("value", "derivative", "kernel_diagonal"))
+
+    def test_double_pole(self):
+        # f = 1 / t^2: the residual is infinite; Im f(it)/t = 0 + c_1, and
+        # the jets end before c_1
+        lim = jet_limits([F(1), 0, 0, 0], [0, 0, F(1), 0])
+        assert lim["value"].is_infinite and lim["residual"].is_infinite
+        assert lim["kernel_diagonal"].status == "dne"
+        # f = (1 + t) / t^2 has c_-1 = 1, so Im f(it)/t = -1/t^2 + ...
+        lim = jet_limits([F(1), F(1), 0, 0], [0, 0, F(1), 0])
+        assert lim["kernel_diagonal"].is_infinite
+
+    def test_common_factor_is_shifted_out_at_most_twice(self):
+        # t^2 (1 + t) / (t^2 (2 - t)) is (1 + t) / (2 - t)
+        lim = jet_limits([0, 0, F(1), F(1)], [0, 0, F(2), F(-1)])
+        assert lim["value"].value == 0.5 and lim["derivative"].value == 0.75
+        # once: t (4 + t) / (t^2) is (4 + t) / t, a pole with residue 4
+        assert jet_limits([0, F(4), F(1), 0], [0, 0, F(1), 0])["residual"].value == 4.0
+        # a common zero of order three is beyond any resolvent's jets
+        assert jet_limits([0, 0, 0, F(1)], [0, 0, 0, F(1)])["value"].status == "dne"
+
+    def test_only_the_named_kinds(self):
+        assert list(jet_limits([F(1), 0, 0, 0], [F(1), 0, 0, 0], ("residual",))) == ["residual"]
+
+
+class TestRationalJets:
+    def test_exact_jets_are_fractions(self):
+        jet = rational_jets(unique_solution(), [F(-1, 2)])[0]
+        assert all(isinstance(c, (int, Fraction)) for c in jet.num + jet.den)
+        assert jet.zero_test["exact"] and not jet.zero_test["zero"]
+        lim = jet_limits(jet.num, jet.den)
+        assert lim["value"].value == 0.0 and lim["derivative"].value == -1.0
+
+    def test_float_points_take_float_jets_with_the_zero_rule(self):
+        f = rf((-1,), (0, 1))  # -1/z
+        pole, regular = rational_jets(f, [0.0, 0.5])
+        assert pole.zero_test["zero"] and not pole.zero_test["exact"]
+        assert pole.zero_test["tol"] == JET_ZERO_TOL
+        assert jet_limits(pole.num, pole.den)["residual"].value == -1.0
+        assert jet_limits(regular.num, regular.den)["derivative"].value == 4.0
+        # a denominator within JET_ZERO_TOL of its scale reads as zero
+        near = rf((1.0,), (-1.0, 1.0 + JET_ZERO_TOL / 4))
+        assert rational_jets(near, [1.0])[0].zero_test["zero"]
+
+    def test_match_reference_limits(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            num = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 4)))
+            roots = [F(rng.randint(-8, 8), 2) for _ in range(rng.randint(1, 3))]
+            if not any(num):
+                continue
+            f = b.RationalFunction(b.Polynomial(num), b.Polynomial.from_real_roots(roots))
+            points = sorted({*roots, F(rng.randint(-16, 16), 4)})
+            for exact in (True, False):
+                pts = points if exact else [float(x) for x in points]
+                for x, jet in zip(pts, rational_jets(f, pts)):
+                    assert_agrees(f, x, jet_limits(jet.num, jet.den))
+
+
+def assert_agrees(f, x, limits, exact_jets=None):
+    """The jets' limits against ``reference_nt_limit`` wherever the path
+    converged: finite within VERIFY_TOL, infinite alike.  Where the path
+    reads infinite but the jets finite, ``exact_jets`` (the exact limits,
+    when given) must confirm the jets."""
+    for kind in LimitKind:
+        ref, got = reference_nt_limit(f, x, kind), limits[kind.value]
+        if ref.is_finite and ref.converged:
+            assert got.is_finite and close(got.value, ref.value.real), (x, kind, got, ref)
+        elif ref.is_infinite and not got.is_infinite:
+            assert exact_jets is not None and exact_jets[kind.value].is_finite, (x, kind)
+        if exact_jets is not None:
+            want = exact_jets[kind.value]
+            assert got.status == want.status, (x, kind)
+            assert not got.is_finite or close(got.value, want.value), (x, kind)
+
+
+class TestLftJets:
+    def test_match_reference_limits_on_random_data(self):
+        # both lanes; the exact jets of the exact w arbitrate where the path
+        # limit diverges on a nearby complex pole or does not settle
+        rng = random.Random(11)
+        checked = {True: 0, False: 0}
+        for _ in range(25):
+            data = random_data(rng, n_max=6)
+            exact_sys = b.build_system(data)
+            if not exact_sys.invertible:
+                continue
+            for exact in (True, False):
+                sys_ = exact_sys if exact else b.build_system(floats(data))
+                if not sys_.invertible:
+                    continue
+                theta, exact_theta = b.build_theta(sys_), b.build_theta(exact_sys)
+                for phi in STANDARD_SWEEP:
+                    try:
+                        w = b.apply_lft(theta, phi)
+                    except b.DegenerateTransformError:
+                        continue
+                    exact_w = b.apply_lft(exact_theta, phi)
+                    for x, jet, truth in zip(sys_.X, lft_jets(theta, *phi.pair(), sys_.X),
+                                             rational_jets(exact_w, exact_sys.X)):
+                        assert_agrees(w, x, jet_limits(jet.num, jet.den),
+                                      jet_limits(truth.num, truth.den))
+                        checked[exact] += 1
+        assert min(checked.values()) > 100
+
+    def test_zero_test_reads_the_same_on_both_lanes(self):
+        # where r_i . v(x_i) vanishes exactly the float lane reads it far
+        # below JET_ZERO_TOL, and elsewhere far above it
+        rng = random.Random(5)
+        zeros = nonzeros = 0
+        for _ in range(60):
+            data = random_data(rng, n_max=6)
+            exact_sys = b.build_system(data)
+            float_sys = b.build_system(floats(data))
+            if not (exact_sys.invertible and float_sys.invertible):
+                continue
+            for phi in STANDARD_SWEEP:
+                exact_jets = lft_jets(b.build_theta(exact_sys), *phi.pair(), exact_sys.X)
+                float_jets = lft_jets(b.build_theta(float_sys), *phi.pair(), float_sys.X)
+                for e, f in zip(exact_jets, float_jets):
+                    assert e.zero_test["exact"] and not f.zero_test["exact"]
+                    assert e.zero_test["zero"] == f.zero_test["zero"]
+                    if e.zero_test["zero"]:
+                        zeros += 1
+                        assert f.zero_test["margin"] < 1e-3
+                    else:
+                        nonzeros += 1
+                        assert f.zero_test["margin"] > 1e3
+        assert zeros >= 10 and nonzeros >= 500
+
+    def test_no_path_is_sampled(self, sys1, monkeypatch):
+        monkeypatch.setattr(boundary, "nt_limits", None)
+        monkeypatch.setattr(b.RationalFunction, "sampler", None)
+        for phi in STANDARD_SWEEP:
+            theta = b.build_theta(sys1)
+            w = b.apply_lft(theta, phi)
+            report = b.classify_all(sys1, phi)
+            outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
+            limits = solver._node_limits(sys1, (theta, phi), outcomes)
+            for i, kind in outcomes.items():
+                verdict = solver.verify_outcome(sys1, w, i, kind, limits=limits[i])
+                assert verdict.ok and verdict.details["zero_test"]["tol"] == JET_ZERO_TOL
+
+
+def lane_report(n, exact):
+    """Labels, k and node verdicts of every probe op at n on one lane."""
+    out = []
+    for sys_, phi in probe_set(n, exact):
+        theta = b.build_theta(sys_)
+        w = b.apply_lft(theta, phi)
+        report = b.classify_all(sys_, phi)
+        outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
+        limits = solver._node_limits(sys_, (theta, phi), outcomes)
+        verdicts = [solver.verify_outcome(sys_, w, i, kind, limits=limits[i]).ok
+                    for i, kind in outcomes.items()]
+        labels = [(node.label.family, node.label.index) for node in report.nodes]
+        out.append((labels, report.k, verdicts))
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 32])
+def test_probe_set_lanes_agree_with_no_node_failure(n):
+    # through _node_limits and verify_outcome, without the kernel count (the
+    # exact lane's sampled count still overflows floats at n >= 28)
+    exact, float_ = lane_report(n, True), lane_report(n, False)
+    assert exact == float_
+    assert all(all(verdicts) for _, _, verdicts in exact)
+    assert len(exact) == 3 * len(BENCHMARK_PARAMETERS)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bnpick as b
-from bnpick import algebra, solver
+from bnpick import algebra, boundary, solver
 from bnpick.boundary import LimitKind
 from bnpick.solver import classify_parameter, verify_outcome
 
@@ -206,20 +206,17 @@ class TestOneNodeCheck:
 
     def test_limits_taken_once_per_node(self, sys3, monkeypatch):
         calls = []
-        nt_limits = solver.nt_limits
+        rational_jets = solver.rational_jets
 
-        def counting(f, requests, *args, **kwargs):
-            calls.append(list(requests))
-            return nt_limits(f, requests, *args, **kwargs)
+        def counting(f, points):
+            calls.append((f, list(points)))
+            return rational_jets(f, points)
 
-        monkeypatch.setattr(solver, "nt_limits", counting)
-        b.verify_candidate(sys3, unique_solution())
-        regular, singular = sys3.X
-        assert calls == [[
-            (regular, LimitKind.VALUE),
-            (regular, LimitKind.DERIVATIVE),
-            (singular, LimitKind.RESIDUAL),
-        ]]
+        monkeypatch.setattr(solver, "rational_jets", counting)
+        w = unique_solution()
+        checks = b.verify_candidate(sys3, w)["nodes"]
+        assert calls == [(w, list(sys3.X))]
+        assert [list(node["checks"]) for node in checks] == [["value", "derivative"], ["residual"]]
 
     def test_unknown_outcome_kind_rejected(self, sys3):
         with pytest.raises(ValueError):
@@ -453,19 +450,19 @@ class TestOneSamplerPerFunction:
 
 
 class TestOneBatchPerFunction:
-    """classify_and_verify takes the limits of phi in two nt_limits calls
-    (values, then what the values call for) and those of w in one."""
+    """classify_and_verify takes the jets of phi in one call and those of w
+    in one, read through Theta's residue form; no path is sampled."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
-        nt_limits = solver.nt_limits
+        for name in ("rational_jets", "lft_jets"):
+            def counting(*args, _name=name, _jets=getattr(solver, name)):
+                calls.append((_name, args))
+                return _jets(*args)
 
-        def counting(f, requests, *args, **kwargs):
-            calls.append((f, list(requests)))
-            return nt_limits(f, requests, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "nt_limits", counting)
+            monkeypatch.setattr(solver, name, counting)
+        monkeypatch.setattr(boundary, "nt_limits", None)
         return calls
 
     def test_maybe_missed_kernel_limit_rides_with_w(self, sys1, monkeypatch):
@@ -473,22 +470,20 @@ class TestOneBatchPerFunction:
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
         report, w, _ = b.classify_and_verify(sys1, critical)
         assert report.nodes[0].predicted.kind == "maybe_missed"
-        phi_calls = [requests for f, requests in calls if f is critical.func]
-        w_calls = [requests for f, requests in calls if f is w]
-        assert len(calls) == len(phi_calls) + len(w_calls) and len(w_calls) == 1
-        x0, x1 = sys1.X
-        assert phi_calls[0] == [(x0, LimitKind.VALUE), (x1, LimitKind.VALUE)]
-        assert w_calls[0] == [
-            (x0, LimitKind.VALUE), (x0, LimitKind.DERIVATIVE), (x0, LimitKind.KERNEL_DIAGONAL),
-            (x1, LimitKind.VALUE), (x1, LimitKind.DERIVATIVE),
-        ]
-        assert "kernel_diagonal" in report.nodes[0].verification.details
+        theta = b.build_theta(sys1)
+        p, q = critical.pair()
+        assert calls == [("rational_jets", (critical.func, list(sys1.X))),
+                         ("lft_jets", (theta, p, q, list(sys1.X)))]
+        details = report.nodes[0].verification.details
+        assert list(details) == ["value", "derivative", "kernel_diagonal", "zero_test"]
+        assert list(report.nodes[1].verification.details) == ["value", "derivative", "zero_test"]
 
     def test_verify_outcome_takes_no_limit_when_given_limits(self, sys1, monkeypatch):
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
         w = b.apply_lft(b.build_theta(sys1), critical)
         limits = solver._node_limits(sys1, w, {0: "maybe_missed"})[0]
-        monkeypatch.setattr(solver, "nt_limits", None)
+        monkeypatch.setattr(solver, "rational_jets", None)
+        monkeypatch.setattr(solver, "lft_jets", None)
         assert verify_outcome(sys1, w, 0, "maybe_missed", limits=limits).ok
 
     def test_classify_all_is_classify_parameter_at_every_node(self):
