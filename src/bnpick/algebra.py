@@ -344,6 +344,19 @@ def _float_cancel(num: Polynomial, den: Polynomial):
     return new_num, new_den
 
 
+def _float_normal_form(num: Polynomial, den: Polynomial) -> tuple:
+    """A float quotient in canonical form, with no cancellation: both divided
+    by den's leading coefficient, and real where both are; zero is 0/1."""
+    if num.is_zero:
+        return num, Polynomial((1.0,))
+    inv = 1.0 / complex(den.lead)
+    num, den = num.scale(inv), den.scale(inv)
+    if num.is_real() and den.is_real():
+        num = Polynomial([c.real for c in num.coeffs])
+        den = Polynomial([c.real for c in den.coeffs])
+    return num, den
+
+
 class RationalFunction:
     """Quotient of two polynomials, normalized to a canonical form.
 
@@ -399,20 +412,13 @@ class RationalFunction:
                     num = num.divmod(g)[0]
                     den = den.divmod(g)[0]
             return _integer_form(num.coeffs, den.coeffs)
-        if num.is_zero:
-            return num, Polynomial((1.0,))
-        num, den = _float_cancel(num, den)
-        inv = 1.0 / complex(den.lead)
-        num, den = num.scale(inv), den.scale(inv)
-        if num.is_real() and den.is_real():
-            num = Polynomial([c.real for c in num.coeffs])
-            den = Polynomial([c.real for c in den.coeffs])
-        return num, den
+        return _float_normal_form(*_float_cancel(num, den))
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def constant(c) -> "RationalFunction":
-        return RationalFunction(Polynomial((c,)))
+        # a float c / 1 is already canonical; an exact one takes integer form
+        return RationalFunction(Polynomial((c,)), reduce=not isinstance(c, _FLOAT_TYPES))
 
     @staticmethod
     def x() -> "RationalFunction":
@@ -733,6 +739,17 @@ def _scaled_value(coeffs, a, b) -> int:
         acc = acc * a + c * power
         power *= b
     return acc
+
+
+def _deflate(coeffs, x) -> list:
+    """Ascending coefficients of p(z) / (z - x) for a root x of p (synthetic
+    division; the remainder is dropped)."""
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for k in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[k] + x * carry
+        quotient[k - 1] = carry
+    return quotient
 
 
 def _integer_form(num, den) -> tuple:

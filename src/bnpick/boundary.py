@@ -34,6 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._sections import (
@@ -399,13 +400,22 @@ def _values(flat, start, stop) -> tuple:
 # with n <= 6 and the probe systems at n = 8, 16 and 24 of tests/conftest.py,
 # under eleven parameters), the float lane read the 40 that vanish exactly at
 # most 1.9e-16 of their scale and the others at least 4.9e-5; tests/test_jets.py
-# keeps a smaller draw of that check.
+# keeps a smaller draw of that check.  The float lane's ``apply_lft`` cancels
+# where this test reads r_i . v(x_i) as zero (``node_zero_test``).  The float
+# product ``@`` of residue forms reads r . l' and the residue R at a shared
+# node, and det R, against their modulus scales with the same tolerance, by
+# the same argument: each is a sum of products of float residue data, exact
+# zero when the data are (for a matrix times its inverse, R is the residue of
+# det Theta, zero when det Theta == 1), so rounding and the data's relative
+# error, about cond(P) u, are all it carries.  On the probe systems at
+# n = 4 to 40, Theta times its inverse read R at most 8.2e-16 of its scale.
 JET_ZERO_TOL = 1e-9
 # Taylor orders a jet keeps: a common factor (z - x) is shifted out at most
 # twice, and the value and derivative, or the residue, read the two orders
 # after it.
 JET_ORDERS = 4
 JET_KINDS = ("value", "derivative", "residual", "kernel_diagonal")
+_ZERO = Fraction(0)
 
 
 class Jet(NamedTuple):
@@ -443,39 +453,46 @@ def jet_limits(num, den, kinds=JET_KINDS) -> dict:
     A finite jet is converged, with no approximants and no discrepancy.
     Returns a dict of estimates keyed by the names in ``kinds``.
     """
-    found = _jet_values(num, den)
+    found = _jet_values(num, den, kinds)
     return {name: _jet_estimate(name, found[name]) for name in kinds}
 
 
-def _jet_values(num, den) -> dict:
-    """``jet_limits``' four quantities by name: a number, or the status
-    ``"infinite"`` or ``"dne"``."""
+def _jet_values(num, den, kinds=JET_KINDS) -> dict:
+    """``jet_limits``' quantities named in ``kinds``: a number, or the status
+    ``"infinite"`` or ``"dne"``.  Only the Laurent coefficients they read
+    are formed."""
     s = 0
     while s < 2 and not num[s] and not den[s]:
         s += 1
     a, b = num[s:], den[s:]
     if not (a[0] or b[0]):
-        return dict.fromkeys(JET_KINDS, "dne")
+        return dict.fromkeys(kinds, "dne")
     p = next((k for k, c in enumerate(b) if c), len(b))
-    # c_(k - p) = g_k for g = a / (b_p + b_(p+1) t + ...), up to c_1
+    # c_(k - p) = g_k for g = a / (b_p + b_(p+1) t + ...): the value and the
+    # residual read g_0, the derivative g_1 and the kernel diagonal up to c_1
+    reads = {"value": 1, "residual": 1, "derivative": 2, "kernel_diagonal": p + 2}
     g = []
-    for k in range(min(len(b) - p, p + 2)):
+    for k in range(min(len(b) - p, max(reads[name] for name in kinds))):
         rest = a[k]
         for m in range(1, k + 1):
             if b[p + m]:
                 rest -= b[p + m] * g[k - m]
         g.append(rest / b[p])
-    odd = [g[p + k] if p + k < len(g) else None for k in range(-1, -p - 1, -2)]
-    if any(odd):
-        kernel = "infinite"
-    elif None in odd or p + 1 >= len(g):
-        kernel = "dne"
-    else:
-        kernel = g[p + 1]
-    if p == 0:
-        return {"value": g[0], "derivative": g[1], "residual": 0.0, "kernel_diagonal": kernel}
-    return {"value": "infinite", "derivative": "infinite",
-            "residual": g[0] if p == 1 else "infinite", "kernel_diagonal": kernel}
+    found = {}
+    for name in kinds:
+        if name == "kernel_diagonal":
+            odd = [g[p + k] if p + k < len(g) else None for k in range(-1, -p - 1, -2)]
+            if any(odd):
+                found[name] = "infinite"
+            elif None in odd or p + 1 >= len(g):
+                found[name] = "dne"
+            else:
+                found[name] = g[p + 1]
+        elif name == "residual":
+            found[name] = 0.0 if p == 0 else g[0] if p == 1 else "infinite"
+        else:
+            found[name] = "infinite" if p else g[name == "derivative"]
+    return found
 
 
 _KINDS = {kind.value: kind for kind in LimitKind}
@@ -497,27 +514,42 @@ def _zero_test(relative: float, zero: bool, exact: bool) -> dict:
     return {"tol": JET_ZERO_TOL, "margin": relative / JET_ZERO_TOL, "zero": zero, "exact": exact}
 
 
-def _taylor(coeffs, x, count=JET_ORDERS) -> list:
-    """The first ``count`` Taylor coefficients at x, ascending in t = z - x,
-    of the polynomial with ascending coefficients ``coeffs``, by repeated
-    synthetic division."""
-    coeffs, out = list(coeffs), []
-    for _ in range(count):
-        if not coeffs:
-            out.append(0)
-            continue
-        acc, quotient = coeffs[-1], []
-        for c in reversed(coeffs[:-1]):
-            quotient.append(acc)
-            acc = acc * x + c
-        out.append(acc)
-        coeffs = quotient[::-1]
-    return out
+def _exact_taylor(coeffs, ints, scale, x) -> list:
+    """The first JET_ORDERS Taylor coefficients, ascending in t = z - x, at
+    the rational point x = a/b of the polynomial with ascending ``Fraction``
+    coefficients ``coeffs`` = I_m / scale (``_cleared_integers``).
+
+    With d the degree, T_d is the leading coefficient and every higher one
+    is zero.  Below d, s_k = scale b^(d - k) T_k is an integer, and Horner's
+    rule with derivatives runs in integers: over I_d, ..., I_0 with
+    multiplier b^j at the j-th, s_k <- a s_k + s_(k-1) from the top order
+    down, then s_0 <- a s_0 + b^j I_(d - j) (as ``_scaled_value``); one
+    ``Fraction`` is formed per order.
+    """
+    d = len(ints) - 1
+    jet = [_ZERO] * JET_ORDERS
+    if 0 <= d < JET_ORDERS:
+        jet[d] = coeffs[-1]
+    low = min(d, JET_ORDERS)
+    if low <= 0:
+        return jet
+    a, b = x.numerator, x.denominator
+    s = [0] * low
+    power = 1
+    for j, c in enumerate(reversed(ints)):
+        for k in range(min(j, low - 1), 0, -1):
+            s[k] = a * s[k] + s[k - 1]
+        s[0] = a * s[0] + c * power
+        power *= b
+    for k, v in enumerate(s):
+        if v:
+            jet[k] = Fraction(v, scale * b ** (d - k))
+    return jet
 
 
-def _float_taylor(polys, x) -> tuple:
-    """(jets, scales): the first JET_ORDERS Taylor coefficients of each
-    polynomial at each of the float points x, shape (JET_ORDERS, polynomials,
+def _float_taylor(polys, x, count=JET_ORDERS) -> tuple:
+    """(jets, scales): the first ``count`` Taylor coefficients of each
+    polynomial at each of the float points x, shape (count, polynomials,
     points), and the same sums with every term replaced by its modulus.  The
     k-th coefficient of sum_m a_m z^m is sum_m C(m, k) a_m x^(m - k), one
     product with the powers of x.  Coefficients are real unless some
@@ -530,8 +562,8 @@ def _float_taylor(polys, x) -> tuple:
         row[: len(p.coeffs)] = _compiled(p)[::-1]
     if not coeffs.imag.any():
         coeffs = coeffs.real
-    weights = np.zeros((JET_ORDERS,) + coeffs.shape, dtype=coeffs.dtype)
-    for k in range(min(JET_ORDERS, width)):
+    weights = np.zeros((count,) + coeffs.shape, dtype=coeffs.dtype)
+    for k in range(min(count, width)):
         weights[k, :, : width - k] = [math.comb(m, k) for m in range(k, width)] * coeffs[:, k:]
     powers = np.vander(x, width, increasing=True).T
     return weights @ powers, np.abs(weights) @ np.abs(powers)
@@ -554,11 +586,14 @@ def rational_jets(f: RationalFunction, points) -> list:
     its terms.
     """
     if f.exact and all(map(is_exact, points)):
+        cleared = [(g.coeffs, *_cleared_integers(g.coeffs)) for g in (f.num, f.den)]
         sizes = [abs(float(c)) for c in f.den.coeffs]
         out = []
         for x in points:
-            num, den = _taylor(f.num.coeffs, x), _taylor(f.den.coeffs, x)
-            scale = _taylor(sizes, abs(float(x)), 1)[0]
+            num, den = (_exact_taylor(*g, x) for g in cleared)
+            scale, size = 0.0, abs(float(x))
+            for c in reversed(sizes):
+                scale = scale * size + c
             relative = abs(float(den[0])) / scale if den[0] else 0.0
             out.append(Jet(num, den, _zero_test(relative, not den[0], True)))
         return out
@@ -581,31 +616,61 @@ def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
     ratio of its two components, and ``RationalMatrix2x2.residue_jets``
     gives its Taylor coefficients at every point at once from the float
     residue data, with v's own Taylor coefficients; no polynomial of w is
-    built or sampled.  At a node x_i, u_0 = l_i (r_i . v(x_i)), and the
-    zero test r_i . v(x_i) = 0 decides whether u_0 vanishes, which is where
-    phi(x_i) = eta_i and w's numerator and denominator share the factor
-    z - x_i.  On the exact lane (Theta, p, q and the points exact) that test
-    is decided exactly, one integer dot product per node
-    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
-    its scale |r_i| |v(x_i)|.  Every higher coefficient is tested against
-    JET_ZERO_TOL on both lanes.  The jets are float64 on both lanes.
+    built or sampled.  At a node x_i, u_0 = l_i (r_i . v(x_i)), which
+    ``node_zero_test`` decides; where it reads zero, u_0 is set to 0.
+    Every higher coefficient is tested against JET_ZERO_TOL on both lanes.
+    The jets are float64 on both lanes.
     """
     import numpy as np
 
     x = np.array([float(v) for v in points])
-    u, scale, rho, rho_scale = theta.residue_jets(_float_taylor((p, q), x)[0], x)
-    relative = np.abs(rho) / np.where(rho_scale > 0, rho_scale, 1.0)
-    exact = theta.exact and p.exact and q.exact and all(map(is_exact, points))
-    if exact:
-        zero = np.array(_exact_node_zeros(theta, p, q, points), dtype=bool)
-        relative = np.where(zero, 0.0, relative)
-    else:
-        zero = relative <= JET_ZERO_TOL
-    relative = relative.tolist()
-    u[0][:, zero] = 0
+    v = _float_taylor((p, q), x)[0]
+    u, scale = theta.residue_jets(v, x)
+    zero, relative, exact = node_zero_test(theta, p, q, points, v[0])
+    u[0][:, np.array(zero, dtype=bool)] = 0
     _snap(u[1:], scale[1:])
     return [Jet(a, b_, _zero_test(r, z, exact)) for (a, b_), r, z in
-            zip(u.transpose(2, 1, 0).tolist(), relative, zero.tolist())]
+            zip(u.transpose(2, 1, 0).tolist(), relative, zero)]
+
+
+def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> tuple:
+    """(zero, relative, exact): the zero test r_i . v(x_i) = 0 at each point's
+    own node x_i, v = (p; q), with |r_i . v(x_i)| over its scale, and whether
+    it was decided exactly (the fields of ``_zero_test``).
+
+    This is the one test of where w = Theta o (p/q) has numerator and
+    denominator sharing the factor z - x_i: u_0 = l_i (r_i . v(x_i)) of
+    ``lft_jets``, with l_i != 0, and r_i . v(x_i) = 0 exactly where
+    phi(x_i) = eta_i.  ``lft_jets`` reads it for w's jets and ``apply_lft``
+    for where it cancels.  On the exact lane (Theta, p, q and the points
+    exact) it is decided exactly, one integer dot product per node
+    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
+    the scale |r_i| |v(x_i)| (1-norms).  A point that is no node of Theta
+    has no term there and reads zero.  ``values`` is v at the points, shape
+    (2, points), when the caller has it.  The cost is O(1) per point and
+    per node.
+    """
+    import numpy as np
+
+    x = [float(v) for v in points]
+    if values is None:
+        values = _float_taylor((p, q), np.array(x), 1)[0][0]
+    nodes, _, right = theta._samplers
+    index = {node: i for i, node in enumerate(nodes.tolist())}
+    own = np.array([index.get(v, -1) for v in x], dtype=int)
+    has = own >= 0
+    rows, mine = right[own[has]], values[:, has]
+    rho, rho_scale = np.zeros(len(x)), np.zeros(len(x))
+    rho[has] = np.abs(mine[0] * rows[:, 0] + mine[1] * rows[:, 1])
+    rho_scale[has] = (np.abs(mine[0]) + np.abs(mine[1])) * np.abs(rows).sum(axis=1)
+    relative = rho / np.where(rho_scale > 0, rho_scale, 1.0)
+    exact = theta.exact and p.exact and q.exact and all(map(is_exact, points))
+    if exact:
+        zero = _exact_node_zeros(theta, p, q, points)
+        relative = np.where(zero, 0.0, relative)
+    else:
+        zero = (relative <= JET_ZERO_TOL).tolist()
+    return zero, relative.tolist(), exact
 
 
 def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, points) -> list:

@@ -64,6 +64,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     _cleared_integers,
+    _deflate,
     _integer_form,
 )
 from .errors import (
@@ -217,25 +218,45 @@ class RationalMatrix2x2:
         coefficient (r . l') l r', which must vanish, and the residue
         R = l (r H_2(x)) + (H_1(x) l') r', which must have rank at most one;
         either failure raises ``ValueError``.  For det-one factors det R = 0
-        follows from det(product) == 1.  The rank is tested by exact
-        comparison, so on the float lane a shared node generally raises;
-        factors on disjoint nodes compose on both lanes.  A zero residue
-        drops its node, so a matrix times its inverse is the identity with
-        no nodes.  The product's ``kappa`` is None.
+        follows from det(product) == 1.  A zero residue drops its node, so a
+        matrix times its inverse is the identity with no nodes.  The exact
+        lane compares exactly.  On the float lane r . l', each entry of R and
+        det R count as zero within JET_ZERO_TOL of their modulus scales, the
+        same sums over the moduli of their terms (``_modulus_at``).  Factors
+        on disjoint nodes compose with no test.  The product's ``kappa`` is
+        None.
         """
+        exact = self.exact and other.exact
+        tol = 0
+        if not exact:
+            from .boundary import JET_ZERO_TOL as tol
         theirs = dict(zip(other.nodes, zip(other.left, other.right)))
         nodes, left, right = [], [], []
         for x, l, r in zip(self.nodes, self.left, self.right):
             row = other._row_at(r, x)
             if x in theirs:
                 l2, r2 = theirs.pop(x)
-                if (r[0] * l2[0] + r[1] * l2[1]) and any(l) and any(r2):
+                dot = r[0] * l2[0] + r[1] * l2[1]
+                if abs(dot) > tol * (abs(r[0] * l2[0]) + abs(r[1] * l2[1])) and any(l) and any(r2):
                     raise ValueError(f"the product has a double pole at {x}")
                 col = self._column_at(l2, x)
                 residue = [[l[a] * row[b] + col[a] * r2[b] for b in range(2)] for a in range(2)]
-                if residue[0][0] * residue[1][1] - residue[0][1] * residue[1][0]:
-                    raise ValueError(f"the product's residue at {x} has rank two")
-                l, row = _rank_one_factors(residue)
+                if exact:
+                    scale = residue  # any scale: tol is 0
+                else:
+                    # the moduli of l (r H_2(x)) + (H_1(x) l') r', term by term
+                    row_scale = [abs(v) for v in r] @ other._modulus_at(x)
+                    col_scale = self._modulus_at(x) @ [abs(v) for v in l2]
+                    scale = [[abs(l[a]) * row_scale[b] + col_scale[a] * abs(r2[b])
+                              for b in range(2)] for a in range(2)]
+                if all(abs(residue[a][b]) <= tol * scale[a][b] for a in range(2) for b in range(2)):
+                    l, row = (0, 0), (0, 0)
+                else:
+                    det = residue[0][0] * residue[1][1] - residue[0][1] * residue[1][0]
+                    det_scale = scale[0][0] * scale[1][1] + scale[0][1] * scale[1][0]
+                    if abs(det) > tol * det_scale:
+                        raise ValueError(f"the product's residue at {x} has rank two")
+                    l, row = _rank_one_factors(residue)
             nodes.append(x)
             left.append(l)
             right.append(row)
@@ -244,6 +265,17 @@ class RationalMatrix2x2:
             left.append(self._column_at(l2, y))
             right.append(r2)
         return _residue_matrix_form(nodes, left, right, None)
+
+    def _modulus_at(self, x) -> np.ndarray:
+        """I + sum_{x_j != x} |l_j| |r_j| / |x - x_j| in float64: the matrix
+        whose products with |r| and |l| are the sums ``_row_at`` and
+        ``_column_at`` form, with every term replaced by its modulus."""
+        import numpy as np
+
+        nodes, left, right = self._samplers
+        gap = np.abs(float(x) - nodes)
+        inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+        return np.eye(2) + (np.abs(left) * inv) @ np.abs(right)
 
     @cached_property
     def _samplers(self):
@@ -282,12 +314,10 @@ class RationalMatrix2x2:
         + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j), as O(K^2) array
         operations on Q x n arrays.  A point that is no node (or whose node
         was dropped with a zero residue) has no W_0 term.  Returns
-        (u, scale, rho, rho_scale): u and its scale, the same sums with every
-        factor replaced by its modulus and each r_j . v by |r_j| |v|
-        (1-norms), both of shape (K, 2, Q); and r_i . v_0 at each point's own
-        node (zero where it has none) with its scale |r_i| |v_0|, of shape
-        (Q,).  The scales bound the rounding of the sums and the error that
-        float residue data carry.
+        (u, scale): u and the same sums with every factor replaced by its
+        modulus and each r_j . v by |r_j| |v| (1-norms), both of shape
+        (K, 2, Q).  The scale bounds the rounding of the sums and the error
+        that float residue data carry.
         """
         import numpy as np
 
@@ -312,9 +342,8 @@ class RationalMatrix2x2:
                 terms[m:] += w[m] * d[: count - m]
             u = (terms @ l.T).transpose(0, 2, 1)
             u[1:] += shift[:-1]
-            out.append((u, (w[0] * d[0]).sum(axis=1)))
-        (u, rho), (scale, rho_scale) = out
-        return u, scale, rho, rho_scale
+            out.append(u)
+        return tuple(out)
 
     def eval(self, z) -> np.ndarray:
         """Float value I_2 + L diag(1/(z - x)) R of the matrix at z.
@@ -356,15 +385,11 @@ class RationalMatrix2x2:
 
 
 def _rank_one_factors(residue) -> tuple:
-    """A column l and a row r with l r equal to a 2x2 matrix of rank at most
-    one; both zero for the zero matrix."""
-    for a in range(2):
-        for b in range(2):
-            pivot = residue[a][b]
-            if pivot:
-                col = (residue[0][b], residue[1][b])
-                return col, (residue[a][0] / pivot, residue[a][1] / pivot)
-    return (0, 0), (0, 0)
+    """A column l and a row r with l r equal to a 2x2 matrix of rank one,
+    pivoting on its entry of largest modulus."""
+    a, b = max(((0, 0), (0, 1), (1, 0), (1, 1)), key=lambda ab: abs(residue[ab[0]][ab[1]]))
+    pivot = residue[a][b]
+    return (residue[0][b], residue[1][b]), (residue[a][0] / pivot, residue[a][1] / pivot)
 
 
 def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2x2:
@@ -388,16 +413,6 @@ def _times_linear(coeffs, x) -> list:
     for k, c in enumerate(coeffs):
         out[k] -= x * c
     return out
-
-
-def _deflate(coeffs, x) -> list:
-    """Ascending coefficients of p(z) / (z - x) for a root x of p (synthetic division)."""
-    quotient = [0] * (len(coeffs) - 1)
-    carry = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[k] + x * carry
-        quotient[k - 1] = carry
-    return quotient
 
 
 def build_theta(sys: PickSystem) -> RationalMatrix2x2:

@@ -21,6 +21,8 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     _cleared_integers,
+    _deflate,
+    _float_normal_form,
     _primitive_form,
     _scaled_value,
     scalar_from_json,
@@ -164,18 +166,29 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     The entries are cleared to numerators N over the product D of the
     nodes before forming the quotient, with phi = p/q and phi = infinity as
     the pair (1, 0).  An identically vanishing denominator means the
-    transform degenerates to the constant infinity, which is rejected.  A
-    float matrix or a float parameter takes the quotient of the polynomials
-    ``RationalMatrix2x2.cleared``, built once per matrix, and reduces it as
-    ``RationalFunction`` does.
+    transform degenerates to the constant infinity, which is rejected.
 
-    An exact matrix with an exact parameter needs no gcd.  With
-    [num; den] = N [p; q] over the node product D, det N = D^2 det Theta
-    = D^2 (every matrix built from resolvents has det Theta == 1), so a
-    common factor g of num and den divides adj(N) [num; den] = D^2 [p; q],
-    and as p and q are coprime, g divides D^2: it is a product of factors
-    (z - x_i) at the nodes, each at most twice.  Deflating num and den by (z - x_i) while both vanish at x_i
-    therefore leaves a coprime pair, scaled to the canonical integer form.
+    Both lanes cancel by one rule, with no gcd and no root finding.  With
+    [num; den] = N [p; q] over D, det N = D^2 det Theta = D^2 (every matrix
+    built from resolvents has det Theta == 1), so a common factor g of num
+    and den divides adj(N) [num; den] = D^2 [p; q], and as p and q are
+    coprime, g divides D^2: it is a product of factors (z - x_i) at the
+    nodes, each at most twice.  Near x_i, [num; den] is a nonzero multiple
+    of u(t) = (z - x_i) Theta(z) v(z), v = (p; q), whose constant term is
+    l_i (r_i . v(x_i)) with l_i != 0; so z - x_i divides both exactly where
+    r_i . v(x_i) = 0 (phi(x_i) = eta_i), and divides both twice where u's
+    next order vanishes too.  Deflating num and den by (z - x_i) there
+    leaves a coprime pair.
+
+    An exact matrix with an exact parameter decides that in Python
+    integers: it deflates while num(x_i) and den(x_i) both vanish, which is
+    r_i . v(x_i) = 0 and then u's next order, exactly, and scales to the
+    canonical integer form.  Otherwise num and den are the float polynomials
+    of ``RationalMatrix2x2.cleared``; ``boundary.node_zero_test`` (the
+    test w's jets read, at JET_ZERO_TOL) flags the nodes, and a flagged node
+    is deflated a second time where ``lft_jets`` reads u's next order as
+    zero in both components.  The quotient is then scaled as
+    ``RationalFunction`` scales a float one, to a monic denominator.
     """
     p, q = phi.pair()
     if theta.exact and p.exact and q.exact:
@@ -186,7 +199,24 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
         raise DegenerateTransformError(
             "parameter sends the transform to the constant infinity"
         )
-    return RationalFunction(n00 * p + n01 * q, den)
+    num = n00 * p + n01 * q
+    if not num.is_zero:
+        num, den = _float_node_deflated(theta, p, q, num, den)
+    return RationalFunction(*_float_normal_form(num, den), reduce=False)
+
+
+def _float_node_deflated(theta: RationalMatrix2x2, p, q, num, den) -> tuple:
+    """num and den divided by (z - x_i) at each node the zero test flags,
+    and once more where w's jets there vanish at the next order too."""
+    from .boundary import lft_jets, node_zero_test
+
+    zero = node_zero_test(theta, p, q, theta.nodes)[0]
+    flagged = [x for x, z in zip(theta.nodes, zero) if z]
+    for x, jet in zip(flagged, lft_jets(theta, p, q, flagged) if flagged else ()):
+        for _ in range(1 if jet.num[1] or jet.den[1] else 2):
+            num = Polynomial(_deflate(num.coeffs, float(x)))
+            den = Polynomial(_deflate(den.coeffs, float(x)))
+    return num, den
 
 
 def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):

@@ -1,5 +1,6 @@
 """Boundary limits read as jets: the rule, both sources and both lanes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 import bnpick as b
 from bnpick import boundary, solver
 from bnpick._sections import VERIFY_TOL
+from bnpick.algebra import _cleared_integers
 from bnpick.boundary import JET_ZERO_TOL, LimitKind, jet_limits, lft_jets, rational_jets
 
 from conftest import (
@@ -89,6 +91,20 @@ class TestRationalJets:
         # a denominator within JET_ZERO_TOL of its scale reads as zero
         near = rf((1.0,), (-1.0, 1.0 + JET_ZERO_TOL / 4))
         assert rational_jets(near, [1.0])[0].zero_test["zero"]
+
+    def test_exact_taylor_is_the_binomial_sums(self):
+        # T_k = sum_m C(m, k) c_m x^(m - k), as Fractions, from one integer
+        # scaling of the coefficients
+        rng = random.Random(23)
+        for _ in range(200):
+            poly = b.Polynomial([F(rng.randint(-9, 9), rng.randint(1, 6))
+                                 for _ in range(rng.randint(0, 7))])
+            x = F(rng.randint(-30, 30), rng.randint(1, 7))
+            want = [sum(math.comb(m, k) * c * x ** (m - k)
+                        for m, c in enumerate(poly.coeffs) if m >= k) for k in range(4)]
+            ints, scale = _cleared_integers(poly.coeffs)
+            got = boundary._exact_taylor(poly.coeffs, ints, scale, x)
+            assert got == want and all(type(v) is Fraction for v in got)
 
     def test_match_reference_limits(self):
         rng = random.Random(17)

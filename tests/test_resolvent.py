@@ -761,6 +761,42 @@ class TestCompose:
                     shared += x in product.nodes
         assert shared >= 20
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_float_inverse_product_is_identity_with_no_nodes(self, n):
+        theta = b.build_theta(grid_system(random.Random(1000 * n), n))
+        inv = b.theta_inverse(theta)
+        z = np.array([0.3 + 1j, -2.0 + 0.5j, 5.0 + 0.1j])
+        for product in (theta @ inv, inv @ theta):
+            assert product.nodes == ()
+            assert np.abs(product.eval(z) - np.eye(2)).max() <= 1e-9
+
+    def test_float_shared_nodes_match_the_exact_product(self):
+        # test_shared_nodes_with_nonzero_residues on the float lane: the
+        # residues are rank one within the zero test, the nodes kept are the
+        # exact product's, and the values agree with it
+        rng = random.Random(103)
+        z = np.array([0.3 + 1j, -2.0 + 0.5j, 1.7 + 0.2j])
+        shared = 0
+        for n in (3, 5, 8):
+            exact = b.build_theta(grid_system(random.Random(n), n, exact=True))
+            theta = b.build_theta(grid_system(random.Random(n), n))
+            for x, (a, c), (r0, r1) in zip(exact.nodes, exact.left, exact.right):
+                s = random_fraction(rng, nonzero=True)
+                pairs = [(b.RationalMatrix2x2(nodes=(x,), left=((s * a, s * c),), right=((-c, a),)),
+                          exact),
+                         (exact, b.RationalMatrix2x2(nodes=(x,), left=((-s * r1, s * r0),),
+                                                     right=((r0, r1),)))]
+                for pair in pairs:
+                    floats = [theta if m is exact else b.RationalMatrix2x2(
+                        nodes=(float(x),), left=(tuple(map(float, m.left[0])),),
+                        right=(tuple(map(float, m.right[0])),)) for m in pair]
+                    want, got = pair[0] @ pair[1], floats[0] @ floats[1]
+                    assert got.nodes == tuple(map(float, want.nodes))
+                    scale = max(1.0, np.abs(want.eval(z)).max())
+                    assert np.abs(got.eval(z) - want.eval(z)).max() <= 1e-9 * scale
+                    shared += float(x) in got.nodes
+        assert shared >= 10
+
     def test_double_pole_rejected(self, theta1):
         with pytest.raises(ValueError, match="double pole"):
             theta1 @ theta1

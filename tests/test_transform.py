@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import algebra, transform
+from bnpick import algebra, boundary, transform
 
 from conftest import (
     BENCHMARK_PARAMETERS,
@@ -13,6 +13,7 @@ from conftest import (
     gcd_apply_lft,
     grid_system,
     loop_kernel,
+    probe_set,
     random_invertible_system,
     rf,
 )
@@ -197,6 +198,87 @@ class TestNodeDeflation:
             zero = b.Parameter.rational(-(e[0][1] / e[0][0]))
             self.assert_matches_reference(theta, zero)
             assert b.apply_lft(theta, zero).is_zero
+
+
+def float_copy(sys_):
+    """The float-lane system of the same data."""
+    data = sys_.data
+    return b.build_system(b.InterpolationData(*(tuple(float(v) for v in seq) for seq in (
+        data.nodes, data.values, data.derivative_bounds, data.residues))))
+
+
+def float_parameter(phi):
+    if phi.kind == "const":
+        return b.Parameter.constant(float(phi.value))
+    if phi.kind == "inf":
+        return phi
+    f = phi.func
+    return b.Parameter.rational(b.RationalFunction(
+        b.Polynomial([float(c) for c in f.num.coeffs]),
+        b.Polynomial([float(c) for c in f.den.coeffs])))
+
+
+def undeflated(theta, phi):
+    """The float quotient N [p; q] over the node product, reduced as a float
+    ``RationalFunction`` (root clustering)."""
+    p, q = phi.pair()
+    (n00, n01), (n10, n11) = theta.cleared
+    return b.RationalFunction(n00 * p + n01 * q, n10 * p + n11 * q)
+
+
+class TestFloatNodeDeflation:
+    """Float apply_lft cancels only at the nodes the zero test flags."""
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_unflagged_transform_is_the_plain_quotient(self, n):
+        # no probe node is flagged, and root clustering cancels nothing there
+        for sys_, phi in probe_set(n, exact=False):
+            theta = b.build_theta(sys_)
+            w, reference = b.apply_lft(theta, phi), undeflated(theta, phi)
+            assert w.num.coeffs == reference.num.coeffs
+            assert w.den.coeffs == reference.den.coeffs
+
+    def test_certify_never_roots_for_a_gcd(self, monkeypatch):
+        def fail(num, den):
+            raise AssertionError("apply_lft reached _float_cancel")
+
+        ops = [op for n in (8, 16, 24, 32) for op in probe_set(n, exact=False)]
+        monkeypatch.setattr(algebra, "_float_cancel", fail)
+        for sys_, phi in ops:
+            report, _, _ = b.classify_and_verify(sys_, phi)
+            assert all(node.verification.ok for node in report.nodes)
+
+    def test_node_parameters_deflate_like_the_exact_lane(self):
+        # phi = eta_i shares (z - x_i) once, eta_i + tau_i (z - x_i) once or
+        # twice: the float w loses that many degrees, and meets the exact w
+        # off the axis
+        rng = random.Random(31)
+        drops = set()
+        for n in (3, 4, 5, 6):
+            exact_sys = grid_system(rng, n, exact=True)
+            exact_theta = b.build_theta(exact_sys)
+            theta = b.build_theta(float_copy(exact_sys))
+            lo, hi = float(min(exact_sys.X)), float(max(exact_sys.X))
+            points = [complex(lo + (hi - lo) * t, y)
+                      for t, y in ((0.12, 1.0), (-0.43, 0.6), (0.7, 0.25), (0.17, 3.0))]
+            for exact_phi in node_parameters(exact_sys):
+                try:
+                    want = b.apply_lft(exact_theta, exact_phi)
+                except b.DegenerateTransformError:
+                    continue
+                phi = float_parameter(exact_phi)
+                w = b.apply_lft(theta, phi)
+                p, q = phi.pair()
+                flagged = sum(boundary.node_zero_test(theta, p, q, theta.nodes)[0])
+                shared = node_multiplicities(exact_theta, exact_phi)
+                assert flagged == sum(k > 0 for k in shared)
+                drop = sum(shared)
+                (n00, n01), (n10, n11) = theta.cleared
+                assert w.den.degree == (n10 * p + n11 * q).degree - drop
+                for z in points:
+                    assert abs(w.eval(z) - want.eval(z)) <= 1e-9 * max(1.0, abs(want.eval(z)))
+                drops.add(drop)
+        assert drops == {1, 2}
 
 
 class TestLftCompose:
