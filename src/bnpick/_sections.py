@@ -61,15 +61,39 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
 
 
 def pole_free_grid(f, span, config: GridConfig) -> tuple:
-    """Grid points nudged off the upper poles of f, and f sampled there.
+    """Grid points off the poles of a function, and the function there.
 
-    Returns (points, values).  A point still on a pole is skipped; every
-    value comes from one ``split_samples`` pass of f's ``RationalSampler``,
-    bit-identical to sampling the points one by one, so callers sample
-    nothing twice.
+    ``f`` is a rational function, or the pair (Theta, phi) of
+    w = ``apply_lft(Theta, phi)`` (the rule of ``solver._node_limits``).
+    Returns (points, values); a point on a pole is skipped, so callers
+    sample nothing twice.
+
+    A rational function's grid is nudged off its upper poles, the roots of
+    its denominator, and every value comes from one ``split_samples`` pass
+    of its ``RationalSampler``, bit-identical to sampling the points one by
+    one.  The pair is sampled through Theta's residue form, never through
+    w's coefficients: u = Theta(z) (p(z); q(z)) with phi = p/q, from one
+    ``RationalMatrix2x2.eval`` over the grid and phi's own polynomials, and
+    w = u_0 / u_1, a point being skipped where
+    |u_1| < POLE_TOL * max(1, |u_0|).  No root is sought and no point is
+    nudged: Theta's poles are the real nodes, off every grid line, and a
+    point skipped at an upper pole of w only shrinks the sample, while the
+    count over any point set is a lower bound.
     """
     import numpy as np
 
+    from .algebra import POLE_TOL, RationalFunction, _compiled
+
+    if not isinstance(f, RationalFunction):
+        theta, phi = f
+        grid = upper_half_grid(span, config)
+        z = np.array(grid)
+        pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
+        u = np.einsum("kij,jk->ik", theta.eval(z), pair)
+        with np.errstate(all="ignore"):
+            values = u[0] / u[1]
+        kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
+        return [grid[j] for j in np.flatnonzero(kept).tolist()], values[kept].tolist()
     avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
     grid = upper_half_grid(span, config, avoid=avoid)
     with np.errstate(all="ignore"):

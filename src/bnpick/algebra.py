@@ -377,8 +377,10 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
         exact = num.exact and den.exact
-        if not exact:
+        # a float Polynomial is already in this form: the conversion is idempotent
+        if not exact and num.exact:
             num = Polynomial(num.to_complex_array())
+        if not exact and den.exact:
             den = Polynomial(den.to_complex_array())
         if reduce:
             num, den = self._reduce(num, den, exact)

@@ -679,8 +679,9 @@ def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, points) -> list:
     p and q are scaled by one factor to integer coefficients and padded to
     one length D + 1, so that with x = a/b the integers P = b^D p(x) and
     Q = b^D q(x) are positive multiples of p(x) and q(x); with the row
-    r_i = (r0, r1), r_i . v(x_i) = 0 exactly when
-    num(r0) den(r1) P + num(r1) den(r0) Q = 0.  A point that is no node of
+    r_i = (r0, r1), r_i . v(x_i) = 0 exactly when r0 P = -r1 Q.  Both sides
+    are compared in lowest terms (``_times``), which takes no product of
+    two of the residue data's large integers.  A point that is no node of
     Theta has no term there, and u_0 = 0.
     """
     ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
@@ -697,8 +698,15 @@ def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, points) -> list:
         r0, r1 = row
         big_p = _scaled_value(pc, x.numerator, x.denominator)
         big_q = _scaled_value(qc, x.numerator, x.denominator)
-        zeros.append(r0.numerator * r1.denominator * big_p + r1.numerator * r0.denominator * big_q == 0)
+        zeros.append(_times(r0, big_p) == _times(r1, -big_q))
     return zeros
+
+
+def _times(r, m) -> tuple:
+    """(numerator, denominator) of r m in lowest terms, for a rational r in
+    lowest terms and an integer m: the one common factor is gcd(m, den r)."""
+    g = math.gcd(m, r.denominator)
+    return r.numerator * (m // g), r.denominator // g
 
 
 @dataclass(frozen=True)
@@ -787,21 +795,25 @@ def _finish_cj(route, estimates) -> CJReport:
 
 
 def kernel_negative_squares(
-    f: RationalFunction,
+    f: RationalFunction | tuple,
     config: GridConfig = DEFAULT_GRID,
     span=None,
 ) -> int:
     """Sampled negative-squares lower bound of the Nevanlinna kernel of f.
 
-    The kernel is sampled on the pole-free grid of ``config`` over ``span``
-    (by default the span of f's real poles).  The count is the number of
-    eigenvalues of the whole sampled kernel below -config.eig_tol *
-    max(1, max|lambda|).  By Cauchy interlacing no subset of the sample
-    points shows more negative eigenvalues, and the kernel's negative
-    squares are at least this many.
+    ``f`` is a rational function, or the pair (Theta, phi) of
+    w = ``apply_lft(Theta, phi)``, which is sampled through Theta's residue
+    form and never through w's coefficients (``pole_free_grid``).  The
+    kernel is sampled on the pole-free grid of ``config`` over ``span`` (by
+    default the span of f's real poles, or of Theta's nodes for the pair).
+    The count is the number of eigenvalues of the whole sampled kernel below
+    -config.eig_tol * max(1, max|lambda|).  By Cauchy interlacing no subset
+    of the sample points shows more negative eigenvalues, and the kernel's
+    negative squares are at least this many.
     """
     if span is None:
-        span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
+        poles = f.real_poles() if isinstance(f, RationalFunction) else f[0].nodes
+        span = span_of(poles, fallback=(-1.0, 1.0))
     points, values = pole_free_grid(f, span, config)
     return negative_count(nevanlinna_kernel(points, values), config.eig_tol)
 

@@ -454,10 +454,12 @@ def classify_and_verify(
     """Classify phi, transform it, and confirm every predicted outcome.
 
     The outcomes are checked on the limits of w read from (Theta, phi) as
-    jets, all nodes at once (``_node_limits``).  Returns the classification
-    report (with per-node verification attached), the transformed function,
-    and its sampled negative-squares count, which must equal the predicted
-    class index kappa - k.
+    jets, all nodes at once (``_node_limits``), and w's kernel is sampled
+    from the same pair (``kernel_negative_squares``), so no sampler of w is
+    compiled and no root of its denominator is sought.  Returns the
+    classification report (with per-node verification attached), the
+    transformed function, and its sampled negative-squares count, a lower
+    bound of w's negative squares, which number the class index kappa - k.
     """
     from .resolvent import build_theta
     from .transform import apply_lft, is_nevanlinna
@@ -474,7 +476,7 @@ def classify_and_verify(
         replace(node, verification=verify_outcome(sys, w, i, kind, tol, limits[i]))
         for node, (i, kind) in zip(report.nodes, outcomes.items())
     )
-    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
+    sampled = kernel_negative_squares((theta, phi), config=config, span=span_of(sys.X))
     return replace(report, nodes=nodes), w, sampled
 
 

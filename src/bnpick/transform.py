@@ -228,8 +228,13 @@ def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
     lowest terms is a root of an integer polynomial f of degree d exactly
     when b^d f(a/b) == 0, and then f = (b z - a) g with g integral by
     Gauss's lemma, as b z - a is primitive; so the canonical form is the
-    content and the sign.
+    content and the sign.  Whether num and den both vanish at a node is
+    r_i . v(x_i) = 0, decided in O(1) integers per node
+    (``boundary._exact_node_zeros``); only at the nodes it flags are the
+    deflated num and den evaluated, for the second order.
     """
+    from .boundary import _exact_node_zeros
+
     ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
     pc, qc = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
     (n00, n01), (n10, n11) = theta.integer_numerators
@@ -241,12 +246,12 @@ def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
         )
     if not num:
         return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
-    for x in theta.nodes:
-        a, b = x.numerator, x.denominator
-        for _ in range(2):
-            if _scaled_value(num, a, b) or _scaled_value(den, a, b):
-                break
+    for x, zero in zip(theta.nodes, _exact_node_zeros(theta, p, q, theta.nodes)):
+        if zero:
+            a, b = x.numerator, x.denominator
             num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)
+            if not (_scaled_value(num, a, b) or _scaled_value(den, a, b)):
+                num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)
     return RationalFunction(*_primitive_form(num, den), reduce=False)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import bnpick as b
 from bnpick import boundary, solver
-from bnpick._sections import VERIFY_TOL
+from bnpick._sections import VERIFY_TOL, span_of
 from bnpick.algebra import _cleared_integers
 from bnpick.boundary import JET_ZERO_TOL, LimitKind, jet_limits, lft_jets, rational_jets
 
@@ -207,26 +207,30 @@ class TestLftJets:
 
 
 def lane_report(n, exact):
-    """Labels, k and node verdicts of every probe op at n on one lane."""
+    """Labels, k, node verdicts and sampled count of ``classify_and_verify``
+    on every probe op at n on one lane."""
     out = []
     for sys_, phi in probe_set(n, exact):
-        theta = b.build_theta(sys_)
-        w = b.apply_lft(theta, phi)
-        report = b.classify_all(sys_, phi)
-        outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
-        limits = solver._node_limits(sys_, (theta, phi), outcomes)
-        verdicts = [solver.verify_outcome(sys_, w, i, kind, limits=limits[i]).ok
-                    for i, kind in outcomes.items()]
+        report, _, sampled = b.classify_and_verify(sys_, phi)
+        assert sampled <= report.class_index
         labels = [(node.label.family, node.label.index) for node in report.nodes]
-        out.append((labels, report.k, verdicts))
+        verdicts = [node.verification.ok for node in report.nodes]
+        out.append((labels, report.k, verdicts, sampled))
     return out
 
 
 @pytest.mark.parametrize("n", [8, 16, 24, 32])
 def test_probe_set_lanes_agree_with_no_node_failure(n):
-    # through _node_limits and verify_outcome, without the kernel count (the
-    # exact lane's sampled count still overflows floats at n >= 28)
     exact, float_ = lane_report(n, True), lane_report(n, False)
     assert exact == float_
-    assert all(all(verdicts) for _, _, verdicts in exact)
+    assert all(all(verdicts) for _, _, verdicts, _ in exact)
     assert len(exact) == 3 * len(BENCHMARK_PARAMETERS)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_count_through_theta_is_the_count_of_the_exact_w(n):
+    # the oracle: the exact w's own coefficients, sampled by its compiled
+    # sampler on the same grid, where they still fit the float range
+    for sys_, phi in probe_set(n, True):
+        _, w, sampled = b.classify_and_verify(sys_, phi)
+        assert sampled == b.kernel_negative_squares(w, span=span_of(sys_.X))

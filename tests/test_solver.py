@@ -431,22 +431,39 @@ class TestExactLaneAtTwelveNodes:
 
 class TestOneSamplerPerFunction:
     def test_classify_and_verify_compiles_each_function_once(self, sys2, monkeypatch):
-        compiled = []
-        init = algebra.RationalSampler.__init__
+        # w's count samples (Theta, phi): only phi is compiled, once, and
+        # only phi's denominator is rooted
+        import numpy as np
+
+        compiled, rooted = [], []
+        init, roots = algebra.RationalSampler.__init__, np.roots
 
         def counted(sampler, func):
             compiled.append(func)
             init(sampler, func)
 
+        def counted_roots(coeffs):
+            rooted.append(list(coeffs))
+            return roots(coeffs)
+
         monkeypatch.setattr(algebra.RationalSampler, "__init__", counted)
+        monkeypatch.setattr(np, "roots", counted_roots)
+        checked = 0
         for phi in STANDARD_SWEEP:
+            if phi.kind == "rational":  # a fresh function, with no sampler yet
+                phi = b.Parameter.rational(b.RationalFunction(phi.func.num, phi.func.den))
             compiled.clear()
+            rooted.clear()
             try:
                 b.classify_and_verify(sys2, phi)
             except b.DegenerateTransformError:
                 continue
-            assert compiled
-            assert len({id(f) for f in compiled}) == len(compiled)
+            checked += 1
+            func = phi.func if phi.kind == "rational" else None
+            assert compiled == ([] if func is None else [func])
+            poles = func is not None and func.den.degree >= 1
+            assert rooted == ([list(func.den.to_complex_array()[::-1])] if poles else [])
+        assert checked >= 4
 
 
 class TestOneBatchPerFunction:
