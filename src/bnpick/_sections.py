@@ -78,20 +78,27 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     |u_1| < POLE_TOL * max(1, |u_0|).  No root is sought and no point is
     nudged: Theta's poles are the real nodes, off every grid line, and a
     point skipped at an upper pole of w only shrinks the sample, while the
-    count over any point set is a lower bound.
+    count over any point set is a lower bound.  A u beyond the float range
+    raises ``FloatRangeError``.
     """
     import numpy as np
 
     from .algebra import POLE_TOL, RationalFunction, _compiled
+    from .errors import FloatRangeError
 
     if not isinstance(f, RationalFunction):
         theta, phi = f
         grid = upper_half_grid(span, config)
         z = np.array(grid)
-        pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
-        u = np.einsum("kij,jk->ik", theta.eval(z), pair)
         with np.errstate(all="ignore"):
+            pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
+            u = np.einsum("kij,jk->ik", theta.eval(z), pair)
             values = u[0] / u[1]
+        if not np.isfinite(u).all():
+            raise FloatRangeError(
+                "the values of w on the sampling grid exceed the float range; "
+                "its kernel cannot be sampled in floats"
+            )
         kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
         return [grid[j] for j in np.flatnonzero(kept).tolist()], values[kept].tolist()
     avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)

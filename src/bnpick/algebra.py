@@ -130,20 +130,33 @@ class Polynomial:
     def __init__(self, coeffs=()):
         canon = []
         exact = True
+        rational = False  # some coefficient was taken as a Fraction
         for c in coeffs:
-            if type(c) is Fraction:
+            # the exact types first: isinstance on Fraction or _Inexact goes
+            # through the numbers ABCs, which cost most of a float product
+            kind = type(c)
+            if kind is complex:
                 canon.append(c)
+                exact = False
+            elif kind is float:
+                canon.append(complex(c))
+                exact = False
+            elif kind is Fraction:
+                canon.append(c)
+                rational = True
             elif isinstance(c, (int, Fraction, str)):
                 canon.append(Fraction(c))
+                rational = True
             elif isinstance(c, _FLOAT_TYPES):
                 canon.append(complex(c))
                 exact = False
             else:
                 raise TypeError(f"bad coefficient {c!r}")
         if not exact:
-            canon = [complex(c) for c in canon]
-            scale = max((abs(c) for c in canon), default=0.0)
-            canon = [0.0 if abs(c) <= TRIM_TOL * scale else c for c in canon]
+            if rational:
+                canon = [complex(c) for c in canon]
+            tol = TRIM_TOL * max(map(abs, canon))
+            canon = [0.0 if abs(c) <= tol else c for c in canon]
         while canon and not canon[-1]:
             canon.pop()
         object.__setattr__(self, "coeffs", tuple(canon))
@@ -190,8 +203,8 @@ class Polynomial:
     def is_real(self) -> bool:
         if self.exact:
             return True
-        scale = max((abs(c) for c in self.coeffs), default=0.0)
-        return all(abs(c.imag) <= TRIM_TOL * max(1.0, scale) for c in self.coeffs)
+        tol = TRIM_TOL * max(1.0, max(map(abs, self.coeffs), default=0.0))
+        return all(abs(c.imag) <= tol for c in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -249,9 +262,16 @@ class Polynomial:
             other = Polynomial.constant(other)
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
+        left, right = self.coeffs, other.coeffs
+        # a product across lanes is complex: convert the exact factor once,
+        # as Fraction's operators would at every product (through the ABCs)
+        if self.exact and not other.exact:
+            left = [complex(c) for c in left]
+        elif other.exact and not self.exact:
+            right = [complex(c) for c in right]
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
                 out[i + j] = out[i + j] + a * b
         return Polynomial(out)
 

@@ -54,7 +54,7 @@ from .algebra import (
     is_exact,
     split_product,
 )
-from .errors import PoleError
+from .errors import FloatRangeError, PoleError
 from .problem import PickSystem
 
 if TYPE_CHECKING:
@@ -610,7 +610,7 @@ def rational_jets(f: RationalFunction, points) -> list:
 
 def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
     """The ``Jet`` of w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22),
-    phi = p/q, at each point, read from Theta's residue form.
+    phi = p/q, at each point, read from Theta's residue form: w's node pass.
 
     u(t) = (z - x) Theta(z) v(z) with v = (p; q) and z = x + t has w as the
     ratio of its two components, and ``RationalMatrix2x2.residue_jets``
@@ -619,13 +619,23 @@ def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
     built or sampled.  At a node x_i, u_0 = l_i (r_i . v(x_i)), which
     ``node_zero_test`` decides; where it reads zero, u_0 is set to 0.
     Every higher coefficient is tested against JET_ZERO_TOL on both lanes.
-    The jets are float64 on both lanes.
+    The jets are float64 on both lanes; where a coefficient or its scale
+    overflows the float range, ``FloatRangeError`` is raised.  Taken at
+    Theta's nodes, the pass also says where ``apply_lft`` cancels: its zero
+    flags, and u_1 at the flagged nodes.
     """
     import numpy as np
 
     x = np.array([float(v) for v in points])
-    v = _float_taylor((p, q), x)[0]
-    u, scale = theta.residue_jets(v, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _float_taylor((p, q), x)[0]
+        u, scale = theta.residue_jets(v, x)
+    # every term of u enters its scale by modulus, so a finite scale bounds u
+    if not np.isfinite(scale).all():
+        raise FloatRangeError(
+            "the jets of w at the nodes exceed the float range; "
+            "its boundary limits cannot be read in floats"
+        )
     zero, relative, exact = node_zero_test(theta, p, q, points, v[0])
     u[0][:, np.array(zero, dtype=bool)] = 0
     _snap(u[1:], scale[1:])
@@ -641,9 +651,10 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> 
     This is the one test of where w = Theta o (p/q) has numerator and
     denominator sharing the factor z - x_i: u_0 = l_i (r_i . v(x_i)) of
     ``lft_jets``, with l_i != 0, and r_i . v(x_i) = 0 exactly where
-    phi(x_i) = eta_i.  ``lft_jets`` reads it for w's jets and ``apply_lft``
-    for where it cancels.  On the exact lane (Theta, p, q and the points
-    exact) it is decided exactly, one integer dot product per node
+    phi(x_i) = eta_i.  Only ``lft_jets`` runs it; ``apply_lft`` cancels
+    where the flags of that pass read zero, so a certify op decides each
+    node once.  On the exact lane (Theta, p, q and the points exact) it is
+    decided exactly, one integer dot product per node
     (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
     the scale |r_i| |v(x_i)| (1-norms).  A point that is no node of Theta
     has no term there and reads zero.  ``values`` is v at the points, shape

@@ -350,24 +350,28 @@ def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
     and the node's zero test (``boundary._zero_test``) under
     ``"zero_test"``.
     """
-    names = {}
-    for i, outcome in outcomes.items():
-        if not sys.data.is_regular(i):
-            names[i] = ("residual",)
-        elif outcome == "maybe_missed":
-            names[i] = ("value", "derivative", "kernel_diagonal")
-        else:
-            names[i] = ("value", "derivative")
-    points = [sys.X[i] for i in names]
+    points = [sys.X[i] for i in outcomes]
     if isinstance(source, RationalFunction):
         jets = rational_jets(source, points)
     else:
         theta, phi = source
         jets = lft_jets(theta, *phi.pair(), points)
-    return {
-        i: {**jet_limits(jet.num, jet.den, keys), "zero_test": jet.zero_test}
-        for (i, keys), jet in zip(names.items(), jets)
-    }
+    return _jet_node_limits(sys, outcomes, jets)
+
+
+def _jet_node_limits(sys: PickSystem, outcomes: dict, jets) -> dict:
+    """``_node_limits`` from the jets of w at the nodes of ``outcomes``, in
+    its order."""
+    limits = {}
+    for (i, outcome), jet in zip(outcomes.items(), jets):
+        if not sys.data.is_regular(i):
+            keys = ("residual",)
+        elif outcome == "maybe_missed":
+            keys = ("value", "derivative", "kernel_diagonal")
+        else:
+            keys = ("value", "derivative")
+        limits[i] = {**jet_limits(jet.num, jet.den, keys), "zero_test": jet.zero_test}
+    return limits
 
 
 def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
@@ -453,27 +457,34 @@ def classify_and_verify(
 ):
     """Classify phi, transform it, and confirm every predicted outcome.
 
-    The outcomes are checked on the limits of w read from (Theta, phi) as
-    jets, all nodes at once (``_node_limits``), and w's kernel is sampled
-    from the same pair (``kernel_negative_squares``), so no sampler of w is
-    compiled and no root of its denominator is sought.  Returns the
-    classification report (with per-node verification attached), the
-    transformed function, and its sampled negative-squares count, a lower
-    bound of w's negative squares, which number the class index kappa - k.
+    w's node pass, its jets at every node read from (Theta, phi)
+    (``lft_jets``), is taken once: w = ``apply_lft(Theta, phi)`` cancels
+    where its zero flags read zero, and the outcomes are checked on the
+    limits it gives (``_node_limits``), so each node's zero test runs once.
+    w's kernel is sampled from the same pair (``kernel_negative_squares``),
+    so no sampler of w is compiled and no root of its denominator is
+    sought.  Returns the classification report (with per-node verification
+    attached), the transformed function, and its sampled negative-squares
+    count, a lower bound of w's negative squares, which number the class
+    index kappa - k.
     """
     from .resolvent import build_theta
-    from .transform import apply_lft, is_nevanlinna
+    from .transform import _node_cancelled, is_nevanlinna
 
     check = is_nevanlinna(phi, config)
     if not check.ok:
         raise NotNevanlinnaError("parameter kernel is not positive", check.witness)
     theta = build_theta(sys)
-    w = apply_lft(theta, phi)
+    p, q = phi.pair()
+    jets = lft_jets(theta, p, q, sys.X)
+    at_node = dict(zip(sys.X, jets))
+    w = _node_cancelled(theta, p, q, [at_node[x] for x in theta.nodes])
     report = classify_all(sys, phi)
     outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
-    limits = _node_limits(sys, (theta, phi), outcomes)
+    limits = _jet_node_limits(sys, outcomes, jets)
     nodes = tuple(
-        replace(node, verification=verify_outcome(sys, w, i, kind, tol, limits[i]))
+        NodeReport(node.node, node.label, node.predicted,
+                   verify_outcome(sys, w, i, kind, tol, limits[i]))
         for node, (i, kind) in zip(report.nodes, outcomes.items())
     )
     sampled = kernel_negative_squares((theta, phi), config=config, span=span_of(sys.X))

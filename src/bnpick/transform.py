@@ -180,19 +180,34 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     next order vanishes too.  Deflating num and den by (z - x_i) there
     leaves a coprime pair.
 
-    An exact matrix with an exact parameter decides that in Python
-    integers: it deflates while num(x_i) and den(x_i) both vanish, which is
-    r_i . v(x_i) = 0 and then u's next order, exactly, and scales to the
-    canonical integer form.  Otherwise num and den are the float polynomials
-    of ``RationalMatrix2x2.cleared``; ``boundary.node_zero_test`` (the
-    test w's jets read, at JET_ZERO_TOL) flags the nodes, and a flagged node
-    is deflated a second time where ``lft_jets`` reads u's next order as
-    zero in both components.  The quotient is then scaled as
-    ``RationalFunction`` scales a float one, to a monic denominator.
+    Where they share z - x_i is read from w's node pass: the ``Jet`` of w
+    at each of Theta's nodes (``boundary.lft_jets``), whose zero test is
+    ``boundary.node_zero_test``.  ``solver.classify_and_verify`` takes that
+    pass once, at every node, and cancels from it by the same private
+    function as here, so the zero test runs once per certify op.
+
+    An exact matrix with an exact parameter cancels in Python integers: it
+    deflates at the nodes the pass flags, where the zero test was decided
+    exactly, once more where the deflated num and den both vanish again
+    (u's next order, exactly), and scales to the canonical integer form.
+    Otherwise num and den are the float polynomials of
+    ``RationalMatrix2x2.cleared``; a flagged node is deflated a second time
+    where the jet reads u's next order as zero in both components (at
+    JET_ZERO_TOL).  The quotient is then scaled as ``RationalFunction``
+    scales a float one, to a monic denominator.  The pass is float64 on
+    both lanes, so data beyond the float range raise ``FloatRangeError``.
     """
+    from .boundary import lft_jets
+
     p, q = phi.pair()
+    return _node_cancelled(theta, p, q, lft_jets(theta, p, q, theta.nodes))
+
+
+def _node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets):
+    """``apply_lft`` of phi = p/q from w's node pass: ``jets`` holds the
+    ``boundary.Jet`` of w at each of Theta's nodes, in their order."""
     if theta.exact and p.exact and q.exact:
-        return _node_deflated_lft(theta, p, q)
+        return _integer_node_cancelled(theta, p, q, [jet.zero_test["zero"] for jet in jets])
     (n00, n01), (n10, n11) = theta.cleared
     den = n10 * p + n11 * q
     if den.is_zero:
@@ -201,40 +216,27 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
         )
     num = n00 * p + n01 * q
     if not num.is_zero:
-        num, den = _float_node_deflated(theta, p, q, num, den)
+        for x, jet in zip(theta.nodes, jets):
+            if jet.zero_test["zero"]:
+                for _ in range(1 if jet.num[1] or jet.den[1] else 2):
+                    num = Polynomial(_deflate(num.coeffs, float(x)))
+                    den = Polynomial(_deflate(den.coeffs, float(x)))
     return RationalFunction(*_float_normal_form(num, den), reduce=False)
 
 
-def _float_node_deflated(theta: RationalMatrix2x2, p, q, num, den) -> tuple:
-    """num and den divided by (z - x_i) at each node the zero test flags,
-    and once more where w's jets there vanish at the next order too."""
-    from .boundary import lft_jets, node_zero_test
-
-    zero = node_zero_test(theta, p, q, theta.nodes)[0]
-    flagged = [x for x, z in zip(theta.nodes, zero) if z]
-    for x, jet in zip(flagged, lft_jets(theta, p, q, flagged) if flagged else ()):
-        for _ in range(1 if jet.num[1] or jet.den[1] else 2):
-            num = Polynomial(_deflate(num.coeffs, float(x)))
-            den = Polynomial(_deflate(den.coeffs, float(x)))
-    return num, den
-
-
-def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
+def _integer_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros):
     """``apply_lft`` of a real exact pair (p, q) by an exact residue form,
-    in Python integers, cancelling only at the nodes.
+    in Python integers, cancelling only at the nodes where ``zeros`` holds
+    (r_i . v(x_i) = 0, decided exactly by ``boundary._exact_node_zeros``).
 
     Theta's node numerators and the pair (p, q) are each scaled to integers
     by one factor, which leaves the quotient unchanged.  A node a/b in
     lowest terms is a root of an integer polynomial f of degree d exactly
     when b^d f(a/b) == 0, and then f = (b z - a) g with g integral by
     Gauss's lemma, as b z - a is primitive; so the canonical form is the
-    content and the sign.  Whether num and den both vanish at a node is
-    r_i . v(x_i) = 0, decided in O(1) integers per node
-    (``boundary._exact_node_zeros``); only at the nodes it flags are the
-    deflated num and den evaluated, for the second order.
+    content and the sign.  Only at the flagged nodes are the deflated num
+    and den evaluated, for the second order.
     """
-    from .boundary import _exact_node_zeros
-
     ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
     pc, qc = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
     (n00, n01), (n10, n11) = theta.integer_numerators
@@ -246,7 +248,7 @@ def _node_deflated_lft(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial):
         )
     if not num:
         return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
-    for x, zero in zip(theta.nodes, _exact_node_zeros(theta, p, q, theta.nodes)):
+    for x, zero in zip(theta.nodes, zeros):
         if zero:
             a, b = x.numerator, x.denominator
             num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)

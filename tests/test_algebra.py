@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
+from bnpick import algebra
 from bnpick.algebra import (
     POLE_TOL,
     GaussianRational,
@@ -157,6 +158,67 @@ class TestPolynomial:
         assert scalar_to_json(np.complex64(2.5)) == 2.5
         with pytest.raises(TypeError):
             b.Polynomial((np.int64(1),))
+
+
+def documented_canonical_form(coeffs):
+    """(coeffs, exact) by the rule ``Polynomial`` documents, written without
+    its type shortcuts: exact values (int, bool, str, Fraction) become
+    ``Fraction``s; any other number makes every coefficient complex, with
+    those within TRIM_TOL of the largest modulus set to 0.0; trailing zeros
+    are dropped."""
+    exact = all(isinstance(c, (int, F, str)) for c in coeffs)
+    canon = [F(c) if isinstance(c, (int, F, str)) else c for c in coeffs]
+    if not exact:
+        canon = [complex(c) for c in canon]
+        scale = max(abs(c) for c in canon)
+        canon = [0.0 if abs(c) <= algebra.TRIM_TOL * scale else c for c in canon]
+    while canon and not canon[-1]:
+        canon.pop()
+    return tuple(canon), exact
+
+
+class TestPolynomialCanonicalForm:
+    """The constructor tests the exact types Fraction, float and complex
+    before any isinstance; every accepted input keeps its canonical form."""
+
+    CASES = (
+        [0.5, -2.0, 3.25],
+        [-0.0, 1.5, 0.0],
+        [1 + 2j, 0.5j, -3.0, complex(0.0, -0.0)],
+        [np.float64(0.1), np.float32(0.3), np.complex64(1 + 2j)],
+        [np.float64(2.0), 1e-13, np.float32(4.0)],
+        [1, 2, 0],
+        [True, False, True],
+        ["1/3", "-2", "5/7", "0"],
+        [F(1, 3), F(-2), F(0)],
+        [F(1, 3), 0.5, 2],
+        [1, "2/3", True, 1e-20 + 0j],
+        [F(5), np.float32(0.25), "1/7"],
+        [1.0, 1e-13, 2.0, 1e-14],
+        [1e-13 + 1e-30j, 5.0, -2e-12j],
+        [1e-300, 2e-300],
+        [0.0, 0.0],
+        [],
+    )
+
+    @pytest.mark.parametrize("coeffs", CASES, ids=range(len(CASES)))
+    def test_canonical_form_is_the_documented_rule(self, coeffs):
+        p = b.Polynomial(coeffs)
+        canon, exact = documented_canonical_form(coeffs)
+        assert p.exact is exact
+        assert [(type(c), repr(c)) for c in p.coeffs] == [(type(c), repr(c)) for c in canon]
+
+    def test_float_coefficients_under_trim_tol_vanish(self):
+        p = b.Polynomial([1.0, 1e-13, 2.0, 1e-14])
+        assert p.coeffs == (1 + 0j, 0.0, 2 + 0j) and type(p.coeffs[1]) is float
+        assert b.Polynomial([np.float32(1e-20), 3.0]).coeffs == (0.0, 3 + 0j)
+        assert b.Polynomial([2j, 1e-15 + 0j]).coeffs == (2j,)
+
+    @pytest.mark.parametrize("bad", [None, object()], ids=["None", "object"])
+    def test_other_values_raise(self, bad):
+        for coeffs in ([bad], [1.0, bad], [F(1), bad, 2j]):
+            with pytest.raises(TypeError):
+                b.Polynomial(coeffs)
 
 
 def random_symmetric(rng, n, kind):

@@ -438,6 +438,16 @@ def test_float_overflow_exits_3_without_a_traceback(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1 and "1329 bits" in err
 
 
+def test_float_parameter_overflow_exits_3_without_a_traceback():
+    # phi = 1e308 on the exact backend: w's jets at the nodes overflow the
+    # float range, which is one error line, not warnings and a LinAlgError
+    done = run_module("apply", "--problem", "ex101.json", "--param",
+                      '{"type":"const","value":1e308}')
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err and "Warning" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, case_argv in GOLDEN_CASES:

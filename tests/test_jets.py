@@ -205,6 +205,17 @@ class TestLftJets:
                 verdict = solver.verify_outcome(sys1, w, i, kind, limits=limits[i])
                 assert verdict.ok and verdict.details["zero_test"]["tol"] == JET_ZERO_TOL
 
+    def test_overflow_raises_float_range_error(self, sys1):
+        # phi = 1e308 on an exact resolvent: Theta v overflows, at the nodes
+        # and on the sampling grid, which raise instead of warning
+        theta, phi = b.build_theta(sys1), b.Parameter.constant(1e308)
+        with pytest.raises(b.FloatRangeError, match="jets of w"):
+            lft_jets(theta, *phi.pair(), sys1.X)
+        with pytest.raises(b.FloatRangeError, match="jets of w"):
+            b.apply_lft(theta, phi)
+        with pytest.raises(b.FloatRangeError, match="sampling grid"):
+            b.kernel_negative_squares((theta, phi))
+
 
 def lane_report(n, exact):
     """Labels, k, node verdicts and sampled count of ``classify_and_verify``

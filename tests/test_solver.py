@@ -467,33 +467,52 @@ class TestOneSamplerPerFunction:
 
 
 class TestOneBatchPerFunction:
-    """classify_and_verify takes the jets of phi in one call and those of w
-    in one, read through Theta's residue form; no path is sampled."""
+    """classify_and_verify takes w's node pass once, read through Theta's
+    residue form, and the jets of phi in one call; no path is sampled."""
 
     @staticmethod
     def recorded(monkeypatch):
         calls = []
-        for name in ("rational_jets", "lft_jets"):
-            def counting(*args, _name=name, _jets=getattr(solver, name)):
+        for module, name in ((solver, "lft_jets"), (solver, "rational_jets"),
+                             (boundary, "node_zero_test"), (boundary, "_exact_node_zeros")):
+            def counting(*args, _name=name, _call=getattr(module, name)):
                 calls.append((_name, args))
-                return _jets(*args)
+                return _call(*args)
 
-            monkeypatch.setattr(solver, name, counting)
+            monkeypatch.setattr(module, name, counting)
         monkeypatch.setattr(boundary, "nt_limits", None)
         return calls
+
+    @staticmethod
+    def assert_one_node_pass(sys_, critical, calls):
+        # the pass at every node serves w's cancellation and the limits of
+        # every node, so the zero test runs once, before phi's own jets
+        theta, (p, q) = b.build_theta(sys_), critical.pair()
+        tests = ["node_zero_test", *(["_exact_node_zeros"] if sys_.exact else [])]
+        assert [name for name, _ in calls] == ["lft_jets", *tests, "rational_jets"]
+        assert calls[0][1] == (theta, p, q, sys_.X)
+        assert calls[-1][1] == (critical.func, list(sys_.X))
 
     def test_maybe_missed_kernel_limit_rides_with_w(self, sys1, monkeypatch):
         calls = self.recorded(monkeypatch)
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
         report, w, _ = b.classify_and_verify(sys1, critical)
         assert report.nodes[0].predicted.kind == "maybe_missed"
-        theta = b.build_theta(sys1)
-        p, q = critical.pair()
-        assert calls == [("rational_jets", (critical.func, list(sys1.X))),
-                         ("lft_jets", (theta, p, q, list(sys1.X)))]
+        self.assert_one_node_pass(sys1, critical, calls)
+        assert w == b.apply_lft(b.build_theta(sys1), critical)
         details = report.nodes[0].verification.details
         assert list(details) == ["value", "derivative", "kernel_diagonal", "zero_test"]
         assert list(report.nodes[1].verification.details) == ["value", "derivative", "zero_test"]
+
+    def test_float_certify_runs_the_zero_test_once(self, monkeypatch):
+        data = data_two_regular()
+        sys_ = b.build_system(b.InterpolationData(*(tuple(float(v) for v in seq) for seq in (
+            data.nodes, data.values, data.derivative_bounds, data.residues))))
+        critical = b.Parameter.rational(rf((-0.5,), (0.0, 1.0)))
+        calls = self.recorded(monkeypatch)
+        report, _, _ = b.classify_and_verify(sys_, critical)
+        assert report.nodes[0].predicted.kind == "maybe_missed"
+        self.assert_one_node_pass(sys_, critical, calls)
 
     def test_verify_outcome_takes_no_limit_when_given_limits(self, sys1, monkeypatch):
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import algebra, boundary, transform
+from bnpick import algebra, boundary, solver, transform
 
 from conftest import (
     BENCHMARK_PARAMETERS,
@@ -279,6 +279,49 @@ class TestFloatNodeDeflation:
                     assert abs(w.eval(z) - want.eval(z)) <= 1e-9 * max(1.0, abs(want.eval(z)))
                 drops.add(drop)
         assert drops == {1, 2}
+
+
+class TestOneCancellationPath:
+    """classify_and_verify cancels w and reads its node limits from one node
+    pass, the pass standalone apply_lft and _node_limits each take."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_certify_matches_the_standalone_calls(self, n, exact):
+        for sys_, phi in probe_set(n, exact):
+            report, w, _ = b.classify_and_verify(sys_, phi)
+            theta = b.build_theta(sys_)
+            alone = b.apply_lft(theta, phi)
+            assert w == alone and repr(w) == repr(alone)
+            outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
+            limits = solver._node_limits(sys_, (theta, phi), outcomes)
+            assert [node.verification.details for node in report.nodes] == list(limits.values())
+
+    def test_node_parameters_deflate_once_and_twice_through_certify(self):
+        # the flagged nodes of TestFloatNodeDeflation, on both lanes: w sheds
+        # one or two degrees at a node through the flags of the shared pass
+        rng = random.Random(31)
+        drops = {True: set(), False: set()}
+        for n in (3, 4, 5, 6):
+            exact_sys = grid_system(rng, n, exact=True)
+            exact_theta = b.build_theta(exact_sys)
+            for sys_ in (exact_sys, float_copy(exact_sys)):
+                theta = b.build_theta(sys_)
+                (n00, n01), (n10, n11) = theta.cleared
+                for exact_phi in node_parameters(exact_sys):
+                    phi = exact_phi if sys_.exact else float_parameter(exact_phi)
+                    if not b.is_nevanlinna(phi):
+                        continue
+                    try:
+                        b.apply_lft(exact_theta, exact_phi)
+                    except b.DegenerateTransformError:
+                        continue
+                    _, w, _ = b.classify_and_verify(sys_, phi)
+                    alone = b.apply_lft(theta, phi)
+                    assert w == alone and repr(w) == repr(alone)
+                    p, q = phi.pair()
+                    drops[sys_.exact].add((n10 * p + n11 * q).degree - w.den.degree)
+        assert {1, 2} <= drops[True] and {1, 2} <= drops[False]
 
 
 class TestLftCompose:
