@@ -850,17 +850,29 @@ class HermitianMatrix:
     Exact entries must be symmetric identically: every exact matrix the
     library builds is a Pick matrix or a block of its inverse.  They are
     held as ``GaussianRational`` values.  Float entries may be complex and
-    are allowed a relative slack of ``HERMITIAN_TOL``.
+    are allowed a relative slack of ``HERMITIAN_TOL``.  A float matrix keeps
+    the complex array it was built from, which ``to_numpy`` copies and
+    ``hermitian_inertia`` and ``matrix_inverse`` read directly; it can be
+    built from an ndarray, with no entry converted in Python.  ``rows``
+    holds Python ``complex`` values on the float lane either way.
     """
 
-    __slots__ = ("rows", "n", "exact")
+    __slots__ = ("rows", "n", "exact", "_array")
 
     def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
+        array = None
+        if hasattr(rows, "dtype"):  # an ndarray: the float lane
+            import numpy as np
+
+            array = np.array(rows, dtype=complex)
+            if array.ndim != 2 or array.shape[0] != array.shape[1]:
+                raise ValueError("matrix is not square")
+        else:
+            rows = tuple(tuple(row) for row in rows)
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError("matrix is not square")
         n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("matrix is not square")
-        exact = _rows_are_exact(rows)
+        exact = array is None and _rows_are_exact(rows)
         if exact:
             rows = tuple(tuple(GaussianRational(x) for x in row) for row in rows)
             for i in range(n):
@@ -870,14 +882,17 @@ class HermitianMatrix:
         else:
             import numpy as np
 
-            arr = np.array([[complex(x) for x in row] for row in rows])
-            scale = max(1.0, float(np.abs(arr).max(initial=0.0)))
-            if np.abs(arr - arr.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
+            if array is None:
+                array = np.array([[complex(x) for x in row] for row in rows], dtype=complex)
+            scale = max(1.0, float(np.abs(array).max(initial=0.0)))
+            if np.abs(array - array.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
                 raise ValueError("not Hermitian within float tolerance")
-            rows = tuple(tuple(row) for row in arr.tolist())
+            array.flags.writeable = False
+            rows = tuple(map(tuple, array.tolist()))
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "_array", array)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
@@ -888,10 +903,9 @@ class HermitianMatrix:
     def to_numpy(self) -> np.ndarray:
         import numpy as np
 
+        if self._array is not None:
+            return self._array.copy()
         return np.array([[complex(x) for x in row] for row in self.rows])
-
-    def to_lists(self):
-        return [list(row) for row in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, HermitianMatrix):
@@ -905,13 +919,35 @@ class HermitianMatrix:
         return f"HermitianMatrix({[list(r) for r in self.rows]})"
 
 
+def _spectral_inertia(eigs, rank_tol: float) -> Inertia:
+    """Sign counts of a float spectrum (an ndarray), with
+    |lambda| <= rank_tol * max(1, spectral radius) counted as zero."""
+    tol = rank_tol * max(1.0, float(abs(eigs).max(initial=0.0)))
+    neg = int((eigs < -tol).sum())
+    pos = int((eigs > tol).sum())
+    return Inertia(neg, len(eigs) - neg - pos, pos)
+
+
+def _conditioned_inverse(array, magnitudes):
+    """``np.linalg.inv(array)``, or ``SingularMatrixError`` when the least of
+    ``magnitudes`` (the singular values of ``array``, or the |lambda| of a
+    Hermitian one, which are the same numbers) falls below ``RCOND_MIN``
+    times the largest."""
+    import numpy as np
+
+    top = magnitudes.max()
+    if top == 0 or magnitudes.min() / top < RCOND_MIN:
+        raise SingularMatrixError("reciprocal condition number below cutoff")
+    return np.linalg.inv(array)
+
+
 def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
     """Eigenvalue sign counts of a Hermitian matrix.
 
     Exact (real symmetric) entries are counted by ``symmetric_elimination``,
     with no tolerance involved.  Float entries are counted from the
-    spectrum, with |lambda| <= rank_tol * max(1, spectral radius) treated as
-    zero.
+    spectrum of the matrix's kept array, with
+    |lambda| <= rank_tol * max(1, spectral radius) treated as zero.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
@@ -921,12 +957,7 @@ def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
         return symmetric_elimination(matrix.rows).inertia
     import numpy as np
 
-    eigs = np.linalg.eigvalsh(matrix.to_numpy())
-    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    tol = rank_tol * scale
-    neg = int(np.sum(eigs < -tol))
-    pos = int(np.sum(eigs > tol))
-    return Inertia(neg, matrix.n - neg - pos, pos)
+    return _spectral_inertia(np.linalg.eigvalsh(matrix._array), rank_tol)
 
 
 def matrix_inverse(rows):
@@ -937,29 +968,28 @@ def matrix_inverse(rows):
     by ``symmetric_elimination`` against the identity, the entries come back
     as ``Fraction`` values, and an exactly singular input raises
     ``SingularMatrixError``.  Float entries use numpy, rejecting reciprocal
-    condition numbers below ``RCOND_MIN``.
+    condition numbers (from the singular values) below ``RCOND_MIN``; a
+    float ``HermitianMatrix`` is inverted from its kept array.
     """
     if not isinstance(rows, HermitianMatrix) and _rows_are_exact(rows):
         rows = HermitianMatrix(rows)
-    if isinstance(rows, HermitianMatrix):
-        if rows.exact:
-            n = rows.n
-            identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            inverse = symmetric_elimination(rows.rows, identity).solution
-            if inverse is None:
-                raise SingularMatrixError("exactly singular matrix")
-            return inverse
-        rows = rows.to_lists()
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
+    if isinstance(rows, HermitianMatrix) and rows.exact:
+        n = rows.n
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        inverse = symmetric_elimination(rows.rows, identity).solution
+        if inverse is None:
+            raise SingularMatrixError("exactly singular matrix")
+        return inverse
     import numpy as np
 
-    arr = np.array([[complex(x) for x in row] for row in rows])
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv[0] == 0 or sv[-1] / sv[0] < RCOND_MIN:
-        raise SingularMatrixError("reciprocal condition number below cutoff")
-    return np.linalg.inv(arr).tolist()
+    if isinstance(rows, HermitianMatrix):
+        array = rows._array
+    else:
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix is not square")
+        array = np.array([[complex(x) for x in row] for row in rows])
+    sv = np.linalg.svd(array, compute_uv=False)
+    return _conditioned_inverse(array, sv).tolist()
 
 
 class Elimination(NamedTuple):

@@ -653,7 +653,8 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> 
     ``lft_jets``, with l_i != 0, and r_i . v(x_i) = 0 exactly where
     phi(x_i) = eta_i.  Only ``lft_jets`` runs it; ``apply_lft`` cancels
     where the flags of that pass read zero, so a certify op decides each
-    node once.  On the exact lane (Theta, p, q and the points exact) it is
+    node once (standalone exact ``apply_lft`` takes ``_exact_node_zeros``
+    alone).  On the exact lane (Theta, p, q and the points exact) it is
     decided exactly, one integer dot product per node
     (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
     the scale |r_i| |v(x_i)| (1-norms).  A point that is no node of Theta

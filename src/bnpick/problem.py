@@ -20,8 +20,8 @@ from fractions import Fraction
 from .algebra import (
     HermitianMatrix,
     Inertia,
-    hermitian_inertia,
-    matrix_inverse,
+    _conditioned_inverse,
+    _spectral_inertia,
     scalar_from_json,
     scalar_to_json,
     symmetric_elimination,
@@ -158,9 +158,29 @@ class InterpolationData:
 
 def build_pick(data: InterpolationData) -> HermitianMatrix:
     """Pick matrix of the data: divided differences over the regular block,
-    coupling entries xi_j / (x_j - x_i), and -xi on the singular diagonal."""
+    coupling entries xi_j / (x_j - x_i), and -xi on the singular diagonal.
+
+    The float lane builds it as one array, each entry by the same IEEE
+    operations as the exact lane's formulas (so 0 * xi_k is -0.0 for a
+    negative residue)."""
     n, ell = data.n, data.ell
     x, w, gamma, xi = data.nodes, data.values, data.derivative_bounds, data.residues
+    if not data.exact:
+        import numpy as np
+
+        x, w, xi = (np.array(v, dtype=float) for v in (x, w, xi))
+        regular, singular = x[:ell], x[ell:]
+        rows = np.empty((n, n))
+        # the regular diagonal's 0/0 is overwritten below; off it, numpy
+        # overflows to inf as quietly as Python floats do
+        with np.errstate(all="ignore"):
+            rows[:ell, :ell] = (w - w[:, None]) / (regular - regular[:, None])
+            rows[:ell, ell:] = xi / (singular - regular[:, None])
+        rows[ell:, :ell] = rows[:ell, ell:].T
+        rows[ell:, ell:] = 0.0 * xi[:, None]
+        diagonal = np.arange(n)
+        rows[diagonal, diagonal] = np.concatenate([np.array(gamma, dtype=float), -xi])
+        return HermitianMatrix(rows)
     rows = [[None] * n for _ in range(n)]
     for i in range(ell):
         for j in range(ell):
@@ -223,7 +243,10 @@ def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
     On the exact lane one ``symmetric_elimination`` of [P | I | E^T | C^T]
     gives the inertia and, when P is invertible, P^(-1) with the rows
     E P^(-1) and C P^(-1) as its last two columns (P is symmetric).  The
-    float lane counts the spectrum and inverts with numpy.
+    float lane counts the spectrum and inverts with numpy, on P's one
+    array: one ``eigvalsh`` gives the inertia (the rule of
+    ``hermitian_inertia``) and the conditioning gate (the singular values
+    of a Hermitian matrix are its |lambda|), then one ``np.linalg.inv``.
     """
     P = build_pick(data)
     n, ell = data.n, data.ell
@@ -241,18 +264,20 @@ def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
             tilde_e = tuple(row[n] for row in elimination.solution)
             tilde_c = tuple(row[n + 1] for row in elimination.solution)
     else:
-        inertia = hermitian_inertia(P, rank_tol)
+        import numpy as np
+
+        array = P.to_numpy()
+        eigs = np.linalg.eigvalsh(array)
+        inertia = _spectral_inertia(eigs, rank_tol)
         if inertia.zeros == 0:
-            p_inv = tuple(tuple(x.real for x in row) for row in matrix_inverse(P))
-            # E is 1 on the regular nodes and 0 elsewhere, so E P^(-1) sums the
-            # regular rows: bit-identical to the products, as 1 * x == x and
-            # adding +-0.0 leaves a sum that starts at +0.0 unchanged
-            tilde_e = tuple(
-                sum((p_inv[i][j] for i in range(ell)), start=zero) for j in range(n)
-            )
-            tilde_c = tuple(
-                sum((C[i] * p_inv[i][j] for i in range(n)), start=zero) for j in range(n)
-            )
+            inverse = _conditioned_inverse(array, abs(eigs)).real
+            p_inv = tuple(map(tuple, inverse.tolist()))
+            # E P^(-1) and C P^(-1) summed row by row from +0.0, in order.
+            # Rows off E's support add +-0.0 to E P^(-1), which changes no
+            # sum that starts at +0.0
+            terms = np.zeros((2, n + 1, n))
+            terms[:, 1:] = np.array([E, C])[:, :, None] * inverse
+            tilde_e, tilde_c = map(tuple, np.add.accumulate(terms, axis=1)[:, -1].tolist())
     system = dict(
         data=data,
         P=P,
@@ -295,22 +320,35 @@ class LyapunovReport:
 
 
 def check_lyapunov(sys: PickSystem) -> LyapunovReport:
-    """Residual of the Lyapunov identity; exact zero on the exact backend."""
-    P = sys.P
+    """Residual of the Lyapunov identity; exact zero on the exact backend.
+
+    The worst entry is the first largest in row-major order.  The float
+    lane computes every entry in one array expression.  The exact residual
+    is antisymmetric with a zero diagonal (P is symmetric), and (i, j) comes
+    before (j, i) in row-major order, so the exact lane visits i < j only.
+    """
     n = sys.n
     x, e, c = sys.X, sys.E, sys.C
-    worst = None
-    location = None
-    for i in range(n):
-        for j in range(n):
-            p_ij = P.entry(i, j).real
-            res = p_ij * (x[j] - x[i]) - (e[i] * c[j] - c[i] * e[j])
-            mag = abs(res)
-            if worst is None or mag > worst:
-                worst, location = mag, (i, j)
+    if sys.exact:
+        rows = sys.P.rows
+        worst, location = (Fraction(0) if n else 0), None
+        for i in range(n):
+            for j in range(i + 1, n):
+                res = rows[i][j].real * (x[j] - x[i]) - (e[i] * c[j] - c[i] * e[j])
+                mag = abs(res)
+                if mag > worst:
+                    worst, location = mag, (i, j)
+    else:
+        import numpy as np
+
+        x, e, c = (np.array(v, dtype=float) for v in (x, e, c))
+        res = sys.P.to_numpy().real * (x - x[:, None]) - (e[:, None] * c - c[:, None] * e)
+        mag = abs(res)
+        k = int(mag.argmax())
+        worst, location = float(mag.flat[k]), divmod(k, n)
     is_zero = not worst
     return LyapunovReport(
-        max_abs=worst if worst is not None else 0,
+        max_abs=worst,
         location=location if not is_zero else None,
         is_zero=is_zero,
         exact=sys.exact,

@@ -629,12 +629,10 @@ def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np
     gaps = np.repeat(np.repeat(-1j * (z[:, np.newaxis] - z.conj()), 2, axis=0), 2, axis=1)
     direct = (np.tile(j, (m, m)) - rows @ cols) / gaps
 
-    x = np.array([float(v) for v in sys.X])
-    c = np.array([float(v) for v in sys.C])
-    e = np.array([float(v) for v in sys.E])
+    x, c, e = (np.array(v, dtype=float) for v in (sys.X, sys.C, sys.E))
     resolvent = 1.0 / (z[:, np.newaxis] - x)
     state = np.stack([c * resolvent, e * resolvent], axis=1).reshape(2 * m, -1)
-    p_inv = np.array([[float(v) for v in row] for row in sys.p_inv])
+    p_inv = np.array(sys.p_inv, dtype=float)
     realized = state @ p_inv @ state.conj().T
 
     scale = max(1.0, float(np.abs(direct).max()))
@@ -656,8 +654,13 @@ def kernel_theta_negative_squares(
     interlacing no subset of the sample points shows more negative
     eigenvalues, and the kernel's negative squares (kappa for the resolvent
     of an invertible Pick system) are at least this many.
+
+    The grid is taken as it is, with no point nudged off Theta's poles:
+    they are the real nodes, and every grid line lies above the real axis.
     """
-    grid = upper_half_grid(span_of(sys.X), config, avoid=[complex(p) for p in theta.poles])
+    # im_levels are validated positive (the config reader rejects others),
+    # so no grid point can be one of Theta's real poles
+    grid = upper_half_grid(span_of(sys.X), config)
     return negative_count(kernel_theta_sample(sys, theta, grid), config.eig_tol)
 
 

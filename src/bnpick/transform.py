@@ -180,26 +180,28 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     next order vanishes too.  Deflating num and den by (z - x_i) there
     leaves a coprime pair.
 
-    Where they share z - x_i is read from w's node pass: the ``Jet`` of w
-    at each of Theta's nodes (``boundary.lft_jets``), whose zero test is
-    ``boundary.node_zero_test``.  ``solver.classify_and_verify`` takes that
+    Where they share z - x_i is the node zero test r_i . v(x_i) = 0.  An
+    exact matrix with an exact parameter decides it in integers
+    (``boundary._exact_node_zeros``), deflates at the nodes it flags, once
+    more where the deflated num and den both vanish again (u's next order,
+    exactly), and scales to the canonical integer form; no float is
+    formed.  Otherwise the test is read from w's node pass: the ``Jet`` of
+    w at each of Theta's nodes (``boundary.lft_jets``, float64, so data
+    beyond the float range raise ``FloatRangeError``).  num and den are the
+    float polynomials of ``RationalMatrix2x2.cleared``; a flagged node is
+    deflated a second time where the jet reads u's next order as zero in
+    both components (at JET_ZERO_TOL).  A den that the deflation empties
+    was rounding noise of a degenerate transform, which is rejected too.
+    The quotient is then scaled as ``RationalFunction`` scales a float one,
+    to a monic denominator.  ``solver.classify_and_verify`` takes w's node
     pass once, at every node, and cancels from it by the same private
-    function as here, so the zero test runs once per certify op.
-
-    An exact matrix with an exact parameter cancels in Python integers: it
-    deflates at the nodes the pass flags, where the zero test was decided
-    exactly, once more where the deflated num and den both vanish again
-    (u's next order, exactly), and scales to the canonical integer form.
-    Otherwise num and den are the float polynomials of
-    ``RationalMatrix2x2.cleared``; a flagged node is deflated a second time
-    where the jet reads u's next order as zero in both components (at
-    JET_ZERO_TOL).  The quotient is then scaled as ``RationalFunction``
-    scales a float one, to a monic denominator.  The pass is float64 on
-    both lanes, so data beyond the float range raise ``FloatRangeError``.
+    function as here, so a certify op decides each node once.
     """
-    from .boundary import lft_jets
+    from .boundary import _exact_node_zeros, lft_jets
 
     p, q = phi.pair()
+    if theta.exact and p.exact and q.exact:
+        return _integer_node_cancelled(theta, p, q, _exact_node_zeros(theta, p, q, theta.nodes))
     return _node_cancelled(theta, p, q, lft_jets(theta, p, q, theta.nodes))
 
 
@@ -209,18 +211,19 @@ def _node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets
     if theta.exact and p.exact and q.exact:
         return _integer_node_cancelled(theta, p, q, [jet.zero_test["zero"] for jet in jets])
     (n00, n01), (n10, n11) = theta.cleared
-    den = n10 * p + n11 * q
-    if den.is_zero:
-        raise DegenerateTransformError(
-            "parameter sends the transform to the constant infinity"
-        )
-    num = n00 * p + n01 * q
-    if not num.is_zero:
+    num, den = n00 * p + n01 * q, n10 * p + n11 * q
+    if not (num.is_zero or den.is_zero):
         for x, jet in zip(theta.nodes, jets):
             if jet.zero_test["zero"]:
                 for _ in range(1 if jet.num[1] or jet.den[1] else 2):
                     num = Polynomial(_deflate(num.coeffs, float(x)))
                     den = Polynomial(_deflate(den.coeffs, float(x)))
+    # a float den that is rounding noise of an identically zero one can
+    # survive the first test and vanish only in the deflation
+    if den.is_zero:
+        raise DegenerateTransformError(
+            "parameter sends the transform to the constant infinity"
+        )
     return RationalFunction(*_float_normal_form(num, den), reduce=False)
 
 

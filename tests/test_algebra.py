@@ -303,6 +303,46 @@ class TestHermitianInertia:
             done += 1
 
 
+class TestFloatHermitianArray:
+    """A float HermitianMatrix keeps the complex array it was built from."""
+
+    def test_ndarray_and_lists_build_the_same_matrix(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(5, 5))
+        sym = a + a.T
+        sym[0, 1] = sym[1, 0] = -0.0
+        from_array = b.HermitianMatrix(sym)
+        from_lists = b.HermitianMatrix(sym.tolist())
+        assert not from_array.exact and from_array.n == 5
+        assert repr(from_array.rows) == repr(from_lists.rows)
+        assert all(type(v) is complex for row in from_array.rows for v in row)
+        assert from_array == from_lists
+        assert from_array.to_numpy().dtype == complex
+        assert np.array_equal(from_array.to_numpy(), from_lists.to_numpy())
+
+    def test_array_is_copied_in_and_out(self):
+        sym = np.eye(3)
+        m = b.HermitianMatrix(sym)
+        sym[0, 0] = 5.0
+        out = m.to_numpy()
+        out[1, 1] = 7.0
+        assert m.rows[0][0] == 1 and m.to_numpy()[1, 1] == 1
+        assert b.hermitian_inertia(m) == (0, 0, 3)
+
+    def test_non_hermitian_or_non_square_array_rejected(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            b.HermitianMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="not square"):
+            b.HermitianMatrix(np.zeros((2, 3)))
+
+    def test_inverse_and_inertia_read_the_kept_array(self, monkeypatch):
+        sym = np.array([[2.0, 1.0], [1.0, -3.0]])
+        m = b.HermitianMatrix(sym)
+        monkeypatch.setattr(b.HermitianMatrix, "to_numpy", None)
+        assert b.hermitian_inertia(m) == (1, 0, 1)
+        assert np.allclose(b.matrix_inverse(m), np.linalg.inv(sym))
+
+
 class TestMatrixInverse:
     def test_golden_inverse(self):
         inv = b.matrix_inverse([[F(-1), F(1)], [F(1), F(1)]])

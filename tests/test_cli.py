@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bnpick.cli import RunConfig, main
+from conftest import grid_system
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -156,6 +158,19 @@ class TestApply:
         code, _, _ = run(capsys, "apply", "--problem", str(DEMOS / "ex103.json"),
                          "--param", '{"type":"inf"}')
         assert code == 3
+
+    def test_degenerate_float_parameter_exits_3(self, capsys, tmp_path):
+        # phi = eta_1 + tau_1 (z - x_1) on float data sends the transform to
+        # the constant infinity: one error line, no traceback
+        sys_ = grid_system(random.Random(31), 3)
+        te = sys_.tilde_e[0]
+        tau = -sys_.tilde_p_diag[0] / te**2
+        problem = tmp_path / "float.json"
+        problem.write_text(json.dumps(sys_.data.to_json()))
+        param = {"type": "rational", "num": [sys_.eta[0] - tau * sys_.X[0], tau], "den": [1.0]}
+        code, _, err = run(capsys, "apply", "--problem", str(problem), "--param", json.dumps(param))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "infinity" in err
 
     def test_param_file(self, capsys, tmp_path):
         param = tmp_path / "phi.json"

@@ -1,7 +1,10 @@
 import dataclasses
+import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import bnpick as b
@@ -18,6 +21,93 @@ from conftest import (
 )
 
 F = Fraction
+
+
+def ordered_sum(terms, zero):
+    """Sum from ``zero``, left to right: the order of the library's sums."""
+    total = zero
+    for term in terms:
+        total = total + term
+    return total
+
+
+def scalar_pick_rows(data):
+    """P entry by entry in Python arithmetic, on either lane."""
+    n, ell = data.n, data.ell
+    x, w, gamma, xi = data.nodes, data.values, data.derivative_bounds, data.residues
+    rows = [[None] * n for _ in range(n)]
+    for i in range(ell):
+        for j in range(ell):
+            rows[i][j] = gamma[i] if i == j else (w[j] - w[i]) / (x[j] - x[i])
+    for i in range(ell):
+        for k in range(n - ell):
+            rows[i][ell + k] = rows[ell + k][i] = xi[k] / (x[ell + k] - x[i])
+    for k in range(n - ell):
+        for m in range(n - ell):
+            rows[ell + k][ell + m] = -xi[k] if k == m else 0 * xi[k]
+    return rows
+
+
+def scalar_lyapunov(P, x, e, c):
+    """(worst, location) of the Lyapunov residual over every entry: the
+    first largest in row-major order."""
+    worst = location = None
+    for i in range(len(x)):
+        for j in range(len(x)):
+            res = P[i][j].real * (x[j] - x[i]) - (e[i] * c[j] - c[i] * e[j])
+            if worst is None or abs(res) > worst:
+                worst, location = abs(res), (i, j)
+    return worst, location
+
+
+def scalar_float_system(data, rank_tol=1e-9):
+    """The float system by the scalar route: P's entries in Python floats,
+    numpy's eigvalsh and inv of the complex matrix, and the tilde rows as
+    ordered sums of Python products, reported as reprs (which tell -0.0
+    from 0.0)."""
+    n, ell = data.n, data.ell
+    rows = scalar_pick_rows(data)
+    arr = np.array([[complex(v) for v in row] for row in rows])
+    eigs = np.linalg.eigvalsh(arr)
+    tol = rank_tol * max(1.0, float(np.abs(eigs).max()))
+    neg, pos = int(np.sum(eigs < -tol)), int(np.sum(eigs > tol))
+    p_inv = [[v.real for v in row] for row in np.linalg.inv(arr).tolist()]
+    E = [1.0 if i < ell else 0.0 for i in range(n)]
+    C = [data.values[i] if i < ell else data.residues[i - ell] for i in range(n)]
+    tilde_e = [ordered_sum((p_inv[i][j] for i in range(ell)), 0.0) for j in range(n)]
+    tilde_c = [ordered_sum((C[i] * p_inv[i][j] for i in range(n)), 0.0) for j in range(n)]
+    eta = [tc / te if te else b.INFINITY for te, tc in zip(tilde_e, tilde_c)]
+    return repr(dict(
+        P=[[complex(v) for v in row] for row in rows],
+        inertia=(neg, n - neg - pos, pos),
+        p_inv=p_inv, tilde_e=tilde_e, tilde_c=tilde_c, eta=eta,
+        lyapunov=scalar_lyapunov(rows, data.nodes, E, C),
+    ))
+
+
+def system_fingerprint(sys_):
+    """The fields of ``scalar_float_system`` read off a built system."""
+    report = b.check_lyapunov(sys_)
+    return repr(dict(
+        P=[list(row) for row in sys_.P.rows],
+        inertia=sys_.inertia.astuple(),
+        p_inv=[list(row) for row in sys_.p_inv],
+        tilde_e=list(sys_.tilde_e), tilde_c=list(sys_.tilde_c), eta=list(sys_.eta),
+        # a zero residual has no location; the scalar route's is its first entry
+        lyapunov=(report.max_abs, report.location or (0, 0)),
+    ))
+
+
+def float_thirds_data(rng, n, ell):
+    """Float data on n nodes of the 1/3-grid, ell of them regular; nonzero
+    values, bounds and residues of both signs."""
+    third = lambda: rng.choice([p for p in range(-30, 31) if p]) / 3
+    return b.InterpolationData(
+        nodes=tuple(v / 3 for v in rng.sample(range(-40, 41), n)),
+        values=tuple(third() for _ in range(ell)),
+        derivative_bounds=tuple(third() for _ in range(ell)),
+        residues=tuple(third() for _ in range(n - ell)),
+    )
 
 
 class TestInterpolationData:
@@ -138,6 +228,104 @@ class TestLyapunov:
             sys_ = b.build_system(random_data(rng))
             assert b.check_lyapunov(sys_).is_zero
 
+    def test_exact_upper_triangle_reports_like_every_entry(self):
+        # the exact residual is antisymmetric with a zero diagonal, so the
+        # pairs i < j give the worst value and its first row-major location
+        rng = random.Random(103)
+        systems = [b.build_system(b.InterpolationData((), (), (), ()))]
+        systems += [b.build_system(random_data(rng, n_max=n, n_min=n)) for n in (1, 2, 3, 4, 6)]
+        perturbed = []
+        for sys_ in systems[2:]:
+            rows = [list(row) for row in sys_.P.rows]
+            i, j = sorted(rng.sample(range(sys_.n), 2))
+            rows[i][j] = rows[j][i] = rows[i][j] + rng.choice([F(1, 3), F(-2)])
+            k, m = sorted(rng.sample(range(sys_.n), 2))
+            rows[k][m] = rows[m][k] = rows[k][m] - F(1, 7)
+            perturbed.append(dataclasses.replace(sys_, P=b.HermitianMatrix(rows)))
+        for sys_ in systems + perturbed:
+            report = b.check_lyapunov(sys_)
+            worst, location = scalar_lyapunov(sys_.P.rows, sys_.X, sys_.E, sys_.C)
+            want = b.problem.LyapunovReport(
+                max_abs=worst if worst is not None else 0,
+                location=location if worst else None,
+                is_zero=not worst, exact=True)
+            assert repr(report) == repr(want)
+            assert json.dumps(report.to_json()) == json.dumps(want.to_json())
+        assert sum(not b.check_lyapunov(s).is_zero for s in perturbed) == len(perturbed)
+
+
+class TestFloatSystemAsOneArray:
+    """The float P is one array from the data to P^(-1), and every field of
+    the system is bit-identical to the scalar route."""
+
+    @staticmethod
+    def assert_matches_scalar_route(data):
+        sys_ = b.build_system(data)
+        assert sys_.invertible and not sys_.exact
+        want = scalar_float_system(data)
+        assert system_fingerprint(sys_) == want
+        assert all(type(v) is complex for row in sys_.P.rows for v in row)
+        assert all(type(v) is float for v in sys_.tilde_e + sys_.tilde_c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+    def test_grid_systems(self, n):
+        for seed in range(3):
+            self.assert_matches_scalar_route(grid_system(random.Random(100 * n + seed), n).data)
+
+    @pytest.mark.parametrize("regular", ["all", "none"])
+    def test_all_regular_and_all_singular_data(self, regular):
+        rng = random.Random(f"one-array-{regular}")
+        negative_zeros = checked = 0
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                data = float_thirds_data(rng, n, n if regular == "all" else 0)
+                try:
+                    sys_ = b.build_system(data)
+                except b.SingularMatrixError:
+                    continue
+                if sys_.invertible:
+                    self.assert_matches_scalar_route(data)
+                    checked += 1
+                    negative_zeros += sum(
+                        v.real == 0 and math.copysign(1.0, v.real) < 0
+                        for row in sys_.P.rows for v in row
+                    )
+        # -0.0 entries: 0 * xi_k in the row of a negative residue, and
+        # 0.0 / (x_j - x_i) for equal values at a decreasing pair of nodes
+        assert checked >= 12 and negative_zeros > 0
+
+    def test_one_spectrum_and_one_inverse_per_system(self, monkeypatch):
+        # the inertia and the conditioning gate share one eigvalsh; no SVD
+        data = grid_system(random.Random(5), 8).data
+        calls = []
+        for name in ("eigvalsh", "inv", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, name=name, original=original, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        b.build_system(data)
+        assert calls == ["eigvalsh", "inv"]
+
+    def test_conditioning_gate_at_rank_tol_zero(self):
+        # P = [[1, 1], [1, 1 + 4e-15]] has |lambda| min / max near 1e-15,
+        # below RCOND_MIN, and no eigenvalue that rank_tol = 0 counts as zero
+        data = b.InterpolationData(nodes=(0.0, 1.0), values=(0.0, 1.0),
+                                   derivative_bounds=(1.0, 1.0 + 4e-15), residues=())
+        eigs = np.abs(np.linalg.eigvalsh(b.build_pick(data).to_numpy()))
+        assert 0 < eigs.min() / eigs.max() < b.algebra.RCOND_MIN
+        with pytest.raises(b.SingularMatrixError):
+            b.build_system(data, rank_tol=0)
+        assert not b.build_system(data).invertible
+
+    def test_kept_array_is_not_shared(self):
+        sys_ = grid_system(random.Random(9), 4)
+        copy = sys_.P.to_numpy()
+        copy[0, 0] = 1e9
+        assert sys_.P.to_numpy()[0, 0] == sys_.P.rows[0][0] != 1e9
+
 
 class TestNegativeSquares:
     def test_goldens(self, sys1, sys3):
@@ -213,7 +401,7 @@ class TestDerivedIdentities:
                 continue
             n, zero = sys_.n, F(0) if sys_.exact else 0.0
             products = tuple(
-                sum((sys_.E[i] * sys_.p_inv[i][j] for i in range(n)), start=zero)
+                ordered_sum((sys_.E[i] * sys_.p_inv[i][j] for i in range(n)), zero)
                 for j in range(n)
             )
             assert [repr(v) for v in sys_.tilde_e] == [repr(v) for v in products]

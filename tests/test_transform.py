@@ -281,6 +281,66 @@ class TestFloatNodeDeflation:
         assert drops == {1, 2}
 
 
+    def test_degenerate_node_parameter_is_rejected_like_the_exact_lane(self):
+        # the exact den of phi = eta_1 + tau_1 (z - x_1) on grid_system(Random(31), 3)
+        # is identically zero; the float den is rounding noise that the
+        # deflation at the flagged nodes empties
+        rng = random.Random(31)
+        rejected = 0
+        for n in (3, 4, 5, 6):
+            exact_sys = grid_system(rng, n, exact=True)
+            exact_theta = b.build_theta(exact_sys)
+            sys_ = float_copy(exact_sys)
+            theta = b.build_theta(sys_)
+            for exact_phi in node_parameters(exact_sys):
+                try:
+                    b.apply_lft(exact_theta, exact_phi)
+                    continue
+                except b.DegenerateTransformError:
+                    pass
+                phi = float_parameter(exact_phi)
+                with pytest.raises(b.DegenerateTransformError):
+                    b.apply_lft(theta, phi)
+                if b.is_nevanlinna(phi):
+                    with pytest.raises(b.DegenerateTransformError):
+                        b.classify_and_verify(sys_, phi)
+                    rejected += 1
+        assert rejected == 1
+
+
+class TestExactApplyLftInIntegers:
+    """Standalone exact apply_lft takes its zero flags from the integer test
+    alone: no float node pass, so no float range to exceed."""
+
+    def test_no_float_pass(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("exact apply_lft took the float node pass")
+
+        cases = [(b.build_theta(sys_), phi) for n in (2, 4, 6)
+                 for sys_, phi in probe_set(n, exact=True)]
+        want = [b.apply_lft(theta, phi) for theta, phi in cases]
+        monkeypatch.setattr(boundary, "lft_jets", fail)
+        got = [b.apply_lft(theta, phi) for theta, phi in cases]
+        assert [repr(w) for w in got] == [repr(w) for w in want]
+
+    def test_data_beyond_the_float_range(self):
+        # a value of 10**400 puts 1329-bit integers in Theta's residue data,
+        # which no float holds; the integer cancellation needs none
+        big = F(10) ** 400
+        sys_ = b.build_system(b.InterpolationData(
+            nodes=(F(0), F(1), F(3)), values=(F(0), big), derivative_bounds=(F(1), F(2)),
+            residues=(F(-1),)))
+        theta = b.build_theta(sys_)
+        for phi in (*BENCHMARK_PARAMETERS, *node_parameters(sys_)):
+            try:
+                want = gcd_apply_lft(theta, phi)
+            except b.DegenerateTransformError:
+                with pytest.raises(b.DegenerateTransformError):
+                    b.apply_lft(theta, phi)
+                continue
+            assert b.apply_lft(theta, phi).to_json() == want.to_json()
+
+
 class TestOneCancellationPath:
     """classify_and_verify cancels w and reads its node limits from one node
     pass, the pass standalone apply_lft and _node_limits each take."""
