@@ -15,7 +15,9 @@ the default tolerance within which a sampled boundary limit meets its datum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -24,12 +26,33 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sampling grid and eigenvalue tolerance of the sampled counts."""
+    """Sampling grid and eigenvalue tolerance of the sampled counts.
+
+    Every field is checked when the config is made, and a bad one raises
+    ``ValueError`` naming it.  The levels must be positive, so every grid
+    point lies in the upper half-plane, where the counts certify, and off
+    every real pole; ``eig_tol`` must be at least 0, as a negative one
+    counts eigenvalues that are zero within rounding as negative.
+    """
 
     im_levels: tuple = (0.3, 1.1)
     points_per_level: int = 6
     re_margin: float = 1.0
     eig_tol: float = 1e-9
+
+    def __post_init__(self):
+        if len(self.im_levels) == 0 or not all(_finite(t) and t > 0 for t in self.im_levels):
+            raise ValueError("GridConfig.im_levels must be nonempty finite numbers > 0")
+        if not isinstance(self.points_per_level, Integral) or self.points_per_level < 1:
+            raise ValueError("GridConfig.points_per_level must be an int >= 1")
+        if not _finite(self.re_margin):
+            raise ValueError("GridConfig.re_margin must be a finite number")
+        if not (_finite(self.eig_tol) and self.eig_tol >= 0):
+            raise ValueError("GridConfig.eig_tol must be a finite number >= 0")
+
+
+def _finite(value) -> bool:
+    return isinstance(value, Real) and math.isfinite(value)
 
 
 DEFAULT_GRID = GridConfig()
@@ -38,7 +61,8 @@ VERIFY_TOL = 1e-6
 
 
 def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
-    """Points on horizontal lines over [span[0]-margin, span[1]+margin].
+    """Points on horizontal lines over [span[0]-margin, span[1]+margin], line
+    by line, as Python complex numbers.
 
     ``avoid`` lists complex points (poles) that grid points are nudged away
     from deterministically.
@@ -49,14 +73,15 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
     hi = float(span[1]) + config.re_margin
     if hi <= lo:
         hi = lo + 2.0 * config.re_margin
-    xs = np.linspace(lo, hi, config.points_per_level)
-    points = []
-    for t in config.im_levels:
-        for x in xs:
-            z = complex(x, t)
-            while avoid and min(abs(z - p) for p in avoid) < 1e-6:
+    grid = np.empty((len(config.im_levels), config.points_per_level), dtype=complex)
+    grid.real = np.linspace(lo, hi, config.points_per_level)
+    grid.imag = np.array(config.im_levels, dtype=float)[:, np.newaxis]
+    points = grid.ravel().tolist()
+    if avoid:
+        for j, z in enumerate(points):
+            while min(abs(z - p) for p in avoid) < 1e-6:
                 z += 0.017
-            points.append(z)
+            points[j] = z
     return points
 
 
@@ -71,15 +96,19 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     A rational function's grid is nudged off its upper poles, the roots of
     its denominator, and every value comes from one ``split_samples`` pass
     of its ``RationalSampler``, bit-identical to sampling the points one by
-    one.  The pair is sampled through Theta's residue form, never through
-    w's coefficients: u = Theta(z) (p(z); q(z)) with phi = p/q, from one
-    ``RationalMatrix2x2.eval`` over the grid and phi's own polynomials, and
-    w = u_0 / u_1, a point being skipped where
-    |u_1| < POLE_TOL * max(1, |u_0|).  No root is sought and no point is
-    nudged: Theta's poles are the real nodes, off every grid line, and a
-    point skipped at an upper pole of w only shrinks the sample, while the
-    count over any point set is a lower bound.  A u beyond the float range
-    raises ``FloatRangeError``.
+    one; points and values are lists of Python complex numbers.  The pair
+    is sampled through Theta's residue form, never through w's
+    coefficients: u = Theta(z) (p(z); q(z)) with phi = p/q, where the grid
+    and Theta's values on it are Theta's grid table for (span, config),
+    kept by Theta from one ``RationalMatrix2x2.eval`` and shared by every
+    phi and by ``kernel_theta_negative_squares``, and w = u_0 / u_1, a
+    point being skipped where |u_1| < POLE_TOL * max(1, |u_0|).  The pair's
+    points and values are complex arrays.  No root is sought and no point
+    is nudged: Theta's poles are the real nodes, off every grid line (the
+    levels of a ``GridConfig`` are positive), and a point skipped at an
+    upper pole of w only shrinks the sample, while the count over any point
+    set is a lower bound.  A u beyond the float range raises
+    ``FloatRangeError``.
     """
     import numpy as np
 
@@ -88,11 +117,10 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
 
     if not isinstance(f, RationalFunction):
         theta, phi = f
-        grid = upper_half_grid(span, config)
-        z = np.array(grid)
         with np.errstate(all="ignore"):
+            z, at_grid = theta._grid_table(span, config)
             pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
-            u = np.einsum("kij,jk->ik", theta.eval(z), pair)
+            u = np.einsum("kij,jk->ik", at_grid, pair)
             values = u[0] / u[1]
         if not np.isfinite(u).all():
             raise FloatRangeError(
@@ -100,7 +128,7 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
                 "its kernel cannot be sampled in floats"
             )
         kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
-        return [grid[j] for j in np.flatnonzero(kept).tolist()], values[kept].tolist()
+        return z[kept], values[kept]
     avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
     grid = upper_half_grid(span, config, avoid=avoid)
     with np.errstate(all="ignore"):

@@ -453,55 +453,63 @@ def jet_limits(num, den, kinds=JET_KINDS) -> dict:
     A finite jet is converged, with no approximants and no discrepancy.
     Returns a dict of estimates keyed by the names in ``kinds``.
     """
-    found = _jet_values(num, den, kinds)
-    return {name: _jet_estimate(name, found[name]) for name in kinds}
+    return dict(zip(kinds, map(_jet_estimate, kinds, _jet_values(num, den, kinds))))
 
 
-def _jet_values(num, den, kinds=JET_KINDS) -> dict:
-    """``jet_limits``' quantities named in ``kinds``: a number, or the status
-    ``"infinite"`` or ``"dne"``.  Only the Laurent coefficients they read
-    are formed."""
+def _jet_values(num, den, kinds=JET_KINDS) -> list:
+    """``jet_limits``' quantities named in ``kinds``, in their order: a
+    number, or the status ``"infinite"`` or ``"dne"``.  Only the Laurent
+    coefficients they read are formed."""
     s = 0
     while s < 2 and not num[s] and not den[s]:
         s += 1
     a, b = num[s:], den[s:]
     if not (a[0] or b[0]):
-        return dict.fromkeys(kinds, "dne")
-    p = next((k for k, c in enumerate(b) if c), len(b))
+        return ["dne"] * len(kinds)
+    p = 0
+    while p < len(b) and not b[p]:
+        p += 1
     # c_(k - p) = g_k for g = a / (b_p + b_(p+1) t + ...): the value and the
     # residual read g_0, the derivative g_1 and the kernel diagonal up to c_1
-    reads = {"value": 1, "residual": 1, "derivative": 2, "kernel_diagonal": p + 2}
+    reads = p + 2 if "kernel_diagonal" in kinds else 2 if "derivative" in kinds else 1
     g = []
-    for k in range(min(len(b) - p, max(reads[name] for name in kinds))):
+    for k in range(min(len(b) - p, reads)):
         rest = a[k]
         for m in range(1, k + 1):
             if b[p + m]:
                 rest -= b[p + m] * g[k - m]
         g.append(rest / b[p])
-    found = {}
+    found = []
     for name in kinds:
         if name == "kernel_diagonal":
             odd = [g[p + k] if p + k < len(g) else None for k in range(-1, -p - 1, -2)]
             if any(odd):
-                found[name] = "infinite"
+                found.append("infinite")
             elif None in odd or p + 1 >= len(g):
-                found[name] = "dne"
+                found.append("dne")
             else:
-                found[name] = g[p + 1]
+                found.append(g[p + 1])
         elif name == "residual":
-            found[name] = 0.0 if p == 0 else g[0] if p == 1 else "infinite"
+            found.append(0.0 if p == 0 else g[0] if p == 1 else "infinite")
         else:
-            found[name] = "infinite" if p else g[name == "derivative"]
+            found.append("infinite" if p else g[name == "derivative"])
     return found
 
 
 _KINDS = {kind.value: kind for kind in LimitKind}
+# The estimates of a limit that is not finite carry only their kind and
+# status, so each is one shared record.
+_NOT_FINITE = {
+    (name, status): LimitEstimate(kind, status, None, (), False, None)
+    for name, kind in _KINDS.items()
+    for status in ("infinite", "dne")
+}
 
 
 def _jet_estimate(name: str, found) -> LimitEstimate:
     """The ``LimitEstimate`` of kind ``name`` from a ``_jet_values`` entry."""
     if isinstance(found, str):
-        return LimitEstimate(_KINDS[name], found, None, (), False, None)
+        return _NOT_FINITE[name, found]
     value = found if isinstance(found, (float, complex)) else float(found)
     return LimitEstimate(_KINDS[name], "finite", value, (), True, None)
 
@@ -626,10 +634,9 @@ def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
     """
     import numpy as np
 
-    x = np.array([float(v) for v in points])
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _float_taylor((p, q), x)[0]
-        u, scale = theta.residue_jets(v, x)
+        v = _float_taylor((p, q), theta._node_table(points).x)[0]
+        u, scale = theta.residue_jets(v, points)
     # every term of u enters its scale by modulus, so a finite scale bounds u
     if not np.isfinite(scale).all():
         raise FloatRangeError(
@@ -659,22 +666,21 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> 
     (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
     the scale |r_i| |v(x_i)| (1-norms).  A point that is no node of Theta
     has no term there and reads zero.  ``values`` is v at the points, shape
-    (2, points), when the caller has it.  The cost is O(1) per point and
-    per node.
+    (2, points), when the caller has it.  Which points are nodes, their own
+    rows r_i and the rows' 1-norms are read from Theta's node table for the
+    point set (``RationalMatrix2x2._node_table``), built once per Theta and
+    point set, so a call forms only the products with v: O(1) per point.
     """
     import numpy as np
 
-    x = [float(v) for v in points]
+    table = theta._node_table(points)
     if values is None:
-        values = _float_taylor((p, q), np.array(x), 1)[0][0]
-    nodes, _, right = theta._samplers
-    index = {node: i for i, node in enumerate(nodes.tolist())}
-    own = np.array([index.get(v, -1) for v in x], dtype=int)
-    has = own >= 0
-    rows, mine = right[own[has]], values[:, has]
-    rho, rho_scale = np.zeros(len(x)), np.zeros(len(x))
-    rho[has] = np.abs(mine[0] * rows[:, 0] + mine[1] * rows[:, 1])
-    rho_scale[has] = (np.abs(mine[0]) + np.abs(mine[1])) * np.abs(rows).sum(axis=1)
+        values = _float_taylor((p, q), table.x, 1)[0][0]
+    has = table.has
+    mine = values[:, has]
+    rho, rho_scale = np.zeros(len(has)), np.zeros(len(has))
+    rho[has] = np.abs(mine[0] * table.rows[:, 0] + mine[1] * table.rows[:, 1])
+    rho_scale[has] = (np.abs(mine[0]) + np.abs(mine[1])) * table.row_sizes
     relative = rho / np.where(rho_scale > 0, rho_scale, 1.0)
     exact = theta.exact and p.exact and q.exact and all(map(is_exact, points))
     if exact:

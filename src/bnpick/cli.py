@@ -86,6 +86,10 @@ class RunConfig:
             elif not _is_number(value):
                 raise InputError(f"config 'grid.{key}' must be a number")
             grid[key] = value
+        try:
+            grid = replace(DEFAULT_GRID, **grid)
+        except ValueError as exc:  # a value GridConfig rejects, such as eig_tol < 0
+            raise InputError(f"config 'grid': {exc}") from None
         out = obj.get("out")
         if out is not None and not isinstance(out, str):
             raise InputError("config 'out' must be a path")
@@ -93,7 +97,7 @@ class RunConfig:
             backend=backend,
             rank_tol=_float_entry(obj, "rank_tol", 1e-9),
             verify_tol=_float_entry(obj, "verify_tol", VERIFY_TOL),
-            grid=replace(DEFAULT_GRID, **grid),
+            grid=grid,
             out=out,
         )
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._sections import (
     DEFAULT_GRID,
@@ -298,22 +298,78 @@ class RationalMatrix2x2:
                 "the matrix cannot be sampled in floats"
             ) from None
 
-    def residue_jets(self, v: np.ndarray, x: np.ndarray) -> tuple:
+    def _kept(self, name: str, key, build):
+        """``build()``'s table for ``key``, kept under ``name`` until a call
+        with another key replaces it, so a matrix holds one table of each
+        kind.  The tables hold only what does not depend on the parameter."""
+        held = vars(self).get(name)
+        if held is None or held[0] != key:
+            held = key, build()
+            vars(self)[name] = held  # as functools.cached_property stores
+        return held[1]
+
+    def _grid_table(self, span, config: GridConfig) -> tuple:
+        """(z, values): the points of ``upper_half_grid(span, config)`` as a
+        complex array and the matrix's values there from one ``eval``,
+        shape (m, 2, 2), both read-only; kept for the last (span, config)."""
+        key = (float(span[0]), float(span[1]), config)
+        return self._kept("_grid", key, lambda: self._build_grid_table(span, config))
+
+    def _build_grid_table(self, span, config: GridConfig) -> tuple:
+        import numpy as np
+
+        z = np.array(upper_half_grid(span, config), dtype=complex)
+        values = self.eval(z)
+        z.flags.writeable = values.flags.writeable = False
+        return z, values
+
+    def _node_table(self, points) -> "_NodeTable":
+        """The ``_NodeTable`` of a point set, kept for the last point set."""
+        return self._kept("_nodes", tuple(points), lambda: self._build_node_table(points))
+
+    def _build_node_table(self, points) -> "_NodeTable":
+        import numpy as np
+
+        from .boundary import JET_ORDERS
+
+        nodes, left, right = self._samplers
+        x = np.array([float(v) for v in points])
+        gap = x[:, np.newaxis] - nodes
+        own = gap == 0
+        inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=~own)
+        weights = np.empty((JET_ORDERS,) + gap.shape)
+        weights[0] = own
+        for m in range(1, JET_ORDERS):
+            weights[m] = inv if m == 1 else weights[m - 1] * -inv
+        index = {node: i for i, node in enumerate(nodes.tolist())}
+        at = np.array([index.get(v, -1) for v in x.tolist()], dtype=int)
+        has = at >= 0
+        rows = right[at[has]]
+        table = _NodeTable(x, weights, np.abs(weights), np.abs(left),
+                           np.abs(right).sum(axis=1), has, rows, np.abs(rows).sum(axis=1))
+        for array in table:
+            array.flags.writeable = False
+        return table
+
+    def residue_jets(self, v: np.ndarray, points) -> tuple:
         """Taylor coefficients in t of u(t) = (z - x) Theta(z) v(z), z = x + t,
         at every point x at once, in float64.
 
-        ``v`` holds the first K Taylor coefficients of the 2-vector v at the
-        Q points ``x``, shape (K, 2, Q).  At x, (z - x) / (z - x_j) is 1 for
-        the node x_j = x and sum_{m >= 1} (-1)^(m-1) t^m / (x - x_j)^m for
-        every other node, so with W_m those weights (W_0 marking x's own
-        node)
+        ``v`` holds the first K <= JET_ORDERS Taylor coefficients of the
+        2-vector v at the Q ``points``, shape (K, 2, Q).  At x,
+        (z - x) / (z - x_j) is 1 for the node x_j = x and
+        sum_{m >= 1} (-1)^(m-1) t^m / (x - x_j)^m for every other node, so
+        with W_m those weights (W_0 marking x's own node)
 
             u_k = v_(k-1) + sum_{m=0..k} sum_j l_j W_m[j] (r_j . v_(k-m)):
 
         u_0 = l_i (r_i . v_0) and u_1 = v_0 + l_i (r_i . v_1)
         + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j), as O(K^2) array
         operations on Q x n arrays.  A point that is no node (or whose node
-        was dropped with a zero residue) has no W_0 term.  Returns
+        was dropped with a zero residue) has no W_0 term.  The weights, their
+        moduli, |l_j| and the 1-norms |r_j| depend only on the points: they
+        are the point set's node table (``_node_table``), built once and
+        kept, so only the products with v are formed per call.  Returns
         (u, scale): u and the same sums with every factor replaced by its
         modulus and each r_j . v by |r_j| |v| (1-norms), both of shape
         (K, 2, Q).  The scale bounds the rounding of the sums and the error
@@ -321,22 +377,16 @@ class RationalMatrix2x2:
         """
         import numpy as np
 
-        nodes, left, right = self._samplers
+        _, left, right = self._samplers
+        table = self._node_table(points)
         count = len(v)
-        gap = x[:, np.newaxis] - nodes
-        own = gap == 0
-        inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=~own)
-        weights = np.empty((count,) + gap.shape)
-        weights[0] = own
-        for m in range(1, count):
-            weights[m] = inv if m == 1 else weights[m - 1] * -inv
         # r_j . v_b at each point, shape (K, Q, n), and its scale |r_j| |v_b|
         # in 1-norms, as the float lane's rows r_j carry a float inverse's error
         dots = v.transpose(0, 2, 1) @ right.T
-        sizes = np.abs(v).sum(axis=1)[:, :, np.newaxis] * np.abs(right).sum(axis=1)
+        sizes = np.abs(v).sum(axis=1)[:, :, np.newaxis] * table.right_sizes
         out = []
-        for w, l, d, shift in ((weights, left, dots, v),
-                               (np.abs(weights), np.abs(left), sizes, np.abs(v))):
+        for w, l, d, shift in ((table.weights, left, dots, v),
+                               (table.abs_weights, table.abs_left, sizes, np.abs(v))):
             terms = w[0] * d
             for m in range(1, count):
                 terms[m:] += w[m] * d[: count - m]
@@ -382,6 +432,24 @@ class RationalMatrix2x2:
             "kappa": self.kappa,
             "poles": [float(p) for p in self.poles],
         }
+
+
+class _NodeTable(NamedTuple):
+    """What a residue form's node pass reads at one point set, apart from
+    the parameter: the float points ``x``; ``residue_jets``' weights W_m
+    (shape (JET_ORDERS, Q, n)) and their moduli, |l_j| (2 x n) and the
+    1-norms of the rows r_j; and, for ``boundary.node_zero_test``, which
+    points are nodes (``has``), those nodes' own rows and the rows'
+    1-norms."""
+
+    x: np.ndarray
+    weights: np.ndarray
+    abs_weights: np.ndarray
+    abs_left: np.ndarray
+    right_sizes: np.ndarray
+    has: np.ndarray
+    rows: np.ndarray
+    row_sizes: np.ndarray
 
 
 def _rank_one_factors(residue) -> tuple:
@@ -555,6 +623,18 @@ def _det_residues(theta: RationalMatrix2x2) -> list:
     return residues
 
 
+# A real sample point within J_POLE_SKIP of a pole is skipped.  At a distance
+# d from a node x_i, |Theta| is about |l_i| |r_i| / d, and the residual of a
+# correct Theta is rounding, about eps |Theta|^2 with eps = 2.2e-16: at
+# d = 1e-9 that is 220 |l_i r_i|^2, beyond any tolerance the report is read
+# against, so a sample that close shows only where it was placed.  The
+# default points lo + (hi - lo) k / 99 meet a node in exact arithmetic when
+# the node lies on their lattice, and then miss it in floats by a few ulps
+# (an ulp is 3.6e-15 at |x| = 16), which 1e-9 skips with six orders of
+# margin.
+J_POLE_SKIP = 1e-9
+
+
 def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarityReport:
     """Certify J-unitarity symbolically (exact entries) and by sampling.
 
@@ -562,11 +642,11 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     Theta J Theta^T == J (see the module docstring), from the residues; it
     builds no rational function and takes no gcd.  The sampled
     part reports the largest entry of Theta(x) J Theta(x)* - J over real
-    points, 100 of them spread over the poles' span by default, with the
-    point where it is largest and the scale |Theta|^2 there.  Real sample
-    points within 1e-9 of a pole, or on which ``eval`` raises
-    ``PoleError``, are skipped and reported; the others are evaluated in one
-    batch.
+    points, 100 of them spread evenly over the poles' span widened by 1.5
+    on each side by default (built as one array), with the point where it
+    is largest and the scale |Theta|^2 there.  Real sample points within
+    J_POLE_SKIP of a pole, or on which ``eval`` raises ``PoleError``, are
+    skipped and reported; the others are evaluated in one batch.
     """
     import numpy as np
 
@@ -574,10 +654,11 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     if sample_points is None:
         lo = min(theta.poles, default=0.0) - 1.5
         hi = max(theta.poles, default=0.0) + 1.5
-        sample_points = [lo + (hi - lo) * k / 99.0 for k in range(100)]
-    xs = np.array([float(x) for x in sample_points], dtype=float)
-    poles = np.array([float(p) for p in theta.poles], dtype=float)
-    used = np.flatnonzero(~(np.abs(xs[:, np.newaxis] - poles) < 1e-9).any(axis=1))
+        xs = lo + (hi - lo) * np.arange(100) / 99.0
+    else:
+        xs = np.array([float(x) for x in sample_points], dtype=float)
+    poles = np.array(theta.poles, dtype=float)
+    used = np.flatnonzero(~(np.abs(xs[:, np.newaxis] - poles) < J_POLE_SKIP).any(axis=1))
     if used.size:
         try:
             values = theta.eval(xs[used].astype(complex))
@@ -610,20 +691,20 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     )
 
 
-def kernel_theta_sample(sys: PickSystem, theta: RationalMatrix2x2, points) -> np.ndarray:
+def kernel_theta_sample(sys: PickSystem, points, values) -> np.ndarray:
     """Sampled Hermitian kernel (J - Theta(z) J Theta(w)*) / (-i (z - conj(w))).
 
-    Cross-checked against the state-space form
-    [C; E](zI-X)^(-1) P^(-1) (conj(w) I - X)^(-1) [C* E*].  Both 2m x 2m
-    matrices are built from stacks: the m values of Theta from one batched
-    ``eval``, and the 2 x n blocks [C; E](z I - X)^(-1) of all points.
+    ``values`` holds Theta at the m ``points``, shape (m, 2, 2), as its grid
+    table keeps them.  The kernel is cross-checked against the state-space
+    form [C; E](zI-X)^(-1) P^(-1) (conj(w) I - X)^(-1) [C* E*].  Both
+    2m x 2m matrices are built from stacks: the m values of Theta, and the
+    2 x n blocks [C; E](z I - X)^(-1) of all points.
     """
     import numpy as np
 
     j = np.array([[0.0, -1.0j], [1.0j, 0.0]])
     z = np.asarray(points, dtype=complex).reshape(-1)
     m = len(z)
-    values = theta.eval(z)
     rows = (values @ j).reshape(2 * m, 2)
     cols = values.reshape(2 * m, 2).conj().T
     gaps = np.repeat(np.repeat(-1j * (z[:, np.newaxis] - z.conj()), 2, axis=0), 2, axis=1)
@@ -649,19 +730,21 @@ def kernel_theta_negative_squares(
     """Sampled negative-squares lower bound of the resolvent kernel.
 
     The kernel is sampled at the m points of the ``config`` grid over the
-    node span.  The count is the number of eigenvalues of the whole sampled
-    2m x 2m kernel below -config.eig_tol * max(1, max|lambda|).  By Cauchy
-    interlacing no subset of the sample points shows more negative
-    eigenvalues, and the kernel's negative squares (kappa for the resolvent
-    of an invertible Pick system) are at least this many.
+    node span, from Theta's grid table for that span and config: the same
+    points and values of Theta that the certify count of every parameter
+    reads (``_sections.pole_free_grid``), evaluated once per Theta.  The
+    count is the number of eigenvalues of the whole sampled 2m x 2m kernel
+    below -config.eig_tol * max(1, max|lambda|).  By Cauchy interlacing no
+    subset of the sample points shows more negative eigenvalues, and the
+    kernel's negative squares (kappa for the resolvent of an invertible Pick
+    system) are at least this many.
 
     The grid is taken as it is, with no point nudged off Theta's poles:
-    they are the real nodes, and every grid line lies above the real axis.
+    they are the real nodes, and every grid line lies above the real axis,
+    as a ``GridConfig`` holds only positive levels.
     """
-    # im_levels are validated positive (the config reader rejects others),
-    # so no grid point can be one of Theta's real poles
-    grid = upper_half_grid(span_of(sys.X), config)
-    return negative_count(kernel_theta_sample(sys, theta, grid), config.eig_tol)
+    points, values = theta._grid_table(span_of(sys.X), config)
+    return negative_count(kernel_theta_sample(sys, points, values), config.eig_tol)
 
 
 def factorize(sys: PickSystem, k: int, order=None):

@@ -20,7 +20,7 @@ built from any kernel vector of P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -47,6 +47,16 @@ if TYPE_CHECKING:
     from .transform import Parameter
 
 THRESHOLD_TOL = 1e-7
+# A rational parameter's residual r at a node of family Ctilde enters its
+# label as -1/r, compared with the threshold tau = -p_ii / tc_i^2.
+# |r| <= ZERO_RESIDUAL_TOL reads as r = 0, so -1/r as infinite: index 2, as
+# an infinite derivative is in family C (a Nevanlinna parameter has r < 0,
+# so -1/r grows to +inf).  1e-9 is the float jets' resolution: a float jet
+# coefficient is zero within JET_ZERO_TOL = 1e-9 of its scale, about 1 for
+# the parameters of order one used here, so a smaller residual is not told
+# from zero on that lane; the exact lane takes the same cut, so that both
+# lanes label alike.
+ZERO_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,7 +241,7 @@ def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> Condi
     if not residual.is_finite:
         return _unclassifiable(i, family, value, None, residual)
     r = residual.value.real
-    if abs(r) <= 1e-9:
+    if abs(r) <= ZERO_RESIDUAL_TOL:
         index = 2
     else:
         tau = float(-p_ii / (tc * tc))
@@ -286,6 +296,22 @@ _SINGULAR_DESCRIPTIONS = {
 }
 
 
+_INDEX_KINDS = {
+    "regular": {1: "exact", 2: "exact", 3: "strict_below", 4: "strict_above",
+                5: "maybe_missed", 6: "missed"},
+    "singular": {1: "exact", 2: "exact", 3: "strict_below", 4: "strict_above",
+                 5: "zero_residual", 6: "zero_residual"},
+}
+_DESCRIPTIONS = {"regular": _REGULAR_DESCRIPTIONS, "singular": _SINGULAR_DESCRIPTIONS}
+# One shared record per (index, node kind): the records are immutable and
+# every node of every report reads one of them.
+_PREDICTED = {
+    (index, node_kind): PredictedOutcome(kind, node_kind, _DESCRIPTIONS[node_kind][kind])
+    for node_kind, kinds in _INDEX_KINDS.items()
+    for index, kind in kinds.items()
+}
+
+
 def predict_behavior(label: ConditionLabel, node_kind: str) -> PredictedOutcome:
     """Map a condition label to the boundary behavior of the transform.
 
@@ -293,18 +319,12 @@ def predict_behavior(label: ConditionLabel, node_kind: str) -> PredictedOutcome:
     value but push the derivative (or inverse residual) strictly below or
     above its bound; 5 and 6 lose the interpolation condition: at regular
     nodes index 5 has a three-way outcome and 6 misses the value, at
-    singular nodes both kill the residual.
+    singular nodes both kill the residual.  Equal inputs give the same
+    shared record.
     """
-    if node_kind not in ("regular", "singular"):
+    if node_kind not in _INDEX_KINDS:
         raise ValueError(f"unknown node kind {node_kind!r}")
-    idx = label.index
-    if node_kind == "regular":
-        kind = {1: "exact", 2: "exact", 3: "strict_below", 4: "strict_above",
-                5: "maybe_missed", 6: "missed"}[idx]
-        return PredictedOutcome(kind, node_kind, _REGULAR_DESCRIPTIONS[kind])
-    kind = {1: "exact", 2: "exact", 3: "strict_below", 4: "strict_above",
-            5: "zero_residual", 6: "zero_residual"}[idx]
-    return PredictedOutcome(kind, node_kind, _SINGULAR_DESCRIPTIONS[kind])
+    return _PREDICTED[label.index, node_kind]
 
 
 def lost_squares(labels, kappa: int):
@@ -321,18 +341,26 @@ def lost_squares(labels, kappa: int):
 def classify_all(sys: PickSystem, phi: Parameter) -> ClassificationReport:
     """``classify_parameter`` at every node; a rational parameter takes its
     jets at all the nodes together."""
+    labels, outcomes, k = _classified(sys, phi)
+    nodes = tuple(NodeReport(i + 1, label, outcome)
+                  for i, (label, outcome) in enumerate(zip(labels, outcomes)))
+    return ClassificationReport(nodes, k, sys.kappa)
+
+
+def _classified(sys: PickSystem, phi: Parameter) -> tuple:
+    """(labels, predicted outcomes, k): phi's label at every node, the
+    outcome each predicts, and the number k of square-losing labels."""
     if phi.kind == "rational":
         if not sys.invertible:
             raise ValueError("classification requires an invertible Pick matrix")
         labels = _rational_labels(sys, phi.func, range(sys.n), THRESHOLD_TOL)
     else:
         labels = [classify_parameter(sys, phi, i) for i in range(sys.n)]
-    nodes = []
-    for i, label in enumerate(labels):
-        kind = "regular" if sys.data.is_regular(i) else "singular"
-        nodes.append(NodeReport(i + 1, label, predict_behavior(label, kind)))
-    k, _ = lost_squares([node.label for node in nodes], sys.kappa)
-    return ClassificationReport(tuple(nodes), k, sys.kappa)
+    ell = sys.ell
+    outcomes = [predict_behavior(label, "regular" if i < ell else "singular")
+                for i, label in enumerate(labels)]
+    k, _ = lost_squares(labels, sys.kappa)
+    return labels, outcomes, k
 
 
 def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
@@ -362,15 +390,17 @@ def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
 def _jet_node_limits(sys: PickSystem, outcomes: dict, jets) -> dict:
     """``_node_limits`` from the jets of w at the nodes of ``outcomes``, in
     its order."""
+    ell = sys.ell
     limits = {}
     for (i, outcome), jet in zip(outcomes.items(), jets):
-        if not sys.data.is_regular(i):
+        if i >= ell:
             keys = ("residual",)
         elif outcome == "maybe_missed":
             keys = ("value", "derivative", "kernel_diagonal")
         else:
             keys = ("value", "derivative")
-        limits[i] = {**jet_limits(jet.num, jet.den, keys), "zero_test": jet.zero_test}
+        limits[i] = node = jet_limits(jet.num, jet.den, keys)
+        node["zero_test"] = jet.zero_test
     return limits
 
 
@@ -378,13 +408,14 @@ def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
     """|limit - datum| of the value and derivative against w_i and gamma_i,
     or of the residual against xi_i; infinite where the limit is not finite."""
     data = sys.data
-    if data.is_regular(i):
-        target = {"value": data.values[i], "derivative": data.derivative_bounds[i]}
+    ell = data.ell
+    if i < ell:
+        target = (("value", data.values[i]), ("derivative", data.derivative_bounds[i]))
     else:
-        target = {"residual": data.residues[i - sys.ell]}
+        target = (("residual", data.residues[i - ell]),)
     return {
         key: abs(limits[key].value.real - float(datum)) if limits[key].is_finite else float("inf")
-        for key, datum in target.items()
+        for key, datum in target
     }
 
 
@@ -408,7 +439,8 @@ def verify_outcome(
     ``_node_limits`` for ``kind``, taken here from w's own jets when not
     given; they are the verification's details, zero test included.
     """
-    regular = sys.data.is_regular(node_index)
+    ell = sys.ell
+    regular = node_index < ell
     if kind not in (_REGULAR_DESCRIPTIONS if regular else _SINGULAR_DESCRIPTIONS):
         raise ValueError(f"unexpected outcome kind {kind!r}")
     if limits is None:
@@ -442,7 +474,7 @@ def verify_outcome(
         if abs(r) <= tol:
             return NodeVerification(False, None, limits)
         s = -1.0 / r
-        bound = -1.0 / float(sys.data.residues[node_index - sys.ell])
+        bound = -1.0 / float(sys.data.residues[node_index - ell])
     if kind == "bound":
         return NodeVerification(s <= bound + tol, bound - s, limits)
     slack = (bound - s) if kind == "strict_below" else (s - bound)
@@ -461,9 +493,14 @@ def classify_and_verify(
     (``lft_jets``), is taken once: w = ``apply_lft(Theta, phi)`` cancels
     where its zero flags read zero, and the outcomes are checked on the
     limits it gives (``_node_limits``), so each node's zero test runs once.
-    w's kernel is sampled from the same pair (``kernel_negative_squares``),
-    so no sampler of w is compiled and no root of its denominator is
-    sought.  Returns the classification report (with per-node verification
+    Each node's label, predicted outcome, limits and verdict are formed in
+    one pass, and its ``NodeReport`` is built once.  w's kernel is sampled
+    from the same pair (``kernel_negative_squares``), so no sampler of w is
+    compiled and no root of its denominator is sought.  What does not
+    depend on phi -- Theta's grid and its values there, and its node table
+    at the nodes -- Theta keeps from the first parameter it certifies, so
+    later parameters of the same system pay only for their own work.
+    Returns the classification report (with per-node verification
     attached), the transformed function, and its sampled negative-squares
     count, a lower bound of w's negative squares, which number the class
     index kappa - k.
@@ -479,16 +516,14 @@ def classify_and_verify(
     jets = lft_jets(theta, p, q, sys.X)
     at_node = dict(zip(sys.X, jets))
     w = _node_cancelled(theta, p, q, [at_node[x] for x in theta.nodes])
-    report = classify_all(sys, phi)
-    outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
-    limits = _jet_node_limits(sys, outcomes, jets)
+    labels, outcomes, k = _classified(sys, phi)
+    limits = _jet_node_limits(sys, {i: outcome.kind for i, outcome in enumerate(outcomes)}, jets)
     nodes = tuple(
-        NodeReport(node.node, node.label, node.predicted,
-                   verify_outcome(sys, w, i, kind, tol, limits[i]))
-        for node, (i, kind) in zip(report.nodes, outcomes.items())
+        NodeReport(i + 1, label, outcome, verify_outcome(sys, w, i, outcome.kind, tol, limits[i]))
+        for i, (label, outcome) in enumerate(zip(labels, outcomes))
     )
     sampled = kernel_negative_squares((theta, phi), config=config, span=span_of(sys.X))
-    return replace(report, nodes=nodes), w, sampled
+    return ClassificationReport(nodes, k, sys.kappa), w, sampled
 
 
 def feasibility_miss_set(sys: PickSystem, subset) -> Feasibility:

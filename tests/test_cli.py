@@ -316,8 +316,10 @@ _CANDIDATE = '{"num":[0,1],"den":[1]}'
     ("verify", _EX101, _CANDIDATE, {"grid": {"im_levels": 5}}, "grid.im_levels"),
     ("apply", _EX101, _PARAMS["z"], {"grid": {"points_per_level": 0}}, "grid.points_per_level"),
     ("verify", _EX101, _CANDIDATE, {"out": 5}, "'out'"),
+    # a negative tolerance counts eigenvalues that are zero within rounding
+    ("apply", _EX101, _PARAMS["z"], {"grid": {"eig_tol": -1}}, "GridConfig.eig_tol"),
 ], ids=["node-1/0", "const-1/0", "num-x", "den-0", "nodes-5", "rank_tol-abc",
-        "points-x", "im_levels-5", "points-0", "out-5"])
+        "points-x", "im_levels-5", "points-0", "out-5", "eig_tol--1"])
 def test_malformed_input_exits_2_with_one_error_line(
     capsys, tmp_path, command, problem, param, config, named
 ):

@@ -1,5 +1,6 @@
 """Boundary limits read as jets: the rule, both sources and both lanes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
     STANDARD_SWEEP,
     probe_set,
     random_data,
+    random_fraction,
     reference_nt_limit,
     rf,
     unique_solution,
@@ -71,6 +73,83 @@ class TestRule:
 
     def test_only_the_named_kinds(self):
         assert list(jet_limits([F(1), 0, 0, 0], [F(1), 0, 0, 0], ("residual",))) == ["residual"]
+
+
+def reference_jet_values(num, den, kinds=boundary.JET_KINDS) -> dict:
+    """``boundary._jet_values`` with a dict of reads and a dict of results:
+    the reference its list form must equal."""
+    s = 0
+    while s < 2 and not num[s] and not den[s]:
+        s += 1
+    a, b_ = num[s:], den[s:]
+    if not (a[0] or b_[0]):
+        return dict.fromkeys(kinds, "dne")
+    p = next((k for k, c in enumerate(b_) if c), len(b_))
+    reads = {"value": 1, "residual": 1, "derivative": 2, "kernel_diagonal": p + 2}
+    g = []
+    for k in range(min(len(b_) - p, max(reads[name] for name in kinds))):
+        rest = a[k]
+        for m in range(1, k + 1):
+            if b_[p + m]:
+                rest -= b_[p + m] * g[k - m]
+        g.append(rest / b_[p])
+    found = {}
+    for name in kinds:
+        if name == "kernel_diagonal":
+            odd = [g[p + k] if p + k < len(g) else None for k in range(-1, -p - 1, -2)]
+            if any(odd):
+                found[name] = "infinite"
+            elif None in odd or p + 1 >= len(g):
+                found[name] = "dne"
+            else:
+                found[name] = g[p + 1]
+        elif name == "residual":
+            found[name] = 0.0 if p == 0 else g[0] if p == 1 else "infinite"
+        else:
+            found[name] = "infinite" if p else g[name == "derivative"]
+    return found
+
+
+def random_jets(rng, exact):
+    """(num, den) pairs of JET_ORDERS coefficients for every shift s = 0..2
+    and denominator order p = 0..4, with zeros of both signs inside."""
+    def coefficient():
+        if rng.random() < 0.25:
+            return F(0) if exact else rng.choice((0.0, -0.0))
+        return random_fraction(rng, nonzero=True) if exact else rng.uniform(-3, 3)
+
+    orders = boundary.JET_ORDERS
+    for s in range(3):
+        for p in range(5):
+            for _ in range(6):
+                num = [0 * coefficient() for _ in range(s)]
+                den = [0 * coefficient() for _ in range(s + p)]
+                num += [coefficient() for _ in range(orders)]
+                den += [coefficient() for _ in range(orders)]
+                if rng.random() < 0.5:
+                    num[s] = coefficient() or (F(1) if exact else 1.0)
+                yield num[:orders], den[:orders]
+
+
+class TestJetValues:
+    def test_match_the_reference_rule(self):
+        rng = random.Random(2112)
+        subsets = [kinds for r in range(1, 5)
+                   for kinds in itertools.combinations(boundary.JET_KINDS, r)]
+        cases = [jets for exact in (False, True) for jets in random_jets(rng, exact)]
+        # a common zero of order three, and zeros of both signs throughout
+        cases += [([0.0, -0.0, 0.0, 1.0], [-0.0, 0.0, -0.0, 2.0]),
+                  ([-0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 0.0]),
+                  ([-0.0, 1.0, -0.0, 0.0], [0.0, 0.0, 2.0, -0.0]),
+                  ([1.0, -0.0, 0.0, -0.0], [-2.0, 0.0, -0.0, 0.0])]
+        statuses = set()
+        for num, den in cases:
+            for kinds in subsets:
+                found = dict(zip(kinds, boundary._jet_values(num, den, kinds)))
+                want = reference_jet_values(num, den, kinds)
+                assert repr(found) == repr(want), (num, den, kinds)
+                statuses.update(v for v in want.values() if isinstance(v, str))
+        assert statuses == {"infinite", "dne"}
 
 
 class TestRationalJets:

@@ -566,6 +566,51 @@ class TestJUnitarity:
         assert report.worst_scale == np.abs(theta1.eval(complex(points[worst]))).max() ** 2
 
 
+def reference_j_unitarity(theta, sample_points=None):
+    """``check_j_unitarity`` with its sample points and pole list built as
+    Python lists: the reference its array form must equal."""
+    symbolic = resolvent._symbolic_j_unitary(theta) if theta.exact else None
+    if sample_points is None:
+        lo = min(theta.poles, default=0.0) - 1.5
+        hi = max(theta.poles, default=0.0) + 1.5
+        sample_points = [lo + (hi - lo) * k / 99.0 for k in range(100)]
+    xs = np.array([float(x) for x in sample_points], dtype=float)
+    poles = np.array([float(p) for p in theta.poles], dtype=float)
+    used = np.flatnonzero(~(np.abs(xs[:, np.newaxis] - poles) < 1e-9).any(axis=1))
+    values = theta.eval(xs[used].astype(complex))
+    skipped = np.ones(len(xs), dtype=bool)
+    skipped[used] = False
+    j = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    residuals = np.abs(values @ j @ values.conj().transpose(0, 2, 1) - j).max(axis=(1, 2))
+    k = int(np.argmax(residuals))
+    return resolvent.JUnitarityReport(
+        symbolic_zero=symbolic,
+        max_residual=float(residuals[k]),
+        samples_used=int(used.size),
+        skipped=tuple(float(x) for x in xs[skipped]),
+        worst_point=float(xs[used[k]]),
+        worst_scale=float(np.abs(values[k]).max()) ** 2,
+    )
+
+
+class TestJUnitarityPoints:
+    def test_default_points_match_the_list_reference(self, theta1, theta2):
+        rng = random.Random(83)
+        thetas = [theta1, theta2, b.build_theta(float_systems()[20])]
+        thetas += [b.build_theta(grid_system(rng, n, exact)) for n in (5, 12) for exact in (0, 1)]
+        for theta in thetas:
+            assert repr(b.check_j_unitarity(theta)) == repr(reference_j_unitarity(theta))
+
+    def test_a_sample_within_the_pole_distance_is_skipped(self, theta1):
+        for theta in (theta1, b.build_theta(float_systems()[20])):
+            pole = float(theta.poles[0])
+            points = [pole - 2.0, pole + 0.5 * resolvent.J_POLE_SKIP,
+                      pole + 3 * resolvent.J_POLE_SKIP, pole + 0.75]
+            report = b.check_j_unitarity(theta, sample_points=points)
+            assert repr(report) == repr(reference_j_unitarity(theta, points))
+            assert report.skipped == (points[1],) and report.samples_used == 3
+
+
 class TestBatchedEval:
     POINTS = [complex(x, y) for x in (-7.31, -1.2345, 0.4142, 2.6513, 9.207) for y in (0.0, 0.55)]
 

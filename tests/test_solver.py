@@ -98,6 +98,17 @@ class TestPredictBehavior:
         out = b.predict_behavior(b.ConditionLabel(1, "Ctilde", 4), "regular")
         assert "gamma_i < w'(x_i) < inf" in out.description
 
+    def test_equal_inputs_share_one_record(self):
+        for node_kind in ("regular", "singular"):
+            for index in range(1, 7):
+                first = b.predict_behavior(b.ConditionLabel(1, "C", index), node_kind)
+                again = b.predict_behavior(b.ConditionLabel(5, "Ctilde", index, 0.5), node_kind)
+                assert again is first and first.node_kind == node_kind
+
+    def test_unknown_node_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown node kind 'interior'"):
+            b.predict_behavior(b.ConditionLabel(1, "C", 1), "interior")
+
 
 class TestLostSquares:
     def test_identity_sweep_keeps_all(self, sys1):
