@@ -7,6 +7,7 @@ kernel count are certified numerically.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import bnpick as b
@@ -25,9 +26,10 @@ print("\nunique solution w(z) =", w)
 print("serialized:", w.to_json())
 
 print("\nboundary certificates:")
-value = b.nt_limit(w, -0.5, LimitKind.VALUE)
-deriv = b.nt_limit(w, -0.5, LimitKind.DERIVATIVE)
-residual = b.nt_limit(w, 0.5, LimitKind.RESIDUAL)
+# limits at exact nodes are read from w's exact Laurent jets
+value = b.nt_limit(w, Fraction(-1, 2), LimitKind.VALUE)
+deriv = b.nt_limit(w, Fraction(-1, 2), LimitKind.DERIVATIVE)
+residual = b.nt_limit(w, Fraction(1, 2), LimitKind.RESIDUAL)
 print(f"  w(-1/2)      = {value.value.real:+.2e}   (prescribed 0)")
 print(f"  w'(-1/2)     = {deriv.value.real:+.12f} (bound -1, met with equality)")
 print(f"  res w(1/2)   = {residual.value.real:+.12f} (prescribed 1)")
@@ -39,10 +41,3 @@ print("plain kernel count of w:", b.kernel_negative_squares(w))
 # uniqueness has teeth: any perturbation overshoots the kernel budget
 perturbed = w + b.RationalFunction([0.01], [2, 1])
 print("\nperturbed candidate count:", b.fmi_check(system, perturbed), "> kappa")
-
-# the four boundary-derivative limits agree at the regular node
-report = b.caratheodory_julia_check(w, -0.5)
-print("\nboundary-derivative agreement at x = -1/2:")
-for name, est in report.estimates.items():
-    print(f"  {name:24s} {est.value.real:+.9f}")
-print("max discrepancy:", f"{report.max_discrepancy:.2e}")

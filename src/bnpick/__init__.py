@@ -32,14 +32,11 @@ _EXPORTS = {
         "matrix_inverse",
     ),
     "boundary": (
-        "CJReport",
         "LimitEstimate",
         "LimitKind",
-        "caratheodory_julia_check",
         "fmi_check",
         "kernel_negative_squares",
         "nt_limit",
-        "nt_limits",
     ),
     "errors": (
         "BnpickError",

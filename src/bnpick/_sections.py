@@ -10,7 +10,7 @@ grid of points on two horizontal lines, the Nevanlinna kernel sampled on it,
 and the count of eigenvalues below ``-eig_tol * max(1, max|lambda|)``.
 Eigenvalues within that band count as zero, never negative, so sampled counts
 are honest lower bounds of the kernel's negative squares.  ``VERIFY_TOL`` is
-the default tolerance within which a sampled boundary limit meets its datum.
+the default tolerance within which a boundary limit meets its datum.
 """
 
 from __future__ import annotations
@@ -86,37 +86,35 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
 
 
 def pole_free_grid(f, span, config: GridConfig) -> tuple:
-    """Grid points off the poles of a function, and the function there.
+    """Grid points off the poles of a rational function, and the function
+    there.  Returns (points, values); a point on a pole is skipped, so
+    callers sample nothing twice.
 
-    ``f`` is a rational function, or the pair (Theta, phi) of
-    w = ``apply_lft(Theta, phi)`` (the rule of ``solver._node_limits``).
-    Returns (points, values); a point on a pole is skipped, so callers
-    sample nothing twice.
+    A function with no origin is sampled one grid point at a time by its
+    ``RationalSampler``, the evaluator of ``RationalFunction.eval``, on a
+    grid nudged off its upper poles, the roots of its denominator; points
+    and values are lists of Python complex numbers.
 
-    A rational function's grid is nudged off its upper poles, the roots of
-    its denominator, and every value comes from one ``split_samples`` pass
-    of its ``RationalSampler``, bit-identical to sampling the points one by
-    one; points and values are lists of Python complex numbers.  The pair
-    is sampled through Theta's residue form, never through w's
-    coefficients: u = Theta(z) (p(z); q(z)) with phi = p/q, where the grid
-    and Theta's values on it are Theta's grid table for (span, config),
-    kept by Theta from one ``RationalMatrix2x2.eval`` and shared by every
-    phi and by ``kernel_theta_negative_squares``, and w = u_0 / u_1, a
-    point being skipped where |u_1| < POLE_TOL * max(1, |u_0|).  The pair's
-    points and values are complex arrays.  No root is sought and no point
-    is nudged: Theta's poles are the real nodes, off every grid line (the
-    levels of a ``GridConfig`` are positive), and a point skipped at an
-    upper pole of w only shrinks the sample, while the count over any point
-    set is a lower bound.  A u beyond the float range raises
-    ``FloatRangeError``.
+    A w that ``apply_lft`` built is sampled through its origin (Theta, phi),
+    Theta's residue form, never through w's coefficients: u = Theta(z)
+    (p(z); q(z)) with phi = p/q, where the grid and Theta's values on it are
+    Theta's grid table for (span, config), kept by Theta from one
+    ``RationalMatrix2x2.eval`` and shared by every phi and by
+    ``kernel_theta_negative_squares``, and w = u_0 / u_1, a point being
+    skipped where |u_1| < POLE_TOL * max(1, |u_0|).  Its points and values
+    are complex arrays.  No root is sought and no point is nudged: Theta's
+    poles are the real nodes, off every grid line (the levels of a
+    ``GridConfig`` are positive), and a point skipped at an upper pole of w
+    only shrinks the sample, while the count over any point set is a lower
+    bound.  A u beyond the float range raises ``FloatRangeError``.
     """
     import numpy as np
 
-    from .algebra import POLE_TOL, RationalFunction, _compiled
-    from .errors import FloatRangeError
+    from .algebra import POLE_TOL, _compiled
+    from .errors import FloatRangeError, PoleError
 
-    if not isinstance(f, RationalFunction):
-        theta, phi = f
+    if f._origin is not None:
+        theta, phi = f._origin
         with np.errstate(all="ignore"):
             z, at_grid = theta._grid_table(span, config)
             pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
@@ -130,15 +128,14 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
         kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
         return z[kept], values[kept]
     avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
-    grid = upper_half_grid(span, config, avoid=avoid)
-    with np.errstate(all="ignore"):
-        values, pole = f.sampler.split_samples(
-            np.array([[z.real for z in grid], [z.imag for z in grid]])
-        )
-    re, im = values[:, 0]
-    kept = [j for j, skip in enumerate(pole.tolist()) if not skip]
-    re, im = re.tolist(), im.tolist()
-    return [grid[j] for j in kept], [complex(re[j], im[j]) for j in kept]
+    points, values = [], []
+    for z in upper_half_grid(span, config, avoid=avoid):
+        try:
+            values.append(f.sampler(z))
+        except PoleError:
+            continue
+        points.append(z)
+    return points, values
 
 
 def span_of(values, fallback=(-1.0, 1.0)):

@@ -8,8 +8,8 @@ and free of rounding, and golden results compare by exact equality.  An
 exact matrix is real symmetric, and its inertia, its inverse or solution
 against right-hand sides, and its kernel come from one fraction-free
 elimination, ``symmetric_elimination``.  The float backend carries ordinary
-``complex`` / ``float`` values and is used for boundary-limit extrapolation,
-kernel sampling and any data that is not rational to begin with.  Mixing the
+``complex`` / ``float`` values and is used for float boundary jets, kernel
+sampling and any data that is not rational to begin with.  Mixing the
 two promotes to float.
 
 Infinity is never a scalar here: extended values live at the parameter and
@@ -19,7 +19,6 @@ limit-estimate level of the higher modules.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 import numbers
 from fractions import Fraction
@@ -385,9 +384,17 @@ class RationalFunction:
     coefficients with a positive leading coefficient -- this reproduces
     textbook displays like (2z+1)/(2z-1) verbatim -- (b) float entries have a
     monic denominator.
+
+    A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
+    from as ``_origin`` (None for every other function): its boundary jets
+    and grid values are read from Theta's residue form, never from its own
+    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  Like
+    the sampler, the origin is not part of the value: ``==`` and ``hash``
+    read only the numerator and denominator, and arithmetic on w gives a
+    function without one.
     """
 
-    __slots__ = ("num", "den", "exact", "_sampler")
+    __slots__ = ("num", "den", "exact", "_sampler", "_origin")
 
     def __init__(self, num, den=Polynomial((1,)), reduce=True):
         if not isinstance(num, Polynomial):
@@ -408,6 +415,7 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_sampler", None)
+        object.__setattr__(self, "_origin", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -559,22 +567,19 @@ class RationalFunction:
         return RationalFunction(n.derivative() * d - n * d.derivative(), d * d)
 
 
-def _compiled(p: Polynomial, slope: bool = False) -> tuple:
-    """Coefficients of p, or of p' when ``slope``, in floating point, highest
-    degree first, for Horner.
+def _compiled(p: Polynomial) -> tuple:
+    """Coefficients of p in floating point, highest degree first, for Horner.
 
-    An exact coefficient k c (k = 1, or the power for p') is converted as one
-    correctly rounded integer division: the float of the exact value, as
-    ``complex(k * c)`` gives, without forming k c.  A value beyond the float
-    range raises ``FloatRangeError``, which names its size.
+    An exact coefficient is converted as one correctly rounded integer
+    division, the float of the exact value.  A value beyond the float range
+    raises ``FloatRangeError``, which names its size.
     """
     if not p.exact:
-        return tuple(reversed((p.derivative() if slope else p).coeffs))
-    terms = list(enumerate(p.coeffs))[1:] if slope else [(1, c) for c in p.coeffs]
+        return tuple(reversed(p.coeffs))
     try:
-        return tuple(complex((k * c.numerator) / c.denominator) for k, c in reversed(terms))
+        return tuple(complex(c.numerator / c.denominator) for c in reversed(p.coeffs))
     except OverflowError:
-        bits = max(int(abs(k * c)).bit_length() for k, c in terms)
+        bits = max(int(abs(c)).bit_length() for c in p.coeffs)
         raise FloatRangeError(
             f"a polynomial coefficient of {bits} bits exceeds the float range (1024 bits); "
             "the function cannot be sampled in floats"
@@ -598,19 +603,15 @@ class RationalSampler:
     operation, so the samples are bit-identical to evaluating the exact
     polynomials at the same float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
     Each function keeps one sampler (``RationalFunction.sampler``).
-
-    ``split_samples`` takes many points in one pass of float64 array
-    arithmetic and gives the same bits as the one-point call at each of them.
     """
 
-    __slots__ = ("_polys", "_num", "_den", "_coeffs", "_poles")
+    __slots__ = ("_denominator", "_num", "_den", "_poles")
 
     def __init__(self, func: RationalFunction):
-        # the polynomials, not func: a cached sampler makes no reference cycle
-        self._polys = func.num, func.den
+        # the polynomial, not func: a cached sampler makes no reference cycle
+        self._denominator = func.den
         self._num = _compiled(func.num)
         self._den = _compiled(func.den)
-        self._coeffs = None
         self._poles = None
 
     @property
@@ -620,7 +621,7 @@ class RationalSampler:
         if self._poles is None:
             import numpy as np
 
-            den = self._polys[1]
+            den = self._denominator
             self._poles = np.roots(den.to_complex_array()[::-1]) if den.degree >= 1 else ()
         return self._poles
 
@@ -633,118 +634,6 @@ class RationalSampler:
     def __call__(self, z) -> complex:
         num, den = self._parts(z)
         return num / den
-
-    def _coefficients(self, derivative: bool) -> np.ndarray:
-        """Coefficients of num and den, then of num' and den' when ``derivative``,
-        as an array of shape (degree + 1, 2, polynomials, 1): highest degree
-        first, real and imaginary parts on axis 1.
-
-        Shorter polynomials are padded with leading zeros.  That padding is
-        exact: from acc = 0 a step acc * z + 0 gives +0 + 0i again at every
-        finite z, so the first true coefficient meets the same zero
-        accumulator as in the one-polynomial Horner.  n' and d' are compiled
-        on first use and have no more coefficients than n or d.
-        """
-        if self._coeffs is None or (derivative and self._coeffs.shape[2] == 2):
-            import numpy as np
-
-            polys = [self._num, self._den]
-            if derivative:
-                polys += [_compiled(p, slope=True) for p in self._polys]
-            width = max(len(c) for c in polys)
-            coeffs = np.zeros((width, len(polys), 1), dtype=complex)
-            for j, c in enumerate(polys):
-                coeffs[width - len(c) :, j, 0] = c
-            self._coeffs = np.stack([coeffs.real, coeffs.imag], axis=1)
-        return self._coeffs if derivative else self._coeffs[:, :, :2]
-
-    def split_samples(self, z, derivative: bool = False) -> tuple:
-        """f at the points z, and f' too when ``derivative``, in one pass of
-        float64 array arithmetic.
-
-        ``z`` and the values returned hold complex numbers as real and
-        imaginary parts stacked on axis 0: z has shape (2, points).  Returns
-        (values, pole): values of shape (2, 1, points) holding f, or (2, 2,
-        points) holding f and f', and where the pole rule holds (the values
-        are meaningless there).  f' is the quotient rule (n'd - nd')/d^2
-        from the compiled n' and d'; it is never formed as a rational
-        function.  Every complex operation is CPython's, written out in real
-        arithmetic (``split_product``, ``split_quotient``, C ``hypot`` for
-        the modulus), so each value has the bits of the one-point
-        evaluation; numpy's complex128 operations do not promise that.
-        Points near a pole overflow, so callers that keep warnings quiet
-        wrap the call in ``np.errstate``.
-        """
-        import numpy as np
-
-        coeffs = self._coefficients(derivative)
-        # acc * z + c is split_product(acc, z) + c for every polynomial at
-        # once, with z's signed imaginary rows formed once
-        zr, zs = z[0], (z[1] * _axis0(_SIGNS, 2))[:, np.newaxis]
-        acc = np.zeros((2, coeffs.shape[2], z.shape[1]))
-        for c in coeffs:
-            acc = acc * zr + acc[::-1] * zs
-            acc += c
-        both = np.hypot(acc[0, :2], acc[1, :2])
-        # fmax(|n|, 1) is Python's max(1.0, |n|), NaN included
-        pole = both[1] < POLE_TOL * np.fmax(both[0], 1.0)
-        if derivative:
-            # n'd, nd' and d^2 in one product; f' = (n'd - nd') / d^2
-            terms = split_product(acc[:, [2, 0, 1]], acc[:, [1, 3, 1]])
-            acc[:, 2] = terms[:, 0] - terms[:, 1]
-            acc[:, 3] = terms[:, 2]
-            return split_quotient(acc[:, 0::2], acc[:, 1::2]), pole
-        return split_quotient(acc[:, :1], acc[:, 1:]), pole
-
-
-_SIGNS = (-1.0, 1.0)
-_ROTATE = (1.0, -1.0)
-
-
-@functools.cache
-def _axis0(pair: tuple, ndim: int) -> np.ndarray:
-    """The two entries of ``pair`` as a read-only array shaped to broadcast
-    along axis 0 of an ndim array, built on first use."""
-    import numpy as np
-
-    out = np.array(pair).reshape((2,) + (1,) * (ndim - 1))
-    out.flags.writeable = False
-    return out
-
-
-def split_product(a, b):
-    """a * b for complex arrays stored as real and imaginary parts stacked
-    on axis 0, as CPython's ``_Py_c_prod`` computes it: (a0 b0 - a1 b1,
-    a1 b0 + a0 b1).  a * b0 + swap(a) * (-b1, b1) is that term for term:
-    negating a product is exact, and so is swapping the terms of a sum."""
-    return a * b[0] + a[::-1] * (b[1] * _axis0(_SIGNS, b.ndim))
-
-
-def split_quotient(a, b):
-    """a / b for stacked complex arrays (see ``split_product``), as CPython's
-    ``_Py_c_quot`` computes it: Smith's method, dividing through by the
-    larger part of the divisor; a NaN in the divisor gives NaN.  CPython
-    raises on a zero divisor where this gives NaN.
-
-    Where |Im b| > |Re b|, Smith's second branch is the first branch applied
-    to a (-i) / b (-i): the rotation swaps the parts and negates one, which
-    is exact, and the branch's formulas then match term for term.
-    """
-    import numpy as np
-
-    first = np.abs(b[0]) >= np.abs(b[1])
-    if np.count_nonzero(first) < first.size:  # some divisor needs the second branch
-        rotate = _axis0(_ROTATE, a.ndim)
-        top, bottom = a[::-1] * rotate, b[::-1] * rotate
-        np.copyto(top, a, where=first)
-        np.copyto(bottom, b, where=first)
-        a, b = top, bottom
-    ratio = b[1] / b[0]
-    denom = b[0] + b[1] * ratio
-    out = np.empty_like(a)
-    np.divide(a[0] + a[1] * ratio, denom, out=out[0])
-    np.divide(a[1] - a[0] * ratio, denom, out=out[1])
-    return out
 
 
 def _cleared_integers(values) -> tuple:

@@ -30,6 +30,7 @@ from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig, span_of
 from .boundary import (
     LimitEstimate,
     fmi_check,
+    function_jets,
     jet_limits,
     kernel_negative_squares,
     lft_jets,
@@ -363,14 +364,13 @@ def _classified(sys: PickSystem, phi: Parameter) -> tuple:
     return labels, outcomes, k
 
 
-def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
+def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
     """The limits of w that each node's checks read, as jets at all the
-    nodes at once.
+    nodes at once (``function_jets``: from Theta's residue form for a w that
+    ``apply_lft`` built, never from its coefficients, as
+    ``classify_and_verify`` reads them; from w's own coefficients
+    otherwise).
 
-    ``source`` is w itself, whose jets are the Taylor coefficients of its
-    numerator and denominator (``rational_jets``), or the pair (Theta, phi)
-    of w = ``apply_lft(Theta, phi)``, whose jets are read from Theta's
-    residue form (``lft_jets``) and never from w's coefficients.
     ``outcomes`` maps 0-based nodes to their outcome kind, or None.  A
     regular node reads the value and derivative, and the kernel diagonal too
     for ``"maybe_missed"``; a singular node reads the residual.  Returns a
@@ -378,13 +378,7 @@ def _node_limits(sys: PickSystem, source, outcomes: dict) -> dict:
     and the node's zero test (``boundary._zero_test``) under
     ``"zero_test"``.
     """
-    points = [sys.X[i] for i in outcomes]
-    if isinstance(source, RationalFunction):
-        jets = rational_jets(source, points)
-    else:
-        theta, phi = source
-        jets = lft_jets(theta, *phi.pair(), points)
-    return _jet_node_limits(sys, outcomes, jets)
+    return _jet_node_limits(sys, outcomes, function_jets(w, [sys.X[i] for i in outcomes]))
 
 
 def _jet_node_limits(sys: PickSystem, outcomes: dict, jets) -> dict:
@@ -436,8 +430,9 @@ def verify_outcome(
     limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
     hold within ``tol``; strict inequalities need slack above ``tol``.  The
     margin is the equality error or the slack.  ``limits`` are the node's
-    ``_node_limits`` for ``kind``, taken here from w's own jets when not
-    given; they are the verification's details, zero test included.
+    ``_node_limits`` for ``kind``, taken here when not given (through w's
+    origin when it has one); they are the verification's details, zero test
+    included.
     """
     ell = sys.ell
     regular = node_index < ell
@@ -494,16 +489,16 @@ def classify_and_verify(
     where its zero flags read zero, and the outcomes are checked on the
     limits it gives (``_node_limits``), so each node's zero test runs once.
     Each node's label, predicted outcome, limits and verdict are formed in
-    one pass, and its ``NodeReport`` is built once.  w's kernel is sampled
-    from the same pair (``kernel_negative_squares``), so no sampler of w is
-    compiled and no root of its denominator is sought.  What does not
-    depend on phi -- Theta's grid and its values there, and its node table
-    at the nodes -- Theta keeps from the first parameter it certifies, so
-    later parameters of the same system pay only for their own work.
-    Returns the classification report (with per-node verification
-    attached), the transformed function, and its sampled negative-squares
-    count, a lower bound of w's negative squares, which number the class
-    index kappa - k.
+    one pass, and its ``NodeReport`` is built once.  w keeps its origin
+    (Theta, phi), so its kernel is sampled through Theta's residue form
+    (``kernel_negative_squares``): no sampler of w is compiled and no root
+    of its denominator is sought.  What does not depend on phi -- Theta's
+    grid and its values there, and its node table at the nodes -- Theta
+    keeps from the first parameter it certifies, so later parameters of the
+    same system pay only for their own work.  Returns the classification
+    report (with per-node verification attached), the transformed function,
+    and its sampled negative-squares count, a lower bound of w's negative
+    squares, which number the class index kappa - k.
     """
     from .resolvent import build_theta
     from .transform import _node_cancelled, is_nevanlinna
@@ -512,17 +507,16 @@ def classify_and_verify(
     if not check.ok:
         raise NotNevanlinnaError("parameter kernel is not positive", check.witness)
     theta = build_theta(sys)
-    p, q = phi.pair()
-    jets = lft_jets(theta, p, q, sys.X)
+    jets = lft_jets(theta, *phi.pair(), sys.X)
     at_node = dict(zip(sys.X, jets))
-    w = _node_cancelled(theta, p, q, [at_node[x] for x in theta.nodes])
+    w = _node_cancelled(theta, phi, [at_node[x] for x in theta.nodes])
     labels, outcomes, k = _classified(sys, phi)
     limits = _jet_node_limits(sys, {i: outcome.kind for i, outcome in enumerate(outcomes)}, jets)
     nodes = tuple(
         NodeReport(i + 1, label, outcome, verify_outcome(sys, w, i, outcome.kind, tol, limits[i]))
         for i, (label, outcome) in enumerate(zip(labels, outcomes))
     )
-    sampled = kernel_negative_squares((theta, phi), config=config, span=span_of(sys.X))
+    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
     return ClassificationReport(nodes, k, sys.kappa), w, sampled
 
 

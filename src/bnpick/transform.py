@@ -194,22 +194,38 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     was rounding noise of a degenerate transform, which is rejected too.
     The quotient is then scaled as ``RationalFunction`` scales a float one,
     to a monic denominator.  ``solver.classify_and_verify`` takes w's node
-    pass once, at every node, and cancels from it by the same private
-    function as here, so a certify op decides each node once.
+    pass once, at every node, and builds w by the same private function as
+    here, so a certify op decides each node once.  Either way w keeps its
+    origin (Theta, phi), from which its boundary jets at the nodes and its
+    grid values are read (``boundary.function_jets``,
+    ``_sections.pole_free_grid``).
     """
+    return _node_cancelled(theta, phi)
+
+
+def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> RationalFunction:
+    """``apply_lft`` of phi, with its origin (Theta, phi) kept on w: the one
+    place that builds w.  ``jets`` holds the ``boundary.Jet`` of w at each
+    of Theta's nodes, in their order, when the caller has w's node pass;
+    otherwise the node test is taken here."""
     from .boundary import _exact_node_zeros, lft_jets
 
     p, q = phi.pair()
     if theta.exact and p.exact and q.exact:
-        return _integer_node_cancelled(theta, p, q, _exact_node_zeros(theta, p, q, theta.nodes))
-    return _node_cancelled(theta, p, q, lft_jets(theta, p, q, theta.nodes))
+        zeros = (_exact_node_zeros(theta, p, q, theta.nodes) if jets is None
+                 else [jet.zero_test["zero"] for jet in jets])
+        w = _integer_node_cancelled(theta, p, q, zeros)
+    else:
+        if jets is None:
+            jets = lft_jets(theta, p, q, theta.nodes)
+        w = _float_node_cancelled(theta, p, q, jets)
+    object.__setattr__(w, "_origin", (theta, phi))
+    return w
 
 
-def _node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets):
-    """``apply_lft`` of phi = p/q from w's node pass: ``jets`` holds the
-    ``boundary.Jet`` of w at each of Theta's nodes, in their order."""
-    if theta.exact and p.exact and q.exact:
-        return _integer_node_cancelled(theta, p, q, [jet.zero_test["zero"] for jet in jets])
+def _float_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets):
+    """w of phi = p/q in floats, deflated at the nodes whose jets read the
+    zero test r_i . v(x_i) = 0 (``boundary.lft_jets``)."""
     (n00, n01), (n10, n11) = theta.cleared
     num, den = n00 * p + n01 * q, n10 * p + n11 * q
     if not (num.is_zero or den.is_zero):

@@ -2,15 +2,15 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import boundary
 from bnpick.algebra import _horner
-from bnpick.boundary import LimitEstimate, LimitKind
+from bnpick.boundary import LimitKind
 
 F = Fraction
 
@@ -231,10 +231,36 @@ BENCHMARK_PARAMETERS = lane_parameters(True)
 
 # -- the one-sample-at-a-time boundary limit -----------------------------------
 
+# Divergence: |raw| grew on each of the last DIVERGENCE_WINDOW steps, to at
+# least 1e3 and DIVERGENCE_FACTOR times its size DIVERGENCE_WINDOW steps back.
+DIVERGENCE_WINDOW = 5
+DIVERGENCE_FACTOR = 10.0
+# A path that never settles is finite (unconverged) when its last five
+# Richardson values spread by at most SPREAD_TOL times their largest modulus.
+SPREAD_TOL = 1e-3
+
+
+@dataclass(frozen=True)
+class PathLimit:
+    """A boundary limit sampled along the vertical path: its status, its
+    value, and whether two Richardson differences agreed."""
+
+    kind: LimitKind
+    status: str  # "finite" | "infinite" | "dne"
+    value: complex | None
+    converged: bool
+
+    @property
+    def is_finite(self) -> bool:
+        return self.status == "finite"
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.status == "infinite"
+
 
 def _modulus(v) -> float:
-    """|v| as the batched limits compute it: C ``hypot`` (what ``abs`` of a
-    complex calls; ``math.hypot`` rounds differently), inf on overflow."""
+    """|v| by C ``hypot`` (what ``abs`` of a complex calls), inf on overflow."""
     try:
         return abs(v)
     except OverflowError:
@@ -244,24 +270,10 @@ def _modulus(v) -> float:
 def running_diverging(raw, growing) -> bool:
     """The divergence rule from the running count ``growing`` of consecutive
     growing steps up to the last sample."""
-    if growing < boundary.DIVERGENCE_WINDOW:
+    if growing < DIVERGENCE_WINDOW:
         return False
     last = _modulus(raw[-1])
-    return last >= 1e3 and last >= boundary.DIVERGENCE_FACTOR * _modulus(
-        raw[-boundary.DIVERGENCE_WINDOW - 1]
-    )
-
-
-def windowed_diverging(raw, growing) -> bool:
-    """The divergence rule rebuilt over the last six samples on every step."""
-    window_size = boundary.DIVERGENCE_WINDOW
-    if len(raw) < window_size + 1:
-        return False
-    window = [_modulus(v) for v in raw[-(window_size + 1):]]
-    if window[-1] < 1e3:
-        return False
-    growing = all(window[i + 1] > window[i] for i in range(window_size))
-    return growing and window[-1] >= boundary.DIVERGENCE_FACTOR * window[0]
+    return last >= 1e3 and last >= DIVERGENCE_FACTOR * _modulus(raw[-DIVERGENCE_WINDOW - 1])
 
 
 def pointwise_derivative(f):
@@ -277,17 +289,18 @@ def pointwise_derivative(f):
     return sample
 
 
-def reference_nt_limit(f, x0, kind=LimitKind.VALUE, t0=0.5, max_steps=40, tol=1e-9,
-                       sampler=None, diverging=running_diverging):
-    """``nt_limit`` walked one path point at a time in Python complex
-    arithmetic: the reference of ``nt_limits``.
+def reference_nt_limit(f, x0, kind=LimitKind.VALUE, t0=0.5, max_steps=40, tol=1e-9):
+    """The boundary limit of f at x0 sampled along the vertical path
+    z_k = x0 + i t0 2^-k, one Python complex sample at a time, with a
+    second-order Richardson table: the independent oracle of the jet limits.
 
-    ``sampler`` replaces f's sampler (a stand-in returning any sequence);
-    ``diverging`` is the divergence rule.  A sample that is not finite or
-    whose modulus overflows is skipped.
+    A pole, or a sample that is not finite or whose modulus overflows, is
+    skipped.  The limit is finite once two consecutive extrapolant
+    differences are within ``tol``, infinite by ``running_diverging``, and
+    otherwise decided by the SPREAD_TOL tail rule.
     """
     x0 = float(x0)
-    sampler = sampler or f.sampler
+    sampler = f.sampler
     derivative = pointwise_derivative(f) if kind is LimitKind.DERIVATIVE else None
 
     def sample(z: complex) -> complex:
@@ -318,27 +331,25 @@ def reference_nt_limit(f, x0, kind=LimitKind.VALUE, t0=0.5, max_steps=40, tol=1e
             growing = growing + 1 if _modulus(raw[-1]) > _modulus(raw[-2]) else 0
         if len(r1) >= 2:
             r2.append((4.0 * r1[-1] - r1[-2]) / 3.0)
-        if diverging(raw, growing):
-            return LimitEstimate(kind, "infinite", None, tuple(raw), False, None)
+        if running_diverging(raw, growing):
+            return PathLimit(kind, "infinite", None, False)
         if len(r2) >= 2:
-            err = _modulus(r2[-1] - r2[-2])
-            if err <= tol * max(1.0, _modulus(r2[-1])):
+            if _modulus(r2[-1] - r2[-2]) <= tol * max(1.0, _modulus(r2[-1])):
                 agree += 1
                 if agree >= 2:
-                    return LimitEstimate(kind, "finite", r2[-1], tuple(r2), True, err)
+                    return PathLimit(kind, "finite", r2[-1], True)
             else:
                 agree = 0
     if not r2:
-        return LimitEstimate(kind, "dne", None, tuple(raw), False, None)
+        return PathLimit(kind, "dne", None, False)
     tail = r2[-5:]
     scale = max(1.0, max(_modulus(v) for v in tail))
     spread = (max(v.real for v in tail) - min(v.real for v in tail)) + (
         max(v.imag for v in tail) - min(v.imag for v in tail)
     )
-    if spread <= boundary.SPREAD_TOL * scale:
-        err = _modulus(r2[-1] - r2[-2]) if len(r2) >= 2 else None
-        return LimitEstimate(kind, "finite", r2[-1], tuple(r2), False, err)
-    return LimitEstimate(kind, "dne", None, tuple(r2), False, None)
+    if spread <= SPREAD_TOL * scale:
+        return PathLimit(kind, "finite", r2[-1], False)
+    return PathLimit(kind, "dne", None, False)
 
 
 def bits(v):
@@ -349,15 +360,6 @@ def bits(v):
     if isinstance(v, complex):
         return ("c", v.real.hex(), v.imag.hex())
     return ("f", float(v).hex())
-
-
-def same_estimate(a, b_) -> bool:
-    """Equal ``LimitEstimate``s, every float compared bit for bit."""
-    return (
-        (a.kind, a.status, a.converged, bits(a.value), bits(a.error_estimate))
-        == (b_.kind, b_.status, b_.converged, bits(b_.value), bits(b_.error_estimate))
-        and [bits(v) for v in a.approximants] == [bits(v) for v in b_.approximants]
-    )
 
 
 # -- seeded random generators ------------------------------------------------

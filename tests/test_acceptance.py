@@ -20,6 +20,7 @@ from conftest import (
     golden_theta_two_regular,
     random_invertible_system,
     random_singular_data,
+    reference_nt_limit,
     rref_kernel_basis,
     rf,
     unique_solution,
@@ -142,16 +143,26 @@ def test_criterion_7_classification_sweep():
 
 @report(8, "boundary-derivative limit agreement")
 def test_criterion_8_caratheodory_julia():
-    rep = b.caratheodory_julia_check(unique_solution(), -0.5)
-    assert rep.theorem == "bounded" and rep.consistent
-    assert rep.max_discrepancy <= 1e-7
-    for est in rep.estimates.values():
-        assert abs(est.value - (-1.0)) <= 1e-7
-    rep2 = b.caratheodory_julia_check(rf((-1,), (0, 1)), 0.0)
-    assert rep2.theorem == "unbounded" and rep2.consistent
-    assert rep2.max_discrepancy <= 1e-7
-    for est in rep2.estimates.values():
-        assert abs(est.value - (-1.0)) <= 1e-7
+    # For a rational function the Caratheodory-Julia routes read one Laurent
+    # jet, so they agree identically: at the regular node of ex103 the
+    # kernel-diagonal limit of w is its derivative limit, and at the pole of
+    # -1/z the residual is -1 over the kernel-diagonal limit of z.  The
+    # one-point path oracle reaches the same numbers.
+    w, x = b.solve(data_degenerate()).w, F(-1, 2)
+    routes = (LimitKind.KERNEL_DIAGONAL, LimitKind.DERIVATIVE)
+    assert [b.nt_limit(w, x, kind).value for kind in routes] == [-1.0, -1.0]
+    for kind in routes:
+        ref = reference_nt_limit(w, x, kind)
+        assert ref.converged and abs(ref.value.real + 1.0) <= 1e-7
+    f = rf((-1,), (0, 1))
+    residual = b.nt_limit(f, 0, LimitKind.RESIDUAL)
+    kernel = b.nt_limit(-1 / f, 0, LimitKind.KERNEL_DIAGONAL)
+    assert residual.value == -1.0 / kernel.value == -1.0
+    ref_residual = reference_nt_limit(f, 0, LimitKind.RESIDUAL)
+    ref_kernel = reference_nt_limit(-1 / f, 0, LimitKind.KERNEL_DIAGONAL)
+    assert ref_residual.converged and ref_kernel.converged
+    assert abs(ref_residual.value.real - residual.value) <= 1e-7
+    assert abs(-1.0 / ref_kernel.value.real - residual.value) <= 1e-7
 
 
 @report(9, "property suites")

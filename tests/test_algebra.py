@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -13,8 +12,6 @@ from bnpick.algebra import (
     RationalSampler,
     _compiled,
     scalar_to_json,
-    split_product,
-    split_quotient,
     symmetric_elimination,
 )
 
@@ -22,7 +19,6 @@ from conftest import (
     bits,
     exact_det,
     gauss_jordan_inverse,
-    pointwise_derivative,
     random_fraction,
     rf,
     schur_inertia,
@@ -527,85 +523,23 @@ class TestRationalEval:
                 assert f.eval(z) == expected
                 assert RationalSampler(f)(z) == expected
 
-    def test_split_samples_match_one_point_calls(self):
-        # every value, derivative and pole flag of the array pass has the bits
-        # of the one-point Python evaluation, on both lanes and with complex
-        # coefficients
-        rng = random.Random(31)
-        checked = poles = 0
-        for _ in range(60):
-            num = b.Polynomial([random_fraction(rng, 9, 7) for _ in range(rng.randint(1, 9))])
-            den = b.Polynomial([random_fraction(rng, 9, 7) for _ in range(rng.randint(1, 9))])
-            if den.is_zero:
-                continue
-            exact = b.RationalFunction(num, den)
-            twisted = b.RationalFunction(
-                [complex(c) * complex(1, rng.uniform(-1, 1)) for c in num.coeffs],
-                den.to_complex_array(),
-            )
-            for f in (exact, twisted):
-                roots = np.roots(f.den.to_complex_array()[::-1]) if f.den.degree >= 1 else []
-                points = [complex(rng.uniform(-6, 6), rng.uniform(1e-9, 3)) for _ in range(20)]
-                points += [complex(r) + complex(0, 2.0 ** -rng.randint(0, 40)) for r in roots]
-                z = np.array([[q.real for q in points], [q.imag for q in points]])
-                with np.errstate(all="ignore"):
-                    values, pole = f.sampler.split_samples(z, derivative=True)
-                slope = pointwise_derivative(f)
-                for j, q in enumerate(points):
-                    try:
-                        expected = (f.sampler(q), slope(q))
-                    except b.PoleError:
-                        assert pole[j]
-                        poles += 1
-                        continue
-                    assert not pole[j]
-                    for k in range(2):
-                        got = complex(values[0, k, j], values[1, k, j])
-                        assert bits(got) == bits(expected[k])
-                    checked += 1
-        assert checked > 1000 and poles > 0
-
-    def test_split_arithmetic_is_cpython_complex_arithmetic(self):
-        # numpy's complex128 multiply, divide and abs round differently on
-        # many operands; the split forms must not, specials included
-        rng = np.random.default_rng(37)
-        scale = 10.0 ** rng.uniform(-300, 300, size=(4, 20000))
-        parts = rng.standard_normal((4, 20000)) * scale
-        specials = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e-320]
-        grid = np.array([(a, b_, c, d) for a in specials for b_ in specials
-                         for c in specials[:6] for d in specials[:6]]).T
-        parts = np.concatenate([parts, grid], axis=1)
-        a, c = parts[:2], parts[2:]
-        with np.errstate(all="ignore"):
-            product = split_product(a, c)
-            quotient = split_quotient(a, c)
-            modulus = np.hypot(a[0], a[1])
-        for j in range(parts.shape[1]):
-            x, y = complex(a[0, j], a[1, j]), complex(c[0, j], c[1, j])
-            assert bits(complex(product[0, j], product[1, j])) == bits(x * y)
-            if y:
-                assert bits(complex(quotient[0, j], quotient[1, j])) == bits(x / y)
-            try:
-                expected = abs(x)
-            except OverflowError:
-                expected = math.inf
-            assert bits(float(modulus[j])) == bits(expected)
-
     def test_compiled_slope_is_the_compiled_derivative(self):
+        # p and p' compile to the correctly rounded floats of their exact
+        # coefficients, highest degree first, on both lanes
         rng = random.Random(41)
         for _ in range(50):
             p = b.Polynomial([random_fraction(rng, 99, 97) for _ in range(rng.randint(1, 9))])
             for q in (p, b.Polynomial(p.to_complex_array())):
-                for got, poly in ((_compiled(q, slope=True), q.derivative()), (_compiled(q), q)):
+                for poly in (q, q.derivative()):
                     expected = [bits(complex(c)) for c in reversed(poly.coeffs)]
-                    assert [bits(complex(v)) for v in got] == expected
+                    assert [bits(complex(v)) for v in _compiled(poly)] == expected
 
     def test_one_cached_sampler_outside_the_value(self):
         f, g = rf((1, 2), (-1, 2)), rf((1, 2), (-1, 2))
         assert f.sampler is f.sampler
         assert f.eval(0.25j) == f.sampler(0.25j)
         assert f == g and hash(f) == hash(g)  # g has compiled nothing
-        for name in ("num", "_sampler"):
+        for name in ("num", "_sampler", "_origin"):
             with pytest.raises(AttributeError):
                 setattr(f, name, None)
 

@@ -9,7 +9,9 @@ exact value carries that adapter.
 
 import ast
 import importlib
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +20,7 @@ import pytest
 import bnpick as b
 from bnpick.algebra import symmetric_elimination
 
-from conftest import BENCHMARK_PARAMETERS, grid_system, random_singular_data
+from conftest import BENCHMARK_PARAMETERS, grid_system, probe_set, random_singular_data
 
 F = Fraction
 
@@ -55,6 +57,34 @@ def test_the_harness_uses_the_library():
 @pytest.mark.parametrize("module,name", used_names())
 def test_library_has_the_name(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.fixture(scope="module")
+def ops():
+    """The harness's ``perfbench/ops.py``, loaded from its file (its
+    dataclasses look their module up in ``sys.modules``)."""
+    spec = importlib.util.spec_from_file_location("perfbench_ops", PERFBENCH / "ops.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_traced_certify_split_agrees_with_the_plain_op(ops, n, exact):
+    # the traced split reads w from its public calls (apply_lft, nt_limit per
+    # node and kind, kernel_negative_squares of w); w's origin makes each
+    # read what classify_and_verify reads, so the two forms agree
+    for sys_, phi in probe_set(n, exact):
+        plain = ops.certify_op(sys_, phi, ops.Tracer(False))
+        traced = ops.certify_op(sys_, phi, ops.Tracer(True))
+        assert traced.node_ok == plain.node_ok and all(plain.node_ok)
+        assert traced.sampled == plain.sampled
+        assert traced.w == plain.w and repr(traced.w) == repr(plain.w)
 
 
 def test_exact_pick_entries_answer_re_and_im():

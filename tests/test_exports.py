@@ -14,7 +14,7 @@ import bnpick
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 EXPORTED = [
-    "BnpickError", "CJReport", "ClassificationReport", "ConditionLabel", "DEFAULT_GRID",
+    "BnpickError", "ClassificationReport", "ConditionLabel", "DEFAULT_GRID",
     "DegenerateTransformError", "Feasibility", "FloatRangeError", "GaussianRational",
     "GridConfig", "HermitianMatrix", "INFINITY", "InconsistentClassificationError",
     "Inertia", "InputError", "InterpolationData", "InvalidDataError", "LimitEstimate",
@@ -22,18 +22,18 @@ EXPORTED = [
     "Parameter", "PickSystem", "PoleError", "Polynomial", "PredictedOutcome",
     "RationalFunction", "RationalMatrix2x2", "SingularMatrixError", "SingularPickError",
     "SolutionBundle", "SplitNotAdmissibleError", "UnclassifiableParameterError",
-    "apply_lft", "build_pick", "build_system", "build_theta", "caratheodory_julia_check",
+    "apply_lft", "build_pick", "build_system", "build_theta",
     "check_j_unitarity", "check_lyapunov", "classify_all", "classify_and_verify",
     "classify_parameter", "equivalence_check", "factorize", "feasibility_miss_set",
     "fmi_check", "hermitian_inertia", "is_infinite", "is_nevanlinna",
     "kernel_negative_squares", "kernel_theta_negative_squares", "lost_squares",
-    "matrix_inverse", "nt_limit", "nt_limits", "predict_behavior", "solve",
+    "matrix_inverse", "nt_limit", "predict_behavior", "solve",
     "solve_degenerate", "theta_inverse", "verify_candidate",
 ]
 
 
 def test_all_lists_the_exported_names():
-    assert len(EXPORTED) == 62
+    assert len(EXPORTED) == 59
     assert sorted(bnpick.__all__) == sorted(EXPORTED)
 
 

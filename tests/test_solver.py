@@ -217,13 +217,13 @@ class TestOneNodeCheck:
 
     def test_limits_taken_once_per_node(self, sys3, monkeypatch):
         calls = []
-        rational_jets = solver.rational_jets
+        rational_jets = boundary.rational_jets
 
         def counting(f, points):
             calls.append((f, list(points)))
             return rational_jets(f, points)
 
-        monkeypatch.setattr(solver, "rational_jets", counting)
+        monkeypatch.setattr(boundary, "rational_jets", counting)
         w = unique_solution()
         checks = b.verify_candidate(sys3, w)["nodes"]
         assert calls == [(w, list(sys3.X))]
@@ -491,7 +491,6 @@ class TestOneBatchPerFunction:
                 return _call(*args)
 
             monkeypatch.setattr(module, name, counting)
-        monkeypatch.setattr(boundary, "nt_limits", None)
         return calls
 
     @staticmethod

@@ -343,7 +343,8 @@ class TestExactApplyLftInIntegers:
 
 class TestOneCancellationPath:
     """classify_and_verify cancels w and reads its node limits from one node
-    pass, the pass standalone apply_lft and _node_limits each take."""
+    pass, the pass standalone apply_lft and _node_limits each take; both
+    lanes' w keep their origin (Theta, phi)."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     @pytest.mark.parametrize("n", [8, 16, 24, 32])
@@ -353,8 +354,10 @@ class TestOneCancellationPath:
             theta = b.build_theta(sys_)
             alone = b.apply_lft(theta, phi)
             assert w == alone and repr(w) == repr(alone)
+            assert w._origin[0] is alone._origin[0] is theta
+            assert w._origin[1] is alone._origin[1] is phi
             outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
-            limits = solver._node_limits(sys_, (theta, phi), outcomes)
+            limits = solver._node_limits(sys_, alone, outcomes)
             assert [node.verification.details for node in report.nodes] == list(limits.values())
 
     def test_node_parameters_deflate_once_and_twice_through_certify(self):
