@@ -6,8 +6,9 @@ there.  By Cauchy interlacing no principal section of a sampled Hermitian
 matrix has more negative eigenvalues than the matrix itself, so one
 eigenvalue count of the full sampled matrix is the largest count the sample
 points can show.  The helpers here fix one reproducible scheme: a default
-grid of points on two horizontal lines, the Nevanlinna kernel sampled on it,
-and the count of eigenvalues below ``-eig_tol * max(1, max|lambda|)``.
+grid of points on two horizontal lines, from which a point at a pole is
+dropped and none is moved, the Nevanlinna kernel sampled on it, and the
+count of eigenvalues below ``-eig_tol * max(1, max|lambda|)``.
 Eigenvalues within that band count as zero, never negative, so sampled counts
 are honest lower bounds of the kernel's negative squares.  ``VERIFY_TOL`` is
 the default tolerance within which a boundary limit meets its datum.
@@ -60,13 +61,9 @@ DEFAULT_GRID = GridConfig()
 VERIFY_TOL = 1e-6
 
 
-def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
+def upper_half_grid(span, config: GridConfig = DEFAULT_GRID) -> list:
     """Points on horizontal lines over [span[0]-margin, span[1]+margin], line
-    by line, as Python complex numbers.
-
-    ``avoid`` lists complex points (poles) that grid points are nudged away
-    from deterministically.
-    """
+    by line, as Python complex numbers."""
     import numpy as np
 
     lo = float(span[0]) - config.re_margin
@@ -76,13 +73,7 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID, avoid=()) -> list:
     grid = np.empty((len(config.im_levels), config.points_per_level), dtype=complex)
     grid.real = np.linspace(lo, hi, config.points_per_level)
     grid.imag = np.array(config.im_levels, dtype=float)[:, np.newaxis]
-    points = grid.ravel().tolist()
-    if avoid:
-        for j, z in enumerate(points):
-            while min(abs(z - p) for p in avoid) < 1e-6:
-                z += 0.017
-            points[j] = z
-    return points
+    return grid.ravel().tolist()
 
 
 def pole_free_grid(f, span, config: GridConfig) -> tuple:
@@ -90,27 +81,30 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     there.  Returns (points, values); a point on a pole is skipped, so
     callers sample nothing twice.
 
-    A function with no origin is sampled one grid point at a time by its
-    ``RationalSampler``, the evaluator of ``RationalFunction.eval``, on a
-    grid nudged off its upper poles, the roots of its denominator; points
-    and values are lists of Python complex numbers.
+    Either way a point of ``upper_half_grid(span, config)`` is skipped where
+    the quotient's denominator is below POLE_TOL * max(1, |numerator|), and
+    no point is moved and no root is sought: a point skipped at an upper
+    pole only shrinks the sample, while the count over any point set is a
+    lower bound.
+
+    A function with no origin is sampled one grid point at a time by
+    ``algebra._quotient``, the evaluator of ``RationalFunction.eval``, from
+    its coefficients compiled once; points and values are lists of Python
+    complex numbers.
 
     A w that ``apply_lft`` built is sampled through its origin (Theta, phi),
     Theta's residue form, never through w's coefficients: u = Theta(z)
     (p(z); q(z)) with phi = p/q, where the grid and Theta's values on it are
     Theta's grid table for (span, config), kept by Theta from one
     ``RationalMatrix2x2.eval`` and shared by every phi and by
-    ``kernel_theta_negative_squares``, and w = u_0 / u_1, a point being
-    skipped where |u_1| < POLE_TOL * max(1, |u_0|).  Its points and values
-    are complex arrays.  No root is sought and no point is nudged: Theta's
-    poles are the real nodes, off every grid line (the levels of a
-    ``GridConfig`` are positive), and a point skipped at an upper pole of w
-    only shrinks the sample, while the count over any point set is a lower
-    bound.  A u beyond the float range raises ``FloatRangeError``.
+    ``kernel_theta_negative_squares``, and w = u_0 / u_1.  Its points and
+    values are complex arrays.  Theta's poles are the real nodes, off every
+    grid line (the levels of a ``GridConfig`` are positive).  A u beyond the
+    float range raises ``FloatRangeError``.
     """
     import numpy as np
 
-    from .algebra import POLE_TOL, _compiled
+    from .algebra import POLE_TOL, _compiled, _quotient
     from .errors import FloatRangeError, PoleError
 
     if f._origin is not None:
@@ -127,11 +121,11 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
             )
         kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
         return z[kept], values[kept]
-    avoid = tuple(r for r in f.sampler.poles if r.imag > 1e-9)
+    num, den = _compiled(f.num), _compiled(f.den)
     points, values = [], []
-    for z in upper_half_grid(span, config, avoid=avoid):
+    for z in upper_half_grid(span, config):
         try:
-            values.append(f.sampler(z))
+            values.append(_quotient(num, den, z))
         except PoleError:
             continue
         points.append(z)

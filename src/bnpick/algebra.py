@@ -45,7 +45,6 @@ _FLOAT_TYPES = (float, complex, _Inexact)
 
 
 # Tolerances of the float lane (the exact lane never uses any).
-CANCEL_TOL = 1e-8        # root clustering distance for float gcd
 POLE_TOL = 1e-13         # |den(z)| below this scale counts as a pole
 HERMITIAN_TOL = 1e-12    # relative Hermitian-symmetry slack
 RCOND_MIN = 1e-14        # reciprocal condition number cutoff for inversion
@@ -334,35 +333,6 @@ def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic() if not a.is_zero else a
 
 
-def _float_cancel(num: Polynomial, den: Polynomial):
-    """Cancel root pairs of num/den closer than CANCEL_TOL (conservative)."""
-    if num.is_zero or den.degree < 1:
-        return num, den
-    import numpy as np
-
-    nroots = list(np.roots(num.to_complex_array()[::-1])) if num.degree >= 1 else []
-    droots = list(np.roots(den.to_complex_array()[::-1]))
-    keep_n = nroots[:]
-    keep_d = []
-    for r in droots:
-        hit = None
-        for i, s in enumerate(keep_n):
-            if abs(r - s) < CANCEL_TOL:
-                hit = i
-                break
-        if hit is None:
-            keep_d.append(r)
-        else:
-            keep_n.pop(hit)
-    if len(keep_d) == len(droots):
-        return num, den
-    lead_n = complex(num.lead)
-    lead_d = complex(den.lead)
-    new_num = Polynomial(np.poly(keep_n)[::-1] * lead_n if keep_n else [lead_n])
-    new_den = Polynomial(np.poly(keep_d)[::-1] * lead_d if keep_d else [lead_d])
-    return new_num, new_den
-
-
 def _float_normal_form(num: Polynomial, den: Polynomial) -> tuple:
     """A float quotient in canonical form, with no cancellation: both divided
     by den's leading coefficient, and real where both are; zero is 0/1."""
@@ -379,22 +349,26 @@ def _float_normal_form(num: Polynomial, den: Polynomial) -> tuple:
 class RationalFunction:
     """Quotient of two polynomials, normalized to a canonical form.
 
-    Canonical means: numerator and denominator are coprime, and the
-    denominator is scaled so that (a) exact entries have coprime integer
-    coefficients with a positive leading coefficient -- this reproduces
-    textbook displays like (2z+1)/(2z-1) verbatim -- (b) float entries have a
-    monic denominator.
+    On the exact lane canonical means: numerator and denominator are
+    coprime (``polynomial_gcd``), with coprime integer coefficients and a
+    positive leading denominator coefficient -- this reproduces textbook
+    displays like (2z+1)/(2z-1) verbatim.  A float quotient is kept as built,
+    with no cancellation: both polynomials are divided by the denominator's
+    leading coefficient, so the denominator is monic, and made real where
+    both are real (``_float_normal_form``).  The one float function whose
+    common factors matter, w, is cancelled at Theta's nodes when
+    ``transform.apply_lft`` builds it.
 
     A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
     from as ``_origin`` (None for every other function): its boundary jets
     and grid values are read from Theta's residue form, never from its own
-    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  Like
-    the sampler, the origin is not part of the value: ``==`` and ``hash``
-    read only the numerator and denominator, and arithmetic on w gives a
-    function without one.
+    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  The
+    origin is not part of the value: ``==`` and ``hash`` read only the
+    numerator and denominator, and arithmetic on w gives a function without
+    one.
     """
 
-    __slots__ = ("num", "den", "exact", "_sampler", "_origin")
+    __slots__ = ("num", "den", "exact", "_origin")
 
     def __init__(self, num, den=Polynomial((1,)), reduce=True):
         if not isinstance(num, Polynomial):
@@ -414,22 +388,10 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "_sampler", None)
         object.__setattr__(self, "_origin", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
-
-    @property
-    def sampler(self) -> "RationalSampler":
-        """The function's float sampler, compiled on first use and kept.
-
-        A cache, not part of the value: ``==`` and ``hash`` read only the
-        numerator and denominator.
-        """
-        if self._sampler is None:
-            object.__setattr__(self, "_sampler", RationalSampler(self))
-        return self._sampler
 
     @staticmethod
     def _reduce(num, den, exact):
@@ -442,7 +404,7 @@ class RationalFunction:
                     num = num.divmod(g)[0]
                     den = den.divmod(g)[0]
             return _integer_form(num.coeffs, den.coeffs)
-        return _float_normal_form(*_float_cancel(num, den))
+        return _float_normal_form(num, den)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -475,8 +437,12 @@ class RationalFunction:
         return self.num.is_real() and self.den.is_real()
 
     def real_poles(self) -> list:
-        """Real roots of the canonical denominator (float values)."""
-        return sorted(r.real for r in self.sampler.poles if abs(r.imag) < 1e-9)
+        """Real roots of the canonical denominator (float values), by
+        ``np.roots`` of its float coefficients; an exact coefficient beyond
+        the float range raises ``FloatRangeError``."""
+        import numpy as np
+
+        return sorted(r.real for r in np.roots(_compiled(self.den)) if abs(r.imag) < 1e-9)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -550,14 +516,14 @@ class RationalFunction:
         """Evaluate at z, raising ``PoleError`` on (near-)pole hits.
 
         Exact entries at an exact point give an exact value; anything else is
-        sampled in floating point by ``RationalSampler``.
+        sampled in floating point by ``_quotient``.
         """
         if self.exact and is_exact(z):
             den_val = self.den.eval(z)
             if not den_val:
                 raise PoleError(z)
             return self.num.eval(z) / den_val
-        return self.sampler(z)
+        return _quotient(_compiled(self.num), _compiled(self.den), z)
 
     __call__ = eval
 
@@ -593,47 +559,20 @@ def _horner(coeffs, z):
     return acc
 
 
-class RationalSampler:
-    """Floating-point sampler of a rational function, compiled once.
+def _quotient(num, den, z) -> complex:
+    """num(z) / den(z) for coefficient tuples from ``_compiled``, by Horner
+    in Python complex arithmetic: the float sample of a rational function.
 
-    The numerator and denominator are converted to float coefficient lists
-    when the sampler is built, so each sample is plain Horner arithmetic with
-    no per-coefficient ``Fraction`` dispatch.  ``Fraction.__radd__`` with a
-    complex operand computes ``complex(acc) + complex(c)``, the same IEEE
-    operation, so the samples are bit-identical to evaluating the exact
-    polynomials at the same float point.  A point is a pole when |den| < POLE_TOL * max(1, |num|).
-    Each function keeps one sampler (``RationalFunction.sampler``).
+    ``Fraction.__radd__`` with a complex operand computes
+    ``complex(acc) + complex(c)``, the same IEEE operation, so a sample is
+    bit-identical to evaluating the exact polynomials at the same float
+    point.  A point is a pole (``PoleError``) when
+    |den(z)| < POLE_TOL * max(1, |num(z)|).
     """
-
-    __slots__ = ("_denominator", "_num", "_den", "_poles")
-
-    def __init__(self, func: RationalFunction):
-        # the polynomial, not func: a cached sampler makes no reference cycle
-        self._denominator = func.den
-        self._num = _compiled(func.num)
-        self._den = _compiled(func.den)
-        self._poles = None
-
-    @property
-    def poles(self) -> np.ndarray:
-        """The roots of the denominator (``np.roots``), found on first use;
-        the real poles and the grid's nudging both read them."""
-        if self._poles is None:
-            import numpy as np
-
-            den = self._denominator
-            self._poles = np.roots(den.to_complex_array()[::-1]) if den.degree >= 1 else ()
-        return self._poles
-
-    def _parts(self, z):
-        num, den = _horner(self._num, z), _horner(self._den, z)
-        if abs(den) < POLE_TOL * max(1.0, abs(num)):
-            raise PoleError(z)
-        return num, den
-
-    def __call__(self, z) -> complex:
-        num, den = self._parts(z)
-        return num / den
+    n, d = _horner(num, z), _horner(den, z)
+    if abs(d) < POLE_TOL * max(1.0, abs(n)):
+        raise PoleError(z)
+    return n / d
 
 
 def _cleared_integers(values) -> tuple:

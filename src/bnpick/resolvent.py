@@ -645,8 +645,9 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     points, 100 of them spread evenly over the poles' span widened by 1.5
     on each side by default (built as one array), with the point where it
     is largest and the scale |Theta|^2 there.  Real sample points within
-    J_POLE_SKIP of a pole, or on which ``eval`` raises ``PoleError``, are
-    skipped and reported; the others are evaluated in one batch.
+    J_POLE_SKIP of a pole are skipped and reported; the others are
+    evaluated in one batch.  ``poles`` and ``eval`` read the same float
+    nodes, so no point that is kept is a pole.
     """
     import numpy as np
 
@@ -660,18 +661,7 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     poles = np.array(theta.poles, dtype=float)
     used = np.flatnonzero(~(np.abs(xs[:, np.newaxis] - poles) < J_POLE_SKIP).any(axis=1))
     if used.size:
-        try:
-            values = theta.eval(xs[used].astype(complex))
-        except PoleError:
-            # a pole the float poles miss: find it point by point
-            found = []
-            for k in used:
-                try:
-                    found.append((k, theta.eval(complex(xs[k], 0.0))))
-                except PoleError:
-                    continue
-            used = np.array([k for k, _ in found], dtype=int)
-            values = np.array([m for _, m in found]).reshape(-1, 2, 2)
+        values = theta.eval(xs[used].astype(complex))
     skipped = np.ones(len(xs), dtype=bool)
     skipped[used] = False
     worst, worst_point, worst_scale = 0.0, None, 0.0
@@ -739,9 +729,9 @@ def kernel_theta_negative_squares(
     kernel's negative squares (kappa for the resolvent of an invertible Pick
     system) are at least this many.
 
-    The grid is taken as it is, with no point nudged off Theta's poles:
-    they are the real nodes, and every grid line lies above the real axis,
-    as a ``GridConfig`` holds only positive levels.
+    The grid is taken as it is: Theta's poles are the real nodes, and every
+    grid line lies above the real axis, as a ``GridConfig`` holds only
+    positive levels.
     """
     points, values = theta._grid_table(span_of(sys.X), config)
     return negative_count(kernel_theta_sample(sys, points, values), config.eig_tol)

@@ -491,11 +491,12 @@ def classify_and_verify(
     Each node's label, predicted outcome, limits and verdict are formed in
     one pass, and its ``NodeReport`` is built once.  w keeps its origin
     (Theta, phi), so its kernel is sampled through Theta's residue form
-    (``kernel_negative_squares``): no sampler of w is compiled and no root
-    of its denominator is sought.  What does not depend on phi -- Theta's
-    grid and its values there, and its node table at the nodes -- Theta
-    keeps from the first parameter it certifies, so later parameters of the
-    same system pay only for their own work.  Returns the classification
+    (``kernel_negative_squares``): w's coefficients are never compiled to
+    floats and no root of its denominator is sought; the only root finding
+    is ``is_nevanlinna``'s, of phi's denominator.  What does not depend on
+    phi -- Theta's grid and its values there, and its node table at the
+    nodes -- Theta keeps from the first parameter it certifies, so later
+    parameters of the same system pay only for their own work.  Returns the classification
     report (with per-node verification attached), the transformed function,
     and its sampled negative-squares count, a lower bound of w's negative
     squares, which number the class index kappa - k.

@@ -68,11 +68,17 @@ class Parameter:
         return self.kind == "inf"
 
     def pair(self) -> tuple:
-        """Polynomials (p, q) with phi = p/q: (1, 0) for infinity."""
-        if self.is_infinite:
-            return Polynomial.one(), Polynomial(())
-        rf = self.as_rational()
-        return rf.num, rf.den
+        """Polynomials (p, q) with phi = p/q: (1, 0) for infinity.  Built on
+        the first call and kept, so every later call returns the same pair."""
+        pair = vars(self).get("_pair")
+        if pair is None:
+            if self.is_infinite:
+                pair = Polynomial.one(), Polynomial(())
+            else:
+                rf = self.as_rational()
+                pair = rf.num, rf.den
+            vars(self)["_pair"] = pair  # as functools.cached_property stores
+        return pair
 
     def as_rational(self) -> RationalFunction:
         """Finite parameter as a rational function (constants included)."""
@@ -126,16 +132,14 @@ class NevanlinnaCheck:
         return self.ok
 
 
-def is_nevanlinna(
-    phi: Parameter, config: GridConfig = DEFAULT_GRID, span=None
-) -> NevanlinnaCheck:
+def is_nevanlinna(phi: Parameter, config: GridConfig = DEFAULT_GRID) -> NevanlinnaCheck:
     """Sampled positivity certificate of the Nevanlinna kernel.
 
     Constants and infinity pass trivially.  For rational parameters the
-    kernel (phi(z) - phi(w)*) / (z - conj(w)) is sampled on a fixed grid,
-    skipping grid points that hit a pole of phi.  The first point whose
-    diagonal entry Im phi(z) / Im z lies below -slack * max(1, |entry|) is
-    returned alone as the witness.  Otherwise the parameter fails when the
+    kernel (phi(z) - phi(w)*) / (z - conj(w)) is sampled on the grid over
+    the span of phi's real poles, skipping grid points that hit a pole of
+    phi.  The first point whose diagonal entry Im phi(z) / Im z lies below
+    -slack * max(1, |entry|) is returned alone as the witness.  Otherwise the parameter fails when the
     least eigenvalue of the whole sampled matrix lies below -slack *
     max(1, max|lambda|); the witness is then every sample point with that
     eigenvalue.  By Cauchy interlacing the whole matrix shows a negative
@@ -146,8 +150,7 @@ def is_nevanlinna(
     import numpy as np
 
     func = phi.func
-    if span is None:
-        span = span_of(func.real_poles(), fallback=(-1.0, 1.0))
+    span = span_of(func.real_poles(), fallback=(-1.0, 1.0))
     points, values = pole_free_grid(func, span, config)
     kernel = nevanlinna_kernel(points, values)
     for z, d in zip(points, kernel.diagonal().real):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick.algebra import _horner
+from bnpick.algebra import POLE_TOL, _compiled, _horner, _quotient
 from bnpick.boundary import LimitKind
 
 F = Fraction
@@ -278,11 +278,15 @@ def running_diverging(raw, growing) -> bool:
 
 def pointwise_derivative(f):
     """z -> f'(z) by the quotient rule (n'd - nd')/d^2 at one point, in
-    Python complex arithmetic."""
+    Python complex arithmetic, a point being a pole where
+    |den| < POLE_TOL * max(1, |num|)."""
+    compiled = [_compiled(p) for p in (f.num, f.den)]
     slopes = [tuple(complex(c) for c in reversed(p.derivative().coeffs)) for p in (f.num, f.den)]
 
     def sample(z):
-        num, den = f.sampler._parts(z)
+        num, den = (_horner(c, z) for c in compiled)
+        if abs(den) < POLE_TOL * max(1.0, abs(num)):
+            raise b.PoleError(z)
         dnum, dden = (_horner(c, z) for c in slopes)
         return (dnum * den - num * dden) / (den * den)
 
@@ -300,17 +304,17 @@ def reference_nt_limit(f, x0, kind=LimitKind.VALUE, t0=0.5, max_steps=40, tol=1e
     otherwise decided by the SPREAD_TOL tail rule.
     """
     x0 = float(x0)
-    sampler = f.sampler
+    num, den = _compiled(f.num), _compiled(f.den)
     derivative = pointwise_derivative(f) if kind is LimitKind.DERIVATIVE else None
 
     def sample(z: complex) -> complex:
         if kind is LimitKind.DERIVATIVE:
             return derivative(z)
         if kind is LimitKind.RESIDUAL:
-            return (z - x0) * sampler(z)
+            return (z - x0) * _quotient(num, den, z)
         if kind is LimitKind.KERNEL_DIAGONAL:
-            return sampler(z).imag / z.imag
-        return sampler(z)
+            return _quotient(num, den, z).imag / z.imag
+        return _quotient(num, den, z)
 
     raw: list = []
     r1: list = []

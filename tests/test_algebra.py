@@ -9,8 +9,8 @@ from bnpick import algebra
 from bnpick.algebra import (
     POLE_TOL,
     GaussianRational,
-    RationalSampler,
     _compiled,
+    _quotient,
     scalar_to_json,
     symmetric_elimination,
 )
@@ -486,18 +486,21 @@ class TestRationalSimplify:
                     continue
                 checked += 1
 
-    def test_float_clustering_is_conservative(self):
-        # roots 1e-3 apart are kept; roots 1e-12 apart cancel
-        near = b.RationalFunction(
-            b.Polynomial((-1.0, 1.0)), b.Polynomial((-(1.0 + 1e-3), 1.0)), reduce=False
-        )
-        kept = b.RationalFunction(near.num, near.den)
-        assert kept.num.degree == 1 and kept.den.degree == 1
-        close = b.RationalFunction(
-            b.Polynomial((-1.0, 1.0)), b.Polynomial((-(1.0 + 1e-12), 1.0)), reduce=False
-        )
-        cancelled = b.RationalFunction(close.num, close.den)
-        assert cancelled.num.degree == 0 and cancelled.den.degree == 0
+    def test_float_quotient_is_kept_as_built(self, monkeypatch):
+        # a float quotient is only divided by den's leading coefficient: roots
+        # 1e-12 apart stay, and no root is sought, by construction, by + and *
+        # or by from_json
+        def no_roots(coeffs):
+            raise AssertionError("np.roots called")
+
+        monkeypatch.setattr(np, "roots", no_roots)
+        f = b.RationalFunction(b.Polynomial((-1.0, 1.0)), b.Polynomial((-2.0 * (1.0 + 1e-12), 2.0)))
+        assert f.num.coeffs == (-0.5, 0.5) and f.den.coeffs == (-(1.0 + 1e-12), 1.0)
+        assert all(type(c) is complex for c in f.num.coeffs + f.den.coeffs)
+        for g in (f + f, f * f):  # (2 n d) / d^2 and n^2 / d^2, as built
+            assert (g.num.degree, g.den.degree, g.den.lead) == (2, 2, 1.0)
+        doc = b.RationalFunction.from_json(f.to_json())
+        assert doc.num.coeffs == f.num.coeffs and doc.den.coeffs == f.den.coeffs
 
 
 class TestRationalEval:
@@ -521,7 +524,7 @@ class TestRationalEval:
                     continue
                 expected = n_val / d_val
                 assert f.eval(z) == expected
-                assert RationalSampler(f)(z) == expected
+                assert _quotient(_compiled(f.num), _compiled(f.den), z) == expected
 
     def test_compiled_slope_is_the_compiled_derivative(self):
         # p and p' compile to the correctly rounded floats of their exact
@@ -534,12 +537,14 @@ class TestRationalEval:
                     expected = [bits(complex(c)) for c in reversed(poly.coeffs)]
                     assert [bits(complex(v)) for v in _compiled(poly)] == expected
 
-    def test_one_cached_sampler_outside_the_value(self):
+    def test_eval_keeps_nothing_on_the_function(self):
+        # a float sample compiles the coefficients and takes one quotient;
+        # nothing is kept, and the value is only num and den
         f, g = rf((1, 2), (-1, 2)), rf((1, 2), (-1, 2))
-        assert f.sampler is f.sampler
-        assert f.eval(0.25j) == f.sampler(0.25j)
-        assert f == g and hash(f) == hash(g)  # g has compiled nothing
-        for name in ("num", "_sampler", "_origin"):
+        assert f.eval(0.25j) == _quotient(_compiled(f.num), _compiled(f.den), 0.25j)
+        assert f == g and hash(f) == hash(g)  # g was never sampled
+        assert type(f).__slots__ == ("num", "den", "exact", "_origin")
+        for name in ("num", "_origin"):
             with pytest.raises(AttributeError):
                 setattr(f, name, None)
 

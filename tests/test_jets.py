@@ -271,7 +271,11 @@ class TestLftJets:
         assert zeros >= 10 and nonzeros >= 500
 
     def test_no_path_is_sampled(self, sys1, monkeypatch):
-        monkeypatch.setattr(b.RationalFunction, "sampler", None)
+        def no_sample(f, z):
+            raise AssertionError("w was sampled")
+
+        for name in ("eval", "__call__"):
+            monkeypatch.setattr(b.RationalFunction, name, no_sample)
         for phi in STANDARD_SWEEP:
             theta = b.build_theta(sys1)
             w = b.apply_lft(theta, phi)
@@ -321,8 +325,8 @@ def test_probe_set_lanes_agree_with_no_node_failure(n):
 
 @pytest.mark.parametrize("n", [8, 16, 24])
 def test_count_through_theta_is_the_count_of_the_exact_w(n):
-    # the oracle: the exact w's own coefficients, sampled by its compiled
-    # sampler on the same grid, where they still fit the float range; a
+    # the oracle: the exact w's own coefficients, compiled to floats and
+    # sampled on the same grid, where they still fit the float range; a
     # copy of w without its origin is sampled so
     for sys_, phi in probe_set(n, True):
         _, w, sampled = b.classify_and_verify(sys_, phi)

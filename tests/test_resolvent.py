@@ -539,19 +539,6 @@ class TestJUnitarity:
         with pytest.raises(ValueError):
             b.check_j_unitarity(Broken(kappa=0), sample_points=[0.5])
 
-    def test_pole_errors_off_the_listed_poles_skipped(self):
-        class Holed(b.RationalMatrix2x2):
-            """The identity with a pole at 0.5 that ``poles`` does not list."""
-
-            def eval(self, z):
-                if np.any(np.asarray(z) == 0.5):
-                    raise b.PoleError(0.5)
-                return super().eval(z)
-
-        report = b.check_j_unitarity(Holed(kappa=0), sample_points=[0.0, 0.5, 1.0])
-        assert report.samples_used == 2 and report.skipped == (0.5,)
-        assert report.max_residual == 0.0 and report.worst_point == 0.0
-
     def test_reports_worst_sample_and_scale(self, theta1):
         points = [-3.0, 0.5, 0.999, 7.0]
         report = b.check_j_unitarity(theta1, sample_points=points)

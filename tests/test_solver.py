@@ -440,40 +440,40 @@ class TestExactLaneAtTwelveNodes:
         assert len(report.nodes) == 12 and w.exact
 
 
-class TestOneSamplerPerFunction:
-    def test_classify_and_verify_compiles_each_function_once(self, sys2, monkeypatch):
-        # w's count samples (Theta, phi): only phi is compiled, once, and
-        # only phi's denominator is rooted
+class TestOnlyPhiIsCompiled:
+    def test_classify_and_verify_compiles_and_roots_only_phi(self, sys2, monkeypatch):
+        # w's count samples (Theta, phi): only phi's polynomials are compiled
+        # to floats, w's never, and only phi's denominator is rooted
         import numpy as np
 
         compiled, rooted = [], []
-        init, roots = algebra.RationalSampler.__init__, np.roots
+        compile_, roots = algebra._compiled, np.roots
 
-        def counted(sampler, func):
-            compiled.append(func)
-            init(sampler, func)
+        def counted(p):
+            compiled.append(p)
+            return compile_(p)
 
         def counted_roots(coeffs):
             rooted.append(list(coeffs))
             return roots(coeffs)
 
-        monkeypatch.setattr(algebra.RationalSampler, "__init__", counted)
+        for module in (algebra, boundary):
+            monkeypatch.setattr(module, "_compiled", counted)
         monkeypatch.setattr(np, "roots", counted_roots)
         checked = 0
         for phi in STANDARD_SWEEP:
-            if phi.kind == "rational":  # a fresh function, with no sampler yet
-                phi = b.Parameter.rational(b.RationalFunction(phi.func.num, phi.func.den))
             compiled.clear()
             rooted.clear()
             try:
-                b.classify_and_verify(sys2, phi)
+                _, w, _ = b.classify_and_verify(sys2, phi)
             except b.DegenerateTransformError:
                 continue
             checked += 1
-            func = phi.func if phi.kind == "rational" else None
-            assert compiled == ([] if func is None else [func])
-            poles = func is not None and func.den.degree >= 1
-            assert rooted == ([list(func.den.to_complex_array()[::-1])] if poles else [])
+            pair = phi.pair()
+            assert compiled and all(any(p is q for q in pair) for p in compiled)
+            assert not any(p is w.num or p is w.den for p in compiled)
+            rational = phi.kind == "rational"
+            assert rooted == ([list(compile_(phi.func.den))] if rational else [])
         assert checked >= 4
 
 

@@ -1,0 +1,60 @@
+"""Static checks of the package source, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bnpick"
+
+_ARITHMETIC = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.unaryop, ast.operator)
+
+
+def _is_number(expr) -> bool:
+    """Whether an expression is built from numeric literals alone, such as
+    ``1e-9``, ``-3`` or ``2 ** -52``."""
+    return all(
+        isinstance(node, _ARITHMETIC)
+        and (not isinstance(node, ast.Constant) or type(node.value) in (int, float, complex))
+        for node in ast.walk(expr)
+    )
+
+
+def _numeric_constants(tree) -> list:
+    """Names bound at module level to a numeric literal."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _is_number(value):
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _read_names(tree) -> set:
+    """Names a module reads: a loaded name or attribute, or a name imported
+    under another one that the module loads."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    renamed = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname in loaded
+    }
+    return loaded | renamed
+
+
+def test_every_numeric_constant_is_read():
+    # a tolerance left behind when the code that read it is deleted fails here
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    defined = {name: module for module, tree in trees.items() for name in _numeric_constants(tree)}
+    assert len(defined) >= 10, defined  # the scan sees the package's tolerances
+    unread = sorted(f"{module}:{name}" for name, module in defined.items() if name not in read)
+    assert not unread, f"module-level numeric constants that nothing reads: {unread}"

@@ -40,6 +40,17 @@ class TestParameter:
         with pytest.raises(ValueError):
             b.Parameter.infinity().as_rational()
 
+    def test_pair_is_built_once(self):
+        # the pair is kept on the parameter and is no part of its value
+        for phi in (b.Parameter.constant(F(3, 2)), b.Parameter.constant(0.5),
+                    b.Parameter.infinity(), b.Parameter.rational(rf((0, 1), (1, 1)))):
+            fresh = b.Parameter.from_json(phi.to_json())
+            assert phi.pair() is phi.pair()
+            assert phi == fresh and hash(phi) == hash(fresh) and repr(phi) == repr(fresh)
+            assert phi.pair() == fresh.pair()
+        p, q = b.Parameter.constant(F(3, 2)).pair()
+        assert (p.coeffs, q.coeffs) == ((3,), (2,))
+
 
 class TestIsNevanlinna:
     def test_identity_passes(self):
@@ -239,14 +250,22 @@ class TestFloatNodeDeflation:
             assert w.den.coeffs == reference.den.coeffs
 
     def test_certify_never_roots_for_a_gcd(self, monkeypatch):
-        def fail(num, den):
-            raise AssertionError("apply_lft reached _float_cancel")
+        # the one root finding of a certify op is is_nevanlinna's, of phi's
+        # denominator; w's polynomials are never rooted
+        rooted, roots = [], np.roots
+
+        def counted_roots(coeffs):
+            rooted.append(list(coeffs))
+            return roots(coeffs)
 
         ops = [op for n in (8, 16, 24, 32) for op in probe_set(n, exact=False)]
-        monkeypatch.setattr(algebra, "_float_cancel", fail)
+        monkeypatch.setattr(np, "roots", counted_roots)
         for sys_, phi in ops:
+            rooted.clear()
             report, _, _ = b.classify_and_verify(sys_, phi)
             assert all(node.verification.ok for node in report.nodes)
+            rational = phi.kind == "rational"
+            assert rooted == ([list(algebra._compiled(phi.func.den))] if rational else [])
 
     def test_node_parameters_deflate_like_the_exact_lane(self):
         # phi = eta_i shares (z - x_i) once, eta_i + tau_i (z - x_i) once or
