@@ -25,6 +25,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# Default eig_tol: a sampled kernel's zero eigenvalue comes out near
+# m u max|lambda| < 1e-13; one it hides leaves the count a lower bound.
+EIG_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Sampling grid and eigenvalue tolerance of the sampled counts.
@@ -39,7 +44,7 @@ class GridConfig:
     im_levels: tuple = (0.3, 1.1)
     points_per_level: int = 6
     re_margin: float = 1.0
-    eig_tol: float = 1e-9
+    eig_tol: float = EIG_TOL
 
     def __post_init__(self):
         if len(self.im_levels) == 0 or not all(_finite(t) and t > 0 for t in self.im_levels):

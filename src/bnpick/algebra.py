@@ -49,6 +49,17 @@ POLE_TOL = 1e-13         # |den(z)| below this scale counts as a pole
 HERMITIAN_TOL = 1e-12    # relative Hermitian-symmetry slack
 RCOND_MIN = 1e-14        # reciprocal condition number cutoff for inversion
 TRIM_TOL = 1e-12         # relative size under which float coefficients vanish
+# Default rank_tol: |lambda| <= RANK_TOL max(1, spectral radius) is zero, as
+# eigvalsh errs by about n u times the radius, below 1e-13 here.
+RANK_TOL = 1e-9
+# np.roots returns a simple real root exactly real; |Im| < REAL_ROOT_TOL also
+# takes a pair split from a double root.  It sets only a sampled grid's span.
+REAL_ROOT_TOL = 1e-9
+# |Im| <= SCALAR_IMAG_TOL max(1, |z|) is complex arithmetic's residue on real
+# data, dropped in JSON; a larger imaginary part raises.
+SCALAR_IMAG_TOL = 1e-9
+# isclose's default: far above the rounding of float coefficient products.
+ISCLOSE_TOL = 1e-9
 
 
 class GaussianRational(Fraction):
@@ -109,7 +120,7 @@ def scalar_to_json(value):
         return value
     if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
         value = complex(value)
-        if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+        if abs(value.imag) > SCALAR_IMAG_TOL * max(1.0, abs(value)):
             raise TypeError("complex float scalars have no JSON form")
         return float(value.real)
     return float(value)
@@ -442,7 +453,7 @@ class RationalFunction:
         the float range raises ``FloatRangeError``."""
         import numpy as np
 
-        return sorted(r.real for r in np.roots(_compiled(self.den)) if abs(r.imag) < 1e-9)
+        return sorted(r.real for r in np.roots(_compiled(self.den)) if abs(r.imag) < REAL_ROOT_TOL)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
@@ -460,7 +471,7 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self})"
 
-    def isclose(self, other: "RationalFunction", tol=1e-9) -> bool:
+    def isclose(self, other: "RationalFunction", tol=ISCLOSE_TOL) -> bool:
         """Cross-multiplied coefficient comparison with relative tolerance."""
         import numpy as np
 
@@ -769,7 +780,7 @@ def _conditioned_inverse(array, magnitudes):
     return np.linalg.inv(array)
 
 
-def hermitian_inertia(matrix, rank_tol: float = 1e-9) -> Inertia:
+def hermitian_inertia(matrix, rank_tol: float = RANK_TOL) -> Inertia:
     """Eigenvalue sign counts of a Hermitian matrix.
 
     Exact (real symmetric) entries are counted by ``symmetric_elimination``,

@@ -89,11 +89,16 @@ class LimitEstimate:
         return {"infinite": "inf", "dne": "dne"}[self.status]
 
 
+# A limit is written as real when |Im| <= LIMIT_IMAG_TOL max(1, |z|), the
+# imaginary rounding (about u |z|) that complex coefficients leave.
+LIMIT_IMAG_TOL = 1e-12
+
+
 def _complex_json(z):
     if z is None:
         return None
     z = complex(z)
-    return z.real if abs(z.imag) <= 1e-12 * max(1.0, abs(z)) else [z.real, z.imag]
+    return z.real if abs(z.imag) <= LIMIT_IMAG_TOL * max(1.0, abs(z)) else [z.real, z.imag]
 
 
 def nt_limit(f: RationalFunction, x0, kind: LimitKind = LimitKind.VALUE) -> LimitEstimate:
@@ -340,34 +345,37 @@ def rational_jets(f: RationalFunction, points) -> list:
             zip(jets.transpose(2, 1, 0).tolist(), relative.tolist(), zero)]
 
 
-def lft_jets(theta, p: Polynomial, q: Polynomial, points) -> list:
+def lft_jets(theta, p: Polynomial, q: Polynomial, at=None) -> list:
     """The ``Jet`` of w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22),
-    phi = p/q, at each point, read from Theta's residue form: w's node pass.
+    phi = p/q, at each of Theta's nodes, read from Theta's residue form: w's
+    node pass.  ``at`` lists the indices of the nodes read, all of them in
+    their order when None.
 
     u(t) = (z - x) Theta(z) v(z) with v = (p; q) and z = x + t has w as the
     ratio of its two components, and ``RationalMatrix2x2.residue_jets``
-    gives its Taylor coefficients at every point at once from the float
+    gives its Taylor coefficients at every node at once from the float
     residue data, with v's own Taylor coefficients; no polynomial of w is
     built or sampled.  At a node x_i, u_0 = l_i (r_i . v(x_i)), which
     ``node_zero_test`` decides; where it reads zero, u_0 is set to 0.
     Every higher coefficient is tested against JET_ZERO_TOL on both lanes.
     The jets are float64 on both lanes; where a coefficient or its scale
-    overflows the float range, ``FloatRangeError`` is raised.  Taken at
-    Theta's nodes, the pass also says where ``apply_lft`` cancels: its zero
-    flags, and u_1 at the flagged nodes.
+    overflows the float range, ``FloatRangeError`` is raised.  The pass
+    also says where ``apply_lft`` cancels: its zero flags, and u_1 at the
+    flagged nodes.
     """
     import numpy as np
 
+    x = theta._samplers[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _float_taylor((p, q), theta._node_table(points).x)[0]
-        u, scale = theta.residue_jets(v, points)
+        v = _float_taylor((p, q), x if at is None else x[at])[0]
+        u, scale = theta.residue_jets(v, at)
     # every term of u enters its scale by modulus, so a finite scale bounds u
     if not np.isfinite(scale).all():
         raise FloatRangeError(
             "the jets of w at the nodes exceed the float range; "
             "its boundary limits cannot be read in floats"
         )
-    zero, relative, exact = node_zero_test(theta, p, q, points, v[0])
+    zero, relative, exact = node_zero_test(theta, p, q, v[0], at)
     u[0][:, np.array(zero, dtype=bool)] = 0
     _snap(u[1:], scale[1:])
     return [Jet(a, b_, _zero_test(r, z, exact)) for (a, b_), r, z in
@@ -378,25 +386,27 @@ def function_jets(f: RationalFunction, points) -> list:
     """The ``Jet`` of f at each point, from the one source that holds it.
 
     A w that ``apply_lft`` built keeps its origin (Theta, phi); where every
-    point is a node of Theta its jets come from Theta's residue form
-    (``lft_jets``), as ``classify_and_verify`` reads them, because a float
-    w's own top coefficients are lost (``TRIM_TOL``).  Every other function,
-    and w away from the nodes, takes the jets of its own coefficients
-    (``rational_jets``).
+    point is a node of Theta its jets come from Theta's residue form, read
+    at those nodes' indices (``lft_jets``), as ``classify_and_verify``
+    reads them, because a float w's own top coefficients are lost
+    (``TRIM_TOL``).  Every other function, and w away from the nodes, takes
+    the jets of its own coefficients (``rational_jets``).
     """
     origin = f._origin
     if origin is not None:
         theta, phi = origin
-        nodes = {float(x) for x in theta.nodes}
-        if all(float(x) in nodes for x in points):
-            return lft_jets(theta, *phi.pair(), points)
+        index = {float(x): i for i, x in enumerate(theta.nodes)}
+        at = [index.get(float(x)) for x in points]
+        if None not in at:
+            return lft_jets(theta, *phi.pair(), at)
     return rational_jets(f, points)
 
 
-def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> tuple:
-    """(zero, relative, exact): the zero test r_i . v(x_i) = 0 at each point's
-    own node x_i, v = (p; q), with |r_i . v(x_i)| over its scale, and whether
-    it was decided exactly (the fields of ``_zero_test``).
+def node_zero_test(theta, p: Polynomial, q: Polynomial, values=None, at=None) -> tuple:
+    """(zero, relative, exact): the zero test r_i . v(x_i) = 0 at Theta's
+    nodes x_i (those indexed by ``at``, all of them when None), v = (p; q),
+    with |r_i . v(x_i)| over its scale, and whether it was decided exactly
+    (the fields of ``_zero_test``).
 
     This is the one test of where w = Theta o (p/q) has numerator and
     denominator sharing the factor z - x_i: u_0 = l_i (r_i . v(x_i)) of
@@ -404,62 +414,51 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, points, values=None) -> 
     phi(x_i) = eta_i.  Only ``lft_jets`` runs it; ``apply_lft`` cancels
     where the flags of that pass read zero, so a certify op decides each
     node once (standalone exact ``apply_lft`` takes ``_exact_node_zeros``
-    alone).  On the exact lane (Theta, p, q and the points exact) it is
-    decided exactly, one integer dot product per node
-    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
-    the scale |r_i| |v(x_i)| (1-norms).  A point that is no node of Theta
-    has no term there and reads zero.  ``values`` is v at the points, shape
-    (2, points), when the caller has it.  Which points are nodes, their own
-    rows r_i and the rows' 1-norms are read from Theta's node table for the
-    point set (``RationalMatrix2x2._node_table``), built once per Theta and
-    point set, so a call forms only the products with v: O(1) per point.
+    alone).  On the exact lane (Theta, p and q exact) it is decided
+    exactly, one integer dot product per node (``_exact_node_zeros``); on
+    the float lane it reads JET_ZERO_TOL against the scale |r_i| |v(x_i)|
+    (1-norms, the rows' from Theta's ``_node_table``): O(1) per node.
+    ``values`` is v at those nodes, shape (2, nodes), when the caller has it.
     """
     import numpy as np
 
-    table = theta._node_table(points)
+    x, _, rows = theta._samplers
+    sizes = theta._node_table.right_sizes
+    if at is not None:
+        x, rows, sizes = x[at], rows[at], sizes[at]
     if values is None:
-        values = _float_taylor((p, q), table.x, 1)[0][0]
-    has = table.has
-    mine = values[:, has]
-    rho, rho_scale = np.zeros(len(has)), np.zeros(len(has))
-    rho[has] = np.abs(mine[0] * table.rows[:, 0] + mine[1] * table.rows[:, 1])
-    rho_scale[has] = (np.abs(mine[0]) + np.abs(mine[1])) * table.row_sizes
+        values = _float_taylor((p, q), x, 1)[0][0]
+    rho = np.abs(values[0] * rows[:, 0] + values[1] * rows[:, 1])
+    rho_scale = (np.abs(values[0]) + np.abs(values[1])) * sizes
     relative = rho / np.where(rho_scale > 0, rho_scale, 1.0)
-    exact = theta.exact and p.exact and q.exact and all(map(is_exact, points))
+    exact = theta.exact and p.exact and q.exact
     if exact:
-        zero = _exact_node_zeros(theta, p, q, points)
+        zero = _exact_node_zeros(theta, p, q, at)
         relative = np.where(zero, 0.0, relative)
     else:
         zero = (relative <= JET_ZERO_TOL).tolist()
     return zero, relative.tolist(), exact
 
 
-def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, points) -> list:
-    """Whether r_i . v(x_i) = 0 at each exact point, decided in integers.
+def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, at=None) -> list:
+    """Whether r_i . v(x_i) = 0 at each of Theta's exact nodes (those
+    indexed by ``at``, all of them when None), decided in integers.
 
     p and q are scaled by one factor to integer coefficients and padded to
     one length D + 1, so that with x = a/b the integers P = b^D p(x) and
     Q = b^D q(x) are positive multiples of p(x) and q(x); with the row
     r_i = (r0, r1), r_i . v(x_i) = 0 exactly when r0 P = -r1 Q.  Both sides
     are compared in lowest terms (``_times``), which takes no product of
-    two of the residue data's large integers.  A point that is no node of
-    Theta has no term there, and u_0 = 0.
+    two of the residue data's large integers.
     """
     ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
     width = max(len(p.coeffs), len(q.coeffs))
     pc = ints[: len(p.coeffs)] + [0] * (width - len(p.coeffs))
     qc = ints[len(p.coeffs) :] + [0] * (width - len(q.coeffs))
-    own = dict(zip(theta.nodes, theta.right))
     zeros = []
-    for x in points:
-        row = own.get(x)
-        if row is None:
-            zeros.append(True)
-            continue
-        r0, r1 = row
-        big_p = _scaled_value(pc, x.numerator, x.denominator)
-        big_q = _scaled_value(qc, x.numerator, x.denominator)
-        zeros.append(_times(r0, big_p) == _times(r1, -big_q))
+    for i in range(len(theta.nodes)) if at is None else at:
+        (a, b), (r0, r1) = theta.nodes[i].as_integer_ratio(), theta.right[i]
+        zeros.append(_times(r0, _scaled_value(pc, a, b)) == _times(r1, -_scaled_value(qc, a, b)))
     return zeros
 
 

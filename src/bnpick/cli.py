@@ -20,7 +20,7 @@ from __future__ import annotations
 # heap is still small: loading argparse, json and fractions first raised the
 # peak RSS of a `pick` child by about 1 MB.
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
-from .algebra import RationalFunction, scalar_to_json
+from .algebra import RANK_TOL, RationalFunction, scalar_to_json
 from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
 from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
 
@@ -47,7 +47,7 @@ class RunConfig:
     """
 
     backend: str = "exact"
-    rank_tol: float = 1e-9
+    rank_tol: float = RANK_TOL
     verify_tol: float = VERIFY_TOL
     grid: GridConfig = field(default_factory=lambda: DEFAULT_GRID)
     out: str | None = None
@@ -95,7 +95,7 @@ class RunConfig:
             raise InputError("config 'out' must be a path")
         return RunConfig(
             backend=backend,
-            rank_tol=_float_entry(obj, "rank_tol", 1e-9),
+            rank_tol=_float_entry(obj, "rank_tol", RANK_TOL),
             verify_tol=_float_entry(obj, "verify_tol", VERIFY_TOL),
             grid=grid,
             out=out,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    RANK_TOL,
     HermitianMatrix,
     Inertia,
     _conditioned_inverse,
@@ -237,7 +238,7 @@ class PickSystem:
         return self.inertia.zeros == 0
 
 
-def build_system(data: InterpolationData, rank_tol: float = 1e-9) -> PickSystem:
+def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSystem:
     """Assemble P, X, E, C and, when P is invertible, the derived block.
 
     On the exact lane one ``symmetric_elimination`` of [P | I | E^T | C^T]

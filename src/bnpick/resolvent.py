@@ -61,6 +61,7 @@ from ._sections import (
     upper_half_grid,
 )
 from .algebra import (
+    RANK_TOL,
     Polynomial,
     RationalFunction,
     _cleared_integers,
@@ -298,95 +299,76 @@ class RationalMatrix2x2:
                 "the matrix cannot be sampled in floats"
             ) from None
 
-    def _kept(self, name: str, key, build):
-        """``build()``'s table for ``key``, kept under ``name`` until a call
-        with another key replaces it, so a matrix holds one table of each
-        kind.  The tables hold only what does not depend on the parameter."""
-        held = vars(self).get(name)
-        if held is None or held[0] != key:
-            held = key, build()
-            vars(self)[name] = held  # as functools.cached_property stores
-        return held[1]
-
     def _grid_table(self, span, config: GridConfig) -> tuple:
         """(z, values): the points of ``upper_half_grid(span, config)`` as a
         complex array and the matrix's values there from one ``eval``,
         shape (m, 2, 2), both read-only; kept for the last (span, config)."""
         key = (float(span[0]), float(span[1]), config)
-        return self._kept("_grid", key, lambda: self._build_grid_table(span, config))
+        held = vars(self).get("_grid")
+        if held is None or held[0] != key:
+            import numpy as np
 
-    def _build_grid_table(self, span, config: GridConfig) -> tuple:
-        import numpy as np
+            z = np.array(upper_half_grid(span, config), dtype=complex)
+            values = self.eval(z)
+            z.flags.writeable = values.flags.writeable = False
+            held = vars(self)["_grid"] = key, (z, values)  # as cached_property stores
+        return held[1]
 
-        z = np.array(upper_half_grid(span, config), dtype=complex)
-        values = self.eval(z)
-        z.flags.writeable = values.flags.writeable = False
-        return z, values
-
-    def _node_table(self, points) -> "_NodeTable":
-        """The ``_NodeTable`` of a point set, kept for the last point set."""
-        return self._kept("_nodes", tuple(points), lambda: self._build_node_table(points))
-
-    def _build_node_table(self, points) -> "_NodeTable":
+    @cached_property
+    def _node_table(self) -> "_NodeTable":
+        """The ``_NodeTable`` at the matrix's own nodes, built once."""
         import numpy as np
 
         from .boundary import JET_ORDERS
 
         nodes, left, right = self._samplers
-        x = np.array([float(v) for v in points])
-        gap = x[:, np.newaxis] - nodes
+        gap = nodes[:, np.newaxis] - nodes
         own = gap == 0
         inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=~own)
         weights = np.empty((JET_ORDERS,) + gap.shape)
         weights[0] = own
         for m in range(1, JET_ORDERS):
             weights[m] = inv if m == 1 else weights[m - 1] * -inv
-        index = {node: i for i, node in enumerate(nodes.tolist())}
-        at = np.array([index.get(v, -1) for v in x.tolist()], dtype=int)
-        has = at >= 0
-        rows = right[at[has]]
-        table = _NodeTable(x, weights, np.abs(weights), np.abs(left),
-                           np.abs(right).sum(axis=1), has, rows, np.abs(rows).sum(axis=1))
+        table = _NodeTable(weights, np.abs(weights), np.abs(left), np.abs(right).sum(axis=1))
         for array in table:
             array.flags.writeable = False
         return table
 
-    def residue_jets(self, v: np.ndarray, points) -> tuple:
+    def residue_jets(self, v: np.ndarray, at=None) -> tuple:
         """Taylor coefficients in t of u(t) = (z - x) Theta(z) v(z), z = x + t,
-        at every point x at once, in float64.
+        at every node x at once, in float64.
 
-        ``v`` holds the first K <= JET_ORDERS Taylor coefficients of the
-        2-vector v at the Q ``points``, shape (K, 2, Q).  At x,
-        (z - x) / (z - x_j) is 1 for the node x_j = x and
-        sum_{m >= 1} (-1)^(m-1) t^m / (x - x_j)^m for every other node, so
-        with W_m those weights (W_0 marking x's own node)
+        ``at`` lists the indices of the Q nodes read (all when None), and
+        ``v`` the first K <= JET_ORDERS Taylor coefficients of the 2-vector
+        v there, shape (K, 2, Q).  At x_i, (z - x_i) / (z - x_j) is 1 for
+        j = i and sum_{m >= 1} (-1)^(m-1) t^m / (x_i - x_j)^m otherwise, so
+        with W_m those weights (W_0 the identity)
 
-            u_k = v_(k-1) + sum_{m=0..k} sum_j l_j W_m[j] (r_j . v_(k-m)):
+            u_k = v_(k-1) + sum_{m=0..k} sum_j l_j W_m[i, j] (r_j . v_(k-m)):
 
         u_0 = l_i (r_i . v_0) and u_1 = v_0 + l_i (r_i . v_1)
-        + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j), as O(K^2) array
-        operations on Q x n arrays.  A point that is no node (or whose node
-        was dropped with a zero residue) has no W_0 term.  The weights, their
-        moduli, |l_j| and the 1-norms |r_j| depend only on the points: they
-        are the point set's node table (``_node_table``), built once and
-        kept, so only the products with v are formed per call.  Returns
-        (u, scale): u and the same sums with every factor replaced by its
-        modulus and each r_j . v by |r_j| |v| (1-norms), both of shape
-        (K, 2, Q).  The scale bounds the rounding of the sums and the error
-        that float residue data carry.
+        + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j).  The weights and what
+        else depends only on the nodes are the node table (``_node_table``),
+        built once.  Returns (u, scale): u and the same sums with every
+        factor replaced by its modulus and each r_j . v by |r_j| |v|
+        (1-norms), both of shape (K, 2, Q); the scale bounds the rounding of
+        the sums and the error that float residue data carry.
         """
         import numpy as np
 
         _, left, right = self._samplers
-        table = self._node_table(points)
+        table = self._node_table
+        weights, abs_weights = table.weights, table.abs_weights
+        if at is not None:
+            weights, abs_weights = weights[:, at], abs_weights[:, at]
         count = len(v)
-        # r_j . v_b at each point, shape (K, Q, n), and its scale |r_j| |v_b|
+        # r_j . v_b at each node, shape (K, Q, n), and its scale |r_j| |v_b|
         # in 1-norms, as the float lane's rows r_j carry a float inverse's error
         dots = v.transpose(0, 2, 1) @ right.T
         sizes = np.abs(v).sum(axis=1)[:, :, np.newaxis] * table.right_sizes
         out = []
-        for w, l, d, shift in ((table.weights, left, dots, v),
-                               (table.abs_weights, table.abs_left, sizes, np.abs(v))):
+        for w, l, d, shift in ((weights, left, dots, v),
+                               (abs_weights, table.abs_left, sizes, np.abs(v))):
             terms = w[0] * d
             for m in range(1, count):
                 terms[m:] += w[m] * d[: count - m]
@@ -435,21 +417,15 @@ class RationalMatrix2x2:
 
 
 class _NodeTable(NamedTuple):
-    """What a residue form's node pass reads at one point set, apart from
-    the parameter: the float points ``x``; ``residue_jets``' weights W_m
-    (shape (JET_ORDERS, Q, n)) and their moduli, |l_j| (2 x n) and the
-    1-norms of the rows r_j; and, for ``boundary.node_zero_test``, which
-    points are nodes (``has``), those nodes' own rows and the rows'
-    1-norms."""
+    """What a residue form's node pass reads at its own nodes, apart from
+    the parameter: ``residue_jets``' weights W_m (shape (JET_ORDERS, n, n),
+    row i for the node x_i) and their moduli, |l_j| (2 x n) and the 1-norms
+    of the rows r_j, which ``boundary.node_zero_test`` reads too."""
 
-    x: np.ndarray
     weights: np.ndarray
     abs_weights: np.ndarray
     abs_left: np.ndarray
     right_sizes: np.ndarray
-    has: np.ndarray
-    rows: np.ndarray
-    row_sizes: np.ndarray
 
 
 def _rank_one_factors(residue) -> tuple:
@@ -523,7 +499,7 @@ class SolutionBundle:
 
 def solve(
     data: InterpolationData,
-    rank_tol: float = 1e-9,
+    rank_tol: float = RANK_TOL,
     config: GridConfig = DEFAULT_GRID,
     tol: float = VERIFY_TOL,
 ) -> SolutionBundle:

@@ -58,6 +58,10 @@ THRESHOLD_TOL = 1e-7
 # from zero on that lane; the exact lane takes the same cut, so that both
 # lanes label alike.
 ZERO_RESIDUAL_TOL = 1e-9
+# Float closed forms of ``solve_degenerate`` from different kernel vectors
+# agree to UNIQUE_AGREEMENT_TOL (``isclose``): each is linear in an SVD row
+# of P, which errs by about u s_max / s_gap, below 1e-8 while that is < 10^6.
+UNIQUE_AGREEMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -488,15 +492,18 @@ def classify_and_verify(
     (``lft_jets``), is taken once: w = ``apply_lft(Theta, phi)`` cancels
     where its zero flags read zero, and the outcomes are checked on the
     limits it gives (``_node_limits``), so each node's zero test runs once.
+    Theta keeps every node, in order: r_i = 0 would make row i of P^-1
+    diagonal ((x_i - x_j) (P^-1)_ij = te_i tc_j - tc_i te_j), and then
+    te_i = (P^-1)_ii E_i and tc_i = (P^-1)_ii C_i do not both vanish.
     Each node's label, predicted outcome, limits and verdict are formed in
     one pass, and its ``NodeReport`` is built once.  w keeps its origin
     (Theta, phi), so its kernel is sampled through Theta's residue form
     (``kernel_negative_squares``): w's coefficients are never compiled to
     floats and no root of its denominator is sought; the only root finding
     is ``is_nevanlinna``'s, of phi's denominator.  What does not depend on
-    phi -- Theta's grid and its values there, and its node table at the
-    nodes -- Theta keeps from the first parameter it certifies, so later
-    parameters of the same system pay only for their own work.  Returns the classification
+    phi -- Theta's grid and its values there, and its node table -- Theta
+    keeps from the first parameter it certifies, so later parameters of the
+    same system pay only for their own work.  Returns the classification
     report (with per-node verification attached), the transformed function,
     and its sampled negative-squares count, a lower bound of w's negative
     squares, which number the class index kappa - k.
@@ -508,9 +515,8 @@ def classify_and_verify(
     if not check.ok:
         raise NotNevanlinnaError("parameter kernel is not positive", check.witness)
     theta = build_theta(sys)
-    jets = lft_jets(theta, *phi.pair(), sys.X)
-    at_node = dict(zip(sys.X, jets))
-    w = _node_cancelled(theta, phi, [at_node[x] for x in theta.nodes])
+    jets = lft_jets(theta, *phi.pair())
+    w = _node_cancelled(theta, phi, jets)
     labels, outcomes, k = _classified(sys, phi)
     limits = _jet_node_limits(sys, {i: outcome.kind for i, outcome in enumerate(outcomes)}, jets)
     nodes = tuple(
@@ -593,7 +599,7 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
         candidates.append(RationalFunction(num, den))
     first = candidates[0]
     for other in candidates[1:]:
-        agree = (first == other) if sys.exact else first.isclose(other, 1e-8)
+        agree = (first == other) if sys.exact else first.isclose(other, UNIQUE_AGREEMENT_TOL)
         if not agree:
             raise NoSolutionRepresentationError(
                 "kernel vectors produced different unique solutions"

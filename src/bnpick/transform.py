@@ -215,12 +215,12 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
 
     p, q = phi.pair()
     if theta.exact and p.exact and q.exact:
-        zeros = (_exact_node_zeros(theta, p, q, theta.nodes) if jets is None
+        zeros = (_exact_node_zeros(theta, p, q) if jets is None
                  else [jet.zero_test["zero"] for jet in jets])
         w = _integer_node_cancelled(theta, p, q, zeros)
     else:
         if jets is None:
-            jets = lft_jets(theta, p, q, theta.nodes)
+            jets = lft_jets(theta, p, q)
         w = _float_node_cancelled(theta, p, q, jets)
     object.__setattr__(w, "_origin", (theta, phi))
     return w

@@ -22,6 +22,7 @@ from conftest import (
     golden_theta_mixed,
     golden_theta_two_regular,
     grid_system,
+    probe_set,
     random_fraction,
     random_invertible_system,
     rational_j_unitary,
@@ -261,6 +262,23 @@ class TestBuildTheta:
         fresh = b.build_system(data_two_regular())
         assert b.build_theta(fresh) is b.build_theta(fresh)
         assert b.build_theta(fresh) is not theta1 and b.build_theta(fresh) == theta1
+
+    def test_keeps_every_node(self):
+        # no row r_i = (te_i, -tc_i) is zero, so Theta's nodes are the
+        # system's, in its order, which classify_and_verify reads its jets in
+        rng = random.Random(25)
+        systems = [sys_ for n in (8, 32) for exact in (False, True)
+                   for sys_, _ in probe_set(n, exact)[::4]]
+        for _ in range(40):
+            sys_ = random_invertible_system(rng)
+            floated = b.build_system(b.InterpolationData(*(
+                tuple(float(v) for v in seq) for seq in (
+                    sys_.data.nodes, sys_.data.values, sys_.data.derivative_bounds,
+                    sys_.data.residues))))
+            systems += [sys_, floated] if floated.invertible else [sys_]
+        assert sum(not s.exact for s in systems) >= 30
+        for sys_ in systems:
+            assert b.build_theta(sys_).nodes == sys_.X
 
     def test_singular_pick_rejected(self, sys3):
         with pytest.raises(b.SingularPickError):

@@ -495,12 +495,13 @@ class TestOneBatchPerFunction:
 
     @staticmethod
     def assert_one_node_pass(sys_, critical, calls):
-        # the pass at every node serves w's cancellation and the limits of
-        # every node, so the zero test runs once, before phi's own jets
+        # the pass at every node (no index list) serves w's cancellation and
+        # the limits of every node, so the zero test runs once, before phi's
+        # own jets
         theta, (p, q) = b.build_theta(sys_), critical.pair()
         tests = ["node_zero_test", *(["_exact_node_zeros"] if sys_.exact else [])]
         assert [name for name, _ in calls] == ["lft_jets", *tests, "rational_jets"]
-        assert calls[0][1] == (theta, p, q, sys_.X)
+        assert calls[0][1] == (theta, p, q)
         assert calls[-1][1] == (critical.func, list(sys_.X))
 
     def test_maybe_missed_kernel_limit_rides_with_w(self, sys1, monkeypatch):

@@ -58,3 +58,34 @@ def test_every_numeric_constant_is_read():
     assert len(defined) >= 10, defined  # the scan sees the package's tolerances
     unread = sorted(f"{module}:{name}" for name, module in defined.items() if name not in read)
     assert not unread, f"module-level numeric constants that nothing reads: {unread}"
+
+
+# A float literal this small is a tolerance, whatever its use.
+TOLERANCE_SIZE = 1e-3
+
+
+def _unnamed_tolerances(tree) -> list:
+    """Lines of float literals with 0 < |v| < TOLERANCE_SIZE that are not the
+    whole (numeric) value of a module-level assignment."""
+    named = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if _is_number(node.value):
+                named.update(map(id, ast.walk(node.value)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and 0 < abs(node.value) < TOLERANCE_SIZE and id(node) not in named
+    ]
+
+
+def test_every_tolerance_is_named():
+    # a tolerance written inline, as a default or in an expression, fails
+    # here: it goes into a module-level name with its reason beside it
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _unnamed_tolerances(ast.parse(path.read_text()))
+    ]
+    assert not found, f"float literals below {TOLERANCE_SIZE} outside a named constant: {found}"

@@ -1,21 +1,25 @@
 """Theta's parameter-independent tables and the checks on ``GridConfig``.
 
-Theta keeps its sampling grid with its values there, and its node table at a
-point set, so that certifying several parameters of one system builds each
-once.  The reports must not depend on whether a table was warm.
+Theta keeps its sampling grid with its values there, for the last span and
+config, and one node table at its own nodes, so that certifying several
+parameters of one system, and reading w's limits at single nodes, builds
+each once.  The reports must not depend on whether a table was warm.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 import bnpick as b
 from bnpick import resolvent
 from bnpick._sections import DEFAULT_GRID, GridConfig, span_of
+from bnpick.boundary import JET_ORDERS
 
 from conftest import DENSE_GRID, grid_system, lane_parameters
 
+NodeTable = resolvent._NodeTable
 LANES = [(n, exact) for n in (8, 32) for exact in (False, True)]
 LANE_IDS = [f"n{n}-{'exact' if exact else 'float'}" for n, exact in LANES]
 
@@ -28,16 +32,27 @@ def lane(request):
 
 
 def counted_builds(monkeypatch):
-    built = {"_build_grid_table": 0, "_build_node_table": 0}
-    for name in built:
-        original = getattr(resolvent.RationalMatrix2x2, name)
+    """Count the grids a table is built on and the node tables built."""
+    built = {"grid": 0, "nodes": 0}
+    grid, node_table = resolvent.upper_half_grid, resolvent._NodeTable
 
-        def counting(self, *args, _name=name, _original=original):
-            built[_name] += 1
-            return _original(self, *args)
+    def grid_counting(*args):
+        built["grid"] += 1
+        return grid(*args)
 
-        monkeypatch.setattr(resolvent.RationalMatrix2x2, name, counting)
+    def node_counting(*args):
+        built["nodes"] += 1
+        return node_table(*args)
+
+    monkeypatch.setattr(resolvent, "upper_half_grid", grid_counting)
+    monkeypatch.setattr(resolvent, "_NodeTable", node_counting)
     return built
+
+
+def node_tables(theta) -> list:
+    """The names under which theta holds a node table itself, not behind a
+    key of the point set it was built for."""
+    return [k for k, v in vars(theta).items() if isinstance(v, NodeTable)]
 
 
 def fresh(sys_):
@@ -59,7 +74,23 @@ class TestTables:
         b.kernel_theta_negative_squares(sys_, theta)
         for phi in lane_parameters(exact):
             b.classify_and_verify(sys_, phi)
-        assert built == {"_build_grid_table": 1, "_build_node_table": 1}
+        assert built == {"grid": 1, "nodes": 1}
+
+    def test_single_node_limits_reuse_the_node_table(self, lane, monkeypatch):
+        # nt_limit at one node reads that node's row of Theta's one table,
+        # so it neither rebuilds the table nor evicts the one apply_lft reads
+        sys_, exact = lane
+        sys_ = fresh(sys_)
+        built = counted_builds(monkeypatch)
+        theta = b.build_theta(sys_)
+        for phi in lane_parameters(exact):
+            _, w, _ = b.classify_and_verify(sys_, phi)
+            for x in sys_.X:
+                for kind in b.LimitKind:
+                    b.nt_limit(w, x, kind)
+            assert b.apply_lft(theta, phi) == w
+        assert built["nodes"] == 1
+        assert node_tables(theta) == ["_node_table"]
 
     def test_warm_reports_equal_fresh_ones(self, lane):
         sys_, exact = lane
@@ -80,14 +111,15 @@ class TestTables:
             b.apply_lft(theta, phi)
         b.kernel_theta_negative_squares(sys_, theta, DENSE_GRID)
         b.kernel_theta_negative_squares(sys_, theta, DEFAULT_GRID)
-        held = {k: v for k, v in vars(theta).items() if k in ("_grid", "_nodes")}
-        assert set(held) == {"_grid", "_nodes"}
         span = span_of(sys_.X)
-        assert held["_grid"][0] == (span[0], span[1], DEFAULT_GRID)
-        assert held["_nodes"][0] == tuple(sys_.X)
-        z, values = held["_grid"][1]
+        key, (z, values) = vars(theta)["_grid"]
+        assert key == (span[0], span[1], DEFAULT_GRID)
         assert len(z) == len(values) == 12
-        for array in (z, values, *held["_nodes"][1]):
+        assert node_tables(theta) == ["_node_table"]
+        table = theta._node_table
+        assert table.weights.shape == (JET_ORDERS, sys_.n, sys_.n)
+        assert (table.weights[0] == np.eye(sys_.n)).all()
+        for array in (z, values, *table):
             assert not array.flags.writeable
 
 

@@ -288,7 +288,7 @@ class TestFloatNodeDeflation:
                 phi = float_parameter(exact_phi)
                 w = b.apply_lft(theta, phi)
                 p, q = phi.pair()
-                flagged = sum(boundary.node_zero_test(theta, p, q, theta.nodes)[0])
+                flagged = sum(boundary.node_zero_test(theta, p, q)[0])
                 shared = node_multiplicities(exact_theta, exact_phi)
                 assert flagged == sum(k > 0 for k in shared)
                 drop = sum(shared)
