@@ -21,11 +21,14 @@ for kind, x0 in ((LimitKind.VALUE, -0.5), (LimitKind.DERIVATIVE, -0.5),
     print(f"  {kind.value:15s} at {x0:+.1f}: {shown}")
 
 print("\nkernel positivity sampling:")
-for name, func in (("z", z), ("-1/z", neg_recip), ("(2z+1)/(2z-1)", f)):
-    print(f"  negative squares of K for {name}: {b.kernel_negative_squares(func)}")
+# each grid spans the function's real poles, (-1, 1) when it has none
+for name, func, span in (("z", z, (-1, 1)), ("-1/z", neg_recip, (0, 0)),
+                         ("(2z+1)/(2z-1)", f, (0.5, 0.5))):
+    print(f"  negative squares of K for {name}: {b.kernel_negative_squares(func, span=span)}")
 
 phi = b.Parameter.rational(b.RationalFunction([0, 0, 1]))  # z^2
-check = b.is_nevanlinna(phi)
+check = b.is_nevanlinna(phi)  # read from the Bezout matrix of z^2 / 1
 print(f"  z^2 in the Nevanlinna class: {check.ok} "
-      f"(witness eigenvalue {check.witness.eigenvalue:.2f} "
-      f"at {check.witness.points[0]:.2f})")
+      f"(witness: {check.witness.negatives} negative eigenvalue of its Bezout matrix B; "
+      f"v = ({', '.join(map(str, check.witness.vector))}) has v^T B v / v^T v = "
+      f"{check.witness.quotient})")

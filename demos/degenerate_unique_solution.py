@@ -36,7 +36,7 @@ print(f"  res w(1/2)   = {residual.value.real:+.12f} (prescribed 1)")
 
 print("\nbordered kernel count:", bundle.verification["fmi_count"],
       "== kappa:", bundle.verification["is_problem3_solution"])
-print("plain kernel count of w:", b.kernel_negative_squares(w))
+print("plain kernel count of w:", b.kernel_negative_squares(w, span=(-0.5, 0.5)))  # node span
 
 # uniqueness has teeth: any perturbation overshoots the kernel budget
 perturbed = w + b.RationalFunction([0.01], [2, 1])

@@ -82,15 +82,11 @@ def upper_half_grid(span, config: GridConfig = DEFAULT_GRID) -> list:
 
 
 def pole_free_grid(f, span, config: GridConfig) -> tuple:
-    """Grid points off the poles of a rational function, and the function
-    there.  Returns (points, values); a point on a pole is skipped, so
-    callers sample nothing twice.
-
-    Either way a point of ``upper_half_grid(span, config)`` is skipped where
-    the quotient's denominator is below POLE_TOL * max(1, |numerator|), and
-    no point is moved and no root is sought: a point skipped at an upper
-    pole only shrinks the sample, while the count over any point set is a
-    lower bound.
+    """(points, values): the points of ``upper_half_grid(span, config)``
+    where the quotient's denominator is at least POLE_TOL * max(1,
+    |numerator|), and the function there.  No point is moved and no root is
+    sought: a point skipped at an upper pole only shrinks the sample, and
+    the count over any point set is a lower bound.
 
     A function with no origin is sampled one grid point at a time by
     ``algebra._quotient``, the evaluator of ``RationalFunction.eval``, from
@@ -137,10 +133,11 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     return points, values
 
 
-def span_of(values, fallback=(-1.0, 1.0)):
+def span_of(values):
+    """(min, max) of the values as floats, (-1, 1) when there are none."""
     vals = [float(v) for v in values]
     if not vals:
-        return fallback
+        return (-1.0, 1.0)
     return (min(vals), max(vals))
 
 

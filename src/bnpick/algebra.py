@@ -52,9 +52,6 @@ TRIM_TOL = 1e-12         # relative size under which float coefficients vanish
 # Default rank_tol: |lambda| <= RANK_TOL max(1, spectral radius) is zero, as
 # eigvalsh errs by about n u times the radius, below 1e-13 here.
 RANK_TOL = 1e-9
-# np.roots returns a simple real root exactly real; |Im| < REAL_ROOT_TOL also
-# takes a pair split from a double root.  It sets only a sampled grid's span.
-REAL_ROOT_TOL = 1e-9
 # |Im| <= SCALAR_IMAG_TOL max(1, |z|) is complex arithmetic's residue on real
 # data, dropped in JSON; a larger imaginary part raises.
 SCALAR_IMAG_TOL = 1e-9
@@ -68,7 +65,7 @@ class GaussianRational(Fraction):
 
     The benchmark harness reads ``.re`` on the entries of an exact P
     (``perfbench/gen.py:68``) and names this class (``perfbench/gen.py:182``,
-    ``perfbench/layers.py:88``).  ROADMAP item 3's benchmark change reads
+    ``perfbench/layers.py:88``).  ROADMAP item 6's benchmark change reads
     those values as ``Fraction(v)``, and then this class and its one use go.
     Arithmetic on it gives plain ``Fraction`` values.
     """
@@ -447,14 +444,6 @@ class RationalFunction:
     def is_real(self) -> bool:
         return self.num.is_real() and self.den.is_real()
 
-    def real_poles(self) -> list:
-        """Real roots of the canonical denominator (float values), by
-        ``np.roots`` of its float coefficients; an exact coefficient beyond
-        the float range raises ``FloatRangeError``."""
-        import numpy as np
-
-        return sorted(r.real for r in np.roots(_compiled(self.den)) if abs(r.imag) < REAL_ROOT_TOL)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -760,7 +749,10 @@ class HermitianMatrix:
 
 def _spectral_inertia(eigs, rank_tol: float) -> Inertia:
     """Sign counts of a float spectrum (an ndarray), with
-    |lambda| <= rank_tol * max(1, spectral radius) counted as zero."""
+    |lambda| <= rank_tol * max(1, spectral radius) counted as zero; a
+    negative ``rank_tol`` is a ``ValueError``."""
+    if rank_tol < 0:
+        raise ValueError(f"rank_tol must be >= 0, not {rank_tol!r}")
     tol = rank_tol * max(1.0, float(abs(eigs).max(initial=0.0)))
     neg = int((eigs < -tol).sum())
     pos = int((eigs > tol).sum())
@@ -786,7 +778,8 @@ def hermitian_inertia(matrix, rank_tol: float = RANK_TOL) -> Inertia:
     Exact (real symmetric) entries are counted by ``symmetric_elimination``,
     with no tolerance involved.  Float entries are counted from the
     spectrum of the matrix's kept array, with
-    |lambda| <= rank_tol * max(1, spectral radius) treated as zero.
+    |lambda| <= rank_tol * max(1, spectral radius) treated as zero; a
+    negative ``rank_tol`` is a ``ValueError`` there.
     """
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
@@ -837,6 +830,7 @@ class Elimination(NamedTuple):
     inertia: Inertia
     solution: list | None  # rows of P^(-1) B (Fractions); None when P is singular
     kernel: list  # a basis of ker P (Fraction vectors); empty when P is invertible
+    negative: list | None  # a v with v^T P v < 0 (Fractions); None when P has no such v
 
 
 def symmetric_elimination(rows, rhs=None) -> Elimination:
@@ -863,6 +857,12 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
     of them and 0 at the others.  Otherwise row r of the pivot (r, c) holds
     p e_c and p times row c of P^(-1) B.
 
+    Over the pivots S taken so far, u_f = e_f - P_SS^(-1) P_Sf (``lifted``)
+    has u_f^T P u_f = the Schur complement's (f, f) entry, and the kernel
+    basis is u_f at the free columns.  The first negative pivot m gives
+    ``negative`` = u_m; a first 2x2 block (i, j) gives u_i -+ u_j, whose
+    form is -2 times the block's |a|.
+
     ``rows`` are the rows of P (ints or Fractions); ``rhs`` the rows of B,
     with no columns by default.
     """
@@ -876,6 +876,13 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
     pivot_rows = {}  # pivot column -> its row
     neg = pos = 0
     prev = 1
+    negative = None
+
+    def lifted(f):
+        vec = [Fraction(int(k == f)) for k in range(n)]
+        for c, r in pivot_rows.items():
+            vec[c] = Fraction(-a[r][f], prev)
+        return vec
 
     def step(r, c):
         nonlocal prev
@@ -894,6 +901,7 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
                 pos += 1
             else:
                 neg += 1
+                negative = negative or lifted(m)
             step(m, m)
             remaining.remove(m)
             continue
@@ -904,6 +912,9 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
         if pair is None:
             break
         i, j = pair
+        if negative is None:
+            sign = 1 if (a[i][j] > 0) == (prev > 0) else -1
+            negative = [x - sign * y for x, y in zip(lifted(i), lifted(j))]
         step(i, j)
         step(j, i)
         neg += 1
@@ -912,12 +923,6 @@ def symmetric_elimination(rows, rhs=None) -> Elimination:
         remaining.remove(j)
     inertia = Inertia(neg, len(remaining), pos)
     if remaining:
-        kernel = []
-        for f in remaining:
-            vec = [Fraction(int(k == f)) for k in range(n)]
-            for c, r in pivot_rows.items():
-                vec[c] = Fraction(-a[r][f], prev)
-            kernel.append(vec)
-        return Elimination(inertia, None, kernel)
+        return Elimination(inertia, None, [lifted(f) for f in remaining], negative)
     solution = [[Fraction(x, prev) for x in a[pivot_rows[c]][n:]] for c in range(n)]
-    return Elimination(inertia, solution, [])
+    return Elimination(inertia, solution, [], negative)

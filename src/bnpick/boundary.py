@@ -469,25 +469,12 @@ def _times(r, m) -> tuple:
     return r.numerator * (m // g), r.denominator // g
 
 
-def kernel_negative_squares(
-    f: RationalFunction,
-    config: GridConfig = DEFAULT_GRID,
-    span=None,
-) -> int:
-    """Sampled negative-squares lower bound of the Nevanlinna kernel of f.
-
-    The kernel is sampled on the pole-free grid of ``config`` over ``span``
-    (by default the span of f's real poles, or of Theta's nodes for a w with
-    an origin, which ``pole_free_grid`` samples through Theta's residue form
-    and never through w's coefficients).  The count is the number of
-    eigenvalues of the whole sampled kernel below
-    -config.eig_tol * max(1, max|lambda|).  By Cauchy interlacing no subset
-    of the sample points shows more negative eigenvalues, and the kernel's
-    negative squares are at least this many.
-    """
-    if span is None:
-        poles = f.real_poles() if f._origin is None else f._origin[0].nodes
-        span = span_of(poles, fallback=(-1.0, 1.0))
+def kernel_negative_squares(f: RationalFunction, config: GridConfig = DEFAULT_GRID, *, span) -> int:
+    """Sampled negative-squares lower bound of the Nevanlinna kernel of f:
+    ``negative_count`` of the kernel on the pole-free grid of ``config`` over
+    ``span`` (a (low, high) pair, such as the span of the nodes), where a w
+    with an origin is sampled through Theta's residue form, never through
+    w's coefficients (``pole_free_grid``)."""
     points, values = pole_free_grid(f, span, config)
     return negative_count(nevanlinna_kernel(points, values), config.eig_tol)
 

@@ -111,8 +111,8 @@ def _float_entry(obj: dict, key: str, default: float) -> float:
         value = float(obj.get(key, default))
     except (TypeError, ValueError):
         value = math.nan
-    if not math.isfinite(value):
-        raise InputError(f"config {key!r} must be a number")
+    if not math.isfinite(value) or value < 0:
+        raise InputError(f"config {key!r} must be a number >= 0")
     return value
 
 
@@ -337,11 +337,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         witness = getattr(exc, "witness", None)
         if witness is not None:
-            print(
-                f"witness: eigenvalue {witness.eigenvalue:.3e} at points "
-                f"{[str(p) for p in witness.points]}",
-                file=_sys.stderr,
-            )
+            vector = ", ".join(map(str, witness.vector))
+            print(f"witness: {witness.negatives} negative eigenvalue(s) of the Bezout matrix B; "
+                  f"v = [{vector}] has v^T B v / v^T v = {witness.quotient}", file=_sys.stderr)
         return 3
 
 

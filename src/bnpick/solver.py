@@ -499,8 +499,7 @@ def classify_and_verify(
     one pass, and its ``NodeReport`` is built once.  w keeps its origin
     (Theta, phi), so its kernel is sampled through Theta's residue form
     (``kernel_negative_squares``): w's coefficients are never compiled to
-    floats and no root of its denominator is sought; the only root finding
-    is ``is_nevanlinna``'s, of phi's denominator.  What does not depend on
+    floats, and no polynomial is rooted.  What does not depend on
     phi -- Theta's grid and its values there, and its node table -- Theta
     keeps from the first parameter it certifies, so later parameters of the
     same system pay only for their own work.  Returns the classification
@@ -511,7 +510,7 @@ def classify_and_verify(
     from .resolvent import build_theta
     from .transform import _node_cancelled, is_nevanlinna
 
-    check = is_nevanlinna(phi, config)
+    check = is_nevanlinna(phi)
     if not check.ok:
         raise NotNevanlinnaError("parameter kernel is not positive", check.witness)
     theta = build_theta(sys)

@@ -6,8 +6,8 @@ function with real coefficients.  Applying the resolvent by
     w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22)
 
 (with w = Theta11/Theta21 for phi = infinity) produces the candidate
-interpolants; membership of a rational parameter in the Nevanlinna class is
-certified by sampling its kernel for positive semidefiniteness.
+interpolants; a rational parameter is in the Nevanlinna class exactly when
+its Bezout matrix has no negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from ._sections import DEFAULT_GRID, GridConfig, nevanlinna_kernel, pole_free_grid, span_of
 from .algebra import (
     Polynomial,
     RationalFunction,
@@ -27,13 +26,12 @@ from .algebra import (
     _scaled_value,
     scalar_from_json,
     scalar_to_json,
+    symmetric_elimination,
 )
 from .errors import DegenerateTransformError, NotNevanlinnaError
 
 if TYPE_CHECKING:
     from .resolvent import RationalMatrix2x2
-
-NEVANLINNA_EIG_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,11 @@ class Parameter:
 
 @dataclass(frozen=True)
 class NevanlinnaWitness:
-    """Offending sample points and the negative eigenvalue they show."""
+    """nu_-(B), an exact v with v^T B v < 0, and v^T B v / v^T v >= lambda_min(B)."""
 
-    points: tuple
-    eigenvalue: float
+    negatives: int
+    vector: tuple
+    quotient: Fraction
 
 
 @dataclass(frozen=True)
@@ -132,35 +131,40 @@ class NevanlinnaCheck:
         return self.ok
 
 
-def is_nevanlinna(phi: Parameter, config: GridConfig = DEFAULT_GRID) -> NevanlinnaCheck:
-    """Sampled positivity certificate of the Nevanlinna kernel.
+def _bezout(p: Polynomial, q: Polynomial) -> list:
+    """Rows of the d x d Bezout matrix B, (p(z) q(w) - p(w) q(z)) / (z - w) =
+    sum B_jk z^j w^k with d = max(deg p, deg q), as ``Fraction`` values (a
+    float coefficient's real part is the dyadic rational it holds)."""
+    d = max(p.degree, q.degree)
+    pc, qc = ([Fraction(c.real) for c in g.coeffs] + [0] * (d + 1 - len(g.coeffs)) for g in (p, q))
+    rows = [[0] * d for _ in range(d)]
+    for j in range(d + 1):
+        for i in range(j):
+            c = pc[j] * qc[i] - pc[i] * qc[j]
+            for m in range(j - i):
+                rows[i + m][j - 1 - m] += c
+    return rows
 
-    Constants and infinity pass trivially.  For rational parameters the
-    kernel (phi(z) - phi(w)*) / (z - conj(w)) is sampled on the grid over
-    the span of phi's real poles, skipping grid points that hit a pole of
-    phi.  The first point whose diagonal entry Im phi(z) / Im z lies below
-    -slack * max(1, |entry|) is returned alone as the witness.  Otherwise the parameter fails when the
-    least eigenvalue of the whole sampled matrix lies below -slack *
-    max(1, max|lambda|); the witness is then every sample point with that
-    eigenvalue.  By Cauchy interlacing the whole matrix shows a negative
-    eigenvalue whenever any of its principal sections does.
+
+def is_nevanlinna(phi: Parameter) -> NevanlinnaCheck:
+    """Whether phi is in the Nevanlinna class, from its Bezout matrix.
+
+    Constants and infinity pass.  For phi = p/q with real p and q, the
+    kernel (phi(z) - conj phi(w)) / (z - conj w) is v(z) B v(w)* /
+    (q(z) conj q(w)) with v(z) = (1, z, ..., z^(d-1)) and B = ``_bezout(p, q)``,
+    so its negative squares are B's negative eigenvalues (Krein and Naimark,
+    1936), counted exactly on both lanes by ``symmetric_elimination``, which
+    also gives a rejection's exact witness.
     """
     if phi.kind in ("const", "inf"):
         return NevanlinnaCheck(True)
-    import numpy as np
-
-    func = phi.func
-    span = span_of(func.real_poles(), fallback=(-1.0, 1.0))
-    points, values = pole_free_grid(func, span, config)
-    kernel = nevanlinna_kernel(points, values)
-    for z, d in zip(points, kernel.diagonal().real):
-        if d < -NEVANLINNA_EIG_SLACK * max(1.0, abs(d)):
-            return NevanlinnaCheck(False, NevanlinnaWitness((z,), float(d)))
-    eigs = np.linalg.eigvalsh(kernel)
-    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    if eigs[0] < -NEVANLINNA_EIG_SLACK * scale:
-        return NevanlinnaCheck(False, NevanlinnaWitness(tuple(points), float(eigs[0])))
-    return NevanlinnaCheck(True)
+    bezout = _bezout(*phi.pair())
+    elimination = symmetric_elimination(bezout)
+    negatives, v = elimination.inertia.negatives, elimination.negative
+    if not negatives:
+        return NevanlinnaCheck(True)
+    form = sum(x * y * c for x, row in zip(v, bezout) for y, c in zip(v, row))
+    return NevanlinnaCheck(False, NevanlinnaWitness(negatives, tuple(v), form / sum(x * x for x in v)))
 
 
 def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:

@@ -88,6 +88,12 @@ def loop_kernel(f, points):
     return (out + out.conj().T) / 2.0
 
 
+def real_poles(f):
+    """Real roots of f's denominator by ``np.roots``, |Im| < 1e-9 taken as
+    real: the reference span of the grids that tests sample f on."""
+    return sorted(r.real for r in np.roots(_compiled(f.den)) if abs(r.imag) < 1e-9)
+
+
 def rational_j_unitary(theta):
     """Theta J Theta^T == J entry by entry in rational-function arithmetic.
 

@@ -121,8 +121,8 @@ def test_criterion_6_kernel_counts():
                 w, span=(min(map(float, sys_.X)), max(map(float, sys_.X)))
             )
             assert count <= sys_.kappa
-    assert b.kernel_negative_squares(unique_solution()) == 1
-    assert b.kernel_negative_squares(rf((0, 1))) == 0
+    assert b.kernel_negative_squares(unique_solution(), span=(0.5, 0.5)) == 1
+    assert b.kernel_negative_squares(rf((0, 1)), span=(-1.0, 1.0)) == 0
 
 
 @report(7, "classification soundness sweep")

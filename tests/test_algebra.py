@@ -259,6 +259,12 @@ class TestHermitianInertia:
         m = b.HermitianMatrix([[0, 2], [2, 0]])
         assert b.hermitian_inertia(m) == (1, 0, 1)
 
+    def test_negative_rank_tol_rejected(self):
+        # at rank_tol = -1 the float count read Inertia(neg=2, zero=-2, pos=3)
+        with pytest.raises(ValueError, match="rank_tol"):
+            b.hermitian_inertia(b.HermitianMatrix(np.diag([0.5, -0.5, 2.0])), -1)
+        assert b.hermitian_inertia(b.HermitianMatrix(np.diag([0.5, -0.5, 0.0])), 0) == (1, 1, 1)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             b.HermitianMatrix([[0, 1], [2, 0]])
@@ -431,10 +437,26 @@ class TestSymmetricElimination:
         assert zeros_seen >= 60 and two_by_two >= 40
 
     def test_empty_and_zero_matrices(self):
-        assert symmetric_elimination([]) == ((0, 0, 0), [], [])
+        assert symmetric_elimination([]) == ((0, 0, 0), [], [], None)
         out = symmetric_elimination([[0, 0], [0, 0]])
         assert out.inertia == (0, 2, 0) and out.solution is None
         assert out.kernel == [[1, 0], [0, 1]]
+
+    def test_negative_direction(self):
+        # mostly-zero diagonals reach the 2x2 blocks as well as the pivots
+        rng = random.Random(27)
+        for _ in range(500):
+            n = rng.randint(1, 6)
+            m = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + (rng.random() < 0.7), n):
+                    m[i][j] = m[j][i] = F(rng.choice([0, 0, 1, -1, 2, -3]))
+            out = symmetric_elimination(m)
+            v = out.negative
+            if out.inertia.negatives:
+                assert sum(x * y * c for x, row in zip(v, m) for y, c in zip(v, row)) < 0
+            else:
+                assert v is None
 
     def test_accepts_gaussian_rational_rows(self):
         rows = b.HermitianMatrix([[F(1, 2), F(-3)], [F(-3), 0]]).rows

@@ -23,6 +23,7 @@ from conftest import (
     loop_kernel,
     probe_set,
     random_fraction,
+    real_poles,
     reference_nt_limit,
     rf,
     unique_solution,
@@ -169,7 +170,7 @@ class TestPoleFreeGrid:
         skipped = 0
         for f in functions:
             for config in (b.DEFAULT_GRID, DENSE_GRID):
-                span = span_of(f.real_poles(), fallback=(-1.0, 1.0))
+                span = span_of(real_poles(f))
                 points, values = pole_free_grid(f, span, config)
                 ref_points, ref_values = point_by_point_grid(f, span, config)
                 assert points == ref_points
@@ -185,11 +186,12 @@ class TestPoleFreeGrid:
         on_pole = [z for z in grid if abs(z - (0.4 + 0.3j)) < 1e-12]
         assert len(on_pole) == 1
         for f in (rf((20,), (5, -16, 20)), rf((1.0,), (0.25, -0.8, 1.0))):
-            assert f.real_poles() == []
+            assert real_poles(f) == []
             points, values = pole_free_grid(f, (-1.0, 1.0), b.DEFAULT_GRID)
             assert points == [z for z in grid if z not in on_pole]
             kernel = nevanlinna_kernel(points, values)
-            assert b.kernel_negative_squares(f) == negative_count(kernel, b.DEFAULT_GRID.eig_tol)
+            count = b.kernel_negative_squares(f, span=(-1.0, 1.0))
+            assert count == negative_count(kernel, b.DEFAULT_GRID.eig_tol)
 
     def test_w_is_sampled_through_its_origin(self):
         # apply_lft's w is sampled through Theta's residue form on Theta's
@@ -259,27 +261,29 @@ class TestCaratheodoryJulia:
 class TestKernelNegativeSquares:
     def test_identity_is_positive(self):
         for config in (b.DEFAULT_GRID, DENSE_GRID):
-            assert b.kernel_negative_squares(rf((0, 1)), config=config) == 0
+            assert b.kernel_negative_squares(rf((0, 1)), config=config, span=(-1.0, 1.0)) == 0
 
     def test_unique_solution_has_one(self):
         for config in (b.DEFAULT_GRID, DENSE_GRID):
-            assert b.kernel_negative_squares(unique_solution(), config=config) == 1
+            count = b.kernel_negative_squares(unique_solution(), config=config, span=(0.5, 0.5))
+            assert count == 1
 
     def test_negative_reciprocal_is_positive(self):
         for config in (b.DEFAULT_GRID, DENSE_GRID):
-            assert b.kernel_negative_squares(rf((-1,), (0, 1)), config=config) == 0
+            assert b.kernel_negative_squares(rf((-1,), (0, 1)), config=config, span=(0.0, 0.0)) == 0
 
     def test_counts_the_whole_sampled_matrix(self):
         # sum of 1/(z - x) over eight poles: eight negative squares, more
         # than any six sample points can show
         poles = sum((rf((1,), (-x, 1)) for x in range(8)), rf((0,)))
         for f in (rf((0, 1)), unique_solution(), rf((0, 0, 1)), rf((0, 2, 0, 1)), poles):
-            points, _ = pole_free_grid(f, span_of(f.real_poles()), DENSE_GRID)
+            span = span_of(real_poles(f))
+            points, _ = pole_free_grid(f, span, DENSE_GRID)
             kernel = loop_kernel(f, points)
             built = nevanlinna_kernel(points, [complex(f.eval(z)) for z in points])
             assert np.array_equal(built, kernel)
             expected = negative_count(kernel, DENSE_GRID.eig_tol)
-            assert b.kernel_negative_squares(f, config=DENSE_GRID) == expected
+            assert b.kernel_negative_squares(f, config=DENSE_GRID, span=span) == expected
 
 
 class TestFmiCheck:

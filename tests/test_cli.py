@@ -152,7 +152,10 @@ class TestApply:
         code, _, err = run(capsys, "apply", "--problem", str(DEMOS / "ex101.json"),
                            "--param", '{"type":"rational","num":[0,0,1],"den":[1]}')
         assert code == 3
-        assert "witness" in err
+        # z^2 has the Bezout matrix [[0, 1], [1, 0]]
+        assert err.splitlines()[1] == (
+            "witness: 1 negative eigenvalue(s) of the Bezout matrix B; "
+            "v = [1, -1] has v^T B v / v^T v = -1")
 
     def test_degenerate_problem_exits_3(self, capsys):
         code, _, _ = run(capsys, "apply", "--problem", str(DEMOS / "ex103.json"),
@@ -361,6 +364,17 @@ def test_im_levels_off_the_upper_half_plane_exit_2(capsys, tmp_path, command, pa
                          "--param", param, "--config", str(tmp_path / "config.json"))
     assert code == 2 and not out
     assert err.startswith("error: ") and err.count("\n") == 1 and "grid.im_levels" in err
+
+
+@pytest.mark.parametrize("key", ["rank_tol", "verify_tol"])
+def test_negative_tolerance_exits_2(capsys, tmp_path, key):
+    # rank_tol = -1 on the float lane read ex103's singular P as kappa = 2
+    # with -1 zero eigenvalues, and exited 0
+    (tmp_path / "config.json").write_text(json.dumps({"backend": "float", key: -1}))
+    code, out, err = run(capsys, "pick", "--problem", str(DEMOS / "ex103.json"),
+                         "--config", str(tmp_path / "config.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
 
 
 def test_config_documents_accepted_before_stay_accepted():

@@ -299,7 +299,7 @@ class TestLftJets:
         # its values on the grid out to |z| = 2.3 do not
         w = b.apply_lft(theta, b.Parameter.rational(b.RationalFunction([0.0] * 40 + [1e300])))
         with pytest.raises(b.FloatRangeError, match="sampling grid"):
-            b.kernel_negative_squares(w)
+            b.kernel_negative_squares(w, span=span_of(theta.nodes))
 
 
 def lane_report(n, exact):

@@ -174,6 +174,15 @@ class TestBuildPick:
 
 
 class TestBuildSystem:
+    def test_negative_rank_tol_rejected_on_the_float_lane(self):
+        # at rank_tol = -1 the float system of this singular P read
+        # Inertia(neg=2, zero=-1, pos=1), kappa = 2
+        d = b.InterpolationData(nodes=(-0.5, 0.5), values=(0.0,),
+                                derivative_bounds=(-1.0,), residues=(1.0,))
+        with pytest.raises(ValueError, match="rank_tol"):
+            b.build_system(d, -1)
+        assert b.build_system(d).inertia == (1, 1, 0)
+
     def test_two_regular_derived(self, sys1):
         assert sys1.tilde_e == (F(0), F(1))
         assert sys1.tilde_c == (F(1, 2), F(1, 2))

@@ -89,3 +89,16 @@ def test_every_tolerance_is_named():
         for line in _unnamed_tolerances(ast.parse(path.read_text()))
     ]
     assert not found, f"float literals below {TOLERANCE_SIZE} outside a named constant: {found}"
+
+
+def test_nothing_roots_a_polynomial():
+    # counts and classes are read from matrices, never from a polynomial's
+    # roots: a `.roots(` call, as np.roots or numpy.polynomial's, fails here
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "roots"
+    ]
+    assert not found, f"root finding in the package: {found}"

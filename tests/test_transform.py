@@ -14,6 +14,7 @@ from conftest import (
     grid_system,
     loop_kernel,
     probe_set,
+    random_fraction,
     random_invertible_system,
     rf,
 )
@@ -60,21 +61,80 @@ class TestIsNevanlinna:
         assert b.is_nevanlinna(b.Parameter.rational(rf((-1,), (0, 1)))).ok
 
     def test_square_fails_with_small_witness(self):
-        check = b.is_nevanlinna(b.Parameter.rational(rf((0, 0, 1))))
-        assert not check.ok
-        assert len(check.witness.points) == 1
-        assert check.witness.eigenvalue < 0
+        # z^2 = z^2 / 1 has the Bezout matrix [[0, 1], [1, 0]], whose one
+        # negative eigenvalue, -1, has the eigenvector (1, -1)
+        for phi in (rf((0, 0, 1)), rf((0.0, 0.0, 1.0))):
+            witness = b.is_nevanlinna(b.Parameter.rational(phi)).witness
+            assert witness == transform.NevanlinnaWitness(1, (1, -1), -1)
 
     def test_indefinite_kernel_with_positive_diagonal_fails(self):
-        # Im(z^3 + 2z) / Im z = 3x^2 - y^2 + 2 > 0 on the default grid, yet
-        # the kernel of a cubic has negative squares
+        # Im(z^3 + 2z) / Im z = 3x^2 - y^2 + 2 > 0 near the axis, yet the
+        # kernel of a cubic has negative squares; the witness is an exact
+        # direction of B with v^T B v < 0, whose Rayleigh quotient bounds
+        # B's least eigenvalue, and K(z, w) = v(z) B v(w)* / (q(z) conj q(w))
+        # on sample points (q = 1; loop_kernel holds K(z_j, z_i) at [i, j])
         phi = rf((0, 2, 0, 1))
         check = b.is_nevanlinna(b.Parameter.rational(phi))
-        assert not check.ok
-        assert len(check.witness.points) > 1
-        assert check.witness.eigenvalue < 0
-        least = np.linalg.eigvalsh(loop_kernel(phi, list(check.witness.points)))[0]
-        assert check.witness.eigenvalue == pytest.approx(least, rel=1e-12, abs=1e-12)
+        assert not check.ok and check.witness.negatives == 1
+        rows = transform._bezout(*b.Parameter.rational(phi).pair())
+        v = check.witness.vector
+        form = sum(x * y * c for x, row in zip(v, rows) for y, c in zip(v, row))
+        assert form < 0 and check.witness.quotient == form / sum(x * x for x in v)
+        bezout = np.array(rows, dtype=float)
+        assert np.linalg.eigvalsh(bezout)[0] <= float(check.witness.quotient)
+        points = [complex(x, y) for x in (-1.5, 0.2, 2.0) for y in (0.3, 1.1)]
+        vander = np.vander(points, 3, increasing=True)
+        assert vander.conj() @ bezout @ vander.T == pytest.approx(loop_kernel(phi, points))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_small_negative_mass_is_rejected(self, exact):
+        # -1/(z - 3) + 1e-8/(z - 3.01): the second pole has negative mass.
+        # B's exact eigenvalues are about -995 and 1e17, below a float
+        # eigensolver's resolution; the count and the witness are exact, on
+        # the float lane of the dyadic rationals its coefficients hold
+        phi = rf((-1,), (-3, 1)) + rf((F(1, 10 ** 8),), (F(-301, 100), 1))
+        if not exact:
+            phi = b.RationalFunction(*(b.Polynomial([float(v) for v in g.coeffs])
+                                       for g in (phi.num, phi.den)))
+        check = b.is_nevanlinna(b.Parameter.rational(phi))
+        assert not check.ok and check.witness.negatives == 1
+        assert check.witness.quotient < 0
+
+    def test_far_negative_pole_is_rejected_on_the_float_lane(self):
+        # z + 1/(z - 200) has a unit negative mass at 200; its B is
+        # [[t^2 - 1, -t], [-t, 1]] at t = 200, with det -1 and so a negative
+        # eigenvalue of about -1/t^2, under a float rank tolerance's 1e-9 t^2
+        phi = b.RationalFunction([1.0, -200.0, 1.0], [-200.0, 1.0])
+        check = b.is_nevanlinna(b.Parameter.rational(phi))
+        assert not check.ok and check.witness.negatives == 1
+
+    def test_exact_class_needs_no_float_range(self):
+        # the inertia and the witness are exact, so no coefficient is
+        # converted to a float
+        assert b.is_nevanlinna(b.Parameter.rational(rf((0, 10 ** 400)))).ok
+        witness = b.is_nevanlinna(b.Parameter.rational(rf((0, -(10 ** 400))))).witness
+        assert witness == transform.NevanlinnaWitness(1, (1,), -(10 ** 400))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_negative_squares_match_partial_fractions(self, exact):
+        # phi = a z + c + sum m_j / (t_j - z) has nu_- = [a < 0] + #{m_j < 0}
+        # negative squares; on the float lane phi's coefficients are rounded,
+        # and the count of the rounded function is the same
+        rng = random.Random(2701)
+        for _ in range(400):
+            a, c = random_fraction(rng), random_fraction(rng)
+            poles = rng.sample([F(k, 3) for k in range(-12, 13)], rng.randint(0, 4))
+            masses = [random_fraction(rng, nonzero=True) for _ in poles]
+            phi = sum((rf((m,), (t, -1)) for m, t in zip(masses, poles)), rf((c, a)))
+            expected = (a < 0) + sum(m < 0 for m in masses)
+            if not exact:
+                phi = b.RationalFunction(*(b.Polynomial([float(v) for v in g.coeffs])
+                                           for g in (phi.num, phi.den)))
+            check = b.is_nevanlinna(b.Parameter.rational(phi))
+            assert check.ok == (expected == 0)
+            if expected:
+                assert check.witness.negatives == expected
+                assert check.witness.quotient < 0
 
     def test_square_kernel_value_at_reference_point(self):
         # the 1x1 kernel section of z^2 at -1+i is Im((-1+i)^2)/Im(-1+i) = -2
@@ -250,8 +310,8 @@ class TestFloatNodeDeflation:
             assert w.den.coeffs == reference.den.coeffs
 
     def test_certify_never_roots_for_a_gcd(self, monkeypatch):
-        # the one root finding of a certify op is is_nevanlinna's, of phi's
-        # denominator; w's polynomials are never rooted
+        # a certify op roots no polynomial: not w's for a gcd, and not
+        # phi's, whose class is read from its Bezout matrix
         rooted, roots = [], np.roots
 
         def counted_roots(coeffs):
@@ -264,8 +324,7 @@ class TestFloatNodeDeflation:
             rooted.clear()
             report, _, _ = b.classify_and_verify(sys_, phi)
             assert all(node.verification.ok for node in report.nodes)
-            rational = phi.kind == "rational"
-            assert rooted == ([list(algebra._compiled(phi.func.den))] if rational else [])
+            assert rooted == []
 
     def test_node_parameters_deflate_like_the_exact_lane(self):
         # phi = eta_i shares (z - x_i) once, eta_i + tau_i (z - x_i) once or
