@@ -370,10 +370,12 @@ class RationalFunction:
     A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
     from as ``_origin`` (None for every other function): its boundary jets
     and grid values are read from Theta's residue form, never from its own
-    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  The
-    origin is not part of the value: ``==`` and ``hash`` read only the
-    numerator and denominator, and arithmetic on w gives a function without
-    one.
+    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  A
+    float w is only its origin: its numerator and denominator are expanded
+    from it when first read (``__getattr__``), so a certify op, which reads
+    neither, forms no polynomial of w.  The origin is not part of the value:
+    ``==`` and ``hash`` read only the numerator and denominator, and
+    arithmetic on w gives a function without one.
     """
 
     __slots__ = ("num", "den", "exact", "_origin")
@@ -400,6 +402,21 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    def __getattr__(self, name):
+        """num and den of a float w that ``transform.apply_lft`` left unset,
+        expanded from its origin on the first read of either: Python calls
+        this only where a lookup fails, so no other function pays for it.
+        The expansion is deterministic, so it is the one the transform would
+        have formed."""
+        if name not in ("num", "den") or self._origin is None:
+            raise AttributeError(f"'RationalFunction' object has no attribute {name!r}")
+        from .transform import _expansion
+
+        num, den = _expansion(*self._origin)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return num if name == "num" else den
 
     @staticmethod
     def _reduce(num, den, exact):

@@ -388,9 +388,10 @@ def function_jets(f: RationalFunction, points) -> list:
     A w that ``apply_lft`` built keeps its origin (Theta, phi); where every
     point is a node of Theta its jets come from Theta's residue form, read
     at those nodes' indices (``lft_jets``), as ``classify_and_verify``
-    reads them, because a float w's own top coefficients are lost
-    (``TRIM_TOL``).  Every other function, and w away from the nodes, takes
-    the jets of its own coefficients (``rational_jets``).
+    reads them: a float w is its origin, and its coefficients, expanded
+    only when read, are off from n of about 16.  Every other function, and
+    w away from the nodes, takes the jets of its own coefficients
+    (``rational_jets``), which expands a float w.
     """
     origin = f._origin
     if origin is not None:

@@ -174,9 +174,25 @@ def _load_candidate(args) -> RationalFunction:
         if phi.is_infinite:
             raise InvalidDataError("the infinite parameter is not a candidate function")
         return phi.as_rational()
+    if isinstance(doc, dict) and "theta" in doc:
+        from .transform import apply_lft
+
+        return apply_lft(*_parse(_realization, doc, "candidate"))
     if isinstance(doc, dict) and "num" in doc and "den" in doc:
         return _parse(RationalFunction.from_json, doc, "candidate")
-    raise InputError("candidate must be {'num': [...], 'den': [...]} or a parameter")
+    raise InputError("candidate must be {'num': [...], 'den': [...]}, "
+                     "{'theta': ..., 'phi': ...} or a parameter")
+
+
+def _realization(doc) -> tuple:
+    """(Theta, phi) of a float ``apply`` document's w: Theta's residue form
+    (``RationalMatrix2x2.from_json``) and phi's parameter document."""
+    from .resolvent import RationalMatrix2x2
+    from .transform import Parameter
+
+    if not isinstance(doc["phi"], dict):
+        raise TypeError("'phi' must be a parameter document")
+    return RationalMatrix2x2.from_json(doc["theta"]), Parameter.from_json(doc["phi"])
 
 
 def _parse(from_json, doc, what: str):
@@ -274,8 +290,11 @@ def cmd_apply(args) -> int:
     report, w, sampled = classify_and_verify(
         system, phi, config=config.grid, tol=config.verify_tol
     )
+    # a float w is written as what was certified, its origin (Theta, phi),
+    # which verify reads back; its coefficients are never expanded
     doc = {
-        "w": w.to_json(),
+        "w": w.to_json() if w.exact else {"theta": w._origin[0].residue_json(),
+                                          "phi": phi.to_json()},
         "classification": [n.to_json() for n in report.nodes],
         "k": report.k,
         "class_index": report.class_index,

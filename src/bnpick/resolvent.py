@@ -17,7 +17,8 @@ that sum (the stable partial-fraction form, where expanded monomial
 coefficients lose the float lane at n of about 20), its poles are exactly
 the nodes with a nonzero residue, and its entries -- real rational
 functions whose golden displays compare by exact coefficient equality --
-are expanded from the same form only when they are asked for.
+are expanded from the same form only when they are asked for.  A float
+matrix is written as its residue form, and an exact one as its entries.
 
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
@@ -67,6 +68,8 @@ from .algebra import (
     _cleared_integers,
     _deflate,
     _integer_form,
+    scalar_from_json,
+    scalar_to_json,
 )
 from .errors import (
     FloatRangeError,
@@ -409,11 +412,52 @@ class RationalMatrix2x2:
         return hash(self.entries)
 
     def to_json(self) -> dict:
+        """An exact matrix's canonical entries, and a float matrix's residue
+        form (``residue_json``), which is what it is evaluated from: its
+        expanded float entries lose accuracy from n of about 16, where their
+        values were off by up to 2e2 relative on the probe systems of
+        tests/conftest.py."""
+        if not self.exact:
+            return self.residue_json()
         return {
             "entries": [[self.entries[i][j].to_json() for j in range(2)] for i in range(2)],
             "kappa": self.kappa,
             "poles": [float(p) for p in self.poles],
         }
+
+    def residue_json(self) -> dict:
+        """The residue form as a document, which ``from_json`` reads back:
+        the nodes, the left columns and the right rows, in the nodes' order,
+        with ``kappa`` and the sorted poles."""
+        return {
+            "nodes": [scalar_to_json(x) for x in self.nodes],
+            "left": [[scalar_to_json(v) for v in l] for l in self.left],
+            "right": [[scalar_to_json(v) for v in r] for r in self.right],
+            "kappa": self.kappa,
+            "poles": [float(p) for p in self.poles],
+        }
+
+    @staticmethod
+    def from_json(doc) -> "RationalMatrix2x2":
+        """The matrix of a ``residue_json`` document, with the values its
+        scalars give (``scalar_from_json``).  Unequal counts of nodes, left
+        columns and right rows, a column or row that is not a pair, repeated
+        nodes, a non-integer ``kappa`` and a non-finite or malformed number
+        are each a ``ValueError`` or ``TypeError``; a missing field is a
+        ``KeyError``."""
+        nodes = [scalar_from_json(x) for x in doc["nodes"]]
+        left, right = ([tuple(map(scalar_from_json, f)) for f in doc[key]]
+                       for key in ("left", "right"))
+        if not len(nodes) == len(left) == len(right):
+            raise ValueError("a residue form needs one left column and one right row per node")
+        if any(len(f) != 2 for f in (*left, *right)):
+            raise ValueError("each left column and right row of a residue form is a pair")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("the nodes of a residue form must be distinct")
+        kappa = doc.get("kappa")
+        if kappa is not None and type(kappa) is not int:
+            raise TypeError(f"kappa must be an integer, not {kappa!r}")
+        return _residue_matrix_form(nodes, left, right, kappa)
 
 
 class _NodeTable(NamedTuple):

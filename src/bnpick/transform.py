@@ -33,6 +33,8 @@ from .errors import DegenerateTransformError, NotNevanlinnaError
 if TYPE_CHECKING:
     from .resolvent import RationalMatrix2x2
 
+_DEGENERATE = "parameter sends the transform to the constant infinity"
+
 
 @dataclass(frozen=True)
 class Parameter:
@@ -194,18 +196,20 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     exactly), and scales to the canonical integer form; no float is
     formed.  Otherwise the test is read from w's node pass: the ``Jet`` of
     w at each of Theta's nodes (``boundary.lft_jets``, float64, so data
-    beyond the float range raise ``FloatRangeError``).  num and den are the
-    float polynomials of ``RationalMatrix2x2.cleared``; a flagged node is
-    deflated a second time where the jet reads u's next order as zero in
-    both components (at JET_ZERO_TOL).  A den that the deflation empties
-    was rounding noise of a degenerate transform, which is rejected too.
-    The quotient is then scaled as ``RationalFunction`` scales a float one,
-    to a monic denominator.  ``solver.classify_and_verify`` takes w's node
-    pass once, at every node, and builds w by the same private function as
-    here, so a certify op decides each node once.  Either way w keeps its
-    origin (Theta, phi), from which its boundary jets at the nodes and its
-    grid values are read (``boundary.function_jets``,
-    ``_sections.pole_free_grid``).
+    beyond the float range raise ``FloatRangeError``).  Such a float w is
+    returned as its origin alone, and the pass decides here whether it
+    degenerates (``_node_cancelled`` argues the rule).  Its num and den are
+    formed only when first read: the float polynomials of
+    ``RationalMatrix2x2.cleared``, deflated at the flagged nodes, a second
+    time where the jet reads u's next order as zero in both components (at
+    JET_ZERO_TOL), and scaled as ``RationalFunction`` scales a float
+    quotient, to a monic denominator.  ``solver.classify_and_verify`` takes
+    w's node pass once, at every node, and builds w by the same private
+    function as here, so a certify op decides each node once.  Either way w
+    keeps its origin (Theta, phi), from which its boundary jets at the
+    nodes and its grid values are read (``boundary.function_jets``,
+    ``_sections.pole_free_grid``), and the CLI writes a float w as that
+    origin.
     """
     return _node_cancelled(theta, phi)
 
@@ -214,8 +218,25 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     """``apply_lft`` of phi, with its origin (Theta, phi) kept on w: the one
     place that builds w.  ``jets`` holds the ``boundary.Jet`` of w at each
     of Theta's nodes, in their order, when the caller has w's node pass;
-    otherwise the node test is taken here."""
-    from .boundary import _exact_node_zeros, lft_jets
+    otherwise the node test is taken here.
+
+    A float w is returned as its origin alone, with num and den unset:
+    ``RationalFunction.__getattr__`` forms them (``_expansion``) when they
+    are first read, and nothing a certify op reads or the CLI writes reads
+    them.  Whether the transform degenerates is read from the node pass
+    instead, with no polynomial formed.  With D the product of the n nodes
+    and den = Theta21 p + Theta22 q, D den is a polynomial of degree at most
+    n + deg phi, and near x_i it is prod_{j != i} (z - x_j) times the second
+    component of u(t) = (z - x_i) Theta(z) v(z), whose first JET_ORDERS
+    Taylor coefficients are the jet's ``den``.  Where every node's ``den``
+    jet reads zero (at JET_ZERO_TOL, as every coefficient of the pass),
+    D den vanishes to order JET_ORDERS at each node: JET_ORDERS n zeros,
+    more than its degree whenever deg phi < (JET_ORDERS - 1) n.  Then den
+    is identically zero and the transform is the constant infinity, which
+    is rejected.  A phi of higher degree is expanded here, and the
+    expansion decides, as it did before.
+    """
+    from .boundary import JET_ORDERS, _exact_node_zeros, lft_jets
 
     p, q = phi.pair()
     if theta.exact and p.exact and q.exact:
@@ -225,9 +246,29 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     else:
         if jets is None:
             jets = lft_jets(theta, p, q)
-        w = _float_node_cancelled(theta, p, q, jets)
+        if max(p.degree, q.degree) >= (JET_ORDERS - 1) * len(theta.nodes):
+            w = _float_node_cancelled(theta, p, q, jets)
+        elif not any(any(jet.den) for jet in jets):
+            raise DegenerateTransformError(_DEGENERATE)
+        else:
+            w = RationalFunction.__new__(RationalFunction)
+            object.__setattr__(w, "exact", False)
     object.__setattr__(w, "_origin", (theta, phi))
     return w
+
+
+def _expansion(theta: RationalMatrix2x2, phi: Parameter) -> tuple:
+    """(num, den) of the float w = Theta o phi, as ``_float_node_cancelled``
+    forms them from w's node pass.  Only a node that the zero test flags
+    deflates, so the pass is taken again only where ``node_zero_test``, the
+    pass's own first step, flags one.  Both are deterministic, so num and
+    den are those that ``apply_lft`` would have formed."""
+    from .boundary import lft_jets, node_zero_test
+
+    p, q = phi.pair()
+    jets = lft_jets(theta, p, q) if any(node_zero_test(theta, p, q)[0]) else ()
+    w = _float_node_cancelled(theta, p, q, jets)
+    return w.num, w.den
 
 
 def _float_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets):
@@ -244,9 +285,7 @@ def _float_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial
     # a float den that is rounding noise of an identically zero one can
     # survive the first test and vanish only in the deflation
     if den.is_zero:
-        raise DegenerateTransformError(
-            "parameter sends the transform to the constant infinity"
-        )
+        raise DegenerateTransformError(_DEGENERATE)
     return RationalFunction(*_float_normal_form(num, den), reduce=False)
 
 
@@ -269,9 +308,7 @@ def _integer_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomi
     num = _linear_combination(n00, pc, n01, qc)
     den = _linear_combination(n10, pc, n11, qc)
     if not den:
-        raise DegenerateTransformError(
-            "parameter sends the transform to the constant infinity"
-        )
+        raise DegenerateTransformError(_DEGENERATE)
     if not num:
         return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
     for x, zero in zip(theta.nodes, zeros):

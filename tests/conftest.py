@@ -562,6 +562,36 @@ def probe_set(n, exact):
     return [(sys_, phi) for sys_ in systems for phi in lane_parameters(exact)]
 
 
+def degenerate_parameter_system(rng, n, exact=False):
+    """(system, phi): n nodes of the 1/3-grid, only the first regular, and
+    phi = eta_1 + tau_1 (z - x_1) with tau_1 = -p~_11 / te_1^2 > 0, a
+    Nevanlinna parameter that sends the transform to the constant infinity.
+
+    A singular node has E_i = 0, so Theta's second row has residues only at
+    the regular nodes, and with one of them the parameter -Theta22 / Theta21
+    that makes the denominator Theta21 phi + Theta22 vanish is linear; it is
+    this phi.  Both lanes draw the same numbers from the same rng.
+    """
+    def third(nonzero=False):
+        while True:
+            p = rng.randint(-30, 30)
+            if p or not nonzero:
+                return Fraction(p, 3) if exact else p / 3
+
+    while True:
+        data = b.InterpolationData(
+            nodes=tuple(x if exact else float(x) for x in rng.sample(THIRDS_GRID, n)),
+            values=(third(),),
+            derivative_bounds=(third(),),
+            residues=tuple(third(nonzero=True) for _ in range(n - 1)),
+        )
+        sys_ = b.build_system(data)
+        if sys_.invertible and sys_.tilde_e[0] and sys_.tilde_p_diag[0] < 0:
+            break
+    eta, tau = sys_.eta[0], -sys_.tilde_p_diag[0] / sys_.tilde_e[0] ** 2
+    return sys_, b.Parameter.rational(rf((eta - tau * sys_.X[0], tau)))
+
+
 def random_singular_data(rng, n_max=5):
     """Random data whose Pick matrix is exactly singular.
 

@@ -4,12 +4,17 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bnpick.cli import RunConfig, main
-from conftest import grid_system
+import bnpick as b
+from bnpick.algebra import RationalFunction
+from bnpick.cli import RunConfig, _realization, main
+from bnpick.resolvent import RationalMatrix2x2
+from conftest import degenerate_parameter_system, grid_system, probe_set
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -175,6 +180,17 @@ class TestApply:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1 and "infinity" in err
 
+    def test_degenerate_float_parameter_at_16_nodes_exits_3(self, capsys, tmp_path):
+        # phi = eta_1 + tau_1 (z - x_1) with one regular node of 16: rejected
+        # from the node pass, as at 3 nodes
+        sys_, phi = degenerate_parameter_system(random.Random(16), 16)
+        problem = tmp_path / "float.json"
+        problem.write_text(json.dumps(sys_.data.to_json()))
+        code, _, err = run(capsys, "apply", "--problem", str(problem),
+                           "--param", json.dumps(phi.to_json()))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "infinity" in err
+
     def test_param_file(self, capsys, tmp_path):
         param = tmp_path / "phi.json"
         param.write_text('{"type":"const","value":"1/2"}')
@@ -213,6 +229,88 @@ class TestVerify:
         assert code == 2
 
 
+def origin_value(w, z):
+    """w(z) read through its origin (Theta, phi): u = Theta(z) (p(z); q(z)),
+    w = u_0 / u_1."""
+    theta, phi = w._origin
+    u = theta.eval(z) @ np.array([g.eval(z) for g in phi.pair()], dtype=complex)
+    return u[0] / u[1]
+
+
+def close(got, want, tol=1e-10):
+    """|got - want| <= tol max(1, |want|), componentwise for [re, im] pairs."""
+    got, want = (complex(*v) if isinstance(v, list) else complex(v) for v in (got, want))
+    return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+class TestFloatDocuments:
+    """A float apply writes w as what was certified, its origin (Theta, phi),
+    and verify reads that document back into the same w; a float solve
+    writes Theta's residue form."""
+
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_emitted_w_is_the_certified_one(self, n, capsys, tmp_path):
+        config = tmp_path / "float.json"
+        config.write_text('{"backend": "float"}')
+        problem = tmp_path / "problem.json"
+        for (sys_, phi), (exact_sys, exact_phi) in zip(probe_set(n, False), probe_set(n, True)):
+            problem.write_text(json.dumps(sys_.data.to_json()))
+            applied = run_json(capsys, "apply", "--problem", str(problem), "--param",
+                               json.dumps(phi.to_json()), "--config", str(config))
+            assert set(applied["w"]) == {"theta", "phi"}
+            verified = run_json(capsys, "verify", "--problem", str(problem), "--param",
+                                json.dumps(applied["w"]), "--config", str(config))
+            report, _, _ = b.classify_and_verify(sys_, phi)
+            for node, checked in zip(report.nodes, verified["nodes"]):
+                certified = node.verification.details
+                for kind, limit in checked["checks"].items():
+                    want = certified[kind].to_json()["value"]
+                    if isinstance(want, str):
+                        assert limit["value"] == want
+                    else:
+                        assert close(limit["value"], want)
+            # its values off the axis are the exact lane's w
+            w = b.apply_lft(*_realization(applied["w"]))
+            exact_w = b.apply_lft(b.build_theta(exact_sys), exact_phi)
+            for x in exact_sys.X[:6]:
+                z = x + Fraction(1, 7)
+                assert close(origin_value(w, float(z)), float(exact_w.eval(z)))
+
+    def test_float_theta_document_rebuilds_theta(self, capsys, tmp_path):
+        sys_ = grid_system(random.Random(16), 16)
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(sys_.data.to_json()))
+        doc = run_json(capsys, "solve", "--problem", str(problem))
+        theta = b.build_theta(sys_)
+        rebuilt = RationalMatrix2x2.from_json(doc["theta"])
+        assert rebuilt.kappa == theta.kappa == doc["kappa"]
+        points = np.array([complex(t, y) for t in (-14.1, -5.5, 0.2, 3.05, 9.9, 13.6)
+                           for y in (0.0, 0.75)])
+        assert np.array_equal(rebuilt.eval(points), theta.eval(points))
+
+    @pytest.mark.parametrize("change", ["no phi", "unequal lengths", "non-finite entry",
+                                        "repeated node", "fractional kappa"])
+    def test_malformed_realization_exits_2(self, change, capsys, tmp_path):
+        sys_, phi = probe_set(8, False)[2]
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(sys_.data.to_json()))
+        doc = {"theta": b.build_theta(sys_).residue_json(), "phi": phi.to_json()}
+        if change == "no phi":
+            del doc["phi"]
+        elif change == "unequal lengths":
+            doc["theta"]["left"].pop()
+        elif change == "non-finite entry":
+            doc["theta"]["right"][3][1] = float("nan")
+        elif change == "repeated node":
+            doc["theta"]["nodes"][1] = doc["theta"]["nodes"][0]
+        else:
+            doc["theta"]["kappa"] = 1.5
+        code, out, err = run(capsys, "verify", "--problem", str(problem),
+                             "--param", json.dumps(doc))
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed candidate") and err.count("\n") == 1
+
+
 class TestConfig:
     def test_float_backend(self, capsys, tmp_path):
         config = tmp_path / "config.json"
@@ -231,13 +329,20 @@ class TestConfig:
         assert code == 2
 
     def test_float_solve_close_to_exact(self, capsys, tmp_path):
+        # the float resolvent is written as its residue form; rebuilt, it
+        # takes the exact resolvent's values, such as Theta_11 = z/(z-1)
         config = tmp_path / "config.json"
         config.write_text('{"backend": "float"}')
         doc = run_json(capsys, "solve", "--problem", str(DEMOS / "ex101.json"),
                        "--config", str(config))
-        # float lane canonicalizes to a monic denominator: z/(z-1)
-        num, den = doc["theta"]["entries"][0][0].values()
-        assert num == pytest.approx([0.0, 1.0]) and den == pytest.approx([-1.0, 1.0])
+        exact = run_json(capsys, "solve", "--problem", str(DEMOS / "ex101.json"))
+        assert doc["theta"]["nodes"] == [0.0, 1.0] and "entries" not in doc["theta"]
+        theta = RationalMatrix2x2.from_json(doc["theta"])
+        entries = [[RationalFunction.from_json(e) for e in row] for row in exact["theta"]["entries"]]
+        for z in (0.5j, 2 + 1j, -3 + 0.25j, 0.5):
+            want = np.array([[e.eval(z) for e in row] for row in entries])
+            assert np.abs(theta.eval(z) - want).max() <= 1e-14 * np.abs(want).max()
+        assert entries[0][0] == RationalFunction.from_json({"num": [0, 1], "den": [-1, 1]})
 
     def test_grid_override_accepted(self, capsys, tmp_path):
         config = tmp_path / "config.json"

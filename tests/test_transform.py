@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from bnpick import algebra, boundary, solver, transform
 from conftest import (
     BENCHMARK_PARAMETERS,
     STANDARD_SWEEP,
+    degenerate_parameter_system,
     gcd_apply_lft,
     grid_system,
     loop_kernel,
@@ -463,6 +465,80 @@ class TestOneCancellationPath:
                     p, q = phi.pair()
                     drops[sys_.exact].add((n10 * p + n11 * q).degree - w.den.degree)
         assert {1, 2} <= drops[True] and {1, 2} <= drops[False]
+
+
+class TestFloatWIsItsOrigin:
+    """A float w is its origin (Theta, phi): a certify op forms no polynomial
+    of it, and its num and den are expanded only when read."""
+
+    @staticmethod
+    def expansion_fails(monkeypatch):
+        def fail(*args):
+            raise AssertionError("the float expansion of w was formed")
+
+        monkeypatch.setattr(transform, "_float_node_cancelled", fail)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_certify_forms_no_polynomial(self, n, monkeypatch, capsys, tmp_path):
+        from bnpick import cli
+
+        ops = probe_set(n, exact=False)
+        want = [b.classify_and_verify(sys_, phi) for sys_, phi in ops]
+        config = tmp_path / "float.json"
+        config.write_text('{"backend": "float"}')
+        self.expansion_fails(monkeypatch)
+        for (sys_, phi), (report, _, sampled) in zip(ops, want):
+            got = b.classify_and_verify(sys_, phi)
+            assert got[0] == report and got[2] == sampled
+            assert b.apply_lft(b.build_theta(sys_), phi)._origin[1] is phi
+            problem = tmp_path / "problem.json"
+            problem.write_text(json.dumps(sys_.data.to_json()))
+            code = cli.main(["apply", "--problem", str(problem), "--param",
+                             json.dumps(phi.to_json()), "--config", str(config)])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0 and doc["k"] == report.k
+            assert doc["classification"] == [node.to_json() for node in report.nodes]
+            assert doc["kernel_negative_squares"] == sampled
+        monkeypatch.undo()
+        # read, num and den are the node-cancelled quotient the transform formed
+        for (sys_, phi), (_, w, _) in zip(ops, want):
+            theta = b.build_theta(sys_)
+            p, q = phi.pair()
+            formed = transform._float_node_cancelled(theta, p, q, boundary.lft_jets(theta, p, q))
+            assert w.num.coeffs == formed.num.coeffs and w.den.coeffs == formed.den.coeffs
+
+    @pytest.mark.parametrize("n", [3, 16, 24])
+    def test_degenerate_parameter_is_rejected_from_the_node_pass(self, n, monkeypatch):
+        # deg phi = 1 < 3 n: every node's den jet reads zero, which decides
+        # the rejection with no polynomial formed, as the exact lane rejects
+        exact_sys, exact_phi = degenerate_parameter_system(random.Random(n), n, exact=True)
+        with pytest.raises(b.DegenerateTransformError):
+            b.apply_lft(b.build_theta(exact_sys), exact_phi)
+        sys_, phi = degenerate_parameter_system(random.Random(n), n)
+        assert b.is_nevanlinna(phi)
+        jets = boundary.lft_jets(b.build_theta(sys_), *phi.pair())
+        assert not any(any(jet.den) for jet in jets)
+        self.expansion_fails(monkeypatch)
+        with pytest.raises(b.DegenerateTransformError):
+            b.apply_lft(b.build_theta(sys_), phi)
+        with pytest.raises(b.DegenerateTransformError):
+            b.classify_and_verify(sys_, phi)
+
+    def test_a_parameter_of_degree_3n_is_expanded(self, monkeypatch):
+        # D den has degree at most n + deg phi, so JET_ORDERS zeros at each
+        # of the n nodes decide it only below deg phi = (JET_ORDERS - 1) n
+        sys_ = grid_system(random.Random(5), 2)
+        theta = b.build_theta(sys_)
+        low, high = (b.Parameter.rational(rf([1.0] + [0.0] * (d - 1) + [1.0]))
+                     for d in (5, 6))
+        assert boundary.JET_ORDERS == 4
+        expanded = [b.apply_lft(theta, phi) for phi in (low, high)]
+        self.expansion_fails(monkeypatch)
+        assert b.apply_lft(theta, low)._origin[1] is low
+        with pytest.raises(AssertionError, match="expansion"):
+            b.apply_lft(theta, high)
+        monkeypatch.undo()
+        assert [repr(w) for w in expanded] == [repr(b.apply_lft(theta, phi)) for phi in (low, high)]
 
 
 class TestLftCompose:
