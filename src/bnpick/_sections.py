@@ -98,30 +98,26 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     (p(z); q(z)) with phi = p/q, where the grid and Theta's values on it are
     Theta's grid table for (span, config), kept by Theta from one
     ``RationalMatrix2x2.eval`` and shared by every phi and by
-    ``kernel_theta_negative_squares``, and w = u_0 / u_1.  Its points and
+    ``kernel_theta_negative_squares``, and w = u_0 / u_1 off the poles
+    that ``origin_values`` finds.  Its points and
     values are complex arrays.  Theta's poles are the real nodes, off every
     grid line (the levels of a ``GridConfig`` are positive).  A u beyond the
     float range raises ``FloatRangeError``.
     """
     import numpy as np
 
-    from .algebra import POLE_TOL, _compiled, _quotient
+    from .algebra import _compiled, _quotient
     from .errors import FloatRangeError, PoleError
 
     if f._origin is not None:
-        theta, phi = f._origin
-        with np.errstate(all="ignore"):
-            z, at_grid = theta._grid_table(span, config)
-            pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
-            u = np.einsum("kij,jk->ik", at_grid, pair)
-            values = u[0] / u[1]
+        z, at_grid = f._origin[0]._grid_table(span, config)
+        u, kept = origin_values(f._origin, z, at_grid)
         if not np.isfinite(u).all():
             raise FloatRangeError(
                 "the values of w on the sampling grid exceed the float range; "
                 "its kernel cannot be sampled in floats"
             )
-        kept = np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
-        return z[kept], values[kept]
+        return z[kept], u[0, kept] / u[1, kept]
     num, den = _compiled(f.num), _compiled(f.den)
     points, values = [], []
     for z in upper_half_grid(span, config):
@@ -131,6 +127,24 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
             continue
         points.append(z)
     return points, values
+
+
+def origin_values(origin, z, at_z) -> tuple:
+    """(u, kept) for a w with origin (Theta, phi) at the points of the
+    complex array z, where Theta takes the values ``at_z``: u = Theta(z)
+    (p(z); q(z)) with phi = p/q, shape (2, len(z)), so that w = u_0 / u_1,
+    and the mask of the points that are no pole of w, |u_1| >= POLE_TOL
+    max(1, |u_0|).  The one pole rule of w's grid (``pole_free_grid``) and
+    of its value (``RationalFunction.eval``)."""
+    import numpy as np
+
+    from .algebra import POLE_TOL, _compiled
+
+    _, phi = origin
+    with np.errstate(all="ignore"):
+        pair = [np.polyval(_compiled(g), z) for g in phi.pair()]
+        u = np.einsum("kij,jk->ik", at_z, pair)
+    return u, np.abs(u[1]) >= POLE_TOL * np.fmax(np.abs(u[0]), 1.0)
 
 
 def span_of(values):

@@ -370,10 +370,11 @@ class RationalFunction:
     A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
     from as ``_origin`` (None for every other function): its boundary jets
     and grid values are read from Theta's residue form, never from its own
-    float coefficients, whose top ones a float w loses (``TRIM_TOL``).  A
-    float w is only its origin: its numerator and denominator are expanded
-    from it when first read (``__getattr__``), so a certify op, which reads
-    neither, forms no polynomial of w.  The origin is not part of the value:
+    float coefficients, whose top ones a float w loses (``TRIM_TOL``), and a
+    float w's ``eval`` reads it too.  A float w is only its origin: its
+    numerator and denominator are expanded from it when first read
+    (``__getattr__``), so a certify op, which reads neither, forms no
+    polynomial of w.  The origin is not part of the value:
     ``==`` and ``hash`` read only the numerator and denominator, and
     arithmetic on w gives a function without one.
     """
@@ -532,9 +533,23 @@ class RationalFunction:
     def eval(self, z):
         """Evaluate at z, raising ``PoleError`` on (near-)pole hits.
 
-        Exact entries at an exact point give an exact value; anything else is
-        sampled in floating point by ``_quotient``.
+        Exact entries at an exact point give an exact value.  A float w with
+        an origin (Theta, phi) is evaluated through it, as its grid is
+        sampled: u = Theta(z) (p(z); q(z)), w = u_0 / u_1, with the pole rule
+        of ``_sections.origin_values``; Theta's nodes are poles of that
+        evaluation (w's boundary values there are limits, ``nt_limit``).
+        Anything else is sampled in floating point by ``_quotient``.
         """
+        if self._origin is not None and not self.exact:
+            import numpy as np
+
+            from ._sections import origin_values
+
+            point = np.array([complex(z)])
+            u, kept = origin_values(self._origin, point, self._origin[0].eval(point))
+            if not kept[0]:
+                raise PoleError(z)
+            return complex(u[0, 0]) / complex(u[1, 0])
         if self.exact and is_exact(z):
             den_val = self.den.eval(z)
             if not den_val:
@@ -617,6 +632,31 @@ def _deflate(coeffs, x) -> list:
         carry = coeffs[k] + x * carry
         quotient[k - 1] = carry
     return quotient
+
+
+def _node_products(nodes) -> tuple:
+    """Ascending coefficients of D = prod_i (z - x_i) over ``nodes`` and of
+    each partial product D / (z - x_i) (``_deflate``), O(n^2) in all: the
+    node products over which Theta's entries and the degenerate solution
+    are node sums (``_node_sum``)."""
+    full = [1]
+    for x in nodes:
+        times = [0] + full
+        for k, c in enumerate(full):
+            times[k] -= x * c
+        full = times
+    return full, [_deflate(full, x) for x in nodes]
+
+
+def _node_sum(weights, partials, base) -> list:
+    """Ascending coefficients of base + sum_i c_i D / (z - x_i), for weights
+    c_i, the partial products of ``_node_products`` and a coefficient list
+    ``base`` at least as long as they are."""
+    out = list(base)
+    for c, partial in zip(weights, partials):
+        for k, p in enumerate(partial):
+            out[k] += c * p
+    return out
 
 
 def _integer_form(num, den) -> tuple:

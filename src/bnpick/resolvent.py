@@ -66,8 +66,9 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     _cleared_integers,
-    _deflate,
     _integer_form,
+    _node_products,
+    _node_sum,
     scalar_from_json,
     scalar_to_json,
 )
@@ -154,21 +155,15 @@ class RationalMatrix2x2:
 
     def _cleared(self, a, b, kept) -> tuple:
         """Ascending coefficients of D Theta_ab and of D, the product of the
-        nodes indexed by ``kept``.  D is built once per kept set and its
-        partial products by synthetic division, so a numerator costs O(n^2).
+        nodes indexed by ``kept``.  D and its partial products are built
+        once per kept set (``algebra._node_products``), so a numerator costs
+        O(n^2).
         """
         if kept not in self._products:
-            full = [1]
-            for i in kept:
-                full = _times_linear(full, self.nodes[i])
-            self._products[kept] = full, [_deflate(full, self.nodes[i]) for i in kept]
+            self._products[kept] = _node_products([self.nodes[i] for i in kept])
         full, partials = self._products[kept]
-        num = list(full) if a == b else [0] * len(full)
-        for i, partial in zip(kept, partials):
-            r = self.left[i][a] * self.right[i][b]
-            for k, c in enumerate(partial):
-                num[k] += r * c
-        return num, full
+        weights = [self.left[i][a] * self.right[i][b] for i in kept]
+        return _node_sum(weights, partials, full if a == b else [0] * len(full)), full
 
     @cached_property
     def node_numerators(self) -> tuple:
@@ -493,14 +488,6 @@ def _residue_matrix_form(nodes, left_cols, right_rows, kappa) -> RationalMatrix2
         left=tuple(tuple(left_cols[i]) for i in kept),
         right=tuple(tuple(right_rows[i]) for i in kept),
     )
-
-
-def _times_linear(coeffs, x) -> list:
-    """Ascending coefficients of p(z) (z - x)."""
-    out = [0] + coeffs
-    for k, c in enumerate(coeffs):
-        out[k] -= x * c
-    return out
 
 
 def build_theta(sys: PickSystem) -> RationalMatrix2x2:

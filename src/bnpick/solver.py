@@ -25,7 +25,17 @@ from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import HermitianMatrix, Polynomial, RationalFunction, hermitian_inertia, symmetric_elimination
+from .algebra import (
+    HermitianMatrix,
+    Polynomial,
+    RationalFunction,
+    _deflate,
+    _integer_form,
+    _node_products,
+    _node_sum,
+    hermitian_inertia,
+    symmetric_elimination,
+)
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig, span_of
 from .boundary import (
     LimitEstimate,
@@ -568,6 +578,33 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
 
     The result does not depend on the kernel vector; with nullity above one
     every basis vector is tried and the results are required to agree.
+
+    For each y, num and den are node sums over its support S = {i : y_i !=
+    0}, built as Theta's entries are (``algebra._node_products``): with
+    D_S = prod_S (z - x_i), num = sum_S y_i C_i D_S / (z - x_i) and den =
+    sum_S y_i E_i D_S / (z - x_i).  A float pair is kept as built, in the
+    float normal form.  The exact lane cancels only at the nodes outside S,
+    dividing both by z - x_i while both vanish at x_i (exact evaluation),
+    and takes the canonical integer form with no gcd; zero is 0/1.  No
+    other common factor exists.  With a = num / D_S and b = den / D_S:
+
+    1. At x_i, i in S, num and den are y_i C_i prod_{j != i} (x_i - x_j)
+       and y_i E_i times the same product, and (C_i, E_i) is (w_i, 1) or
+       (xi_i, 0) with xi_i != 0 (``InterpolationData``): not both zero.
+    2. Off the nodes, u(z) = (zI - X)^(-1) y satisfies (zI - X) P u(z) =
+       E^T a(z) - C^T b(z), by the Lyapunov identity PX - XP = E^T C -
+       C^T E and Py = 0.  At a common zero z_0 that is no node, P u(z_0) =
+       0, and u(z_0) has support S.  For s in S, u(z_0) - y / (z_0 - x_s)
+       is then a kernel vector with support S minus {s}, nonzero when
+       |S| >= 2.  But each vector e_f - P_SS^(-1) P_Sf of
+       ``symmetric_elimination``'s kernel basis is, up to scale, the only
+       kernel vector on its support, as a kernel vector is fixed by its
+       free coordinates: a contradiction.  With |S| = 1, a and b have no
+       zeros at all.
+    3. At x_i, i not in S, the identity gives only P u(x_i) in span(e_i),
+       and common zeros do occur: nodes (0, 1, 2), values (3, 3, 5) and
+       bounds (0, 0, gamma_3) have kernel (-2, 1, 0), the pair over S is
+       (3z - 6) / (z - 2), and w = 3.
     """
     if sys.invertible:
         raise ValueError("Pick matrix is invertible; use the resolvent instead")
@@ -582,22 +619,26 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
         vectors = [vh[i].tolist() for i in range(len(s)) if s[i] <= scale]
     if not vectors:
         raise NoSolutionRepresentationError("no kernel vector found for singular P")
-    partial = [
-        Polynomial.from_real_roots([x for j, x in enumerate(sys.X) if j != i])
-        for i in range(sys.n)
-    ]
     candidates = []
     for y in vectors:
-        num = Polynomial(())
-        den = Polynomial(())
-        for i in range(sys.n):
-            num = num + partial[i].scale(y[i] * sys.C[i])
-            den = den + partial[i].scale(y[i] * sys.E[i])
+        support = [i for i in range(sys.n) if y[i]]
+        _, partials = _node_products([sys.X[i] for i in support])
+        num, den = (
+            Polynomial(_node_sum([y[i] * v[i] for i in support], partials, [0] * len(support)))
+            for v in (sys.C, sys.E)
+        )
         if den.is_zero:
             raise NoSolutionRepresentationError(
                 "degenerate closed form has an identically zero denominator"
             )
-        candidates.append(RationalFunction(num, den))
+        if not sys.exact or num.is_zero:
+            # the float normal form, or the exact 0/1, which takes no gcd
+            candidates.append(RationalFunction(num, den))
+            continue
+        for x in (x for x, c in zip(sys.X, y) if not c):
+            while not (num(x) or den(x)):
+                num, den = Polynomial(_deflate(num.coeffs, x)), Polynomial(_deflate(den.coeffs, x))
+        candidates.append(RationalFunction(*_integer_form(num.coeffs, den.coeffs), reduce=False))
     first = candidates[0]
     for other in candidates[1:]:
         agree = (first == other) if sys.exact else first.isclose(other, UNIQUE_AGREEMENT_TOL)

@@ -396,20 +396,23 @@ def random_data(rng, n_max=6, n_min=1):
 
 
 def exact_det(rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        sign = 1 if j % 2 == 0 else -1
-        total += sign * rows[0][j] * exact_det(minor)
-    return total
+    """Determinant of an exact square matrix by Gaussian elimination over
+    Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 def gauss_jordan_inverse(m):
@@ -602,13 +605,9 @@ def random_singular_data(rng, n_max=5):
         data = random_data(rng, n_max=n_max, n_min=2)
         if data.ell == 0:
             continue  # all-singular data has diagonal P, always invertible
-        P0 = b.build_pick(_with_gamma1(data, Fraction(0)))
-        P1 = b.build_pick(_with_gamma1(data, Fraction(1)))
-        b0 = exact_det(P0.rows)
-        a = exact_det(P1.rows) - b0
-        if not a:
+        data = _singular_in_gamma1(data)
+        if data is None:
             continue
-        data = _with_gamma1(data, -b0 / a)
         sys_ = b.build_system(data)
         if sys_.inertia.zeros > 0:
             return data
@@ -622,3 +621,51 @@ def _with_gamma1(data, gamma1):
         derivative_bounds=bounds,
         residues=data.residues,
     )
+
+
+def _singular_in_gamma1(data):
+    """data with the first derivative bound solved from det P = 0, which is
+    affine in it; None when the determinant does not depend on it."""
+    b0 = exact_det(b.build_pick(_with_gamma1(data, Fraction(0))).rows)
+    a = exact_det(b.build_pick(_with_gamma1(data, Fraction(1))).rows) - b0
+    return _with_gamma1(data, -b0 / a) if a else None
+
+
+def singular_probe(n, s, exact=True):
+    """The singular probe at n: the data of ``grid_system(random.Random(77 n
+    + s), n, exact=True)`` with the first derivative bound solved from
+    det P = 0; the float system rounds the same data."""
+    data = _singular_in_gamma1(grid_system(random.Random(77 * n + s), n, exact=True).data)
+    assert data is not None
+    if not exact:
+        data = b.InterpolationData(*(tuple(map(float, v)) for v in (
+            data.nodes, data.values, data.derivative_bounds, data.residues)))
+    return b.build_system(data)
+
+
+def degree_sample(rng, d):
+    """(data, w): w = a z + c + sum_k r_k / (z - p_k), of degree d + 1,
+    sampled at d + 2 regular nodes and its d poles of the 1/3-grid.  The
+    Pick matrix of such data has rank at most d + 1 < 2 d + 2 = n, and w
+    is the unique solution."""
+    def third(nonzero=False):
+        while True:
+            p = rng.randint(-30, 30)
+            if p or not nonzero:
+                return Fraction(p, 3)
+
+    points = rng.sample(THIRDS_GRID, 2 * d + 2)
+    poles, regular = points[:d], points[d:]
+    a, c = third(nonzero=True), third()
+    residues = [third(nonzero=True) for _ in range(d)]
+    w = rf((c, a))
+    for r, p in zip(residues, poles):
+        w = w + rf((r,), (-p, 1))
+    dw = w.derivative()
+    data = b.InterpolationData(
+        nodes=tuple(regular) + tuple(poles),
+        values=tuple(w.eval(x) for x in regular),
+        derivative_bounds=tuple(dw.eval(x) for x in regular),
+        residues=tuple(residues),
+    )
+    return data, w

@@ -229,14 +229,6 @@ class TestVerify:
         assert code == 2
 
 
-def origin_value(w, z):
-    """w(z) read through its origin (Theta, phi): u = Theta(z) (p(z); q(z)),
-    w = u_0 / u_1."""
-    theta, phi = w._origin
-    u = theta.eval(z) @ np.array([g.eval(z) for g in phi.pair()], dtype=complex)
-    return u[0] / u[1]
-
-
 def close(got, want, tol=1e-10):
     """|got - want| <= tol max(1, |want|), componentwise for [re, im] pairs."""
     got, want = (complex(*v) if isinstance(v, list) else complex(v) for v in (got, want))
@@ -274,7 +266,7 @@ class TestFloatDocuments:
             exact_w = b.apply_lft(b.build_theta(exact_sys), exact_phi)
             for x in exact_sys.X[:6]:
                 z = x + Fraction(1, 7)
-                assert close(origin_value(w, float(z)), float(exact_w.eval(z)))
+                assert close(w.eval(float(z)), float(exact_w.eval(z)))
 
     def test_float_theta_document_rebuilds_theta(self, capsys, tmp_path):
         sys_ = grid_system(random.Random(16), 16)

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,15 +15,19 @@ from conftest import (
     data_degenerate,
     data_two_regular,
     degenerate_closed_form,
+    degree_sample,
     random_data,
     random_invertible_system,
     random_singular_data,
     rf,
     rref_kernel_basis,
+    singular_probe,
     unique_solution,
 )
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def label_pairs(report):
@@ -406,14 +412,70 @@ class TestSolveDegenerate:
         datas = [random_singular_data(rng, n_max=8) for _ in range(30)]
         datas.append(b.InterpolationData(nodes=(F(0), F(1), F(2)), values=(F(3),) * 3,
                                          derivative_bounds=(F(0),) * 3, residues=()))
+        # degree-(d + 1) samples at 2 d + 2 nodes: nullity d + 1, and every
+        # kernel vector's support misses nodes
+        samples = [degree_sample(random.Random(d), d)[0] for d in range(1, 5)]
         nullities = set()
-        for data in datas:
+        for data in datas + samples:
             sys_ = b.build_system(data)
             basis = rref_kernel_basis(sys_.P.rows)
             assert len(basis) == sys_.inertia.zeros
-            assert b.solve_degenerate(sys_) == degenerate_closed_form(sys_, basis[0])
+            w, reference = b.solve_degenerate(sys_), degenerate_closed_form(sys_, basis[0])
+            assert w.num.coeffs == reference.num.coeffs and w.den.coeffs == reference.den.coeffs
             nullities.add(len(basis))
-        assert nullities == {1, 3}
+        for data in samples:
+            kernel = algebra.symmetric_elimination(b.build_system(data).P.rows).kernel
+            assert all(0 in y for y in kernel)
+        assert nullities == {1, 2, 3, 4, 5}
+
+    def test_cancels_at_the_nodes_outside_the_support(self):
+        # kernel (-2, 1, 0): over its support {0, 1} the pair is
+        # (3z - 6)/(z - 2), whose common zero is the node 2 outside it
+        d = b.InterpolationData(nodes=(F(0), F(1), F(2)), values=(F(3), F(3), F(5)),
+                                derivative_bounds=(F(0), F(0), F(1)), residues=())
+        sys_ = b.build_system(d)
+        (y,) = algebra.symmetric_elimination(sys_.P.rows).kernel
+        assert [v / y[1] for v in y] == [-2, 1, 0]
+        _, partials = algebra._node_products(sys_.X[:2])
+        pair = [algebra._node_sum([y[i] * v[i] for i in range(2)], partials, [0, 0])
+                for v in (sys_.C, sys_.E)]
+        num, den = algebra._integer_form(*pair)
+        assert (num.coeffs, den.coeffs) == ((-6, 3), (-2, 1))
+        w = b.solve_degenerate(sys_)
+        assert w == rf((3,))
+        assert w.num.coeffs == (3,) and w.den.coeffs == (1,)
+
+    def test_takes_no_gcd(self, monkeypatch):
+        # the solve of ex103, of degree-(d + 1) samples at 2 d + 2 nodes and
+        # of the exact singular probe, with every node check and the
+        # bordered count equal to kappa
+        ex103 = b.InterpolationData.from_json(json.loads((ROOT / "demos/ex103.json").read_text()))
+        golden = json.loads((ROOT / "tests/golden/solve-ex103.json").read_text())
+        samples = [degree_sample(random.Random(d), d) for d in range(1, 5)]
+        probes = [singular_probe(n, 0) for n in (8, 16, 20)]
+
+        def no_gcd(a, c):
+            raise AssertionError("polynomial_gcd called")
+
+        monkeypatch.setattr(algebra, "polynomial_gcd", no_gcd)
+        bundle = b.solve(ex103)
+        assert bundle.w.to_json() == golden["w"]
+        bundles = [bundle] + [b.solve(data) for data, _ in samples]
+        bundles += [b.solve(sys_.data) for sys_ in probes]
+        for (_, w), bundle in zip(samples, bundles[1:]):
+            assert bundle.w == w
+        for bundle in bundles:
+            assert bundle.kind == "unique"
+            assert all(node["problem1"] for node in bundle.verification["nodes"])
+            assert bundle.verification["fmi_count"] == bundle.kappa
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_float_singular_probe(self, n):
+        for s in range(3):
+            sys_ = singular_probe(n, s, exact=False)
+            report = b.verify_candidate(sys_, b.solve_degenerate(sys_))
+            assert all(node["problem1"] for node in report["nodes"])
+            assert report["fmi_count"] == sys_.kappa
 
     def test_invertible_system_rejected(self, sys1):
         with pytest.raises(ValueError):

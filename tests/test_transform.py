@@ -541,6 +541,22 @@ class TestFloatWIsItsOrigin:
         assert [repr(w) for w in expanded] == [repr(b.apply_lft(theta, phi)) for phi in (low, high)]
 
 
+    @pytest.mark.parametrize("n", [8, 16, 24, 32])
+    def test_eval_reads_the_origin(self, n, monkeypatch):
+        # from n = 16 the expansion's coefficients are another function off
+        # the axis; w.eval reads (Theta, phi), as its grid does, and forms
+        # no polynomial
+        self.expansion_fails(monkeypatch)
+        for (sys_, phi), (exact_sys, exact_phi) in zip(probe_set(n, False), probe_set(n, True)):
+            w = b.apply_lft(b.build_theta(sys_), phi)
+            exact_w = b.apply_lft(b.build_theta(exact_sys), exact_phi)
+            for x in exact_sys.X[:6]:
+                want = complex(exact_w.eval(x + F(1, 7)))
+                assert abs(w.eval(float(x) + 1 / 7) - want) <= 1e-10 * max(1.0, abs(want))
+            with pytest.raises(b.PoleError):
+                w.eval(sys_.X[0])
+
+
 class TestLftCompose:
     def test_inverse_product_is_identity(self, theta1):
         inv = b.theta_inverse(theta1)
