@@ -364,22 +364,21 @@ class RationalFunction:
     with no cancellation: both polynomials are divided by the denominator's
     leading coefficient, so the denominator is monic, and made real where
     both are real (``_float_normal_form``).  The one float function whose
-    common factors matter, w, is cancelled at Theta's nodes when
-    ``transform.apply_lft`` builds it.
+    common factors matter, w, is cancelled at Theta's nodes when its
+    numerator and denominator are formed (``transform._expansion``).
 
     A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
-    from as ``_origin`` (None for every other function): its boundary jets
-    and grid values are read from Theta's residue form, never from its own
-    float coefficients, whose top ones a float w loses (``TRIM_TOL``), and a
-    float w's ``eval`` reads it too.  A float w is only its origin: its
-    numerator and denominator are expanded from it when first read
-    (``__getattr__``), so a certify op, which reads neither, forms no
-    polynomial of w.  The origin is not part of the value:
-    ``==`` and ``hash`` read only the numerator and denominator, and
-    arithmetic on w gives a function without one.
+    from as ``_origin`` (None for every other function), and any node pass
+    it took as ``_jets``: its jets, its grid values and its values at float
+    points are read from Theta's residue form, never from its coefficients.
+    On both lanes w is only its origin: its numerator and denominator are
+    formed from it when first read (``__getattr__``), so a certify op, which
+    reads neither, forms no polynomial of w.  The origin is not part of the
+    value: ``==`` and ``hash`` read only the canonical numerator and
+    denominator, and arithmetic on w gives a function without one.
     """
 
-    __slots__ = ("num", "den", "exact", "_origin")
+    __slots__ = ("num", "den", "exact", "_origin", "_jets")
 
     def __init__(self, num, den=Polynomial((1,)), reduce=True):
         if not isinstance(num, Polynomial):
@@ -400,13 +399,14 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_origin", None)
+        object.__setattr__(self, "_jets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
     def __getattr__(self, name):
-        """num and den of a float w that ``transform.apply_lft`` left unset,
-        expanded from its origin on the first read of either: Python calls
+        """num and den of a w that ``transform.apply_lft`` left unset,
+        formed from its origin on the first read of either: Python calls
         this only where a lookup fails, so no other function pays for it.
         The expansion is deterministic, so it is the one the transform would
         have formed."""
@@ -533,14 +533,19 @@ class RationalFunction:
     def eval(self, z):
         """Evaluate at z, raising ``PoleError`` on (near-)pole hits.
 
-        Exact entries at an exact point give an exact value.  A float w with
-        an origin (Theta, phi) is evaluated through it, as its grid is
-        sampled: u = Theta(z) (p(z); q(z)), w = u_0 / u_1, with the pole rule
-        of ``_sections.origin_values``; Theta's nodes are poles of that
-        evaluation (w's boundary values there are limits, ``nt_limit``).
-        Anything else is sampled in floating point by ``_quotient``.
+        Exact entries at an exact point give an exact value.  Otherwise a w
+        with an origin (Theta, phi), on either lane, is evaluated through it,
+        as its grid is sampled: u = Theta(z) (p(z); q(z)), w = u_0 / u_1,
+        with the pole rule of ``_sections.origin_values``; Theta's nodes are
+        poles of that evaluation (w's boundary values there are limits,
+        ``nt_limit``).  Anything else is sampled by ``_quotient``.
         """
-        if self._origin is not None and not self.exact:
+        if self.exact and is_exact(z):
+            den_val = self.den.eval(z)
+            if not den_val:
+                raise PoleError(z)
+            return self.num.eval(z) / den_val
+        if self._origin is not None:
             import numpy as np
 
             from ._sections import origin_values
@@ -550,11 +555,6 @@ class RationalFunction:
             if not kept[0]:
                 raise PoleError(z)
             return complex(u[0, 0]) / complex(u[1, 0])
-        if self.exact and is_exact(z):
-            den_val = self.den.eval(z)
-            if not den_val:
-                raise PoleError(z)
-            return self.num.eval(z) / den_val
         return _quotient(_compiled(self.num), _compiled(self.den), z)
 
     __call__ = eval

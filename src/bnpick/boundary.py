@@ -388,16 +388,18 @@ def function_jets(f: RationalFunction, points) -> list:
     A w that ``apply_lft`` built keeps its origin (Theta, phi); where every
     point is a node of Theta its jets come from Theta's residue form, read
     at those nodes' indices (``lft_jets``), as ``classify_and_verify``
-    reads them: a float w is its origin, and its coefficients, expanded
-    only when read, are off from n of about 16.  Every other function, and
-    w away from the nodes, takes the jets of its own coefficients
-    (``rational_jets``), which expands a float w.
+    reads them, or from the node pass w keeps (``_jets``) when every node
+    is read in order: a float w's coefficients are off from n of about 16.
+    Every other function, and w away from the nodes, takes the jets of its
+    own coefficients (``rational_jets``), which expands w.
     """
     origin = f._origin
     if origin is not None:
         theta, phi = origin
         index = {float(x): i for i, x in enumerate(theta.nodes)}
         at = [index.get(float(x)) for x in points]
+        if f._jets is not None and at == list(range(len(theta.nodes))):
+            return f._jets
         if None not in at:
             return lft_jets(theta, *phi.pair(), at)
     return rational_jets(f, points)

@@ -509,15 +509,15 @@ def classify_and_verify(
     one pass, and its ``NodeReport`` is built once.  w keeps its origin
     (Theta, phi), so its kernel is sampled through Theta's residue form
     (``kernel_negative_squares``): w's coefficients are never compiled to
-    floats, and no polynomial is rooted.  A float w is its origin alone:
-    the op forms no polynomial of it, and the pass decides whether the
-    transform degenerates.  What does not depend on
-    phi -- Theta's grid and its values there, and its node table -- Theta
-    keeps from the first parameter it certifies, so later parameters of the
-    same system pay only for their own work.  Returns the classification
-    report (with per-node verification attached), the transformed function,
-    and its sampled negative-squares count, a lower bound of w's negative
-    squares, which number the class index kappa - k.
+    floats, and no polynomial is rooted.  On both lanes w is its origin
+    alone: the op forms no polynomial, and the pass's zero flags (exact on
+    the exact lane) decide whether the transform degenerates.  What does
+    not depend on phi -- Theta's grid and its values there, and its node
+    table -- Theta keeps from the first parameter it certifies, so later
+    parameters of the same system pay only for their own work.  Returns the
+    classification report (with per-node verification attached), the
+    transformed function, and its sampled negative-squares count, a lower
+    bound of w's negative squares, which number the class index kappa - k.
     """
     from .resolvent import build_theta
     from .transform import _node_cancelled, is_nevanlinna

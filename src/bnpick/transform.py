@@ -189,27 +189,24 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     next order vanishes too.  Deflating num and den by (z - x_i) there
     leaves a coprime pair.
 
-    Where they share z - x_i is the node zero test r_i . v(x_i) = 0.  An
-    exact matrix with an exact parameter decides it in integers
-    (``boundary._exact_node_zeros``), deflates at the nodes it flags, once
-    more where the deflated num and den both vanish again (u's next order,
-    exactly), and scales to the canonical integer form; no float is
-    formed.  Otherwise the test is read from w's node pass: the ``Jet`` of
-    w at each of Theta's nodes (``boundary.lft_jets``, float64, so data
-    beyond the float range raise ``FloatRangeError``).  Such a float w is
-    returned as its origin alone, and the pass decides here whether it
-    degenerates (``_node_cancelled`` argues the rule).  Its num and den are
-    formed only when first read: the float polynomials of
-    ``RationalMatrix2x2.cleared``, deflated at the flagged nodes, a second
-    time where the jet reads u's next order as zero in both components (at
-    JET_ZERO_TOL), and scaled as ``RationalFunction`` scales a float
-    quotient, to a monic denominator.  ``solver.classify_and_verify`` takes
-    w's node pass once, at every node, and builds w by the same private
-    function as here, so a certify op decides each node once.  Either way w
-    keeps its origin (Theta, phi), from which its boundary jets at the
-    nodes and its grid values are read (``boundary.function_jets``,
-    ``_sections.pole_free_grid``), and the CLI writes a float w as that
-    origin.
+    Where they share z - x_i is the node zero test r_i . v(x_i) = 0,
+    decided in integers for an exact matrix with an exact parameter
+    (``boundary._exact_node_zeros``) and otherwise read from w's node pass,
+    the ``Jet`` of w at each of Theta's nodes (``boundary.lft_jets``,
+    float64, so data beyond the float range raise ``FloatRangeError``).
+    On both lanes w is returned as its origin (Theta, phi), and the zero
+    flags decide whether it degenerates (``_node_cancelled``).  Its num and
+    den are formed only when first read (``_expansion``), deflated at the
+    flagged nodes and once more where u's next order vanishes in both
+    components: exactly, in integers scaled to the canonical form, on the
+    exact lane; at JET_ZERO_TOL, from the float polynomials of
+    ``RationalMatrix2x2.cleared`` scaled to a monic denominator, on the
+    float lane.  ``solver.classify_and_verify`` takes w's node pass once
+    and builds w by the same private function, so a certify op decides each
+    node once and forms no polynomial.  w's jets at the nodes, its grid
+    values and its values at float points are read from the origin
+    (``boundary.function_jets``, ``_sections.pole_free_grid``,
+    ``RationalFunction.eval``), and the CLI writes a float w as that origin.
     """
     return _node_cancelled(theta, phi)
 
@@ -218,56 +215,66 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     """``apply_lft`` of phi, with its origin (Theta, phi) kept on w: the one
     place that builds w.  ``jets`` holds the ``boundary.Jet`` of w at each
     of Theta's nodes, in their order, when the caller has w's node pass;
-    otherwise the node test is taken here.
+    otherwise the node test is taken here, and a pass taken here is kept on
+    w (``_jets``), where ``boundary.function_jets`` reads it again.
 
-    A float w is returned as its origin alone, with num and den unset:
-    ``RationalFunction.__getattr__`` forms them (``_expansion``) when they
-    are first read, and nothing a certify op reads or the CLI writes reads
-    them.  Whether the transform degenerates is read from the node pass
-    instead, with no polynomial formed.  With D the product of the n nodes
-    and den = Theta21 p + Theta22 q, D den is a polynomial of degree at most
-    n + deg phi, and near x_i it is prod_{j != i} (z - x_j) times the second
-    component of u(t) = (z - x_i) Theta(z) v(z), whose first JET_ORDERS
-    Taylor coefficients are the jet's ``den``.  Where every node's ``den``
-    jet reads zero (at JET_ZERO_TOL, as every coefficient of the pass),
-    D den vanishes to order JET_ORDERS at each node: JET_ORDERS n zeros,
-    more than its degree whenever deg phi < (JET_ORDERS - 1) n.  Then den
-    is identically zero and the transform is the constant infinity, which
-    is rejected.  A phi of higher degree is expanded here, and the
-    expansion decides, as it did before.
+    On both lanes w is returned as its origin alone, with num and den
+    unset: ``RationalFunction.__getattr__`` forms them (``_expansion``) when
+    first read, and nothing a certify op reads reads them.  Degeneracy is
+    decided with no polynomial formed.  Near x_i, u(t) = (z - x_i) Theta(z)
+    v(z) has second component (z - x_i) den, den = Theta21 p + Theta22 q,
+    with constant term l_i[1] (r_i . v(x_i)).  On the exact lane a node with
+    l_i[1] != 0 (E_i = 1 at a regular node) and a False exact zero flag
+    makes it nonzero, so den is not zero; where there is none, num and den
+    are formed here, and a zero den is rejected.  On the float lane D den,
+    D the product of the n nodes, has degree at most n + deg phi and is
+    prod_{j != i} (z - x_j) times u's second component near x_i, whose
+    first JET_ORDERS Taylor coefficients are the jet's ``den``.  Where every
+    node's ``den`` jet reads zero (at JET_ZERO_TOL), D den has JET_ORDERS n
+    zeros, more than its degree whenever deg phi < (JET_ORDERS - 1) n, so
+    den is identically zero and the transform, the constant infinity, is
+    rejected.  A phi of higher degree is expanded here to decide.
     """
     from .boundary import JET_ORDERS, _exact_node_zeros, lft_jets
 
     p, q = phi.pair()
-    if theta.exact and p.exact and q.exact:
+    exact = theta.exact and p.exact and q.exact
+    w = taken = None
+    if exact:
         zeros = (_exact_node_zeros(theta, p, q) if jets is None
                  else [jet.zero_test["zero"] for jet in jets])
-        w = _integer_node_cancelled(theta, p, q, zeros)
+        if not any(l[1] and not zero for l, zero in zip(theta.left, zeros)):
+            w = _integer_node_cancelled(theta, p, q, zeros)
     else:
         if jets is None:
-            jets = lft_jets(theta, p, q)
+            jets = taken = lft_jets(theta, p, q)
         if max(p.degree, q.degree) >= (JET_ORDERS - 1) * len(theta.nodes):
             w = _float_node_cancelled(theta, p, q, jets)
         elif not any(any(jet.den) for jet in jets):
             raise DegenerateTransformError(_DEGENERATE)
-        else:
-            w = RationalFunction.__new__(RationalFunction)
-            object.__setattr__(w, "exact", False)
+    if w is None:
+        w = RationalFunction.__new__(RationalFunction)
+        object.__setattr__(w, "exact", exact)
     object.__setattr__(w, "_origin", (theta, phi))
+    object.__setattr__(w, "_jets", taken)
     return w
 
 
 def _expansion(theta: RationalMatrix2x2, phi: Parameter) -> tuple:
-    """(num, den) of the float w = Theta o phi, as ``_float_node_cancelled``
-    forms them from w's node pass.  Only a node that the zero test flags
-    deflates, so the pass is taken again only where ``node_zero_test``, the
-    pass's own first step, flags one.  Both are deterministic, so num and
-    den are those that ``apply_lft`` would have formed."""
-    from .boundary import lft_jets, node_zero_test
+    """(num, den) of w = Theta o phi, deterministic, as ``_node_cancelled``
+    would have formed them: in integers where Theta and phi are exact, at
+    the nodes ``boundary._exact_node_zeros`` flags; otherwise in floats by
+    ``_float_node_cancelled``, which reads w's node pass only at a flagged
+    node, so the pass is taken again only where ``node_zero_test``, its
+    first step, flags one."""
+    from .boundary import _exact_node_zeros, lft_jets, node_zero_test
 
     p, q = phi.pair()
-    jets = lft_jets(theta, p, q) if any(node_zero_test(theta, p, q)[0]) else ()
-    w = _float_node_cancelled(theta, p, q, jets)
+    if theta.exact and p.exact and q.exact:
+        w = _integer_node_cancelled(theta, p, q, _exact_node_zeros(theta, p, q))
+    else:
+        jets = lft_jets(theta, p, q) if any(node_zero_test(theta, p, q)[0]) else ()
+        w = _float_node_cancelled(theta, p, q, jets)
     return w.num, w.den
 
 

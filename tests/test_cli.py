@@ -268,6 +268,35 @@ class TestFloatDocuments:
                 z = x + Fraction(1, 7)
                 assert close(w.eval(float(z)), float(exact_w.eval(z)))
 
+    def test_verify_takes_the_node_pass_once(self, capsys, tmp_path, monkeypatch):
+        # the pass apply_lft takes to decide degeneracy is the one the node
+        # checks read; the document is the one a second pass gives
+        from bnpick import boundary, cli, solver, transform
+
+        config = tmp_path / "float.json"
+        config.write_text('{"backend": "float"}')
+        problem = tmp_path / "problem.json"
+        lft_jets, calls = boundary.lft_jets, []
+
+        def counted(*args):
+            calls.append(args)
+            return lft_jets(*args)
+
+        monkeypatch.setattr(boundary, "lft_jets", counted)
+        for sys_, phi in probe_set(32, False):
+            problem.write_text(json.dumps(sys_.data.to_json()))
+            realization = {"theta": b.build_theta(sys_).residue_json(), "phi": phi.to_json()}
+            calls.clear()
+            doc = run_json(capsys, "verify", "--problem", str(problem), "--param",
+                           json.dumps(realization), "--config", str(config))
+            assert len(calls) == 1
+            theta, read_phi = _realization(realization)
+            handed = transform._node_cancelled(theta, read_phi, lft_jets(theta, *read_phi.pair()))
+            assert handed._jets is None
+            twice = solver.verify_candidate(b.build_system(sys_.data), handed)
+            assert doc == json.loads(json.dumps(cli._jsonify(twice)))
+            assert len(calls) == 2
+
     def test_float_theta_document_rebuilds_theta(self, capsys, tmp_path):
         sys_ = grid_system(random.Random(16), 16)
         problem = tmp_path / "problem.json"

@@ -557,6 +557,97 @@ class TestFloatWIsItsOrigin:
                 w.eval(sys_.X[0])
 
 
+class TestExactWIsItsOrigin:
+    """An exact w is its origin (Theta, phi) too: a certify op forms neither
+    its integers nor Theta's, degeneracy is decided from the exact zero
+    flags, and w's canonical integers are formed only when read."""
+
+    @staticmethod
+    def integers_fail(monkeypatch):
+        def fail(*args):
+            raise AssertionError("the integers of w were formed")
+
+        monkeypatch.setattr(transform, "_integer_node_cancelled", fail)
+        monkeypatch.setattr(b.RationalMatrix2x2, "integer_numerators", property(fail))
+
+    @staticmethod
+    def certify_ops():
+        # the shape of the benchmark's exact certify ops (n = 2-6 on the
+        # 1/3-grid, its four parameters), then the probe sets
+        small = [(grid_system(random.Random(100 * n + s), n, exact=True), phi)
+                 for n in (2, 3, 4, 5, 6) for s in range(3) for phi in BENCHMARK_PARAMETERS]
+        return small + [op for n in (8, 16, 32) for op in probe_set(n, exact=True)]
+
+    def test_certify_forms_no_polynomial(self, monkeypatch):
+        ops = self.certify_ops()
+        want = [b.classify_and_verify(sys_, phi) for sys_, phi in ops]
+        self.integers_fail(monkeypatch)
+        for (sys_, phi), (report, _, sampled) in zip(ops, want):
+            got = b.classify_and_verify(sys_, phi)
+            assert got[0] == report and got[2] == sampled
+            w = b.apply_lft(b.build_theta(sys_), phi)
+            assert w.exact and w._origin[1] is phi
+        monkeypatch.undo()
+        # read, num and den are the canonical integers the transform forms
+        for (sys_, phi), (_, w, _) in zip(ops, want):
+            theta = b.build_theta(sys_)
+            p, q = phi.pair()
+            formed = transform._integer_node_cancelled(
+                theta, p, q, boundary._exact_node_zeros(theta, p, q))
+            assert w.num.coeffs == formed.num.coeffs and w.den.coeffs == formed.den.coeffs
+            assert w == formed and hash(w) == hash(formed) and str(w) == str(formed)
+            assert w.to_json() == formed.to_json()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_degenerate_parameter_is_rejected_through_the_fallback(self, n, monkeypatch):
+        # the one regular node is flagged (phi(x_1) = eta_1) and every other
+        # node has E_i = 0, so no node proves den nonzero: den is formed
+        sys_, phi = degenerate_parameter_system(random.Random(n), n, exact=True)
+        theta = b.build_theta(sys_)
+        assert [l[1] for l in theta.left] == [1] + [0] * (n - 1)
+        assert boundary._exact_node_zeros(theta, *phi.pair())[0]
+        formed = []
+        cancelled = transform._integer_node_cancelled
+
+        def counted(*args):
+            formed.append(args)
+            return cancelled(*args)
+
+        monkeypatch.setattr(transform, "_integer_node_cancelled", counted)
+        with pytest.raises(b.DegenerateTransformError):
+            b.apply_lft(theta, phi)
+        with pytest.raises(b.DegenerateTransformError):
+            b.classify_and_verify(sys_, phi)
+        assert len(formed) == 2
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_one_unflagged_regular_node_decides(self, n, monkeypatch):
+        # phi = eta_1 + 1 misses eta_1 at the one regular node, whose
+        # u_1(x_1) = E_1 (r_1 . v(x_1)) is then nonzero: den is not zero
+        sys_, _ = degenerate_parameter_system(random.Random(n), n, exact=True)
+        phi = b.Parameter.constant(sys_.eta[0] + 1)
+        theta = b.build_theta(sys_)
+        assert boundary._exact_node_zeros(theta, *phi.pair()) == [False] * n
+        self.integers_fail(monkeypatch)
+        w = b.apply_lft(theta, phi)
+        _, certified, _ = b.classify_and_verify(sys_, phi)
+        monkeypatch.undo()
+        assert not w.den.is_zero and w == certified == gcd_apply_lft(theta, phi)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_eval_at_a_float_point_reads_the_origin(self, n, monkeypatch):
+        # at n = 32 w's integers exceed the float range, which its origin
+        # does not; an exact point still gets the exact value
+        ws = [b.apply_lft(b.build_theta(sys_), phi) for sys_, phi in probe_set(n, exact=True)]
+        monkeypatch.setattr(transform, "_expansion", lambda *args: pytest.fail("expanded"))
+        got = [w.eval(0.123) for w in ws]
+        monkeypatch.undo()
+        for w, value in zip(ws, got):
+            want = w.eval(F(0.123))
+            assert isinstance(want, F)
+            assert abs(value - complex(want)) <= 1e-10 * max(1.0, abs(float(want)))
+
+
 class TestLftCompose:
     def test_inverse_product_is_identity(self, theta1):
         inv = b.theta_inverse(theta1)
