@@ -93,7 +93,7 @@ def pole_free_grid(f, span, config: GridConfig) -> tuple:
     its coefficients compiled once; points and values are lists of Python
     complex numbers.
 
-    A w that ``apply_lft`` built is sampled through its origin (Theta, phi),
+    A w with an origin (Theta, phi), a realization, is sampled through
     Theta's residue form, never through w's coefficients: u = Theta(z)
     (p(z); q(z)) with phi = p/q, where the grid and Theta's values on it are
     Theta's grid table for (span, config), kept by Theta from one

@@ -364,18 +364,20 @@ class RationalFunction:
     with no cancellation: both polynomials are divided by the denominator's
     leading coefficient, so the denominator is monic, and made real where
     both are real (``_float_normal_form``).  The one float function whose
-    common factors matter, w, is cancelled at Theta's nodes when its
-    numerator and denominator are formed (``transform._expansion``).
+    common factors matter, w, is cancelled at its realization's nodes when
+    its numerator and denominator are formed (``resolvent._expansion``).
 
-    A w built by ``transform.apply_lft`` keeps the pair (Theta, phi) it came
-    from as ``_origin`` (None for every other function), and any node pass
-    it took as ``_jets``: its jets, its grid values and its values at float
-    points are read from Theta's residue form, never from its coefficients.
-    On both lanes w is only its origin: its numerator and denominator are
-    formed from it when first read (``__getattr__``), so a certify op, which
-    reads neither, forms no polynomial of w.  The origin is not part of the
-    value: ``==`` and ``hash`` read only the canonical numerator and
-    denominator, and arithmetic on w gives a function without one.
+    A w built by ``transform.apply_lft``, or a float degenerate solution,
+    keeps the realization (Theta, phi) it came from as ``_origin`` (None for
+    every other function), w = u_0 / u_1 for u = Theta (p; q), and any node
+    pass it took as ``_jets``: its jets, grid values, values at float points
+    and, on the float lane, document (``to_json``) are read from the origin.
+    Its numerator and denominator are formed from it when first read
+    (``__getattr__``), so a certify op, which reads neither, forms none.
+    The origin is not part of the value: ``==``, ``hash`` and ``str`` read
+    the canonical numerator and denominator, and arithmetic on w gives a
+    function without one.  A float w's expansion is unreliable from n of
+    about 16, which is why no certificate and no document reads it.
     """
 
     __slots__ = ("num", "den", "exact", "_origin", "_jets")
@@ -405,16 +407,17 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     def __getattr__(self, name):
-        """num and den of a w that ``transform.apply_lft`` left unset,
-        formed from its origin on the first read of either: Python calls
-        this only where a lookup fails, so no other function pays for it.
-        The expansion is deterministic, so it is the one the transform would
-        have formed."""
+        """num and den of a w with an origin that left them unset, formed
+        from the origin by ``resolvent._expansion`` on the first read of
+        either: Python calls this only where a lookup fails, so no other
+        function pays for it.  The expansion is deterministic, so it is the
+        one the transform would have formed."""
         if name not in ("num", "den") or self._origin is None:
             raise AttributeError(f"'RationalFunction' object has no attribute {name!r}")
-        from .transform import _expansion
+        from .resolvent import _expansion
 
-        num, den = _expansion(*self._origin)
+        theta, phi = self._origin
+        num, den = _expansion(theta, *phi.pair())
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         return num if name == "num" else den
@@ -449,6 +452,12 @@ class RationalFunction:
         return RationalFunction(Polynomial(num), Polynomial(den))
 
     def to_json(self) -> dict:
+        """{"num": [...], "den": [...]}, ascending; a float function with an
+        origin is written as it, {"theta": <residue form>, "phi": <phi>}."""
+        if self._origin is not None and not self.exact:
+            theta, phi = self._origin
+            return {"theta": theta.residue_json(), "phi": phi.to_json()}
+
         def dump(p):
             return [scalar_to_json(c) for c in p.coeffs]
 
@@ -637,8 +646,8 @@ def _deflate(coeffs, x) -> list:
 def _node_products(nodes) -> tuple:
     """Ascending coefficients of D = prod_i (z - x_i) over ``nodes`` and of
     each partial product D / (z - x_i) (``_deflate``), O(n^2) in all: the
-    node products over which Theta's entries and the degenerate solution
-    are node sums (``_node_sum``)."""
+    node products over which a residue form's entries and the expansion of
+    a realization are node sums (``_node_sum``)."""
     full = [1]
     for x in nodes:
         times = [0] + full
@@ -670,13 +679,7 @@ def _integer_form(num, den) -> tuple:
     canonical form.
     """
     ints, _ = _cleared_integers([*num, *den])
-    return _primitive_form(ints[: len(num)], ints[len(num) :])
-
-
-def _primitive_form(num_ints, den_ints) -> tuple:
-    """``_integer_form`` of integer coefficient lists: both divided by their
-    common content, with the sign that makes den's leading coefficient
-    positive."""
+    num_ints, den_ints = ints[: len(num)], ints[len(num) :]
     g = 0
     for v in num_ints:
         g = math.gcd(g, v)

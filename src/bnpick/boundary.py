@@ -9,9 +9,9 @@ residual and the kernel diagonal.  Two sources feed it: ``lft_jets`` reads
 the jets of w = Theta o phi from Theta's residue form, for all nodes in one
 numpy pass, and ``rational_jets`` takes those of a function's own
 coefficients (a parameter, or a candidate with no resolvent), exactly where
-they are exact.  ``function_jets`` picks the source: a w that
-``apply_lft`` built keeps its origin (Theta, phi), and its jets at Theta's
-nodes are read from there, never from w's float coefficients.  Float
+they are exact.  ``function_jets`` picks the source: a w with an origin
+(Theta, phi), a realization, has its jets at Theta's nodes read from
+there, never from w's float coefficients.  Float
 coefficients are zero when within ``JET_ZERO_TOL`` of their scale.  The
 module also holds the sampled negative-squares counts of Nevanlinna kernels
 and the bordered-kernel solution criterion.
@@ -31,7 +31,6 @@ from ._sections import (
     negative_count,
     nevanlinna_kernel,
     pole_free_grid,
-    span_of,
 )
 from .algebra import (
     Polynomial,
@@ -385,8 +384,8 @@ def lft_jets(theta, p: Polynomial, q: Polynomial, at=None) -> list:
 def function_jets(f: RationalFunction, points) -> list:
     """The ``Jet`` of f at each point, from the one source that holds it.
 
-    A w that ``apply_lft`` built keeps its origin (Theta, phi); where every
-    point is a node of Theta its jets come from Theta's residue form, read
+    A w with an origin (Theta, phi), a realization: where every point is a
+    node of Theta its jets come from Theta's residue form, read
     at those nodes' indices (``lft_jets``), as ``classify_and_verify``
     reads them, or from the node pass w keeps (``_jets``) when every node
     is read in order: a float w's coefficients are off from n of about 16.
@@ -425,7 +424,7 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, values=None, at=None) ->
     """
     import numpy as np
 
-    x, _, rows = theta._samplers
+    x, _, rows, _ = theta._samplers
     sizes = theta._node_table.right_sizes
     if at is not None:
         x, rows, sizes = x[at], rows[at], sizes[at]
@@ -500,7 +499,7 @@ def fmi_check(
     """
     import numpy as np
 
-    points, values = pole_free_grid(w, span_of(sys.X), config)
+    points, values = pole_free_grid(w, sys.floats.span, config)
     x = np.array([float(v) for v in sys.X])
     e = np.array([float(v) for v in sys.E])
     c = np.array([float(v) for v in sys.C])

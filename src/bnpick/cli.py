@@ -185,8 +185,10 @@ def _load_candidate(args) -> RationalFunction:
 
 
 def _realization(doc) -> tuple:
-    """(Theta, phi) of a float ``apply`` document's w: Theta's residue form
-    (``RationalMatrix2x2.from_json``) and phi's parameter document."""
+    """(Theta, phi) of a float w's document, as ``RationalFunction.to_json``
+    writes it for a w with an origin (float ``apply`` and singular
+    ``solve``): the residue form, constant term included
+    (``RationalMatrix2x2.from_json``), and phi's parameter document."""
     from .resolvent import RationalMatrix2x2
     from .transform import Parameter
 
@@ -290,11 +292,8 @@ def cmd_apply(args) -> int:
     report, w, sampled = classify_and_verify(
         system, phi, config=config.grid, tol=config.verify_tol
     )
-    # a float w is written as what was certified, its origin (Theta, phi),
-    # which verify reads back; its coefficients are never expanded
     doc = {
-        "w": w.to_json() if w.exact else {"theta": w._origin[0].residue_json(),
-                                          "phi": phi.to_json()},
+        "w": w.to_json(),
         "classification": [n.to_json() for n in report.nodes],
         "k": report.k,
         "class_index": report.class_index,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (
     RANK_TOL,
@@ -236,6 +238,29 @@ class PickSystem:
     @property
     def invertible(self) -> bool:
         return self.inertia.zeros == 0
+
+    @cached_property
+    def floats(self) -> "SystemFloats":
+        """The span of the nodes, the node data and eta as floats, converted
+        once per system: every certify op of the system reads them, and the
+        ``float`` of a ``Fraction`` goes through the ``numbers`` ABCs."""
+        from ._sections import span_of
+
+        data = self.data
+        targets = [*zip(map(float, data.values), map(float, data.derivative_bounds)),
+                   *((float(xi),) for xi in data.residues)]
+        eta = tuple(None if is_infinite(v) else float(v) for v in self.eta or ())
+        return SystemFloats(span_of(self.X), tuple(targets), eta)
+
+
+class SystemFloats(NamedTuple):
+    """``PickSystem.floats``: ``_sections.span_of`` the nodes, each node's
+    data ((w_i, gamma_i) at a regular node, (xi_i,) at a singular one) and
+    each eta_i (None where infinite; none for a singular P), as floats."""
+
+    span: tuple
+    data: tuple
+    eta: tuple
 
 
 def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSystem:

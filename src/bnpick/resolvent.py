@@ -19,6 +19,9 @@ the nodes with a nonzero residue, and its entries -- real rational
 functions whose golden displays compare by exact coefficient equality --
 are expanded from the same form only when they are asked for.  A float
 matrix is written as its residue form, and an exact one as its entries.
+The same form with constant term 0 in place of I_2 realizes the degenerate
+solver's unique solution, and one routine (``_expansion``) expands the
+transform of any such realization, on both lanes.
 
 J-unitarity is certified through the determinant: for any 2x2 matrix A,
 A J A^T = det(A) J, because J = i [[0, -1], [1, 0]] is a multiple of the
@@ -58,7 +61,6 @@ from ._sections import (
     VERIFY_TOL,
     GridConfig,
     negative_count,
-    span_of,
     upper_half_grid,
 )
 from .algebra import (
@@ -66,6 +68,8 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     _cleared_integers,
+    _deflate,
+    _float_normal_form,
     _integer_form,
     _node_products,
     _node_sum,
@@ -73,6 +77,7 @@ from .algebra import (
     scalar_to_json,
 )
 from .errors import (
+    DegenerateTransformError,
     FloatRangeError,
     PoleError,
     SingularMatrixError,
@@ -85,24 +90,32 @@ if TYPE_CHECKING:
     import numpy as np
 
 KERNEL_AGREEMENT_TOL = 1e-8
+_DEGENERATE = "parameter sends the transform to the constant infinity"
+
+
+_IDENTITY = ((1, 0), (0, 1))
 
 
 @dataclass(frozen=True)
 class RationalMatrix2x2:
     """2x2 matrix of rational functions held as a residue form.
 
-    The residue form I_2 + sum_i l_i r_i / (z - x_i) keeps the nodes x_i and
-    their left columns l_i and right rows r_i; it is evaluated from them, its
-    poles are the nodes, and its entries are expanded from them when first
-    asked for.  Products of residue forms are composed into residue forms
-    (``@``).  A matrix built from resolvents has det == 1, so its inverse is
-    its adjugate.
+    The residue form K + sum_i l_i r_i / (z - x_i) keeps the nodes x_i and
+    their left columns l_i and right rows r_i, and its constant term K, I
+    for every matrix built from resolvents and 0 for the degenerate
+    solution's realization (``solver.solve_degenerate``).  It is evaluated
+    from them (``eval``, ``residue_jets``, ``_expansion``), its poles are the
+    nodes with a nonzero residue, and its entries are expanded from them
+    when first asked for.  Products of resolvent forms are composed into
+    residue forms (``@``), and as they have det == 1 their inverse is the
+    adjugate; no realization is given to either.
     """
 
     kappa: int | None = None
     nodes: tuple = ()
     left: tuple = ()
     right: tuple = ()
+    constant: tuple = _IDENTITY
 
     def entry(self, i, j) -> RationalFunction:
         return self.entries[i][j]
@@ -114,34 +127,38 @@ class RationalMatrix2x2:
     @cached_property
     def exact(self) -> bool:
         """Whether the matrix lives on the exact lane."""
-        values = [*self.nodes, *(v for f in (*self.left, *self.right) for v in f)]
-        return all(isinstance(v, (int, Fraction)) for v in values)
+        return all(isinstance(v, (int, Fraction)) for v in self._scalars())
+
+    def _scalars(self):
+        return (*self.nodes, *(v for f in (*self.left, *self.right, *self.constant) for v in f))
 
     @cached_property
     def poles(self) -> tuple:
-        """The nodes, sorted."""
-        return tuple(sorted(self.nodes))
+        """The nodes with a nonzero residue, sorted."""
+        return tuple(sorted(x for x, l, r in zip(self.nodes, self.left, self.right)
+                            if any(l) and any(r)))
 
     @cached_property
     def entries(self) -> tuple:
         """The four entries in canonical form.
 
-        Entry (a, b) is delta_ab + sum_i r_i / (z - x_i) with
-        r_i = l_i[a] r_i[b].  Over the product of the nodes with r_i != 0 its
-        numerator takes the value r_i prod_{j != i} (x_i - x_j) at x_i,
-        nonzero because the nodes are distinct, so numerator and denominator
-        are coprime by construction and no gcd is taken: the exact lane
-        applies only the integer scaling of the canonical form, and the float
-        lane keeps the monic node product as denominator.
+        Entry (a, b) is K_ab + sum_i r_i / (z - x_i) with r_i = l_i[a] r_i[b],
+        a node sum over the product D of the nodes with r_i != 0
+        (``algebra._node_products``).  Its numerator takes the value
+        r_i prod_{j != i} (x_i - x_j) at x_i, nonzero because the nodes are
+        distinct, so numerator and denominator are coprime by construction
+        and no gcd is taken: the exact lane applies only the integer scaling
+        of the canonical form, and the float lane keeps the monic node
+        product as denominator.
         """
         rows = []
         for a in range(2):
             row = []
             for b in range(2):
-                kept = tuple(
-                    i for i, (l, r) in enumerate(zip(self.left, self.right)) if l[a] * r[b]
-                )
-                num, den = self._cleared(a, b, kept)
+                kept = [i for i, (l, r) in enumerate(zip(self.left, self.right)) if l[a] * r[b]]
+                den, partials = _node_products([self.nodes[i] for i in kept])
+                weights = [self.left[i][a] * self.right[i][b] for i in kept]
+                num = _node_sum(weights, partials, [self.constant[a][b] * c for c in den])
                 if self.exact:
                     row.append(RationalFunction(*_integer_form(num, den), reduce=False))
                 else:
@@ -149,43 +166,17 @@ class RationalMatrix2x2:
             rows.append(tuple(row))
         return tuple(rows)
 
-    @cached_property
-    def _products(self) -> dict:
-        return {}
-
-    def _cleared(self, a, b, kept) -> tuple:
-        """Ascending coefficients of D Theta_ab and of D, the product of the
-        nodes indexed by ``kept``.  D and its partial products are built
-        once per kept set (``algebra._node_products``), so a numerator costs
-        O(n^2).
-        """
-        if kept not in self._products:
-            self._products[kept] = _node_products([self.nodes[i] for i in kept])
-        full, partials = self._products[kept]
-        weights = [self.left[i][a] * self.right[i][b] for i in kept]
-        return _node_sum(weights, partials, full if a == b else [0] * len(full)), full
-
-    @cached_property
-    def node_numerators(self) -> tuple:
-        """Ascending coefficient lists N_ab of D Theta_ab, D the product of
-        all the nodes, as a 2 x 2 nested tuple; built once."""
-        kept = tuple(range(len(self.nodes)))
-        return tuple(tuple(self._cleared(a, b, kept)[0] for b in range(2)) for a in range(2))
-
-    @cached_property
-    def integer_numerators(self) -> tuple:
-        """``node_numerators`` of an exact matrix times one common factor
-        that makes every coefficient an integer, nested as they are; built
-        once.  A quotient of two combinations of them is unchanged."""
-        ints, _ = _cleared_integers([c for row in self.node_numerators for f in row for c in f])
-        it = iter(ints)
-        return tuple(tuple([next(it) for _ in f] for f in row) for row in self.node_numerators)
-
-    @cached_property
-    def cleared(self) -> tuple:
-        """Polynomials N_ab with Theta_ab = N_ab / D, D the product of the
-        nodes, built once from ``node_numerators``."""
-        return tuple(tuple(Polynomial(c) for c in row) for row in self.node_numerators)
+    def _numerators(self, kept: tuple) -> tuple:
+        """(N, D): D = prod_kept (z - x_i) and the node sums N_ab of
+        D (K + sum_kept l_i r_i / (z - x_i))_ab, ascending, in the matrix's
+        own scalars; kept once per index tuple ``kept`` (``_expansion``)."""
+        table = vars(self).setdefault("_numerator_table", {})  # as cached_property stores
+        if kept not in table:
+            full, partials = _node_products([self.nodes[i] for i in kept])
+            table[kept] = [[_node_sum([self.left[i][a] * self.right[i][b] for i in kept], partials,
+                                      [self.constant[a][b] * c for c in full]) for b in range(2)]
+                           for a in range(2)], full
+        return table[kept]
 
     def det(self) -> RationalFunction:
         e = self.entries
@@ -271,16 +262,16 @@ class RationalMatrix2x2:
         ``_column_at`` form, with every term replaced by its modulus."""
         import numpy as np
 
-        nodes, left, right = self._samplers
+        nodes, left, right, _ = self._samplers
         gap = np.abs(float(x) - nodes)
         inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
         return np.eye(2) + (np.abs(left) * inv) @ np.abs(right)
 
     @cached_property
     def _samplers(self):
-        """The float nodes, 2 x n left columns and n x 2 right rows.  An exact
-        value beyond the float range raises ``FloatRangeError``, which names
-        its size."""
+        """The float nodes, 2 x n left columns, n x 2 right rows and 2 x 2
+        constant term.  An exact value beyond the float range raises
+        ``FloatRangeError``, which names its size."""
         import numpy as np
 
         try:
@@ -288,10 +279,10 @@ class RationalMatrix2x2:
                 np.array(self.nodes, dtype=float),
                 np.array(self.left, dtype=float).reshape(-1, 2).T,
                 np.array(self.right, dtype=float).reshape(-1, 2),
+                np.array(self.constant, dtype=float),
             )
         except OverflowError:
-            values = [*self.nodes, *(v for f in (*self.left, *self.right) for v in f)]
-            bits = max(int(abs(v)).bit_length() for v in values)
+            bits = max(int(abs(v)).bit_length() for v in self._scalars())
             raise FloatRangeError(
                 f"a residue-form entry of {bits} bits exceeds the float range (1024 bits); "
                 "the matrix cannot be sampled in floats"
@@ -319,7 +310,7 @@ class RationalMatrix2x2:
 
         from .boundary import JET_ORDERS
 
-        nodes, left, right = self._samplers
+        nodes, left, right, _ = self._samplers
         gap = nodes[:, np.newaxis] - nodes
         own = gap == 0
         inv = np.divide(1.0, gap, out=np.zeros_like(gap), where=~own)
@@ -342,9 +333,9 @@ class RationalMatrix2x2:
         j = i and sum_{m >= 1} (-1)^(m-1) t^m / (x_i - x_j)^m otherwise, so
         with W_m those weights (W_0 the identity)
 
-            u_k = v_(k-1) + sum_{m=0..k} sum_j l_j W_m[i, j] (r_j . v_(k-m)):
+            u_k = K v_(k-1) + sum_{m=0..k} sum_j l_j W_m[i, j] (r_j . v_(k-m)),
 
-        u_0 = l_i (r_i . v_0) and u_1 = v_0 + l_i (r_i . v_1)
+        K the constant term: u_0 = l_i (r_i . v_0) and u_1 = K v_0 + l_i (r_i . v_1)
         + sum_{j != i} l_j (r_j . v_0) / (x_i - x_j).  The weights and what
         else depends only on the nodes are the node table (``_node_table``),
         built once.  Returns (u, scale): u and the same sums with every
@@ -354,7 +345,7 @@ class RationalMatrix2x2:
         """
         import numpy as np
 
-        _, left, right = self._samplers
+        _, left, right, constant = self._samplers
         table = self._node_table
         weights, abs_weights = table.weights, table.abs_weights
         if at is not None:
@@ -362,11 +353,12 @@ class RationalMatrix2x2:
         count = len(v)
         # r_j . v_b at each node, shape (K, Q, n), and its scale |r_j| |v_b|
         # in 1-norms, as the float lane's rows r_j carry a float inverse's error
+        moduli = np.abs(v)
         dots = v.transpose(0, 2, 1) @ right.T
-        sizes = np.abs(v).sum(axis=1)[:, :, np.newaxis] * table.right_sizes
+        sizes = moduli.sum(axis=1)[:, :, np.newaxis] * table.right_sizes
         out = []
-        for w, l, d, shift in ((weights, left, dots, v),
-                               (abs_weights, table.abs_left, sizes, np.abs(v))):
+        for w, l, d, shift in ((weights, left, dots, constant @ v),
+                               (abs_weights, table.abs_left, sizes, abs(constant) @ moduli)):
             terms = w[0] * d
             for m in range(1, count):
                 terms[m:] += w[m] * d[: count - m]
@@ -376,7 +368,7 @@ class RationalMatrix2x2:
         return tuple(out)
 
     def eval(self, z) -> np.ndarray:
-        """Float value I_2 + L diag(1/(z - x)) R of the matrix at z.
+        """Float value K + L diag(1/(z - x)) R of the matrix at z.
 
         An array of K points gives the K x 2 x 2 stack of the values at each
         point, evaluated at once.  ``PoleError`` is raised when any point is
@@ -387,12 +379,12 @@ class RationalMatrix2x2:
         if np.ndim(z) == 0:
             return self.eval(np.array([complex(z)]))[0]
         points = np.asarray(z, dtype=complex).reshape(-1)
-        x, left, right = self._samplers
+        x, left, right, constant = self._samplers
         gap = points[:, np.newaxis] - x
         on_pole = ~gap.all(axis=1)
         if on_pole.any():
             raise PoleError(complex(points[on_pole][0]))
-        return np.eye(2) + (left / gap[:, np.newaxis, :]) @ right
+        return constant + (left / gap[:, np.newaxis, :]) @ right
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix2x2):
@@ -423,36 +415,38 @@ class RationalMatrix2x2:
     def residue_json(self) -> dict:
         """The residue form as a document, which ``from_json`` reads back:
         the nodes, the left columns and the right rows, in the nodes' order,
-        with ``kappa`` and the sorted poles."""
+        the constant term's rows, ``kappa`` and the sorted poles."""
         return {
             "nodes": [scalar_to_json(x) for x in self.nodes],
             "left": [[scalar_to_json(v) for v in l] for l in self.left],
             "right": [[scalar_to_json(v) for v in r] for r in self.right],
+            "constant": [[scalar_to_json(v) for v in row] for row in self.constant],
             "kappa": self.kappa,
             "poles": [float(p) for p in self.poles],
         }
 
     @staticmethod
     def from_json(doc) -> "RationalMatrix2x2":
-        """The matrix of a ``residue_json`` document, with the values its
-        scalars give (``scalar_from_json``).  Unequal counts of nodes, left
-        columns and right rows, a column or row that is not a pair, repeated
-        nodes, a non-integer ``kappa`` and a non-finite or malformed number
-        are each a ``ValueError`` or ``TypeError``; a missing field is a
-        ``KeyError``."""
+        """The matrix of a ``residue_json`` document, every node kept, with
+        the values its scalars give (``scalar_from_json``) and K = I where it
+        has none.  Unequal counts of nodes, left columns and right rows, a
+        column, row or K that is not pairs, repeated nodes, a non-integer
+        ``kappa`` and a non-finite or malformed number are each a
+        ``ValueError`` or ``TypeError``; a missing field is a ``KeyError``."""
         nodes = [scalar_from_json(x) for x in doc["nodes"]]
         left, right = ([tuple(map(scalar_from_json, f)) for f in doc[key]]
                        for key in ("left", "right"))
+        constant = [tuple(map(scalar_from_json, f)) for f in doc.get("constant", _IDENTITY)]
         if not len(nodes) == len(left) == len(right):
             raise ValueError("a residue form needs one left column and one right row per node")
-        if any(len(f) != 2 for f in (*left, *right)):
-            raise ValueError("each left column and right row of a residue form is a pair")
+        if len(constant) != 2 or any(len(f) != 2 for f in (*left, *right, *constant)):
+            raise ValueError("a residue form's columns, rows and two constant rows are pairs")
         if len(set(nodes)) != len(nodes):
             raise ValueError("the nodes of a residue form must be distinct")
         kappa = doc.get("kappa")
         if kappa is not None and type(kappa) is not int:
             raise TypeError(f"kappa must be an integer, not {kappa!r}")
-        return _residue_matrix_form(nodes, left, right, kappa)
+        return RationalMatrix2x2(kappa, tuple(nodes), tuple(left), tuple(right), tuple(constant))
 
 
 class _NodeTable(NamedTuple):
@@ -563,6 +557,62 @@ def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:
     left = [(-r[1], r[0]) for r in theta.right]
     right = [(-l[1], l[0]) for l in theta.left]
     return _residue_matrix_form(list(theta.nodes), left, right, theta.kappa)
+
+
+def _expansion(form: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros=None) -> tuple:
+    """(num, den) in canonical form of w = u_0 / u_1, u = form(z) (p; q):
+    the one expansion of a realization, on both lanes, for any constant K.
+
+    u = K v + sum_i l_i s_i / (z - x_i), s_i = r_i . v.  ``zeros`` flags the
+    nodes with s_i(x_i) = 0 (``boundary._exact_node_zeros`` or, at
+    JET_ZERO_TOL, ``node_zero_test`` when not given), where s_i / (z - x_i)
+    is a polynomial; with D over the unflagged nodes, D u is a pair of node
+    sums, D K v + sum_unflagged l_i s_i D / (z - x_i) + sum_flagged
+    l_i (s_i / (z - x_i)) D.  An unflagged x_i shares no factor: both take
+    l_i s_i(x_i) prod_{j != i} (x_i - x_j) there.  At a flagged node both
+    are divided by z - x_i for as long as both vanish there, and no other
+    common factor exists (``transform.apply_lft``,
+    ``solver.solve_degenerate``).  The lanes differ only in scalar type and
+    normal form: ``Fraction``s and the canonical integer form, or floats, a
+    monic den and a value vanishing within JET_ZERO_TOL of the sum of the
+    moduli of its terms.  A zero den raises ``DegenerateTransformError``.
+    """
+    from .boundary import JET_ZERO_TOL, _exact_node_zeros, node_zero_test
+
+    exact = form.exact and p.exact and q.exact
+    if zeros is None:
+        zeros = _exact_node_zeros(form, p, q) if exact else node_zero_test(form, p, q)[0]
+    tol = 0 if exact else JET_ZERO_TOL
+    numerators, full = form._numerators(tuple(i for i, zero in enumerate(zeros) if not zero))
+    (n00, n01), (n10, n11) = [[Polynomial(c) for c in row] for row in numerators]
+    full = Polynomial(full)
+    num, den = n00 * p + n01 * q, n10 * p + n11 * q
+    flagged = [i for i, zero in enumerate(zeros) if zero]
+    for i in flagged:
+        (a, b), (c, d) = form.left[i], form.right[i]
+        # l_i (s_i / (z - x_i)) D, s_i = r_i . v
+        term = Polynomial(_deflate((p.scale(c) + q.scale(d)).coeffs, form.nodes[i])) * full
+        num, den = num + term.scale(a), den + term.scale(b)
+    if den.is_zero:
+        raise DegenerateTransformError(_DEGENERATE)
+    if num.is_zero:
+        den = Polynomial.one()
+    for x in (form.nodes[i] for i in flagged):
+        while _vanishes(num, x, tol) and _vanishes(den, x, tol):
+            num, den = Polynomial(_deflate(num.coeffs, x)), Polynomial(_deflate(den.coeffs, x))
+    if exact:
+        return _integer_form(num.coeffs, den.coeffs)
+    return _float_normal_form(num, den)
+
+
+def _vanishes(f: Polynomial, x, tol) -> bool:
+    """f(x) = 0: exactly where ``tol`` is 0, and otherwise |f(x)| within
+    ``tol`` times the sum of the moduli of its terms."""
+    value = scale = 0
+    for c in reversed(f.coeffs):
+        value = value * x + c
+        scale = scale * abs(x) + abs(c)
+    return abs(value) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -740,7 +790,7 @@ def kernel_theta_negative_squares(
     grid line lies above the real axis, as a ``GridConfig`` holds only
     positive levels.
     """
-    points, values = theta._grid_table(span_of(sys.X), config)
+    points, values = theta._grid_table(sys.floats.span, config)
     return negative_count(kernel_theta_sample(sys, points, values), config.eig_tol)
 
 

@@ -29,14 +29,10 @@ from .algebra import (
     HermitianMatrix,
     Polynomial,
     RationalFunction,
-    _deflate,
-    _integer_form,
-    _node_products,
-    _node_sum,
     hermitian_inertia,
     symmetric_elimination,
 )
-from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig, span_of
+from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
 from .boundary import (
     LimitEstimate,
     fmi_check,
@@ -47,6 +43,7 @@ from .boundary import (
     rational_jets,
 )
 from .errors import (
+    DegenerateTransformError,
     InconsistentClassificationError,
     NoSolutionRepresentationError,
     NotNevanlinnaError,
@@ -69,9 +66,17 @@ THRESHOLD_TOL = 1e-7
 # lanes label alike.
 ZERO_RESIDUAL_TOL = 1e-9
 # Float closed forms of ``solve_degenerate`` from different kernel vectors
-# agree to UNIQUE_AGREEMENT_TOL (``isclose``): each is linear in an SVD row
-# of P, which errs by about u s_max / s_gap, below 1e-8 while that is < 10^6.
+# agree to UNIQUE_AGREEMENT_TOL (``_realizations_agree``): each node sum is
+# linear in an SVD row of P, which errs by about u s_max / s_gap, below 1e-8
+# while that is < 10^6.
 UNIQUE_AGREEMENT_TOL = 1e-8
+# An entry of a float SVD kernel vector within KERNEL_ENTRY_TOL of its largest
+# is 0: the SVD errs by about u s_max / s_gap (s_gap the least singular value
+# kept out of the kernel), below 1.1e-10 while s_max / s_gap < 10^6.  A kept
+# rounding residue y_i would give w the datum C_i / E_i as its limit at x_i:
+# on nodes (0, 1, 2), values (3, 3, 5), bounds (0, 0, 1), with unique solution
+# 3 and kernel (-2, 1, 0), the SVD vector ends in -2.1e-17 and w(2) read 5.
+KERNEL_ENTRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -224,7 +229,7 @@ def _second_limit_kind(sys: PickSystem, i: int, value, tol: float):
     limit: ``"derivative"`` where the value matches eta_i (family C),
     ``"residual"`` where the value is infinite (family Ctilde), else None."""
     if sys.tilde_e[i]:
-        eta = float(sys.eta[i]) if not is_infinite(sys.eta[i]) else None
+        eta = sys.floats.eta[i]
         if not value.is_finite or eta is None or abs(value.value.real - eta) > tol * max(
             1.0, abs(eta)
         ):
@@ -380,8 +385,8 @@ def _classified(sys: PickSystem, phi: Parameter) -> tuple:
 
 def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
     """The limits of w that each node's checks read, as jets at all the
-    nodes at once (``function_jets``: from Theta's residue form for a w that
-    ``apply_lft`` built, never from its coefficients, as
+    nodes at once (``function_jets``: from Theta's residue form for a w with
+    an origin, never from its coefficients, as
     ``classify_and_verify`` reads them; from w's own coefficients
     otherwise).
 
@@ -415,15 +420,10 @@ def _jet_node_limits(sys: PickSystem, outcomes: dict, jets) -> dict:
 def _limit_errors(sys: PickSystem, i: int, limits: dict) -> dict:
     """|limit - datum| of the value and derivative against w_i and gamma_i,
     or of the residual against xi_i; infinite where the limit is not finite."""
-    data = sys.data
-    ell = data.ell
-    if i < ell:
-        target = (("value", data.values[i]), ("derivative", data.derivative_bounds[i]))
-    else:
-        target = (("residual", data.residues[i - ell]),)
+    keys = ("value", "derivative") if i < sys.ell else ("residual",)
     return {
-        key: abs(limits[key].value.real - float(datum)) if limits[key].is_finite else float("inf")
-        for key, datum in target
+        key: abs(limits[key].value.real - datum) if limits[key].is_finite else float("inf")
+        for key, datum in zip(keys, sys.floats.data[i])
     }
 
 
@@ -469,7 +469,7 @@ def verify_outcome(
         if not (value_err <= tol and deriv.is_finite):
             return NodeVerification(False, None, limits)
         s = deriv.value.real
-        bound = float(sys.data.derivative_bounds[node_index])
+        bound = sys.floats.data[node_index][1]
     else:
         residual = limits["residual"]
         if not residual.is_finite:
@@ -483,7 +483,7 @@ def verify_outcome(
         if abs(r) <= tol:
             return NodeVerification(False, None, limits)
         s = -1.0 / r
-        bound = -1.0 / float(sys.data.residues[node_index - ell])
+        bound = -1.0 / sys.floats.data[node_index][0]
     if kind == "bound":
         return NodeVerification(s <= bound + tol, bound - s, limits)
     slack = (bound - s) if kind == "strict_below" else (s - bound)
@@ -534,7 +534,7 @@ def classify_and_verify(
         NodeReport(i + 1, label, outcome, verify_outcome(sys, w, i, outcome.kind, tol, limits[i]))
         for i, (label, outcome) in enumerate(zip(labels, outcomes))
     )
-    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
+    sampled = kernel_negative_squares(w, config=config, span=sys.floats.span)
     return ClassificationReport(nodes, k, sys.kappa), w, sampled
 
 
@@ -574,19 +574,22 @@ def equivalence_check(sys: PickSystem) -> bool:
 def solve_degenerate(sys: PickSystem) -> RationalFunction:
     """Unique solution for a singular Pick matrix, from a kernel vector y:
 
-        w(z) = (y* (zI-X)^(-1) C*) / (y* (zI-X)^(-1) E*).
+        w(z) = (y* (zI-X)^(-1) C*) / (y* (zI-X)^(-1) E*),
 
+    the barycentric form sum_i y_i C_i / (z - x_i) / sum_i y_i E_i / (z - x_i).
     The result does not depend on the kernel vector; with nullity above one
     every basis vector is tried and the results are required to agree.
 
-    For each y, num and den are node sums over its support S = {i : y_i !=
-    0}, built as Theta's entries are (``algebra._node_products``): with
-    D_S = prod_S (z - x_i), num = sum_S y_i C_i D_S / (z - x_i) and den =
-    sum_S y_i E_i D_S / (z - x_i).  A float pair is kept as built, in the
-    float normal form.  The exact lane cancels only at the nodes outside S,
-    dividing both by z - x_i while both vanish at x_i (exact evaluation),
-    and takes the canonical integer form with no gcd; zero is 0/1.  No
-    other common factor exists.  With a = num / D_S and b = den / D_S:
+    For each y, w = u_0 / u_1 for u = sum_i y_i (C_i; E_i) / (z - x_i): the
+    residue form on all the nodes with left columns (C_i, E_i), right rows
+    (y_i, 0) and constant term 0, applied to phi = infinity, whose node zero
+    test flags the nodes outside y's support S.  A float w keeps that
+    origin, so its limits, grid, values and document are read from the node
+    sums, stable where monomial coefficients are not (Berrut and Trefethen,
+    SIAM Review 46, 2004).  An exact w is its expansion
+    (``resolvent._expansion``), with exact integers and jets: node sums over
+    S, cancelled at the nodes outside S while num and den both vanish
+    there.  No other common factor exists; with a = num / D_S, b = den / D_S:
 
     1. At x_i, i in S, num and den are y_i C_i prod_{j != i} (x_i - x_j)
        and y_i E_i times the same product, and (C_i, E_i) is (w_i, 1) or
@@ -605,48 +608,63 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
        and common zeros do occur: nodes (0, 1, 2), values (3, 3, 5) and
        bounds (0, 0, gamma_3) have kernel (-2, 1, 0), the pair over S is
        (3z - 6) / (z - 2), and w = 3.
+
+    The float kernel vectors are P's right singular vectors at singular
+    values within ``rank_tol``, their entries within KERNEL_ENTRY_TOL of 0
+    set to 0, so that the zero test flags the nodes outside the exact
+    support too.
     """
     if sys.invertible:
         raise ValueError("Pick matrix is invertible; use the resolvent instead")
+    from .resolvent import RationalMatrix2x2, _expansion
+
     if sys.exact:
         vectors = symmetric_elimination(sys.P.rows).kernel
+        zero = Fraction(0)
     else:
         import numpy as np
 
-        arr = sys.P.to_numpy().real
-        _, s, vh = np.linalg.svd(arr)
+        from .transform import Parameter, _node_cancelled
+
+        _, s, vh = np.linalg.svd(sys.P.to_numpy().real)
         scale = max(1.0, s[0]) * sys.rank_tol
-        vectors = [vh[i].tolist() for i in range(len(s)) if s[i] <= scale]
+        vectors = [np.where(np.abs(v) <= KERNEL_ENTRY_TOL * np.abs(v).max(), 0.0, v).tolist()
+                   for v, sv in zip(vh, s) if sv <= scale]
+        zero = 0.0
     if not vectors:
         raise NoSolutionRepresentationError("no kernel vector found for singular P")
     candidates = []
     for y in vectors:
-        support = [i for i in range(sys.n) if y[i]]
-        _, partials = _node_products([sys.X[i] for i in support])
-        num, den = (
-            Polynomial(_node_sum([y[i] * v[i] for i in support], partials, [0] * len(support)))
-            for v in (sys.C, sys.E)
-        )
-        if den.is_zero:
+        form = RationalMatrix2x2(nodes=sys.X, left=tuple(zip(sys.C, sys.E)),
+                                 right=tuple((v, zero) for v in y), constant=((zero, zero),) * 2)
+        try:
+            if sys.exact:
+                candidates.append(RationalFunction(
+                    *_expansion(form, Polynomial.one(), Polynomial(())), reduce=False))
+            else:
+                candidates.append(_node_cancelled(form, Parameter.infinity()))
+        except DegenerateTransformError:
             raise NoSolutionRepresentationError(
                 "degenerate closed form has an identically zero denominator"
-            )
-        if not sys.exact or num.is_zero:
-            # the float normal form, or the exact 0/1, which takes no gcd
-            candidates.append(RationalFunction(num, den))
-            continue
-        for x in (x for x, c in zip(sys.X, y) if not c):
-            while not (num(x) or den(x)):
-                num, den = Polynomial(_deflate(num.coeffs, x)), Polynomial(_deflate(den.coeffs, x))
-        candidates.append(RationalFunction(*_integer_form(num.coeffs, den.coeffs), reduce=False))
+            ) from None
     first = candidates[0]
     for other in candidates[1:]:
-        agree = (first == other) if sys.exact else first.isclose(other, UNIQUE_AGREEMENT_TOL)
-        if not agree:
+        if not (first == other if sys.exact else _realizations_agree(sys, first, other)):
             raise NoSolutionRepresentationError(
-                "kernel vectors produced different unique solutions"
-            )
+                "kernel vectors produced different unique solutions")
     return first
+
+
+def _realizations_agree(sys: PickSystem, v: RationalFunction, w: RationalFunction) -> bool:
+    """Whether float solutions v = a / b and w = c / d, for the node sums
+    (a; b) and (c; d) of their realizations, meet a d = c b within
+    UNIQUE_AGREEMENT_TOL of |a d| + |c b| on the default grid."""
+    import numpy as np
+
+    span = sys.floats.span
+    (a, b), (c, d) = (f._origin[0]._grid_table(span, DEFAULT_GRID)[1][:, :, 0].T for f in (v, w))
+    lhs, rhs = a * d, c * b
+    return bool(np.all(np.abs(lhs - rhs) <= UNIQUE_AGREEMENT_TOL * (np.abs(lhs) + np.abs(rhs))))
 
 
 def verify_candidate(
@@ -678,7 +696,7 @@ def verify_candidate(
             }
         )
     fmi = fmi_check(sys, w, config=config)
-    sampled = kernel_negative_squares(w, config=config, span=span_of(sys.X))
+    sampled = kernel_negative_squares(w, config=config, span=sys.floats.span)
     return {
         "nodes": nodes,
         "fmi_count": fmi,

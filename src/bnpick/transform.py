@@ -19,11 +19,6 @@ from typing import TYPE_CHECKING
 from .algebra import (
     Polynomial,
     RationalFunction,
-    _cleared_integers,
-    _deflate,
-    _float_normal_form,
-    _primitive_form,
-    _scaled_value,
     scalar_from_json,
     scalar_to_json,
     symmetric_elimination,
@@ -32,8 +27,6 @@ from .errors import DegenerateTransformError, NotNevanlinnaError
 
 if TYPE_CHECKING:
     from .resolvent import RationalMatrix2x2
-
-_DEGENERATE = "parameter sends the transform to the constant infinity"
 
 
 @dataclass(frozen=True)
@@ -172,22 +165,22 @@ def is_nevanlinna(phi: Parameter) -> NevanlinnaCheck:
 def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     """Linear-fractional transform of a parameter by the resolvent.
 
-    The entries are cleared to numerators N over the product D of the
-    nodes before forming the quotient, with phi = p/q and phi = infinity as
-    the pair (1, 0).  An identically vanishing denominator means the
-    transform degenerates to the constant infinity, which is rejected.
+    With phi = p/q, and phi = infinity as the pair (1, 0), w is u_0 / u_1
+    for u = Theta (p; q), a node sum over Theta's residue form.  An
+    identically vanishing denominator means the transform degenerates to
+    the constant infinity, which is rejected.
 
     Both lanes cancel by one rule, with no gcd and no root finding.  With
-    [num; den] = N [p; q] over D, det N = D^2 det Theta = D^2 (every matrix
-    built from resolvents has det Theta == 1), so a common factor g of num
-    and den divides adj(N) [num; den] = D^2 [p; q], and as p and q are
-    coprime, g divides D^2: it is a product of factors (z - x_i) at the
-    nodes, each at most twice.  Near x_i, [num; den] is a nonzero multiple
-    of u(t) = (z - x_i) Theta(z) v(z), v = (p; q), whose constant term is
+    [num; den] = N [p; q] over the product D of the nodes, N = D Theta,
+    det N = D^2 det Theta = D^2 (every matrix built from resolvents has
+    det Theta == 1), so a common factor g of num and den divides
+    adj(N) [num; den] = D^2 [p; q], and as p and q are coprime, g divides
+    D^2: it is a product of factors (z - x_i) at the nodes, each at most
+    twice.  Near x_i, [num; den] is a nonzero multiple of
+    u(t) = (z - x_i) Theta(z) v(z), v = (p; q), whose constant term is
     l_i (r_i . v(x_i)) with l_i != 0; so z - x_i divides both exactly where
     r_i . v(x_i) = 0 (phi(x_i) = eta_i), and divides both twice where u's
-    next order vanishes too.  Deflating num and den by (z - x_i) there
-    leaves a coprime pair.
+    next order vanishes too.
 
     Where they share z - x_i is the node zero test r_i . v(x_i) = 0,
     decided in integers for an exact matrix with an exact parameter
@@ -196,17 +189,14 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     float64, so data beyond the float range raise ``FloatRangeError``).
     On both lanes w is returned as its origin (Theta, phi), and the zero
     flags decide whether it degenerates (``_node_cancelled``).  Its num and
-    den are formed only when first read (``_expansion``), deflated at the
-    flagged nodes and once more where u's next order vanishes in both
-    components: exactly, in integers scaled to the canonical form, on the
-    exact lane; at JET_ZERO_TOL, from the float polynomials of
-    ``RationalMatrix2x2.cleared`` scaled to a monic denominator, on the
-    float lane.  ``solver.classify_and_verify`` takes w's node pass once
-    and builds w by the same private function, so a certify op decides each
-    node once and forms no polynomial.  w's jets at the nodes, its grid
-    values and its values at float points are read from the origin
-    (``boundary.function_jets``, ``_sections.pole_free_grid``,
-    ``RationalFunction.eval``), and the CLI writes a float w as that origin.
+    den are formed only when first read, by the one expansion of a
+    realization (``resolvent._expansion``).  ``solver.classify_and_verify``
+    takes w's node pass once and builds w by the same private function, so
+    a certify op decides each node once and forms no polynomial.  w's jets at
+    the nodes, its grid values, its values at float points and a float w's
+    document are read from the origin (``boundary.function_jets``,
+    ``_sections.pole_free_grid``, ``RationalFunction.eval``,
+    ``RationalFunction.to_json``).
     """
     return _node_cancelled(theta, phi)
 
@@ -218,135 +208,48 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     otherwise the node test is taken here, and a pass taken here is kept on
     w (``_jets``), where ``boundary.function_jets`` reads it again.
 
-    On both lanes w is returned as its origin alone, with num and den
-    unset: ``RationalFunction.__getattr__`` forms them (``_expansion``) when
-    first read, and nothing a certify op reads reads them.  Degeneracy is
-    decided with no polynomial formed.  Near x_i, u(t) = (z - x_i) Theta(z)
-    v(z) has second component (z - x_i) den, den = Theta21 p + Theta22 q,
-    with constant term l_i[1] (r_i . v(x_i)).  On the exact lane a node with
-    l_i[1] != 0 (E_i = 1 at a regular node) and a False exact zero flag
-    makes it nonzero, so den is not zero; where there is none, num and den
-    are formed here, and a zero den is rejected.  On the float lane D den,
-    D the product of the n nodes, has degree at most n + deg phi and is
-    prod_{j != i} (z - x_j) times u's second component near x_i, whose
-    first JET_ORDERS Taylor coefficients are the jet's ``den``.  Where every
-    node's ``den`` jet reads zero (at JET_ZERO_TOL), D den has JET_ORDERS n
-    zeros, more than its degree whenever deg phi < (JET_ORDERS - 1) n, so
-    den is identically zero and the transform, the constant infinity, is
-    rejected.  A phi of higher degree is expanded here to decide.
+    On both lanes w is returned as its origin alone, with num and den unset:
+    ``RationalFunction.__getattr__`` forms them (``resolvent._expansion``)
+    when first read, and nothing a certify op reads reads them.  Degeneracy
+    is decided with no polynomial formed.  Near x_i, u(t) = (z - x_i)
+    Theta(z) v(z) has second component (z - x_i) den, den = Theta21 p +
+    Theta22 q, with constant term l_i[1] (r_i . v(x_i)), for any constant
+    term K of Theta (so the degenerate solution's realization, K = 0, is
+    built here too).  On the exact lane a node with l_i[1] != 0 (E_i = 1 at
+    a regular node) and a False exact zero flag makes it nonzero, so den is
+    not zero; where there is none, num and den are formed here, and a zero
+    den is rejected.  On the float lane D den, D the product of the n nodes,
+    has degree at most n + deg phi and is prod_{j != i} (z - x_j) times u's
+    second component near x_i, whose first JET_ORDERS Taylor coefficients
+    are the jet's ``den``.  Where every node's ``den`` jet reads zero (at
+    JET_ZERO_TOL), D den has JET_ORDERS n zeros, more than its degree
+    whenever deg phi < (JET_ORDERS - 1) n, so den is identically zero and
+    the transform, the constant infinity, is rejected.  A phi of higher
+    degree is expanded here to decide.
     """
     from .boundary import JET_ORDERS, _exact_node_zeros, lft_jets
+    from .resolvent import _DEGENERATE, _expansion
 
     p, q = phi.pair()
     exact = theta.exact and p.exact and q.exact
-    w = taken = None
+    w = taken = zeros = None
     if exact:
         zeros = (_exact_node_zeros(theta, p, q) if jets is None
                  else [jet.zero_test["zero"] for jet in jets])
-        if not any(l[1] and not zero for l, zero in zip(theta.left, zeros)):
-            w = _integer_node_cancelled(theta, p, q, zeros)
+        if any(l[1] and not zero for l, zero in zip(theta.left, zeros)):
+            zeros = None
     else:
         if jets is None:
             jets = taken = lft_jets(theta, p, q)
         if max(p.degree, q.degree) >= (JET_ORDERS - 1) * len(theta.nodes):
-            w = _float_node_cancelled(theta, p, q, jets)
+            zeros = [jet.zero_test["zero"] for jet in jets]
         elif not any(any(jet.den) for jet in jets):
             raise DegenerateTransformError(_DEGENERATE)
-    if w is None:
+    if zeros is None:
         w = RationalFunction.__new__(RationalFunction)
         object.__setattr__(w, "exact", exact)
+    else:
+        w = RationalFunction(*_expansion(theta, p, q, zeros), reduce=False)
     object.__setattr__(w, "_origin", (theta, phi))
     object.__setattr__(w, "_jets", taken)
     return w
-
-
-def _expansion(theta: RationalMatrix2x2, phi: Parameter) -> tuple:
-    """(num, den) of w = Theta o phi, deterministic, as ``_node_cancelled``
-    would have formed them: in integers where Theta and phi are exact, at
-    the nodes ``boundary._exact_node_zeros`` flags; otherwise in floats by
-    ``_float_node_cancelled``, which reads w's node pass only at a flagged
-    node, so the pass is taken again only where ``node_zero_test``, its
-    first step, flags one."""
-    from .boundary import _exact_node_zeros, lft_jets, node_zero_test
-
-    p, q = phi.pair()
-    if theta.exact and p.exact and q.exact:
-        w = _integer_node_cancelled(theta, p, q, _exact_node_zeros(theta, p, q))
-    else:
-        jets = lft_jets(theta, p, q) if any(node_zero_test(theta, p, q)[0]) else ()
-        w = _float_node_cancelled(theta, p, q, jets)
-    return w.num, w.den
-
-
-def _float_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, jets):
-    """w of phi = p/q in floats, deflated at the nodes whose jets read the
-    zero test r_i . v(x_i) = 0 (``boundary.lft_jets``)."""
-    (n00, n01), (n10, n11) = theta.cleared
-    num, den = n00 * p + n01 * q, n10 * p + n11 * q
-    if not (num.is_zero or den.is_zero):
-        for x, jet in zip(theta.nodes, jets):
-            if jet.zero_test["zero"]:
-                for _ in range(1 if jet.num[1] or jet.den[1] else 2):
-                    num = Polynomial(_deflate(num.coeffs, float(x)))
-                    den = Polynomial(_deflate(den.coeffs, float(x)))
-    # a float den that is rounding noise of an identically zero one can
-    # survive the first test and vanish only in the deflation
-    if den.is_zero:
-        raise DegenerateTransformError(_DEGENERATE)
-    return RationalFunction(*_float_normal_form(num, den), reduce=False)
-
-
-def _integer_node_cancelled(theta: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros):
-    """``apply_lft`` of a real exact pair (p, q) by an exact residue form,
-    in Python integers, cancelling only at the nodes where ``zeros`` holds
-    (r_i . v(x_i) = 0, decided exactly by ``boundary._exact_node_zeros``).
-
-    Theta's node numerators and the pair (p, q) are each scaled to integers
-    by one factor, which leaves the quotient unchanged.  A node a/b in
-    lowest terms is a root of an integer polynomial f of degree d exactly
-    when b^d f(a/b) == 0, and then f = (b z - a) g with g integral by
-    Gauss's lemma, as b z - a is primitive; so the canonical form is the
-    content and the sign.  Only at the flagged nodes are the deflated num
-    and den evaluated, for the second order.
-    """
-    ints, _ = _cleared_integers([*p.coeffs, *q.coeffs])
-    pc, qc = ints[: len(p.coeffs)], ints[len(p.coeffs) :]
-    (n00, n01), (n10, n11) = theta.integer_numerators
-    num = _linear_combination(n00, pc, n01, qc)
-    den = _linear_combination(n10, pc, n11, qc)
-    if not den:
-        raise DegenerateTransformError(_DEGENERATE)
-    if not num:
-        return RationalFunction(Polynomial(()), Polynomial.one(), reduce=False)
-    for x, zero in zip(theta.nodes, zeros):
-        if zero:
-            a, b = x.numerator, x.denominator
-            num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)
-            if not (_scaled_value(num, a, b) or _scaled_value(den, a, b)):
-                num, den = _divide_linear(num, a, b), _divide_linear(den, a, b)
-    return RationalFunction(*_primitive_form(num, den), reduce=False)
-
-
-def _linear_combination(a, p, b, q) -> list:
-    """Ascending coefficients of a p + b q for coefficient lists a, p, b, q,
-    with no trailing zeros (empty for the zero polynomial)."""
-    out = [0] * max(len(a) + len(p), len(b) + len(q), 1)
-    for f, g in ((a, p), (b, q)):
-        for i, u in enumerate(f):
-            for j, v in enumerate(g):
-                out[i + j] += u * v
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _divide_linear(coeffs, a, b) -> list:
-    """Ascending integer coefficients of f(z) / (b z - a) for a root a/b of
-    the integer polynomial f, with a/b in lowest terms (synthetic division;
-    every step divides exactly)."""
-    quotient = [0] * (len(coeffs) - 1)
-    carry = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = (coeffs[k] + a * carry) // b
-        quotient[k - 1] = carry
-    return quotient

@@ -170,8 +170,10 @@ def cross_multiplied_j_unitary(e):
 
 
 def gcd_apply_lft(theta, phi):
-    """w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22) over the cleared
-    numerators, reduced by RationalFunction's Euclidean gcd.
+    """w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22), phi = p/q
+    (infinity the pair (1, 0)), over the numerators N = D Theta of Theta's
+    canonical entries, D the product of the nodes, reduced by
+    RationalFunction's Euclidean gcd.
 
     The route the node-deflated exact transform replaces, kept as its
     reference.
@@ -181,7 +183,9 @@ def gcd_apply_lft(theta, phi):
     else:
         f = phi.as_rational()
         p, q = f.num, f.den
-    (n00, n01), (n10, n11) = theta.cleared
+    full = b.Polynomial.from_real_roots(theta.nodes)
+    (n00, n01), (n10, n11) = [[(full * e.num).divmod(e.den)[0] for e in row]
+                              for row in theta.entries]
     den = n10 * p + n11 * q
     if den.is_zero:
         raise b.DegenerateTransformError("constant infinity")

@@ -14,7 +14,7 @@ import bnpick as b
 from bnpick.algebra import RationalFunction
 from bnpick.cli import RunConfig, _realization, main
 from bnpick.resolvent import RationalMatrix2x2
-from conftest import degenerate_parameter_system, grid_system, probe_set
+from conftest import degenerate_parameter_system, grid_system, probe_set, singular_probe
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -297,6 +297,25 @@ class TestFloatDocuments:
             assert doc == json.loads(json.dumps(cli._jsonify(twice)))
             assert len(calls) == 2
 
+    def test_float_singular_solve_writes_its_realization(self, capsys, tmp_path):
+        # the float unique solution is written as its origin, the
+        # realization with constant term 0 applied to phi = infinity, and
+        # verify reads it back into the same verification
+        config = tmp_path / "float.json"
+        config.write_text('{"backend": "float"}')
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(singular_probe(16, 0, exact=False).data.to_json()))
+        solved = run_json(capsys, "solve", "--problem", str(problem), "--config", str(config))
+        assert solved["kind"] == "unique" and set(solved["w"]) == {"theta", "phi"}
+        assert solved["w"]["phi"] == {"type": "inf"}
+        assert solved["w"]["theta"]["constant"] == [[0.0, 0.0], [0.0, 0.0]]
+        verification = solved["verification"]
+        assert all(node["problem1"] for node in verification["nodes"])
+        assert verification["fmi_count"] == solved["kappa"]
+        verified = run_json(capsys, "verify", "--problem", str(problem), "--param",
+                            json.dumps(solved["w"]), "--config", str(config))
+        assert verified == verification
+
     def test_float_theta_document_rebuilds_theta(self, capsys, tmp_path):
         sys_ = grid_system(random.Random(16), 16)
         problem = tmp_path / "problem.json"
@@ -310,7 +329,7 @@ class TestFloatDocuments:
         assert np.array_equal(rebuilt.eval(points), theta.eval(points))
 
     @pytest.mark.parametrize("change", ["no phi", "unequal lengths", "non-finite entry",
-                                        "repeated node", "fractional kappa"])
+                                        "repeated node", "fractional kappa", "one constant row"])
     def test_malformed_realization_exits_2(self, change, capsys, tmp_path):
         sys_, phi = probe_set(8, False)[2]
         problem = tmp_path / "problem.json"
@@ -324,6 +343,8 @@ class TestFloatDocuments:
             doc["theta"]["right"][3][1] = float("nan")
         elif change == "repeated node":
             doc["theta"]["nodes"][1] = doc["theta"]["nodes"][0]
+        elif change == "one constant row":
+            doc["theta"]["constant"].pop()
         else:
             doc["theta"]["kappa"] = 1.5
         code, out, err = run(capsys, "verify", "--problem", str(problem),

@@ -473,3 +473,49 @@ class TestDerivedIdentities:
         assert not sf.exact and sf.kappa == 1
         assert abs(sf.tilde_c[0] - 0.5) < 1e-12
         assert b.is_infinite(sf.eta[0])
+
+
+class TestSystemFloats:
+    """A system's float span, node data and eta are converted once."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_floats_are_the_conversions_kept_once(self, exact):
+        for data in (data_two_regular(), data_mixed(), data_degenerate()):
+            if not exact:
+                data = b.InterpolationData(*(tuple(map(float, v)) for v in (
+                    data.nodes, data.values, data.derivative_bounds, data.residues)))
+            sys_ = b.build_system(data)
+            floats = sys_.floats
+            assert sys_.floats is floats
+            xs = [float(x) for x in sys_.X]
+            assert floats.span == (min(xs), max(xs))
+            ell = data.ell
+            assert floats.data == tuple(
+                [(float(data.values[i]), float(data.derivative_bounds[i])) for i in range(ell)]
+                + [(float(xi),) for xi in data.residues])
+            if sys_.invertible:
+                assert floats.eta == tuple(
+                    None if problem.is_infinite(v) else float(v) for v in sys_.eta)
+            else:
+                assert floats.eta == ()
+
+    def test_a_warm_certify_op_converts_no_system_scalar(self, monkeypatch):
+        # the span, the limit errors, the bounds and eta are read from
+        # sys.floats; what a warm exact op still converts is phi's own jets
+        import numbers
+        import traceback
+
+        callers = []
+        to_float = numbers.Rational.__float__
+
+        def recorded(value):
+            callers.append(traceback.extract_stack(limit=2)[0].name)
+            return to_float(value)
+
+        ops = [(grid_system(random.Random(n), n, exact=True), phi)
+               for n in (4, 6) for phi in (b.Parameter.constant(F(1, 2)), b.Parameter.infinity())]
+        want = [repr(b.classify_and_verify(sys_, phi)) for sys_, phi in ops]
+        monkeypatch.setattr(numbers.Rational, "__float__", recorded)
+        got = [repr(b.classify_and_verify(sys_, phi)) for sys_, phi in ops]
+        monkeypatch.undo()
+        assert got == want and callers == []

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import bnpick as b
-from bnpick import algebra, boundary, solver
+from bnpick import algebra, boundary, resolvent, solver
 from bnpick.boundary import LimitKind
 from bnpick.solver import classify_parameter, verify_outcome
 
@@ -469,13 +469,59 @@ class TestSolveDegenerate:
             assert all(node["problem1"] for node in bundle.verification["nodes"])
             assert bundle.verification["fmi_count"] == bundle.kappa
 
-    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
     def test_float_singular_probe(self, n):
         for s in range(3):
             sys_ = singular_probe(n, s, exact=False)
             report = b.verify_candidate(sys_, b.solve_degenerate(sys_))
             assert all(node["problem1"] for node in report["nodes"])
             assert report["fmi_count"] == sys_.kappa
+
+    def test_float_kernel_zeros_are_zero(self):
+        # the SVD's kernel vector ends in -2.1e-17 where the exact one,
+        # (-2, 1, 0), has a 0; kept, it would give w(2) = 5, the datum there,
+        # and with it set to 0 w is the unique solution 3 on both lanes
+        nodes, values, bounds = (0, 1, 2), (3, 3, 5), (0, 0, 1)
+        exact_sys, sys_ = (b.build_system(b.InterpolationData(
+            tuple(map(kind, nodes)), tuple(map(kind, values)), tuple(map(kind, bounds)), ()))
+            for kind in (F, float))
+        w, exact_w = b.solve_degenerate(sys_), b.solve_degenerate(exact_sys)
+        assert exact_w == rf((3,))
+        form, _ = w._origin
+        assert form.right[2] == (0.0, 0.0) and all(r[0] for r in form.right[:2])
+        report, exact_report = b.verify_candidate(sys_, w), b.verify_candidate(exact_sys, exact_w)
+        verdicts = [[(node["problem1"], node["problem2"]) for node in r["nodes"]]
+                    for r in (report, exact_report)]
+        assert verdicts[0] == verdicts[1] == [(True, True), (True, True), (False, False)]
+        assert report["nodes"][2]["checks"]["value"].value == pytest.approx(3.0, abs=1e-12)
+        assert w.eval(2.5) == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_float_solution_is_its_realization(self, n, monkeypatch):
+        # a float w is its realization (X, y, C, E) with constant term 0:
+        # its verification, values and document read that origin and form
+        # no polynomial; num, den, str and == are formed on first read by
+        # the one expansion
+        sys_ = singular_probe(n, 0, exact=False)
+        want = b.verify_candidate(sys_, b.solve_degenerate(sys_))
+        monkeypatch.setattr(resolvent, "_expansion", lambda *args: pytest.fail("expanded"))
+        w = b.solve_degenerate(sys_)
+        form, phi = w._origin
+        assert phi.is_infinite and form.constant == ((0.0, 0.0), (0.0, 0.0))
+        assert form.nodes == sys_.X and form.left == tuple(zip(sys_.C, sys_.E))
+        assert all(r[1] == 0.0 for r in form.right)
+        assert repr(b.verify_candidate(sys_, w)) == repr(want)
+        doc = w.to_json()
+        assert set(doc) == {"theta", "phi"} and doc["phi"] == {"type": "inf"}
+        assert doc["theta"]["constant"] == [[0.0, 0.0], [0.0, 0.0]]
+        w.eval(float(sys_.X[0]) + 0.5)
+        monkeypatch.undo()
+        num, den = resolvent._expansion(form, *phi.pair())
+        assert (w.num, w.den) == (num, den) and str(w) == f"({num})/({den})"
+        assert w == b.RationalFunction(num, den, reduce=False)
+        assert not w.num.exact and w.den.coeffs[-1] == 1
+        # arithmetic reads the expansion and gives a function with no origin
+        assert (w * 1)._origin is None and w * 1 == w
 
     def test_invertible_system_rejected(self, sys1):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bnpick as b
-from bnpick import algebra, boundary, solver, transform
+from bnpick import algebra, boundary, resolvent, solver, transform
 
 from conftest import (
     BENCHMARK_PARAMETERS,
@@ -197,12 +197,21 @@ def node_parameters(sys_):
     return out
 
 
+def undeflated(theta, phi):
+    """The quotient N [p; q] over the product of all the nodes, N = D Theta,
+    with no node cancelled: the expansion with no node flagged."""
+    p, q = phi.pair()
+    return b.RationalFunction(
+        *resolvent._expansion(theta, p, q, [False] * len(theta.nodes)), reduce=False)
+
+
 def node_multiplicities(theta, phi):
     """How often each node's (z - x_i) divides the gcd the reference takes."""
-    p, q = ((b.Polynomial.one(), b.Polynomial(())) if phi.is_infinite
-            else (phi.as_rational().num, phi.as_rational().den))
-    (n00, n01), (n10, n11) = theta.cleared
-    g = algebra.polynomial_gcd(n00 * p + n01 * q, n10 * p + n11 * q)
+    try:
+        plain = undeflated(theta, phi)
+    except b.DegenerateTransformError:
+        return []
+    g = algebra.polynomial_gcd(plain.num, plain.den)
     counts = []
     for x in theta.nodes:
         k = 0
@@ -251,15 +260,15 @@ class TestNodeDeflation:
         assert seen == {0, 1, 2}
 
     def test_integer_deflation_by_a_rational_root(self):
-        # f = (3z - 2)^2 (z + 5): b^d f(a/b) vanishes at 2/3 only, and
-        # dividing by (3z - 2) twice leaves z + 5 in integers
+        # f = (3z - 2)^2 (z + 5): b^d f(a/b) vanishes at 2/3 and -5 only, and
+        # z - 2/3 twice leaves 9 (z + 5), integral by Gauss's lemma
         f = [20, -56, 33, 9]
-        assert transform._scaled_value(f, 2, 3) == 0
-        assert transform._scaled_value(f, -5, 1) == 0
-        assert transform._scaled_value(f, 1, 3) != 0
-        once = transform._divide_linear(f, 2, 3)
-        assert once == [-10, 13, 3]
-        assert transform._divide_linear(once, 2, 3) == [5, 1]
+        assert algebra._scaled_value(f, 2, 3) == 0
+        assert algebra._scaled_value(f, -5, 1) == 0
+        assert algebra._scaled_value(f, 1, 3) != 0
+        once = algebra._deflate(f, F(2, 3))
+        assert once == [-30, 39, 9]
+        assert algebra._deflate(once, F(2, 3)) == [45, 9]
 
     def test_degenerate_and_zero_transforms(self, sys2, theta2):
         for theta in (theta2, b.build_theta(grid_system(random.Random(3), 5, exact=True))):
@@ -289,14 +298,6 @@ def float_parameter(phi):
     return b.Parameter.rational(b.RationalFunction(
         b.Polynomial([float(c) for c in f.num.coeffs]),
         b.Polynomial([float(c) for c in f.den.coeffs])))
-
-
-def undeflated(theta, phi):
-    """The float quotient N [p; q] over the node product, reduced as a float
-    ``RationalFunction`` (root clustering)."""
-    p, q = phi.pair()
-    (n00, n01), (n10, n11) = theta.cleared
-    return b.RationalFunction(n00 * p + n01 * q, n10 * p + n11 * q)
 
 
 class TestFloatNodeDeflation:
@@ -353,8 +354,7 @@ class TestFloatNodeDeflation:
                 shared = node_multiplicities(exact_theta, exact_phi)
                 assert flagged == sum(k > 0 for k in shared)
                 drop = sum(shared)
-                (n00, n01), (n10, n11) = theta.cleared
-                assert w.den.degree == (n10 * p + n11 * q).degree - drop
+                assert w.den.degree == undeflated(theta, phi).den.degree - drop
                 for z in points:
                     assert abs(w.eval(z) - want.eval(z)) <= 1e-9 * max(1.0, abs(want.eval(z)))
                 drops.add(drop)
@@ -450,7 +450,6 @@ class TestOneCancellationPath:
             exact_theta = b.build_theta(exact_sys)
             for sys_ in (exact_sys, float_copy(exact_sys)):
                 theta = b.build_theta(sys_)
-                (n00, n01), (n10, n11) = theta.cleared
                 for exact_phi in node_parameters(exact_sys):
                     phi = exact_phi if sys_.exact else float_parameter(exact_phi)
                     if not b.is_nevanlinna(phi):
@@ -462,8 +461,7 @@ class TestOneCancellationPath:
                     _, w, _ = b.classify_and_verify(sys_, phi)
                     alone = b.apply_lft(theta, phi)
                     assert w == alone and repr(w) == repr(alone)
-                    p, q = phi.pair()
-                    drops[sys_.exact].add((n10 * p + n11 * q).degree - w.den.degree)
+                    drops[sys_.exact].add(undeflated(theta, phi).den.degree - w.den.degree)
         assert {1, 2} <= drops[True] and {1, 2} <= drops[False]
 
 
@@ -476,7 +474,7 @@ class TestFloatWIsItsOrigin:
         def fail(*args):
             raise AssertionError("the float expansion of w was formed")
 
-        monkeypatch.setattr(transform, "_float_node_cancelled", fail)
+        monkeypatch.setattr(resolvent, "_expansion", fail)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_certify_forms_no_polynomial(self, n, monkeypatch, capsys, tmp_path):
@@ -500,12 +498,10 @@ class TestFloatWIsItsOrigin:
             assert doc["classification"] == [node.to_json() for node in report.nodes]
             assert doc["kernel_negative_squares"] == sampled
         monkeypatch.undo()
-        # read, num and den are the node-cancelled quotient the transform formed
+        # read, num and den are the node-cancelled quotient the expansion forms
         for (sys_, phi), (_, w, _) in zip(ops, want):
-            theta = b.build_theta(sys_)
-            p, q = phi.pair()
-            formed = transform._float_node_cancelled(theta, p, q, boundary.lft_jets(theta, p, q))
-            assert w.num.coeffs == formed.num.coeffs and w.den.coeffs == formed.den.coeffs
+            num, den = resolvent._expansion(b.build_theta(sys_), *phi.pair())
+            assert w.num.coeffs == num.coeffs and w.den.coeffs == den.coeffs
 
     @pytest.mark.parametrize("n", [3, 16, 24])
     def test_degenerate_parameter_is_rejected_from_the_node_pass(self, n, monkeypatch):
@@ -546,13 +542,15 @@ class TestFloatWIsItsOrigin:
         # from n = 16 the expansion's coefficients are another function off
         # the axis; w.eval reads (Theta, phi), as its grid does, and forms
         # no polynomial
-        self.expansion_fails(monkeypatch)
-        for (sys_, phi), (exact_sys, exact_phi) in zip(probe_set(n, False), probe_set(n, True)):
-            w = b.apply_lft(b.build_theta(sys_), phi)
+        wants = []
+        for exact_sys, exact_phi in probe_set(n, True):
             exact_w = b.apply_lft(b.build_theta(exact_sys), exact_phi)
-            for x in exact_sys.X[:6]:
-                want = complex(exact_w.eval(x + F(1, 7)))
-                assert abs(w.eval(float(x) + 1 / 7) - want) <= 1e-10 * max(1.0, abs(want))
+            wants.append([complex(exact_w.eval(x + F(1, 7))) for x in exact_sys.X[:6]])
+        self.expansion_fails(monkeypatch)
+        for (sys_, phi), want in zip(probe_set(n, False), wants):
+            w = b.apply_lft(b.build_theta(sys_), phi)
+            for x, value in zip(sys_.X, want):
+                assert abs(w.eval(x + 1 / 7) - value) <= 1e-10 * max(1.0, abs(value))
             with pytest.raises(b.PoleError):
                 w.eval(sys_.X[0])
 
@@ -567,8 +565,7 @@ class TestExactWIsItsOrigin:
         def fail(*args):
             raise AssertionError("the integers of w were formed")
 
-        monkeypatch.setattr(transform, "_integer_node_cancelled", fail)
-        monkeypatch.setattr(b.RationalMatrix2x2, "integer_numerators", property(fail))
+        monkeypatch.setattr(resolvent, "_expansion", fail)
 
     @staticmethod
     def certify_ops():
@@ -588,12 +585,10 @@ class TestExactWIsItsOrigin:
             w = b.apply_lft(b.build_theta(sys_), phi)
             assert w.exact and w._origin[1] is phi
         monkeypatch.undo()
-        # read, num and den are the canonical integers the transform forms
+        # read, num and den are the canonical integers the expansion forms
         for (sys_, phi), (_, w, _) in zip(ops, want):
-            theta = b.build_theta(sys_)
-            p, q = phi.pair()
-            formed = transform._integer_node_cancelled(
-                theta, p, q, boundary._exact_node_zeros(theta, p, q))
+            formed = b.RationalFunction(
+                *resolvent._expansion(b.build_theta(sys_), *phi.pair()), reduce=False)
             assert w.num.coeffs == formed.num.coeffs and w.den.coeffs == formed.den.coeffs
             assert w == formed and hash(w) == hash(formed) and str(w) == str(formed)
             assert w.to_json() == formed.to_json()
@@ -607,13 +602,13 @@ class TestExactWIsItsOrigin:
         assert [l[1] for l in theta.left] == [1] + [0] * (n - 1)
         assert boundary._exact_node_zeros(theta, *phi.pair())[0]
         formed = []
-        cancelled = transform._integer_node_cancelled
+        expansion = resolvent._expansion
 
         def counted(*args):
             formed.append(args)
-            return cancelled(*args)
+            return expansion(*args)
 
-        monkeypatch.setattr(transform, "_integer_node_cancelled", counted)
+        monkeypatch.setattr(resolvent, "_expansion", counted)
         with pytest.raises(b.DegenerateTransformError):
             b.apply_lft(theta, phi)
         with pytest.raises(b.DegenerateTransformError):
@@ -639,7 +634,7 @@ class TestExactWIsItsOrigin:
         # at n = 32 w's integers exceed the float range, which its origin
         # does not; an exact point still gets the exact value
         ws = [b.apply_lft(b.build_theta(sys_), phi) for sys_, phi in probe_set(n, exact=True)]
-        monkeypatch.setattr(transform, "_expansion", lambda *args: pytest.fail("expanded"))
+        monkeypatch.setattr(resolvent, "_expansion", lambda *args: pytest.fail("expanded"))
         got = [w.eval(0.123) for w in ws]
         monkeypatch.undo()
         for w, value in zip(ws, got):
