@@ -232,12 +232,12 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
 
     p, q = phi.pair()
     exact = theta.exact and p.exact and q.exact
-    w = taken = zeros = None
+    taken = zeros = None  # zeros: the flags num and den are formed with here
     if exact:
-        zeros = (_exact_node_zeros(theta, p, q) if jets is None
+        flags = (_exact_node_zeros(theta, p, q) if jets is None
                  else [jet.zero_test["zero"] for jet in jets])
-        if any(l[1] and not zero for l, zero in zip(theta.left, zeros)):
-            zeros = None
+        if not any(l[1] and not zero for l, zero in zip(theta.left, flags)):
+            zeros = flags
     else:
         if jets is None:
             jets = taken = lft_jets(theta, p, q)
