@@ -55,8 +55,6 @@ RANK_TOL = 1e-9
 # |Im| <= SCALAR_IMAG_TOL max(1, |z|) is complex arithmetic's residue on real
 # data, dropped in JSON; a larger imaginary part raises.
 SCALAR_IMAG_TOL = 1e-9
-# isclose's default: far above the rounding of float coefficient products.
-ISCLOSE_TOL = 1e-9
 
 
 class GaussianRational(Fraction):
@@ -183,13 +181,6 @@ class Polynomial:
     @staticmethod
     def constant(c) -> "Polynomial":
         return Polynomial((c,))
-
-    @staticmethod
-    def from_real_roots(roots, lead=1) -> "Polynomial":
-        p = Polynomial.constant(lead)
-        for r in roots:
-            p = p * Polynomial((-r, 1))
-        return p
 
     # -- queries ------------------------------------------------------
     @property
@@ -486,18 +477,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-    def isclose(self, other: "RationalFunction", tol=ISCLOSE_TOL) -> bool:
-        """Cross-multiplied coefficient comparison with relative tolerance."""
-        import numpy as np
-
-        lhs = (self.num * other.den).to_complex_array()
-        rhs = (other.num * self.den).to_complex_array()
-        n = max(len(lhs), len(rhs))
-        lhs = np.pad(lhs, (0, n - len(lhs)))
-        rhs = np.pad(rhs, (0, n - len(rhs)))
-        scale = max(1.0, np.abs(lhs).max(initial=0.0), np.abs(rhs).max(initial=0.0))
-        return bool(np.all(np.abs(lhs - rhs) <= tol * scale))
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):

@@ -144,7 +144,7 @@ class RationalMatrix2x2:
 
         Entry (a, b) is K_ab + sum_i r_i / (z - x_i) with r_i = l_i[a] r_i[b],
         a node sum over the product D of the nodes with r_i != 0
-        (``algebra._node_products``).  Its numerator takes the value
+        (``_numerators``).  Its numerator takes the value
         r_i prod_{j != i} (x_i - x_j) at x_i, nonzero because the nodes are
         distinct, so numerator and denominator are coprime by construction
         and no gcd is taken: the exact lane applies only the integer scaling
@@ -155,10 +155,10 @@ class RationalMatrix2x2:
         for a in range(2):
             row = []
             for b in range(2):
-                kept = [i for i, (l, r) in enumerate(zip(self.left, self.right)) if l[a] * r[b]]
-                den, partials = _node_products([self.nodes[i] for i in kept])
-                weights = [self.left[i][a] * self.right[i][b] for i in kept]
-                num = _node_sum(weights, partials, [self.constant[a][b] * c for c in den])
+                kept = tuple(i for i, (l, r) in enumerate(zip(self.left, self.right))
+                             if l[a] * r[b])
+                numerators, den = self._numerators(kept)
+                num = numerators[a][b]
                 if self.exact:
                     row.append(RationalFunction(*_integer_form(num, den), reduce=False))
                 else:
@@ -169,7 +169,8 @@ class RationalMatrix2x2:
     def _numerators(self, kept: tuple) -> tuple:
         """(N, D): D = prod_kept (z - x_i) and the node sums N_ab of
         D (K + sum_kept l_i r_i / (z - x_i))_ab, ascending, in the matrix's
-        own scalars; kept once per index tuple ``kept`` (``_expansion``)."""
+        own scalars; kept once per index tuple ``kept`` (``entries``,
+        ``_expansion``)."""
         table = vars(self).setdefault("_numerator_table", {})  # as cached_property stores
         if kept not in table:
             full, partials = _node_products([self.nodes[i] for i in kept])
@@ -356,9 +357,12 @@ class RationalMatrix2x2:
         moduli = np.abs(v)
         dots = v.transpose(0, 2, 1) @ right.T
         sizes = moduli.sum(axis=1)[:, :, np.newaxis] * table.right_sizes
+        # K v and |K| |v|, which are v and |v| when K = I, as on every resolvent
+        shift, abs_shift = ((v, moduli) if self.constant == _IDENTITY
+                            else (constant @ v, abs(constant) @ moduli))
         out = []
-        for w, l, d, shift in ((weights, left, dots, constant @ v),
-                               (abs_weights, table.abs_left, sizes, abs(constant) @ moduli)):
+        for w, l, d, shift in ((weights, left, dots, shift),
+                               (abs_weights, table.abs_left, sizes, abs_shift)):
             terms = w[0] * d
             for m in range(1, count):
                 terms[m:] += w[m] * d[: count - m]
@@ -570,9 +574,12 @@ def _expansion(form: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros=None
     sums, D K v + sum_unflagged l_i s_i D / (z - x_i) + sum_flagged
     l_i (s_i / (z - x_i)) D.  An unflagged x_i shares no factor: both take
     l_i s_i(x_i) prod_{j != i} (x_i - x_j) there.  At a flagged node both
-    are divided by z - x_i for as long as both vanish there, and no other
-    common factor exists (``transform.apply_lft``,
-    ``solver.solve_degenerate``).  The lanes differ only in scalar type and
+    are divided by z - x_i once more where both vanish there, and never
+    twice: with x_i left out of D, z - x_i divides both at most once, for
+    Theta phi (``transform.apply_lft``) and for the degenerate solution
+    (``solver.solve_degenerate``), and no other common factor exists.  So a
+    float value that reads small only by cancellation deflates nothing
+    further.  The lanes differ only in scalar type and
     normal form: ``Fraction``s and the canonical integer form, or floats, a
     monic den and a value vanishing within JET_ZERO_TOL of the sum of the
     moduli of its terms.  A zero den raises ``DegenerateTransformError``.
@@ -598,7 +605,7 @@ def _expansion(form: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros=None
     if num.is_zero:
         den = Polynomial.one()
     for x in (form.nodes[i] for i in flagged):
-        while _vanishes(num, x, tol) and _vanishes(den, x, tol):
+        if _vanishes(num, x, tol) and _vanishes(den, x, tol):
             num, den = Polynomial(_deflate(num.coeffs, x)), Polynomial(_deflate(den.coeffs, x))
     if exact:
         return _integer_form(num.coeffs, den.coeffs)

@@ -70,13 +70,17 @@ ZERO_RESIDUAL_TOL = 1e-9
 # linear in an SVD row of P, which errs by about u s_max / s_gap, below 1e-8
 # while that is < 10^6.
 UNIQUE_AGREEMENT_TOL = 1e-8
-# An entry of a float SVD kernel vector within KERNEL_ENTRY_TOL of its largest
-# is 0: the SVD errs by about u s_max / s_gap (s_gap the least singular value
-# kept out of the kernel), below 1.1e-10 while s_max / s_gap < 10^6.  A kept
-# rounding residue y_i would give w the datum C_i / E_i as its limit at x_i:
-# on nodes (0, 1, 2), values (3, 3, 5), bounds (0, 0, 1), with unique solution
-# 3 and kernel (-2, 1, 0), the SVD vector ends in -2.1e-17 and w(2) read 5.
-KERNEL_ENTRY_TOL = 1e-9
+# An entry y_i of a float SVD kernel vector is 0 when |y_i| <= KERNEL_ENTRY_FACTOR
+# eps (s_max / s_gap) max|y|, s_gap the least singular value kept out of the
+# kernel: the SVD is backward stable, so its kernel vectors err by about
+# eps s_max / s_gap (Davis and Kahan), and a rounding residue kept as y_i
+# would give w the datum C_i / E_i as its limit at x_i.  On nodes (0, 1, 2),
+# values (3, 3, 5), bounds (0, 0, 1), with unique solution 3 and kernel
+# (-2, 1, 0), the SVD vector ends in -2.1e-17 and w(2) read 5; on nodes
+# clustered at spacing 1e-9 to 1e-5 the residues read 0.02 to 0.2 of
+# eps s_max / s_gap max|y|.  10 leaves a margin of 50 over them, and an entry
+# below the cut is within ten times the SVD's error, not told from rounding.
+KERNEL_ENTRY_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -588,8 +592,8 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
     sums, stable where monomial coefficients are not (Berrut and Trefethen,
     SIAM Review 46, 2004).  An exact w is its expansion
     (``resolvent._expansion``), with exact integers and jets: node sums over
-    S, cancelled at the nodes outside S while num and den both vanish
-    there.  No other common factor exists; with a = num / D_S, b = den / D_S:
+    S, cancelled once at each node outside S where num and den both
+    vanish.  No other common factor exists; with a = num / D_S, b = den / D_S:
 
     1. At x_i, i in S, num and den are y_i C_i prod_{j != i} (x_i - x_j)
        and y_i E_i times the same product, and (C_i, E_i) is (w_i, 1) or
@@ -607,12 +611,18 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
     3. At x_i, i not in S, the identity gives only P u(x_i) in span(e_i),
        and common zeros do occur: nodes (0, 1, 2), values (3, 3, 5) and
        bounds (0, 0, gamma_3) have kernel (-2, 1, 0), the pair over S is
-       (3z - 6) / (z - 2), and w = 3.
+       (3z - 6) / (z - 2), and w = 3.  Such a zero is simple: were a and b
+       both to vanish twice at x_i, every row of (zI - X) P u(z) would
+       vanish twice there, so every row of P u(z) at least once:
+       P u(x_i) = 0, and
+       u(x_i) = sum_S y_j e_j / (x_i - x_j), a kernel vector with support
+       S, would be a multiple of y as in 2; the x_i - x_j, j in S, would
+       then be equal, so |S| = 1, where a and b have no zeros.
 
     The float kernel vectors are P's right singular vectors at singular
-    values within ``rank_tol``, their entries within KERNEL_ENTRY_TOL of 0
-    set to 0, so that the zero test flags the nodes outside the exact
-    support too.
+    values within ``rank_tol``, their entries within the SVD's error of 0
+    (KERNEL_ENTRY_FACTOR) set to 0, so that the zero test flags the nodes
+    outside the exact support too.
     """
     if sys.invertible:
         raise ValueError("Pick matrix is invertible; use the resolvent instead")
@@ -628,7 +638,9 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
 
         _, s, vh = np.linalg.svd(sys.P.to_numpy().real)
         scale = max(1.0, s[0]) * sys.rank_tol
-        vectors = [np.where(np.abs(v) <= KERNEL_ENTRY_TOL * np.abs(v).max(), 0.0, v).tolist()
+        gap = s[s > scale]
+        cut = KERNEL_ENTRY_FACTOR * np.finfo(float).eps * (s[0] / gap[-1] if gap.size else 1.0)
+        vectors = [np.where(np.abs(v) <= cut * np.abs(v).max(), 0.0, v).tolist()
                    for v, sv in zip(vh, s) if sv <= scale]
         zero = 0.0
     if not vectors:

@@ -123,9 +123,9 @@ def expanded_residue_form(nodes, left_cols, right_rows):
     kept as its reference.
     """
     n = len(nodes)
-    full = b.Polynomial.from_real_roots(nodes)
+    full = node_product(nodes)
     partial = [
-        b.Polynomial.from_real_roots([x for j, x in enumerate(nodes) if j != i])
+        node_product([x for j, x in enumerate(nodes) if j != i])
         for i in range(n)
     ]
     entries = []
@@ -169,27 +169,42 @@ def cross_multiplied_j_unitary(e):
     return lhs == a.den * c.den * d.den * f.den
 
 
+def plain_quotient(theta, phi):
+    """(num, den) = N [p; q], phi = p/q (infinity the pair (1, 0)), over the
+    numerators N = D Theta of Theta's canonical entries, D the product of
+    the nodes, with nothing cancelled.  An entry's denominator is the
+    product of the nodes with a nonzero residue there, times the leading
+    coefficient of its integer form on the exact lane, so N_ab is its
+    numerator over that coefficient times the product of the other nodes
+    (no float division: its quotient loses leading terms to ``TRIM_TOL``)."""
+    p, q = phi.pair()
+    (n00, n01), (n10, n11) = [
+        [e.num.scale(F(1) / (e.den.lead if theta.exact else 1)) * node_product(
+            [x for x, l, r in zip(theta.nodes, theta.left, theta.right) if not l[i] * r[j]])
+         for j, e in enumerate(row)]
+        for i, row in enumerate(theta.entries)]
+    return n00 * p + n01 * q, n10 * p + n11 * q
+
+
 def gcd_apply_lft(theta, phi):
-    """w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22), phi = p/q
-    (infinity the pair (1, 0)), over the numerators N = D Theta of Theta's
-    canonical entries, D the product of the nodes, reduced by
-    RationalFunction's Euclidean gcd.
+    """w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22): the
+    ``plain_quotient`` reduced by RationalFunction's Euclidean gcd.
 
     The route the node-deflated exact transform replaces, kept as its
     reference.
     """
-    if phi.is_infinite:
-        p, q = b.Polynomial.one(), b.Polynomial(())
-    else:
-        f = phi.as_rational()
-        p, q = f.num, f.den
-    full = b.Polynomial.from_real_roots(theta.nodes)
-    (n00, n01), (n10, n11) = [[(full * e.num).divmod(e.den)[0] for e in row]
-                              for row in theta.entries]
-    den = n10 * p + n11 * q
+    num, den = plain_quotient(theta, phi)
     if den.is_zero:
         raise b.DegenerateTransformError("constant infinity")
-    return b.RationalFunction(n00 * p + n01 * q, den)
+    return b.RationalFunction(num, den)
+
+
+def node_product(roots):
+    """prod (z - r) over ``roots``, expanded term by term."""
+    p = b.Polynomial.one()
+    for r in roots:
+        p = p * b.Polynomial((-r, 1))
+    return p
 
 
 def rf(num, den=(1,)):
@@ -472,7 +487,7 @@ def degenerate_closed_form(sys_, y):
     vector y, over the full node product: the reference of the degenerate
     solution."""
     partial = [
-        b.Polynomial.from_real_roots([x for j, x in enumerate(sys_.X) if j != i])
+        node_product([x for j, x in enumerate(sys_.X) if j != i])
         for i in range(sys_.n)
     ]
     num = den = b.Polynomial(())

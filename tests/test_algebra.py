@@ -633,7 +633,7 @@ class TestSerialization:
     def test_float_round_trip(self):
         r = b.RationalFunction(b.Polynomial((0.25, 1.0)), b.Polynomial((1.0, 2.0)))
         doc = b.RationalFunction.from_json(r.to_json())
-        assert doc.isclose(r)
+        assert doc == r
 
     def test_canonical_display_matches_integer_form(self):
         # (2z+1)/(2z-1) keeps its textbook integer coefficients
