@@ -182,6 +182,13 @@ class Polynomial:
     def constant(c) -> "Polynomial":
         return Polynomial((c,))
 
+    @staticmethod
+    def from_real_roots(roots, lead=1) -> "Polynomial":
+        p = Polynomial.constant(lead)
+        for r in roots:
+            p = p * Polynomial((-r, 1))
+        return p
+
     # -- queries ------------------------------------------------------
     @property
     def degree(self) -> int:
@@ -416,8 +423,6 @@ class RationalFunction:
     @staticmethod
     def _reduce(num, den, exact):
         if exact:
-            if num.is_zero:
-                return num, Polynomial.one()
             if num.degree >= 1 and den.degree >= 1:
                 g = polynomial_gcd(num, den)
                 if g.degree >= 1:
@@ -651,12 +656,14 @@ def _integer_form(num, den) -> tuple:
     """Canonical scaling of a real-rational quotient num/den.
 
     ``num`` and ``den`` are ascending ``Fraction`` coefficient lists of a
-    coprime pair (``den`` nonzero).  Both are scaled by one rational factor
-    so that all coefficients are integers with no common divisor and the
-    leading denominator coefficient is positive; the result is the pair of
-    ``Polynomial`` values.  This is the one definition of the exact real
-    canonical form.
+    coprime pair (``den`` nonzero), or of zero over any ``den``, which is
+    0/1.  Both are scaled by one rational factor so that all coefficients
+    are integers with no common divisor and the leading denominator
+    coefficient is positive; the result is the pair of ``Polynomial``
+    values.  This is the one definition of the exact real canonical form.
     """
+    if not any(num):
+        return Polynomial(()), Polynomial.one()
     ints, _ = _cleared_integers([*num, *den])
     num_ints, den_ints = ints[: len(num)], ints[len(num) :]
     g = 0

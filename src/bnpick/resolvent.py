@@ -159,10 +159,8 @@ class RationalMatrix2x2:
                              if l[a] * r[b])
                 numerators, den = self._numerators(kept)
                 num = numerators[a][b]
-                if self.exact:
-                    row.append(RationalFunction(*_integer_form(num, den), reduce=False))
-                else:
-                    row.append(RationalFunction(Polynomial(num), Polynomial(den), reduce=False))
+                pair = _integer_form(num, den) if self.exact else (Polynomial(num), Polynomial(den))
+                row.append(RationalFunction(*pair, reduce=False))
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -602,8 +600,6 @@ def _expansion(form: RationalMatrix2x2, p: Polynomial, q: Polynomial, zeros=None
         num, den = num + term.scale(a), den + term.scale(b)
     if den.is_zero:
         raise DegenerateTransformError(_DEGENERATE)
-    if num.is_zero:
-        den = Polynomial.one()
     for x in (form.nodes[i] for i in flagged):
         if _vanishes(num, x, tol) and _vanishes(den, x, tol):
             num, den = Polynomial(_deflate(num.coeffs, x)), Polynomial(_deflate(den.coeffs, x))

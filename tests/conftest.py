@@ -123,9 +123,9 @@ def expanded_residue_form(nodes, left_cols, right_rows):
     kept as its reference.
     """
     n = len(nodes)
-    full = node_product(nodes)
+    full = b.Polynomial.from_real_roots(nodes)
     partial = [
-        node_product([x for j, x in enumerate(nodes) if j != i])
+        b.Polynomial.from_real_roots([x for j, x in enumerate(nodes) if j != i])
         for i in range(n)
     ]
     entries = []
@@ -179,7 +179,7 @@ def plain_quotient(theta, phi):
     (no float division: its quotient loses leading terms to ``TRIM_TOL``)."""
     p, q = phi.pair()
     (n00, n01), (n10, n11) = [
-        [e.num.scale(F(1) / (e.den.lead if theta.exact else 1)) * node_product(
+        [e.num.scale(F(1) / (e.den.lead if theta.exact else 1)) * b.Polynomial.from_real_roots(
             [x for x, l, r in zip(theta.nodes, theta.left, theta.right) if not l[i] * r[j]])
          for j, e in enumerate(row)]
         for i, row in enumerate(theta.entries)]
@@ -197,14 +197,6 @@ def gcd_apply_lft(theta, phi):
     if den.is_zero:
         raise b.DegenerateTransformError("constant infinity")
     return b.RationalFunction(num, den)
-
-
-def node_product(roots):
-    """prod (z - r) over ``roots``, expanded term by term."""
-    p = b.Polynomial.one()
-    for r in roots:
-        p = p * b.Polynomial((-r, 1))
-    return p
 
 
 def rf(num, den=(1,)):
@@ -487,7 +479,7 @@ def degenerate_closed_form(sys_, y):
     vector y, over the full node product: the reference of the degenerate
     solution."""
     partial = [
-        node_product([x for j, x in enumerate(sys_.X) if j != i])
+        b.Polynomial.from_real_roots([x for j, x in enumerate(sys_.X) if j != i])
         for i in range(sys_.n)
     ]
     num = den = b.Polynomial(())

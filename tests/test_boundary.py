@@ -21,7 +21,6 @@ from conftest import (
     grid_system,
     lane_parameters,
     loop_kernel,
-    node_product,
     probe_set,
     random_fraction,
     real_poles,
@@ -111,7 +110,7 @@ class TestDivergence:
             num = b.Polynomial(tuple(random_fraction(rng) for _ in range(rng.randint(1, 4))))
             if num.is_zero:
                 continue
-            f = b.RationalFunction(num, node_product(roots))
+            f = b.RationalFunction(num, b.Polynomial.from_real_roots(roots))
             for x0 in {*roots, F(rng.randint(-16, 16), 4)}:
                 for kind in LimitKind:
                     est, ref = b.nt_limit(f, x0, kind), reference_nt_limit(f, x0, kind)

@@ -16,7 +16,6 @@ from bnpick.boundary import JET_ZERO_TOL, LimitKind, jet_limits, lft_jets, ratio
 from conftest import (
     BENCHMARK_PARAMETERS,
     STANDARD_SWEEP,
-    node_product,
     probe_set,
     random_data,
     random_fraction,
@@ -192,7 +191,7 @@ class TestRationalJets:
             roots = [F(rng.randint(-8, 8), 2) for _ in range(rng.randint(1, 3))]
             if not any(num):
                 continue
-            f = b.RationalFunction(b.Polynomial(num), node_product(roots))
+            f = b.RationalFunction(b.Polynomial(num), b.Polynomial.from_real_roots(roots))
             points = sorted({*roots, F(rng.randint(-16, 16), 4)})
             for exact in (True, False):
                 pts = points if exact else [float(x) for x in points]

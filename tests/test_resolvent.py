@@ -22,7 +22,6 @@ from conftest import (
     golden_theta_mixed,
     golden_theta_two_regular,
     grid_system,
-    node_product,
     probe_set,
     random_fraction,
     random_invertible_system,
@@ -316,7 +315,7 @@ class TestBuildTheta:
     def test_poles_are_simple(self, sys1, theta1, sys2, theta2):
         # every canonical denominator divides the node polynomial exactly
         for sys_, theta in ((sys1, theta1), (sys2, theta2)):
-            nodes = node_product(list(sys_.X))
+            nodes = b.Polynomial.from_real_roots(list(sys_.X))
             for i in range(2):
                 for j in range(2):
                     _, rem = nodes.divmod(theta.entry(i, j).den.monic())
