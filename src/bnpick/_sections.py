@@ -49,7 +49,8 @@ class GridConfig:
     def __post_init__(self):
         if len(self.im_levels) == 0 or not all(_finite(t) and t > 0 for t in self.im_levels):
             raise ValueError("GridConfig.im_levels must be nonempty finite numbers > 0")
-        if not isinstance(self.points_per_level, Integral) or self.points_per_level < 1:
+        if (isinstance(self.points_per_level, bool) or not isinstance(self.points_per_level, Integral)
+                or self.points_per_level < 1):
             raise ValueError("GridConfig.points_per_level must be an int >= 1")
         if not _finite(self.re_margin):
             raise ValueError("GridConfig.re_margin must be a finite number")
@@ -58,7 +59,7 @@ class GridConfig:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, Real) and math.isfinite(value)
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
 
 
 DEFAULT_GRID = GridConfig()

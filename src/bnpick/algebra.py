@@ -684,31 +684,15 @@ def _integer_form(num, den) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class Inertia:
+class Inertia(NamedTuple):
     """Eigenvalue sign counts (negatives, zeros, positives)."""
 
-    __slots__ = ("negatives", "zeros", "positives")
-
-    def __init__(self, negatives, zeros, positives):
-        object.__setattr__(self, "negatives", negatives)
-        object.__setattr__(self, "zeros", zeros)
-        object.__setattr__(self, "positives", positives)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Inertia is immutable")
+    negatives: int
+    zeros: int
+    positives: int
 
     def astuple(self):
-        return (self.negatives, self.zeros, self.positives)
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return self.astuple() == other
-        if isinstance(other, Inertia):
-            return self.astuple() == other.astuple()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.astuple())
+        return tuple(self)
 
     def __repr__(self):
         return f"Inertia(neg={self.negatives}, zero={self.zeros}, pos={self.positives})"

@@ -323,14 +323,15 @@ def rational_jets(f: RationalFunction, points) -> list:
     """
     if f.exact and all(map(is_exact, points)):
         cleared = [(g.coeffs, *_cleared_integers(g.coeffs)) for g in (f.num, f.den)]
-        sizes = [abs(float(c)) for c in f.den.coeffs]
+        ints = cleared[1][1]
+        moduli = [abs(c) for c in ints]
         out = []
         for x in points:
             num, den = (_exact_taylor(*g, x) for g in cleared)
-            scale, size = 0.0, abs(float(x))
-            for c in reversed(sizes):
-                scale = scale * size + c
-            relative = abs(float(den[0])) / scale if den[0] else 0.0
+            # the ratio of two integers, correctly rounded and at most 1
+            a, b = x.numerator, x.denominator
+            relative = (abs(_scaled_value(ints, a, b)) / _scaled_value(moduli, abs(a), b)
+                        if den[0] else 0.0)
             out.append(Jet(num, den, _zero_test(relative, not den[0], True)))
         return out
     import numpy as np

@@ -72,7 +72,7 @@ class RunConfig:
         grid = {}
         for key, value in grid_doc.items():
             if key == "points_per_level":
-                if not isinstance(value, int) or value < 1:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise InputError("config 'grid.points_per_level' must be a positive integer")
             elif key == "im_levels":
                 # the kernel counts certify only on the upper half-plane
@@ -103,12 +103,14 @@ class RunConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """A finite JSON number; ``true`` and ``false`` are not numbers."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _float_entry(obj: dict, key: str, default: float) -> float:
+    value = obj.get(key, default)
     try:
-        value = float(obj.get(key, default))
+        value = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value) or value < 0:

@@ -206,7 +206,9 @@ class PickSystem:
 
     The derived block (inverse, tilde rows, eta, diagonal of the inverse) is
     present exactly when P is invertible at the declared rank tolerance; a
-    singular P is a legitimate state handled by the degenerate solver.
+    singular P is a legitimate state handled by the degenerate solver, and
+    ``kernel`` holds a basis of ker P, ``inertia.zeros`` vectors taken from
+    the decomposition that counted the inertia (``()`` for an invertible P).
     """
 
     data: InterpolationData
@@ -217,6 +219,7 @@ class PickSystem:
     inertia: Inertia
     kappa: int
     rank_tol: float
+    kernel: tuple = ()
     p_inv: tuple | None = None
     tilde_e: tuple | None = None
     tilde_c: tuple | None = None
@@ -263,16 +266,34 @@ class SystemFloats(NamedTuple):
     eta: tuple
 
 
+# An entry y_i of a float kernel vector is 0 when |y_i| <= KERNEL_ENTRY_FACTOR
+# eps (s_max / s_gap) max|y|, s_gap the least singular value kept out of the
+# kernel: the SVD is backward stable, so its kernel vectors err by about
+# eps s_max / s_gap (Davis and Kahan), and a rounding residue kept as y_i
+# would give the degenerate solution the datum C_i / E_i as its limit at x_i.
+# On nodes (0, 1, 2), values (3, 3, 5), bounds (0, 0, 1), with unique
+# solution 3 and kernel (-2, 1, 0), the SVD vector ends in -2.1e-17 and w(2)
+# read 5; on nodes clustered at spacing 1e-9 to 1e-5 the residues read 0.02
+# to 0.2 of eps s_max / s_gap max|y|.  10 leaves a margin of 50 over them,
+# and an entry below the cut is within ten times the SVD's error, not told
+# from rounding.
+KERNEL_ENTRY_FACTOR = 10
+
+
 def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSystem:
-    """Assemble P, X, E, C and, when P is invertible, the derived block.
+    """Assemble P, X, E, C and, when P is invertible, the derived block;
+    when it is singular, ker P.
 
     On the exact lane one ``symmetric_elimination`` of [P | I | E^T | C^T]
     gives the inertia and, when P is invertible, P^(-1) with the rows
-    E P^(-1) and C P^(-1) as its last two columns (P is symmetric).  The
-    float lane counts the spectrum and inverts with numpy, on P's one
-    array: one ``eigvalsh`` gives the inertia (the rule of
+    E P^(-1) and C P^(-1) as its last two columns (P is symmetric), or else
+    its kernel basis.  The float lane counts the spectrum and inverts with
+    numpy, on P's one array: one ``eigvalsh`` gives the inertia (the rule of
     ``hermitian_inertia``) and the conditioning gate (the singular values
     of a Hermitian matrix are its |lambda|), then one ``np.linalg.inv``.
+    A singular float P's kernel is its right singular vectors at its
+    ``inertia.zeros`` least singular values, with every entry within the
+    SVD's error of 0 (KERNEL_ENTRY_FACTOR) set to 0.
     """
     P = build_pick(data)
     n, ell = data.n, data.ell
@@ -280,7 +301,7 @@ def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSys
     zero = Fraction(0) if data.exact else 0.0
     E = tuple(one if i < ell else zero for i in range(n))
     C = tuple(data.values[i] if i < ell else data.residues[i - ell] for i in range(n))
-    p_inv = None
+    p_inv, kernel = None, ()
     if data.exact:
         rhs = [[int(i == j) for j in range(n)] + [E[i], C[i]] for i in range(n)]
         elimination = symmetric_elimination(P.rows, rhs)
@@ -289,6 +310,7 @@ def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSys
             p_inv = tuple(tuple(row[:n]) for row in elimination.solution)
             tilde_e = tuple(row[n] for row in elimination.solution)
             tilde_c = tuple(row[n + 1] for row in elimination.solution)
+        kernel = tuple(map(tuple, elimination.kernel))
     else:
         import numpy as np
 
@@ -304,6 +326,12 @@ def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSys
             terms = np.zeros((2, n + 1, n))
             terms[:, 1:] = np.array([E, C])[:, :, None] * inverse
             tilde_e, tilde_c = map(tuple, np.add.accumulate(terms, axis=1)[:, -1].tolist())
+        else:
+            _, s, vh = np.linalg.svd(array.real)
+            kept = n - inertia.zeros  # s_gap = s[kept - 1]
+            cut = KERNEL_ENTRY_FACTOR * np.finfo(float).eps * (s[0] / s[kept - 1] if kept else 1.0)
+            kernel = tuple(tuple(np.where(np.abs(v) <= cut * np.abs(v).max(), 0.0, v).tolist())
+                           for v in vh[kept:])
     system = dict(
         data=data,
         P=P,
@@ -313,6 +341,7 @@ def build_system(data: InterpolationData, rank_tol: float = RANK_TOL) -> PickSys
         inertia=inertia,
         kappa=inertia.negatives,
         rank_tol=rank_tol,
+        kernel=kernel,
     )
     if p_inv is not None:
         eta = tuple(

@@ -30,7 +30,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     hermitian_inertia,
-    symmetric_elimination,
 )
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
 from .boundary import (
@@ -70,17 +69,6 @@ ZERO_RESIDUAL_TOL = 1e-9
 # linear in an SVD row of P, which errs by about u s_max / s_gap, below 1e-8
 # while that is < 10^6.
 UNIQUE_AGREEMENT_TOL = 1e-8
-# An entry y_i of a float SVD kernel vector is 0 when |y_i| <= KERNEL_ENTRY_FACTOR
-# eps (s_max / s_gap) max|y|, s_gap the least singular value kept out of the
-# kernel: the SVD is backward stable, so its kernel vectors err by about
-# eps s_max / s_gap (Davis and Kahan), and a rounding residue kept as y_i
-# would give w the datum C_i / E_i as its limit at x_i.  On nodes (0, 1, 2),
-# values (3, 3, 5), bounds (0, 0, 1), with unique solution 3 and kernel
-# (-2, 1, 0), the SVD vector ends in -2.1e-17 and w(2) read 5; on nodes
-# clustered at spacing 1e-9 to 1e-5 the residues read 0.02 to 0.2 of
-# eps s_max / s_gap max|y|.  10 leaves a margin of 50 over them, and an entry
-# below the cut is within ten times the SVD's error, not told from rounding.
-KERNEL_ENTRY_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -576,7 +564,8 @@ def equivalence_check(sys: PickSystem) -> bool:
 
 
 def solve_degenerate(sys: PickSystem) -> RationalFunction:
-    """Unique solution for a singular Pick matrix, from a kernel vector y:
+    """Unique solution for a singular Pick matrix, from a kernel vector y of
+    ``sys.kernel``:
 
         w(z) = (y* (zI-X)^(-1) C*) / (y* (zI-X)^(-1) E*),
 
@@ -619,34 +608,20 @@ def solve_degenerate(sys: PickSystem) -> RationalFunction:
        S, would be a multiple of y as in 2; the x_i - x_j, j in S, would
        then be equal, so |S| = 1, where a and b have no zeros.
 
-    The float kernel vectors are P's right singular vectors at singular
-    values within ``rank_tol``, their entries within the SVD's error of 0
-    (KERNEL_ENTRY_FACTOR) set to 0, so that the zero test flags the nodes
-    outside the exact support too.
+    The exact kernel is ``symmetric_elimination``'s basis, read by
+    ``build_system``; the float one has its entries within the SVD's error
+    of 0 set to 0 (``problem.KERNEL_ENTRY_FACTOR``), so that the zero test
+    flags the nodes outside the exact support too.
     """
     if sys.invertible:
         raise ValueError("Pick matrix is invertible; use the resolvent instead")
     from .resolvent import RationalMatrix2x2, _expansion
 
-    if sys.exact:
-        vectors = symmetric_elimination(sys.P.rows).kernel
-        zero = Fraction(0)
-    else:
-        import numpy as np
-
+    if not sys.exact:
         from .transform import Parameter, _node_cancelled
-
-        _, s, vh = np.linalg.svd(sys.P.to_numpy().real)
-        scale = max(1.0, s[0]) * sys.rank_tol
-        gap = s[s > scale]
-        cut = KERNEL_ENTRY_FACTOR * np.finfo(float).eps * (s[0] / gap[-1] if gap.size else 1.0)
-        vectors = [np.where(np.abs(v) <= cut * np.abs(v).max(), 0.0, v).tolist()
-                   for v, sv in zip(vh, s) if sv <= scale]
-        zero = 0.0
-    if not vectors:
-        raise NoSolutionRepresentationError("no kernel vector found for singular P")
+    zero = Fraction(0) if sys.exact else 0.0
     candidates = []
-    for y in vectors:
+    for y in sys.kernel:
         form = RationalMatrix2x2(nodes=sys.X, left=tuple(zip(sys.C, sys.E)),
                                  right=tuple((v, zero) for v in y), constant=((zero, zero),) * 2)
         try:

@@ -14,7 +14,9 @@ import bnpick as b
 from bnpick.algebra import RationalFunction
 from bnpick.cli import RunConfig, _realization, main
 from bnpick.resolvent import RationalMatrix2x2
-from conftest import degenerate_parameter_system, grid_system, probe_set, singular_probe
+from conftest import (
+    degenerate_parameter_system, degree_sample, grid_system, probe_set, singular_probe,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -524,6 +526,24 @@ def test_negative_tolerance_exits_2(capsys, tmp_path, key):
     assert err.startswith("error: ") and err.count("\n") == 1 and f"'{key}'" in err
 
 
+@pytest.mark.parametrize("config,named", [
+    ({"rank_tol": True}, "'rank_tol'"),
+    ({"verify_tol": False}, "'verify_tol'"),
+    ({"grid": {"re_margin": True}}, "grid.re_margin"),
+    ({"grid": {"points_per_level": True}}, "grid.points_per_level"),
+    ({"grid": {"eig_tol": True}}, "grid.eig_tol"),
+    ({"grid": {"im_levels": [True]}}, "grid.im_levels"),
+], ids=["rank_tol", "verify_tol", "re_margin", "points_per_level", "eig_tol", "im_levels"])
+def test_boolean_config_number_exits_2(capsys, tmp_path, config, named):
+    # JSON true and false are no numbers: read as 1 and 0, "rank_tol": true
+    # counted every float eigenvalue within the spectral radius as zero
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, "solve", "--problem", str(DEMOS / "ex101.json"),
+                         "--config", str(tmp_path / "config.json"))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 def test_config_documents_accepted_before_stay_accepted():
     config = RunConfig.from_json({
         "rank_tol": "1e-9", "verify_tol": 1, "out": None,
@@ -625,6 +645,25 @@ def test_float_parameter_overflow_exits_3_without_a_traceback():
     assert done.returncode == 3 and "Traceback" not in err and "Warning" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
 
+
+
+def test_exact_jets_beyond_the_float_range_exit_3_without_a_traceback(tmp_path):
+    # a degree-3 sample dilated by z -> 10^200 z: the exact w, read from its
+    # own coefficients, has coefficients of 1997 bits, whose exact zero test
+    # raised OverflowError; its grid is what cannot be sampled in floats
+    data, _ = degree_sample(random.Random(3), 2)
+    a = Fraction(10) ** 200
+    data = b.InterpolationData(tuple(x * a for x in data.nodes), data.values,
+                               tuple(g / a for g in data.derivative_bounds),
+                               tuple(r * a for r in data.residues))
+    with pytest.raises(b.FloatRangeError, match="1997 bits"):
+        b.solve(data)
+    problem = tmp_path / "dilated.json"
+    problem.write_text(json.dumps(data.to_json()))
+    done = run_module("solve", "--problem", str(problem))
+    err = done.stderr.decode()
+    assert done.returncode == 3 and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "1997 bits" in err
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

@@ -159,6 +159,22 @@ class TestRationalJets:
         lim = jet_limits(jet.num, jet.den)
         assert lim["value"].value == 0.0 and lim["derivative"].value == -1.0
 
+    def test_exact_zero_test_ratio_is_correctly_rounded_beyond_the_float_range(self):
+        # |den(x)| / sum_k |c_k| |x|^k from the cleared integers: a
+        # coefficient of 1329 bits no longer overflows, and the ratio is the
+        # correctly rounded quotient
+        big = F(10) ** 400
+        for den, x in [((1, -2, 1), F(1, 3)), ((-big, 1), F(0)), ((-big, 1), big / 3),
+                       ((F(1, big), -3, F(5, 7)), F(-2, 9))]:
+            f = b.RationalFunction(b.Polynomial((1,)), b.Polynomial(den))
+            (jet,) = rational_jets(f, [x])
+            terms = [F(c) * x ** k for k, c in enumerate(den)]
+            want = abs(sum(terms)) / sum(map(abs, terms))
+            assert jet.zero_test["margin"] == float(want) / JET_ZERO_TOL
+            assert jet.zero_test["exact"] and not jet.zero_test["zero"]
+        (pole,) = rational_jets(b.RationalFunction(b.Polynomial((1,)), b.Polynomial((-big, 1))), [big])
+        assert pole.zero_test["zero"] and pole.zero_test["margin"] == 0.0
+
     def test_float_points_take_float_jets_with_the_zero_rule(self):
         f = rf((-1,), (0, 1))  # -1/z
         pole, regular = rational_jets(f, [0.0, 0.5])

@@ -58,10 +58,10 @@ def lane_tol(sys_) -> float:
 
 def singular_lane_tol(sys_) -> float:
     """SINGULAR_LANE_FACTOR n (s_max / s_gap) u for a float singular system,
-    from the singular values of P that ``solve_degenerate`` reads."""
+    s_gap the least singular value of P kept out of its kernel by the
+    system's inertia, the library's one rank decision."""
     s = np.linalg.svd(sys_.P.to_numpy().real, compute_uv=False)
-    kept = s[s > max(1.0, s[0]) * sys_.rank_tol]
-    return SINGULAR_LANE_FACTOR * sys_.n * s[0] / kept[-1] * U
+    return SINGULAR_LANE_FACTOR * sys_.n * s[0] / s[sys_.n - sys_.inertia.zeros - 1] * U
 
 
 def agree(got, want, tol) -> bool:

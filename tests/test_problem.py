@@ -18,6 +18,8 @@ from conftest import (
     grid_system,
     random_data,
     random_invertible_system,
+    random_singular_data,
+    singular_probe,
 )
 
 F = Fraction
@@ -519,3 +521,46 @@ class TestSystemFloats:
         got = [repr(b.classify_and_verify(sys_, phi)) for sys_, phi in ops]
         monkeypatch.undo()
         assert got == want and callers == []
+
+
+def as_float(data):
+    return b.InterpolationData(*(tuple(map(float, v)) for v in (
+        data.nodes, data.values, data.derivative_bounds, data.residues)))
+
+
+class TestSystemKernel:
+    """A singular P carries ker P, from the decomposition that counted its
+    inertia."""
+
+    def test_exact_kernel_is_the_elimination_basis(self):
+        rng = random.Random(7)
+        systems = [b.build_system(data_degenerate())]
+        systems += [b.build_system(random_singular_data(rng)) for _ in range(30)]
+        systems += [singular_probe(n, s) for n in (8, 16) for s in range(3)]
+        for sys_ in systems:
+            want = b.algebra.symmetric_elimination(sys_.P.rows).kernel
+            assert [list(y) for y in sys_.kernel] == want
+            assert len(sys_.kernel) == sys_.inertia.zeros > 0
+            assert all(type(v) is F for y in sys_.kernel for v in y)
+
+    def test_float_kernel_has_the_inertia_zero_count(self):
+        rng = random.Random(7)
+        probes = [(n, s) for n in (8, 16, 24) for s in range(3)] + [(32, 0)]
+        systems = [singular_probe(n, s, exact=False) for n, s in probes]
+        systems += [b.build_system(as_float(random_singular_data(rng))) for _ in range(30)]
+        zeros = set()
+        for sys_ in systems:
+            assert len(sys_.kernel) == sys_.inertia.zeros
+            zeros.add(sys_.inertia.zeros)
+            for y in sys_.kernel:
+                assert all(type(v) is float for v in y)
+                # a unit singular vector that P sends to rounding
+                residual = np.linalg.norm(sys_.P.to_numpy().real @ np.array(y))
+                assert math.isclose(np.linalg.norm(y), 1.0) and residual < 1e-8
+        assert 0 not in zeros
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_invertible_system_has_no_kernel(self, exact):
+        for n in (1, 4, 8):
+            sys_ = grid_system(random.Random(n), n, exact)
+            assert sys_.invertible and sys_.kernel == ()

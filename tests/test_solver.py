@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bnpick as b
@@ -532,6 +533,33 @@ class TestSolveDegenerate:
         assert not w.num.exact and w.den.coeffs[-1] == 1
         # arithmetic reads the expansion and gives a function with no origin
         assert (w * 1)._origin is None and w * 1 == w
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_decomposes_nothing(self, exact, monkeypatch):
+        # the kernel is the one build_system took from the decomposition
+        # that counted P's inertia: with the elimination and the SVD made to
+        # fail, every solution is the same
+        rng = random.Random(83)
+        datas = [random_singular_data(rng) for _ in range(10)]
+        datas += [degree_sample(random.Random(d), d)[0] for d in range(1, 4)]
+        datas += [singular_probe(8, s).data for s in range(3)]
+        datas.append(b.InterpolationData(nodes=(F(0), F(1), F(2)), values=(F(3), F(3), F(5)),
+                                         derivative_bounds=(F(0), F(0), F(1)), residues=()))
+        if not exact:
+            datas = [b.InterpolationData(*(tuple(map(float, v)) for v in (
+                d.nodes, d.values, d.derivative_bounds, d.residues))) for d in datas]
+        systems = [b.build_system(data) for data in datas]
+        read = (lambda w: w) if exact else (lambda w: repr(w.to_json()))
+        want = [read(b.solve_degenerate(sys_)) for sys_ in systems]
+
+        def decomposed(*args, **kwargs):
+            raise AssertionError("P was decomposed again")
+
+        monkeypatch.setattr(np.linalg, "svd", decomposed)
+        monkeypatch.setattr(algebra, "symmetric_elimination", decomposed)
+        monkeypatch.setattr(solver, "symmetric_elimination", decomposed, raising=False)
+        assert [read(b.solve_degenerate(sys_)) for sys_ in systems] == want
+        assert max(sys_.inertia.zeros for sys_ in systems) >= 3
 
     def test_invertible_system_rejected(self, sys1):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Static checks of the package source, read with ``ast``."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bnpick"
@@ -102,3 +104,27 @@ def test_nothing_roots_a_polynomial():
         and node.func.attr == "roots"
     ]
     assert not found, f"root finding in the package: {found}"
+
+
+def test_every_dotted_reference_resolves():
+    # a ``module.name`` the package writes for one of its modules names
+    # something that module has: a name moved or deleted without its
+    # docstrings fails here
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    refs = [
+        (path.name, match.group(1))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for match in re.finditer(r"``([A-Za-z_][\w.]*)``", path.read_text())
+        if match.group(1).split(".")[0] in modules and "." in match.group(1)
+    ]
+    assert len(refs) >= 20, refs  # the scan sees the package's references
+    unresolved = []
+    for source, ref in refs:
+        module, *names = ref.split(".")
+        target = importlib.import_module(f"bnpick.{module}")
+        try:
+            for name in names:
+                target = getattr(target, name)
+        except AttributeError:
+            unresolved.append(f"{source}: {ref}")
+    assert not unresolved, f"dotted references to nothing: {unresolved}"

@@ -137,6 +137,11 @@ class TestGridConfig:
         ({"eig_tol": -1}, "eig_tol"),
         ({"eig_tol": -1e-300}, "eig_tol"),
         ({"eig_tol": math.inf}, "eig_tol"),
+        # a boolean is no number, though Python counts it as an int
+        ({"im_levels": (True,)}, "im_levels"),
+        ({"points_per_level": True}, "points_per_level"),
+        ({"re_margin": False}, "re_margin"),
+        ({"eig_tol": True}, "eig_tol"),
     ])
     def test_rejected_fields_are_named(self, fields, named):
         with pytest.raises(ValueError, match=f"GridConfig.{named} "):
