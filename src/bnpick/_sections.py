@@ -35,7 +35,8 @@ class GridConfig:
     """Sampling grid and eigenvalue tolerance of the sampled counts.
 
     Every field is checked when the config is made, and a bad one raises
-    ``ValueError`` naming it.  The levels must be positive, so every grid
+    ``ValueError`` naming it.  The levels are a tuple (a list, as a JSON
+    config gives them, is stored as one) and must be positive, so every grid
     point lies in the upper half-plane, where the counts certify, and off
     every real pole; ``eig_tol`` must be at least 0, as a negative one
     counts eigenvalues that are zero within rounding as negative.
@@ -47,7 +48,10 @@ class GridConfig:
     eig_tol: float = EIG_TOL
 
     def __post_init__(self):
-        if len(self.im_levels) == 0 or not all(_finite(t) and t > 0 for t in self.im_levels):
+        if isinstance(self.im_levels, list):  # as a JSON config gives it
+            object.__setattr__(self, "im_levels", tuple(self.im_levels))
+        if (not isinstance(self.im_levels, tuple) or not self.im_levels
+                or not all(_finite(t) and t > 0 for t in self.im_levels)):
             raise ValueError("GridConfig.im_levels must be nonempty finite numbers > 0")
         if (isinstance(self.points_per_level, bool) or not isinstance(self.points_per_level, Integral)
                 or self.points_per_level < 1):
@@ -59,7 +63,14 @@ class GridConfig:
 
 
 def _finite(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    """A finite real number that is no boolean; an int beyond the float range
+    is none, as every field is read in floats."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 DEFAULT_GRID = GridConfig()
@@ -169,9 +180,10 @@ def nevanlinna_kernel(points, values) -> np.ndarray:
 
 
 def negative_count(matrix: np.ndarray, eig_tol: float) -> int:
-    """Eigenvalues of a Hermitian matrix below -eig_tol * max(1, max|lambda|)."""
+    """Eigenvalues of a Hermitian matrix below -eig_tol * max(1, max|lambda|),
+    counted by the rule of P's float inertia (``algebra._spectral_inertia``)."""
     import numpy as np
 
-    eigs = np.linalg.eigvalsh(matrix)
-    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
-    return int(np.sum(eigs < -eig_tol * scale))
+    from .algebra import _spectral_inertia
+
+    return _spectral_inertia(np.linalg.eigvalsh(matrix), eig_tol).negatives

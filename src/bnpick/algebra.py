@@ -367,9 +367,10 @@ class RationalFunction:
 
     A w built by ``transform.apply_lft``, or a float degenerate solution,
     keeps the realization (Theta, phi) it came from as ``_origin`` (None for
-    every other function), w = u_0 / u_1 for u = Theta (p; q), and any node
-    pass it took as ``_jets``: its jets, grid values, values at float points
-    and, on the float lane, document (``to_json``) are read from the origin.
+    every other function), w = u_0 / u_1 for u = Theta (p; q), and nothing
+    else: its jets (each read takes w's whole node pass), grid values,
+    values at float points and, on the float lane, document (``to_json``)
+    are read from the origin.
     Its numerator and denominator are formed from it when first read
     (``__getattr__``), so a certify op, which reads neither, forms none.
     The origin is not part of the value: ``==``, ``hash`` and ``str`` read
@@ -378,7 +379,7 @@ class RationalFunction:
     about 16, which is why no certificate and no document reads it.
     """
 
-    __slots__ = ("num", "den", "exact", "_origin", "_jets")
+    __slots__ = ("num", "den", "exact", "_origin")
 
     def __init__(self, num, den=Polynomial((1,)), reduce=True):
         if not isinstance(num, Polynomial):
@@ -399,7 +400,6 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_origin", None)
-        object.__setattr__(self, "_jets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")

@@ -345,11 +345,10 @@ def rational_jets(f: RationalFunction, points) -> list:
             zip(jets.transpose(2, 1, 0).tolist(), relative.tolist(), zero)]
 
 
-def lft_jets(theta, p: Polynomial, q: Polynomial, at=None) -> list:
+def lft_jets(theta, p: Polynomial, q: Polynomial) -> list:
     """The ``Jet`` of w = (Theta11 phi + Theta12) / (Theta21 phi + Theta22),
-    phi = p/q, at each of Theta's nodes, read from Theta's residue form: w's
-    node pass.  ``at`` lists the indices of the nodes read, all of them in
-    their order when None.
+    phi = p/q, at each of Theta's nodes in their order, read from Theta's
+    residue form: w's node pass, the one source of w's limits at its nodes.
 
     u(t) = (z - x) Theta(z) v(z) with v = (p; q) and z = x + t has w as the
     ratio of its two components, and ``RationalMatrix2x2.residue_jets``
@@ -361,21 +360,21 @@ def lft_jets(theta, p: Polynomial, q: Polynomial, at=None) -> list:
     The jets are float64 on both lanes; where a coefficient or its scale
     overflows the float range, ``FloatRangeError`` is raised.  The pass
     also says where ``apply_lft`` cancels: its zero flags, and u_1 at the
-    flagged nodes.
+    flagged nodes.  A node's jet is a row of the whole pass, so a read at
+    one node is bit for bit the row a certify op reads there.
     """
     import numpy as np
 
-    x = theta._samplers[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _float_taylor((p, q), x if at is None else x[at])[0]
-        u, scale = theta.residue_jets(v, at)
+        v = _float_taylor((p, q), theta._samplers[0])[0]
+        u, scale = theta.residue_jets(v)
     # every term of u enters its scale by modulus, so a finite scale bounds u
     if not np.isfinite(scale).all():
         raise FloatRangeError(
             "the jets of w at the nodes exceed the float range; "
             "its boundary limits cannot be read in floats"
         )
-    zero, relative, exact = node_zero_test(theta, p, q, v[0], at)
+    zero, relative, exact = node_zero_test(theta, p, q, v[0])
     u[0][:, np.array(zero, dtype=bool)] = 0
     _snap(u[1:], scale[1:])
     return [Jet(a, b_, _zero_test(r, z, exact)) for (a, b_), r, z in
@@ -386,66 +385,61 @@ def function_jets(f: RationalFunction, points) -> list:
     """The ``Jet`` of f at each point, from the one source that holds it.
 
     A w with an origin (Theta, phi), a realization: where every point is a
-    node of Theta its jets come from Theta's residue form, read
-    at those nodes' indices (``lft_jets``), as ``classify_and_verify``
-    reads them, or from the node pass w keeps (``_jets``) when every node
-    is read in order: a float w's coefficients are off from n of about 16.
-    Every other function, and w away from the nodes, takes the jets of its
-    own coefficients (``rational_jets``), which expands w.
+    node of Theta its jets are the rows of w's node pass (``lft_jets``) at
+    those nodes, the pass ``classify_and_verify`` reads, as a float w's
+    coefficients are off from n of about 16.  Every other function, and w
+    away from the nodes, takes the jets of its own coefficients
+    (``rational_jets``), which expands w.
     """
     origin = f._origin
     if origin is not None:
         theta, phi = origin
         index = {float(x): i for i, x in enumerate(theta.nodes)}
-        at = [index.get(float(x)) for x in points]
-        if f._jets is not None and at == list(range(len(theta.nodes))):
-            return f._jets
-        if None not in at:
-            return lft_jets(theta, *phi.pair(), at)
+        rows = [index.get(float(x)) for x in points]
+        if None not in rows:
+            jets = lft_jets(theta, *phi.pair())
+            return [jets[i] for i in rows]
     return rational_jets(f, points)
 
 
-def node_zero_test(theta, p: Polynomial, q: Polynomial, values=None, at=None) -> tuple:
-    """(zero, relative, exact): the zero test r_i . v(x_i) = 0 at Theta's
-    nodes x_i (those indexed by ``at``, all of them when None), v = (p; q),
-    with |r_i . v(x_i)| over its scale, and whether it was decided exactly
-    (the fields of ``_zero_test``).
+def node_zero_test(theta, p: Polynomial, q: Polynomial, values=None) -> tuple:
+    """(zero, relative, exact): the zero test r_i . v(x_i) = 0 at each of
+    Theta's nodes x_i, v = (p; q), with |r_i . v(x_i)| over its scale, and
+    whether it was decided exactly (the fields of ``_zero_test``).
 
     This is the one test of where w = Theta o (p/q) has numerator and
     denominator sharing the factor z - x_i: u_0 = l_i (r_i . v(x_i)) of
     ``lft_jets``, with l_i != 0, and r_i . v(x_i) = 0 exactly where
-    phi(x_i) = eta_i.  Only ``lft_jets`` runs it; ``apply_lft`` cancels
-    where the flags of that pass read zero, so a certify op decides each
-    node once (standalone exact ``apply_lft`` takes ``_exact_node_zeros``
-    alone).  On the exact lane (Theta, p and q exact) it is decided
-    exactly, one integer dot product per node (``_exact_node_zeros``); on
-    the float lane it reads JET_ZERO_TOL against the scale |r_i| |v(x_i)|
-    (1-norms, the rows' from Theta's ``_node_table``): O(1) per node.
-    ``values`` is v at those nodes, shape (2, nodes), when the caller has it.
+    phi(x_i) = eta_i.  Only ``lft_jets`` runs it, at every node; ``apply_lft``
+    cancels where the flags of that pass read zero, so a certify op decides
+    each node once (standalone exact ``apply_lft`` takes
+    ``_exact_node_zeros`` alone).  On the exact lane (Theta, p and q exact)
+    it is decided exactly, one integer dot product per node
+    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
+    the scale |r_i| |v(x_i)| (1-norms, the rows' from Theta's
+    ``_node_table``): O(1) per node.  ``values`` is v at the nodes, shape
+    (2, nodes), when the caller has it.
     """
     import numpy as np
 
     x, _, rows, _ = theta._samplers
-    sizes = theta._node_table.right_sizes
-    if at is not None:
-        x, rows, sizes = x[at], rows[at], sizes[at]
     if values is None:
         values = _float_taylor((p, q), x, 1)[0][0]
     rho = np.abs(values[0] * rows[:, 0] + values[1] * rows[:, 1])
-    rho_scale = (np.abs(values[0]) + np.abs(values[1])) * sizes
+    rho_scale = (np.abs(values[0]) + np.abs(values[1])) * theta._node_table.right_sizes
     relative = rho / np.where(rho_scale > 0, rho_scale, 1.0)
     exact = theta.exact and p.exact and q.exact
     if exact:
-        zero = _exact_node_zeros(theta, p, q, at)
+        zero = _exact_node_zeros(theta, p, q)
         relative = np.where(zero, 0.0, relative)
     else:
         zero = (relative <= JET_ZERO_TOL).tolist()
     return zero, relative.tolist(), exact
 
 
-def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, at=None) -> list:
-    """Whether r_i . v(x_i) = 0 at each of Theta's exact nodes (those
-    indexed by ``at``, all of them when None), decided in integers.
+def _exact_node_zeros(theta, p: Polynomial, q: Polynomial) -> list:
+    """Whether r_i . v(x_i) = 0 at each of Theta's exact nodes, decided in
+    integers.
 
     p and q are scaled by one factor to integer coefficients and padded to
     one length D + 1, so that with x = a/b the integers P = b^D p(x) and
@@ -459,8 +453,8 @@ def _exact_node_zeros(theta, p: Polynomial, q: Polynomial, at=None) -> list:
     pc = ints[: len(p.coeffs)] + [0] * (width - len(p.coeffs))
     qc = ints[len(p.coeffs) :] + [0] * (width - len(q.coeffs))
     zeros = []
-    for i in range(len(theta.nodes)) if at is None else at:
-        (a, b), (r0, r1) = theta.nodes[i].as_integer_ratio(), theta.right[i]
+    for x, (r0, r1) in zip(theta.nodes, theta.right):
+        a, b = x.as_integer_ratio()
         zeros.append(_times(r0, _scaled_value(pc, a, b)) == _times(r1, -_scaled_value(qc, a, b)))
     return zeros
 

@@ -69,27 +69,12 @@ class RunConfig:
         unknown += sorted(f"grid.{k}" for k in set(grid_doc) - set(GridConfig.__dataclass_fields__))
         if unknown:
             raise InputError(f"unknown config key(s): {', '.join(unknown)}")
-        grid = {}
+        grid = DEFAULT_GRID
         for key, value in grid_doc.items():
-            if key == "points_per_level":
-                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                    raise InputError("config 'grid.points_per_level' must be a positive integer")
-            elif key == "im_levels":
-                # the kernel counts certify only on the upper half-plane
-                if not isinstance(value, list) or not value or not all(
-                    _is_number(v) and v > 0 for v in value
-                ):
-                    raise InputError(
-                        "config 'grid.im_levels' must be a nonempty list of positive numbers"
-                    )
-                value = tuple(value)
-            elif not _is_number(value):
-                raise InputError(f"config 'grid.{key}' must be a number")
-            grid[key] = value
-        try:
-            grid = replace(DEFAULT_GRID, **grid)
-        except ValueError as exc:  # a value GridConfig rejects, such as eig_tol < 0
-            raise InputError(f"config 'grid': {exc}") from None
+            try:
+                grid = replace(grid, **{key: value})
+            except (TypeError, ValueError) as exc:  # a value GridConfig rejects
+                raise InputError(f"config 'grid.{key}': {exc}") from None
         out = obj.get("out")
         if out is not None and not isinstance(out, str):
             raise InputError("config 'out' must be a path")
@@ -102,16 +87,11 @@ class RunConfig:
         )
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; ``true`` and ``false`` are not numbers."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-
-
 def _float_entry(obj: dict, key: str, default: float) -> float:
     value = obj.get(key, default)
     try:
         value = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value) or value < 0:
         raise InputError(f"config {key!r} must be a number >= 0")
@@ -245,11 +225,7 @@ def cmd_pick(args) -> int:
         "ell": system.ell,
         "kappa": system.kappa,
         "singular": not system.invertible,
-        "inertia": {
-            "negatives": system.inertia.negatives,
-            "zeros": system.inertia.zeros,
-            "positives": system.inertia.positives,
-        },
+        "inertia": system.inertia._asdict(),
         "P": [[scalar_to_json(system.P.entry(i, j)) for j in range(system.n)]
               for i in range(system.n)],
         "X": [scalar_to_json(x) for x in system.X],

@@ -322,15 +322,15 @@ class RationalMatrix2x2:
             array.flags.writeable = False
         return table
 
-    def residue_jets(self, v: np.ndarray, at=None) -> tuple:
+    def residue_jets(self, v: np.ndarray) -> tuple:
         """Taylor coefficients in t of u(t) = (z - x) Theta(z) v(z), z = x + t,
         at every node x at once, in float64.
 
-        ``at`` lists the indices of the Q nodes read (all when None), and
-        ``v`` the first K <= JET_ORDERS Taylor coefficients of the 2-vector
-        v there, shape (K, 2, Q).  At x_i, (z - x_i) / (z - x_j) is 1 for
-        j = i and sum_{m >= 1} (-1)^(m-1) t^m / (x_i - x_j)^m otherwise, so
-        with W_m those weights (W_0 the identity)
+        ``v`` holds the first K <= JET_ORDERS Taylor coefficients of the
+        2-vector v at the n nodes, shape (K, 2, n).  At x_i,
+        (z - x_i) / (z - x_j) is 1 for j = i and
+        sum_{m >= 1} (-1)^(m-1) t^m / (x_i - x_j)^m otherwise, so with W_m
+        those weights (W_0 the identity)
 
             u_k = K v_(k-1) + sum_{m=0..k} sum_j l_j W_m[i, j] (r_j . v_(k-m)),
 
@@ -339,18 +339,15 @@ class RationalMatrix2x2:
         else depends only on the nodes are the node table (``_node_table``),
         built once.  Returns (u, scale): u and the same sums with every
         factor replaced by its modulus and each r_j . v by |r_j| |v|
-        (1-norms), both of shape (K, 2, Q); the scale bounds the rounding of
+        (1-norms), both of shape (K, 2, n); the scale bounds the rounding of
         the sums and the error that float residue data carry.
         """
         import numpy as np
 
         _, left, right, constant = self._samplers
         table = self._node_table
-        weights, abs_weights = table.weights, table.abs_weights
-        if at is not None:
-            weights, abs_weights = weights[:, at], abs_weights[:, at]
         count = len(v)
-        # r_j . v_b at each node, shape (K, Q, n), and its scale |r_j| |v_b|
+        # r_j . v_b at each node, shape (K, n, n), and its scale |r_j| |v_b|
         # in 1-norms, as the float lane's rows r_j carry a float inverse's error
         moduli = np.abs(v)
         dots = v.transpose(0, 2, 1) @ right.T
@@ -359,8 +356,8 @@ class RationalMatrix2x2:
         shift, abs_shift = ((v, moduli) if self.constant == _IDENTITY
                             else (constant @ v, abs(constant) @ moduli))
         out = []
-        for w, l, d, shift in ((weights, left, dots, shift),
-                               (abs_weights, table.abs_left, sizes, abs_shift)):
+        for w, l, d, shift in ((table.weights, left, dots, shift),
+                               (table.abs_weights, table.abs_left, sizes, abs_shift)):
             terms = w[0] * d
             for m in range(1, count):
                 terms[m:] += w[m] * d[: count - m]

@@ -161,35 +161,27 @@ def _phi_limits_exact(phi: Parameter):
     return INFINITY, None, INFINITY
 
 
-def classify_parameter(
-    sys: PickSystem, phi: Parameter, i: int, tol: float = THRESHOLD_TOL
-) -> ConditionLabel:
+def classify_parameter(sys: PickSystem, phi: Parameter, i: int) -> ConditionLabel:
     """Condition label of a parameter at node i (0-based input index).
 
     Constants and infinity classify exactly; rational parameters classify
     through their boundary limits, read as jets (``rational_jets``: exact
-    for exact coefficients at exact nodes), with thresholds compared at ``tol``,
-    ties resolving to the equality condition (index 5 or 6 by the sign of
-    the diagonal entry of the inverse Pick matrix).
+    for exact coefficients at exact nodes).  Thresholds are compared at
+    ``THRESHOLD_TOL``, ties resolving to the equality condition (index 5 or
+    6 by the sign of the diagonal entry of the inverse Pick matrix), and
+    phi(x_i) meets eta_i by ``_matches_eta``.
     """
     if not sys.invertible:
         raise ValueError("classification requires an invertible Pick matrix")
     if phi.kind == "rational":
-        return _rational_labels(sys, phi.func, [i], tol)[0]
+        return _rational_labels(sys, phi.func, [i])[0]
     te = sys.tilde_e[i]
     tc = sys.tilde_c[i]
     p_ii = sys.tilde_p_diag[i]
     family = "C" if te else "Ctilde"
     value, deriv, residual = _phi_limits_exact(phi)
     if family == "C":
-        eta = sys.eta[i]
-        if is_infinite(value):
-            matches_eta = False
-        elif isinstance(value, Fraction) and sys.exact:
-            matches_eta = value == eta
-        else:
-            matches_eta = abs(float(value) - float(eta)) <= tol * max(1.0, abs(float(eta)))
-        if not matches_eta:
+        if not _matches_eta(sys, i, value):
             index = 1
         else:
             # constant at the critical value: derivative is exactly 0
@@ -203,36 +195,45 @@ def classify_parameter(
     return ConditionLabel(i + 1, family, index, value, deriv, residual, exact=True)
 
 
-def _rational_labels(sys: PickSystem, func: RationalFunction, nodes, tol: float) -> list:
+def _matches_eta(sys: PickSystem, i: int, value) -> bool:
+    """Whether a parameter's value phi(x_i), a number or ``INFINITY``, meets
+    eta_i at node i of family C (te_i != 0, so eta_i is finite): exactly
+    where both are exact, and otherwise within THRESHOLD_TOL max(1, |eta_i|)."""
+    if is_infinite(value):
+        return False
+    if isinstance(value, Fraction) and sys.exact:
+        return value == sys.eta[i]
+    eta = sys.floats.eta[i]
+    return abs(float(value) - eta) <= THRESHOLD_TOL * max(1.0, abs(eta))
+
+
+def _rational_labels(sys: PickSystem, func: RationalFunction, nodes) -> list:
     """Labels of a rational parameter at the given nodes (0-based), from its
     jets at all of them: the value limit, then the derivative or residual
     limit where the value calls for one."""
     labels = []
     for i, jet in zip(nodes, rational_jets(func, [sys.X[i] for i in nodes])):
         value = jet_limits(jet.num, jet.den, ("value",))["value"]
-        second = _second_limit_kind(sys, i, value, tol)
+        second = _second_limit_kind(sys, i, value)
         second = second and jet_limits(jet.num, jet.den, (second,))[second]
-        labels.append(_rational_label(sys, i, value, second, tol))
+        labels.append(_rational_label(sys, i, value, second))
     return labels
 
 
-def _second_limit_kind(sys: PickSystem, i: int, value, tol: float):
+def _second_limit_kind(sys: PickSystem, i: int, value):
     """The limit a rational parameter's label at node i needs after its value
     limit: ``"derivative"`` where the value matches eta_i (family C),
     ``"residual"`` where the value is infinite (family Ctilde), else None."""
     if sys.tilde_e[i]:
-        eta = sys.floats.eta[i]
-        if not value.is_finite or eta is None or abs(value.value.real - eta) > tol * max(
-            1.0, abs(eta)
-        ):
-            return None
-        return "derivative"
+        if value.is_finite and _matches_eta(sys, i, value.value.real):
+            return "derivative"
+        return None
     if value.is_finite or value.status == "dne":
         return None
     return "residual"
 
 
-def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> ConditionLabel:
+def _rational_label(sys: PickSystem, i: int, value, second) -> ConditionLabel:
     """Label at node i from the value limit and the ``_second_limit_kind``
     limit (None when there is none)."""
     te, tc, p_ii = sys.tilde_e[i], sys.tilde_c[i], sys.tilde_p_diag[i]
@@ -247,7 +248,7 @@ def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> Condi
             return _unclassifiable(i, family, value, deriv, None)
         else:
             tau = float(-p_ii / (te * te))
-            index = _index_from_threshold(deriv.value.real, tau, p_ii, tol=tol)
+            index = _index_from_threshold(deriv.value.real, tau, p_ii)
         return ConditionLabel(i + 1, family, index, value, deriv, None)
     residual = second
     if not residual.is_finite:
@@ -257,7 +258,7 @@ def _rational_label(sys: PickSystem, i: int, value, second, tol: float) -> Condi
         index = 2
     else:
         tau = float(-p_ii / (tc * tc))
-        index = _index_from_threshold(-1.0 / r, tau, p_ii, tol=tol)
+        index = _index_from_threshold(-1.0 / r, tau, p_ii)
     return ConditionLabel(i + 1, family, index, value, None, residual)
 
 
@@ -268,17 +269,18 @@ def _unclassifiable(i, family, value, deriv, residual):
     )
 
 
-def _index_from_threshold(s, tau, p_ii, tol=THRESHOLD_TOL, exact=False):
+def _index_from_threshold(s, tau, p_ii, exact=False):
     """Index among 3..6 from a boundary quantity s against its threshold tau.
 
     s is the derivative of a parameter matching eta, or -1/phi_residual for
-    an unbounded parameter.
+    an unbounded parameter.  ``exact`` compares exactly; otherwise a tie is
+    |s - tau| <= THRESHOLD_TOL.
     """
     if exact:
         if s == tau:
             return 6 if not p_ii else 5
         return 3 if s > tau else 4
-    if abs(s - tau) <= tol:
+    if abs(s - tau) <= THRESHOLD_TOL:
         if p_ii < 0:
             return 5
         if not p_ii:
@@ -365,7 +367,7 @@ def _classified(sys: PickSystem, phi: Parameter) -> tuple:
     if phi.kind == "rational":
         if not sys.invertible:
             raise ValueError("classification requires an invertible Pick matrix")
-        labels = _rational_labels(sys, phi.func, range(sys.n), THRESHOLD_TOL)
+        labels = _rational_labels(sys, phi.func, range(sys.n))
     else:
         labels = [classify_parameter(sys, phi, i) for i in range(sys.n)]
     ell = sys.ell
@@ -376,10 +378,10 @@ def _classified(sys: PickSystem, phi: Parameter) -> tuple:
 
 
 def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
-    """The limits of w that each node's checks read, as jets at all the
-    nodes at once (``function_jets``: from Theta's residue form for a w with
-    an origin, never from its coefficients, as
-    ``classify_and_verify`` reads them; from w's own coefficients
+    """The limits of w that each node's checks read, from its jets at those
+    nodes (``function_jets``: for a w with an origin, the rows of its whole
+    node pass through Theta's residue form, never its coefficients, the
+    pass ``classify_and_verify`` reads; from w's own coefficients
     otherwise).
 
     ``outcomes`` maps 0-based nodes to their outcome kind, or None.  A
@@ -436,9 +438,9 @@ def verify_outcome(
     limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
     hold within ``tol``; strict inequalities need slack above ``tol``.  The
     margin is the equality error or the slack.  ``limits`` are the node's
-    ``_node_limits`` for ``kind``, taken here when not given (through w's
-    origin when it has one); they are the verification's details, zero test
-    included.
+    ``_node_limits`` for ``kind``, taken here when not given (for a w with
+    an origin, the node's row of its whole node pass); they are the
+    verification's details, zero test included.
     """
     ell = sys.ell
     regular = node_index < ell

@@ -192,9 +192,10 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
     den are formed only when first read, by the one expansion of a
     realization (``resolvent._expansion``).  ``solver.classify_and_verify``
     takes w's node pass once and builds w by the same private function, so
-    a certify op decides each node once and forms no polynomial.  w's jets at
-    the nodes, its grid values, its values at float points and a float w's
-    document are read from the origin (``boundary.function_jets``,
+    a certify op decides each node once and forms no polynomial.  w keeps
+    no pass: its jets at the nodes, each read a row of the whole node pass,
+    its grid values, its values at float points and a float w's document
+    are read from the origin (``boundary.function_jets``,
     ``_sections.pole_free_grid``, ``RationalFunction.eval``,
     ``RationalFunction.to_json``).
     """
@@ -205,8 +206,7 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     """``apply_lft`` of phi, with its origin (Theta, phi) kept on w: the one
     place that builds w.  ``jets`` holds the ``boundary.Jet`` of w at each
     of Theta's nodes, in their order, when the caller has w's node pass;
-    otherwise the node test is taken here, and a pass taken here is kept on
-    w (``_jets``), where ``boundary.function_jets`` reads it again.
+    otherwise the node test is taken here, and w keeps nothing of it.
 
     On both lanes w is returned as its origin alone, with num and den unset:
     ``RationalFunction.__getattr__`` forms them (``resolvent._expansion``)
@@ -232,7 +232,7 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
 
     p, q = phi.pair()
     exact = theta.exact and p.exact and q.exact
-    taken = zeros = None  # zeros: the flags num and den are formed with here
+    zeros = None  # the flags num and den are formed with here
     if exact:
         flags = (_exact_node_zeros(theta, p, q) if jets is None
                  else [jet.zero_test["zero"] for jet in jets])
@@ -240,7 +240,7 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
             zeros = flags
     else:
         if jets is None:
-            jets = taken = lft_jets(theta, p, q)
+            jets = lft_jets(theta, p, q)
         if max(p.degree, q.degree) >= (JET_ORDERS - 1) * len(theta.nodes):
             zeros = [jet.zero_test["zero"] for jet in jets]
         elif not any(any(jet.den) for jet in jets):
@@ -251,5 +251,4 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     else:
         w = RationalFunction(*_expansion(theta, p, q, zeros), reduce=False)
     object.__setattr__(w, "_origin", (theta, phi))
-    object.__setattr__(w, "_jets", taken)
     return w

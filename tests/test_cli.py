@@ -270,34 +270,22 @@ class TestFloatDocuments:
                 z = x + Fraction(1, 7)
                 assert close(w.eval(float(z)), float(exact_w.eval(z)))
 
-    def test_verify_takes_the_node_pass_once(self, capsys, tmp_path, monkeypatch):
-        # the pass apply_lft takes to decide degeneracy is the one the node
-        # checks read; the document is the one a second pass gives
-        from bnpick import boundary, cli, solver, transform
+    def test_verify_of_a_realization_is_verify_candidate_of_its_w(self, capsys, tmp_path):
+        # the document verify writes for a realization is verify_candidate
+        # of the w it reads, whose node limits are rows of w's node pass
+        from bnpick import cli
 
         config = tmp_path / "float.json"
         config.write_text('{"backend": "float"}')
         problem = tmp_path / "problem.json"
-        lft_jets, calls = boundary.lft_jets, []
-
-        def counted(*args):
-            calls.append(args)
-            return lft_jets(*args)
-
-        monkeypatch.setattr(boundary, "lft_jets", counted)
         for sys_, phi in probe_set(32, False):
             problem.write_text(json.dumps(sys_.data.to_json()))
             realization = {"theta": b.build_theta(sys_).residue_json(), "phi": phi.to_json()}
-            calls.clear()
             doc = run_json(capsys, "verify", "--problem", str(problem), "--param",
                            json.dumps(realization), "--config", str(config))
-            assert len(calls) == 1
-            theta, read_phi = _realization(realization)
-            handed = transform._node_cancelled(theta, read_phi, lft_jets(theta, *read_phi.pair()))
-            assert handed._jets is None
-            twice = solver.verify_candidate(b.build_system(sys_.data), handed)
-            assert doc == json.loads(json.dumps(cli._jsonify(twice)))
-            assert len(calls) == 2
+            w = b.apply_lft(*_realization(realization))
+            want = b.verify_candidate(b.build_system(sys_.data), w)
+            assert doc == json.loads(json.dumps(cli._jsonify(want)))
 
     def test_float_singular_solve_writes_its_realization(self, capsys, tmp_path):
         # the float unique solution is written as its origin, the
@@ -470,8 +458,13 @@ _CANDIDATE = '{"num":[0,1],"den":[1]}'
     ("verify", _EX101, _CANDIDATE, {"out": 5}, "'out'"),
     # a negative tolerance counts eigenvalues that are zero within rounding
     ("apply", _EX101, _PARAMS["z"], {"grid": {"eig_tol": -1}}, "GridConfig.eig_tol"),
+    # json reads a long integer literal as an int, which no float holds
+    ("verify", _EX101, _CANDIDATE, {"rank_tol": 10 ** 400}, "'rank_tol'"),
+    ("verify", _EX101, _CANDIDATE, {"grid": {"re_margin": 10 ** 400}}, "grid.re_margin"),
+    ("verify", _EX101, _CANDIDATE, {"grid": {"im_levels": [10 ** 400]}}, "grid.im_levels"),
 ], ids=["node-1/0", "const-1/0", "num-x", "den-0", "nodes-5", "rank_tol-abc",
-        "points-x", "im_levels-5", "points-0", "out-5", "eig_tol--1"])
+        "points-x", "im_levels-5", "points-0", "out-5", "eig_tol--1",
+        "rank_tol-10^400", "re_margin-10^400", "im_levels-10^400"])
 def test_malformed_input_exits_2_with_one_error_line(
     capsys, tmp_path, command, problem, param, config, named
 ):

@@ -142,6 +142,11 @@ class TestGridConfig:
         ({"points_per_level": True}, "points_per_level"),
         ({"re_margin": False}, "re_margin"),
         ({"eig_tol": True}, "eig_tol"),
+        # im_levels is a tuple: a number is no sequence of levels
+        ({"im_levels": 5}, "im_levels"),
+        # every field is read in floats: an int beyond their range is rejected
+        ({"re_margin": 10 ** 400}, "re_margin"),
+        ({"im_levels": (10 ** 400,)}, "im_levels"),
     ])
     def test_rejected_fields_are_named(self, fields, named):
         with pytest.raises(ValueError, match=f"GridConfig.{named} "):
@@ -150,6 +155,12 @@ class TestGridConfig:
     def test_accepted_fields(self):
         config = GridConfig(im_levels=(1e-300, 5), points_per_level=1, re_margin=-1.0, eig_tol=0)
         assert config.points_per_level == 1 and config.eig_tol == 0
+
+    def test_a_list_of_levels_is_stored_as_a_tuple(self):
+        # as a JSON config gives the levels; the config stays hashable
+        config, want = GridConfig(im_levels=[0.5, 2]), GridConfig(im_levels=(0.5, 2))
+        assert type(config.im_levels) is tuple
+        assert config == want and hash(config) == hash(want)
 
     def test_zero_level_raises_before_any_count(self):
         # a level at zero puts the grid line through the nodes 0 and 3

@@ -444,6 +444,15 @@ class TestOneCancellationPath:
             outcomes = {node.node - 1: node.predicted.kind for node in report.nodes}
             limits = solver._node_limits(sys_, alone, outcomes)
             assert [node.verification.details for node in report.nodes] == list(limits.values())
+            # a read at one node alone is that node's row of the same pass
+            for i, kind in outcomes.items():
+                verification = report.nodes[i].verification
+                one = solver._node_limits(sys_, alone, {i: kind})[i]
+                assert repr(one) == repr(verification.details)
+                assert repr(solver.verify_outcome(sys_, alone, i, kind)) == repr(verification)
+                key = "value" if i < sys_.ell else "residual"
+                limit = b.nt_limit(alone, sys_.X[i], key)
+                assert repr(limit) == repr(verification.details[key])
 
     def test_node_parameters_deflate_once_and_twice_through_certify(self):
         # the flagged nodes of TestFloatNodeDeflation, on both lanes: w sheds
