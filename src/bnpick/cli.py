@@ -5,7 +5,9 @@ Pick system, ``solve`` produces the resolvent or the unique degenerate
 solution, ``apply`` transforms a parameter and classifies it, ``verify``
 checks a candidate function against the data.  Problems, parameters and
 outputs travel as JSON documents; paths may be omitted in favor of
-stdin/stdout.  Exit codes: 0 success, 2 input error, 3 validation error.
+stdin/stdout; only ``apply`` and ``verify`` take ``--param``.  Exit codes:
+0 success, 2 input error, 3 validation error or a value beyond the float
+range.
 
 Each subcommand imports the modules it runs when it starts, so that one
 process per command pays only for those: ``pick`` needs the exact algebra
@@ -22,13 +24,13 @@ from __future__ import annotations
 from ._sections import DEFAULT_GRID, VERIFY_TOL, GridConfig
 from .algebra import RANK_TOL, RationalFunction, scalar_to_json
 from .errors import BnpickError, InputError, InvalidDataError, SingularPickError
-from .problem import InterpolationData, build_system, check_lyapunov, is_infinite
+from .problem import InterpolationData, _real_scalars, build_system, check_lyapunov, is_infinite
 
 import argparse
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -129,12 +131,8 @@ def _load_problem(args, config: RunConfig) -> InterpolationData:
         raise InvalidDataError("problem document must be a JSON object")
     data = InterpolationData.from_json(doc)
     if config.backend == "float" and data.exact:
-        data = InterpolationData(
-            nodes=tuple(float(x) for x in data.nodes),
-            values=tuple(float(x) for x in data.values),
-            derivative_bounds=tuple(float(x) for x in data.derivative_bounds),
-            residues=tuple(float(x) for x in data.residues),
-        )
+        data = InterpolationData(*(_real_scalars(getattr(data, f.name), True, f.name)
+                                   for f in fields(data)))
     return data
 
 
@@ -315,7 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--problem", help="problem JSON file (stdin when omitted)")
-        cmd.add_argument("--param", help="parameter/candidate JSON file or inline JSON")
+        if name in ("apply", "verify"):
+            cmd.add_argument("--param", help="parameter/candidate JSON file or inline JSON")
         cmd.add_argument("--config", help="run-config JSON file")
         cmd.add_argument("--out", help="output path (stdout when omitted)")
     return parser
@@ -336,6 +335,9 @@ def main(argv=None) -> int:
             vector = ", ".join(map(str, witness.vector))
             print(f"witness: {witness.negatives} negative eigenvalue(s) of the Bezout matrix B; "
                   f"v = [{vector}] has v^T B v / v^T v = {witness.quotient}", file=_sys.stderr)
+        return 3
+    except OverflowError as exc:  # an exact value that a float output or check cannot hold
+        print(f"error: a value exceeds the float range: {exc}", file=_sys.stderr)
         return 3
 
 

@@ -14,7 +14,7 @@ index of the generalized Nevanlinna class in which solutions live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -53,12 +53,24 @@ def is_infinite(value) -> bool:
     return value is INFINITY
 
 
-def _as_real_scalar(value, to_float: bool):
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise InvalidDataError(f"expected a real number, got {value!r}")
-    if to_float:
-        return float(value)
-    return Fraction(value) if not isinstance(value, float) else value
+def _real_scalars(values, to_float: bool, name: str) -> tuple:
+    """The entries of the data field ``name`` as Fractions, or as floats
+    where ``to_float``; an exact entry beyond the float range that is to be
+    a float is an ``InvalidDataError`` that names it, ``name[k]``."""
+    out = []
+    for k, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+            raise InvalidDataError(f"expected a real number, got {value!r}")
+        if not to_float:
+            out.append(Fraction(value) if not isinstance(value, float) else value)
+            continue
+        try:
+            out.append(float(value))
+        except OverflowError:
+            bits = abs(value.numerator).bit_length() - value.denominator.bit_length()
+            raise InvalidDataError(f"{name}[{k}], of about 2^{bits}, exceeds the float range "
+                                   "of float data") from None
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,8 @@ class InterpolationData:
             + list(self.residues)
         )
         to_float = any(isinstance(v, float) for v in raw)
-        conv = lambda seq: tuple(_as_real_scalar(v, to_float) for v in seq)
-        object.__setattr__(self, "nodes", conv(self.nodes))
-        object.__setattr__(self, "values", conv(self.values))
-        object.__setattr__(self, "derivative_bounds", conv(self.derivative_bounds))
-        object.__setattr__(self, "residues", conv(self.residues))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real_scalars(getattr(self, f.name), to_float, f.name))
         if len(self.values) != len(self.derivative_bounds):
             raise InvalidDataError("values and derivative bounds must pair up")
         if len(self.values) + len(self.residues) != len(self.nodes):

@@ -213,8 +213,11 @@ class RationalMatrix2x2:
         det R count as zero within JET_ZERO_TOL of their modulus scales, the
         same sums over the moduli of their terms (``_modulus_at``).  Factors
         on disjoint nodes compose with no test.  The product's ``kappa`` is
-        None.
+        None.  Both factors must have the constant term I, as the terms
+        above assume; any other is a ``ValueError`` that names it.
         """
+        _require_unit_constant(self, "a product of residue forms")
+        _require_unit_constant(other, "a product of residue forms")
         exact = self.exact and other.exact
         tol = 0
         if not exact:
@@ -460,6 +463,14 @@ class _NodeTable(NamedTuple):
     right_sizes: np.ndarray
 
 
+def _require_unit_constant(form: RationalMatrix2x2, what: str) -> None:
+    """Raise ``ValueError`` naming the constant term of a residue form
+    whose constant term is not I, which ``what`` assumes."""
+    if form.constant != _IDENTITY:
+        rows = ", ".join(f"[{', '.join(map(str, row))}]" for row in form.constant)
+        raise ValueError(f"{what} needs the constant term I, not K = [{rows}]")
+
+
 def _rank_one_factors(residue) -> tuple:
     """A column l and a row r with l r equal to a 2x2 matrix of rank one,
     pivoting on its entry of largest modulus."""
@@ -551,8 +562,11 @@ def theta_inverse(theta: RationalMatrix2x2) -> RationalMatrix2x2:
 
     The inverse is the adjugate.  The adjugate is linear on 2x2 matrices and
     maps the rank-one residue [a; b] [c, d] to [-d; c] [-b, a], so the
-    inverse is again a residue form on the same nodes.
+    inverse is again a residue form on the same nodes, with K = I.  So Theta
+    must have the constant term I; any other is a ``ValueError`` that names
+    it.
     """
+    _require_unit_constant(theta, "the inverse of a residue form")
     left = [(-r[1], r[0]) for r in theta.right]
     right = [(-l[1], l[0]) for l in theta.left]
     return _residue_matrix_form(list(theta.nodes), left, right, theta.kappa)
@@ -704,11 +718,14 @@ def check_j_unitarity(theta: RationalMatrix2x2, sample_points=None) -> JUnitarit
     is largest and the scale |Theta|^2 there.  Real sample points within
     J_POLE_SKIP of a pole are skipped and reported; the others are
     evaluated in one batch.  ``poles`` and ``eval`` read the same float
-    nodes, so no point that is kept is a pole.
+    nodes, so no point that is kept is a pole.  The symbolic part reads
+    det Theta(oo) = 1, so it is None for a float matrix and for a constant
+    term other than I, whose residual is only sampled.
     """
     import numpy as np
 
-    symbolic = _symbolic_j_unitary(theta) if theta.exact else None
+    symbolic = (_symbolic_j_unitary(theta) if theta.exact and theta.constant == _IDENTITY
+                else None)
     if sample_points is None:
         lo = min(theta.poles, default=0.0) - 1.5
         hi = max(theta.poles, default=0.0) + 1.5

@@ -56,9 +56,10 @@ if TYPE_CHECKING:
 THRESHOLD_TOL = 1e-7
 # A rational parameter's residual r at a node of family Ctilde enters its
 # label as -1/r, compared with the threshold tau = -p_ii / tc_i^2.
-# |r| <= ZERO_RESIDUAL_TOL reads as r = 0, so -1/r as infinite: index 2, as
-# an infinite derivative is in family C (a Nevanlinna parameter has r < 0,
-# so -1/r grows to +inf).  1e-9 is the float jets' resolution: a float jet
+# |r| <= ZERO_RESIDUAL_TOL reads as r = 0, so -1/r as infinite: index 2 (a
+# Nevanlinna parameter has r < 0, so -1/r grows to +inf).  This is the one
+# way to index 2, as a rational parameter's derivative is finite wherever
+# its value is.  1e-9 is the float jets' resolution: a float jet
 # coefficient is zero within JET_ZERO_TOL = 1e-9 of its scale, about 1 for
 # the parameters of order one used here, so a smaller residual is not told
 # from zero on that lane; the exact lane takes the same cut, so that both
@@ -154,44 +155,32 @@ class Feasibility(Enum):
     INFINITELY_MANY = "infinitely_many"
 
 
-def _phi_limits_exact(phi: Parameter):
-    """Exact boundary behavior of constant / infinite parameters."""
-    if phi.kind == "const":
-        return phi.value, 0, 0
-    return INFINITY, None, INFINITY
-
-
 def classify_parameter(sys: PickSystem, phi: Parameter, i: int) -> ConditionLabel:
     """Condition label of a parameter at node i (0-based input index).
 
-    Constants and infinity classify exactly; rational parameters classify
-    through their boundary limits, read as jets (``rational_jets``: exact
-    for exact coefficients at exact nodes).  Thresholds are compared at
-    ``THRESHOLD_TOL``, ties resolving to the equality condition (index 5 or
-    6 by the sign of the diagonal entry of the inverse Pick matrix), and
-    phi(x_i) meets eta_i by ``_matches_eta``.
+    A rational parameter is labelled from its jets (``_rational_label``).
+    A constant or infinity labels exactly: it is index 1 away from its
+    critical value, eta_i in family C (``_matches_eta``) and infinity in
+    family Ctilde.  At it the boundary quantity is s = 0 (the derivative of
+    a constant, -1/residual of infinity) and its threshold is
+    tau = -p_ii / t^2 with t = te_i or tc_i nonzero, so s = tau where
+    p_ii = 0 and s > tau where p_ii > 0: the index is 3, 4 or 6 by the sign
+    of p_ii, exactly on both lanes.
     """
     if not sys.invertible:
         raise ValueError("classification requires an invertible Pick matrix")
     if phi.kind == "rational":
         return _rational_labels(sys, phi.func, [i])[0]
-    te = sys.tilde_e[i]
-    tc = sys.tilde_c[i]
-    p_ii = sys.tilde_p_diag[i]
-    family = "C" if te else "Ctilde"
-    value, deriv, residual = _phi_limits_exact(phi)
-    if family == "C":
-        if not _matches_eta(sys, i, value):
-            index = 1
-        else:
-            # constant at the critical value: derivative is exactly 0
-            index = _index_from_threshold(0, -p_ii / (te * te), p_ii, exact=True)
+    if phi.kind == "const":
+        value, deriv, residual = phi.value, 0, 0
     else:
-        if not is_infinite(value):
-            index = 1
-        else:
-            # infinite parameter: -1/phi_residual = 0 exactly
-            index = _index_from_threshold(0, -p_ii / (tc * tc), p_ii, exact=True)
+        value, deriv, residual = INFINITY, None, INFINITY
+    p_ii = sys.tilde_p_diag[i]
+    if sys.tilde_e[i]:
+        family, critical = "C", _matches_eta(sys, i, value)
+    else:
+        family, critical = "Ctilde", is_infinite(value)
+    index = (3 if p_ii > 0 else 4 if p_ii < 0 else 6) if critical else 1
     return ConditionLabel(i + 1, family, index, value, deriv, residual, exact=True)
 
 
@@ -209,77 +198,53 @@ def _matches_eta(sys: PickSystem, i: int, value) -> bool:
 
 def _rational_labels(sys: PickSystem, func: RationalFunction, nodes) -> list:
     """Labels of a rational parameter at the given nodes (0-based), from its
-    jets at all of them: the value limit, then the derivative or residual
-    limit where the value calls for one."""
-    labels = []
-    for i, jet in zip(nodes, rational_jets(func, [sys.X[i] for i in nodes])):
-        value = jet_limits(jet.num, jet.den, ("value",))["value"]
-        second = _second_limit_kind(sys, i, value)
-        second = second and jet_limits(jet.num, jet.den, (second,))[second]
-        labels.append(_rational_label(sys, i, value, second))
-    return labels
+    jets at all of them."""
+    jets = rational_jets(func, [sys.X[i] for i in nodes])
+    return [_rational_label(sys, i, jet) for i, jet in zip(nodes, jets)]
 
 
-def _second_limit_kind(sys: PickSystem, i: int, value):
-    """The limit a rational parameter's label at node i needs after its value
-    limit: ``"derivative"`` where the value matches eta_i (family C),
-    ``"residual"`` where the value is infinite (family Ctilde), else None."""
-    if sys.tilde_e[i]:
-        if value.is_finite and _matches_eta(sys, i, value.value.real):
-            return "derivative"
-        return None
-    if value.is_finite or value.status == "dne":
-        return None
-    return "residual"
+def _rational_label(sys: PickSystem, i: int, jet) -> ConditionLabel:
+    """Label of a rational parameter at node i from its jet there.
 
-
-def _rational_label(sys: PickSystem, i: int, value, second) -> ConditionLabel:
-    """Label at node i from the value limit and the ``_second_limit_kind``
-    limit (None when there is none)."""
+    The value limit is read first.  In family C a value meeting eta_i
+    (``_matches_eta``) reads the derivative, which is finite: a rational
+    function with a finite limit at a real point is analytic there.  In
+    family Ctilde an infinite value reads the residual: an infinite one (a
+    pole of order two or more, which no Nevanlinna function has) leaves the
+    parameter unclassifiable, |r| <= ZERO_RESIDUAL_TOL is index 2, and
+    otherwise -1/r meets the threshold.  Every other value is index 1.
+    """
     te, tc, p_ii = sys.tilde_e[i], sys.tilde_c[i], sys.tilde_p_diag[i]
-    family = "C" if te else "Ctilde"
-    if second is None:
-        return ConditionLabel(i + 1, family, 1, value)
-    if family == "C":
-        deriv = second
-        if deriv.is_infinite:
-            index = 2
-        elif not deriv.is_finite:
-            return _unclassifiable(i, family, value, deriv, None)
-        else:
-            tau = float(-p_ii / (te * te))
-            index = _index_from_threshold(deriv.value.real, tau, p_ii)
-        return ConditionLabel(i + 1, family, index, value, deriv, None)
-    residual = second
+    value = jet_limits(jet.num, jet.den, ("value",))["value"]
+    if te:
+        if not (value.is_finite and _matches_eta(sys, i, value.value.real)):
+            return ConditionLabel(i + 1, "C", 1, value)
+        deriv = jet_limits(jet.num, jet.den, ("derivative",))["derivative"]
+        index = _index_from_threshold(deriv.value.real, float(-p_ii / (te * te)), p_ii)
+        return ConditionLabel(i + 1, "C", index, value, deriv, None)
+    if not value.is_infinite:
+        return ConditionLabel(i + 1, "Ctilde", 1, value)
+    residual = jet_limits(jet.num, jet.den, ("residual",))["residual"]
     if not residual.is_finite:
-        return _unclassifiable(i, family, value, None, residual)
+        raise UnclassifiableParameterError(
+            f"boundary limits of the parameter at node {i + 1} are inconclusive",
+            estimates={"value": value, "derivative": None, "residual": residual},
+        )
     r = residual.value.real
     if abs(r) <= ZERO_RESIDUAL_TOL:
         index = 2
     else:
-        tau = float(-p_ii / (tc * tc))
-        index = _index_from_threshold(-1.0 / r, tau, p_ii)
-    return ConditionLabel(i + 1, family, index, value, None, residual)
+        index = _index_from_threshold(-1.0 / r, float(-p_ii / (tc * tc)), p_ii)
+    return ConditionLabel(i + 1, "Ctilde", index, value, None, residual)
 
 
-def _unclassifiable(i, family, value, deriv, residual):
-    raise UnclassifiableParameterError(
-        f"boundary limits of the parameter at node {i + 1} are inconclusive",
-        estimates={"value": value, "derivative": deriv, "residual": residual},
-    )
-
-
-def _index_from_threshold(s, tau, p_ii, exact=False):
-    """Index among 3..6 from a boundary quantity s against its threshold tau.
-
-    s is the derivative of a parameter matching eta, or -1/phi_residual for
-    an unbounded parameter.  ``exact`` compares exactly; otherwise a tie is
-    |s - tau| <= THRESHOLD_TOL.
+def _index_from_threshold(s, tau, p_ii):
+    """Index among 3..6 of a rational parameter at its critical value, from
+    a boundary quantity s against its threshold tau: s is the derivative of
+    a parameter matching eta_i, or -1/residual of an unbounded one.  A tie
+    |s - tau| <= THRESHOLD_TOL is index 5, 6 or 3 by the sign of p_ii
+    (negative, zero, positive); otherwise s above tau is 3 and below it 4.
     """
-    if exact:
-        if s == tau:
-            return 6 if not p_ii else 5
-        return 3 if s > tau else 4
     if abs(s - tau) <= THRESHOLD_TOL:
         if p_ii < 0:
             return 5
@@ -437,7 +402,12 @@ def verify_outcome(
     ``"maybe_missed"`` (regular; the latter also takes the kernel-diagonal
     limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
     hold within ``tol``; strict inequalities need slack above ``tol``.  The
-    margin is the equality error or the slack.  ``limits`` are the node's
+    margin is the equality error or the slack.  A regular ``"bound"`` or
+    strict outcome needs the value within ``tol`` of w_i, so finite, where
+    w is analytic and its derivative limit finite.  Every singular outcome
+    needs a finite residual r, and a ``"bound"`` or strict one |r| > ``tol``,
+    as it compares -1/r.  Short of these an outcome fails with no margin.
+    ``limits`` are the node's
     ``_node_limits`` for ``kind``, taken here when not given (for a w with
     an origin, the node's row of its whole node pass); they are the
     verification's details, zero test included.
@@ -460,7 +430,7 @@ def verify_outcome(
         if kind == "maybe_missed":
             ok = not value.is_finite or value_err > tol or limits["kernel_diagonal"].is_infinite
             return NodeVerification(ok, value_err, limits)
-        if not (value_err <= tol and deriv.is_finite):
+        if not value_err <= tol:
             return NodeVerification(False, None, limits)
         s = deriv.value.real
         bound = sys.floats.data[node_index][1]

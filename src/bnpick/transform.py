@@ -93,12 +93,15 @@ class Parameter:
         raise ValueError(f"unknown parameter type {kind!r}")
 
     def to_json(self) -> dict:
+        """The parameter's document, which ``from_json`` reads back; a
+        rational one holds the coefficients ``pair`` reads, those of a
+        function with an origin included."""
         if self.kind == "inf":
             return {"type": "inf"}
         if self.kind == "const":
             return {"type": "const", "value": scalar_to_json(self.value)}
-        doc = self.func.to_json()
-        return {"type": "rational", "num": doc["num"], "den": doc["den"]}
+        num, den = ([scalar_to_json(c) for c in p.coeffs] for p in (self.func.num, self.func.den))
+        return {"type": "rational", "num": num, "den": den}
 
     def __repr__(self):
         if self.kind == "inf":

@@ -462,9 +462,12 @@ _CANDIDATE = '{"num":[0,1],"den":[1]}'
     ("verify", _EX101, _CANDIDATE, {"rank_tol": 10 ** 400}, "'rank_tol'"),
     ("verify", _EX101, _CANDIDATE, {"grid": {"re_margin": 10 ** 400}}, "grid.re_margin"),
     ("verify", _EX101, _CANDIDATE, {"grid": {"im_levels": [10 ** 400]}}, "grid.im_levels"),
+    # one float datum makes the problem float data, which 10^400 cannot join
+    ("pick", _EX101.replace('"x":0', '"x":0.5').replace('"w":1', f'"w":{10 ** 400}'), None, None,
+     "float range"),
 ], ids=["node-1/0", "const-1/0", "num-x", "den-0", "nodes-5", "rank_tol-abc",
         "points-x", "im_levels-5", "points-0", "out-5", "eig_tol--1",
-        "rank_tol-10^400", "re_margin-10^400", "im_levels-10^400"])
+        "rank_tol-10^400", "re_margin-10^400", "im_levels-10^400", "w-10^400-in-float-data"])
 def test_malformed_input_exits_2_with_one_error_line(
     capsys, tmp_path, command, problem, param, config, named
 ):
@@ -657,6 +660,46 @@ def test_exact_jets_beyond_the_float_range_exit_3_without_a_traceback(tmp_path):
     err = done.stderr.decode()
     assert done.returncode == 3 and "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and "1997 bits" in err
+
+
+# x_2 = 10^400 (1329 bits): the exact Pick system holds it, no float does
+_HUGE_NODE = json.dumps({"regular": [{"x": 0, "w": 0, "gamma": 1}, {"x": 10**400, "w": 1, "gamma": 1}],
+                         "singular": []})
+
+
+@pytest.mark.parametrize("command,param,config,code,named", [
+    ("pick", None, None, 0, None),
+    # Theta's document lists its poles as floats
+    ("solve", None, None, 3, "float range"),
+    # the candidate's limits at x_2 are floats
+    ("verify", _CANDIDATE, None, 3, "float range"),
+    ("pick", None, {"backend": "float"}, 2, "nodes[1]"),
+], ids=["exact-pick", "exact-solve", "verify", "float-pick"])
+def test_a_node_beyond_the_float_range_is_one_error_line(
+    capsys, tmp_path, command, param, config, code, named
+):
+    (tmp_path / "problem.json").write_text(_HUGE_NODE)
+    argv = [command, "--problem", str(tmp_path / "problem.json")]
+    if param is not None:
+        argv += ["--param", param]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert not out and err.startswith("error: ") and err.count("\n") == 1 and named in err
+    else:
+        assert json.loads(out)["X"][1] == 10**400 and not err
+
+
+@pytest.mark.parametrize("command", ["pick", "solve"])
+def test_param_is_no_option_of_pick_or_solve(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", str(DEMOS / "ex101.json"), "--param", "not json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --param" in capsys.readouterr().err
+
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -451,6 +452,23 @@ class TestThetaInverse:
             assert inv.kappa == theta.kappa
             assert theta @ inv == b.RationalMatrix2x2.identity()
 
+    @pytest.mark.parametrize("constant", [[[0, 0], [0, 0]], [[2, 0], [0, 2]]], ids=["0", "2I"])
+    def test_a_constant_term_other_than_the_identity_is_refused(self, constant):
+        # the adjugate, the product and the residue test of det Theta read K = I
+        form = b.RationalMatrix2x2.from_json(
+            {"nodes": [], "left": [], "right": [], "constant": constant})
+        named = f"K = [{', '.join(str(row) for row in constant)}]"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            b.theta_inverse(form)
+        for left, right in ((form, b.RationalMatrix2x2.identity()),
+                            (b.RationalMatrix2x2.identity(), form)):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                left @ right
+        report = b.check_j_unitarity(form)
+        assert report.symbolic_zero is None
+        # Theta J Theta* - J = (k^2 - 1) J for K = k I
+        assert report.max_residual == abs(constant[0][0] ** 2 - 1)
+
     def test_adjugate_route_agrees(self, theta1, theta2):
         rng = random.Random(59)
         thetas = [theta1, theta2] + [b.build_theta(random_invertible_system(rng))
@@ -667,6 +685,16 @@ class TestFactorize:
         assert t1.entry(0, 1) == rf((-1,), (0, 1))
         assert t1.entry(1, 0).is_zero and t1.entry(1, 1) == rf((1,))
         assert t1 @ t2 == theta2
+
+    def test_argument_errors(self, sys1, sys3):
+        with pytest.raises(b.SingularPickError):
+            b.factorize(sys3, 1)
+        for k in (0, sys1.n + 1):
+            with pytest.raises(ValueError, match="split index"):
+                b.factorize(sys1, k)
+        for order in ((0, 0), (0,), (1, 2)):
+            with pytest.raises(ValueError, match="permutation"):
+                b.factorize(sys1, 1, order)
 
     def test_full_split_is_trivial(self, sys1, theta1):
         t1, t2 = b.factorize(sys1, sys1.n)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from conftest import (
     data_two_regular,
     degenerate_closed_form,
     degree_sample,
+    grid_system,
     random_data,
     random_invertible_system,
     random_singular_data,
@@ -51,19 +53,47 @@ class TestClassifyParameter:
         assert (lab1.family, lab1.index) == ("C", 1)
 
     def test_constant_at_critical_value_with_zero_diagonal(self):
-        # P = [[-1,1],[1,0]] has p~_11 = 0 and eta_1 = 1; phi == 1 lands on C6
-        d = b.InterpolationData(nodes=(F(0), F(1)), values=(F(0), F(1)),
-                                derivative_bounds=(F(-1), F(0)), residues=())
-        sys_ = b.build_system(d)
-        assert sys_.tilde_p_diag[0] == 0 and sys_.eta[0] == 1
-        lab = b.classify_parameter(sys_, b.Parameter.constant(1), 0)
-        assert (lab.family, lab.index) == ("C", 6)
+        # P = [[-1,1],[1,0]] has p~_11 = 0 and eta_1 = 1; phi == 1 lands on C6.
+        # p~_22 = 1 and eta_2 = 1/2, where phi == 1/2 lands on C3.  A rational
+        # phi meeting eta_i with a slope within THRESHOLD_TOL of tau_i =
+        # -p~_ii / te_i^2 ties, with the same indices, on both lanes
+        for c in (F, float):
+            d = b.InterpolationData(nodes=(c(0), c(1)), values=(c(0), c(1)),
+                                    derivative_bounds=(c(-1), c(0)), residues=())
+            sys_ = b.build_system(d)
+            assert sys_.tilde_p_diag == (0, 1) and sys_.eta == (1, F(1, 2))
+            for i, index in ((0, 6), (1, 3)):
+                x, eta = sys_.X[i], sys_.eta[i]
+                lab = b.classify_parameter(sys_, b.Parameter.constant(eta), i)
+                assert (lab.family, lab.index) == ("C", index)
+                tau = -sys_.tilde_p_diag[i] / sys_.tilde_e[i] ** 2
+                for slope in (tau, tau + c(F(1, 10**8)), tau - c(F(1, 10**8))):
+                    phi = b.Parameter.rational(rf((eta - slope * x, slope)))
+                    lab = b.classify_parameter(sys_, phi, i)
+                    assert (lab.family, lab.index) == ("C", index)
+
+    def test_constant_at_eta_is_labelled_by_the_sign_of_the_diagonal(self):
+        # te_i = 1e200 squares to inf in floats, so tau_i = -p~_ii / te_i^2
+        # rounds to 0 and used to read as a tie (index 5); at eta_i a constant
+        # has s = 0 > tau_i exactly where p~_ii > 0
+        sys_ = grid_system(random.Random(4000), 4, False)
+        huge = dataclasses.replace(sys_, tilde_e=tuple(1e200 if te else te for te in sys_.tilde_e))
+        nodes = [i for i in range(sys_.n) if sys_.tilde_e[i]]
+        assert {sys_.tilde_p_diag[i] > 0 for i in nodes} == {True, False}
+        for i in nodes:
+            lab = b.classify_parameter(huge, b.Parameter.constant(sys_.eta[i]), i)
+            assert lab.index == (3 if sys_.tilde_p_diag[i] > 0 else 4)
 
     def test_pole_parameter_in_tilde_family(self, sys1):
         # phi = -1/z has a pole at node 0: residual -1 gives -1/phi_res = 1 < 2
         phi = b.Parameter.rational(rf((-1,), (0, 1)))
         lab = b.classify_parameter(sys1, phi, 0)
         assert (lab.family, lab.index) == ("Ctilde", 4)
+        # phi = -1e-10/z: its residual is within ZERO_RESIDUAL_TOL of 0
+        for scale in (F(1, 10**10), 1e-10):
+            lab = b.classify_parameter(sys1, b.Parameter.rational(rf((-scale,), (0, 1))), 0)
+            assert (lab.family, lab.index) == ("Ctilde", 2)
+            assert lab.phi_residual.value == -1e-10
 
     def test_critical_slope_hits_equality_condition(self, sys2):
         # node 1 of the mixed system: eta = 1, threshold -p~/te^2 = 2;
@@ -235,6 +265,22 @@ class TestOneNodeCheck:
         checks = b.verify_candidate(sys3, w)["nodes"]
         assert calls == [(w, list(sys3.X))]
         assert [list(node["checks"]) for node in checks] == [["value", "derivative"], ["residual"]]
+
+    def test_singular_node_outcomes_without_a_finite_nonzero_residual(self, sys3):
+        # x_2 = 1/2 is singular: a double pole there has no finite residual,
+        # which no outcome holds, and an analytic w has residual 0, which only
+        # "zero_residual" holds
+        double = rf((1,), (F(1, 4), -1, 1))
+        for kind in ("exact", "bound", "strict_below", "strict_above", "zero_residual"):
+            verdict = verify_outcome(sys3, double, 1, kind)
+            assert (verdict.ok, verdict.margin) == (False, None)
+            assert verdict.details["residual"].is_infinite
+        analytic = rf((1,))
+        for kind in ("bound", "strict_below", "strict_above"):
+            verdict = verify_outcome(sys3, analytic, 1, kind)
+            assert (verdict.ok, verdict.margin) == (False, None)
+        verdict = verify_outcome(sys3, analytic, 1, "zero_residual")
+        assert (verdict.ok, verdict.margin) == (True, 0.0)
 
     def test_unknown_outcome_kind_rejected(self, sys3):
         with pytest.raises(ValueError):

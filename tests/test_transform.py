@@ -35,6 +35,18 @@ class TestParameter:
                     b.Parameter.rational(rf((0, 1), (1, 1)))):
             assert b.Parameter.from_json(phi.to_json()) == phi
 
+    def test_a_realization_parameter_round_trips(self):
+        # Theta = Theta1 Theta2 on float data: P = Theta2 o inf keeps its
+        # origin, and its document holds the coefficients pair() reads, so
+        # Theta1 o P, which carries P, has a document too
+        sys_ = grid_system(random.Random(8000), 8, False)
+        theta1, theta2 = b.factorize(sys_, 4)
+        phi = b.Parameter.rational(b.apply_lft(theta2, b.Parameter.infinity()))
+        assert phi.func._origin is not None
+        assert b.Parameter.from_json(phi.to_json()).pair() == phi.pair()
+        doc = b.apply_lft(theta1, phi).to_json()
+        assert doc["phi"] == phi.to_json() and set(doc) == {"theta", "phi"}
+
     def test_const_json_uses_strings(self):
         assert b.Parameter.constant(F(3, 2)).to_json() == {"type": "const", "value": "3/2"}
 
