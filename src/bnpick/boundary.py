@@ -72,12 +72,6 @@ class LimitEstimate:
     def is_infinite(self) -> bool:
         return self.status == "infinite"
 
-    @property
-    def real(self) -> float:
-        if not self.is_finite:
-            raise ValueError(f"limit is {self.status}, not finite")
-        return float(self.value.real)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -94,8 +88,6 @@ LIMIT_IMAG_TOL = 1e-12
 
 
 def _complex_json(z):
-    if z is None:
-        return None
     z = complex(z)
     return z.real if abs(z.imag) <= LIMIT_IMAG_TOL * max(1.0, abs(z)) else [z.real, z.imag]
 
@@ -176,8 +168,8 @@ def jet_limits(num, den, kinds=JET_KINDS) -> dict:
     - the kernel diagonal Im f(x + it)/t, for f with real coefficients, is
       infinite where an odd negative c_k is nonzero and otherwise c_1; it is
       ``"dne"`` where the jets end before deciding, which only a pole of
-      order two or more can need (no verdict reads it behind an infinite
-      value).
+      order two or more can need.  No verdict reads it: where the value is
+      finite it is the finite derivative (``nt_limit`` keeps it public).
 
     Returns a dict of estimates keyed by the names in ``kinds``.
     """
@@ -359,9 +351,9 @@ def lft_jets(theta, p: Polynomial, q: Polynomial) -> list:
     Every higher coefficient is tested against JET_ZERO_TOL on both lanes.
     The jets are float64 on both lanes; where a coefficient or its scale
     overflows the float range, ``FloatRangeError`` is raised.  The pass
-    also says where ``apply_lft`` cancels: its zero flags, and u_1 at the
-    flagged nodes.  A node's jet is a row of the whole pass, so a read at
-    one node is bit for bit the row a certify op reads there.
+    also says where w cancels: its zero flags, and u_1 at the flagged
+    nodes.  A node's jet is a row of the whole pass, so a read at one node
+    is bit for bit the row a certify op reads there.
     """
     import numpy as np
 
@@ -410,23 +402,30 @@ def node_zero_test(theta, p: Polynomial, q: Polynomial, values=None) -> tuple:
     This is the one test of where w = Theta o (p/q) has numerator and
     denominator sharing the factor z - x_i: u_0 = l_i (r_i . v(x_i)) of
     ``lft_jets``, with l_i != 0, and r_i . v(x_i) = 0 exactly where
-    phi(x_i) = eta_i.  Only ``lft_jets`` runs it, at every node; ``apply_lft``
-    cancels where the flags of that pass read zero, so a certify op decides
-    each node once (standalone exact ``apply_lft`` takes
-    ``_exact_node_zeros`` alone).  On the exact lane (Theta, p and q exact)
-    it is decided exactly, one integer dot product per node
-    (``_exact_node_zeros``); on the float lane it reads JET_ZERO_TOL against
-    the scale |r_i| |v(x_i)| (1-norms, the rows' from Theta's
-    ``_node_table``): O(1) per node.  ``values`` is v at the nodes, shape
+    phi(x_i) = eta_i.  ``lft_jets`` runs it at every node, so a certify op
+    decides each node once, and a standalone float ``apply_lft`` runs it
+    alone.  On the exact lane (Theta, p and q exact) it is decided exactly,
+    one integer dot product per node (``_exact_node_zeros``); on the float
+    lane it reads JET_ZERO_TOL against the scale |r_i| |v(x_i)| (1-norms,
+    the rows' from Theta's ``_node_table``): O(1) per node.  Where the
+    quantity or its scale is not finite it raises ``FloatRangeError``, so
+    no NaN reads as a flag.  ``values`` is v at the nodes, shape
     (2, nodes), when the caller has it.
     """
     import numpy as np
 
     x, _, rows, _ = theta._samplers
-    if values is None:
-        values = _float_taylor((p, q), x, 1)[0][0]
-    rho = np.abs(values[0] * rows[:, 0] + values[1] * rows[:, 1])
-    rho_scale = (np.abs(values[0]) + np.abs(values[1])) * theta._node_table.right_sizes
+    with np.errstate(over="ignore", invalid="ignore"):
+        if values is None:
+            values = _float_taylor((p, q), x, 1)[0][0]
+        rho = np.abs(values[0] * rows[:, 0] + values[1] * rows[:, 1])
+        rho_scale = (np.abs(values[0]) + np.abs(values[1])) * theta._node_table.right_sizes
+    # every term of rho enters rho_scale by modulus, so a finite scale bounds rho
+    if not np.isfinite(rho_scale).all():
+        raise FloatRangeError(
+            "the zero test of w at the nodes exceeds the float range; "
+            "where w cancels cannot be read in floats"
+        )
     relative = rho / np.where(rho_scale > 0, rho_scale, 1.0)
     exact = theta.exact and p.exact and q.exact
     if exact:

@@ -31,7 +31,6 @@ import json
 import math
 import sys as _sys
 from dataclasses import dataclass, field, fields, replace
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -186,25 +185,9 @@ def _parse(from_json, doc, what: str):
         raise InputError(f"malformed {what}: {exc}") from exc
 
 
-def _jsonify(value):
-    if hasattr(value, "to_json"):  # a boundary.LimitEstimate
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return scalar_to_json(value)
-    if is_infinite(value):
-        return "inf"
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, float) and value == float("inf"):
-        return "inf"
-    return value
-
-
 def _emit(doc, args, config: RunConfig) -> None:
     path = getattr(args, "out", None) or config.out
-    text = json.dumps(_jsonify(doc), indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -237,7 +220,7 @@ def cmd_pick(args) -> int:
             "p_inv": [[scalar_to_json(v) for v in row] for row in system.p_inv],
             "tilde_e": [scalar_to_json(v) for v in system.tilde_e],
             "tilde_c": [scalar_to_json(v) for v in system.tilde_c],
-            "eta": [_jsonify(v) for v in system.eta],
+            "eta": ["inf" if is_infinite(v) else scalar_to_json(v) for v in system.eta],
             "tilde_p_diag": [scalar_to_json(v) for v in system.tilde_p_diag],
         }
     _emit(doc, args, config)
@@ -268,26 +251,20 @@ def cmd_apply(args) -> int:
     report, w, sampled = classify_and_verify(
         system, phi, config=config.grid, tol=config.verify_tol
     )
-    doc = {
-        "w": w.to_json(),
-        "classification": [n.to_json() for n in report.nodes],
-        "k": report.k,
-        "class_index": report.class_index,
-        "kernel_negative_squares": sampled,
-    }
+    doc = {"w": w.to_json(), **report.to_json(), "kernel_negative_squares": sampled}
     _emit(doc, args, config)
     return 0
 
 
 def cmd_verify(args) -> int:
-    from .solver import verify_candidate
+    from .solver import _verification_json, verify_candidate
 
     config = _load_config(args)
     data = _load_problem(args, config)
     w = _load_candidate(args)
     system = build_system(data, config.rank_tol)
     report = verify_candidate(system, w, tol=config.verify_tol, config=config.grid)
-    _emit(report, args, config)
+    _emit(_verification_json(report), args, config)
     return 0
 
 

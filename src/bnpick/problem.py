@@ -29,7 +29,7 @@ from .algebra import (
     scalar_to_json,
     symmetric_elimination,
 )
-from .errors import InvalidDataError
+from .errors import FloatRangeError, InvalidDataError
 
 
 class _Infinity:
@@ -139,7 +139,7 @@ class InterpolationData:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"malformed problem document: {exc}") from exc
         if "nodes" in obj:
-            if sorted(map(float, listed)) != sorted(map(float, nodes)):
+            if sorted(listed) != sorted(nodes):
                 raise InvalidDataError("'nodes' does not match regular/singular entries")
         return InterpolationData(
             nodes=tuple(nodes),
@@ -174,24 +174,28 @@ def build_pick(data: InterpolationData) -> HermitianMatrix:
 
     The float lane builds it as one array, each entry by the same IEEE
     operations as the exact lane's formulas (so 0 * xi_k is -0.0 for a
-    negative residue)."""
+    negative residue); an entry or a node difference x_j - x_i beyond the
+    float range raises ``FloatRangeError``."""
     n, ell = data.n, data.ell
     x, w, gamma, xi = data.nodes, data.values, data.derivative_bounds, data.residues
     if not data.exact:
         import numpy as np
 
         x, w, xi = (np.array(v, dtype=float) for v in (x, w, xi))
-        regular, singular = x[:ell], x[ell:]
         rows = np.empty((n, n))
         # the regular diagonal's 0/0 is overwritten below; off it, numpy
-        # overflows to inf as quietly as Python floats do
+        # overflows to inf as quietly as Python floats do, which is checked
         with np.errstate(all="ignore"):
-            rows[:ell, :ell] = (w - w[:, None]) / (regular - regular[:, None])
-            rows[:ell, ell:] = xi / (singular - regular[:, None])
+            gaps = x - x[:, None]
+            rows[:ell, :ell] = (w - w[:, None]) / gaps[:ell, :ell]
+            rows[:ell, ell:] = xi / gaps[:ell, ell:]
         rows[ell:, :ell] = rows[:ell, ell:].T
         rows[ell:, ell:] = 0.0 * xi[:, None]
         diagonal = np.arange(n)
         rows[diagonal, diagonal] = np.concatenate([np.array(gamma, dtype=float), -xi])
+        if not (np.isfinite(rows).all() and np.isfinite(gaps).all()):
+            raise FloatRangeError("an entry of the Pick matrix or a node difference "
+                                  "exceeds the float range")
         return HermitianMatrix(rows)
     rows = [[None] * n for _ in range(n)]
     for i in range(ell):

@@ -522,13 +522,17 @@ class SolutionBundle:
     verification: dict | None = None
 
     def to_json(self) -> dict:
+        """The ``solve`` document, which ``json.dumps`` writes as it is: a
+        verification is written by ``solver._verification_json``."""
         doc = {"kind": self.kind, "kappa": self.kappa}
         if self.theta is not None:
             doc["theta"] = self.theta.to_json()
         if self.w is not None:
             doc["w"] = self.w.to_json()
         if self.verification is not None:
-            doc["verification"] = self.verification
+            from .solver import _verification_json
+
+            doc["verification"] = _verification_json(self.verification)
         return doc
 
 

@@ -125,7 +125,7 @@ class NodeReport:
         }
         if self.verification is not None:
             doc["verified"] = self.verification.ok
-            doc["margin"] = self.verification.margin
+            doc["margin"] = _inf_json(self.verification.margin)
         return doc
 
 
@@ -143,10 +143,15 @@ class ClassificationReport:
 
     def to_json(self) -> dict:
         return {
-            "nodes": [n.to_json() for n in self.nodes],
+            "classification": [n.to_json() for n in self.nodes],
             "k": self.k,
             "class_index": self.class_index,
         }
+
+
+def _inf_json(value):
+    """``value`` as a JSON document holds it: infinity as ``"inf"``."""
+    return "inf" if value == float("inf") else value
 
 
 class Feasibility(Enum):
@@ -220,7 +225,7 @@ def _rational_label(sys: PickSystem, i: int, jet) -> ConditionLabel:
         if not (value.is_finite and _matches_eta(sys, i, value.value.real)):
             return ConditionLabel(i + 1, "C", 1, value)
         deriv = jet_limits(jet.num, jet.den, ("derivative",))["derivative"]
-        index = _index_from_threshold(deriv.value.real, float(-p_ii / (te * te)), p_ii)
+        index = _index_from_threshold(deriv.value.real, float(-p_ii / te / te), p_ii)
         return ConditionLabel(i + 1, "C", index, value, deriv, None)
     if not value.is_infinite:
         return ConditionLabel(i + 1, "Ctilde", 1, value)
@@ -234,7 +239,7 @@ def _rational_label(sys: PickSystem, i: int, jet) -> ConditionLabel:
     if abs(r) <= ZERO_RESIDUAL_TOL:
         index = 2
     else:
-        index = _index_from_threshold(-1.0 / r, float(-p_ii / (tc * tc)), p_ii)
+        index = _index_from_threshold(-1.0 / r, float(-p_ii / tc / tc), p_ii)
     return ConditionLabel(i + 1, "Ctilde", index, value, None, residual)
 
 
@@ -342,35 +347,27 @@ def _classified(sys: PickSystem, phi: Parameter) -> tuple:
     return labels, outcomes, k
 
 
-def _node_limits(sys: PickSystem, w: RationalFunction, outcomes: dict) -> dict:
-    """The limits of w that each node's checks read, from its jets at those
-    nodes (``function_jets``: for a w with an origin, the rows of its whole
-    node pass through Theta's residue form, never its coefficients, the
-    pass ``classify_and_verify`` reads; from w's own coefficients
-    otherwise).
+def _node_limits(sys: PickSystem, w: RationalFunction, nodes) -> dict:
+    """The limits of w that each node's checks read, from its jets at the
+    given 0-based nodes (``function_jets``: for a w with an origin, the rows
+    of its whole node pass through Theta's residue form, never its
+    coefficients, the pass ``classify_and_verify`` reads; from w's own
+    coefficients otherwise).
 
-    ``outcomes`` maps 0-based nodes to their outcome kind, or None.  A
-    regular node reads the value and derivative, and the kernel diagonal too
-    for ``"maybe_missed"``; a singular node reads the residual.  Returns a
-    dict per node of those ``LimitEstimate``s keyed by ``LimitKind`` value,
-    and the node's zero test (``boundary._zero_test``) under
-    ``"zero_test"``.
+    What a node reads depends on its kind alone: a regular node reads the
+    value and derivative, a singular node the residual.  Returns a dict per
+    node of those ``LimitEstimate``s keyed by ``LimitKind`` value, and the
+    node's zero test (``boundary._zero_test``) under ``"zero_test"``.
     """
-    return _jet_node_limits(sys, outcomes, function_jets(w, [sys.X[i] for i in outcomes]))
+    return _jet_node_limits(sys, nodes, function_jets(w, [sys.X[i] for i in nodes]))
 
 
-def _jet_node_limits(sys: PickSystem, outcomes: dict, jets) -> dict:
-    """``_node_limits`` from the jets of w at the nodes of ``outcomes``, in
-    its order."""
+def _jet_node_limits(sys: PickSystem, nodes, jets) -> dict:
+    """``_node_limits`` from the jets of w at ``nodes``, in their order."""
     ell = sys.ell
     limits = {}
-    for (i, outcome), jet in zip(outcomes.items(), jets):
-        if i >= ell:
-            keys = ("residual",)
-        elif outcome == "maybe_missed":
-            keys = ("value", "derivative", "kernel_diagonal")
-        else:
-            keys = ("value", "derivative")
+    for i, jet in zip(nodes, jets):
+        keys = ("value", "derivative") if i < ell else ("residual",)
         limits[i] = node = jet_limits(jet.num, jet.den, keys)
         node["zero_test"] = jet.zero_test
     return limits
@@ -398,41 +395,45 @@ def verify_outcome(
 
     ``kind`` is a key of ``_REGULAR_DESCRIPTIONS`` or ``_SINGULAR_DESCRIPTIONS``:
     ``"exact"`` (problem 1 at the node), ``"bound"`` (problem 2),
-    ``"strict_below"``, ``"strict_above"``, and ``"missed"`` or
-    ``"maybe_missed"`` (regular; the latter also takes the kernel-diagonal
-    limit) or ``"zero_residual"`` (singular).  Equalities and ``"bound"``
-    hold within ``tol``; strict inequalities need slack above ``tol``.  The
-    margin is the equality error or the slack.  A regular ``"bound"`` or
-    strict outcome needs the value within ``tol`` of w_i, so finite, where
-    w is analytic and its derivative limit finite.  Every singular outcome
-    needs a finite residual r, and a ``"bound"`` or strict one |r| > ``tol``,
-    as it compares -1/r.  Short of these an outcome fails with no margin.
-    ``limits`` are the node's
-    ``_node_limits`` for ``kind``, taken here when not given (for a w with
-    an origin, the node's row of its whole node pass); they are the
-    verification's details, zero test included.
+    ``"strict_below"``, ``"strict_above"``, ``"missed"`` and
+    ``"maybe_missed"`` (regular) or ``"zero_residual"`` (singular).
+    Equalities and ``"bound"`` hold within ``tol``; strict inequalities need
+    slack above ``tol``.  The margin is the equality error or the slack.  A
+    regular ``"bound"`` or strict outcome needs the value within ``tol`` of
+    w_i, so finite, where w is analytic and its derivative limit finite.
+    Every singular outcome needs a finite residual r, and a ``"bound"`` or
+    strict one |r| > ``tol``, as it compares -1/r.  Short of these an
+    outcome fails with no margin.
+
+    ``"maybe_missed"`` is the paper's three-way outcome of index 5: w(x_i)
+    fails to exist, or differs from w_i, or equals it with an infinite
+    kernel diagonal.  Its check is ``"missed"``'s, the value error above
+    ``tol``: a value that is not finite has an infinite error
+    (``_limit_errors``), and the third clause never decides, as a rational w
+    with a finite limit at a real node is analytic there, so its kernel
+    diagonal is the finite derivative.
+
+    ``limits`` are the node's ``_node_limits``, taken here when not given
+    (for a w with an origin, the node's row of its whole node pass); they
+    are the verification's details, zero test included.
     """
     ell = sys.ell
     regular = node_index < ell
     if kind not in (_REGULAR_DESCRIPTIONS if regular else _SINGULAR_DESCRIPTIONS):
         raise ValueError(f"unexpected outcome kind {kind!r}")
     if limits is None:
-        limits = _node_limits(sys, w, {node_index: kind})[node_index]
+        limits = _node_limits(sys, w, [node_index])[node_index]
     errors = _limit_errors(sys, node_index, limits)
     if regular:
-        value, deriv = limits["value"], limits["derivative"]
         value_err = errors["value"]
         if kind == "exact":
             err = max(value_err, errors["derivative"])
             return NodeVerification(err <= tol, err, limits)
-        if kind == "missed":
+        if kind in ("missed", "maybe_missed"):
             return NodeVerification(value_err > tol, value_err, limits)
-        if kind == "maybe_missed":
-            ok = not value.is_finite or value_err > tol or limits["kernel_diagonal"].is_infinite
-            return NodeVerification(ok, value_err, limits)
         if not value_err <= tol:
             return NodeVerification(False, None, limits)
-        s = deriv.value.real
+        s = limits["derivative"].value.real
         bound = sys.floats.data[node_index][1]
     else:
         residual = limits["residual"]
@@ -493,7 +494,7 @@ def classify_and_verify(
     jets = lft_jets(theta, *phi.pair())
     w = _node_cancelled(theta, phi, jets)
     labels, outcomes, k = _classified(sys, phi)
-    limits = _jet_node_limits(sys, {i: outcome.kind for i, outcome in enumerate(outcomes)}, jets)
+    limits = _jet_node_limits(sys, range(sys.n), jets)
     nodes = tuple(
         NodeReport(i + 1, label, outcome, verify_outcome(sys, w, i, outcome.kind, tol, limits[i]))
         for i, (label, outcome) in enumerate(zip(labels, outcomes))
@@ -626,6 +627,16 @@ def _realizations_agree(sys: PickSystem, v: RationalFunction, w: RationalFunctio
     return bool(np.all(np.abs(lhs - rhs) <= UNIQUE_AGREEMENT_TOL * (np.abs(lhs) + np.abs(rhs))))
 
 
+def _verification_json(report: dict) -> dict:
+    """``verify_candidate``'s report as a JSON document: each check as its
+    ``LimitEstimate`` document, and an infinite error as ``"inf"``."""
+    nodes = [{**node,
+              "checks": {key: limit.to_json() for key, limit in node["checks"].items()},
+              "errors": {key: _inf_json(err) for key, err in node["errors"].items()}}
+             for node in report["nodes"]]
+    return {**report, "nodes": nodes}
+
+
 def verify_candidate(
     sys: PickSystem,
     w: RationalFunction,
@@ -642,7 +653,7 @@ def verify_candidate(
     kappa, and the plain kernel count of w.
     """
     nodes = []
-    all_limits = _node_limits(sys, w, dict.fromkeys(range(sys.n)))
+    all_limits = _node_limits(sys, w, range(sys.n))
     for i, limits in all_limits.items():
         nodes.append(
             {

@@ -187,20 +187,21 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
 
     Where they share z - x_i is the node zero test r_i . v(x_i) = 0,
     decided in integers for an exact matrix with an exact parameter
-    (``boundary._exact_node_zeros``) and otherwise read from w's node pass,
-    the ``Jet`` of w at each of Theta's nodes (``boundary.lft_jets``,
-    float64, so data beyond the float range raise ``FloatRangeError``).
-    On both lanes w is returned as its origin (Theta, phi), and the zero
-    flags decide whether it degenerates (``_node_cancelled``).  Its num and
-    den are formed only when first read, by the one expansion of a
-    realization (``resolvent._expansion``).  ``solver.classify_and_verify``
-    takes w's node pass once and builds w by the same private function, so
-    a certify op decides each node once and forms no polynomial.  w keeps
-    no pass: its jets at the nodes, each read a row of the whole node pass,
-    its grid values, its values at float points and a float w's document
-    are read from the origin (``boundary.function_jets``,
-    ``_sections.pole_free_grid``, ``RationalFunction.eval``,
-    ``RationalFunction.to_json``).
+    (``boundary._exact_node_zeros``) and otherwise at JET_ZERO_TOL
+    (``boundary.node_zero_test``, O(1) per node, in floats, so data beyond
+    the float range raise ``FloatRangeError``).  On both lanes w is returned
+    as its origin (Theta, phi), and its zero flags decide whether it
+    degenerates (``_node_cancelled``): no node pass is taken unless every
+    node that could prove den nonzero is flagged.  Its num and den are
+    formed only when first read, by the one expansion of a realization
+    (``resolvent._expansion``).  ``solver.classify_and_verify`` takes w's
+    node pass once (``boundary.lft_jets``) and builds w from its flags by
+    the same private function, so a certify op decides each node once and
+    forms no polynomial.  w keeps no pass: its jets at the nodes, each read
+    a row of the whole node pass, its grid values, its values at float
+    points and a float w's document are read from the origin
+    (``boundary.function_jets``, ``_sections.pole_free_grid``,
+    ``RationalFunction.eval``, ``RationalFunction.to_json``).
     """
     return _node_cancelled(theta, phi)
 
@@ -208,20 +209,21 @@ def apply_lft(theta: RationalMatrix2x2, phi: Parameter) -> RationalFunction:
 def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> RationalFunction:
     """``apply_lft`` of phi, with its origin (Theta, phi) kept on w: the one
     place that builds w.  ``jets`` holds the ``boundary.Jet`` of w at each
-    of Theta's nodes, in their order, when the caller has w's node pass;
-    otherwise the node test is taken here, and w keeps nothing of it.
+    of Theta's nodes, in their order, when the caller has w's node pass,
+    whose zero flags are then read; otherwise the flags are taken here, from
+    ``_exact_node_zeros`` on the exact lane and ``node_zero_test`` on the
+    float lane, and w keeps nothing of them.
 
-    On both lanes w is returned as its origin alone, with num and den unset:
-    ``RationalFunction.__getattr__`` forms them (``resolvent._expansion``)
-    when first read, and nothing a certify op reads reads them.  Degeneracy
-    is decided with no polynomial formed.  Near x_i, u(t) = (z - x_i)
-    Theta(z) v(z) has second component (z - x_i) den, den = Theta21 p +
-    Theta22 q, with constant term l_i[1] (r_i . v(x_i)), for any constant
-    term K of Theta (so the degenerate solution's realization, K = 0, is
-    built here too).  On the exact lane a node with l_i[1] != 0 (E_i = 1 at
-    a regular node) and a False exact zero flag makes it nonzero, so den is
-    not zero; where there is none, num and den are formed here, and a zero
-    den is rejected.  On the float lane D den, D the product of the n nodes,
+    w is returned with num and den unset, which ``RationalFunction.__getattr__``
+    forms when first read.  Degeneracy is decided from the zero flags.  Near
+    x_i, u(t) = (z - x_i) Theta(z) v(z) has second component (z - x_i) den,
+    den = Theta21 p + Theta22 q, with constant term l_i[1] (r_i . v(x_i)),
+    for any constant term K of Theta (so the degenerate solution's
+    realization, K = 0, is built here too).  So a node with l_i[1] != 0
+    (E_i = 1 at a regular node of a resolvent) whose flag reads nonzero
+    proves den is not zero.  Only where every such node is flagged is more
+    needed.  The exact lane then forms num and den, and rejects a zero den.
+    The float lane reads the node pass: D den, D the product of the n nodes,
     has degree at most n + deg phi and is prod_{j != i} (z - x_j) times u's
     second component near x_i, whose first JET_ORDERS Taylor coefficients
     are the jet's ``den``.  Where every node's ``den`` jet reads zero (at
@@ -230,28 +232,26 @@ def _node_cancelled(theta: RationalMatrix2x2, phi: Parameter, jets=None) -> Rati
     the transform, the constant infinity, is rejected.  A phi of higher
     degree is expanded here to decide.
     """
-    from .boundary import JET_ORDERS, _exact_node_zeros, lft_jets
+    from .boundary import JET_ORDERS, _exact_node_zeros, lft_jets, node_zero_test
     from .resolvent import _DEGENERATE, _expansion
 
     p, q = phi.pair()
     exact = theta.exact and p.exact and q.exact
-    zeros = None  # the flags num and den are formed with here
-    if exact:
-        flags = (_exact_node_zeros(theta, p, q) if jets is None
-                 else [jet.zero_test["zero"] for jet in jets])
-        if not any(l[1] and not zero for l, zero in zip(theta.left, flags)):
-            zeros = flags
+    if jets is not None:
+        flags = [jet.zero_test["zero"] for jet in jets]
+    elif exact:
+        flags = _exact_node_zeros(theta, p, q)
     else:
-        if jets is None:
-            jets = lft_jets(theta, p, q)
-        if max(p.degree, q.degree) >= (JET_ORDERS - 1) * len(theta.nodes):
-            zeros = [jet.zero_test["zero"] for jet in jets]
-        elif not any(any(jet.den) for jet in jets):
+        flags = node_zero_test(theta, p, q)[0]
+    expand = not any(l[1] and not zero for l, zero in zip(theta.left, flags))
+    if expand and not exact and max(p.degree, q.degree) < (JET_ORDERS - 1) * len(theta.nodes):
+        if not any(any(jet.den) for jet in (jets or lft_jets(theta, p, q))):
             raise DegenerateTransformError(_DEGENERATE)
-    if zeros is None:
+        expand = False
+    if expand:
+        w = RationalFunction(*_expansion(theta, p, q, flags), reduce=False)
+    else:
         w = RationalFunction.__new__(RationalFunction)
         object.__setattr__(w, "exact", exact)
-    else:
-        w = RationalFunction(*_expansion(theta, p, q, zeros), reduce=False)
     object.__setattr__(w, "_origin", (theta, phi))
     return w

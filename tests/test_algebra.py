@@ -265,6 +265,13 @@ class TestHermitianInertia:
             b.hermitian_inertia(b.HermitianMatrix(np.diag([0.5, -0.5, 2.0])), -1)
         assert b.hermitian_inertia(b.HermitianMatrix(np.diag([0.5, -0.5, 0.0])), 0) == (1, 1, 1)
 
+    def test_empty_matrix_and_plain_rows(self):
+        # a 0 x 0 matrix has no eigenvalues; rows that are no HermitianMatrix
+        # are wrapped, on both lanes
+        assert b.hermitian_inertia([]) == (0, 0, 0)
+        assert b.hermitian_inertia([[-1, 1], [1, 1]]) == (1, 0, 1)
+        assert b.hermitian_inertia([[-1.0, 1.0], [1.0, 1.0]]) == (1, 0, 1)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             b.HermitianMatrix([[0, 1], [2, 0]])

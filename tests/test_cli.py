@@ -14,6 +14,7 @@ import bnpick as b
 from bnpick.algebra import RationalFunction
 from bnpick.cli import RunConfig, _realization, main
 from bnpick.resolvent import RationalMatrix2x2
+from bnpick.solver import _verification_json
 from conftest import (
     degenerate_parameter_system, degree_sample, grid_system, probe_set, singular_probe,
 )
@@ -285,7 +286,7 @@ class TestFloatDocuments:
                            json.dumps(realization), "--config", str(config))
             w = b.apply_lft(*_realization(realization))
             want = b.verify_candidate(b.build_system(sys_.data), w)
-            assert doc == json.loads(json.dumps(cli._jsonify(want)))
+            assert doc == json.loads(json.dumps(_verification_json(want)))
 
     def test_float_singular_solve_writes_its_realization(self, capsys, tmp_path):
         # the float unique solution is written as its origin, the
@@ -465,9 +466,13 @@ _CANDIDATE = '{"num":[0,1],"den":[1]}'
     # one float datum makes the problem float data, which 10^400 cannot join
     ("pick", _EX101.replace('"x":0', '"x":0.5').replace('"w":1', f'"w":{10 ** 400}'), None, None,
      "float range"),
+    # a listed node is compared exactly: the float nearest 1/3 is another node
+    ("pick", _EX101.replace('"x":0', '"x":"1/3"').replace(
+        '"singular"', '"nodes":[0.3333333333333333,1],"singular"'), None, None, "'nodes'"),
 ], ids=["node-1/0", "const-1/0", "num-x", "den-0", "nodes-5", "rank_tol-abc",
         "points-x", "im_levels-5", "points-0", "out-5", "eig_tol--1",
-        "rank_tol-10^400", "re_margin-10^400", "im_levels-10^400", "w-10^400-in-float-data"])
+        "rank_tol-10^400", "re_margin-10^400", "im_levels-10^400", "w-10^400-in-float-data",
+        "nodes-float-of-1/3"])
 def test_malformed_input_exits_2_with_one_error_line(
     capsys, tmp_path, command, problem, param, config, named
 ):
@@ -554,6 +559,41 @@ def test_golden_document(name, argv, tmp_path):
     out = tmp_path / "out.json"
     assert main(golden_argv(argv, out)) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _demo(name):
+    return b.InterpolationData.from_json(json.loads((DEMOS / f"{name}.json").read_text()))
+
+
+def _library_document(name):
+    """The library's document of a golden case, built with no CLI code."""
+    if name.startswith("solve-"):
+        return b.solve(_demo(name[len("solve-"):])).to_json()
+    sys_ = b.build_system(_demo("ex101"))
+    if name == "apply-ex101-z":
+        phi = b.Parameter.from_json(json.loads(_PARAMS["z"]))
+        report, w, sampled = b.classify_and_verify(sys_, phi)
+        return {"w": w.to_json(), **report.to_json(), "kernel_negative_squares": sampled}
+    w = b.RationalFunction.from_json({"num": [0, 1], "den": [1]})
+    return _verification_json(b.verify_candidate(sys_, w))
+
+
+@pytest.mark.parametrize("name", ["solve-ex101", "solve-ex103", "apply-ex101-z", "verify-ex101-z"])
+def test_library_documents_are_the_cli_bytes(name):
+    # json.dumps writes each document as it is: no CLI pass rewrites it
+    text = json.dumps(_library_document(name), indent=2, allow_nan=False) + "\n"
+    assert text.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_verify_writes_infinite_errors_as_inf(capsys):
+    # w = 1/z has a pole at the node x_1 = 0: its value and derivative
+    # limits there are infinite, and so are their errors
+    doc = run_json(capsys, "verify", "--problem", str(DEMOS / "ex101.json"),
+                   "--param", '{"num":[1],"den":[0,1]}')
+    first = doc["nodes"][0]
+    assert first["errors"] == {"value": "inf", "derivative": "inf"}
+    assert first["checks"]["value"] == {"kind": "value", "value": "inf"}
+    assert first["problem1"] is first["problem2"] is False
 
 
 def run_module(*argv, args=("-m", "bnpick.cli")):
@@ -691,6 +731,31 @@ def test_a_node_beyond_the_float_range_is_one_error_line(
         assert not out and err.startswith("error: ") and err.count("\n") == 1 and named in err
     else:
         assert json.loads(out)["X"][1] == 10**400 and not err
+
+
+def test_a_listed_node_beyond_the_float_range_matches(capsys, tmp_path):
+    # the optional "nodes" list is compared with the parsed nodes, not
+    # through floats, which 10^400 overflows
+    doc = json.loads(_HUGE_NODE)
+    doc["nodes"] = [10**400, 0]
+    (tmp_path / "problem.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "pick", "--problem", str(tmp_path / "problem.json"))
+    assert code == 0 and json.loads(out)["X"][1] == 10**400 and not err
+
+
+@pytest.mark.parametrize("regular", [
+    # w_2 - w_1 = -2e308: P held -Infinity and the Lyapunov residual NaN
+    [{"x": 0, "w": 1e308, "gamma": 1}, {"x": 1, "w": -1e308, "gamma": 1}],
+    # x_2 - x_1 = 2e308: P is finite, but its Lyapunov residual was NaN
+    [{"x": -1e308, "w": 0, "gamma": 1}, {"x": 1e308, "w": 1, "gamma": 1}],
+], ids=["w-difference", "x-difference"])
+def test_a_float_pick_matrix_beyond_the_float_range_is_one_error_line(capsys, tmp_path, regular):
+    # JSON has no number for what these differences made of the documents
+    (tmp_path / "problem.json").write_text(json.dumps({"regular": regular, "singular": []}))
+    code, out, err = run(capsys, "pick", "--problem", str(tmp_path / "problem.json"))
+    assert code == 3 and not out
+    assert err == ("error: an entry of the Pick matrix or a node difference exceeds "
+                   "the float range\n")
 
 
 @pytest.mark.parametrize("command", ["pick", "solve"])

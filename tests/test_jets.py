@@ -16,6 +16,7 @@ from bnpick.boundary import JET_ZERO_TOL, LimitKind, jet_limits, lft_jets, ratio
 from conftest import (
     BENCHMARK_PARAMETERS,
     STANDARD_SWEEP,
+    grid_system,
     probe_set,
     random_data,
     random_fraction,
@@ -309,13 +310,30 @@ class TestLftJets:
         theta, phi = b.build_theta(sys1), b.Parameter.constant(1e308)
         with pytest.raises(b.FloatRangeError, match="jets of w"):
             lft_jets(theta, *phi.pair())
+        # apply_lft reads only the zero test, which fits the float range;
+        # the first read of w's limits takes the pass and raises
+        w = b.apply_lft(theta, phi)
         with pytest.raises(b.FloatRangeError, match="jets of w"):
-            b.apply_lft(theta, phi)
+            b.nt_limit(w, sys1.X[0])
+        with pytest.raises(b.FloatRangeError, match="jets of w"):
+            b.verify_candidate(sys1, w)
         # phi = 1e300 z^40: its jets at the nodes 0 and 1 fit the float range,
         # its values on the grid out to |z| = 2.3 do not
         w = b.apply_lft(theta, b.Parameter.rational(b.RationalFunction([0.0] * 40 + [1e300])))
         with pytest.raises(b.FloatRangeError, match="sampling grid"):
             b.kernel_negative_squares(w, span=span_of(theta.nodes))
+
+    def test_a_zero_test_beyond_the_float_range_raises(self):
+        # phi = 1e300 z^10 overflows at the node -12: the scale of the zero
+        # test is infinite, and no flag is read from it
+        sys_ = grid_system(random.Random(5), 4)
+        assert min(sys_.X) == -12
+        theta = b.build_theta(sys_)
+        phi = b.Parameter.rational(b.RationalFunction([0.0] * 10 + [1e300]))
+        with pytest.raises(b.FloatRangeError, match="zero test of w"):
+            boundary.node_zero_test(theta, *phi.pair())
+        with pytest.raises(b.FloatRangeError, match="zero test of w"):
+            b.apply_lft(theta, phi)
 
 
 def lane_report(n, exact):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -469,6 +470,15 @@ class TestThetaInverse:
         # Theta J Theta* - J = (k^2 - 1) J for K = k I
         assert report.max_residual == abs(constant[0][0] ** 2 - 1)
 
+    def test_a_node_beyond_the_float_range_is_not_sampled(self, theta1):
+        # a residue form read from a document holds x_2 = 10^400 exactly;
+        # its float samplers cannot, and name the entry's size
+        doc = theta1.residue_json()
+        doc["nodes"][1] = 10**400
+        form = b.RationalMatrix2x2.from_json(doc)
+        with pytest.raises(b.FloatRangeError, match="1329 bits"):
+            form.eval(0.5j)
+
     def test_adjugate_route_agrees(self, theta1, theta2):
         rng = random.Random(59)
         thetas = [theta1, theta2] + [b.build_theta(random_invertible_system(rng))
@@ -672,6 +682,17 @@ class TestKernelCounts:
         config = b.GridConfig(points_per_level=8, im_levels=(0.2, 0.7, 1.3))
         assert b.kernel_theta_negative_squares(sys1, theta1, config=config) <= sys1.kappa
 
+    def test_a_kernel_off_its_state_space_form_raises(self, sys1, theta1):
+        # one entry of P^-1 moved by 1: the direct kernel and the state-space
+        # form no longer agree
+        points, values = theta1._grid_table(sys1.floats.span, b.DEFAULT_GRID)
+        resolvent.kernel_theta_sample(sys1, points, values)
+        p_inv = [list(row) for row in sys1.p_inv]
+        p_inv[0][0] += 1
+        moved = dataclasses.replace(sys1, p_inv=tuple(map(tuple, p_inv)))
+        with pytest.raises(ArithmeticError, match="state-space form"):
+            resolvent.kernel_theta_sample(moved, points, values)
+
 
 class TestFactorize:
     def test_two_regular_split(self, sys1, theta1):
@@ -707,6 +728,17 @@ class TestFactorize:
         assert sys_.invertible
         with pytest.raises(b.SplitNotAdmissibleError):
             b.factorize(sys_, 1)
+
+    def test_an_ill_conditioned_leading_block_is_no_split(self):
+        # with rank_tol = 0 the float leading block [[1, 1], [1, 1 + 2^-50]]
+        # counts as invertible, but its inverse is refused below RCOND_MIN
+        d = b.InterpolationData(nodes=(0.0, 1.0, 2.0), values=(0.0, 1.0, 5.0),
+                                derivative_bounds=(1.0, 1.0 + 2.0 ** -50, 1.0), residues=())
+        sys_ = b.build_system(d, 0.0)
+        assert sys_.invertible
+        with pytest.raises(b.SplitNotAdmissibleError, match="reciprocal condition") as exc:
+            b.factorize(sys_, 2)
+        assert isinstance(exc.value.__cause__, b.SingularMatrixError)
 
     def test_factors_are_head_resolvent_and_kappa_rest(self, sys1, sys2):
         rng = random.Random(97)

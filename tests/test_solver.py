@@ -84,6 +84,28 @@ class TestClassifyParameter:
             lab = b.classify_parameter(huge, b.Parameter.constant(sys_.eta[i]), i)
             assert lab.index == (3 if sys_.tilde_p_diag[i] > 0 else 4)
 
+    def test_a_rational_threshold_beyond_the_float_range_is_labelled(self):
+        # te_1 and tc_1 scaled by 1e-170 leave eta_1 as it is, but te_1^2
+        # underflows to 0 in floats: tau_1 = -p~_11 / te_1 / te_1 reads -inf
+        # (p~_11 > 0), so a rational phi meeting eta_1 takes the constant's
+        # sign-rule label
+        sys_ = grid_system(random.Random(4000), 4, False)
+        tiny = dataclasses.replace(sys_, tilde_e=(sys_.tilde_e[0] * 1e-170, *sys_.tilde_e[1:]),
+                                   tilde_c=(sys_.tilde_c[0] * 1e-170, *sys_.tilde_c[1:]))
+        x, eta = tiny.X[0], tiny.eta[0]
+        assert tiny.tilde_e[0] ** 2 == 0 and tiny.tilde_p_diag[0] > 0
+        assert b.classify_parameter(tiny, b.Parameter.constant(eta), 0).index == 3
+        for slope in (0.5, -0.5):
+            phi = b.Parameter.rational(rf((eta - slope * x, slope)))
+            label = b.classify_parameter(tiny, phi, 0)
+            assert (label.family, label.index) == ("C", 3)
+
+    def test_a_double_pole_at_a_tilde_node_is_unclassifiable(self, sys1):
+        # 1/z^2 at sys1's Ctilde node x = 0: value and residual are infinite
+        phi = b.Parameter.rational(rf((1,), (0, 0, 1)))
+        with pytest.raises(b.UnclassifiableParameterError, match="node 1"):
+            b.classify_all(sys1, phi)
+
     def test_pole_parameter_in_tilde_family(self, sys1):
         # phi = -1/z has a pole at node 0: residual -1 gives -1/phi_res = 1 < 2
         phi = b.Parameter.rational(rf((-1,), (0, 1)))
@@ -398,6 +420,13 @@ class TestFeasibility:
         assert b.feasibility_miss_set(sys1, []) is b.Feasibility.INFINITELY_MANY
 
     def test_unique_parameter_verdict(self):
+        # nodes (0, 1), values (0, 1), bounds (-1, 0): p~_11 = 0, so the
+        # 1 x 1 block over node 1 is singular and negative semidefinite
+        d = b.InterpolationData(nodes=(F(0), F(1)), values=(F(0), F(1)),
+                                derivative_bounds=(F(-1), F(0)), residues=())
+        sys_ = b.build_system(d)
+        assert sys_.tilde_p_diag[0] == 0
+        assert b.feasibility_miss_set(sys_, [0]) is b.Feasibility.UNIQUE_PARAMETER
         # two singular nodes with p~ block negative semidefinite and singular
         d = b.InterpolationData(nodes=(F(0), F(1), F(2)), values=(F(0),),
                                 derivative_bounds=(F(1),), residues=(F(1), F(1)))
@@ -434,6 +463,22 @@ class TestSolveDegenerate:
         assert abs(value.value) <= 1e-8
         assert abs(deriv.value - (-1.0)) <= 1e-8
         assert abs(residual.value - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_kernel_vectors_that_disagree_are_refused(self, exact):
+        # (1, 0) is no kernel vector of sys3's P; its closed form is the
+        # constant w_1 = 0, not the unique solution of (1, 1)
+        data = data_degenerate()
+        if not exact:
+            data = b.InterpolationData(*(tuple(map(float, seq)) for seq in (
+                data.nodes, data.values, data.derivative_bounds, data.residues)))
+        sys_ = b.build_system(data)
+        one, zero = (F(1), F(0)) if exact else (1.0, 0.0)
+        assert len(sys_.kernel) == 1
+        b.solve_degenerate(dataclasses.replace(sys_, kernel=sys_.kernel * 2))
+        bad = dataclasses.replace(sys_, kernel=(sys_.kernel[0], (one, zero)))
+        with pytest.raises(b.NoSolutionRepresentationError, match="different unique solutions"):
+            b.solve_degenerate(bad)
 
     def test_nullity_two_all_vectors_agree(self):
         # zero Pick matrix: every kernel vector reproduces the constant value
@@ -695,7 +740,7 @@ class TestOneBatchPerFunction:
         assert calls[0][1] == (theta, p, q)
         assert calls[-1][1] == (critical.func, list(sys_.X))
 
-    def test_maybe_missed_kernel_limit_rides_with_w(self, sys1, monkeypatch):
+    def test_maybe_missed_node_reads_what_a_regular_node_reads(self, sys1, monkeypatch):
         calls = self.recorded(monkeypatch)
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
         report, w, _ = b.classify_and_verify(sys1, critical)
@@ -703,7 +748,7 @@ class TestOneBatchPerFunction:
         self.assert_one_node_pass(sys1, critical, calls)
         assert w == b.apply_lft(b.build_theta(sys1), critical)
         details = report.nodes[0].verification.details
-        assert list(details) == ["value", "derivative", "kernel_diagonal", "zero_test"]
+        assert list(details) == ["value", "derivative", "zero_test"]
         assert list(report.nodes[1].verification.details) == ["value", "derivative", "zero_test"]
 
     def test_float_certify_runs_the_zero_test_once(self, monkeypatch):
@@ -719,7 +764,7 @@ class TestOneBatchPerFunction:
     def test_verify_outcome_takes_no_limit_when_given_limits(self, sys1, monkeypatch):
         critical = b.Parameter.rational(rf((F(-1, 2),), (0, 1)))
         w = b.apply_lft(b.build_theta(sys1), critical)
-        limits = solver._node_limits(sys1, w, {0: "maybe_missed"})[0]
+        limits = solver._node_limits(sys1, w, [0])[0]
         monkeypatch.setattr(solver, "rational_jets", None)
         monkeypatch.setattr(solver, "lft_jets", None)
         assert verify_outcome(sys1, w, 0, "maybe_missed", limits=limits).ok

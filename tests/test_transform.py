@@ -11,6 +11,7 @@ from bnpick import algebra, boundary, resolvent, solver, transform
 from conftest import (
     BENCHMARK_PARAMETERS,
     STANDARD_SWEEP,
+    data_two_regular,
     degenerate_parameter_system,
     gcd_apply_lft,
     plain_quotient,
@@ -20,6 +21,7 @@ from conftest import (
     random_fraction,
     random_invertible_system,
     rf,
+    singular_probe,
 )
 
 F = Fraction
@@ -546,17 +548,25 @@ class TestFloatWIsItsOrigin:
         with pytest.raises(b.DegenerateTransformError):
             b.classify_and_verify(sys_, phi)
 
-    def test_a_parameter_of_degree_3n_is_expanded(self, monkeypatch):
+    def test_degree_3n_is_expanded_where_every_node_is_flagged(self, monkeypatch):
         # D den has degree at most n + deg phi, so JET_ORDERS zeros at each
-        # of the n nodes decide it only below deg phi = (JET_ORDERS - 1) n
-        sys_ = grid_system(random.Random(5), 2)
+        # of the n nodes decide it only below deg phi = (JET_ORDERS - 1) n;
+        # a regular node whose zero flag reads nonzero proves den != 0 first
+        data = data_two_regular()
+        sys_ = b.build_system(b.InterpolationData(*(tuple(map(float, seq)) for seq in (
+            data.nodes, data.values, data.derivative_bounds, data.residues))))
         theta = b.build_theta(sys_)
-        low, high = (b.Parameter.rational(rf([1.0] + [0.0] * (d - 1) + [1.0]))
+        # (z^d + z/2 - 1) / z meets eta = (inf, 1/2) at both regular nodes
+        low, high = (b.Parameter.rational(rf([-1.0, 0.5] + [0.0] * (d - 2) + [1.0], (0.0, 1.0)))
                      for d in (5, 6))
-        assert boundary.JET_ORDERS == 4
+        unflagged = b.Parameter.rational(rf([1.0] + [0.0] * 5 + [1.0]))
+        assert boundary.JET_ORDERS == 4 and sys_.ell == 2
+        for phi, flags in ((low, [True, True]), (high, [True, True]), (unflagged, [False, False])):
+            assert boundary.node_zero_test(theta, *phi.pair())[0] == flags
         expanded = [b.apply_lft(theta, phi) for phi in (low, high)]
         self.expansion_fails(monkeypatch)
         assert b.apply_lft(theta, low)._origin[1] is low
+        assert b.apply_lft(theta, unflagged)._origin[1] is unflagged
         with pytest.raises(AssertionError, match="expansion"):
             b.apply_lft(theta, high)
         monkeypatch.undo()
@@ -667,6 +677,47 @@ class TestExactWIsItsOrigin:
             want = w.eval(F(0.123))
             assert isinstance(want, F)
             assert abs(value - complex(want)) <= 1e-10 * max(1.0, abs(float(want)))
+
+
+class TestNodePassOnlyForLimits:
+    """w's node pass (``boundary.lft_jets``) is taken where w's limits are
+    read: building w reads only its zero flags."""
+
+    @staticmethod
+    def passes(monkeypatch):
+        calls = []
+        lft_jets = boundary.lft_jets
+
+        def counted(*args):
+            calls.append(args)
+            return lft_jets(*args)
+
+        monkeypatch.setattr(boundary, "lft_jets", counted)
+        return calls
+
+    def test_a_standalone_float_apply_lft_takes_no_pass(self, monkeypatch):
+        sys_, phi = probe_set(32, False)[2]
+        theta = b.build_theta(sys_)
+        calls = self.passes(monkeypatch)
+        w = b.apply_lft(theta, phi)
+        assert w._origin == (theta, phi) and calls == []
+
+    def test_a_float_singular_solve_and_its_verify_take_one_pass(self, monkeypatch, capsys, tmp_path):
+        from bnpick import cli
+
+        data = singular_probe(16, 0, exact=False).data
+        calls = self.passes(monkeypatch)
+        bundle = b.solve(data)
+        assert bundle.kind == "unique" and len(calls) == 1
+        problem, config = tmp_path / "problem.json", tmp_path / "float.json"
+        problem.write_text(json.dumps(data.to_json()))
+        config.write_text('{"backend": "float"}')
+        calls.clear()
+        argv = ["verify", "--problem", str(problem), "--param", json.dumps(bundle.w.to_json()),
+                "--config", str(config)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["fmi_count"] == bundle.kappa
+        assert len(calls) == 1
 
 
 class TestLftCompose:
